@@ -12,105 +12,58 @@ phase sensitivity below the standard quantum limit 1/sqrt(N).
 __version__ = "0.1.0"
 
 from .phasespace import (
-    ModeTriple,
     SeedSpec,
     occupation,
     quadrature_x,
-    quadrature_y,
     sample_coherent,
     sample_coherent_batch,
     sample_initial_ensemble,
-    sample_initial_state,
 )
 from .dynamics import (
-    ConservationReport,
-    Ensemble,
-    IntegrationError,
     IntegratorSpec,
     build_ensemble,
     evolve_analytic,
     evolve_tw,
     transferred_atoms,
 )
-from .interferometer import (
-    HomodyneSpec,
-    SignalSample,
-    beam_splitter_half,
-    calibrate_correction_sign,
-    combine_signals,
-    detected_photons,
-    measure_signals,
-    phase_imprint,
-    run_mzi,
-    signal_atoms,
-    signal_light,
-)
-from .analytics import AnalyticPrediction, heisenberg, predict, r_crit, sql
+from .interferometer import HomodyneSpec, detected_photons, measure_signals
+from .analytics import predict
 from .estimator import (
-    OptimumReport,
     PhiGrid,
-    SensitivityCurve,
-    bootstrap_ci,
     m_at_phi,
-    optimum_over_r,
     scan_over_r,
     sensitivity_curve,
-    signal_matrix,
     squeezed_combo_variance,
 )
 from .feasibility import PhysicalSetup, capture_fraction, rate_ratio, scaling_estimate
-from .config import ConfigError, RunConfig, load_config_file, make_config
+from .config import RunConfig
 
+# The names the demos, the tests and the README import from the package
+# itself; everything else is imported from its module.
 __all__ = [
-    "AnalyticPrediction",
-    "ConfigError",
-    "ConservationReport",
-    "Ensemble",
     "HomodyneSpec",
-    "IntegrationError",
     "IntegratorSpec",
-    "ModeTriple",
-    "OptimumReport",
     "PhiGrid",
     "PhysicalSetup",
     "RunConfig",
     "SeedSpec",
-    "SensitivityCurve",
-    "SignalSample",
-    "beam_splitter_half",
-    "bootstrap_ci",
     "build_ensemble",
-    "calibrate_correction_sign",
     "capture_fraction",
-    "combine_signals",
     "detected_photons",
     "evolve_analytic",
     "evolve_tw",
-    "heisenberg",
-    "load_config_file",
     "m_at_phi",
-    "make_config",
     "measure_signals",
     "occupation",
-    "optimum_over_r",
-    "phase_imprint",
     "predict",
     "quadrature_x",
-    "quadrature_y",
-    "r_crit",
     "rate_ratio",
-    "run_mzi",
     "sample_coherent",
     "sample_coherent_batch",
     "sample_initial_ensemble",
-    "sample_initial_state",
     "scaling_estimate",
     "scan_over_r",
     "sensitivity_curve",
-    "signal_atoms",
-    "signal_light",
-    "signal_matrix",
-    "sql",
     "squeezed_combo_variance",
     "transferred_atoms",
 ]

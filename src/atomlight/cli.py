@@ -27,21 +27,16 @@ from .config import (
     make_config,
     parse_assignments,
 )
-from .dynamics import build_ensemble, transferred_atoms
+from .dynamics import transferred_atoms
 from .estimator import (
     PhiGrid,
+    fringe_features,
+    prepare,
     scan_over_r,
     sensitivity_curve,
     squeezed_combo_variance,
 )
 from .feasibility import PhysicalSetup, capture_fraction, rate_ratio, scaling_estimate
-from .interferometer import (
-    HomodyneSpec,
-    calibrate_correction_sign,
-    lo_noise_samples,
-    measure_signals,
-    resolve_homodyne,
-)
 from . import __version__
 
 DRIFT_LIMIT = 1.0e-6  # conservation drift above this fails the run
@@ -105,19 +100,10 @@ PHI_SWEEP_COLUMNS = [
 
 
 def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep") -> int:
-    ensemble = build_ensemble(
-        config.n_total, config.n_seed, config.r, config.trajectories,
-        config.master_seed, mode=config.mode,
-        steps_per_unit_r=config.steps_per_unit_r, n_threads=config.threads,
-    )
+    ensemble, spec, correction = prepare(config, config.r)
     grid = PhiGrid.from_range(config.phi_start, config.phi_stop, config.phi_count)
-    spec = HomodyneSpec(
-        gain_g=config.gain_g, lo_sampled=config.lo_sampled,
-        correction_sign="plus" if config.correction == "on" else "auto",
-    )
     curve = sensitivity_curve(
-        ensemble, grid, spec, correction=(config.correction != "off"),
-        resamples=config.bootstrap_resamples,
+        ensemble, grid, spec, correction=correction, resamples=config.bootstrap_resamples
     )
     rows = list(zip(
         curve.phi, curve.mean_s_a, curve.var_s_a, curve.mean_s_b, curve.mean_s,
@@ -130,6 +116,7 @@ def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep") -> 
     min_m, argmin_phi = curve.min_m()
     k = int(np.argmin(np.where(np.isfinite(curve.m), curve.m, np.inf)))
     drift = ensemble.conservation
+    gates = _drift_gate(drift.max_rel_drift_atoms, drift.max_rel_drift_manley_rowe)
     write_summary(out_dir / f"{stem}_summary.json", {
         "config": cfg,
         "min_m": min_m,
@@ -140,8 +127,9 @@ def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep") -> 
         "max_rel_drift_atoms": drift.max_rel_drift_atoms,
         "max_rel_drift_manley_rowe": drift.max_rel_drift_manley_rowe,
         "traj_count": curve.traj_count,
+        "gates": gates,
     })
-    return 0 if _drift_ok(drift.max_rel_drift_atoms, drift.max_rel_drift_manley_rowe) else 1
+    return _gate_status(gates)
 
 
 R_SCAN_COLUMNS = [
@@ -163,6 +151,8 @@ def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan") -> int:
     write_table(_data_path(out_dir, stem, config.output_format),
                 R_SCAN_COLUMNS, rows, cfg, config.output_format)
     report = result.report
+    gates = _drift_gate(max(row.drift_atoms for row in result.rows),
+                        max(row.drift_manley_rowe for row in result.rows))
     write_summary(out_dir / f"{stem}_summary.json", {
         "config": cfg,
         "r_star": report.r_star,
@@ -170,46 +160,31 @@ def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan") -> int:
         "atoms_transferred_at_star": report.atoms_transferred_at_star,
         "equivalent_atom_gain": report.equivalent_atom_gain,
         "at_boundary": report.at_boundary,
+        "gates": gates,
     })
-    worst_atoms = max(row.drift_atoms for row in result.rows)
-    worst_mr = max(row.drift_manley_rowe for row in result.rows)
-    return 0 if _drift_ok(worst_atoms, worst_mr) else 1
+    return _gate_status(gates)
 
 
 SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
 
 
 def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter") -> int:
-    ensemble = build_ensemble(
-        config.n_total, config.n_seed, config.r, config.trajectories,
-        config.master_seed, mode=config.mode,
-        steps_per_unit_r=config.steps_per_unit_r, n_threads=config.threads,
-    )
-    spec = resolve_homodyne(
-        HomodyneSpec(
-            gain_g=config.gain_g, lo_sampled=config.lo_sampled,
-            correction_sign="plus" if config.correction == "on" else "auto",
-        ),
-        ensemble,
-    )
-    if config.correction == "auto_sign":
-        spec = replace(spec, correction_sign=calibrate_correction_sign(ensemble, spec))
-    sign = "off" if config.correction == "off" else spec.correction_sign
-    lo_noise = lo_noise_samples(ensemble) if spec.lo_sampled else None
-
-    use_spec = spec if sign != "off" else replace(spec, correction_sign="auto")
+    ensemble, spec, correction = prepare(config, config.r)
+    features, s_b, sign = fringe_features(ensemble, spec, correction)
+    b, c, d = features.T
+    s_b_scaled = s_b / config.gain_g
     rows = []
     corr = {}
     for phi in config.scatter_phis:
-        sample = measure_signals(ensemble, phi, use_spec, lo_noise)
-        s_b_scaled = sample.s_b / config.gain_g
-        for t in range(ensemble.n_traj):
-            rows.append((t, phi, sample.s_a[t], s_b_scaled[t], sample.s_combined[t]))
-        corr[_fmt(float(phi))] = float(np.corrcoef(sample.s_a, s_b_scaled)[0, 1])
+        s_a = b * np.cos(phi) + c * np.sin(phi)
+        s = s_a + d
+        rows.extend(zip(range(ensemble.n_traj), [phi] * ensemble.n_traj, s_a, s_b_scaled, s))
+        corr[_fmt(float(phi))] = float(np.corrcoef(s_a, s_b_scaled)[0, 1])
     cfg = config.to_dict()
     write_table(_data_path(out_dir, stem, config.output_format),
                 SCATTER_COLUMNS, rows, cfg, config.output_format)
     drift = ensemble.conservation
+    gates = _drift_gate(drift.max_rel_drift_atoms, drift.max_rel_drift_manley_rowe)
     write_summary(out_dir / f"{stem}_summary.json", {
         "config": cfg,
         "correction_sign": sign,
@@ -217,8 +192,9 @@ def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter") -> int:
         "transferred_atoms": transferred_atoms(ensemble),
         "max_rel_drift_atoms": drift.max_rel_drift_atoms,
         "max_rel_drift_manley_rowe": drift.max_rel_drift_manley_rowe,
+        "gates": gates,
     })
-    return 0 if _drift_ok(drift.max_rel_drift_atoms, drift.max_rel_drift_manley_rowe) else 1
+    return _gate_status(gates)
 
 
 def cmd_feasibility(setup: PhysicalSetup, out_dir: Path, stem: str = "feasibility") -> int:
@@ -273,11 +249,7 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
         var_undepleted = predict(r, config.n_total).var_squeezed_combo
         entry = [r, var_undepleted]
         for n_seed in (0.0, config.n_seed):
-            ens = build_ensemble(
-                config.n_total, n_seed, r, config.trajectories, config.master_seed,
-                mode="tw", steps_per_unit_r=config.steps_per_unit_r,
-                n_threads=config.threads,
-            )
+            ens, _, _ = prepare(replace(config, n_seed=n_seed, mode="tw"), r)
             entry.extend([squeezed_combo_variance(ens), transferred_atoms(ens)])
         rows.append(tuple(entry))
     write_table(
@@ -306,8 +278,37 @@ def _drift_ok(*drifts) -> bool:
     return all(d <= DRIFT_LIMIT for d in drifts)
 
 
+def _drift_gate(drift_atoms: float, drift_manley_rowe: float) -> dict:
+    """Summary gates block: the worse conservation drift against its limit."""
+    drifts = {"atom_number": float(drift_atoms), "manley_rowe": float(drift_manley_rowe)}
+    invariant = max(drifts, key=drifts.get)
+    return {"drift": {"invariant": invariant, "value": drifts[invariant],
+                      "limit": DRIFT_LIMIT, "passed": _drift_ok(*drifts.values())}}
+
+
+def _gate_status(gates: dict) -> int:
+    """Exit status 0 when every gate passed; each failure goes to stderr as a record."""
+    status = 0
+    for kind, gate in gates.items():
+        if not gate["passed"]:
+            print(json.dumps({"error": kind, "invariant": gate["invariant"],
+                              "value": gate["value"], "limit": gate["limit"]}), file=sys.stderr)
+            status = 1
+    return status
+
+
 def _error_record(kind: str, message: str) -> str:
     return json.dumps({"error": kind, "message": message})
+
+
+VERBS = {
+    "phi-sweep": "sensitivity across the interferometer phase grid",
+    "r-scan": "M at phi = pi/2 across r_list, with the optimum",
+    "scatter": "per-trajectory signals at a few phases",
+    "feasibility": "geometric capture fraction and rate-ratio estimates",
+    "analytic-table": "closed-form undepleted-pump predictions per r",
+    "figures": "run the bundled figure recipes",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -328,18 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"atomlight {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("phi-sweep", parents=[common],
-                   help="sensitivity across the interferometer phase grid")
-    sub.add_parser("r-scan", parents=[common],
-                   help="M at phi = pi/2 across r_list, with the optimum")
-    sub.add_parser("scatter", parents=[common],
-                   help="per-trajectory signals at a few phases")
-    sub.add_parser("feasibility", parents=[common],
-                   help="geometric capture fraction and rate-ratio estimates")
-    sub.add_parser("analytic-table", parents=[common],
-                   help="closed-form undepleted-pump predictions per r")
-    sub.add_parser("figures", parents=[common],
-                   help="run the bundled figure recipes")
+    for verb, text in VERBS.items():
+        sub.add_parser(verb, parents=[common], help=text)
     return parser
 
 
@@ -371,8 +362,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--figures" in argv:  # common-flag spelling of the figures verb
         argv.remove("--figures")
-        verbs = ("phi-sweep", "r-scan", "scatter", "feasibility", "analytic-table")
-        if argv and argv[0] in verbs:
+        if argv and argv[0] in VERBS and argv[0] != "figures":
             print(_error_record("config", f"--figures conflicts with the "
                                           f"{argv[0]!r} command"), file=sys.stderr)
             return 2
@@ -384,22 +374,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "feasibility":
             return cmd_feasibility(_resolve_setup(args), out_dir)
-        config = make_config(_resolve_mapping(args))
-        if args.command == "phi-sweep":
-            return cmd_phi_sweep(config, out_dir)
-        if args.command == "r-scan":
-            return cmd_r_scan(config, out_dir)
-        if args.command == "scatter":
-            return cmd_scatter(config, out_dir)
-        if args.command == "analytic-table":
-            return cmd_analytic_table(config, out_dir)
-        if args.command == "figures":
-            return cmd_figures(config, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(_error_record("config", str(exc)), file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
+        command = {"phi-sweep": cmd_phi_sweep, "r-scan": cmd_r_scan, "scatter": cmd_scatter,
+                   "analytic-table": cmd_analytic_table, "figures": cmd_figures}[args.command]
+        return command(make_config(_resolve_mapping(args)), out_dir)
+    except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
         print(_error_record("config", str(exc)), file=sys.stderr)
         return 2
     except OSError as exc:

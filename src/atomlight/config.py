@@ -46,9 +46,14 @@ class RunConfig:
     )
 
     def validate(self) -> "RunConfig":
-        if not np.isfinite(self.n_total) or self.n_total <= 0:
+        for key in ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g",
+                    "r_list", "scatter_phis"):
+            value = getattr(self, key)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{key} must be finite")
+        if self.n_total <= 0:
             raise ConfigError("n_total must be finite and > 0")
-        if not np.isfinite(self.n_seed) or self.n_seed < 0 or self.n_seed >= self.n_total:
+        if self.n_seed < 0 or self.n_seed >= self.n_total:
             raise ConfigError("need 0 <= n_seed < n_total")
         if self.r < 0:
             raise ConfigError("r must be >= 0")
@@ -59,6 +64,8 @@ class RunConfig:
             raise ConfigError("phi grid needs phi_stop > phi_start and phi_count >= 2")
         if self.gain_g <= 0:
             raise ConfigError("gain_g must be > 0")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError("master_seed must lie in [0, 2^64)")
         if self.trajectories < 1:
             raise ConfigError("trajectories must be >= 1")
         if self.steps_per_unit_r < 1:

@@ -1,17 +1,23 @@
 """Sensitivity estimation from trajectory ensembles.
 
-One t1 ensemble is pushed through the interferometer at every phase of a
-grid (exact common random numbers: the super-radiance dynamics do not
-depend on the interferometer phase, so the same trajectories and the same
-local-oscillator noise are reused everywhere).  Per phase this yields the
-sample mean and unbiased variance of the combined signal; the slope of the
-mean fringe comes from central differences (one-sided at the grid ends),
-and the phase sensitivity is
+Per trajectory the combined signal is a single fringe harmonic in the
+interferometer phase,
+
+    S(phi) = B cos(phi) + C sin(phi) + D,
+
+where B - iC = 2i alpha2' conj(alpha1') from the atomic amplitudes after
+the first beam splitter and D = -sign * S_b / g from the light record (D = 0
+without correction).  The dynamics do not depend on phi, so one ensemble
+and one local-oscillator draw serve every phase (exact common random
+numbers), and the per-phase mean and unbiased variance of S follow from
+three feature means and a 3x3 covariance.  The slope of the mean fringe
+comes from central differences (one-sided at the grid ends), and
 
     delta_phi = sqrt( V(S) / (d<S>/dphi)^2 ),    M = delta_phi * sqrt(N_t).
 
 Confidence intervals are trajectory-level bootstrap: whole trajectories
-are resampled and V(S), d<S>/dphi and M are recomputed jointly.
+are resampled and V(S), d<S>/dphi and M are recomputed jointly from the
+feature sums over each resample.
 """
 
 from __future__ import annotations
@@ -25,10 +31,12 @@ from .config import RunConfig
 from .dynamics import Ensemble, build_ensemble, transferred_atoms
 from .interferometer import (
     HomodyneSpec,
+    beam_splitter_half,
     calibrate_correction_sign,
+    combine_signals,
     lo_noise_samples,
-    measure_signals,
     resolve_homodyne,
+    signal_light,
 )
 from .phasespace import quadrature_x, quadrature_y
 
@@ -37,7 +45,7 @@ _BOOTSTRAP_STREAM_BLOCK = 5  # Philox counter block disjoint from trajectory str
 
 @dataclass
 class PhiGrid:
-    """Strictly increasing, uniformly spaced phase grid."""
+    """Finite, strictly increasing, uniformly spaced phase grid."""
 
     values: np.ndarray
 
@@ -45,6 +53,8 @@ class PhiGrid:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("phi grid needs at least two points")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("phi grid values must be finite")
         d = np.diff(v)
         if np.any(d <= 0):
             raise ValueError("phi grid must be strictly increasing")
@@ -122,79 +132,111 @@ class RScanResult:
     report: OptimumReport
 
 
-def signal_matrix(
-    ensemble: Ensemble, grid: PhiGrid, spec: HomodyneSpec, correction: bool = True
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Combined-signal matrix S[trajectory, phi], the light record, and the sign used.
+def fringe_design(phi) -> np.ndarray:
+    """Rows (cos phi, sin phi, 1): S(phi) = design @ (B, C, D) per trajectory."""
+    phi = np.asarray(phi, dtype=float)
+    return np.stack([np.cos(phi), np.sin(phi), np.ones_like(phi)], axis=-1)
 
-    An "auto" correction sign is calibrated at pi/2 before the sweep.  With
-    correction disabled the matrix holds the bare atomic signal.
+
+def fringe_features(
+    ensemble: Ensemble, spec: HomodyneSpec, correction: bool = True
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """Per-trajectory features (B, C, D), the light record S_b, and the sign used.
+
+    The LO noise is drawn once and shared by the sign calibration and S_b.
+    An "auto" correction sign is calibrated at pi/2.  With correction
+    disabled D = 0, so S is the bare atomic signal.
     """
     spec = resolve_homodyne(spec, ensemble)
-    if correction and spec.correction_sign == "auto":
-        spec = replace(spec, correction_sign=calibrate_correction_sign(ensemble, spec))
     lo_noise = lo_noise_samples(ensemble) if spec.lo_sampled else None
-
-    n_phi = len(grid)
-    s = np.empty((ensemble.n_traj, n_phi))
-    s_b = None
-    use_spec = spec if correction else replace(spec, correction_sign="auto")
-    for k, phi in enumerate(grid.values):
-        sample = measure_signals(ensemble, phi, use_spec, lo_noise)
-        s[:, k] = sample.s_combined
-        if s_b is None:
-            s_b = sample.s_b  # light measured at t1; identical at every phi
+    if correction and spec.correction_sign == "auto":
+        sign = calibrate_correction_sign(ensemble, spec, lo_noise=lo_noise)
+        spec = replace(spec, correction_sign=sign)
+    s_b = np.asarray(signal_light(ensemble.state, spec, lo_noise), dtype=float)
+    d = combine_signals(0.0, s_b, spec) if correction else np.zeros_like(s_b)
+    split = beam_splitter_half(ensemble.state)
+    z = 2j * split.alpha2 * np.conj(split.alpha1)  # B - iC
     sign = spec.correction_sign if correction else "off"
-    return s, s_b, sign
+    return np.column_stack([z.real, -z.imag, d]), s_b, sign
 
 
-def point_statistics(s_matrix: np.ndarray, grid: PhiGrid, n_total: float) -> dict:
-    """Mean, variance, fringe slope, delta_phi and M per grid point."""
-    mean_s = s_matrix.mean(axis=0)
-    var_s = s_matrix.var(axis=0, ddof=1)
-    ds = np.gradient(mean_s, grid.spacing)
-    with np.errstate(divide="ignore"):
-        delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
-    return {
-        "mean_s": mean_s,
-        "var_s": var_s,
-        "ds_dphi": ds,
-        "delta_phi": delta_phi,
-        "m": delta_phi * np.sqrt(n_total),
-    }
+def _moments(features, grid: PhiGrid, design=None):
+    """Per-trajectory terms, and the statistics that their sums determine.
+
+    The signal at grid point p is S_p = design[p] @ f for a feature row f;
+    without a design the features are the signal, one per grid point.  The
+    mean of S_p needs the feature means and its unbiased variance the
+    covariance entries the design couples.  Both follow from the sums of the
+    terms (centred features and their pairwise products) over any n-element
+    index set, so a bootstrap resample costs one gather-and-sum.
+    """
+    features = np.asarray(features, dtype=float)
+    n, k = features.shape
+    design = np.eye(k) if design is None else np.asarray(design, dtype=float)
+    if design.shape != (len(grid), k):
+        raise ValueError("design needs one row per grid point and one column per feature")
+    center = features.mean(axis=0)
+    centred = features - center
+    i, j = np.triu_indices(k)
+    coupled = np.any(design[:, i] * design[:, j] != 0.0, axis=0)
+    i, j = i[coupled], j[coupled]
+    weights = design[:, i] * design[:, j] * np.where(i == j, 1.0, 2.0)
+
+    def statistics(sums: np.ndarray, n_total: float) -> dict:
+        shift = sums[..., :k] / n
+        cov = (sums[..., k:] - n * shift[..., i] * shift[..., j]) / (n - 1)
+        mean_s = np.einsum("...k,pk->...p", center + shift, design)
+        var_s = np.maximum(np.einsum("...q,pq->...p", cov, weights), 0.0)
+        ds = np.gradient(mean_s, grid.spacing, axis=-1)
+        with np.errstate(divide="ignore"):
+            delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
+        return {"mean_s": mean_s, "var_s": var_s, "ds_dphi": ds,
+                "delta_phi": delta_phi, "m": delta_phi * np.sqrt(n_total)}
+
+    # one row per term, trajectories along the contiguous axis
+    return np.concatenate([centred.T, (centred[:, i] * centred[:, j]).T]), statistics
 
 
-def _bootstrap_rng(master_seed: int) -> np.random.Generator:
-    counter = [0, 0, 0, _BOOTSTRAP_STREAM_BLOCK]
-    return np.random.Generator(
-        np.random.Philox(key=master_seed & 0xFFFFFFFFFFFFFFFF, counter=counter)
-    )
+def point_statistics(features, grid: PhiGrid, n_total: float, design=None) -> dict:
+    """Mean, variance, fringe slope, delta_phi and M per grid point.
+
+    features holds one row per trajectory; S at grid point p is
+    design[p] @ row.  Without a design the features are the signal itself,
+    one column per grid point.
+    """
+    terms, statistics = _moments(features, grid, design)
+    return statistics(terms.sum(axis=1), n_total)
 
 
 def bootstrap_ci(
-    s_matrix: np.ndarray,
+    features,
     grid: PhiGrid,
     n_total: float,
     resamples: int = 200,
     quantile: float = 0.95,
     master_seed: int = 0,
+    design=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Percentile bootstrap interval for M at every grid point.
 
     Whole trajectories are resampled so the variance and the fringe slope are
-    recomputed jointly.  Grid points where the resampled slope vanishes give
-    infinite M and show up as infinite interval edges (flagged, not masked).
+    recomputed jointly.  features and design are as in point_statistics.
+    Grid points where the resampled slope vanishes give infinite M and show
+    up as infinite interval edges (flagged, not masked).
     """
     if resamples < 100:
         raise ValueError("resamples must be >= 100")
-    n_traj = s_matrix.shape[0]
+    terms, statistics = _moments(features, grid, design)
+    n_traj = terms.shape[1]
     if n_traj < 2:
         raise ValueError("too few trajectories to bootstrap")
-    rng = _bootstrap_rng(master_seed)
-    ms = np.empty((resamples, s_matrix.shape[1]))
-    for b in range(resamples):
-        idx = rng.integers(0, n_traj, size=n_traj)
-        ms[b] = point_statistics(s_matrix[idx], grid, n_total)["m"]
+    counter = [0, 0, 0, _BOOTSTRAP_STREAM_BLOCK]
+    rng = np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
+    sums = np.stack([
+        np.take(terms, rng.integers(0, n_traj, size=n_traj), axis=1).sum(axis=1)
+        for _ in range(resamples)
+    ])
+    ms = statistics(sums, n_total)["m"]
     lo_q = 100.0 * (1.0 - quantile) / 2.0
     return (
         np.percentile(ms, lo_q, axis=0),
@@ -217,24 +259,19 @@ def sensitivity_curve(
     if n_total is None:
         n_total = ensemble.n_total
 
-    s, s_b, sign = signal_matrix(ensemble, grid, spec, correction)
-    stats = point_statistics(s, grid, n_total)
-
-    # the atomic record alone, for the fringe and scatter diagnostics
-    s_a = s if sign == "off" else None
-    if s_a is None:
-        s_a, _, _ = signal_matrix(ensemble, grid, spec, correction=False)
-    mean_s_a = s_a.mean(axis=0)
-    var_s_a = s_a.var(axis=0, ddof=1)
-
+    features, s_b, sign = fringe_features(ensemble, spec, correction)
+    design = fringe_design(grid.values)
+    stats = point_statistics(features, grid, n_total, design)
+    # the atomic record alone (B, C), for the fringe and scatter diagnostics
+    atomic = point_statistics(features[:, :2], grid, n_total, design[:, :2])
     ci_lo, ci_hi = bootstrap_ci(
-        s, grid, n_total, resamples=resamples, quantile=quantile,
-        master_seed=ensemble.master_seed,
+        features, grid, n_total, resamples=resamples, quantile=quantile,
+        master_seed=ensemble.master_seed, design=design,
     )
     return SensitivityCurve(
         phi=grid.values.copy(),
-        mean_s_a=mean_s_a,
-        var_s_a=var_s_a,
+        mean_s_a=atomic["mean_s"],
+        var_s_a=atomic["var_s"],
         mean_s_b=np.full(len(grid), float(np.mean(s_b))),
         mean_s=stats["mean_s"],
         var_s=stats["var_s"],
@@ -263,12 +300,14 @@ def m_at_phi(
     the point value when resamples is None.
     """
     grid = PhiGrid(np.array([phi - half_step, phi, phi + half_step]))
-    s, _, sign = signal_matrix(ensemble, grid, spec, correction)
-    m = float(point_statistics(s, grid, ensemble.n_total)["m"][1])
+    features, _, sign = fringe_features(ensemble, spec, correction)
+    design = fringe_design(grid.values)
+    m = float(point_statistics(features, grid, ensemble.n_total, design)["m"][1])
     if resamples is None:
         return m, (m, m), sign
     lo, hi = bootstrap_ci(
-        s, grid, ensemble.n_total, resamples=resamples, master_seed=ensemble.master_seed
+        features, grid, ensemble.n_total, resamples=resamples,
+        master_seed=ensemble.master_seed, design=design,
     )
     return m, (float(lo[1]), float(hi[1])), sign
 
@@ -277,6 +316,19 @@ def squeezed_combo_variance(ensemble: Ensemble) -> float:
     """Sample variance of the correlated quadrature pair X_a2 + Y_b2 at t1."""
     combo = quadrature_x(ensemble.state.alpha2) + quadrature_y(ensemble.state.beta2)
     return float(np.var(combo, ddof=1))
+
+
+def prepare(config: RunConfig, r: float) -> tuple[Ensemble, HomodyneSpec, bool]:
+    """The t1 ensemble at r, the homodyne settings and the correction flag of a run."""
+    ensemble = build_ensemble(
+        config.n_total, config.n_seed, r, config.trajectories, config.master_seed,
+        mode=config.mode, steps_per_unit_r=config.steps_per_unit_r, n_threads=config.threads,
+    )
+    spec = HomodyneSpec(
+        gain_g=config.gain_g, lo_sampled=config.lo_sampled,
+        correction_sign="plus" if config.correction == "on" else "auto",
+    )
+    return ensemble, spec, config.correction != "off"
 
 
 def scan_over_r(r_values, config: RunConfig) -> RScanResult:
@@ -307,18 +359,9 @@ def scan_over_r(r_values, config: RunConfig) -> RScanResult:
             ))
             continue
 
-        ensemble = build_ensemble(
-            config.n_total, config.n_seed, r, config.trajectories,
-            config.master_seed, mode=config.mode,
-            steps_per_unit_r=config.steps_per_unit_r, n_threads=config.threads,
-        )
-        spec = HomodyneSpec(
-            gain_g=config.gain_g, lo_sampled=config.lo_sampled,
-            correction_sign="plus" if config.correction == "on" else "auto",
-        )
+        ensemble, spec, correction = prepare(config, r)
         m, (lo, hi), sign = m_at_phi(
-            ensemble, spec, correction=(config.correction != "off"),
-            resamples=config.bootstrap_resamples,
+            ensemble, spec, correction=correction, resamples=config.bootstrap_resamples
         )
         rows.append(RScanRow(
             r=r, m=m, m_ci_lo=lo, m_ci_hi=hi,

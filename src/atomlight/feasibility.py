@@ -9,11 +9,12 @@ flags) the single-mode model for given trap numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
 
+HBAR = 6.62607015e-34 / (2 * math.pi)  # J s, exact SI value of h over 2 pi
 RB87_MASS_KG = 1.443e-25  # 87 u
 
 
@@ -43,7 +44,7 @@ class PhysicalSetup:
     def condensate_width(self) -> float:
         """Radial harmonic-oscillator length sqrt(hbar / (m omega_r))."""
         omega_r = 2.0 * np.pi * self.radial_trap_freq
-        return float(np.sqrt(hbar / (self.atomic_mass * omega_r)))
+        return float(np.sqrt(HBAR / (self.atomic_mass * omega_r)))
 
 
 def capture_fraction(setup: PhysicalSetup) -> float:

@@ -162,18 +162,17 @@ def measure_signals(
 
 
 def calibrate_correction_sign(
-    ensemble: Ensemble, spec: HomodyneSpec, phi_ref: float = np.pi / 2
+    ensemble: Ensemble, spec: HomodyneSpec, phi_ref: float = np.pi / 2, lo_noise=None
 ) -> str:
     """Pick the correction sign with the smaller V(S) at the reference phase.
 
     Ties break toward "plus".  At the standard working point phi = pi/2 the
     chosen sign subtracts the shared noise; a half fringe away the
-    correlation flips and the opposite sign would be chosen.
+    correlation flips and the opposite sign would be chosen.  A caller that
+    already drew the LO noise passes it, so the ensemble's draw is reused.
     """
     if ensemble.n_traj == 0:
         raise ValueError("empty ensemble")
-    spec = resolve_homodyne(spec, ensemble)
-    lo_noise = lo_noise_samples(ensemble) if spec.lo_sampled else None
     sample = measure_signals(ensemble, phi_ref, replace(spec, correction_sign="auto"), lo_noise)
     var_plus = float(np.var(sample.s_a - sample.s_b / spec.gain_g, ddof=1))
     var_minus = float(np.var(sample.s_a + sample.s_b / spec.gain_g, ddof=1))

@@ -59,9 +59,7 @@ class SeedSpec:
         reproduces the same draws.
         """
         counter = [0, 0, self.trajectory_index, STREAMS[self.stream_tag]]
-        return np.random.Generator(
-            np.random.Philox(key=self.master_seed & 0xFFFFFFFFFFFFFFFF, counter=counter)
-        )
+        return np.random.Generator(np.random.Philox(key=self.master_seed, counter=counter))
 
 
 @dataclass

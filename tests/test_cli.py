@@ -105,6 +105,25 @@ def test_invalid_value_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("verb,assignment", [
+    ("phi-sweep", "phi_start=nan"),
+    ("phi-sweep", "phi_stop=inf"),
+    ("phi-sweep", "r=nan"),
+    ("phi-sweep", "r=inf"),
+    ("phi-sweep", "gain_g=nan"),
+    ("r-scan", "r_list=1.0, nan"),
+    ("scatter", "scatter_phis=1.0, inf"),
+    ("phi-sweep", "master_seed=-1"),
+    ("phi-sweep", f"master_seed={2**64}"),
+])
+def test_bad_value_rejected_before_work(tmp_path, capsys, verb, assignment):
+    out = tmp_path / "out"
+    code = main([verb, "--set", assignment, "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -247,6 +266,34 @@ def test_json_table_format(tmp_path):
 def test_drift_gate():
     assert _drift_ok(0.0, DRIFT_LIMIT)
     assert not _drift_ok(0.0, 2 * DRIFT_LIMIT)
+
+
+@pytest.mark.parametrize("verb,extra", [
+    ("phi-sweep", ["--set", "phi_count=21", "--set", "bootstrap_resamples=100"]),
+    ("r-scan", ["--set", "r_list=1.0, 3.0", "--set", "bootstrap_resamples=100"]),
+])
+def test_drift_failure_is_reported(tmp_path, capsys, verb, extra):
+    code, out = run([verb, "--set", "trajectories=150", "--set", "steps_per_unit_r=2"] + extra,
+                    tmp_path)
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "drift"
+    assert record["invariant"] in ("atom_number", "manley_rowe")
+    assert record["value"] > record["limit"] == DRIFT_LIMIT
+    stem = verb.replace("-", "_")
+    gate = json.loads((out / f"{stem}_summary.json").read_text())["gates"]["drift"]
+    assert gate["passed"] is False
+    assert gate["value"] == record["value"]
+
+
+def test_summaries_carry_passed_gates(tmp_path):
+    for verb, extra in (("phi-sweep", []), ("scatter", []),
+                        ("r-scan", ["--set", "r_list=0.5, 1.0"])):
+        code, out = run([verb] + FAST + extra, tmp_path, verb)
+        assert code == 0
+        summary = json.loads((out / f"{verb.replace('-', '_')}_summary.json").read_text())
+        gate = summary["gates"]["drift"]
+        assert gate["passed"] is True and gate["value"] <= gate["limit"] == DRIFT_LIMIT
 
 
 # --- figures -----------------------------------------------------------------------

@@ -4,19 +4,29 @@ import numpy as np
 import pytest
 
 from atomlight.analytics import predict
+from dataclasses import replace
+
+import atomlight.estimator as estimator
+import atomlight.interferometer as interferometer
 from atomlight.config import RunConfig
 from atomlight.dynamics import build_ensemble
 from atomlight.estimator import (
     PhiGrid,
     bootstrap_ci,
+    fringe_design,
+    fringe_features,
     m_at_phi,
     optimum_over_r,
     point_statistics,
     scan_over_r,
     sensitivity_curve,
-    signal_matrix,
 )
-from atomlight.interferometer import HomodyneSpec
+from atomlight.interferometer import (
+    HomodyneSpec,
+    lo_noise_samples,
+    measure_signals,
+    resolve_homodyne,
+)
 
 SEED = 555
 
@@ -36,18 +46,84 @@ def test_phi_grid_rejects_bad_input():
         PhiGrid(np.array([0.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
         PhiGrid(np.array([0.0, 1.0, 3.0]))
+    with pytest.raises(ValueError):
+        PhiGrid(np.array([np.nan, np.nan, np.nan]))
+    with pytest.raises(ValueError):
+        PhiGrid(np.array([0.0, 1.0, np.inf]))
 
 
 # --- common random numbers -------------------------------------------------------
 
 def test_shared_phases_are_bit_identical(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
+    f1, sb1, _ = fringe_features(working_point_ensemble, spec)
+    f2, sb2, _ = fringe_features(working_point_ensemble, spec)
+    assert np.array_equal(f1, f2)  # same trajectories, same LO draw
+    assert np.array_equal(sb1, sb2)
     wide = PhiGrid(np.array([np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]))
     narrow = PhiGrid(np.array([np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]))
-    s1, sb1, _ = signal_matrix(working_point_ensemble, wide, spec)
-    s2, sb2, _ = signal_matrix(working_point_ensemble, narrow, spec)
-    assert np.array_equal(s1[:, 1], s2[:, 1])  # same phi, same trajectories, same LO
-    assert np.array_equal(sb1, sb2)
+    a = point_statistics(f1, wide, 1.0e7, fringe_design(wide.values))
+    b = point_statistics(f2, narrow, 1.0e7, fringe_design(narrow.values))
+    assert a["mean_s"][1] == b["mean_s"][1] and a["var_s"][1] == b["var_s"][1]
+
+
+def _direct_signals(ensemble, grid, spec, sign):
+    """Reference (trajectory x phi) matrices of S and S_a, one phase at a time."""
+    spec = replace(resolve_homodyne(spec, ensemble), correction_sign=sign)
+    lo_noise = lo_noise_samples(ensemble)
+    samples = [measure_signals(ensemble, phi, spec, lo_noise) for phi in grid.values]
+    return (np.column_stack([x.s_combined for x in samples]),
+            np.column_stack([x.s_a for x in samples]))
+
+
+def _direct_m(s, grid, n_total):
+    """Reference M per grid point from the sample moments of a signal matrix."""
+    ds = np.gradient(s.mean(axis=0), grid.spacing)
+    with np.errstate(divide="ignore"):
+        return np.where(ds != 0.0, np.sqrt(s.var(axis=0, ddof=1)) / np.abs(ds), np.inf) \
+            * np.sqrt(n_total)
+
+
+def test_features_match_direct_signals(working_point_ensemble):
+    grid = PhiGrid.from_range(0.0, 2 * np.pi, 201)
+    spec = HomodyneSpec(gain_g=100.0)
+    curve = sensitivity_curve(working_point_ensemble, grid, spec, resamples=100)
+    s, s_a = _direct_signals(working_point_ensemble, grid, spec, curve.correction_sign)
+    for mean, var, ref in ((curve.mean_s, curve.var_s, s), (curve.mean_s_a, curve.var_s_a, s_a)):
+        ref_mean = ref.mean(axis=0)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-9 * np.max(np.abs(ref_mean))
+        assert np.allclose(var, ref.var(axis=0, ddof=1), rtol=1e-9, atol=0.0)
+
+
+def test_bootstrap_matches_resampled_reference(working_point_ensemble):
+    grid = PhiGrid.from_range(0.0, 2 * np.pi, 41)
+    spec = HomodyneSpec(gain_g=100.0)
+    features, _, sign = fringe_features(working_point_ensemble, spec)
+    s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
+    n = s.shape[0]
+    lo, hi = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=9,
+                          design=fringe_design(grid.values))
+    rng = np.random.Generator(np.random.Philox(
+        key=9, counter=[0, 0, 0, estimator._BOOTSTRAP_STREAM_BLOCK]))
+    ms = np.array([_direct_m(s[rng.integers(0, n, size=n)], grid, 1.0e7) for _ in range(100)])
+    assert np.allclose(lo, np.percentile(ms, 2.5, axis=0), rtol=1e-8, atol=0.0)
+    assert np.allclose(hi, np.percentile(ms, 97.5, axis=0), rtol=1e-8, atol=0.0)
+
+
+def test_one_lo_draw_per_ensemble(working_point_ensemble, monkeypatch):
+    calls = []
+
+    def counting(ensemble):
+        calls.append(ensemble)
+        return lo_noise_samples(ensemble)
+
+    monkeypatch.setattr(estimator, "lo_noise_samples", counting)
+    monkeypatch.setattr(interferometer, "lo_noise_samples", counting)
+    grid = PhiGrid.from_range(0.0, 2 * np.pi, 21)
+    sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100)
+    assert len(calls) == 1
+    m_at_phi(working_point_ensemble, HomodyneSpec(gain_g=100.0), resamples=100)
+    assert len(calls) == 2
 
 
 # --- estimator algebra -----------------------------------------------------------
@@ -92,15 +168,17 @@ def test_uncorrected_m_matches_undepleted_prediction(r):
 def test_shuffling_light_record_destroys_gain(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     grid = PhiGrid(np.array([np.pi / 2 - np.pi / 100, np.pi / 2, np.pi / 2 + np.pi / 100]))
-    s_corr, s_b, sign = signal_matrix(working_point_ensemble, grid, spec)
-    s_off, _, _ = signal_matrix(working_point_ensemble, grid, spec, correction=False)
-    m_corr = point_statistics(s_corr, grid, 1.0e7)["m"][1]
-    m_off = point_statistics(s_off, grid, 1.0e7)["m"][1]
+    design = fringe_design(grid.values)
+    f_corr, s_b, sign = fringe_features(working_point_ensemble, spec)
+    f_off, _, _ = fringe_features(working_point_ensemble, spec, correction=False)
+    m_corr = point_statistics(f_corr, grid, 1.0e7, design)["m"][1]
+    m_off = point_statistics(f_off, grid, 1.0e7, design)["m"][1]
 
     perm = np.random.default_rng(11).permutation(s_b.size)
     sign_value = {"plus": 1.0, "minus": -1.0}[sign]
-    s_shuffled = s_off - sign_value * s_b[perm, None] / spec.gain_g
-    m_shuffled = point_statistics(s_shuffled, grid, 1.0e7)["m"][1]
+    f_shuffled = f_off.copy()
+    f_shuffled[:, 2] = -sign_value * s_b[perm] / spec.gain_g
+    m_shuffled = point_statistics(f_shuffled, grid, 1.0e7, design)["m"][1]
 
     assert m_corr < 0.5 * m_off       # the correction genuinely helps
     assert m_shuffled > m_off         # ... but only through the correlations
@@ -166,9 +244,10 @@ def test_bootstrap_flags_constant_signal():
 def test_bootstrap_deterministic(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     grid = PhiGrid.from_range(0.0, np.pi, 9)
-    s, _, _ = signal_matrix(working_point_ensemble, grid, spec)
-    a = bootstrap_ci(s, grid, 1.0e7, resamples=100, master_seed=5)
-    b = bootstrap_ci(s, grid, 1.0e7, resamples=100, master_seed=5)
+    features, _, _ = fringe_features(working_point_ensemble, spec)
+    design = fringe_design(grid.values)
+    a = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=5, design=design)
+    b = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=5, design=design)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.constants import hbar
 
 from atomlight.feasibility import (
+    HBAR,
     PhysicalSetup,
     capture_fraction,
     rate_ratio,
@@ -19,6 +20,7 @@ def test_reference_setup_capture_fraction():
 
 
 def test_condensate_width_is_oscillator_length():
+    assert HBAR == hbar  # the exact SI value, bit for bit
     setup = PhysicalSetup()
     expected = np.sqrt(hbar / (setup.atomic_mass * 2 * np.pi * 1.0e3))
     assert setup.condensate_width == pytest.approx(expected, rel=1e-12)
