@@ -11,7 +11,8 @@ correlation.
 
 import numpy as np
 
-from atomlight import build_ensemble, predict, squeezed_combo_variance, transferred_atoms
+from atomlight import predict, squeezed_combo_variance, transferred_atoms
+from atomlight.dynamics import build_ensembles
 
 N_TOTAL = 1.0e7
 N_SEED = 1.0e4
@@ -21,11 +22,13 @@ MASTER = 99
 r_values = np.arange(0.0, 4.01, 0.25)
 var_closed, var_clamped, var_full, transfer_full = [], [], [], []
 
+# one sample and one integration to max(r) per mode give the ensemble at every r
+clamped_runs = build_ensembles(N_TOTAL, N_SEED, r_values, N_TRAJ, MASTER, mode="clamped")
+full_runs = build_ensembles(N_TOTAL, N_SEED, r_values, N_TRAJ, MASTER, mode="tw")
+
 print(f"{'r':>5} {'2e^-2r':>10} {'clamped TW':>12} {'full TW':>12} {'transferred':>12}")
-for r in r_values:
+for r, clamped, full in zip(r_values, clamped_runs, full_runs):
     closed = predict(float(r), N_TOTAL).var_squeezed_combo
-    clamped = build_ensemble(N_TOTAL, N_SEED, float(r), N_TRAJ, MASTER, mode="clamped")
-    full = build_ensemble(N_TOTAL, N_SEED, float(r), N_TRAJ, MASTER, mode="tw")
     var_closed.append(closed)
     var_clamped.append(squeezed_combo_variance(clamped))
     var_full.append(squeezed_combo_variance(full))

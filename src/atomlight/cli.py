@@ -21,6 +21,7 @@ import numpy as np
 from .analytics import heisenberg, predict, r_crit, sql
 from .config import (
     FEASIBILITY_KEYS,
+    RUN_KEYS,
     ConfigError,
     RunConfig,
     load_config_file,
@@ -100,7 +101,7 @@ PHI_SWEEP_COLUMNS = [
 
 
 def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep") -> int:
-    ensemble, spec, correction = prepare(config, config.r)
+    (ensemble,), spec, correction = prepare(config, [config.r])
     grid = PhiGrid.from_range(config.phi_start, config.phi_stop, config.phi_count)
     curve = sensitivity_curve(
         ensemble, grid, spec, correction=correction, resamples=config.bootstrap_resamples
@@ -169,7 +170,7 @@ SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
 
 
 def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter") -> int:
-    ensemble, spec, correction = prepare(config, config.r)
+    (ensemble,), spec, correction = prepare(config, [config.r])
     features, s_b, sign = fringe_features(ensemble, spec, correction)
     b, c, d = features.T
     s_b_scaled = s_b / config.gain_g
@@ -244,12 +245,13 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
 
     # (a) variance of the squeezed quadrature combination vs r
     r_grid = [round(v, 10) for v in np.arange(0.0, 4.01, 0.2)]
+    unseeded, seeded = (prepare(replace(config, n_seed=n_seed, mode="tw"), r_grid)[0]
+                        for n_seed in (0.0, config.n_seed))
     rows = []
-    for r in r_grid:
+    for r, *ensembles in zip(r_grid, unseeded, seeded):
         var_undepleted = predict(r, config.n_total).var_squeezed_combo
         entry = [r, var_undepleted]
-        for n_seed in (0.0, config.n_seed):
-            ens, _, _ = prepare(replace(config, n_seed=n_seed, mode="tw"), r)
+        for ens in ensembles:
             entry.extend([squeezed_combo_variance(ens), transferred_atoms(ens)])
         rows.append(tuple(entry))
     write_table(
@@ -334,28 +336,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_mapping(args) -> dict:
+def _resolve_mapping(args, keys=RUN_KEYS) -> dict:
+    """The config file, then each --set, then the common flags that name a key."""
     mapping = {}
     if args.config:
-        mapping.update(load_config_file(args.config))
+        mapping.update(load_config_file(args.config, keys=keys))
     for item in args.set:
-        mapping.update(parse_assignments([item], source="--set"))
-    if args.seed is not None:
-        mapping["master_seed"] = args.seed
-    if args.threads is not None:
-        mapping["threads"] = args.threads
-    if args.format is not None:
-        mapping["output_format"] = args.format
+        mapping.update(parse_assignments([item], source="--set", keys=keys))
+    flags = {"master_seed": args.seed, "threads": args.threads, "output_format": args.format}
+    mapping.update({k: v for k, v in flags.items() if v is not None and k in keys})
     return mapping
-
-
-def _resolve_setup(args) -> PhysicalSetup:
-    mapping = {}
-    if args.config:
-        mapping.update(load_config_file(args.config, keys=FEASIBILITY_KEYS))
-    for item in args.set:
-        mapping.update(parse_assignments([item], source="--set", keys=FEASIBILITY_KEYS))
-    return PhysicalSetup(**{k: float(v) for k, v in mapping.items()})
 
 
 def main(argv=None) -> int:
@@ -373,7 +363,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "feasibility":
-            return cmd_feasibility(_resolve_setup(args), out_dir)
+            mapping = _resolve_mapping(args, FEASIBILITY_KEYS)
+            return cmd_feasibility(PhysicalSetup(**{k: float(v) for k, v in mapping.items()}),
+                                   out_dir)
         command = {"phi-sweep": cmd_phi_sweep, "r-scan": cmd_r_scan, "scatter": cmd_scatter,
                    "analytic-table": cmd_analytic_table, "figures": cmd_figures}[args.command]
         return command(make_config(_resolve_mapping(args)), out_dir)

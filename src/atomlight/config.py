@@ -66,8 +66,8 @@ class RunConfig:
             raise ConfigError("gain_g must be > 0")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must lie in [0, 2^64)")
-        if self.trajectories < 1:
-            raise ConfigError("trajectories must be >= 1")
+        if self.trajectories < 100:
+            raise ConfigError("trajectories must be >= 100")
         if self.steps_per_unit_r < 1:
             raise ConfigError("steps_per_unit_r must be >= 1")
         if self.mode not in MODES:

@@ -55,6 +55,7 @@ class IntegrationError(RuntimeError):
 class IntegratorSpec:
     """Step control and pump treatment for evolve_tw.
 
+    steps_per_unit_r: lattice h = 1 / steps_per_unit_r of the RK4 steps.
     clamp_pump:      drive the alpha2/beta2 pair with the classical pump
                      amplitude sqrt(N1(0)) and leave alpha1 untouched
                      (undepleted-pump mode).
@@ -64,15 +65,12 @@ class IntegratorSpec:
     """
 
     steps_per_unit_r: int = DEFAULT_STEPS_PER_UNIT_R
-    method: str = "rk4"
     clamp_pump: bool = False
     decorrelate_pump: bool = False
 
     def __post_init__(self):
         if self.steps_per_unit_r < 1:
             raise ValueError("steps_per_unit_r must be >= 1")
-        if self.method != "rk4":
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -106,71 +104,73 @@ def evolve_analytic(state: ModeTriple, r: float) -> ModeTriple:
     return state.advanced(np.copy(state.alpha1), a2, b2, "t1")
 
 
-def _rk4_rhs_full(inv_sq_n1):
+def _integrate(a1, a2, b2, stops, spec: IntegratorSpec, n_pump0: float):
+    """Amplitudes plus raw drift extrema at each stop (ascending r values).
+
+    One pass on the lattice h = 1/steps_per_unit_r serves every stop; a stop
+    off the lattice takes its last, shorter step on a copy.  The extrema are
+    combined into a report later, so chunked execution aggregates exactly
+    like a single pass.
+    """
+    h = 1.0 / spec.steps_per_unit_r
+    inv_sq_n1 = 1.0 / np.sqrt(n_pump0)
+
     def f(a1, a2, b2):
+        if spec.clamp_pump:
+            # pump replaced by its classical amplitude; the sqrt(N1(0)) factors cancel
+            return (
+                np.zeros_like(a1),
+                1j * np.conj(b2),
+                1j * np.conj(a2),
+            )
         return (
             1j * b2 * a2 * inv_sq_n1,
             1j * a1 * np.conj(b2) * inv_sq_n1,
             1j * a1 * np.conj(a2) * inv_sq_n1,
         )
 
-    return f
-
-
-def _rk4_rhs_clamped():
-    # pump replaced by its classical amplitude; the sqrt(N1(0)) factors cancel
-    def f(a1, a2, b2):
-        return (
-            np.zeros_like(a1),
-            1j * np.conj(b2),
-            1j * np.conj(a2),
-        )
-
-    return f
-
-
-def _integrate(a1, a2, b2, r, spec: IntegratorSpec, n_pump0: float):
-    """Returns amplitudes plus raw drift extrema (combined into a report later,
-    so chunked execution aggregates exactly like a single pass)."""
-    n_steps = int(np.ceil(spec.steps_per_unit_r * r))
-    if n_steps == 0:
-        return a1, a2, b2, 0.0, 0.0, 1.0
-    h = r / n_steps
-
-    if spec.clamp_pump:
-        f = _rk4_rhs_clamped()
-    else:
-        f = _rk4_rhs_full(1.0 / np.sqrt(n_pump0))
-
     tot0 = np.abs(a1) ** 2 + np.abs(a2) ** 2
     mr0 = np.abs(a2) ** 2 - np.abs(b2) ** 2
-    dev_atoms = np.zeros_like(tot0)
-    dev_mr = np.zeros_like(mr0)
-    scale_mr = np.abs(a2) ** 2 + np.abs(b2) ** 2
 
+    def rk4_step(index, h, a1, a2, b2, dev_atoms, dev_mr, scale_mr):
+        """One step, and the running drift maxima after it (new arrays)."""
+        k1 = f(a1, a2, b2)
+        k2 = f(a1 + 0.5 * h * k1[0], a2 + 0.5 * h * k1[1], b2 + 0.5 * h * k1[2])
+        k3 = f(a1 + 0.5 * h * k2[0], a2 + 0.5 * h * k2[1], b2 + 0.5 * h * k2[2])
+        k4 = f(a1 + h * k3[0], a2 + h * k3[1], b2 + h * k3[2])
+        a1 = a1 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        a2 = a2 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        b2 = b2 + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+
+        probe = a1 + a2 + b2  # NaN/Inf propagate through the sum
+        if not np.all(np.isfinite(probe)):
+            raise IntegrationError(index, ModeTriple(a1, a2, b2, "t0"))
+
+        n2 = np.abs(a2) ** 2
+        nb = np.abs(b2) ** 2
+        if not spec.clamp_pump:
+            dev_atoms = np.maximum(dev_atoms, np.abs(np.abs(a1) ** 2 + n2 - tot0))
+        dev_mr = np.maximum(dev_mr, np.abs(n2 - nb - mr0))
+        scale_mr = np.maximum(scale_mr, n2 + nb)
+        return a1, a2, b2, dev_atoms, dev_mr, scale_mr
+
+    run = (a1, a2, b2, np.zeros_like(tot0), np.zeros_like(mr0), np.abs(a2) ** 2 + np.abs(b2) ** 2)
+    out = []
+    done = 0
     with np.errstate(invalid="ignore", over="ignore"):  # probe handles non-finites
-        for step in range(n_steps):
-            k1 = f(a1, a2, b2)
-            k2 = f(a1 + 0.5 * h * k1[0], a2 + 0.5 * h * k1[1], b2 + 0.5 * h * k1[2])
-            k3 = f(a1 + 0.5 * h * k2[0], a2 + 0.5 * h * k2[1], b2 + 0.5 * h * k2[2])
-            k4 = f(a1 + h * k3[0], a2 + h * k3[1], b2 + h * k3[2])
-            a1 = a1 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            a2 = a2 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            b2 = b2 + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-
-            probe = a1 + a2 + b2  # NaN/Inf propagate through the sum
-            if not np.all(np.isfinite(probe)):
-                raise IntegrationError(step, ModeTriple(a1, a2, b2, "t0"))
-
-            n2 = np.abs(a2) ** 2
-            nb = np.abs(b2) ** 2
-            if not spec.clamp_pump:
-                np.maximum(dev_atoms, np.abs(np.abs(a1) ** 2 + n2 - tot0), out=dev_atoms)
-            np.maximum(dev_mr, np.abs(n2 - nb - mr0), out=dev_mr)
-            np.maximum(scale_mr, n2 + nb, out=scale_mr)
-
-    rel_atoms = 0.0 if spec.clamp_pump else float(np.max(dev_atoms / tot0))
-    return a1, a2, b2, rel_atoms, float(np.max(dev_mr)), float(np.max(scale_mr))
+        for r in stops:
+            n = spec.steps_per_unit_r * r
+            n_full = int(np.floor(n + 1e-9))  # 400 * 2.2 = 880.0000000000001 is 880 steps
+            for index in range(done, n_full):
+                run = rk4_step(index, h, *run)
+            done = n_full
+            if n - n_full > 1e-9:  # off the lattice
+                a1, a2, b2, dev_atoms, dev_mr, scale_mr = rk4_step(n_full, (n - n_full) * h, *run)
+            else:
+                a1, a2, b2, dev_atoms, dev_mr, scale_mr = run
+            rel_atoms = 0.0 if spec.clamp_pump else float(np.max(dev_atoms / tot0))
+            out.append((a1, a2, b2, rel_atoms, float(np.max(dev_mr)), float(np.max(scale_mr))))
+    return out
 
 
 def evolve_tw(
@@ -180,12 +180,13 @@ def evolve_tw(
     n_pump0: float | None = None,
     master_seed: int | None = None,
     n_threads: int = 1,
-) -> tuple[ModeTriple, ConservationReport]:
+    stops=None,
+):
     """Integrate the full c-number equations from t0 to t1 with fixed-step RK4.
 
     Parameters
     ----------
-    state : ModeTriple at t0 (scalar or ensemble)
+    state : ModeTriple ensemble at t0
     r : squeezing parameter; the rescaled time runs from 0 to r
     spec : step control and pump treatment
     n_pump0 : nominal initial pump occupation N1(0) used for the time
@@ -195,13 +196,17 @@ def evolve_tw(
     n_threads : split the ensemble into contiguous chunks evolved in
         parallel.  All operations are elementwise per trajectory, so the
         result is bit-identical at any thread count.
+    stops : strictly increasing r values up to r itself; the evolution to a
+        smaller r is a prefix, so one pass yields the state at every stop.
 
-    Returns the state at t1 and the conservation drift over the run.
+    Returns the state at t1 and the conservation drift over the run; with
+    stops, the state is replaced by one (state, drift) pair per stop.
     r = 0 returns the input amplitudes unchanged (zero steps).
     """
     _require_time_tag(state, "t0")
-    if r < 0 or not np.isfinite(r):
-        raise ValueError("r must be finite and >= 0")
+    points = [r] if stops is None else [float(v) for v in stops]
+    if not np.isfinite(r) or points[0] < 0 or points[-1] != r or sorted(set(points)) != points:
+        raise ValueError("r must be finite and >= 0, and stops must rise strictly to r")
     spec = spec or IntegratorSpec()
     if spec.decorrelate_pump and master_seed is None:
         raise ValueError("decorrelate_pump needs a master_seed for the resample stream")
@@ -209,9 +214,9 @@ def evolve_tw(
     if n_pump0 is None:
         n_pump0 = max(occupation(state.alpha1), 1.0)
 
-    a1 = np.atleast_1d(np.asarray(state.alpha1, dtype=np.complex128)).copy()
-    a2 = np.atleast_1d(np.asarray(state.alpha2, dtype=np.complex128)).copy()
-    b2 = np.atleast_1d(np.asarray(state.beta2, dtype=np.complex128)).copy()
+    a1 = np.atleast_1d(np.asarray(state.alpha1, dtype=np.complex128))
+    a2 = np.atleast_1d(np.asarray(state.alpha2, dtype=np.complex128))
+    b2 = np.atleast_1d(np.asarray(state.beta2, dtype=np.complex128))
 
     if n_threads > 1 and a1.size > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -219,31 +224,26 @@ def evolve_tw(
         bounds = np.linspace(0, a1.size, n_threads + 1, dtype=int)
         chunks = [(a1[i:j], a2[i:j], b2[i:j]) for i, j in zip(bounds[:-1], bounds[1:]) if j > i]
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(lambda c: _integrate(c[0], c[1], c[2], r, spec, n_pump0), chunks)
-            )
-        a1 = np.concatenate([p[0] for p in parts])
-        a2 = np.concatenate([p[1] for p in parts])
-        b2 = np.concatenate([p[2] for p in parts])
-        rel_atoms = max(p[3] for p in parts)
-        dev_mr = max(p[4] for p in parts)
-        scale_mr = max(p[5] for p in parts)
+            parts = list(pool.map(lambda c: _integrate(*c, points, spec, n_pump0), chunks))
     else:
-        a1, a2, b2, rel_atoms, dev_mr, scale_mr = _integrate(a1, a2, b2, r, spec, n_pump0)
-    report = ConservationReport(
-        max_rel_drift_atoms=rel_atoms,
-        max_rel_drift_manley_rowe=dev_mr / max(1.0, scale_mr),
-    )
+        parts = [_integrate(a1, a2, b2, points, spec, n_pump0)]
 
-    if spec.decorrelate_pump:
-        mean_amp = np.sqrt(max(occupation(a1), 0.0))
-        a1 = sample_coherent_batch(mean_amp, master_seed, "pump_resample", a1.size)
-
-    if np.isscalar(state.alpha1) or np.ndim(state.alpha1) == 0:
-        out = state.advanced(complex(a1[0]), complex(a2[0]), complex(b2[0]), "t1")
-    else:
-        out = state.advanced(a1, a2, b2, "t1")
-    return out, report
+    pairs = []
+    for pieces in zip(*parts):  # one stop, every chunk
+        a1s, a2s, b2s, rel_atoms, dev_mr, scale_mr = zip(*pieces)
+        report = ConservationReport(
+            max_rel_drift_atoms=max(rel_atoms),
+            max_rel_drift_manley_rowe=max(dev_mr) / max(1.0, max(scale_mr)),
+        )
+        a1 = np.concatenate(a1s)
+        if spec.decorrelate_pump:
+            mean_amp = np.sqrt(max(occupation(a1), 0.0))
+            a1 = sample_coherent_batch(mean_amp, master_seed, "pump_resample", a1.size)
+        t1 = state.advanced(a1, np.concatenate(a2s), np.concatenate(b2s), "t1")
+        pairs.append((t1, report))
+    if stops is None:
+        return pairs[0]
+    return pairs, pairs[-1][1]
 
 
 @dataclass
@@ -268,6 +268,50 @@ class Ensemble:
         return self.state.n_traj
 
 
+def build_ensembles(
+    n_total: float,
+    n_seed: float,
+    r_values,
+    n_traj: int,
+    master_seed: int,
+    mode: str = "tw",
+    steps_per_unit_r: int = DEFAULT_STEPS_PER_UNIT_R,
+    n_threads: int = 1,
+) -> list[Ensemble]:
+    """Sample one initial ensemble and propagate it to every r in r_values.
+
+    The t0 sample does not depend on r, and the evolution to a smaller r is
+    a prefix of the evolution to a larger one, so one sample and one pass
+    to max(r_values) serve the whole list.  Returns one Ensemble per entry
+    of r_values, in the order given; repeated values share their state.
+
+    mode: "tw" (full dynamics), "clamped" (pump held classical),
+    "analytic" (exact Bogoliubov map), or "decorrelated" (full dynamics,
+    then the pump is swapped for an uncorrelated coherent state).
+    """
+    if mode not in EVOLUTION_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    r_values = [float(r) for r in r_values]
+    if not r_values:
+        raise ValueError("r_values must be non-empty")
+    stops = sorted(set(r_values))
+    t0 = sample_initial_ensemble(n_total, n_seed, master_seed, n_traj)
+    if mode == "analytic":
+        pairs = [(evolve_analytic(t0, r), ConservationReport()) for r in stops]
+    else:
+        spec = IntegratorSpec(
+            steps_per_unit_r=steps_per_unit_r,
+            clamp_pump=(mode == "clamped"),
+            decorrelate_pump=(mode == "decorrelated"),
+        )
+        pairs, _ = evolve_tw(
+            t0, stops[-1], spec, n_pump0=n_total - n_seed, master_seed=master_seed,
+            n_threads=n_threads, stops=stops,
+        )
+    at = dict(zip(stops, pairs))
+    return [Ensemble(at[r][0], master_seed, n_total, n_seed, r, mode, at[r][1]) for r in r_values]
+
+
 def build_ensemble(
     n_total: float,
     n_seed: float,
@@ -278,39 +322,17 @@ def build_ensemble(
     steps_per_unit_r: int = DEFAULT_STEPS_PER_UNIT_R,
     n_threads: int = 1,
 ) -> Ensemble:
-    """Sample an initial ensemble and propagate it through the super-radiance step.
-
-    mode: "tw" (full dynamics), "clamped" (pump held classical),
-    "analytic" (exact Bogoliubov map), or "decorrelated" (full dynamics,
-    then the pump is swapped for an uncorrelated coherent state).
-    """
-    if mode not in EVOLUTION_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
-    t0 = sample_initial_ensemble(n_total, n_seed, master_seed, n_traj)
-    n_pump0 = n_total - n_seed
-    if mode == "analytic":
-        t1, report = evolve_analytic(t0, r), ConservationReport()
-    else:
-        spec = IntegratorSpec(
-            steps_per_unit_r=steps_per_unit_r,
-            clamp_pump=(mode == "clamped"),
-            decorrelate_pump=(mode == "decorrelated"),
-        )
-        t1, report = evolve_tw(
-            t0, r, spec, n_pump0=n_pump0, master_seed=master_seed, n_threads=n_threads
-        )
-    return Ensemble(t1, master_seed, n_total, n_seed, r, mode, report)
+    """Sample an initial ensemble and propagate it to r (build_ensembles of [r])."""
+    return build_ensembles(
+        n_total, n_seed, [r], n_traj, master_seed, mode, steps_per_unit_r, n_threads
+    )[0]
 
 
-def transferred_atoms(ensemble: Ensemble, n_seed: float | None = None) -> float:
+def transferred_atoms(ensemble: Ensemble) -> float:
     """Atoms moved into the transferred mode during the super-radiance step.
 
     mean(|alpha2(t1)|^2) - 1/2 - n_seed.
     """
     if ensemble.n_traj == 0:
         raise ValueError("empty ensemble")
-    if n_seed is None:
-        n_seed = ensemble.n_seed
-    return occupation(ensemble.state.alpha2) - n_seed
+    return occupation(ensemble.state.alpha2) - ensemble.n_seed

@@ -28,7 +28,7 @@ import numpy as np
 
 from .analytics import predict
 from .config import RunConfig
-from .dynamics import Ensemble, build_ensemble, transferred_atoms
+from .dynamics import Ensemble, build_ensembles, transferred_atoms
 from .interferometer import (
     HomodyneSpec,
     beam_splitter_half,
@@ -139,16 +139,17 @@ def fringe_design(phi) -> np.ndarray:
 
 
 def fringe_features(
-    ensemble: Ensemble, spec: HomodyneSpec, correction: bool = True
+    ensemble: Ensemble, spec: HomodyneSpec, correction: bool = True, lo_noise=None
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Per-trajectory features (B, C, D), the light record S_b, and the sign used.
 
-    The LO noise is drawn once and shared by the sign calibration and S_b.
-    An "auto" correction sign is calibrated at pi/2.  With correction
-    disabled D = 0, so S is the bare atomic signal.
+    The LO noise is drawn once (or passed in) and shared by the sign
+    calibration and S_b.  An "auto" correction sign is calibrated at pi/2.
+    With correction disabled D = 0, so S is the bare atomic signal.
     """
     spec = resolve_homodyne(spec, ensemble)
-    lo_noise = lo_noise_samples(ensemble) if spec.lo_sampled else None
+    if lo_noise is None and spec.lo_sampled:
+        lo_noise = lo_noise_samples(ensemble)
     if correction and spec.correction_sign == "auto":
         sign = calibrate_correction_sign(ensemble, spec, lo_noise=lo_noise)
         spec = replace(spec, correction_sign=sign)
@@ -248,7 +249,6 @@ def sensitivity_curve(
     ensemble: Ensemble,
     grid: PhiGrid,
     spec: HomodyneSpec,
-    n_total: float | None = None,
     correction: bool = True,
     resamples: int = 200,
     quantile: float = 0.95,
@@ -256,16 +256,14 @@ def sensitivity_curve(
     """Full per-phase sensitivity analysis of one ensemble."""
     if ensemble.n_traj < 100:
         raise ValueError("need at least 100 trajectories")
-    if n_total is None:
-        n_total = ensemble.n_total
 
     features, s_b, sign = fringe_features(ensemble, spec, correction)
     design = fringe_design(grid.values)
-    stats = point_statistics(features, grid, n_total, design)
+    stats = point_statistics(features, grid, ensemble.n_total, design)
     # the atomic record alone (B, C), for the fringe and scatter diagnostics
-    atomic = point_statistics(features[:, :2], grid, n_total, design[:, :2])
+    atomic = point_statistics(features[:, :2], grid, ensemble.n_total, design[:, :2])
     ci_lo, ci_hi = bootstrap_ci(
-        features, grid, n_total, resamples=resamples, quantile=quantile,
+        features, grid, ensemble.n_total, resamples=resamples, quantile=quantile,
         master_seed=ensemble.master_seed, design=design,
     )
     return SensitivityCurve(
@@ -281,7 +279,7 @@ def sensitivity_curve(
         m_ci_lo=ci_lo,
         m_ci_hi=ci_hi,
         traj_count=ensemble.n_traj,
-        n_total=float(n_total),
+        n_total=float(ensemble.n_total),
         correction_sign=sign,
     )
 
@@ -293,14 +291,15 @@ def m_at_phi(
     half_step: float = np.pi / 100,
     correction: bool = True,
     resamples: int | None = None,
+    lo_noise=None,
 ) -> tuple[float, tuple[float, float], str]:
     """M at a single working phase from a three-point local grid.
 
     Returns (m, (ci_lo, ci_hi), correction_sign); the interval collapses to
-    the point value when resamples is None.
+    the point value when resamples is None; lo_noise is as in fringe_features.
     """
     grid = PhiGrid(np.array([phi - half_step, phi, phi + half_step]))
-    features, _, sign = fringe_features(ensemble, spec, correction)
+    features, _, sign = fringe_features(ensemble, spec, correction, lo_noise)
     design = fringe_design(grid.values)
     m = float(point_statistics(features, grid, ensemble.n_total, design)["m"][1])
     if resamples is None:
@@ -318,25 +317,27 @@ def squeezed_combo_variance(ensemble: Ensemble) -> float:
     return float(np.var(combo, ddof=1))
 
 
-def prepare(config: RunConfig, r: float) -> tuple[Ensemble, HomodyneSpec, bool]:
-    """The t1 ensemble at r, the homodyne settings and the correction flag of a run."""
-    ensemble = build_ensemble(
-        config.n_total, config.n_seed, r, config.trajectories, config.master_seed,
+def prepare(config: RunConfig, r_values) -> tuple[list[Ensemble], HomodyneSpec, bool]:
+    """The t1 ensembles at each r, the homodyne settings and the correction flag of a run."""
+    ensembles = build_ensembles(
+        config.n_total, config.n_seed, r_values, config.trajectories, config.master_seed,
         mode=config.mode, steps_per_unit_r=config.steps_per_unit_r, n_threads=config.threads,
     )
     spec = HomodyneSpec(
         gain_g=config.gain_g, lo_sampled=config.lo_sampled,
         correction_sign="plus" if config.correction == "on" else "auto",
     )
-    return ensemble, spec, config.correction != "off"
+    return ensembles, spec, config.correction != "off"
 
 
 def scan_over_r(r_values, config: RunConfig) -> RScanResult:
     """Evaluate M at phi = pi/2 for each r and locate the optimum.
 
     In "analytic" mode the rows come from the closed undepleted-pump forms
-    (exact, no sampling); otherwise each r gets its own ensemble, sign
-    calibration and bootstrap interval.
+    (exact, no sampling); otherwise one pass to the largest r gives every r
+    its ensemble, one LO draw (it depends on the seed and the trajectory
+    count only) serves them all, and each r gets its own sign calibration
+    and bootstrap interval.
     """
     r_values = [float(v) for v in r_values]
     if not r_values:
@@ -345,9 +346,9 @@ def scan_over_r(r_values, config: RunConfig) -> RScanResult:
         raise ValueError("r_values must be >= 0")
 
     rows = []
-    for r in r_values:
-        pred = predict(r, config.n_total)
-        if config.mode == "analytic":
+    if config.mode == "analytic":
+        for r in r_values:
+            pred = predict(r, config.n_total)
             m = pred.m_plain if config.correction == "off" else pred.m_recycled
             rows.append(RScanRow(
                 r=r, m=m, m_ci_lo=m, m_ci_hi=m,
@@ -357,21 +358,24 @@ def scan_over_r(r_values, config: RunConfig) -> RScanResult:
                 correction_sign="off" if config.correction == "off" else "plus",
                 drift_atoms=0.0, drift_manley_rowe=0.0,
             ))
-            continue
-
-        ensemble, spec, correction = prepare(config, r)
-        m, (lo, hi), sign = m_at_phi(
-            ensemble, spec, correction=correction, resamples=config.bootstrap_resamples
-        )
-        rows.append(RScanRow(
-            r=r, m=m, m_ci_lo=lo, m_ci_hi=hi,
-            transferred=transferred_atoms(ensemble),
-            var_squeezed_combo=squeezed_combo_variance(ensemble),
-            m_plain=pred.m_plain, m_recycled=pred.m_recycled,
-            correction_sign=sign,
-            drift_atoms=ensemble.conservation.max_rel_drift_atoms,
-            drift_manley_rowe=ensemble.conservation.max_rel_drift_manley_rowe,
-        ))
+    else:
+        ensembles, spec, correction = prepare(config, r_values)
+        lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
+        for r, ensemble in zip(r_values, ensembles):
+            pred = predict(r, config.n_total)
+            m, (lo, hi), sign = m_at_phi(
+                ensemble, spec, correction=correction, resamples=config.bootstrap_resamples,
+                lo_noise=lo_noise,
+            )
+            rows.append(RScanRow(
+                r=r, m=m, m_ci_lo=lo, m_ci_hi=hi,
+                transferred=transferred_atoms(ensemble),
+                var_squeezed_combo=squeezed_combo_variance(ensemble),
+                m_plain=pred.m_plain, m_recycled=pred.m_recycled,
+                correction_sign=sign,
+                drift_atoms=ensemble.conservation.max_rel_drift_atoms,
+                drift_manley_rowe=ensemble.conservation.max_rel_drift_manley_rowe,
+            ))
 
     k = int(np.argmin([row.m for row in rows]))
     best = rows[k]
@@ -383,8 +387,3 @@ def scan_over_r(r_values, config: RunConfig) -> RScanResult:
         at_boundary=(k == 0 or k == len(rows) - 1) and len(rows) > 1,
     )
     return RScanResult(rows=rows, report=report)
-
-
-def optimum_over_r(r_values, config: RunConfig) -> OptimumReport:
-    """Convenience wrapper returning only the optimum of scan_over_r."""
-    return scan_over_r(r_values, config).report

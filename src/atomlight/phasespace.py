@@ -16,7 +16,7 @@ evaluation order or worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ STREAMS = {
     "pump_resample": 4,
 }
 
-TIME_TAGS = ("t0", "t1", "t2", "t3")
+TIME_TAGS = ("t0", "t1", "t3")
 
 # Wigner width of a coherent state: each quadrature of the added noise eta
 # has variance 1/4, so <|eta|^2> = 1/2.
@@ -88,19 +88,6 @@ class ModeTriple:
         if TIME_TAGS.index(time_tag) < TIME_TAGS.index(self.time_tag):
             raise ValueError(f"time_tag may not go backwards: {self.time_tag} -> {time_tag}")
         return ModeTriple(alpha1, alpha2, beta2, time_tag)
-
-    def copy(self) -> "ModeTriple":
-        return replace(
-            self,
-            alpha1=np.copy(self.alpha1),
-            alpha2=np.copy(self.alpha2),
-            beta2=np.copy(self.beta2),
-        )
-
-    def assert_finite(self):
-        for name in ("alpha1", "alpha2", "beta2"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise FloatingPointError(f"non-finite amplitude in {name}")
 
 
 def quadrature_x(amps) -> np.ndarray | float:

@@ -115,6 +115,7 @@ def test_invalid_value_rejected(tmp_path, capsys):
     ("scatter", "scatter_phis=1.0, inf"),
     ("phi-sweep", "master_seed=-1"),
     ("phi-sweep", f"master_seed={2**64}"),
+    ("phi-sweep", "trajectories=50"),
 ])
 def test_bad_value_rejected_before_work(tmp_path, capsys, verb, assignment):
     out = tmp_path / "out"

@@ -1,0 +1,65 @@
+"""Property tests: every bad config mapping is refused by validation."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from atomlight.config import ConfigError, make_config
+
+FLOAT_KEYS = ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g")
+LIST_KEYS = ("r_list", "scatter_phis")
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+# valid settings that do not constrain one another, to vary the rest of the mapping
+valid_rest = st.fixed_dictionaries({}, optional={
+    "r": st.floats(0.0, 5.0),
+    "gain_g": st.floats(1.0, 1.0e3),
+    "trajectories": st.integers(100, 10_000),
+    "master_seed": st.integers(0, 2**64 - 1),
+    "phi_count": st.integers(2, 401),
+    "threads": st.integers(1, 8),
+    "bootstrap_resamples": st.integers(100, 1000),
+    "mode": st.sampled_from(["tw", "analytic", "clamped", "decorrelated"]),
+    "correction": st.sampled_from(["on", "off", "auto_sign"]),
+})
+
+
+def rejected(mapping) -> bool:
+    with pytest.raises(ConfigError):
+        make_config(mapping)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_rest, st.sampled_from(FLOAT_KEYS), NON_FINITE)
+def test_non_finite_float_key_rejected(rest, key, value):
+    assert rejected({**rest, key: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_rest, st.sampled_from(LIST_KEYS),
+       st.lists(st.floats(0.0, 5.0), max_size=4), NON_FINITE, st.data())
+def test_non_finite_list_entry_rejected(rest, key, values, bad, data):
+    position = data.draw(st.integers(0, len(values)))
+    assert rejected({**rest, key: values[:position] + [bad] + values[position:]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_rest, st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64)))
+def test_master_seed_outside_u64_rejected(rest, seed):
+    assert rejected({**rest, "master_seed": seed})
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_rest, st.integers(1, 99))
+def test_too_few_trajectories_rejected(rest, trajectories):
+    assert rejected({**rest, "trajectories": trajectories})
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_rest)
+def test_valid_mapping_accepted(rest):
+    config = make_config(rest)
+    assert config.trajectories >= 100 and 0 <= config.master_seed < 2**64

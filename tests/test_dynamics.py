@@ -8,6 +8,7 @@ from atomlight.dynamics import (
     IntegrationError,
     IntegratorSpec,
     build_ensemble,
+    build_ensembles,
     evolve_analytic,
     evolve_tw,
     transferred_atoms,
@@ -221,3 +222,61 @@ def test_thread_count_does_not_change_results():
     assert np.array_equal(one.state.alpha2, four.state.alpha2)
     assert np.array_equal(one.state.beta2, four.state.beta2)
     assert one.conservation == four.conservation
+
+
+# --- one pass for many r -----------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["tw", "clamped", "decorrelated"])
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_build_ensembles_equals_per_r_builds(mode, n_threads):
+    # unsorted, repeated lattice values: each one is a prefix of the pass to the largest
+    r_values = [1.5, 0.25, 1.0, 0.25, 0.0]
+    many = build_ensembles(1.0e6, 100.0, r_values, 200, SEED, mode=mode, n_threads=n_threads)
+    assert [ens.r for ens in many] == r_values
+    for r, ens in zip(r_values, many):
+        one = build_ensemble(1.0e6, 100.0, r, 200, SEED, mode=mode, n_threads=n_threads)
+        for attr in ("alpha1", "alpha2", "beta2"):
+            assert np.array_equal(getattr(ens.state, attr), getattr(one.state, attr))
+        assert ens.conservation == one.conservation
+        assert ens.mode == mode and ens.state.time_tag == "t1"
+
+
+def test_off_lattice_r_takes_one_shorter_step():
+    # r = 400/401 lies between steps of the 1/400 lattice; the uniform-step
+    # result is 400 steps of 1/401, whose lattice holds r
+    r = 400 / 401
+    t0 = small_vacuum_ensemble(300, n_seed=1.0e4)
+    shorter, _ = evolve_tw(t0, r, n_pump0=1.0e7 - 1.0e4)
+    uniform, _ = evolve_tw(t0, r, IntegratorSpec(steps_per_unit_r=401), n_pump0=1.0e7 - 1.0e4)
+    for attr in ("alpha1", "alpha2", "beta2"):
+        a, b = getattr(shorter, attr), getattr(uniform, attr)
+        assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12
+    # the shorter step is taken on a copy: the pass on to a later stop is unchanged
+    pairs, _ = evolve_tw(t0, 2.0, n_pump0=1.0e7 - 1.0e4, stops=[r, 2.0])
+    direct, report = evolve_tw(t0, 2.0, n_pump0=1.0e7 - 1.0e4)
+    assert np.array_equal(pairs[0][0].alpha2, shorter.alpha2)
+    assert np.array_equal(pairs[1][0].alpha2, direct.alpha2)
+    assert pairs[1][1] == report
+
+
+@pytest.mark.parametrize("r", [2.2, np.nextafter(2.2, 3.0)])
+def test_r_within_rounding_of_the_lattice_takes_whole_steps(r):
+    # 400 * r = 880.0000000000001: 880 whole steps of 1/400, no extra step,
+    # so the state equals 800 steps continued by 80 more
+    assert 400 * r != 880
+    spec = IntegratorSpec(clamp_pump=True)
+    t0 = small_vacuum_ensemble(50, n_seed=1.0e4)
+    whole, _ = evolve_tw(t0, r, spec)
+    mid, _ = evolve_tw(t0, 2.0, spec)
+    rest, _ = evolve_tw(ModeTriple(mid.alpha1, mid.alpha2, mid.beta2), 0.2, spec)
+    assert np.array_equal(whole.alpha2, rest.alpha2)
+    assert np.array_equal(whole.beta2, rest.beta2)
+
+
+def test_stops_must_rise_to_r():
+    t0 = small_vacuum_ensemble(8)
+    for stops in ([0.5, 0.25, 1.0], [0.5, 0.5, 1.0], [0.5], [-0.5, 1.0], [0.5, np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            evolve_tw(t0, 1.0, stops=stops)
+    with pytest.raises(ValueError):
+        build_ensembles(1.0e6, 0.0, [], 8, SEED)

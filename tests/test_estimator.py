@@ -6,6 +6,7 @@ import pytest
 from atomlight.analytics import predict
 from dataclasses import replace
 
+import atomlight.dynamics as dynamics
 import atomlight.estimator as estimator
 import atomlight.interferometer as interferometer
 from atomlight.config import RunConfig
@@ -16,7 +17,6 @@ from atomlight.estimator import (
     fringe_design,
     fringe_features,
     m_at_phi,
-    optimum_over_r,
     point_statistics,
     scan_over_r,
     sensitivity_curve,
@@ -124,6 +124,33 @@ def test_one_lo_draw_per_ensemble(working_point_ensemble, monkeypatch):
     assert len(calls) == 1
     m_at_phi(working_point_ensemble, HomodyneSpec(gain_g=100.0), resamples=100)
     assert len(calls) == 2
+
+
+def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
+    counts = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(dynamics, "sample_initial_ensemble")
+    counted(dynamics, "evolve_tw")
+    counted(estimator, "lo_noise_samples")
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
+                       steps_per_unit_r=50, bootstrap_resamples=100)
+    result = scan_over_r([2.0, 1.0, 1.5, 1.0], config)
+    assert counts == {"sample_initial_ensemble": 1, "evolve_tw": 1, "lo_noise_samples": 1}
+    # the shared draw and the pass to r = 2 give what a run at one r gives
+    ens = build_ensemble(1.0e7, 1.0e4, 1.5, 100, SEED, steps_per_unit_r=50)
+    m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
+    row = result.rows[2]
+    assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
+    assert result.rows[1] == result.rows[3]
 
 
 # --- estimator algebra -----------------------------------------------------------
@@ -326,8 +353,7 @@ def test_tw_scan_reports_transfer_and_optimum():
         bootstrap_resamples=100,
     )
     result = scan_over_r([4.0, 4.5, 5.0], config)
-    report = optimum_over_r([4.0, 4.5, 5.0], config)
-    assert report == result.report
+    report = result.report
     assert report.m_star < 0.1
     assert report.equivalent_atom_gain == pytest.approx(1.0 / report.m_star**2)
     row = result.rows[1]
