@@ -100,8 +100,9 @@ PHI_SWEEP_COLUMNS = [
 ]
 
 
-def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep") -> int:
-    (ensemble,), spec, correction = prepare(config, [config.r])
+def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
+                  ensembles=None) -> int:
+    (ensemble,), spec, correction = prepare(config, [config.r], ensembles)
     grid = PhiGrid.from_range(config.phi_start, config.phi_stop, config.phi_count)
     curve = sensitivity_curve(
         ensemble, grid, spec, correction=correction, resamples=config.bootstrap_resamples
@@ -117,13 +118,15 @@ def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep") -> 
     min_m, argmin_phi = curve.min_m()
     k = int(np.argmin(np.where(np.isfinite(curve.m), curve.m, np.inf)))
     drift = ensemble.conservation
-    gates = _drift_gate(drift.max_rel_drift_atoms, drift.max_rel_drift_manley_rowe)
+    transferred = transferred_atoms(ensemble)
+    gates = _gates(drift.max_rel_drift_atoms, drift.max_rel_drift_manley_rowe,
+                   {"min_m": min_m, "argmin_phi": argmin_phi, "transferred_atoms": transferred})
     write_summary(out_dir / f"{stem}_summary.json", {
         "config": cfg,
         "min_m": min_m,
         "argmin_phi": argmin_phi,
         "m_ci_at_argmin": [float(curve.m_ci_lo[k]), float(curve.m_ci_hi[k])],
-        "transferred_atoms": transferred_atoms(ensemble),
+        "transferred_atoms": transferred,
         "correction_sign": curve.correction_sign,
         "max_rel_drift_atoms": drift.max_rel_drift_atoms,
         "max_rel_drift_manley_rowe": drift.max_rel_drift_manley_rowe,
@@ -139,10 +142,10 @@ R_SCAN_COLUMNS = [
 ]
 
 
-def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan") -> int:
+def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan", ensembles=None) -> int:
     if not config.r_list:
         raise ConfigError("r-scan needs a non-empty r_list")
-    result = scan_over_r(config.r_list, config)
+    result = scan_over_r(config.r_list, config, ensembles)
     rows = [
         (row.r, row.m, row.m_ci_lo, row.m_ci_hi, row.transferred,
          row.var_squeezed_combo, row.m_plain, row.m_recycled, row.correction_sign)
@@ -152,13 +155,13 @@ def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan") -> int:
     write_table(_data_path(out_dir, stem, config.output_format),
                 R_SCAN_COLUMNS, rows, cfg, config.output_format)
     report = result.report
-    gates = _drift_gate(max(row.drift_atoms for row in result.rows),
-                        max(row.drift_manley_rowe for row in result.rows))
+    finite = {"r_star": report.r_star, "m_star": report.m_star,
+              "atoms_transferred_at_star": report.atoms_transferred_at_star}
+    gates = _gates(max(row.drift_atoms for row in result.rows),
+                   max(row.drift_manley_rowe for row in result.rows), finite)
     write_summary(out_dir / f"{stem}_summary.json", {
         "config": cfg,
-        "r_star": report.r_star,
-        "m_star": report.m_star,
-        "atoms_transferred_at_star": report.atoms_transferred_at_star,
+        **finite,
         "equivalent_atom_gain": report.equivalent_atom_gain,
         "at_boundary": report.at_boundary,
         "gates": gates,
@@ -169,8 +172,8 @@ def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan") -> int:
 SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
 
 
-def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter") -> int:
-    (ensemble,), spec, correction = prepare(config, [config.r])
+def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembles=None) -> int:
+    (ensemble,), spec, correction = prepare(config, [config.r], ensembles)
     features, s_b, sign = fringe_features(ensemble, spec, correction)
     b, c, d = features.T
     s_b_scaled = s_b / config.gain_g
@@ -185,12 +188,15 @@ def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter") -> int:
     write_table(_data_path(out_dir, stem, config.output_format),
                 SCATTER_COLUMNS, rows, cfg, config.output_format)
     drift = ensemble.conservation
-    gates = _drift_gate(drift.max_rel_drift_atoms, drift.max_rel_drift_manley_rowe)
+    transferred = transferred_atoms(ensemble)
+    finite = {f"corr_s_a_vs_s_b_over_g[{phi}]": c for phi, c in corr.items()}
+    gates = _gates(drift.max_rel_drift_atoms, drift.max_rel_drift_manley_rowe,
+                   {**finite, "transferred_atoms": transferred})
     write_summary(out_dir / f"{stem}_summary.json", {
         "config": cfg,
         "correction_sign": sign,
         "corr_s_a_vs_s_b_over_g": corr,
-        "transferred_atoms": transferred_atoms(ensemble),
+        "transferred_atoms": transferred,
         "max_rel_drift_atoms": drift.max_rel_drift_atoms,
         "max_rel_drift_manley_rowe": drift.max_rel_drift_manley_rowe,
         "gates": gates,
@@ -239,40 +245,42 @@ def cmd_analytic_table(config: RunConfig, out_dir: Path, stem: str = "analytic_t
 
 
 def cmd_figures(config: RunConfig, out_dir: Path) -> int:
-    """Run the bundled figure recipes: squeezing vs r, M vs r, and the phase sweep."""
+    """Run the bundled figure recipes: squeezing vs r, M vs r, and the phase sweep.
+
+    Each recipe's config lists the r values it reads.  One sample and one
+    pass per distinct (n_seed, mode) serve every recipe that shares them.
+    """
     fig_dir = out_dir / "figures"
-    status = 0
+    r_grid = [round(v, 10) for v in np.arange(0.0, 4.01, 0.2)]
+    unseeded = replace(config, n_seed=0.0,
+                       r_list=[round(v, 10) for v in np.arange(3.0, 5.51, 0.25)])
+    seeded = replace(config, r_list=[round(v, 10) for v in np.arange(1.0, 4.01, 0.25)])
+    recipes = [replace(cfg, mode="tw", r_list=r_grid) for cfg in (unseeded, seeded)]
+    recipes += [unseeded, seeded, replace(config, r_list=[config.r])]
+    runs = {}
+    for cfg in recipes:
+        runs.setdefault((cfg.n_seed, cfg.mode), (cfg, []))[1].extend(cfg.r_list)
+    built = {key: dict(zip(rs, prepare(cfg, rs)[0])) for key, (cfg, rs) in runs.items()}
+    tw_unseeded, tw_seeded, m_unseeded, m_seeded, working = (
+        [built[cfg.n_seed, cfg.mode][r] for r in cfg.r_list] for cfg in recipes)
 
     # (a) variance of the squeezed quadrature combination vs r
-    r_grid = [round(v, 10) for v in np.arange(0.0, 4.01, 0.2)]
-    unseeded, seeded = (prepare(replace(config, n_seed=n_seed, mode="tw"), r_grid)[0]
-                        for n_seed in (0.0, config.n_seed))
-    rows = []
-    for r, *ensembles in zip(r_grid, unseeded, seeded):
-        var_undepleted = predict(r, config.n_total).var_squeezed_combo
-        entry = [r, var_undepleted]
-        for ens in ensembles:
-            entry.extend([squeezed_combo_variance(ens), transferred_atoms(ens)])
-        rows.append(tuple(entry))
+    rows = [(r, predict(r, config.n_total).var_squeezed_combo,
+             squeezed_combo_variance(u), transferred_atoms(u),
+             squeezed_combo_variance(s), transferred_atoms(s))
+            for r, u, s in zip(r_grid, tw_unseeded, tw_seeded)]
     write_table(
         _data_path(fig_dir, "squeezing_vs_r", config.output_format),
         ["r", "var_undepleted", "var_tw_unseeded", "transferred_unseeded",
          "var_tw_seeded", "transferred_seeded"],
         rows, config.to_dict(), config.output_format,
     )
-
-    # (b) M vs r, unseeded
-    cfg_b = replace(config, n_seed=0.0,
-                    r_list=[round(v, 10) for v in np.arange(3.0, 5.51, 0.25)])
-    status |= cmd_r_scan(cfg_b, fig_dir, stem="m_vs_r_unseeded")
-
-    # (c) M vs r, seeded
-    cfg_c = replace(config, r_list=[round(v, 10) for v in np.arange(1.0, 4.01, 0.25)])
-    status |= cmd_r_scan(cfg_c, fig_dir, stem="m_vs_r_seeded")
-
+    # (b), (c) M vs r, unseeded and seeded
+    status = cmd_r_scan(unseeded, fig_dir, "m_vs_r_unseeded", m_unseeded)
+    status |= cmd_r_scan(seeded, fig_dir, "m_vs_r_seeded", m_seeded)
     # (d) fringe, per-trajectory scatter and M vs phi at the working point
-    status |= cmd_phi_sweep(config, fig_dir, stem="phi_sweep_working_point")
-    status |= cmd_scatter(config, fig_dir, stem="scatter_working_point")
+    status |= cmd_phi_sweep(config, fig_dir, "phi_sweep_working_point", working)
+    status |= cmd_scatter(config, fig_dir, "scatter_working_point", working)
     return status
 
 
@@ -280,12 +288,17 @@ def _drift_ok(*drifts) -> bool:
     return all(d <= DRIFT_LIMIT for d in drifts)
 
 
-def _drift_gate(drift_atoms: float, drift_manley_rowe: float) -> dict:
-    """Summary gates block: the worse conservation drift against its limit."""
+def _gates(drift_atoms: float, drift_manley_rowe: float, finite: dict) -> dict:
+    """Summary gates block: the worse conservation drift against its limit, and the
+    first value in finite that is not finite (on a pass, the keys checked)."""
     drifts = {"atom_number": float(drift_atoms), "manley_rowe": float(drift_manley_rowe)}
-    invariant = max(drifts, key=drifts.get)
-    return {"drift": {"invariant": invariant, "value": drifts[invariant],
-                      "limit": DRIFT_LIMIT, "passed": _drift_ok(*drifts.values())}}
+    worst = max(drifts, key=drifts.get)
+    bad = next((key for key, value in finite.items() if not np.isfinite(value)), None)
+    return {"drift": {"invariant": worst, "value": drifts[worst], "limit": DRIFT_LIMIT,
+                      "passed": _drift_ok(*drifts.values())},
+            "finite": {"invariant": bad or ", ".join(finite), "limit": "finite",
+                       "value": None if bad is None else float(finite[bad]),
+                       "passed": bad is None}}
 
 
 def _gate_status(gates: dict) -> int:

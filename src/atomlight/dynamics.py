@@ -104,72 +104,80 @@ def evolve_analytic(state: ModeTriple, r: float) -> ModeTriple:
     return state.advanced(np.copy(state.alpha1), a2, b2, "t1")
 
 
-def _integrate(a1, a2, b2, stops, spec: IntegratorSpec, n_pump0: float):
-    """Amplitudes plus raw drift extrema at each stop (ascending r values).
+def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float):
+    """Amplitudes (rows a1, a2, b2) plus raw drift extrema at each stop (ascending r values).
 
     One pass on the lattice h = 1/steps_per_unit_r serves every stop; a stop
     off the lattice takes its last, shorter step on a copy.  The extrema are
     combined into a report later, so chunked execution aggregates exactly
-    like a single pass.
+    like a single pass.  Steps run in place in buffers allocated once per
+    call, keeping the operation order of y + (h/6) (k1 + 2 k2 + 2 k3 + k4).
     """
     h = 1.0 / spec.steps_per_unit_r
     inv_sq_n1 = 1.0 / np.sqrt(n_pump0)
+    n2, nb = np.abs(y0[1]) ** 2, np.abs(y0[2]) ** 2
+    tot0 = np.abs(y0[0]) ** 2 + n2
+    mr0 = n2 - nb
 
-    def f(a1, a2, b2):
-        if spec.clamp_pump:
-            # pump replaced by its classical amplitude; the sqrt(N1(0)) factors cancel
-            return (
-                np.zeros_like(a1),
-                1j * np.conj(b2),
-                1j * np.conj(a2),
-            )
-        return (
-            1j * b2 * a2 * inv_sq_n1,
-            1j * a1 * np.conj(b2) * inv_sq_n1,
-            1j * a1 * np.conj(a2) * inv_sq_n1,
-        )
+    k = np.zeros((4,) + y0.shape, dtype=np.complex128)  # k[s] = (d a1, d a2, d b2) of stage s
+    arg = np.empty_like(y0)  # stage argument, then the finite probe
+    lin = np.empty_like(y0[:2])  # 1j * (a1, b2)
+    mag = np.empty(y0.shape)  # |a1|^2, |a2|^2, |b2|^2, then drift terms
+    finite = np.empty(tot0.shape, dtype=bool)
 
-    tot0 = np.abs(a1) ** 2 + np.abs(a2) ** 2
-    mr0 = np.abs(a2) ** 2 - np.abs(b2) ** 2
+    def f(src, out):
+        """Right-hand side at src (rows a1, a2, b2) into out."""
+        np.conjugate(src[1:], out=out[:0:-1])  # out[1] = conj(b2), out[2] = conj(a2)
+        if spec.clamp_pump:  # classical pump amplitude: the sqrt(N1(0)) factors cancel
+            np.multiply(1j, out[1:], out=out[1:])  # out[0] stays 0
+            return
+        np.multiply(1j, src[::2], out=lin)
+        np.multiply(lin[1], src[1], out=out[0])
+        np.multiply(lin[0], out[1:], out=out[1:])
+        np.multiply(out, inv_sq_n1, out=out)
 
-    def rk4_step(index, h, a1, a2, b2, dev_atoms, dev_mr, scale_mr):
-        """One step, and the running drift maxima after it (new arrays)."""
-        k1 = f(a1, a2, b2)
-        k2 = f(a1 + 0.5 * h * k1[0], a2 + 0.5 * h * k1[1], b2 + 0.5 * h * k1[2])
-        k3 = f(a1 + 0.5 * h * k2[0], a2 + 0.5 * h * k2[1], b2 + 0.5 * h * k2[2])
-        k4 = f(a1 + h * k3[0], a2 + h * k3[1], b2 + h * k3[2])
-        a1 = a1 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        a2 = a2 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        b2 = b2 + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+    def rk4_step(index, h, y, dev):
+        """One step of y, and the running drift maxima dev after it, in place."""
+        f(y, k[0])
+        for s, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
+            np.multiply(c, k[s - 1], out=arg)
+            np.add(y, arg, out=arg)
+            f(arg, k[s])
+        for s in (1, 2):  # ((k1 + 2 k2) + 2 k3) + k4
+            np.multiply(2.0, k[s], out=k[s])
+            np.add(k[s - 1], k[s], out=k[s])
+        np.add(k[2], k[3], out=k[3])
+        np.multiply(h / 6.0, k[3], out=k[3])
+        np.add(y, k[3], out=y)
 
-        probe = a1 + a2 + b2  # NaN/Inf propagate through the sum
-        if not np.all(np.isfinite(probe)):
-            raise IntegrationError(index, ModeTriple(a1, a2, b2, "t0"))
+        probe = np.add(np.add(y[0], y[1], out=arg[0]), y[2], out=arg[0])  # NaN/Inf propagate
+        if not np.isfinite(probe, out=finite).all():
+            raise IntegrationError(index, ModeTriple(*y.copy(), "t0"))
 
-        n2 = np.abs(a2) ** 2
-        nb = np.abs(b2) ** 2
+        np.square(np.abs(y, out=mag), out=mag)
+        n1, n2, nb = mag
         if not spec.clamp_pump:
-            dev_atoms = np.maximum(dev_atoms, np.abs(np.abs(a1) ** 2 + n2 - tot0))
-        dev_mr = np.maximum(dev_mr, np.abs(n2 - nb - mr0))
-        scale_mr = np.maximum(scale_mr, n2 + nb)
-        return a1, a2, b2, dev_atoms, dev_mr, scale_mr
+            np.subtract(np.add(n1, n2, out=n1), tot0, out=n1)
+            np.maximum(dev[0], np.abs(n1, out=n1), out=dev[0])
+        np.subtract(np.subtract(n2, nb, out=n1), mr0, out=n1)
+        np.maximum(dev[1], np.abs(n1, out=n1), out=dev[1])
+        np.maximum(dev[2], np.add(n2, nb, out=n1), out=dev[2])
 
-    run = (a1, a2, b2, np.zeros_like(tot0), np.zeros_like(mr0), np.abs(a2) ** 2 + np.abs(b2) ** 2)
-    out = []
-    done = 0
+    y = y0.copy()
+    dev = np.stack([np.zeros_like(tot0), np.zeros_like(mr0), n2 + nb])  # atoms, MR, MR scale
+    out, done = [], 0
     with np.errstate(invalid="ignore", over="ignore"):  # probe handles non-finites
         for r in stops:
             n = spec.steps_per_unit_r * r
             n_full = int(np.floor(n + 1e-9))  # 400 * 2.2 = 880.0000000000001 is 880 steps
             for index in range(done, n_full):
-                run = rk4_step(index, h, *run)
+                rk4_step(index, h, y, dev)
             done = n_full
+            y_r, dev_r = y.copy(), dev.copy()  # the run buffers keep changing
             if n - n_full > 1e-9:  # off the lattice
-                a1, a2, b2, dev_atoms, dev_mr, scale_mr = rk4_step(n_full, (n - n_full) * h, *run)
-            else:
-                a1, a2, b2, dev_atoms, dev_mr, scale_mr = run
-            rel_atoms = 0.0 if spec.clamp_pump else float(np.max(dev_atoms / tot0))
-            out.append((a1, a2, b2, rel_atoms, float(np.max(dev_mr)), float(np.max(scale_mr))))
+                rk4_step(n_full, (n - n_full) * h, y_r, dev_r)
+            rel_atoms = 0.0 if spec.clamp_pump else float(np.max(dev_r[0] / tot0))
+            out.append((y_r, rel_atoms, float(np.max(dev_r[1])), float(np.max(dev_r[2]))))
     return out
 
 
@@ -214,32 +222,29 @@ def evolve_tw(
     if n_pump0 is None:
         n_pump0 = max(occupation(state.alpha1), 1.0)
 
-    a1 = np.atleast_1d(np.asarray(state.alpha1, dtype=np.complex128))
-    a2 = np.atleast_1d(np.asarray(state.alpha2, dtype=np.complex128))
-    b2 = np.atleast_1d(np.asarray(state.beta2, dtype=np.complex128))
-
-    if n_threads > 1 and a1.size > 1:
+    y = np.array([state.alpha1, state.alpha2, state.beta2], dtype=np.complex128).reshape(3, -1)
+    if n_threads > 1 and y.shape[1] > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        bounds = np.linspace(0, a1.size, n_threads + 1, dtype=int)
-        chunks = [(a1[i:j], a2[i:j], b2[i:j]) for i, j in zip(bounds[:-1], bounds[1:]) if j > i]
+        bounds = np.linspace(0, y.shape[1], n_threads + 1, dtype=int)
+        chunks = [y[:, i:j] for i, j in zip(bounds[:-1], bounds[1:]) if j > i]
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(lambda c: _integrate(*c, points, spec, n_pump0), chunks))
+            parts = list(pool.map(lambda c: _integrate(c, points, spec, n_pump0), chunks))
     else:
-        parts = [_integrate(a1, a2, b2, points, spec, n_pump0)]
+        parts = [_integrate(y, points, spec, n_pump0)]
 
     pairs = []
     for pieces in zip(*parts):  # one stop, every chunk
-        a1s, a2s, b2s, rel_atoms, dev_mr, scale_mr = zip(*pieces)
+        ys, rel_atoms, dev_mr, scale_mr = zip(*pieces)
         report = ConservationReport(
             max_rel_drift_atoms=max(rel_atoms),
             max_rel_drift_manley_rowe=max(dev_mr) / max(1.0, max(scale_mr)),
         )
-        a1 = np.concatenate(a1s)
+        a1, a2, b2 = np.concatenate(ys, axis=1)
         if spec.decorrelate_pump:
             mean_amp = np.sqrt(max(occupation(a1), 0.0))
             a1 = sample_coherent_batch(mean_amp, master_seed, "pump_resample", a1.size)
-        t1 = state.advanced(a1, np.concatenate(a2s), np.concatenate(b2s), "t1")
+        t1 = state.advanced(a1, a2, b2, "t1")
         pairs.append((t1, report))
     if stops is None:
         return pairs[0]

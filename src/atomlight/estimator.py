@@ -317,12 +317,15 @@ def squeezed_combo_variance(ensemble: Ensemble) -> float:
     return float(np.var(combo, ddof=1))
 
 
-def prepare(config: RunConfig, r_values) -> tuple[list[Ensemble], HomodyneSpec, bool]:
-    """The t1 ensembles at each r, the homodyne settings and the correction flag of a run."""
-    ensembles = build_ensembles(
-        config.n_total, config.n_seed, r_values, config.trajectories, config.master_seed,
-        mode=config.mode, steps_per_unit_r=config.steps_per_unit_r, n_threads=config.threads,
-    )
+def prepare(config: RunConfig, r_values,
+            ensembles=None) -> tuple[list[Ensemble], HomodyneSpec, bool]:
+    """The ensembles at each r (built unless given), homodyne settings and correction flag."""
+    if ensembles is None:
+        ensembles = build_ensembles(
+            config.n_total, config.n_seed, r_values, config.trajectories, config.master_seed,
+            mode=config.mode, steps_per_unit_r=config.steps_per_unit_r,
+            n_threads=config.threads,
+        )
     spec = HomodyneSpec(
         gain_g=config.gain_g, lo_sampled=config.lo_sampled,
         correction_sign="plus" if config.correction == "on" else "auto",
@@ -330,14 +333,14 @@ def prepare(config: RunConfig, r_values) -> tuple[list[Ensemble], HomodyneSpec, 
     return ensembles, spec, config.correction != "off"
 
 
-def scan_over_r(r_values, config: RunConfig) -> RScanResult:
+def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     """Evaluate M at phi = pi/2 for each r and locate the optimum.
 
     In "analytic" mode the rows come from the closed undepleted-pump forms
     (exact, no sampling); otherwise one pass to the largest r gives every r
-    its ensemble, one LO draw (it depends on the seed and the trajectory
-    count only) serves them all, and each r gets its own sign calibration
-    and bootstrap interval.
+    its ensemble (or ensembles holds them, one per r), one LO draw (it
+    depends on the seed and the trajectory count only) serves them all, and
+    each r gets its own sign calibration and bootstrap interval.
     """
     r_values = [float(v) for v in r_values]
     if not r_values:
@@ -359,7 +362,7 @@ def scan_over_r(r_values, config: RunConfig) -> RScanResult:
                 drift_atoms=0.0, drift_manley_rowe=0.0,
             ))
     else:
-        ensembles, spec, correction = prepare(config, r_values)
+        ensembles, spec, correction = prepare(config, r_values, ensembles)
         lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
         for r, ensemble in zip(r_values, ensembles):
             pred = predict(r, config.n_total)

@@ -108,9 +108,7 @@ def signal_light(state: ModeTriple, spec: HomodyneSpec, lo_noise=0.0) -> np.ndar
     """
     if spec.lo_amplitude is None:
         raise ValueError("lo_amplitude not set; call resolve_homodyne first")
-    if lo_noise is None:
-        lo_noise = 0.0
-    beta_lo = spec.lo_amplitude + (lo_noise if spec.lo_sampled else 0.0)
+    beta_lo = spec.lo_amplitude + (lo_noise if spec.lo_sampled and lo_noise is not None else 0.0)
     c = (state.beta2 - 1j * beta_lo) * _INV_SQRT2
     d = (beta_lo - 1j * state.beta2) * _INV_SQRT2
     return np.abs(c) ** 2 - np.abs(d) ** 2

@@ -8,10 +8,13 @@ Gaussian with variance 1/4, so that mean(|alpha|^2) - 1/2 estimates the
 mode occupation (symmetric ordering) and the quadrature X = a + a^dag has
 vacuum variance 1.
 
-All noise is derived from a counter-based generator keyed by
-(master_seed, trajectory_index, stream_tag).  The draw is a pure function
-of that tuple, so ensembles are reproducible bit-for-bit regardless of
-evaluation order or worker count.
+All noise comes from one counter-based Philox stream per noise source
+(Salmon et al., SC'11): key master_seed, counter word 3 the stream tag,
+and raw block i (four 64-bit words, counted in word 0) belongs to
+trajectory i.  The first two words of a block give one complex Gaussian by
+Box-Muller.  A draw is therefore a pure function of (master_seed,
+trajectory_index, stream_tag), so ensembles are reproducible bit-for-bit
+however they are split into chunks or threads.
 """
 
 from __future__ import annotations
@@ -50,16 +53,6 @@ class SeedSpec:
             raise ValueError(f"unknown stream_tag {self.stream_tag!r}")
         if self.trajectory_index < 0:
             raise ValueError("trajectory_index must be >= 0")
-
-    def generator(self) -> np.random.Generator:
-        """Counter-based generator for this tuple.
-
-        Each (trajectory, stream) pair owns a disjoint Philox counter block,
-        so distinct tuples give independent streams and the same tuple always
-        reproduces the same draws.
-        """
-        counter = [0, 0, self.trajectory_index, STREAMS[self.stream_tag]]
-        return np.random.Generator(np.random.Philox(key=self.master_seed, counter=counter))
 
 
 @dataclass
@@ -105,14 +98,16 @@ def occupation(amps) -> float:
     return float(np.mean(np.abs(np.asarray(amps)) ** 2) - 0.5)
 
 
-def sample_coherent(mean_amplitude: complex, seed: SeedSpec) -> complex:
-    """One Wigner sample of a coherent state |mean_amplitude>.
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Complex vacuum noise of variance 1/4 per quadrature from raw word pairs.
 
-    Returns mean_amplitude + eta with Re(eta), Im(eta) independent Gaussians
-    of variance 1/4.
+    Each word keeps its top 53 bits and maps to (0, 1] (the top word rounds
+    to 1) as ((w >> 11) + 0.5) * 2**-53, so the logarithm never sees 0.
     """
-    re, im = seed.generator().standard_normal(2)
-    return complex(mean_amplitude) + NOISE_SIGMA * complex(re, im)
+    u = ((words >> np.uint64(11)) + 0.5) * 2.0**-53
+    radius = NOISE_SIGMA * np.sqrt(-2.0 * np.log(u[..., 0]))
+    angle = 2.0 * np.pi * u[..., 1]
+    return radius * (np.cos(angle) + 1j * np.sin(angle))
 
 
 def sample_coherent_batch(
@@ -124,26 +119,24 @@ def sample_coherent_batch(
 ) -> np.ndarray:
     """Wigner samples for trajectories first_index .. first_index + n_traj - 1.
 
-    Bit-identical to calling sample_coherent per trajectory; provided so
-    ensemble construction does not build the SeedSpec objects one by one.
+    mean_amplitude + eta, with Re(eta), Im(eta) independent Gaussians of
+    variance 1/4.  Trajectory i reads raw block i of the stream, so any split
+    of an index range reproduces the whole draw bit for bit.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    out = np.empty(n_traj, dtype=np.complex128)
-    for i in range(n_traj):
-        spec = SeedSpec(master_seed, first_index + i, stream_tag)
-        re, im = spec.generator().standard_normal(2)
-        out[i] = mean_amplitude + NOISE_SIGMA * complex(re, im)
-    return out
+    if first_index < 0:
+        raise ValueError("first_index must be >= 0")
+    bits = np.random.Philox(key=master_seed, counter=[0, 0, 0, STREAMS[stream_tag]])
+    bits.advance(first_index)
+    words = bits.random_raw(4 * n_traj).reshape(n_traj, 4)[:, :2]
+    return mean_amplitude + _box_muller(words)
 
 
-def _validate_populations(n_total: float, n_seed: float):
-    if not (np.isfinite(n_total) and np.isfinite(n_seed)):
-        raise ValueError("n_total and n_seed must be finite")
-    if n_total <= 0:
-        raise ValueError("n_total must be > 0")
-    if n_seed < 0 or n_seed >= n_total:
-        raise ValueError("need 0 <= n_seed < n_total")
+def sample_coherent(mean_amplitude: complex, seed: SeedSpec) -> complex:
+    """One Wigner sample of |mean_amplitude>: the batch draw of one trajectory."""
+    return complex(sample_coherent_batch(
+        mean_amplitude, seed.master_seed, seed.stream_tag, 1, seed.trajectory_index)[0])
 
 
 def initial_means(n_total: float, n_seed: float) -> tuple[complex, complex, complex]:
@@ -157,28 +150,16 @@ def initial_means(n_total: float, n_seed: float) -> tuple[complex, complex, comp
     against the seed amplitude; an in-phase seed would leave that noise in the
     atomic signal.  The light mode starts in vacuum.
     """
-    _validate_populations(n_total, n_seed)
+    if not (np.isfinite(n_total) and np.isfinite(n_seed)):
+        raise ValueError("n_total and n_seed must be finite")
+    if n_total <= 0:
+        raise ValueError("n_total must be > 0")
+    if n_seed < 0 or n_seed >= n_total:
+        raise ValueError("need 0 <= n_seed < n_total")
     return (
         complex(np.sqrt(n_total - n_seed)),
         1j * complex(np.sqrt(n_seed)),
         0.0 + 0.0j,
-    )
-
-
-def sample_initial_state(n_total: float, n_seed: float, seed_base: SeedSpec) -> ModeTriple:
-    """Sample one trajectory of the t0 state.
-
-    Mean occupations: n_total - n_seed in the pump, n_seed in the transferred
-    mode, zero in the light mode.
-    """
-    m1, m2, m3 = initial_means(n_total, n_seed)
-    idx = seed_base.trajectory_index
-    ms = seed_base.master_seed
-    return ModeTriple(
-        alpha1=sample_coherent(m1, SeedSpec(ms, idx, "atoms1")),
-        alpha2=sample_coherent(m2, SeedSpec(ms, idx, "atoms2")),
-        beta2=sample_coherent(m3, SeedSpec(ms, idx, "light2")),
-        time_tag="t0",
     )
 
 

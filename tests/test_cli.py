@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from atomlight import cli, dynamics, estimator
 from atomlight.cli import DRIFT_LIMIT, _drift_ok, main
 
 FAST = [
@@ -297,7 +298,47 @@ def test_summaries_carry_passed_gates(tmp_path):
         assert gate["passed"] is True and gate["value"] <= gate["limit"] == DRIFT_LIMIT
 
 
+@pytest.mark.parametrize("verb,extra,keys", [
+    ("phi-sweep", [], ("min_m", "argmin_phi")),
+    ("r-scan", ["--set", "r_list=0.5, 1.0"], ("m_star",)),
+    ("scatter", [], ("corr_s_a_vs_s_b_over_g[1.5707963267948966]",)),
+])
+def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra, keys):
+    original = estimator.fringe_features
+
+    def nan_features(*args, **kwargs):
+        features, s_b, sign = original(*args, **kwargs)
+        return np.full_like(features, np.nan), s_b, sign
+
+    monkeypatch.setattr(estimator, "fringe_features", nan_features)
+    monkeypatch.setattr(cli, "fringe_features", nan_features)
+    with np.errstate(all="ignore"):
+        code, out = run([verb] + FAST + extra, tmp_path)
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "finite" and record["limit"] == "finite"
+    assert record["invariant"] in keys and not np.isfinite(record["value"])
+    gates = json.loads((out / f"{verb.replace('-', '_')}_summary.json").read_text())["gates"]
+    assert gates["finite"]["passed"] is False and gates["drift"]["passed"] is True
+    assert gates["finite"]["invariant"] == record["invariant"]
+
+
 # --- figures -----------------------------------------------------------------------
+
+def test_figures_sample_and_integrate_each_ensemble_once(tmp_path, monkeypatch):
+    counts = {}
+    for name in ("sample_initial_ensemble", "evolve_tw"):
+        def counted(*args, _original=getattr(dynamics, name), _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    code, _ = run(["--figures", "--set", "trajectories=100", "--set", "steps_per_unit_r=20",
+                   "--set", "bootstrap_resamples=100", "--set", "phi_count=21"], tmp_path)
+    assert code == 0
+    # unseeded and seeded: one sample and one pass each
+    assert counts == {"sample_initial_ensemble": 2, "evolve_tw": 2}
+
 
 def test_figures_recipes(tmp_path):
     code, out = run([

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from atomlight import dynamics
 from atomlight.dynamics import (
     Ensemble,
     IntegrationError,
@@ -280,3 +281,103 @@ def test_stops_must_rise_to_r():
             evolve_tw(t0, 1.0, stops=stops)
     with pytest.raises(ValueError):
         build_ensembles(1.0e6, 0.0, [], 8, SEED)
+
+
+# --- the in-place integrator against the allocate-per-operation form -----------
+
+def reference_integrate(a1, a2, b2, stops, spec, n_pump0):
+    """RK4 written with a fresh array per operation: the form the buffered
+    integrator must reproduce bit for bit."""
+    h = 1.0 / spec.steps_per_unit_r
+    inv_sq_n1 = 1.0 / np.sqrt(n_pump0)
+
+    def f(a1, a2, b2):
+        if spec.clamp_pump:
+            return np.zeros_like(a1), 1j * np.conj(b2), 1j * np.conj(a2)
+        return (
+            1j * b2 * a2 * inv_sq_n1,
+            1j * a1 * np.conj(b2) * inv_sq_n1,
+            1j * a1 * np.conj(a2) * inv_sq_n1,
+        )
+
+    tot0 = np.abs(a1) ** 2 + np.abs(a2) ** 2
+    mr0 = np.abs(a2) ** 2 - np.abs(b2) ** 2
+
+    def rk4_step(h, a1, a2, b2, dev_atoms, dev_mr, scale_mr):
+        k1 = f(a1, a2, b2)
+        k2 = f(a1 + 0.5 * h * k1[0], a2 + 0.5 * h * k1[1], b2 + 0.5 * h * k1[2])
+        k3 = f(a1 + 0.5 * h * k2[0], a2 + 0.5 * h * k2[1], b2 + 0.5 * h * k2[2])
+        k4 = f(a1 + h * k3[0], a2 + h * k3[1], b2 + h * k3[2])
+        a1 = a1 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        a2 = a2 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        b2 = b2 + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        n2 = np.abs(a2) ** 2
+        nb = np.abs(b2) ** 2
+        if not spec.clamp_pump:
+            dev_atoms = np.maximum(dev_atoms, np.abs(np.abs(a1) ** 2 + n2 - tot0))
+        dev_mr = np.maximum(dev_mr, np.abs(n2 - nb - mr0))
+        scale_mr = np.maximum(scale_mr, n2 + nb)
+        return a1, a2, b2, dev_atoms, dev_mr, scale_mr
+
+    run = (a1, a2, b2, np.zeros_like(tot0), np.zeros_like(mr0),
+           np.abs(a2) ** 2 + np.abs(b2) ** 2)
+    out, done = [], 0
+    for r in stops:
+        n = spec.steps_per_unit_r * r
+        n_full = int(np.floor(n + 1e-9))
+        for _ in range(done, n_full):
+            run = rk4_step(h, *run)
+        done = n_full
+        end = rk4_step((n - n_full) * h, *run) if n - n_full > 1e-9 else run
+        a1_r, a2_r, b2_r, dev_atoms, dev_mr, scale_mr = end
+        rel_atoms = 0.0 if spec.clamp_pump else float(np.max(dev_atoms / tot0))
+        out.append((a1_r, a2_r, b2_r, rel_atoms, float(np.max(dev_mr)), float(np.max(scale_mr))))
+    return out
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("stops", [[0.25, 1.2345, 2.2, 3.0], [400 / 401], [0.0, 1.0]])
+def test_integrator_is_bit_identical_to_the_reference(clamp, stops):
+    spec = IntegratorSpec(clamp_pump=clamp)
+    t0 = small_vacuum_ensemble(300, n_seed=1.0e4)
+    y0 = np.stack([t0.alpha1, t0.alpha2, t0.beta2])
+    ref = reference_integrate(*y0, stops, spec, 1.0e7 - 1.0e4)
+    got = dynamics._integrate(y0, stops, spec, 1.0e7 - 1.0e4)
+    for want, have in zip(ref, got, strict=True):
+        for x, y in zip(want[:3], have[0]):
+            assert np.array_equal(x, y)
+        assert want[3:] == have[1:]  # drift extrema, exactly
+    # the input is not touched by the in-place steps
+    assert np.array_equal(y0, np.stack([t0.alpha1, t0.alpha2, t0.beta2]))
+    for n_threads in (1, 2):
+        pairs, _ = evolve_tw(t0, stops[-1], spec, n_pump0=1.0e7 - 1.0e4,
+                             n_threads=n_threads, stops=stops)
+        for want, (state, report) in zip(ref, pairs, strict=True):
+            assert np.array_equal(state.alpha1, want[0])
+            assert np.array_equal(state.alpha2, want[1])
+            assert np.array_equal(state.beta2, want[2])
+            assert report.max_rel_drift_atoms == want[3]
+            assert report.max_rel_drift_manley_rowe == want[4] / max(1.0, want[5])
+
+
+def test_integration_error_reports_the_failing_step():
+    # with the pump clamped, a2 = 1e307 grows as cosh(r) until the step's
+    # stage sums overflow; every other trajectory stays finite
+    spec = IntegratorSpec(clamp_pump=True)
+    t0 = small_vacuum_ensemble(6)
+    a1, a2, b2 = (np.array(getattr(t0, k)) for k in ("alpha1", "alpha2", "beta2"))
+    a2[3] = 1.0e307
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError) as err:
+            evolve_tw(ModeTriple(a1, a2, b2), 3.0, spec)
+        failing = err.value.step_index
+        # the reference path is finite after `failing` steps and not after one more
+        before, after = reference_integrate(a1, a2, b2, [failing / 400, (failing + 1) / 400],
+                                            spec, 1.0e7)
+    assert 0 < failing < 1200
+    assert np.all(np.isfinite(before[0] + before[1] + before[2]))
+    snap = err.value.snapshot
+    assert isinstance(snap, ModeTriple) and snap.n_traj == 6
+    probe = snap.alpha1 + snap.alpha2 + snap.beta2
+    assert not np.isfinite(probe[3]) and not np.isfinite(after[0] + after[1] + after[2])[3]
+    assert np.array_equal(np.isfinite(probe), np.isfinite(after[0] + after[1] + after[2]))

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from atomlight.estimator import _BOOTSTRAP_STREAM_BLOCK
 from atomlight.phasespace import (
+    STREAMS,
     ModeTriple,
     SeedSpec,
+    _box_muller,
     occupation,
     quadrature_x,
     quadrature_y,
     sample_coherent,
     sample_coherent_batch,
     sample_initial_ensemble,
-    sample_initial_state,
 )
 
 N_DRAWS = 10_000
@@ -76,6 +79,53 @@ def test_batch_matches_scalar_path():
     assert np.array_equal(batch, singles)
 
 
+def test_split_draws_equal_the_whole_draw():
+    whole = sample_coherent_batch(0.5j, master_seed=17, stream_tag="light2", n_traj=1001)
+    cuts = [0, 1, 8, 341, 1000, 1001]  # odd offsets and lengths
+    parts = [
+        sample_coherent_batch(0.5j, master_seed=17, stream_tag="light2", n_traj=j - i,
+                              first_index=i)
+        for i, j in zip(cuts[:-1], cuts[1:])
+    ]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_sample_coherent_is_the_batch_row():
+    batch = sample_coherent_batch(1.0 + 2.0j, master_seed=5, stream_tag="local_oscillator",
+                                  n_traj=200)
+    for i in (0, 1, 77, 199):
+        assert sample_coherent(1.0 + 2.0j, SeedSpec(5, i, "local_oscillator")) == batch[i]
+
+
+def test_counter_layout():
+    # key master_seed, counter word 3 the stream tag, raw block i for trajectory i
+    bits = np.random.Philox(key=2**64 - 1, counter=[0, 0, 0, STREAMS["atoms2"]])
+    words = bits.random_raw(4 * 6).reshape(6, 4)[:, :2]
+    draws = sample_coherent_batch(0.0, master_seed=2**64 - 1, stream_tag="atoms2", n_traj=6)
+    assert np.array_equal(draws, _box_muller(words))
+
+
+def test_vacuum_quadratures_are_normal():
+    samples = sample_coherent_batch(0.0, master_seed=2024, stream_tag="atoms1", n_traj=100_000)
+    for part in (samples.real, samples.imag):
+        assert stats.kstest(part, "norm", args=(0.0, 0.5)).pvalue > 1e-3
+
+
+def test_word_map_is_finite_at_the_extremes():
+    words = np.array([[0, 0], [2**64 - 1, 2**64 - 1], [0, 2**64 - 1]], dtype=np.uint64)
+    noise = _box_muller(words)
+    assert np.all(np.isfinite(noise))
+    # word 0 maps to 2**-54, the smallest value of the map: the largest radius
+    assert abs(noise[0]) == pytest.approx(0.5 * np.sqrt(2.0 * 54.0 * np.log(2.0)), rel=1e-12)
+
+
+def test_trajectory_streams_are_disjoint_from_the_bootstrap_block():
+    # the bootstrap's Philox counter carries its block in word 3, as the
+    # trajectory streams carry their tags; distinct word-3 values never meet
+    assert len(set(STREAMS.values())) == len(STREAMS)
+    assert _BOOTSTRAP_STREAM_BLOCK not in STREAMS.values()
+
+
 def test_distinct_streams_uncorrelated():
     draws = {
         tag: sample_coherent_batch(0.0, master_seed=13, stream_tag=tag, n_traj=N_DRAWS)
@@ -93,11 +143,12 @@ def test_distinct_streams_uncorrelated():
 
 
 def test_initial_state_means():
-    state = sample_initial_state(1.0e7, 0.0, SeedSpec(21))
-    assert state.time_tag == "t0"
-    assert abs(state.alpha1 - np.sqrt(1.0e7)) < 5.0  # vacuum-width fluctuation
-    assert abs(state.alpha2) < 5.0
-    assert abs(state.beta2) < 5.0
+    # one trajectory of the t0 state
+    state = sample_initial_ensemble(1.0e7, 0.0, master_seed=21, n_traj=1)
+    assert state.time_tag == "t0" and state.n_traj == 1
+    assert abs(state.alpha1[0] - np.sqrt(1.0e7)) < 5.0  # vacuum-width fluctuation
+    assert abs(state.alpha2[0]) < 5.0
+    assert abs(state.beta2[0]) < 5.0
 
 
 def test_initial_ensemble_occupations():
@@ -115,7 +166,7 @@ def test_initial_ensemble_occupations():
                                             (np.inf, 0.0), (10.0, 10.0)])
 def test_initial_state_rejects_bad_populations(n_total, n_seed):
     with pytest.raises(ValueError):
-        sample_initial_state(n_total, n_seed, SeedSpec(1))
+        sample_initial_ensemble(n_total, n_seed, master_seed=1, n_traj=1)
 
 
 def test_seed_spec_validation():
