@@ -28,7 +28,7 @@ from .config import (
     make_config,
     parse_assignments,
 )
-from .dynamics import transferred_atoms
+from .dynamics import ConservationReport, transferred_atoms
 from .estimator import (
     PhiGrid,
     fringe_features,
@@ -41,6 +41,7 @@ from .feasibility import PhysicalSetup, capture_fraction, rate_ratio, scaling_es
 from . import __version__
 
 DRIFT_LIMIT = 1.0e-6  # conservation drift above this fails the run
+RK4_LIMIT = 1.0e-6  # step-doubling estimate of the RK4 error above this fails the run
 RATE_RATIO_VALID = 100.0  # single-mode model considered valid above this
 
 
@@ -119,18 +120,20 @@ def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
     k = int(np.argmin(np.where(np.isfinite(curve.m), curve.m, np.inf)))
     drift = ensemble.conservation
     transferred = transferred_atoms(ensemble)
-    gates = _gates(drift.max_rel_drift_atoms, drift.max_rel_drift_manley_rowe,
-                   {"min_m": min_m, "argmin_phi": argmin_phi, "transferred_atoms": transferred})
+    ci = [float(curve.m_ci_lo[k]), float(curve.m_ci_hi[k])]
+    gates = _gates([drift], {"min_m": min_m, "argmin_phi": argmin_phi,
+                             "transferred_atoms": transferred})
     write_summary(out_dir / f"{stem}_summary.json", {
         "config": cfg,
         "min_m": min_m,
         "argmin_phi": argmin_phi,
-        "m_ci_at_argmin": [float(curve.m_ci_lo[k]), float(curve.m_ci_hi[k])],
+        "m_ci_at_argmin": ci,
         "transferred_atoms": transferred,
         "correction_sign": curve.correction_sign,
         "max_rel_drift_atoms": drift.max_rel_drift_atoms,
         "max_rel_drift_manley_rowe": drift.max_rel_drift_manley_rowe,
         "traj_count": curve.traj_count,
+        "error_budget": _error_budget(drift, min_m, ci),
         "gates": gates,
     })
     return _gate_status(gates)
@@ -157,13 +160,14 @@ def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan", ensembles
     report = result.report
     finite = {"r_star": report.r_star, "m_star": report.m_star,
               "atoms_transferred_at_star": report.atoms_transferred_at_star}
-    gates = _gates(max(row.drift_atoms for row in result.rows),
-                   max(row.drift_manley_rowe for row in result.rows), finite)
+    gates = _gates([row.conservation for row in result.rows], finite)
+    star = result.rows[int(np.argmin([row.m for row in result.rows]))]
     write_summary(out_dir / f"{stem}_summary.json", {
         "config": cfg,
         **finite,
         "equivalent_atom_gain": report.equivalent_atom_gain,
         "at_boundary": report.at_boundary,
+        "error_budget": _error_budget(star.conservation, star.m, (star.m_ci_lo, star.m_ci_hi)),
         "gates": gates,
     })
     return _gate_status(gates)
@@ -190,8 +194,7 @@ def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembl
     drift = ensemble.conservation
     transferred = transferred_atoms(ensemble)
     finite = {f"corr_s_a_vs_s_b_over_g[{phi}]": c for phi, c in corr.items()}
-    gates = _gates(drift.max_rel_drift_atoms, drift.max_rel_drift_manley_rowe,
-                   {**finite, "transferred_atoms": transferred})
+    gates = _gates([drift], {**finite, "transferred_atoms": transferred})
     write_summary(out_dir / f"{stem}_summary.json", {
         "config": cfg,
         "correction_sign": sign,
@@ -288,14 +291,26 @@ def _drift_ok(*drifts) -> bool:
     return all(d <= DRIFT_LIMIT for d in drifts)
 
 
-def _gates(drift_atoms: float, drift_manley_rowe: float, finite: dict) -> dict:
-    """Summary gates block: the worse conservation drift against its limit, and the
-    first value in finite that is not finite (on a pass, the keys checked)."""
-    drifts = {"atom_number": float(drift_atoms), "manley_rowe": float(drift_manley_rowe)}
+def _error_budget(conservation: ConservationReport, m: float, ci) -> dict:
+    """Relative precision of M at the reported point: RK4 (step-doubling estimate)
+    against Monte Carlo (half the bootstrap interval over M)."""
+    return {"rk4_rel": conservation.rk4_error,
+            "mc_rel": float(np.divide(ci[1] - ci[0], 2.0 * m))}
+
+
+def _gates(reports, finite: dict) -> dict:
+    """Summary gates block: the worse conservation drift and the RK4 error estimate
+    over reports against their limits, and the first value in finite that is not
+    finite (on a pass, the keys checked)."""
+    drifts = {"atom_number": max(float(c.max_rel_drift_atoms) for c in reports),
+              "manley_rowe": max(float(c.max_rel_drift_manley_rowe) for c in reports)}
     worst = max(drifts, key=drifts.get)
+    rk4 = max(float(c.rk4_error) for c in reports)
     bad = next((key for key, value in finite.items() if not np.isfinite(value)), None)
     return {"drift": {"invariant": worst, "value": drifts[worst], "limit": DRIFT_LIMIT,
                       "passed": _drift_ok(*drifts.values())},
+            "rk4": {"invariant": "rk4_step_error", "value": rk4, "limit": RK4_LIMIT,
+                    "passed": rk4 <= RK4_LIMIT},
             "finite": {"invariant": bad or ", ".join(finite), "limit": "finite",
                        "value": None if bad is None else float(finite[bad]),
                        "passed": bad is None}}

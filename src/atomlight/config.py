@@ -13,6 +13,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .dynamics import DEFAULT_STEPS_PER_UNIT_R
+
 MODES = ("tw", "analytic", "clamped", "decorrelated")
 CORRECTIONS = ("on", "off", "auto_sign")
 OUTPUT_FORMATS = ("csv", "json")
@@ -33,7 +35,7 @@ class RunConfig:
     phi_count: int = 201
     gain_g: float = 100.0
     trajectories: int = 1000
-    steps_per_unit_r: int = 400
+    steps_per_unit_r: int = DEFAULT_STEPS_PER_UNIT_R
     master_seed: int = 12345
     mode: str = "tw"
     correction: str = "auto_sign"

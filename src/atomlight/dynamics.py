@@ -22,11 +22,17 @@ With the pump clamped to its classical amplitude sqrt(N1(0)) the pair
 
 which is used both as the undepleted-pump propagator and as an oracle for
 the integrator.
+
+evolve_tw steps fixed-step RK4 on the lattice h = 1/steps_per_unit_r
+(default 1/40) and runs every ensemble a second time on 2h.  Step doubling
+gives the RK4 error of the h pass as |y_h - y_2h| / 15 (Richardson), which
+the run reports next to the drifts and the CLI gates at 1e-6 (gates.rk4).
+Every bundled r value lies on both the 1/40 and the 1/20 lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from .phasespace import (
 
 EVOLUTION_MODES = ("tw", "analytic", "clamped", "decorrelated")
 
-DEFAULT_STEPS_PER_UNIT_R = 400
+DEFAULT_STEPS_PER_UNIT_R = 40
 
 
 class IntegrationError(RuntimeError):
@@ -75,17 +81,22 @@ class IntegratorSpec:
 
 @dataclass
 class ConservationReport:
-    """Worst relative drift of the two exact invariants over a run.
+    """Worst relative drift of the two exact invariants over a run, and the
+    step-doubling estimate of the RK4 error at its end.
 
     Atom-number drift is relative to the per-trajectory initial total;
     Manley-Rowe drift is relative to the largest |alpha2|^2 + |beta2|^2
     reached during the run (the difference itself starts near zero, so its
     own magnitude is not a usable scale).  In clamped mode atom number is
-    intentionally not conserved and its drift is reported as 0.
+    intentionally not conserved and its drift is reported as 0.  rk4_error
+    is the largest |y_h - y_2h| / 15 over trajectories and modes, relative
+    to the trajectory's largest amplitude, at the run's end (for a run with
+    several stops, the largest over the stops); 0 for the analytic map.
     """
 
     max_rel_drift_atoms: float = 0.0
     max_rel_drift_manley_rowe: float = 0.0
+    rk4_error: float = 0.0
 
 
 def _require_time_tag(state: ModeTriple, tag: str):
@@ -104,26 +115,44 @@ def evolve_analytic(state: ModeTriple, r: float) -> ModeTriple:
     return state.advanced(np.copy(state.alpha1), a2, b2, "t1")
 
 
-def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float):
-    """Amplitudes (rows a1, a2, b2) plus raw drift extrema at each stop (ascending r values).
+class _Workspace:
+    """Everything the RK4 passes over one chunk (rows a1, a2, b2) write to.
 
-    One pass on the lattice h = 1/steps_per_unit_r serves every stop; a stop
-    off the lattice takes its last, shorter step on a copy.  The extrema are
-    combined into a report later, so chunked execution aggregates exactly
-    like a single pass.  Steps run in place in buffers allocated once per
-    call, keeping the operation order of y + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+    Built on the calling thread and reused by both passes, so a worker
+    thread allocates nothing: glibc would keep what a worker frees in that
+    thread's own arena, out of reach of the rest of the run.
     """
-    h = 1.0 / spec.steps_per_unit_r
-    inv_sq_n1 = 1.0 / np.sqrt(n_pump0)
-    n2, nb = np.abs(y0[1]) ** 2, np.abs(y0[2]) ** 2
-    tot0 = np.abs(y0[0]) ** 2 + n2
-    mr0 = n2 - nb
 
-    k = np.zeros((4,) + y0.shape, dtype=np.complex128)  # k[s] = (d a1, d a2, d b2) of stage s
-    arg = np.empty_like(y0)  # stage argument, then the finite probe
-    lin = np.empty_like(y0[:2])  # 1j * (a1, b2)
-    mag = np.empty(y0.shape)  # |a1|^2, |a2|^2, |b2|^2, then drift terms
-    finite = np.empty(tot0.shape, dtype=bool)
+    def __init__(self, y0):
+        n2, nb = np.abs(y0[1]) ** 2, np.abs(y0[2]) ** 2
+        self.tot0 = np.abs(y0[0]) ** 2 + n2
+        self.mr0 = n2 - nb
+        self.scale0 = n2 + nb  # initial Manley-Rowe scale
+        self.k = np.zeros((4,) + y0.shape, dtype=np.complex128)  # k[s] = (d a1, d a2, d b2)
+        self.arg = np.empty_like(y0)  # stage argument, then the finite probe
+        self.lin = np.empty_like(y0[:2])  # 1j * (a1, b2)
+        self.mag = np.empty(y0.shape)  # |a1|^2, |a2|^2, |b2|^2, then drift terms
+        self.finite = np.empty(self.tot0.shape, dtype=bool)
+        self.y, self.y_stop = np.empty_like(y0), np.empty_like(y0)
+        self.dev, self.dev_stop = np.empty(y0.shape), np.empty(y0.shape)
+        self.rel = np.empty((2,) + self.tot0.shape)  # max |y_h - y_2h| and max |y_h| over modes
+
+
+def _integrate(y0, stops, steps_per_unit_r, spec: IntegratorSpec, n_pump0: float,
+               ws: _Workspace):
+    """Yield the amplitudes (rows a1, a2, b2) and raw drift rows at each stop (ascending r).
+
+    One pass on the lattice h = 1/steps_per_unit_r (a count that need not be
+    whole) serves every stop; a stop off the lattice takes its last, shorter
+    step on a copy.  The yielded arrays are ws buffers, valid until the next
+    stop.  The drift rows (atoms, Manley-Rowe, Manley-Rowe scale) are
+    running per-trajectory maxima, combined into a report later, so chunked
+    execution aggregates exactly like a single pass.  Steps run in place,
+    keeping the operation order of y + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+    """
+    h = 1.0 / steps_per_unit_r
+    inv_sq_n1 = 1.0 / np.sqrt(n_pump0)
+    k, arg, lin, mag = ws.k, ws.arg, ws.lin, ws.mag
 
     def f(src, out):
         """Right-hand side at src (rows a1, a2, b2) into out."""
@@ -151,34 +180,59 @@ def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float):
         np.add(y, k[3], out=y)
 
         probe = np.add(np.add(y[0], y[1], out=arg[0]), y[2], out=arg[0])  # NaN/Inf propagate
-        if not np.isfinite(probe, out=finite).all():
+        if not np.isfinite(probe, out=ws.finite).all():
             raise IntegrationError(index, ModeTriple(*y.copy(), "t0"))
 
         np.square(np.abs(y, out=mag), out=mag)
         n1, n2, nb = mag
         if not spec.clamp_pump:
-            np.subtract(np.add(n1, n2, out=n1), tot0, out=n1)
+            np.subtract(np.add(n1, n2, out=n1), ws.tot0, out=n1)
             np.maximum(dev[0], np.abs(n1, out=n1), out=dev[0])
-        np.subtract(np.subtract(n2, nb, out=n1), mr0, out=n1)
+        np.subtract(np.subtract(n2, nb, out=n1), ws.mr0, out=n1)
         np.maximum(dev[1], np.abs(n1, out=n1), out=dev[1])
         np.maximum(dev[2], np.add(n2, nb, out=n1), out=dev[2])
 
-    y = y0.copy()
-    dev = np.stack([np.zeros_like(tot0), np.zeros_like(mr0), n2 + nb])  # atoms, MR, MR scale
-    out, done = [], 0
+    y, dev = ws.y, ws.dev
+    np.copyto(y, y0)
+    dev[:2] = 0.0  # atoms, MR
+    np.copyto(dev[2], ws.scale0)  # MR scale
+    done = 0
     with np.errstate(invalid="ignore", over="ignore"):  # probe handles non-finites
         for r in stops:
-            n = spec.steps_per_unit_r * r
+            n = steps_per_unit_r * r
             n_full = int(np.floor(n + 1e-9))  # 400 * 2.2 = 880.0000000000001 is 880 steps
             for index in range(done, n_full):
                 rk4_step(index, h, y, dev)
             done = n_full
-            y_r, dev_r = y.copy(), dev.copy()  # the run buffers keep changing
+            np.copyto(ws.y_stop, y)  # the run buffers keep changing
+            np.copyto(ws.dev_stop, dev)
             if n - n_full > 1e-9:  # off the lattice
-                rk4_step(n_full, (n - n_full) * h, y_r, dev_r)
-            rel_atoms = 0.0 if spec.clamp_pump else float(np.max(dev_r[0] / tot0))
-            out.append((y_r, rel_atoms, float(np.max(dev_r[1])), float(np.max(dev_r[2]))))
-    return out
+                rk4_step(n_full, (n - n_full) * h, ws.y_stop, ws.dev_stop)
+            yield ws.y_stop, ws.dev_stop
+
+
+def _evolve_chunk(y0, ws: _Workspace, out, stops, spec: IntegratorSpec, n_pump0: float):
+    """The h pass into out (one row block per stop), then the 2h pass on the same stops.
+
+    Returns per stop the raw drift extrema and the step-doubling estimate
+    max over trajectories of max(|y_h - y_2h|) / 15 / max(|y_h|), the
+    Richardson error of RK4 relative to each trajectory's largest amplitude.
+    """
+    stats, steps = [], spec.steps_per_unit_r
+    for s, (y, dev) in enumerate(_integrate(y0, stops, steps, spec, n_pump0, ws)):
+        out[s] = y
+        rel_atoms = np.divide(dev[0], ws.tot0, out=dev[0])
+        rel_atoms = 0.0 if spec.clamp_pump else float(np.max(rel_atoms))
+        stats.append([rel_atoms, float(np.max(dev[1])), float(np.max(dev[2]))])
+    diff, big = ws.rel
+    # the 2h pass; with an odd count a stop can fall off its lattice and end on a partial step
+    for s, (y, _) in enumerate(_integrate(y0, stops, steps / 2, spec, n_pump0, ws)):
+        np.abs(np.subtract(out[s], y, out=ws.arg), out=ws.mag)
+        np.max(ws.mag, axis=0, out=diff)
+        np.max(np.abs(out[s], out=ws.mag), axis=0, out=big)
+        np.divide(diff, big, out=diff)
+        stats[s].append(float(np.max(diff)) / 15.0)
+    return stats
 
 
 def evolve_tw(
@@ -207,8 +261,15 @@ def evolve_tw(
     stops : strictly increasing r values up to r itself; the evolution to a
         smaller r is a prefix, so one pass yields the state at every stop.
 
-    Returns the state at t1 and the conservation drift over the run; with
-    stops, the state is replaced by one (state, drift) pair per stop.
+    Each chunk is integrated twice, on the lattice h = 1/steps_per_unit_r
+    and on 2h, with the same stops; the 2h states only feed the error
+    estimate (ConservationReport.rk4_error) and are dropped.  A non-finite
+    amplitude in either pass raises IntegrationError with the step index on
+    that pass's lattice; the h pass runs first.
+
+    Returns the state at t1 and the conservation report of the run; with
+    stops, the state is replaced by one (state, report) pair per stop, and
+    the run's report is the last stop's with the largest rk4_error of all.
     r = 0 returns the input amplitudes unchanged (zero steps).
     """
     _require_time_tag(state, "t0")
@@ -223,24 +284,31 @@ def evolve_tw(
         n_pump0 = max(occupation(state.alpha1), 1.0)
 
     y = np.array([state.alpha1, state.alpha2, state.beta2], dtype=np.complex128).reshape(3, -1)
-    if n_threads > 1 and y.shape[1] > 1:
+    states = np.empty((len(points),) + y.shape, dtype=np.complex128)
+    bounds = np.linspace(0, y.shape[1], max(1, min(n_threads, y.shape[1])) + 1, dtype=int)
+    chunks = [(y[:, i:j], _Workspace(y[:, i:j]), states[:, :, i:j])
+              for i, j in zip(bounds[:-1], bounds[1:])]
+
+    def run(chunk):
+        return _evolve_chunk(*chunk, points, spec, n_pump0)
+
+    if len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        bounds = np.linspace(0, y.shape[1], n_threads + 1, dtype=int)
-        chunks = [y[:, i:j] for i, j in zip(bounds[:-1], bounds[1:]) if j > i]
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(lambda c: _integrate(c, points, spec, n_pump0), chunks))
+            parts = list(pool.map(run, chunks))
     else:
-        parts = [_integrate(y, points, spec, n_pump0)]
+        parts = [run(chunks[0])]
 
     pairs = []
-    for pieces in zip(*parts):  # one stop, every chunk
-        ys, rel_atoms, dev_mr, scale_mr = zip(*pieces)
+    for a1_a2_b2, pieces in zip(states, zip(*parts)):  # one stop, every chunk
+        rel_atoms, dev_mr, scale_mr, rk4 = np.max(pieces, axis=0)
         report = ConservationReport(
-            max_rel_drift_atoms=max(rel_atoms),
-            max_rel_drift_manley_rowe=max(dev_mr) / max(1.0, max(scale_mr)),
+            max_rel_drift_atoms=float(rel_atoms),
+            max_rel_drift_manley_rowe=float(dev_mr / max(1.0, scale_mr)),
+            rk4_error=float(rk4),
         )
-        a1, a2, b2 = np.concatenate(ys, axis=1)
+        a1, a2, b2 = a1_a2_b2
         if spec.decorrelate_pump:
             mean_amp = np.sqrt(max(occupation(a1), 0.0))
             a1 = sample_coherent_batch(mean_amp, master_seed, "pump_resample", a1.size)
@@ -248,7 +316,8 @@ def evolve_tw(
         pairs.append((t1, report))
     if stops is None:
         return pairs[0]
-    return pairs, pairs[-1][1]
+    whole = replace(pairs[-1][1], rk4_error=max(report.rk4_error for _, report in pairs))
+    return pairs, whole
 
 
 @dataclass

@@ -28,7 +28,7 @@ import numpy as np
 
 from .analytics import predict
 from .config import RunConfig
-from .dynamics import Ensemble, build_ensembles, transferred_atoms
+from .dynamics import ConservationReport, Ensemble, build_ensembles, transferred_atoms
 from .interferometer import (
     HomodyneSpec,
     beam_splitter_half,
@@ -122,8 +122,7 @@ class RScanRow:
     m_plain: float
     m_recycled: float
     correction_sign: str
-    drift_atoms: float
-    drift_manley_rowe: float
+    conservation: ConservationReport
 
 
 @dataclass
@@ -359,7 +358,7 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
                 var_squeezed_combo=pred.var_squeezed_combo,
                 m_plain=pred.m_plain, m_recycled=pred.m_recycled,
                 correction_sign="off" if config.correction == "off" else "plus",
-                drift_atoms=0.0, drift_manley_rowe=0.0,
+                conservation=ConservationReport(),
             ))
     else:
         ensembles, spec, correction = prepare(config, r_values, ensembles)
@@ -376,8 +375,7 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
                 var_squeezed_combo=squeezed_combo_variance(ensemble),
                 m_plain=pred.m_plain, m_recycled=pred.m_recycled,
                 correction_sign=sign,
-                drift_atoms=ensemble.conservation.max_rel_drift_atoms,
-                drift_manley_rowe=ensemble.conservation.max_rel_drift_manley_rowe,
+                conservation=ensemble.conservation,
             ))
 
     k = int(np.argmin([row.m for row in rows]))

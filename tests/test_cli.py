@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from atomlight import cli, dynamics, estimator
-from atomlight.cli import DRIFT_LIMIT, _drift_ok, main
+from atomlight.cli import DRIFT_LIMIT, RK4_LIMIT, _drift_ok, main
 
 FAST = [
     "--set", "trajectories=150",
@@ -278,14 +278,31 @@ def test_drift_failure_is_reported(tmp_path, capsys, verb, extra):
     code, out = run([verb, "--set", "trajectories=150", "--set", "steps_per_unit_r=2"] + extra,
                     tmp_path)
     assert code == 1
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "drift"
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    (record,) = [rec for rec in records if rec["error"] == "drift"]
     assert record["invariant"] in ("atom_number", "manley_rowe")
     assert record["value"] > record["limit"] == DRIFT_LIMIT
     stem = verb.replace("-", "_")
     gate = json.loads((out / f"{stem}_summary.json").read_text())["gates"]["drift"]
     assert gate["passed"] is False
     assert gate["value"] == record["value"]
+
+
+@pytest.mark.parametrize("verb,extra", [
+    ("phi-sweep", ["--set", "phi_count=21", "--set", "bootstrap_resamples=100"]),
+    ("r-scan", ["--set", "r_list=1.0, 3.0", "--set", "bootstrap_resamples=100"]),
+])
+def test_rk4_failure_is_reported(tmp_path, capsys, verb, extra):
+    # 8 steps per unit r to r = 3: step-doubling estimate 1.5e-6, atom drift 4.2e-7
+    code, out = run([verb, "--set", "trajectories=150", "--set", "steps_per_unit_r=8"] + extra,
+                    tmp_path)
+    assert code == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert record["error"] == "rk4" and record["invariant"] == "rk4_step_error"
+    assert record["value"] > record["limit"] == RK4_LIMIT
+    gates = json.loads((out / f"{verb.replace('-', '_')}_summary.json").read_text())["gates"]
+    assert gates["rk4"]["passed"] is False and gates["drift"]["passed"] is True
+    assert gates["rk4"]["value"] == record["value"]
 
 
 def test_summaries_carry_passed_gates(tmp_path):
@@ -296,6 +313,12 @@ def test_summaries_carry_passed_gates(tmp_path):
         summary = json.loads((out / f"{verb.replace('-', '_')}_summary.json").read_text())
         gate = summary["gates"]["drift"]
         assert gate["passed"] is True and gate["value"] <= gate["limit"] == DRIFT_LIMIT
+        gate = summary["gates"]["rk4"]
+        assert gate["passed"] is True and 0 < gate["value"] <= gate["limit"] == RK4_LIMIT
+        assert gate["invariant"] == "rk4_step_error"
+        if verb != "scatter":  # the r-scan gate takes the worst row, the budget r_star's
+            budget = summary["error_budget"]
+            assert 0 < budget["rk4_rel"] <= gate["value"] and 0 < budget["mc_rel"] < 1
 
 
 @pytest.mark.parametrize("verb,extra,keys", [

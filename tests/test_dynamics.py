@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ellipj, ellipkinc
 
 from atomlight import dynamics
 from atomlight.dynamics import (
@@ -144,6 +145,58 @@ def test_fourth_order_convergence():
     assert coarse.max_rel_drift_manley_rowe / fine.max_rel_drift_manley_rowe >= 8.0
 
 
+# --- the RK4 error estimate and the depleted-pump oracle ---------------------
+
+@pytest.mark.parametrize("n_seed,r", [(1.0e4, 3.0), (1.0e4, 4.0), (0.0, 5.5)])
+def test_step_doubling_estimate_is_honest(n_seed, r):
+    # the true amplitude error at the default lattice, against a 16x finer run,
+    # relative to each trajectory's largest amplitude
+    t0 = sample_initial_ensemble(1.0e7, n_seed, SEED, 200)
+    coarse, report = evolve_tw(t0, r, n_pump0=1.0e7 - n_seed)
+    fine_spec = IntegratorSpec(steps_per_unit_r=16 * dynamics.DEFAULT_STEPS_PER_UNIT_R)
+    fine, _ = evolve_tw(t0, r, fine_spec, n_pump0=1.0e7 - n_seed)
+    y_h = np.stack([coarse.alpha1, coarse.alpha2, coarse.beta2])
+    y_ref = np.stack([fine.alpha1, fine.alpha2, fine.beta2])
+    true = np.max(np.max(np.abs(y_h - y_ref), axis=0) / np.max(np.abs(y_ref), axis=0))
+    assert report.rk4_error / 3 < true < 3 * report.rk4_error
+
+
+def exact_n2(a1, a2, b2, kappa, s):
+    """|alpha2|^2 of one trajectory of the full three-wave equations at times s.
+
+    With P = conj(a1) a2 b2, H = Re P, T = n1 + n2 and M = n2 - nb conserved,
+    (dn2/ds)^2 = 4 kappa^2 (T - n2) n2 (n2 - M) - 4 kappa^2 H^2
+               = 4 kappa^2 (a - n2) (n2 - b) (n2 - c)   with roots c < b < a,
+    so n2 = a - (a - b) sn^2(kappa sqrt(a - c) s + u0 | m), m = (a - b)/(a - c),
+    and dn2/ds = 2 kappa Im P fixes the sign of u0 (Armstrong et al. 1962).
+    """
+    n1, n2, nb = abs(a1) ** 2, abs(a2) ** 2, abs(b2) ** 2
+    p = np.conj(a1) * a2 * b2
+    t, m_r = n1 + n2, n2 - nb
+    c, b, a = np.sort(np.roots([-1.0, t + m_r, -t * m_r, -p.real ** 2]).real)
+    m = (a - b) / (a - c)
+    u0 = ellipkinc(np.arcsin(np.sqrt(np.clip((a - n2) / (a - b), 0.0, 1.0))), m)
+    if p.imag > 0:  # n2 rising at s = 0: sn^2 falling
+        u0 = -u0
+    sn = ellipj(u0 + kappa * np.sqrt(a - c) * np.asarray(s), m)[0]
+    return a - (a - b) * sn ** 2
+
+
+def test_depleted_pump_matches_the_elliptic_solution():
+    # 990 pump atoms, seed 10: the transferred mode takes most of the pump near
+    # r = 4 and gives it back by r = 6
+    n_total, n_seed = 1.0e3, 10.0
+    r_values = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    t0 = sample_initial_ensemble(n_total, n_seed, SEED, 40)
+    pairs, _ = evolve_tw(t0, r_values[-1], n_pump0=n_total - n_seed, stops=r_values)
+    kappa = 1.0 / np.sqrt(n_total - n_seed)
+    want = np.array([exact_n2(*y, kappa, r_values)
+                     for y in zip(t0.alpha1, t0.alpha2, t0.beta2)]).T
+    assert np.mean(want[4]) > 0.5 * n_total > np.mean(want[6])
+    for (state, _), exact in zip(pairs, want, strict=True):
+        assert np.max(np.abs(np.abs(state.alpha2) ** 2 - exact) / exact) < 1e-6
+
+
 # --- transferred atoms -------------------------------------------------------
 
 def test_transferred_atoms_zero_at_r_zero():
@@ -246,15 +299,16 @@ def test_off_lattice_r_takes_one_shorter_step():
     # r = 400/401 lies between steps of the 1/400 lattice; the uniform-step
     # result is 400 steps of 1/401, whose lattice holds r
     r = 400 / 401
+    spec = IntegratorSpec(steps_per_unit_r=400)
     t0 = small_vacuum_ensemble(300, n_seed=1.0e4)
-    shorter, _ = evolve_tw(t0, r, n_pump0=1.0e7 - 1.0e4)
+    shorter, _ = evolve_tw(t0, r, spec, n_pump0=1.0e7 - 1.0e4)
     uniform, _ = evolve_tw(t0, r, IntegratorSpec(steps_per_unit_r=401), n_pump0=1.0e7 - 1.0e4)
     for attr in ("alpha1", "alpha2", "beta2"):
         a, b = getattr(shorter, attr), getattr(uniform, attr)
         assert np.max(np.abs(a - b) / np.abs(b)) < 1e-12
     # the shorter step is taken on a copy: the pass on to a later stop is unchanged
-    pairs, _ = evolve_tw(t0, 2.0, n_pump0=1.0e7 - 1.0e4, stops=[r, 2.0])
-    direct, report = evolve_tw(t0, 2.0, n_pump0=1.0e7 - 1.0e4)
+    pairs, _ = evolve_tw(t0, 2.0, spec, n_pump0=1.0e7 - 1.0e4, stops=[r, 2.0])
+    direct, report = evolve_tw(t0, 2.0, spec, n_pump0=1.0e7 - 1.0e4)
     assert np.array_equal(pairs[0][0].alpha2, shorter.alpha2)
     assert np.array_equal(pairs[1][0].alpha2, direct.alpha2)
     assert pairs[1][1] == report
@@ -265,7 +319,7 @@ def test_r_within_rounding_of_the_lattice_takes_whole_steps(r):
     # 400 * r = 880.0000000000001: 880 whole steps of 1/400, no extra step,
     # so the state equals 800 steps continued by 80 more
     assert 400 * r != 880
-    spec = IntegratorSpec(clamp_pump=True)
+    spec = IntegratorSpec(steps_per_unit_r=400, clamp_pump=True)
     t0 = small_vacuum_ensemble(50, n_seed=1.0e4)
     whole, _ = evolve_tw(t0, r, spec)
     mid, _ = evolve_tw(t0, 2.0, spec)
@@ -285,10 +339,12 @@ def test_stops_must_rise_to_r():
 
 # --- the in-place integrator against the allocate-per-operation form -----------
 
-def reference_integrate(a1, a2, b2, stops, spec, n_pump0):
+def reference_integrate(a1, a2, b2, stops, spec, n_pump0, steps_per_unit_r=None):
     """RK4 written with a fresh array per operation: the form the buffered
-    integrator must reproduce bit for bit."""
-    h = 1.0 / spec.steps_per_unit_r
+    integrator must reproduce bit for bit (on spec's lattice unless
+    steps_per_unit_r is given)."""
+    steps_per_unit_r = steps_per_unit_r or spec.steps_per_unit_r
+    h = 1.0 / steps_per_unit_r
     inv_sq_n1 = 1.0 / np.sqrt(n_pump0)
 
     def f(a1, a2, b2):
@@ -323,7 +379,7 @@ def reference_integrate(a1, a2, b2, stops, spec, n_pump0):
            np.abs(a2) ** 2 + np.abs(b2) ** 2)
     out, done = [], 0
     for r in stops:
-        n = spec.steps_per_unit_r * r
+        n = steps_per_unit_r * r
         n_full = int(np.floor(n + 1e-9))
         for _ in range(done, n_full):
             run = rk4_step(h, *run)
@@ -335,35 +391,62 @@ def reference_integrate(a1, a2, b2, stops, spec, n_pump0):
     return out
 
 
+def step_doubling_estimate(h_pass, h2_pass):
+    """Per stop, the largest |y_h - y_2h| / 15 relative to the trajectory's largest amplitude."""
+    out = []
+    for fine, coarse in zip(h_pass, h2_pass, strict=True):
+        y_h, y_2h = np.stack(fine[:3]), np.stack(coarse[:3])
+        rel = np.max(np.abs(y_h - y_2h), axis=0) / np.max(np.abs(y_h), axis=0)
+        out.append(float(np.max(rel)) / 15.0)
+    return out
+
+
 @pytest.mark.parametrize("clamp", [False, True])
 @pytest.mark.parametrize("stops", [[0.25, 1.2345, 2.2, 3.0], [400 / 401], [0.0, 1.0]])
 def test_integrator_is_bit_identical_to_the_reference(clamp, stops):
-    spec = IntegratorSpec(clamp_pump=clamp)
+    check_against_the_reference(IntegratorSpec(clamp_pump=clamp), stops)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_odd_step_count_is_bit_identical_to_the_reference(clamp):
+    # 41 steps per unit r: the 2h pass (20.5 per unit r) ends every stop but 2.0 off its lattice
+    check_against_the_reference(IntegratorSpec(steps_per_unit_r=41, clamp_pump=clamp),
+                                [0.25, 1.2345, 2.0, 2.2, 3.0])
+
+
+def check_against_the_reference(spec, stops):
+    steps = spec.steps_per_unit_r
     t0 = small_vacuum_ensemble(300, n_seed=1.0e4)
     y0 = np.stack([t0.alpha1, t0.alpha2, t0.beta2])
     ref = reference_integrate(*y0, stops, spec, 1.0e7 - 1.0e4)
-    got = dynamics._integrate(y0, stops, spec, 1.0e7 - 1.0e4)
-    for want, have in zip(ref, got, strict=True):
-        for x, y in zip(want[:3], have[0]):
+    rk4 = step_doubling_estimate(
+        ref, reference_integrate(*y0, stops, spec, 1.0e7 - 1.0e4, steps_per_unit_r=steps / 2))
+    states = np.empty((len(stops),) + y0.shape, dtype=np.complex128)
+    got = dynamics._evolve_chunk(y0, dynamics._Workspace(y0), states, stops, spec, 1.0e7 - 1.0e4)
+    for want, state, have, err in zip(ref, states, got, rk4, strict=True):
+        for x, y in zip(want[:3], state):
             assert np.array_equal(x, y)
-        assert want[3:] == have[1:]  # drift extrema, exactly
+        assert list(want[3:]) == have[:3]  # drift extrema, exactly
+        assert have[3] == err
     # the input is not touched by the in-place steps
     assert np.array_equal(y0, np.stack([t0.alpha1, t0.alpha2, t0.beta2]))
     for n_threads in (1, 2):
-        pairs, _ = evolve_tw(t0, stops[-1], spec, n_pump0=1.0e7 - 1.0e4,
-                             n_threads=n_threads, stops=stops)
-        for want, (state, report) in zip(ref, pairs, strict=True):
+        pairs, run = evolve_tw(t0, stops[-1], spec, n_pump0=1.0e7 - 1.0e4,
+                               n_threads=n_threads, stops=stops)
+        for want, err, (state, report) in zip(ref, rk4, pairs, strict=True):
             assert np.array_equal(state.alpha1, want[0])
             assert np.array_equal(state.alpha2, want[1])
             assert np.array_equal(state.beta2, want[2])
             assert report.max_rel_drift_atoms == want[3]
             assert report.max_rel_drift_manley_rowe == want[4] / max(1.0, want[5])
+            assert report.rk4_error == err
+        assert run.rk4_error == max(rk4)
 
 
 def test_integration_error_reports_the_failing_step():
     # with the pump clamped, a2 = 1e307 grows as cosh(r) until the step's
     # stage sums overflow; every other trajectory stays finite
-    spec = IntegratorSpec(clamp_pump=True)
+    spec = IntegratorSpec(steps_per_unit_r=400, clamp_pump=True)
     t0 = small_vacuum_ensemble(6)
     a1, a2, b2 = (np.array(getattr(t0, k)) for k in ("alpha1", "alpha2", "beta2"))
     a2[3] = 1.0e307
