@@ -25,7 +25,7 @@ spec = resolve_homodyne(HomodyneSpec(gain_g=100.0), ensemble)
 grid = PhiGrid.from_range(0.0, 2.0 * np.pi, 201)
 curve = sensitivity_curve(ensemble, grid, spec, resamples=100)
 print(f"correction sign calibrated to: {curve.correction_sign}")
-min_m, argmin = curve.min_m()
+min_m, argmin, _ = curve.min_m()
 print(f"best sensitivity: M = {min_m:.4f} at phi = {argmin/np.pi:.3f} pi "
       f"(SQL is M = 1)")
 

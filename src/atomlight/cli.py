@@ -116,8 +116,7 @@ def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
     write_table(_data_path(out_dir, stem, config.output_format),
                 PHI_SWEEP_COLUMNS, rows, cfg, config.output_format)
 
-    min_m, argmin_phi = curve.min_m()
-    k = int(np.argmin(np.where(np.isfinite(curve.m), curve.m, np.inf)))
+    min_m, argmin_phi, k = curve.min_m()
     drift = ensemble.conservation
     transferred = transferred_atoms(ensemble)
     ci = [float(curve.m_ci_lo[k]), float(curve.m_ci_hi[k])]
@@ -161,7 +160,7 @@ def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan", ensembles
     finite = {"r_star": report.r_star, "m_star": report.m_star,
               "atoms_transferred_at_star": report.atoms_transferred_at_star}
     gates = _gates([row.conservation for row in result.rows], finite)
-    star = result.rows[int(np.argmin([row.m for row in result.rows]))]
+    star = result.rows[result.star]
     write_summary(out_dir / f"{stem}_summary.json", {
         "config": cfg,
         **finite,
@@ -287,10 +286,6 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
     return status
 
 
-def _drift_ok(*drifts) -> bool:
-    return all(d <= DRIFT_LIMIT for d in drifts)
-
-
 def _error_budget(conservation: ConservationReport, m: float, ci) -> dict:
     """Relative precision of M at the reported point: RK4 (step-doubling estimate)
     against Monte Carlo (half the bootstrap interval over M)."""
@@ -308,7 +303,7 @@ def _gates(reports, finite: dict) -> dict:
     rk4 = max(float(c.rk4_error) for c in reports)
     bad = next((key for key, value in finite.items() if not np.isfinite(value)), None)
     return {"drift": {"invariant": worst, "value": drifts[worst], "limit": DRIFT_LIMIT,
-                      "passed": _drift_ok(*drifts.values())},
+                      "passed": all(d <= DRIFT_LIMIT for d in drifts.values())},
             "rk4": {"invariant": "rk4_step_error", "value": rk4, "limit": RK4_LIMIT,
                     "passed": rk4 <= RK4_LIMIT},
             "finite": {"invariant": bad or ", ".join(finite), "limit": "finite",

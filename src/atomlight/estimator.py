@@ -10,8 +10,9 @@ the first beam splitter and D = -sign * S_b / g from the light record (D = 0
 without correction).  The dynamics do not depend on phi, so one ensemble
 and one local-oscillator draw serve every phase (exact common random
 numbers), and the per-phase mean and unbiased variance of S follow from
-three feature means and a 3x3 covariance.  The slope of the mean fringe
-comes from central differences (one-sided at the grid ends), and
+three feature means and a 3x3 covariance.  The slope of the mean fringe is
+exact, d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so any single phase can be
+evaluated on its own, and
 
     delta_phi = sqrt( V(S) / (d<S>/dphi)^2 ),    M = delta_phi * sqrt(N_t).
 
@@ -93,13 +94,16 @@ class SensitivityCurve:
     n_total: float
     correction_sign: str  # "plus", "minus" or "off"
 
-    def min_m(self) -> tuple[float, float]:
-        """(min M, argmin phi) over the grid, ignoring non-finite entries."""
+    def min_m(self) -> tuple[float, float, int]:
+        """(min M, argmin phi, its grid index), ignoring non-finite entries.
+
+        With no finite M this is (inf, nan, 0).
+        """
         finite = np.isfinite(self.m)
-        if not np.any(finite):
-            return float("inf"), float("nan")
-        k = np.argmin(np.where(finite, self.m, np.inf))
-        return float(self.m[k]), float(self.phi[k])
+        k = int(np.argmin(np.where(finite, self.m, np.inf)))
+        if not finite[k]:
+            return float("inf"), float("nan"), k
+        return float(self.m[k]), float(self.phi[k]), k
 
 
 @dataclass
@@ -129,6 +133,7 @@ class RScanRow:
 class RScanResult:
     rows: list[RScanRow]
     report: OptimumReport
+    star: int  # index of the row the report describes
 
 
 def fringe_design(phi) -> np.ndarray:
@@ -142,44 +147,43 @@ def fringe_features(
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Per-trajectory features (B, C, D), the light record S_b, and the sign used.
 
-    The LO noise is drawn once (or passed in) and shared by the sign
-    calibration and S_b.  An "auto" correction sign is calibrated at pi/2.
-    With correction disabled D = 0, so S is the bare atomic signal.
+    The LO noise is drawn once (or passed in).  An "auto" correction sign is
+    calibrated at pi/2, where the atomic signal is C.  With correction
+    disabled D = 0, so S is the bare atomic signal.
     """
     spec = resolve_homodyne(spec, ensemble)
     if lo_noise is None and spec.lo_sampled:
         lo_noise = lo_noise_samples(ensemble)
-    if correction and spec.correction_sign == "auto":
-        sign = calibrate_correction_sign(ensemble, spec, lo_noise=lo_noise)
-        spec = replace(spec, correction_sign=sign)
     s_b = np.asarray(signal_light(ensemble.state, spec, lo_noise), dtype=float)
-    d = combine_signals(0.0, s_b, spec) if correction else np.zeros_like(s_b)
     split = beam_splitter_half(ensemble.state)
     z = 2j * split.alpha2 * np.conj(split.alpha1)  # B - iC
+    b, c = z.real, -z.imag
+    if correction and spec.correction_sign == "auto":
+        spec = replace(spec, correction_sign=calibrate_correction_sign(c, s_b, spec.gain_g))
+    d = combine_signals(0.0, s_b, spec) if correction else np.zeros_like(s_b)
     sign = spec.correction_sign if correction else "off"
-    return np.column_stack([z.real, -z.imag, d]), s_b, sign
+    return np.column_stack([b, c, d]), s_b, sign
 
 
-def _moments(features, grid: PhiGrid, design=None):
+def _moments(features, phi):
     """Per-trajectory terms, and the statistics that their sums determine.
 
-    The signal at grid point p is S_p = design[p] @ f for a feature row f;
-    without a design the features are the signal, one per grid point.  The
-    mean of S_p needs the feature means and its unbiased variance the
-    covariance entries the design couples.  Both follow from the sums of the
-    terms (centred features and their pairwise products) over any n-element
-    index set, so a bootstrap resample costs one gather-and-sum.
+    A feature row f holds (B, C, D), or (B, C) for the atomic record alone,
+    and the signal at phase phi_p is S_p = design[p] @ f with the rows of
+    fringe_design cut to the feature count.  The mean of S_p and its exact
+    slope need the feature means, its unbiased variance the feature
+    covariance.  Both follow from the sums of the terms (centred features
+    and their pairwise products) over any n-element index set, so a
+    bootstrap resample costs one gather-and-sum.
     """
     features = np.asarray(features, dtype=float)
     n, k = features.shape
-    design = np.eye(k) if design is None else np.asarray(design, dtype=float)
-    if design.shape != (len(grid), k):
-        raise ValueError("design needs one row per grid point and one column per feature")
+    phi = np.asarray(phi, dtype=float)
+    design = fringe_design(phi)[:, :k]
+    slope = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)[:, :k]
     center = features.mean(axis=0)
     centred = features - center
     i, j = np.triu_indices(k)
-    coupled = np.any(design[:, i] * design[:, j] != 0.0, axis=0)
-    i, j = i[coupled], j[coupled]
     weights = design[:, i] * design[:, j] * np.where(i == j, 1.0, 2.0)
 
     def statistics(sums: np.ndarray, n_total: float) -> dict:
@@ -187,7 +191,7 @@ def _moments(features, grid: PhiGrid, design=None):
         cov = (sums[..., k:] - n * shift[..., i] * shift[..., j]) / (n - 1)
         mean_s = np.einsum("...k,pk->...p", center + shift, design)
         var_s = np.maximum(np.einsum("...q,pq->...p", cov, weights), 0.0)
-        ds = np.gradient(mean_s, grid.spacing, axis=-1)
+        ds = np.einsum("...k,pk->...p", center + shift, slope)
         with np.errstate(divide="ignore"):
             delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
         return {"mean_s": mean_s, "var_s": var_s, "ds_dphi": ds,
@@ -197,36 +201,34 @@ def _moments(features, grid: PhiGrid, design=None):
     return np.concatenate([centred.T, (centred[:, i] * centred[:, j]).T]), statistics
 
 
-def point_statistics(features, grid: PhiGrid, n_total: float, design=None) -> dict:
-    """Mean, variance, fringe slope, delta_phi and M per grid point.
+def point_statistics(features, phi, n_total: float) -> dict:
+    """Mean, variance, exact fringe slope, delta_phi and M at each phase in phi.
 
-    features holds one row per trajectory; S at grid point p is
-    design[p] @ row.  Without a design the features are the signal itself,
-    one column per grid point.
+    features holds one (B, C, D) row per trajectory, or (B, C) for the
+    atomic signal alone.
     """
-    terms, statistics = _moments(features, grid, design)
+    terms, statistics = _moments(features, phi)
     return statistics(terms.sum(axis=1), n_total)
 
 
 def bootstrap_ci(
     features,
-    grid: PhiGrid,
+    phi,
     n_total: float,
     resamples: int = 200,
     quantile: float = 0.95,
     master_seed: int = 0,
-    design=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Percentile bootstrap interval for M at every grid point.
+    """Percentile bootstrap interval for M at each phase in phi.
 
     Whole trajectories are resampled so the variance and the fringe slope are
-    recomputed jointly.  features and design are as in point_statistics.
-    Grid points where the resampled slope vanishes give infinite M and show
-    up as infinite interval edges (flagged, not masked).
+    recomputed jointly.  features is as in point_statistics.  Phases where
+    the resampled slope vanishes give infinite M and show up as infinite
+    interval edges (flagged, not masked).
     """
     if resamples < 100:
         raise ValueError("resamples must be >= 100")
-    terms, statistics = _moments(features, grid, design)
+    terms, statistics = _moments(features, phi)
     n_traj = terms.shape[1]
     if n_traj < 2:
         raise ValueError("too few trajectories to bootstrap")
@@ -257,13 +259,12 @@ def sensitivity_curve(
         raise ValueError("need at least 100 trajectories")
 
     features, s_b, sign = fringe_features(ensemble, spec, correction)
-    design = fringe_design(grid.values)
-    stats = point_statistics(features, grid, ensemble.n_total, design)
+    stats = point_statistics(features, grid.values, ensemble.n_total)
     # the atomic record alone (B, C), for the fringe and scatter diagnostics
-    atomic = point_statistics(features[:, :2], grid, ensemble.n_total, design[:, :2])
+    atomic = point_statistics(features[:, :2], grid.values, ensemble.n_total)
     ci_lo, ci_hi = bootstrap_ci(
-        features, grid, ensemble.n_total, resamples=resamples, quantile=quantile,
-        master_seed=ensemble.master_seed, design=design,
+        features, grid.values, ensemble.n_total, resamples=resamples, quantile=quantile,
+        master_seed=ensemble.master_seed,
     )
     return SensitivityCurve(
         phi=grid.values.copy(),
@@ -287,27 +288,24 @@ def m_at_phi(
     ensemble: Ensemble,
     spec: HomodyneSpec,
     phi: float = np.pi / 2,
-    half_step: float = np.pi / 100,
     correction: bool = True,
     resamples: int | None = None,
     lo_noise=None,
 ) -> tuple[float, tuple[float, float], str]:
-    """M at a single working phase from a three-point local grid.
+    """M at a single working phase, from the exact fringe slope there.
 
     Returns (m, (ci_lo, ci_hi), correction_sign); the interval collapses to
     the point value when resamples is None; lo_noise is as in fringe_features.
     """
-    grid = PhiGrid(np.array([phi - half_step, phi, phi + half_step]))
     features, _, sign = fringe_features(ensemble, spec, correction, lo_noise)
-    design = fringe_design(grid.values)
-    m = float(point_statistics(features, grid, ensemble.n_total, design)["m"][1])
+    m = float(point_statistics(features, [phi], ensemble.n_total)["m"][0])
     if resamples is None:
         return m, (m, m), sign
     lo, hi = bootstrap_ci(
-        features, grid, ensemble.n_total, resamples=resamples,
-        master_seed=ensemble.master_seed, design=design,
+        features, [phi], ensemble.n_total, resamples=resamples,
+        master_seed=ensemble.master_seed,
     )
-    return m, (float(lo[1]), float(hi[1])), sign
+    return m, (float(lo[0]), float(hi[0])), sign
 
 
 def squeezed_combo_variance(ensemble: Ensemble) -> float:
@@ -387,4 +385,4 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
         equivalent_atom_gain=1.0 / best.m**2 if best.m > 0 else float("inf"),
         at_boundary=(k == 0 or k == len(rows) - 1) and len(rows) > 1,
     )
-    return RScanResult(rows=rows, report=report)
+    return RScanResult(rows=rows, report=report, star=k)

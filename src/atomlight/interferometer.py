@@ -159,21 +159,19 @@ def measure_signals(
     return SignalSample(s_a=s_a, s_b=s_b, s_combined=s, phi=phi)
 
 
-def calibrate_correction_sign(
-    ensemble: Ensemble, spec: HomodyneSpec, phi_ref: float = np.pi / 2, lo_noise=None
-) -> str:
-    """Pick the correction sign with the smaller V(S) at the reference phase.
+def calibrate_correction_sign(s_a, s_b, gain_g: float) -> str:
+    """Pick the correction sign with the smaller V(S) for per-trajectory
+    atomic and light records s_a and s_b taken at one reference phase.
 
-    Ties break toward "plus".  At the standard working point phi = pi/2 the
-    chosen sign subtracts the shared noise; a half fringe away the
-    correlation flips and the opposite sign would be chosen.  A caller that
-    already drew the LO noise passes it, so the ensemble's draw is reused.
+    Ties break toward "plus".  At the standard working point phi = pi/2
+    (where S_a is the fringe feature C) the chosen sign subtracts the shared
+    noise; a half fringe away the correlation flips and the opposite sign
+    would be chosen.
     """
-    if ensemble.n_traj == 0:
+    if np.size(s_a) == 0:
         raise ValueError("empty ensemble")
-    sample = measure_signals(ensemble, phi_ref, replace(spec, correction_sign="auto"), lo_noise)
-    var_plus = float(np.var(sample.s_a - sample.s_b / spec.gain_g, ddof=1))
-    var_minus = float(np.var(sample.s_a + sample.s_b / spec.gain_g, ddof=1))
+    var_plus = float(np.var(s_a - s_b / gain_g, ddof=1))
+    var_minus = float(np.var(s_a + s_b / gain_g, ddof=1))
     return "plus" if var_plus <= var_minus else "minus"
 
 

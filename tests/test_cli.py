@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from atomlight import cli, dynamics, estimator
-from atomlight.cli import DRIFT_LIMIT, RK4_LIMIT, _drift_ok, main
+from atomlight import cli, dynamics, estimator, interferometer
+from atomlight.cli import DRIFT_LIMIT, RK4_LIMIT, _gates, main
+from atomlight.dynamics import ConservationReport
 
 FAST = [
     "--set", "trajectories=150",
@@ -187,6 +188,22 @@ def test_r_scan_tw_smoke(tmp_path):
     assert summary["equivalent_atom_gain"] == pytest.approx(1.0 / summary["m_star"] ** 2)
 
 
+def test_runs_stay_off_the_interferometer_path(tmp_path, monkeypatch):
+    # the fringe features carry every phase and the sign calibration
+    counts = {"run_mzi": 0, "measure_signals": 0}
+    for name in counts:
+        def counted(*args, _original=getattr(interferometer, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(interferometer, name, counted)
+    code, _ = run(["phi-sweep"] + FAST, tmp_path, "phi")
+    assert code == 0
+    code, _ = run(["r-scan", "--set", "r_list=0.5, 1.0"] + FAST, tmp_path, "rs")
+    assert code == 0
+    assert counts == {"run_mzi": 0, "measure_signals": 0}
+
+
 # --- scatter ------------------------------------------------------------------------
 
 def test_scatter_outputs(tmp_path):
@@ -266,8 +283,13 @@ def test_json_table_format(tmp_path):
 
 
 def test_drift_gate():
-    assert _drift_ok(0.0, DRIFT_LIMIT)
-    assert not _drift_ok(0.0, 2 * DRIFT_LIMIT)
+    def passed(atoms, manley_rowe):
+        report = ConservationReport(max_rel_drift_atoms=atoms,
+                                    max_rel_drift_manley_rowe=manley_rowe)
+        return _gates([report], {})["drift"]["passed"]
+
+    assert passed(0.0, DRIFT_LIMIT)
+    assert not passed(0.0, 2 * DRIFT_LIMIT)
 
 
 @pytest.mark.parametrize("verb,extra", [

@@ -21,3 +21,14 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_stays_light():
+    # scipy and the thread pool are loaded only where a run needs them
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import sys, atomlight.cli; "
+            "print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

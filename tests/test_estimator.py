@@ -14,7 +14,6 @@ from atomlight.dynamics import build_ensemble
 from atomlight.estimator import (
     PhiGrid,
     bootstrap_ci,
-    fringe_design,
     fringe_features,
     m_at_phi,
     point_statistics,
@@ -62,8 +61,8 @@ def test_shared_phases_are_bit_identical(working_point_ensemble):
     assert np.array_equal(sb1, sb2)
     wide = PhiGrid(np.array([np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]))
     narrow = PhiGrid(np.array([np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]))
-    a = point_statistics(f1, wide, 1.0e7, fringe_design(wide.values))
-    b = point_statistics(f2, narrow, 1.0e7, fringe_design(narrow.values))
+    a = point_statistics(f1, wide.values, 1.0e7)
+    b = point_statistics(f2, narrow.values, 1.0e7)
     assert a["mean_s"][1] == b["mean_s"][1] and a["var_s"][1] == b["var_s"][1]
 
 
@@ -76,9 +75,16 @@ def _direct_signals(ensemble, grid, spec, sign):
             np.column_stack([x.s_a for x in samples]))
 
 
-def _direct_m(s, grid, n_total):
-    """Reference M per grid point from the sample moments of a signal matrix."""
-    ds = np.gradient(s.mean(axis=0), grid.spacing)
+def _direct_slope(ensemble, grid, spec, sign):
+    """Reference per-trajectory slopes dS/dphi: for one harmonic (and a light
+    record that does not depend on phi) they are S_a a quarter fringe on."""
+    return _direct_signals(ensemble, PhiGrid(grid.values + np.pi / 2), spec, sign)[1]
+
+
+def _direct_m(s, slope, n_total):
+    """Reference M per phase from the sample moments of a signal matrix and
+    its per-trajectory slope matrix."""
+    ds = slope.mean(axis=0)
     with np.errstate(divide="ignore"):
         return np.where(ds != 0.0, np.sqrt(s.var(axis=0, ddof=1)) / np.abs(ds), np.inf) \
             * np.sqrt(n_total)
@@ -100,14 +106,24 @@ def test_bootstrap_matches_resampled_reference(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     features, _, sign = fringe_features(working_point_ensemble, spec)
     s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
+    slope = _direct_slope(working_point_ensemble, grid, spec, sign)
     n = s.shape[0]
-    lo, hi = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=9,
-                          design=fringe_design(grid.values))
+    lo, hi = bootstrap_ci(features, grid.values, 1.0e7, resamples=100, master_seed=9)
     rng = np.random.Generator(np.random.Philox(
         key=9, counter=[0, 0, 0, estimator._BOOTSTRAP_STREAM_BLOCK]))
-    ms = np.array([_direct_m(s[rng.integers(0, n, size=n)], grid, 1.0e7) for _ in range(100)])
+    resamples = [rng.integers(0, n, size=n) for _ in range(100)]
+    ms = np.array([_direct_m(s[idx], slope[idx], 1.0e7) for idx in resamples])
     assert np.allclose(lo, np.percentile(ms, 2.5, axis=0), rtol=1e-8, atol=0.0)
     assert np.allclose(hi, np.percentile(ms, 97.5, axis=0), rtol=1e-8, atol=0.0)
+
+
+def test_slope_is_exact(working_point_ensemble):
+    # central differences miss sin(h)/h - 1 inside a grid and more at its ends
+    grid = PhiGrid.from_range(0.0, 2 * np.pi, 201)
+    spec = HomodyneSpec(gain_g=100.0)
+    curve = sensitivity_curve(working_point_ensemble, grid, spec, resamples=100)
+    ref = _direct_slope(working_point_ensemble, grid, spec, curve.correction_sign).mean(axis=0)
+    assert np.all(np.abs(curve.ds_dphi - ref) <= 1e-9 * np.abs(ref))
 
 
 def test_one_lo_draw_per_ensemble(working_point_ensemble, monkeypatch):
@@ -155,20 +171,26 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
 
 # --- estimator algebra -----------------------------------------------------------
 
+def _synthetic_features(rng, n_traj, slope=5.0, sigma=2.0):
+    """(B, C, D) rows (0, slope, 0) + sigma N(0, 1): M(phi) = sqrt(2) sigma /
+    (slope cos phi) for n_total = 1."""
+    return np.array([0.0, slope, 0.0]) + sigma * rng.normal(size=(n_traj, 3))
+
+
 def test_m_invariant_under_signal_rescaling():
     rng = np.random.default_rng(3)
-    grid = PhiGrid.from_range(0.0, 1.0, 11)
-    s = 5.0 * grid.values[None, :] + rng.normal(size=(400, 11))
-    m1 = point_statistics(s, grid, 1.0e7)["m"]
-    m2 = point_statistics(7.3 * s, grid, 1.0e7)["m"]
+    phi = PhiGrid.from_range(0.0, 1.0, 11).values
+    f = _synthetic_features(rng, 400, sigma=1.0)
+    m1 = point_statistics(f, phi, 1.0e7)["m"]
+    m2 = point_statistics(7.3 * f, phi, 1.0e7)["m"]
     assert np.all(np.abs(m2 - m1) <= 1e-10 * np.abs(m1))
 
 
 def test_zero_derivative_is_flagged():
-    grid = PhiGrid.from_range(0.0, 1.0, 5)
+    phi = PhiGrid.from_range(0.0, 1.0, 5).values
     rng = np.random.default_rng(4)
-    s = np.broadcast_to(rng.normal(size=(50, 1)), (50, 5)).copy()
-    stats = point_statistics(s, grid, 1.0)
+    f = np.column_stack([np.zeros(50), np.zeros(50), rng.normal(size=50)])  # B = C = 0
+    stats = point_statistics(f, phi, 1.0)
     assert np.all(np.isinf(stats["delta_phi"]))
 
 
@@ -194,18 +216,17 @@ def test_uncorrected_m_matches_undepleted_prediction(r):
 
 def test_shuffling_light_record_destroys_gain(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    grid = PhiGrid(np.array([np.pi / 2 - np.pi / 100, np.pi / 2, np.pi / 2 + np.pi / 100]))
-    design = fringe_design(grid.values)
+    phi = [np.pi / 2]
     f_corr, s_b, sign = fringe_features(working_point_ensemble, spec)
     f_off, _, _ = fringe_features(working_point_ensemble, spec, correction=False)
-    m_corr = point_statistics(f_corr, grid, 1.0e7, design)["m"][1]
-    m_off = point_statistics(f_off, grid, 1.0e7, design)["m"][1]
+    m_corr = point_statistics(f_corr, phi, 1.0e7)["m"][0]
+    m_off = point_statistics(f_off, phi, 1.0e7)["m"][0]
 
     perm = np.random.default_rng(11).permutation(s_b.size)
     sign_value = {"plus": 1.0, "minus": -1.0}[sign]
     f_shuffled = f_off.copy()
     f_shuffled[:, 2] = -sign_value * s_b[perm] / spec.gain_g
-    m_shuffled = point_statistics(f_shuffled, grid, 1.0e7, design)["m"][1]
+    m_shuffled = point_statistics(f_shuffled, phi, 1.0e7)["m"][0]
 
     assert m_corr < 0.5 * m_off       # the correction genuinely helps
     assert m_shuffled > m_off         # ... but only through the correlations
@@ -221,49 +242,46 @@ def test_gain_saturation(working_point_ensemble):
 
 # --- bootstrap -----------------------------------------------------------------
 
-def _synthetic_matrix(rng, n_traj, n_phi=11, slope=5.0, sigma=2.0):
-    grid = PhiGrid.from_range(0.0, 1.0, n_phi)
-    s = slope * grid.values[None, :] + sigma * rng.normal(size=(n_traj, n_phi))
-    return grid, s, sigma / slope  # true M for n_total = 1
-
-
 def test_bootstrap_coverage_on_synthetic_truth():
     rng = np.random.default_rng(99)
+    phi = PhiGrid.from_range(0.0, 1.0, 11).values
+    mid = len(phi) // 2
+    m_true = np.sqrt(2.0) * 2.0 / (5.0 * np.cos(phi[mid]))
     hits = 0
     for rep in range(100):
-        grid, s, m_true = _synthetic_matrix(rng, n_traj=500)
-        lo, hi = bootstrap_ci(s, grid, 1.0, resamples=200, master_seed=rep)
-        mid = len(grid) // 2
+        f = _synthetic_features(rng, n_traj=500)
+        lo, hi = bootstrap_ci(f, phi, 1.0, resamples=200, master_seed=rep)
         hits += int(lo[mid] <= m_true <= hi[mid])
     assert hits >= 90
 
 
 def test_bootstrap_width_shrinks_with_sqrt_n():
     rng = np.random.default_rng(7)
+    phi = PhiGrid.from_range(0.0, 1.0, 11).values
+    mid = len(phi) // 2
     widths = {n: [] for n in (250, 500)}
     for rep in range(30):
         for n in widths:
-            grid, s, _ = _synthetic_matrix(rng, n_traj=n)
-            lo, hi = bootstrap_ci(s, grid, 1.0, resamples=200, master_seed=1000 + rep)
-            mid = len(grid) // 2
+            f = _synthetic_features(rng, n_traj=n)
+            lo, hi = bootstrap_ci(f, phi, 1.0, resamples=200, master_seed=1000 + rep)
             widths[n].append(hi[mid] - lo[mid])
     ratio = np.median(widths[500]) / np.median(widths[250])
     assert 0.8 / np.sqrt(2.0) < ratio < 1.2 / np.sqrt(2.0)
 
 
 def test_bootstrap_rejects_too_few_resamples():
-    grid = PhiGrid.from_range(0.0, 1.0, 3)
+    phi = PhiGrid.from_range(0.0, 1.0, 3).values
     with pytest.raises(ValueError):
-        bootstrap_ci(np.zeros((10, 3)), grid, 1.0, resamples=50)
+        bootstrap_ci(np.zeros((10, 3)), phi, 1.0, resamples=50)
 
 
 def test_bootstrap_flags_constant_signal():
     # a constant signal has zero fringe slope: M is undefined and the
     # interval edges come out infinite rather than silently masked
-    grid = PhiGrid.from_range(0.0, 1.0, 5)
-    s = np.full((60, 5), 3.7)
+    phi = PhiGrid.from_range(0.0, 1.0, 5).values
+    f = np.column_stack([np.zeros(60), np.zeros(60), np.full(60, 3.7)])  # B = C = 0
     with np.errstate(invalid="ignore"):
-        lo, hi = bootstrap_ci(s, grid, 1.0, resamples=100, master_seed=1)
+        lo, hi = bootstrap_ci(f, phi, 1.0, resamples=100, master_seed=1)
     assert not np.any(np.isfinite(lo))
     assert not np.any(np.isfinite(hi))
 
@@ -272,9 +290,8 @@ def test_bootstrap_deterministic(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     grid = PhiGrid.from_range(0.0, np.pi, 9)
     features, _, _ = fringe_features(working_point_ensemble, spec)
-    design = fringe_design(grid.values)
-    a = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=5, design=design)
-    b = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=5, design=design)
+    a = bootstrap_ci(features, grid.values, 1.0e7, resamples=100, master_seed=5)
+    b = bootstrap_ci(features, grid.values, 1.0e7, resamples=100, master_seed=5)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -294,7 +311,8 @@ def test_sensitivity_curve_fields(working_point_ensemble):
     )
     # the light record does not depend on phi
     assert np.all(curve.mean_s_b == curve.mean_s_b[0])
-    min_m, argmin = curve.min_m()
+    min_m, argmin, k = curve.min_m()
+    assert (curve.m[k], curve.phi[k]) == (min_m, argmin)
     assert min_m < 0.2
     assert abs(argmin - np.pi / 2) < 0.4 or abs(argmin - 3 * np.pi / 2) < 0.4
     # worst sensitivity sits at the fringe extrema where the slope vanishes

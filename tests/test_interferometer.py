@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomlight.dynamics import build_ensemble
+from atomlight.estimator import fringe_features
 from atomlight.interferometer import (
     HomodyneSpec,
     beam_splitter_half,
@@ -208,9 +208,15 @@ def test_resolve_homodyne_derives_lo(working_point_ensemble):
 
 # --- sign calibration and correlations ------------------------------------------
 
+def _calibrate_at(ensemble, spec, phi=np.pi / 2):
+    """The sign chosen from the interferometer's own signals at phi."""
+    sample = measure_signals(ensemble, phi, resolve_homodyne(spec, ensemble))
+    return calibrate_correction_sign(sample.s_a, sample.s_b, spec.gain_g)
+
+
 def test_calibration_reduces_variance(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    sign = calibrate_correction_sign(working_point_ensemble, spec)
+    sign = _calibrate_at(working_point_ensemble, spec)
     spec = resolve_homodyne(spec, working_point_ensemble)
     sample = measure_signals(working_point_ensemble, np.pi / 2, spec)
     s_corr = sample.s_a - {"plus": 1, "minus": -1}[sign] * sample.s_b / spec.gain_g
@@ -219,23 +225,32 @@ def test_calibration_reduces_variance(working_point_ensemble):
 
 def test_calibration_flips_half_fringe_away(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    at_quarter = calibrate_correction_sign(working_point_ensemble, spec, np.pi / 2)
-    at_three_quarter = calibrate_correction_sign(working_point_ensemble, spec, 3 * np.pi / 2)
+    at_quarter = _calibrate_at(working_point_ensemble, spec, np.pi / 2)
+    at_three_quarter = _calibrate_at(working_point_ensemble, spec, 3 * np.pi / 2)
     assert {at_quarter, at_three_quarter} == {"plus", "minus"}
 
 
 def test_calibration_runs_without_squeezing(coherent_ensemble):
-    sign = calibrate_correction_sign(coherent_ensemble, HomodyneSpec(gain_g=100.0))
+    sign = _calibrate_at(coherent_ensemble, HomodyneSpec(gain_g=100.0))
     assert sign in ("plus", "minus")
 
 
 def test_calibration_rejects_empty():
-    ens = build_ensemble(100.0, 0.0, 0.0, 1, SEED)
-    ens.state.alpha1 = np.empty(0, dtype=complex)
-    ens.state.alpha2 = np.empty(0, dtype=complex)
-    ens.state.beta2 = np.empty(0, dtype=complex)
     with pytest.raises(ValueError):
-        calibrate_correction_sign(ens, HomodyneSpec())
+        calibrate_correction_sign(np.empty(0), np.empty(0), 100.0)
+
+
+@pytest.mark.parametrize("ensemble", ["working_point_ensemble", "coherent_ensemble"])
+@pytest.mark.parametrize("phi", [np.pi / 2, 3 * np.pi / 2])
+def test_feature_sign_matches_interferometer_sign(request, ensemble, phi):
+    # S_a(phi) = B cos(phi) + C sin(phi), so the record at pi/2 (3pi/2) is C (-C)
+    ensemble = request.getfixturevalue(ensemble)
+    spec = HomodyneSpec(gain_g=100.0)
+    features, s_b, sign = fringe_features(ensemble, spec)
+    from_features = calibrate_correction_sign(np.sin(phi) * features[:, 1], s_b, spec.gain_g)
+    assert from_features == _calibrate_at(ensemble, spec, phi)
+    if phi == np.pi / 2:
+        assert sign == from_features
 
 
 @pytest.mark.parametrize("phi,lo,hi", [
