@@ -11,6 +11,12 @@ phase sensitivity below the standard quantum limit 1/sqrt(N).
 
 __version__ = "0.1.0"
 
+import os
+
+# The trajectory workers (--threads) are the program's parallelism; an idle
+# OpenBLAS pool only spins.  Set before numpy loads it; a user's own value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .phasespace import (
     SeedSpec,
     occupation,

@@ -165,7 +165,7 @@ def fringe_features(
     return np.column_stack([b, c, d]), s_b, sign
 
 
-def _moments(features, phi):
+def _moments(features, phi, terms=None):
     """Per-trajectory terms, and the statistics that their sums determine.
 
     A feature row f holds (B, C, D), or (B, C) for the atomic record alone,
@@ -174,7 +174,9 @@ def _moments(features, phi):
     slope need the feature means, its unbiased variance the feature
     covariance.  Both follow from the sums of the terms (centred features
     and their pairwise products) over any n-element index set, so a
-    bootstrap resample costs one gather-and-sum.
+    bootstrap resample costs one weighted sum.  The k (k + 3) / 2 terms are
+    rows with trajectories along the contiguous axis, written into terms
+    when it is given.
     """
     features = np.asarray(features, dtype=float)
     n, k = features.shape
@@ -197,8 +199,11 @@ def _moments(features, phi):
         return {"mean_s": mean_s, "var_s": var_s, "ds_dphi": ds,
                 "delta_phi": delta_phi, "m": delta_phi * np.sqrt(n_total)}
 
-    # one row per term, trajectories along the contiguous axis
-    return np.concatenate([centred.T, (centred[:, i] * centred[:, j]).T]), statistics
+    if terms is None:
+        terms = np.empty((k + i.size, n))
+    terms[:k] = centred.T
+    np.multiply(centred[:, i].T, centred[:, j].T, out=terms[k:])
+    return terms, statistics
 
 
 def point_statistics(features, phi, n_total: float) -> dict:
@@ -209,6 +214,27 @@ def point_statistics(features, phi, n_total: float) -> dict:
     """
     terms, statistics = _moments(features, phi)
     return statistics(terms.sum(axis=1), n_total)
+
+
+def _resample_sums(terms, resamples: int, master_seed: int) -> np.ndarray:
+    """Sums of each row of terms over the trajectories (columns) of every resample.
+
+    Resample t draws n trajectory indices from the Philox stream of
+    master_seed, so the draws depend on (master_seed, n) only, and sums the
+    terms weighted by how often it drew each trajectory.  einsum makes no
+    BLAS call and sums each row in one order whatever rows are stacked with
+    it; the counts are floats because integer counts are cast through
+    nditer buffers, which doubles the cost at 1e4 trajectories.
+    """
+    n_traj = terms.shape[1]
+    counter = [0, 0, 0, _BOOTSTRAP_STREAM_BLOCK]
+    rng = np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
+    counts = np.empty(n_traj)
+    sums = np.empty((resamples, terms.shape[0]))
+    for t in range(resamples):
+        counts[:] = np.bincount(rng.integers(0, n_traj, size=n_traj), minlength=n_traj)
+        np.einsum("tn,n->t", terms, counts, out=sums[t])
+    return sums
 
 
 def bootstrap_ci(
@@ -222,28 +248,35 @@ def bootstrap_ci(
     """Percentile bootstrap interval for M at each phase in phi.
 
     Whole trajectories are resampled so the variance and the fringe slope are
-    recomputed jointly.  features is as in point_statistics.  Phases where
-    the resampled slope vanishes give infinite M and show up as infinite
+    recomputed jointly.  features is as in point_statistics, giving edges of
+    shape (len(phi),), or a stack of such arrays of shape (sets, n, k),
+    giving edges of shape (sets, len(phi)).  Every set is resampled with the
+    same trajectory indices, drawn once per resample, and each set's edges
+    are exactly those of a call on that set alone.  Phases where the
+    resampled slope vanishes give infinite M and show up as infinite
     interval edges (flagged, not masked).
     """
     if resamples < 100:
         raise ValueError("resamples must be >= 100")
-    terms, statistics = _moments(features, phi)
-    n_traj = terms.shape[1]
+    features = np.asarray(features, dtype=float)
+    stacked = features.ndim == 3
+    if not stacked:
+        features = features[np.newaxis]
+    sets, n_traj, k = features.shape
     if n_traj < 2:
         raise ValueError("too few trajectories to bootstrap")
-    counter = [0, 0, 0, _BOOTSTRAP_STREAM_BLOCK]
-    rng = np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
-    sums = np.stack([
-        np.take(terms, rng.integers(0, n_traj, size=n_traj), axis=1).sum(axis=1)
-        for _ in range(resamples)
-    ])
-    ms = statistics(sums, n_total)["m"]
+    rows = k * (k + 3) // 2
+    block = np.empty((sets * rows, n_traj))
+    statistics = [_moments(f, phi, block[s * rows:(s + 1) * rows])[1]
+                  for s, f in enumerate(features)]
+    sums = _resample_sums(block, resamples, master_seed)
     lo_q = 100.0 * (1.0 - quantile) / 2.0
-    return (
-        np.percentile(ms, lo_q, axis=0),
-        np.percentile(ms, 100.0 - lo_q, axis=0),
-    )
+    edges = np.stack([
+        np.percentile(stats(sums[:, s * rows:(s + 1) * rows], n_total)["m"],
+                      [lo_q, 100.0 - lo_q], axis=0)
+        for s, stats in enumerate(statistics)
+    ], axis=1)
+    return (edges[0], edges[1]) if stacked else (edges[0, 0], edges[1, 0])
 
 
 def sensitivity_curve(
@@ -290,14 +323,13 @@ def m_at_phi(
     phi: float = np.pi / 2,
     correction: bool = True,
     resamples: int | None = None,
-    lo_noise=None,
 ) -> tuple[float, tuple[float, float], str]:
     """M at a single working phase, from the exact fringe slope there.
 
     Returns (m, (ci_lo, ci_hi), correction_sign); the interval collapses to
-    the point value when resamples is None; lo_noise is as in fringe_features.
+    the point value when resamples is None.
     """
-    features, _, sign = fringe_features(ensemble, spec, correction, lo_noise)
+    features, _, sign = fringe_features(ensemble, spec, correction)
     m = float(point_statistics(features, [phi], ensemble.n_total)["m"][0])
     if resamples is None:
         return m, (m, m), sign
@@ -330,6 +362,24 @@ def prepare(config: RunConfig, r_values,
     return ensembles, spec, config.correction != "off"
 
 
+def _check_scan_ensembles(r_values, ensembles):
+    """Reject ensembles that are not one per r, in order, from one shared draw.
+
+    The scan pairs rows with ensembles and bootstraps them all with one
+    resample stream, which only exists for one (master_seed, n_traj); the
+    interval's M scale takes one n_total.
+    """
+    if len(ensembles) != len(r_values):
+        raise ValueError(f"{len(ensembles)} ensembles for {len(r_values)} r values")
+    for r, ensemble in zip(r_values, ensembles):
+        if ensemble.r != r:
+            raise ValueError(f"ensemble at r = {ensemble.r} given for r = {r}")
+    shared = {(e.n_traj, e.master_seed, e.n_total) for e in ensembles}
+    if len(shared) > 1:
+        raise ValueError("the ensembles of a scan must share n_traj, master_seed and "
+                         f"n_total; got {sorted(shared)}")
+
+
 def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     """Evaluate M at phi = pi/2 for each r and locate the optimum.
 
@@ -337,7 +387,9 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     (exact, no sampling); otherwise one pass to the largest r gives every r
     its ensemble (or ensembles holds them, one per r), one LO draw (it
     depends on the seed and the trajectory count only) serves them all, and
-    each r gets its own sign calibration and bootstrap interval.
+    each r gets its own sign calibration.  One bootstrap_ci call gives every
+    r its interval from one resample stream, the one m_at_phi draws for each
+    ensemble alone, so every row equals m_at_phi on its own ensemble.
     """
     r_values = [float(v) for v in r_values]
     if not r_values:
@@ -360,19 +412,24 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
             ))
     else:
         ensembles, spec, correction = prepare(config, r_values, ensembles)
+        _check_scan_ensembles(r_values, ensembles)
         lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
-        for r, ensemble in zip(r_values, ensembles):
+        fringes = [fringe_features(e, spec, correction, lo_noise) for e in ensembles]
+        features = np.stack([f for f, _, _ in fringes])
+        n_total = ensembles[0].n_total
+        ci_lo, ci_hi = bootstrap_ci(
+            features, [np.pi / 2], n_total, resamples=config.bootstrap_resamples,
+            master_seed=ensembles[0].master_seed,
+        )
+        for s, (r, ensemble) in enumerate(zip(r_values, ensembles)):
             pred = predict(r, config.n_total)
-            m, (lo, hi), sign = m_at_phi(
-                ensemble, spec, correction=correction, resamples=config.bootstrap_resamples,
-                lo_noise=lo_noise,
-            )
             rows.append(RScanRow(
-                r=r, m=m, m_ci_lo=lo, m_ci_hi=hi,
+                r=r, m=float(point_statistics(features[s], [np.pi / 2], n_total)["m"][0]),
+                m_ci_lo=float(ci_lo[s, 0]), m_ci_hi=float(ci_hi[s, 0]),
                 transferred=transferred_atoms(ensemble),
                 var_squeezed_combo=squeezed_combo_variance(ensemble),
                 m_plain=pred.m_plain, m_recycled=pred.m_recycled,
-                correction_sign=sign,
+                correction_sign=fringes[s][2],
                 conservation=ensemble.conservation,
             ))
 

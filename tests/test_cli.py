@@ -1,6 +1,10 @@
 """Command-line interface: schemas, determinism, error records."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,9 @@ FAST = [
     "--set", "steps_per_unit_r=100",
     "--set", "bootstrap_resamples=100",
 ]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args, tmp_path, sub="out"):
@@ -186,6 +193,37 @@ def test_r_scan_tw_smoke(tmp_path):
     assert code == 0
     summary = json.loads((out / "r_scan_summary.json").read_text())
     assert summary["equivalent_atom_gain"] == pytest.approx(1.0 / summary["m_star"] ** 2)
+
+
+def _fresh_python(args, openblas_threads=None):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_openblas_threads_default_yields_to_the_user(preset, expected):
+    code = "import os, atomlight; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(["-c", code], preset).strip() == expected
+
+
+def test_r_scan_is_independent_of_openblas_threads(tmp_path):
+    args = ["-m", "atomlight.cli", "r-scan", "--set", "r_list=0.5, 1.0, 2.0",
+            "--set", "trajectories=150", "--set", "steps_per_unit_r=100",
+            "--set", "bootstrap_resamples=100", "--out"]
+    _fresh_python(args + [str(tmp_path / "default")])
+    _fresh_python(args + [str(tmp_path / "two")], "2")
+    files = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "two").iterdir())
+    assert "r_scan.csv" in files
+    for name in files:
+        assert (tmp_path / "default" / name).read_bytes() == \
+            (tmp_path / "two" / name).read_bytes()
 
 
 def test_runs_stay_off_the_interferometer_path(tmp_path, monkeypatch):

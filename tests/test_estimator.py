@@ -1,5 +1,7 @@
 """Sensitivity curves, bootstrap intervals and the r-scan."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ import atomlight.dynamics as dynamics
 import atomlight.estimator as estimator
 import atomlight.interferometer as interferometer
 from atomlight.config import RunConfig
-from atomlight.dynamics import build_ensemble
+from atomlight.dynamics import build_ensemble, build_ensembles
 from atomlight.estimator import (
     PhiGrid,
     bootstrap_ci,
@@ -157,16 +159,49 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
     counted(dynamics, "sample_initial_ensemble")
     counted(dynamics, "evolve_tw")
     counted(estimator, "lo_noise_samples")
+    counted(estimator, "bootstrap_ci")
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
                        steps_per_unit_r=50, bootstrap_resamples=100)
-    result = scan_over_r([2.0, 1.0, 1.5, 1.0], config)
-    assert counts == {"sample_initial_ensemble": 1, "evolve_tw": 1, "lo_noise_samples": 1}
+    r_values = [2.0, 1.0, 1.5, 1.0]
+    result = scan_over_r(r_values, config)
+    assert counts == {"sample_initial_ensemble": 1, "evolve_tw": 1, "lo_noise_samples": 1,
+                      "bootstrap_ci": 1}
     # the shared draw and the pass to r = 2 give what a run at one r gives
     ens = build_ensemble(1.0e7, 1.0e4, 1.5, 100, SEED, steps_per_unit_r=50)
     m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
     row = result.rows[2]
     assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
     assert result.rows[1] == result.rows[3]
+    # the one bootstrap call gives every row what m_at_phi gives its ensemble alone
+    for r, row in zip(r_values, result.rows):
+        ens = build_ensemble(1.0e7, 1.0e4, r, 100, SEED, steps_per_unit_r=50)
+        m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
+        assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
+
+
+def _scan_ensembles(r_values, n_traj=100, master_seed=SEED, n_total=1.0e7):
+    return build_ensembles(n_total, 1.0e4, r_values, n_traj, master_seed, steps_per_unit_r=50)
+
+
+@pytest.mark.parametrize("ensembles, match", [
+    (lambda: _scan_ensembles([1.0, 2.0]), "2 ensembles for 3 r values"),
+    (lambda: _scan_ensembles([1.0, 2.0, 1.5]), "ensemble at r = 1.5 given for r = 3.0"),
+    (lambda: _scan_ensembles([1.0, 2.0]) + _scan_ensembles([3.0], n_traj=120), "share"),
+    (lambda: _scan_ensembles([1.0, 2.0]) + _scan_ensembles([3.0], master_seed=SEED + 1),
+     "share"),
+    (lambda: _scan_ensembles([1.0, 2.0]) + _scan_ensembles([3.0], n_total=2.0e7), "share"),
+], ids=["short", "wrong-r", "n_traj", "master_seed", "n_total"])
+def test_scan_rejects_ensembles_that_do_not_match(ensembles, match, monkeypatch):
+    # rejected before any feature or bootstrap work
+    def unreachable(*args, **kwargs):
+        raise AssertionError("features computed for mismatched ensembles")
+
+    monkeypatch.setattr(estimator, "fringe_features", unreachable)
+    monkeypatch.setattr(estimator, "bootstrap_ci", unreachable)
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
+                       steps_per_unit_r=50, bootstrap_resamples=100)
+    with pytest.raises(ValueError, match=match):
+        scan_over_r([1.0, 2.0, 3.0], config, ensembles())
 
 
 # --- estimator algebra -----------------------------------------------------------
@@ -284,6 +319,37 @@ def test_bootstrap_flags_constant_signal():
         lo, hi = bootstrap_ci(f, phi, 1.0, resamples=100, master_seed=1)
     assert not np.any(np.isfinite(lo))
     assert not np.any(np.isfinite(hi))
+
+
+@pytest.mark.parametrize("n_traj", [1000, 10000])
+def test_resample_sums_match_exact_sums_of_gathered_terms(n_traj):
+    rng = np.random.default_rng(21)
+    terms = rng.normal(size=(5, n_traj)) * np.array([[1.0], [1e-3], [1e3], [1.0], [1.0]])
+    terms[3] -= terms[3].mean()  # centred: the sums cancel
+    terms[4] = terms[3] ** 2
+    sums = estimator._resample_sums(terms, 100, master_seed=3)
+    draws = np.random.Generator(np.random.Philox(
+        key=3, counter=[0, 0, 0, estimator._BOOTSTRAP_STREAM_BLOCK]))
+    for row in sums:
+        idx = draws.integers(0, n_traj, size=n_traj)
+        ref = np.array([math.fsum(t) for t in terms[:, idx]])
+        assert np.all(np.abs(row - ref) <= 1e-13 * np.abs(terms[:, idx]).sum(axis=1))
+
+
+@pytest.mark.parametrize("n_traj", [1000, 10000])
+def test_stacked_bootstrap_equals_each_set_alone(n_traj):
+    rng = np.random.default_rng(8)
+    features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
+    phi = PhiGrid.from_range(0.0, 1.0, 4).values
+    lo, hi = bootstrap_ci(features, phi, 1.0e7, resamples=100, master_seed=4)
+    assert lo.shape == hi.shape == (3, 4)
+    for s, f in enumerate(features):
+        lo_s, hi_s = bootstrap_ci(f, phi, 1.0e7, resamples=100, master_seed=4)
+        assert np.array_equal(lo[s], lo_s) and np.array_equal(hi[s], hi_s)
+    # the atomic record alone (k = 2) too
+    lo, hi = bootstrap_ci(features[:, :, :2], phi, 1.0e7, resamples=100, master_seed=4)
+    lo_s, hi_s = bootstrap_ci(features[1, :, :2], phi, 1.0e7, resamples=100, master_seed=4)
+    assert np.array_equal(lo[1], lo_s) and np.array_equal(hi[1], hi_s)
 
 
 def test_bootstrap_deterministic(working_point_ensemble):
