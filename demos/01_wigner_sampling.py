@@ -9,7 +9,7 @@ determinism contract: a draw is a pure function of
 
 import numpy as np
 
-from atomlight import SeedSpec, occupation, quadrature_x, sample_coherent, sample_coherent_batch
+from atomlight import occupation, quadrature_x, sample_coherent_batch
 
 N = 20_000
 MASTER = 2718
@@ -27,9 +27,9 @@ print(f"occupation      = {occupation(bright):,.1f}   (expect 1,000,000)")
 print(f"number variance = {np.var(np.abs(bright)**2, ddof=1):,.0f}   (Poissonian: ~1e6)")
 
 print("\n=== determinism ===")
-spec = SeedSpec(master_seed=MASTER, trajectory_index=42, stream_tag="atoms2")
-a = sample_coherent(3.0 + 4.0j, spec)
-b = sample_coherent(3.0 + 4.0j, spec)
+# trajectory 42 of the "atoms2" stream, alone and inside a batch of 100
+a = sample_coherent_batch(3.0 + 4.0j, MASTER, "atoms2", 1, first_index=42)[0]
+b = sample_coherent_batch(3.0 + 4.0j, MASTER, "atoms2", 100)[42]
 print(f"same (seed, trajectory, stream) twice: {a} == {b} -> {a == b}")
-other = sample_coherent(3.0 + 4.0j, SeedSpec(MASTER, 43, "atoms2"))
+other = sample_coherent_batch(3.0 + 4.0j, MASTER, "atoms2", 1, first_index=43)[0]
 print(f"next trajectory gives a different draw: {other}")

@@ -9,21 +9,13 @@ fringe; the dips below zero beat the standard quantum limit.
 
 import numpy as np
 
-from atomlight import (
-    HomodyneSpec,
-    PhiGrid,
-    build_ensemble,
-    measure_signals,
-    sensitivity_curve,
-)
-from atomlight.interferometer import resolve_homodyne
+from atomlight import HomodyneSpec, build_ensemble, measure_signals, sensitivity_curve
 
 N_TOTAL = 1.0e7
 ensemble = build_ensemble(N_TOTAL, 1.0e4, 3.0, 1000, 12345)
-spec = resolve_homodyne(HomodyneSpec(gain_g=100.0), ensemble)
+spec = HomodyneSpec(gain_g=100.0)
 
-grid = PhiGrid.from_range(0.0, 2.0 * np.pi, 201)
-curve = sensitivity_curve(ensemble, grid, spec, resamples=100)
+curve = sensitivity_curve(ensemble, np.linspace(0.0, 2.0 * np.pi, 201), spec, resamples=100)
 print(f"correction sign calibrated to: {curve.correction_sign}")
 min_m, argmin, _ = curve.min_m()
 print(f"best sensitivity: M = {min_m:.4f} at phi = {argmin/np.pi:.3f} pi "

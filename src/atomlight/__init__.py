@@ -18,10 +18,8 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .phasespace import (
-    SeedSpec,
     occupation,
     quadrature_x,
-    sample_coherent,
     sample_coherent_batch,
     sample_initial_ensemble,
 )
@@ -35,7 +33,6 @@ from .dynamics import (
 from .interferometer import HomodyneSpec, detected_photons, measure_signals
 from .analytics import predict
 from .estimator import (
-    PhiGrid,
     m_at_phi,
     scan_over_r,
     sensitivity_curve,
@@ -49,10 +46,8 @@ from .config import RunConfig
 __all__ = [
     "HomodyneSpec",
     "IntegratorSpec",
-    "PhiGrid",
     "PhysicalSetup",
     "RunConfig",
-    "SeedSpec",
     "build_ensemble",
     "capture_fraction",
     "detected_photons",
@@ -64,7 +59,6 @@ __all__ = [
     "predict",
     "quadrature_x",
     "rate_ratio",
-    "sample_coherent",
     "sample_coherent_batch",
     "sample_initial_ensemble",
     "scaling_estimate",

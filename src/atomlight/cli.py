@@ -30,7 +30,6 @@ from .config import (
 )
 from .dynamics import ConservationReport, transferred_atoms
 from .estimator import (
-    PhiGrid,
     fringe_features,
     prepare,
     scan_over_r,
@@ -103,11 +102,9 @@ PHI_SWEEP_COLUMNS = [
 
 def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
                   ensembles=None) -> int:
-    (ensemble,), spec, correction = prepare(config, [config.r], ensembles)
-    grid = PhiGrid.from_range(config.phi_start, config.phi_stop, config.phi_count)
-    curve = sensitivity_curve(
-        ensemble, grid, spec, correction=correction, resamples=config.bootstrap_resamples
-    )
+    (ensemble,), spec = prepare(config, [config.r], ensembles)
+    phi = np.linspace(config.phi_start, config.phi_stop, config.phi_count)
+    curve = sensitivity_curve(ensemble, phi, spec, resamples=config.bootstrap_resamples)
     rows = list(zip(
         curve.phi, curve.mean_s_a, curve.var_s_a, curve.mean_s_b, curve.mean_s,
         curve.var_s, curve.ds_dphi, curve.delta_phi, curve.m, curve.m_ci_lo, curve.m_ci_hi,
@@ -176,8 +173,8 @@ SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
 
 
 def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembles=None) -> int:
-    (ensemble,), spec, correction = prepare(config, [config.r], ensembles)
-    features, s_b, sign = fringe_features(ensemble, spec, correction)
+    (ensemble,), spec = prepare(config, [config.r], ensembles)
+    features, s_b, sign = fringe_features(ensemble, spec)
     b, c, d = features.T
     s_b_scaled = s_b / config.gain_g
     rows = []
@@ -296,11 +293,11 @@ def _error_budget(conservation: ConservationReport, m: float, ci) -> dict:
 def _gates(reports, finite: dict) -> dict:
     """Summary gates block: the worse conservation drift and the RK4 error estimate
     over reports against their limits, and the first value in finite that is not
-    finite (on a pass, the keys checked)."""
-    drifts = {"atom_number": max(float(c.max_rel_drift_atoms) for c in reports),
-              "manley_rowe": max(float(c.max_rel_drift_manley_rowe) for c in reports)}
-    worst = max(drifts, key=drifts.get)
-    rk4 = max(float(c.rk4_error) for c in reports)
+    finite (on a pass, the keys checked).  A NaN in any report is the worst value."""
+    drifts = {"atom_number": float(np.max([c.max_rel_drift_atoms for c in reports])),
+              "manley_rowe": float(np.max([c.max_rel_drift_manley_rowe for c in reports]))}
+    worst = max(drifts, key=lambda key: (np.isnan(drifts[key]), drifts[key]))
+    rk4 = float(np.max([c.rk4_error for c in reports]))
     bad = next((key for key, value in finite.items() if not np.isfinite(value)), None)
     return {"drift": {"invariant": worst, "value": drifts[worst], "limit": DRIFT_LIMIT,
                       "passed": all(d <= DRIFT_LIMIT for d in drifts.values())},

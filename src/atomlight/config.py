@@ -9,15 +9,18 @@ g = 100, 1000 trajectories.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .dynamics import DEFAULT_STEPS_PER_UNIT_R
+from .dynamics import DEFAULT_STEPS_PER_UNIT_R, EVOLUTION_MODES
 
-MODES = ("tw", "analytic", "clamped", "decorrelated")
-CORRECTIONS = ("on", "off", "auto_sign")
+# config value -> HomodyneSpec.correction_sign
+CORRECTIONS = {"on": "plus", "off": "off", "auto_sign": "auto"}
 OUTPUT_FORMATS = ("csv", "json")
+INT_KEYS = ("phi_count", "trajectories", "steps_per_unit_r", "master_seed", "threads",
+            "bootstrap_resamples")
 
 
 class ConfigError(ValueError):
@@ -48,6 +51,12 @@ class RunConfig:
     )
 
     def validate(self) -> "RunConfig":
+        for key in INT_KEYS:  # a config embedded in a JSON summary skips the text parser
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not isinstance(self.lo_sampled, bool):
+            raise ConfigError(f"lo_sampled must be a boolean, got {self.lo_sampled!r}")
         for key in ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g",
                     "r_list", "scatter_phis"):
             value = getattr(self, key)
@@ -72,10 +81,10 @@ class RunConfig:
             raise ConfigError("trajectories must be >= 100")
         if self.steps_per_unit_r < 1:
             raise ConfigError("steps_per_unit_r must be >= 1")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
+        if self.mode not in EVOLUTION_MODES:
+            raise ConfigError(f"mode must be one of {EVOLUTION_MODES}")
         if self.correction not in CORRECTIONS:
-            raise ConfigError(f"correction must be one of {CORRECTIONS}")
+            raise ConfigError(f"correction must be one of {tuple(CORRECTIONS)}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output_format must be one of {OUTPUT_FORMATS}")
         if self.threads < 1:
@@ -113,8 +122,7 @@ def _parse_value(key: str, raw: str):
             raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
     if key in ("mode", "correction", "output_format"):
         return raw
-    if key in ("phi_count", "trajectories", "steps_per_unit_r", "master_seed", "threads",
-               "bootstrap_resamples"):
+    if key in INT_KEYS:
         try:
             return int(raw)
         except ValueError:

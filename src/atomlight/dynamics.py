@@ -28,6 +28,12 @@ evolve_tw steps fixed-step RK4 on the lattice h = 1/steps_per_unit_r
 gives the RK4 error of the h pass as |y_h - y_2h| / 15 (Richardson), which
 the run reports next to the drifts and the CLI gates at 1e-6 (gates.rk4).
 Every bundled r value lies on both the 1/40 and the 1/20 lattice.
+
+The pump treatment is chosen by one setting, the mode of build_ensembles
+(EVOLUTION_MODES).  "clamped" is an integrator setting
+(IntegratorSpec.clamp_pump); "decorrelated" integrates the full dynamics
+and then, in build_ensembles, swaps the pump at each stop for an
+independent coherent draw from the "pump_resample" stream.
 """
 
 from __future__ import annotations
@@ -65,14 +71,10 @@ class IntegratorSpec:
     clamp_pump:      drive the alpha2/beta2 pair with the classical pump
                      amplitude sqrt(N1(0)) and leave alpha1 untouched
                      (undepleted-pump mode).
-    decorrelate_pump: after full evolution, replace alpha1 by an independent
-                     coherent sample of equal mean occupation (diagnostic;
-                     requires a master seed for the resample stream).
     """
 
     steps_per_unit_r: int = DEFAULT_STEPS_PER_UNIT_R
     clamp_pump: bool = False
-    decorrelate_pump: bool = False
 
     def __post_init__(self):
         if self.steps_per_unit_r < 1:
@@ -240,7 +242,6 @@ def evolve_tw(
     r: float,
     spec: IntegratorSpec | None = None,
     n_pump0: float | None = None,
-    master_seed: int | None = None,
     n_threads: int = 1,
     stops=None,
 ):
@@ -254,7 +255,6 @@ def evolve_tw(
     n_pump0 : nominal initial pump occupation N1(0) used for the time
         rescaling.  Defaults to the symmetric-ordering estimate from the
         state itself.
-    master_seed : required when spec.decorrelate_pump is set
     n_threads : split the ensemble into contiguous chunks evolved in
         parallel.  All operations are elementwise per trajectory, so the
         result is bit-identical at any thread count.
@@ -277,8 +277,6 @@ def evolve_tw(
     if not np.isfinite(r) or points[0] < 0 or points[-1] != r or sorted(set(points)) != points:
         raise ValueError("r must be finite and >= 0, and stops must rise strictly to r")
     spec = spec or IntegratorSpec()
-    if spec.decorrelate_pump and master_seed is None:
-        raise ValueError("decorrelate_pump needs a master_seed for the resample stream")
 
     if n_pump0 is None:
         n_pump0 = max(occupation(state.alpha1), 1.0)
@@ -308,12 +306,7 @@ def evolve_tw(
             max_rel_drift_manley_rowe=float(dev_mr / max(1.0, scale_mr)),
             rk4_error=float(rk4),
         )
-        a1, a2, b2 = a1_a2_b2
-        if spec.decorrelate_pump:
-            mean_amp = np.sqrt(max(occupation(a1), 0.0))
-            a1 = sample_coherent_batch(mean_amp, master_seed, "pump_resample", a1.size)
-        t1 = state.advanced(a1, a2, b2, "t1")
-        pairs.append((t1, report))
+        pairs.append((state.advanced(*a1_a2_b2, "t1"), report))
     if stops is None:
         return pairs[0]
     whole = replace(pairs[-1][1], rk4_error=max(report.rk4_error for _, report in pairs))
@@ -373,15 +366,15 @@ def build_ensembles(
     if mode == "analytic":
         pairs = [(evolve_analytic(t0, r), ConservationReport()) for r in stops]
     else:
-        spec = IntegratorSpec(
-            steps_per_unit_r=steps_per_unit_r,
-            clamp_pump=(mode == "clamped"),
-            decorrelate_pump=(mode == "decorrelated"),
-        )
+        spec = IntegratorSpec(steps_per_unit_r=steps_per_unit_r, clamp_pump=(mode == "clamped"))
         pairs, _ = evolve_tw(
-            t0, stops[-1], spec, n_pump0=n_total - n_seed, master_seed=master_seed,
-            n_threads=n_threads, stops=stops,
+            t0, stops[-1], spec, n_pump0=n_total - n_seed, n_threads=n_threads, stops=stops,
         )
+    if mode == "decorrelated":  # swap the pump for an uncorrelated one of equal occupation
+        for k, (t1, report) in enumerate(pairs):
+            amplitude = np.sqrt(max(occupation(t1.alpha1), 0.0))
+            pump = sample_coherent_batch(amplitude, master_seed, "pump_resample", n_traj)
+            pairs[k] = (replace(t1, alpha1=pump), report)
     at = dict(zip(stops, pairs))
     return [Ensemble(at[r][0], master_seed, n_total, n_seed, r, mode, at[r][1]) for r in r_values]
 

@@ -6,13 +6,13 @@ interferometer phase,
     S(phi) = B cos(phi) + C sin(phi) + D,
 
 where B - iC = 2i alpha2' conj(alpha1') from the atomic amplitudes after
-the first beam splitter and D = -sign * S_b / g from the light record (D = 0
-without correction).  The dynamics do not depend on phi, so one ensemble
-and one local-oscillator draw serve every phase (exact common random
-numbers), and the per-phase mean and unbiased variance of S follow from
-three feature means and a 3x3 covariance.  The slope of the mean fringe is
-exact, d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so any single phase can be
-evaluated on its own, and
+the first beam splitter and D = -sign * S_b / g from the light record
+(D = +0.0 with correction_sign "off").  The dynamics do not depend on phi,
+so one ensemble and one local-oscillator draw serve every phase (exact
+common random numbers), and the per-phase mean and unbiased variance of S
+follow from three feature means and a 3x3 covariance.  The slope of the
+mean fringe is exact, d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so any
+single phase can be evaluated on its own, and
 
     delta_phi = sqrt( V(S) / (d<S>/dphi)^2 ),    M = delta_phi * sqrt(N_t).
 
@@ -28,51 +28,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import predict
-from .config import RunConfig
+from .config import CORRECTIONS, RunConfig
 from .dynamics import ConservationReport, Ensemble, build_ensembles, transferred_atoms
 from .interferometer import (
     HomodyneSpec,
     beam_splitter_half,
     calibrate_correction_sign,
     combine_signals,
+    lo_amplitude,
     lo_noise_samples,
-    resolve_homodyne,
     signal_light,
 )
 from .phasespace import quadrature_x, quadrature_y
 
 _BOOTSTRAP_STREAM_BLOCK = 5  # Philox counter block disjoint from trajectory streams
-
-
-@dataclass
-class PhiGrid:
-    """Finite, strictly increasing, uniformly spaced phase grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("phi grid needs at least two points")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("phi grid values must be finite")
-        d = np.diff(v)
-        if np.any(d <= 0):
-            raise ValueError("phi grid must be strictly increasing")
-        if np.max(np.abs(d - d[0])) > 1e-12 * max(1.0, abs(d[0])):
-            raise ValueError("phi grid must be uniformly spaced")
-        self.values = v
-
-    @classmethod
-    def from_range(cls, start: float, stop: float, count: int) -> "PhiGrid":
-        return cls(np.linspace(start, stop, count))
-
-    @property
-    def spacing(self) -> float:
-        return float(self.values[1] - self.values[0])
-
-    def __len__(self):
-        return self.values.size
 
 
 @dataclass
@@ -143,26 +112,23 @@ def fringe_design(phi) -> np.ndarray:
 
 
 def fringe_features(
-    ensemble: Ensemble, spec: HomodyneSpec, correction: bool = True, lo_noise=None
+    ensemble: Ensemble, spec: HomodyneSpec, lo_noise=None
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Per-trajectory features (B, C, D), the light record S_b, and the sign used.
 
     The LO noise is drawn once (or passed in).  An "auto" correction sign is
-    calibrated at pi/2, where the atomic signal is C.  With correction
-    disabled D = 0, so S is the bare atomic signal.
+    calibrated at pi/2, where the atomic signal is C.  With the sign "off"
+    D = 0, so S is the bare atomic signal.
     """
-    spec = resolve_homodyne(spec, ensemble)
-    if lo_noise is None and spec.lo_sampled:
-        lo_noise = lo_noise_samples(ensemble)
-    s_b = np.asarray(signal_light(ensemble.state, spec, lo_noise), dtype=float)
+    s_b = np.asarray(signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise)),
+                     dtype=float)
     split = beam_splitter_half(ensemble.state)
     z = 2j * split.alpha2 * np.conj(split.alpha1)  # B - iC
     b, c = z.real, -z.imag
-    if correction and spec.correction_sign == "auto":
+    if spec.correction_sign == "auto":
         spec = replace(spec, correction_sign=calibrate_correction_sign(c, s_b, spec.gain_g))
-    d = combine_signals(0.0, s_b, spec) if correction else np.zeros_like(s_b)
-    sign = spec.correction_sign if correction else "off"
-    return np.column_stack([b, c, d]), s_b, sign
+    d = combine_signals(np.zeros_like(s_b), s_b, spec)  # "off" returns the zeros (+0.0)
+    return np.column_stack([b, c, d]), s_b, spec.correction_sign
 
 
 def _moments(features, phi, terms=None):
@@ -281,29 +247,29 @@ def bootstrap_ci(
 
 def sensitivity_curve(
     ensemble: Ensemble,
-    grid: PhiGrid,
+    phi,
     spec: HomodyneSpec,
-    correction: bool = True,
     resamples: int = 200,
     quantile: float = 0.95,
 ) -> SensitivityCurve:
-    """Full per-phase sensitivity analysis of one ensemble."""
+    """Full sensitivity analysis of one ensemble at each phase in phi."""
     if ensemble.n_traj < 100:
         raise ValueError("need at least 100 trajectories")
 
-    features, s_b, sign = fringe_features(ensemble, spec, correction)
-    stats = point_statistics(features, grid.values, ensemble.n_total)
+    phi = np.array(phi, dtype=float)
+    features, s_b, sign = fringe_features(ensemble, spec)
+    stats = point_statistics(features, phi, ensemble.n_total)
     # the atomic record alone (B, C), for the fringe and scatter diagnostics
-    atomic = point_statistics(features[:, :2], grid.values, ensemble.n_total)
+    atomic = point_statistics(features[:, :2], phi, ensemble.n_total)
     ci_lo, ci_hi = bootstrap_ci(
-        features, grid.values, ensemble.n_total, resamples=resamples, quantile=quantile,
+        features, phi, ensemble.n_total, resamples=resamples, quantile=quantile,
         master_seed=ensemble.master_seed,
     )
     return SensitivityCurve(
-        phi=grid.values.copy(),
+        phi=phi,
         mean_s_a=atomic["mean_s"],
         var_s_a=atomic["var_s"],
-        mean_s_b=np.full(len(grid), float(np.mean(s_b))),
+        mean_s_b=np.full(phi.size, float(np.mean(s_b))),
         mean_s=stats["mean_s"],
         var_s=stats["var_s"],
         ds_dphi=stats["ds_dphi"],
@@ -321,7 +287,6 @@ def m_at_phi(
     ensemble: Ensemble,
     spec: HomodyneSpec,
     phi: float = np.pi / 2,
-    correction: bool = True,
     resamples: int | None = None,
 ) -> tuple[float, tuple[float, float], str]:
     """M at a single working phase, from the exact fringe slope there.
@@ -329,7 +294,7 @@ def m_at_phi(
     Returns (m, (ci_lo, ci_hi), correction_sign); the interval collapses to
     the point value when resamples is None.
     """
-    features, _, sign = fringe_features(ensemble, spec, correction)
+    features, _, sign = fringe_features(ensemble, spec)
     m = float(point_statistics(features, [phi], ensemble.n_total)["m"][0])
     if resamples is None:
         return m, (m, m), sign
@@ -347,19 +312,17 @@ def squeezed_combo_variance(ensemble: Ensemble) -> float:
 
 
 def prepare(config: RunConfig, r_values,
-            ensembles=None) -> tuple[list[Ensemble], HomodyneSpec, bool]:
-    """The ensembles at each r (built unless given), homodyne settings and correction flag."""
+            ensembles=None) -> tuple[list[Ensemble], HomodyneSpec]:
+    """The ensembles at each r (built unless given) and the homodyne settings."""
     if ensembles is None:
         ensembles = build_ensembles(
             config.n_total, config.n_seed, r_values, config.trajectories, config.master_seed,
             mode=config.mode, steps_per_unit_r=config.steps_per_unit_r,
             n_threads=config.threads,
         )
-    spec = HomodyneSpec(
-        gain_g=config.gain_g, lo_sampled=config.lo_sampled,
-        correction_sign="plus" if config.correction == "on" else "auto",
-    )
-    return ensembles, spec, config.correction != "off"
+    spec = HomodyneSpec(gain_g=config.gain_g, lo_sampled=config.lo_sampled,
+                        correction_sign=CORRECTIONS[config.correction])
+    return ensembles, spec
 
 
 def _check_scan_ensembles(r_values, ensembles):
@@ -411,10 +374,10 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
                 conservation=ConservationReport(),
             ))
     else:
-        ensembles, spec, correction = prepare(config, r_values, ensembles)
+        ensembles, spec = prepare(config, r_values, ensembles)
         _check_scan_ensembles(r_values, ensembles)
         lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
-        fringes = [fringe_features(e, spec, correction, lo_noise) for e in ensembles]
+        fringes = [fringe_features(e, spec, lo_noise) for e in ensembles]
         features = np.stack([f for f, _, _ in fringes])
         n_total = ensembles[0].n_total
         ci_lo, ci_hi = bootstrap_ci(

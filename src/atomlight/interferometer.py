@@ -13,7 +13,13 @@ S_b = |c|^2 - |d|^2 = -2 Im(beta2 conj(beta_LO)).
 
 The combined signal S = S_a -/+ S_b / g removes the quantum noise the two
 records share.  Which sign cancels (rather than doubles) the shared noise
-depends on the working phase, so it is calibrated from the ensemble.
+depends on the working phase, so it is calibrated from the ensemble;
+HomodyneSpec.correction_sign "off" leaves S = S_a.
+
+The LO amplitude is resolved in one place, lo_amplitude: beta_LO =
+g sqrt(<N1(t1)>) from the ensemble, plus the per-trajectory vacuum noise
+of the LO when HomodyneSpec.lo_sampled is set.  signal_light takes the
+resolved amplitudes.
 """
 
 from __future__ import annotations
@@ -35,20 +41,19 @@ class HomodyneSpec:
     """Local-oscillator and correction settings.
 
     gain_g: ratio of LO amplitude to the mean pump amplitude at t1.
-    lo_amplitude: beta_LO; derived from gain_g and the ensemble when None.
     lo_sampled: include the LO's own vacuum (shot) noise.
-    correction_sign: "plus", "minus", or "auto" (calibrate before combining).
+    correction_sign: "plus", "minus", "auto" (calibrate before combining),
+        or "off" (no correction: S is the atomic signal alone).
     """
 
     gain_g: float = 100.0
-    lo_amplitude: float | None = None
     lo_sampled: bool = True
     correction_sign: str = "auto"
 
     def __post_init__(self):
         if not (np.isfinite(self.gain_g) and self.gain_g > 0):
             raise ValueError("gain_g must be finite and > 0")
-        if self.correction_sign not in ("plus", "minus", "auto"):
+        if self.correction_sign not in ("plus", "minus", "auto", "off"):
             raise ValueError(f"unknown correction_sign {self.correction_sign!r}")
 
 
@@ -99,40 +104,35 @@ def signal_atoms(state: ModeTriple) -> np.ndarray | float:
     return np.abs(state.alpha2) ** 2 - np.abs(state.alpha1) ** 2
 
 
-def signal_light(state: ModeTriple, spec: HomodyneSpec, lo_noise=0.0) -> np.ndarray | float:
-    """Homodyne photon-number difference for the scattered light.
-
-    The LO amplitude is spec.lo_amplitude, plus lo_noise when spec.lo_sampled
-    (the caller draws it once per trajectory and reuses it across phases).
-    Equal to -2 Im(beta2 conj(beta_LO)).
-    """
-    if spec.lo_amplitude is None:
-        raise ValueError("lo_amplitude not set; call resolve_homodyne first")
-    beta_lo = spec.lo_amplitude + (lo_noise if spec.lo_sampled and lo_noise is not None else 0.0)
-    c = (state.beta2 - 1j * beta_lo) * _INV_SQRT2
-    d = (beta_lo - 1j * state.beta2) * _INV_SQRT2
+def signal_light(beta2, beta_lo) -> np.ndarray | float:
+    """Homodyne photon-number difference of the scattered light beta2 against
+    an LO of amplitude beta_lo: -2 Im(beta2 conj(beta_LO))."""
+    c = (beta2 - 1j * beta_lo) * _INV_SQRT2
+    d = (beta_lo - 1j * beta2) * _INV_SQRT2
     return np.abs(c) ** 2 - np.abs(d) ** 2
 
 
 def combine_signals(s_a, s_b, spec: HomodyneSpec):
-    """S = s_a - sign * s_b / g with the resolved correction sign."""
+    """S = s_a - sign * s_b / g with the resolved correction sign ("off": S = s_a)."""
     if spec.correction_sign == "auto":
         raise ValueError("correction_sign is unresolved; calibrate or set it explicitly")
-    sign = SIGN_VALUES[spec.correction_sign]
-    return s_a - sign * s_b / spec.gain_g
-
-
-def resolve_homodyne(spec: HomodyneSpec, ensemble: Ensemble) -> HomodyneSpec:
-    """Fill in the derived LO amplitude: beta_LO = g * sqrt(<N1(t1)>)."""
-    if spec.lo_amplitude is not None:
-        return spec
-    n1 = max(occupation(ensemble.state.alpha1), 0.0)
-    return replace(spec, lo_amplitude=spec.gain_g * np.sqrt(n1))
+    if spec.correction_sign == "off":
+        return s_a
+    return s_a - SIGN_VALUES[spec.correction_sign] * s_b / spec.gain_g
 
 
 def lo_noise_samples(ensemble: Ensemble) -> np.ndarray:
     """Per-trajectory LO vacuum noise, reused across all phases."""
     return sample_coherent_batch(0.0, ensemble.master_seed, "local_oscillator", ensemble.n_traj)
+
+
+def lo_amplitude(ensemble: Ensemble, spec: HomodyneSpec, lo_noise=None):
+    """beta_LO = g sqrt(<N1(t1)>), plus the LO's vacuum noise per trajectory
+    when spec.lo_sampled (drawn here unless lo_noise holds the draw)."""
+    beta_lo = spec.gain_g * np.sqrt(max(occupation(ensemble.state.alpha1), 0.0))
+    if not spec.lo_sampled:
+        return beta_lo
+    return beta_lo + (lo_noise_samples(ensemble) if lo_noise is None else lo_noise)
 
 
 def measure_signals(
@@ -147,15 +147,13 @@ def measure_signals(
     through the interferometer.  With correction_sign "auto" the combined
     signal is left as s_a (calibrate first for a corrected signal).
     """
-    spec = resolve_homodyne(spec, ensemble)
-    if lo_noise is None and spec.lo_sampled:
-        lo_noise = lo_noise_samples(ensemble)
+    beta_lo = lo_amplitude(ensemble, spec, lo_noise)
     s_a = np.asarray(signal_atoms(run_mzi(ensemble.state, phi)), dtype=float)
-    s_b = np.asarray(signal_light(ensemble.state, spec, lo_noise), dtype=float)
+    s_b = np.asarray(signal_light(ensemble.state.beta2, beta_lo), dtype=float)
     if spec.correction_sign == "auto":
         s = s_a.copy()
     else:
-        s = np.asarray(combine_signals(s_a, s_b, spec), dtype=float)
+        s = np.array(combine_signals(s_a, s_b, spec), dtype=float)
     return SignalSample(s_a=s_a, s_b=s_b, s_combined=s, phi=phi)
 
 
@@ -178,7 +176,8 @@ def calibrate_correction_sign(s_a, s_b, gain_g: float) -> str:
 def detected_photons(ensemble: Ensemble, spec: HomodyneSpec) -> float:
     """Total photons hitting the homodyne detectors: LO plus scattered light.
 
-    Used for the photon-inclusive sensitivity bound 1/sqrt(N_atoms + N_photons).
+    The LO counts at its mean amplitude.  Used for the photon-inclusive
+    sensitivity bound 1/sqrt(N_atoms + N_photons).
     """
-    spec = resolve_homodyne(spec, ensemble)
-    return float(spec.lo_amplitude**2 + max(occupation(ensemble.state.beta2), 0.0))
+    beta_lo = lo_amplitude(ensemble, replace(spec, lo_sampled=False))
+    return float(beta_lo**2 + max(occupation(ensemble.state.beta2), 0.0))

@@ -40,21 +40,6 @@ TIME_TAGS = ("t0", "t1", "t3")
 NOISE_SIGMA = 0.5
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Address of one noise draw: (master_seed, trajectory_index, stream_tag)."""
-
-    master_seed: int
-    trajectory_index: int = 0
-    stream_tag: str = "atoms1"
-
-    def __post_init__(self):
-        if self.stream_tag not in STREAMS:
-            raise ValueError(f"unknown stream_tag {self.stream_tag!r}")
-        if self.trajectory_index < 0:
-            raise ValueError("trajectory_index must be >= 0")
-
-
 @dataclass
 class ModeTriple:
     """c-number amplitudes of the three retained modes at a named time.
@@ -131,12 +116,6 @@ def sample_coherent_batch(
     bits.advance(first_index)
     words = bits.random_raw(4 * n_traj).reshape(n_traj, 4)[:, :2]
     return mean_amplitude + _box_muller(words)
-
-
-def sample_coherent(mean_amplitude: complex, seed: SeedSpec) -> complex:
-    """One Wigner sample of |mean_amplitude>: the batch draw of one trajectory."""
-    return complex(sample_coherent_batch(
-        mean_amplitude, seed.master_seed, seed.stream_tag, 1, seed.trajectory_index)[0])
 
 
 def initial_means(n_total: float, n_seed: float) -> tuple[complex, complex, complex]:

@@ -30,7 +30,6 @@ from atomlight import (
     transferred_atoms,
 )
 from atomlight.cli import main
-from atomlight.interferometer import resolve_homodyne
 
 MASTER_SEED = 12345
 N_TOTAL = 1.0e7
@@ -111,7 +110,7 @@ def test_criterion_03_squeezing_variance():
 
 def test_criterion_04_sql_recovery():
     ens = build_ensemble(N_TOTAL, 0.0, 0.0, 10_000, MASTER_SEED)
-    m, _, _ = m_at_phi(ens, HomodyneSpec(gain_g=100.0), correction=False)
+    m, _, _ = m_at_phi(ens, HomodyneSpec(gain_g=100.0, correction_sign="off"))
     ok = 0.95 <= m <= 1.05
     report(4, ok, f"r=0, correction off, 1e4 trajectories: M(pi/2) = {m:.4f} in [0.95, 1.05]")
 
@@ -144,7 +143,7 @@ def test_criterion_06_seeded_optimum(seeded_scan):
 
 
 def test_criterion_07_working_point(fig3_ensemble):
-    spec = resolve_homodyne(HomodyneSpec(gain_g=100.0), fig3_ensemble)
+    spec = HomodyneSpec(gain_g=100.0)
     m, _, sign = m_at_phi(fig3_ensemble, spec)
     corrs = {}
     for phi in (np.pi / 2, np.pi, 3 * np.pi / 2):
@@ -165,7 +164,7 @@ def test_criterion_08_gain_saturation_and_sign(fig3_ensemble):
     width = hi - lo
     anti = "minus" if sign == "plus" else "plus"
     m_anti, _, _ = m_at_phi(fig3_ensemble, HomodyneSpec(gain_g=100.0, correction_sign=anti))
-    m_off, _, _ = m_at_phi(fig3_ensemble, HomodyneSpec(gain_g=100.0), correction=False)
+    m_off, _, _ = m_at_phi(fig3_ensemble, HomodyneSpec(gain_g=100.0, correction_sign="off"))
     ok = abs(m1000 - m100) < width and m_anti > m_off
     report(8, ok, f"gain 100 -> 1000 moves M by {abs(m1000-m100):.2e} < CI width {width:.2e}; "
                   f"anti-calibrated M = {m_anti:.2f} > uncorrected M = {m_off:.2f}")

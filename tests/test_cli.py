@@ -330,6 +330,23 @@ def test_drift_gate():
     assert not passed(0.0, 2 * DRIFT_LIMIT)
 
 
+@pytest.mark.parametrize("nan_first", [True, False])
+def test_gates_name_a_nan_drift_as_the_worst(nan_first):
+    # |alpha2|^2 overflows in clamped mode at r = 400: the drift there is NaN
+    finite = ConservationReport(max_rel_drift_atoms=0.0, max_rel_drift_manley_rowe=3.6e-11,
+                                rk4_error=1e-9)
+    broken = ConservationReport(max_rel_drift_atoms=0.0, max_rel_drift_manley_rowe=np.nan,
+                                rk4_error=np.nan)
+    reports = [broken, finite] if nan_first else [finite, broken]
+    for gates in (_gates(reports, {}), _gates([broken], {})):
+        assert gates["drift"]["passed"] is False
+        assert gates["drift"]["invariant"] == "manley_rowe"
+        assert np.isnan(gates["drift"]["value"])
+        assert gates["rk4"]["passed"] is False and np.isnan(gates["rk4"]["value"])
+    assert _gates([finite], {})["drift"] == {"invariant": "manley_rowe", "value": 3.6e-11,
+                                             "limit": DRIFT_LIMIT, "passed": True}
+
+
 @pytest.mark.parametrize("verb,extra", [
     ("phi-sweep", ["--set", "phi_count=21", "--set", "bootstrap_resamples=100"]),
     ("r-scan", ["--set", "r_list=1.0, 3.0", "--set", "bootstrap_resamples=100"]),

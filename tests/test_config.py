@@ -10,6 +10,8 @@ from atomlight.config import ConfigError, make_config
 
 FLOAT_KEYS = ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g")
 LIST_KEYS = ("r_list", "scatter_phis")
+INT_KEYS = ("phi_count", "trajectories", "steps_per_unit_r", "master_seed", "threads",
+            "bootstrap_resamples")
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 # valid settings that do not constrain one another, to vary the rest of the mapping
@@ -56,6 +58,21 @@ def test_master_seed_outside_u64_rejected(rest, seed):
 @given(valid_rest, st.integers(1, 99))
 def test_too_few_trajectories_rejected(rest, trajectories):
     assert rejected({**rest, "trajectories": trajectories})
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_rest, st.sampled_from(INT_KEYS),
+       st.one_of(st.booleans(), st.floats(100.0, 1000.0), st.text(max_size=4)))
+def test_non_integer_count_rejected(rest, key, value):
+    # a config embedded in a JSON summary arrives as raw JSON values
+    assert rejected({**rest, key: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_rest, st.one_of(st.integers(0, 1), st.floats(0.0, 1.0),
+                             st.sampled_from(["no", "yes", "true", ""])))
+def test_non_boolean_lo_sampled_rejected(rest, value):
+    assert rejected({**rest, "lo_sampled": value})
 
 
 @settings(max_examples=60, deadline=None)

@@ -229,12 +229,6 @@ def test_decorrelated_pump_matches_occupation_and_breaks_correlation():
     assert np.corrcoef(n1_full, n2)[0, 1] < -0.5  # full dynamics: anti-correlated
 
 
-def test_decorrelate_requires_seed():
-    t0 = small_vacuum_ensemble(16)
-    with pytest.raises(ValueError):
-        evolve_tw(t0, 1.0, IntegratorSpec(decorrelate_pump=True))
-
-
 def test_nonfinite_state_aborts_with_diagnostics():
     t0 = ModeTriple(np.array([np.inf + 0j]), np.array([0j]), np.array([0j]))
     with pytest.raises(IntegrationError) as err:

@@ -11,10 +11,9 @@ from dataclasses import replace
 import atomlight.dynamics as dynamics
 import atomlight.estimator as estimator
 import atomlight.interferometer as interferometer
-from atomlight.config import RunConfig
+from atomlight.config import ConfigError, RunConfig
 from atomlight.dynamics import build_ensemble, build_ensembles
 from atomlight.estimator import (
-    PhiGrid,
     bootstrap_ci,
     fringe_features,
     m_at_phi,
@@ -26,7 +25,6 @@ from atomlight.interferometer import (
     HomodyneSpec,
     lo_noise_samples,
     measure_signals,
-    resolve_homodyne,
 )
 
 SEED = 555
@@ -34,23 +32,23 @@ SEED = 555
 
 # --- grid ----------------------------------------------------------------------
 
-def test_phi_grid_from_range():
-    grid = PhiGrid.from_range(0.0, 2 * np.pi, 201)
-    assert len(grid) == 201
-    assert grid.spacing == pytest.approx(np.pi / 100)
+def test_phi_grid_from_range(working_point_ensemble):
+    grid = np.linspace(0.0, 2 * np.pi, 201)
+    curve = sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(), resamples=100)
+    assert len(curve.phi) == 201
+    assert curve.phi[1] - curve.phi[0] == pytest.approx(np.pi / 100)
 
 
 def test_phi_grid_rejects_bad_input():
-    with pytest.raises(ValueError):
-        PhiGrid(np.array([0.0]))
-    with pytest.raises(ValueError):
-        PhiGrid(np.array([0.0, 2.0, 1.0]))
-    with pytest.raises(ValueError):
-        PhiGrid(np.array([0.0, 1.0, 3.0]))
-    with pytest.raises(ValueError):
-        PhiGrid(np.array([np.nan, np.nan, np.nan]))
-    with pytest.raises(ValueError):
-        PhiGrid(np.array([0.0, 1.0, np.inf]))
+    # the grid is phi_count points from phi_start to phi_stop; the config checks it
+    with pytest.raises(ConfigError):
+        RunConfig(phi_count=1).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(phi_start=2.0, phi_stop=1.0).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(phi_start=np.nan, phi_stop=np.nan).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(phi_stop=np.inf).validate()
 
 
 # --- common random numbers -------------------------------------------------------
@@ -61,18 +59,18 @@ def test_shared_phases_are_bit_identical(working_point_ensemble):
     f2, sb2, _ = fringe_features(working_point_ensemble, spec)
     assert np.array_equal(f1, f2)  # same trajectories, same LO draw
     assert np.array_equal(sb1, sb2)
-    wide = PhiGrid(np.array([np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]))
-    narrow = PhiGrid(np.array([np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]))
-    a = point_statistics(f1, wide.values, 1.0e7)
-    b = point_statistics(f2, narrow.values, 1.0e7)
+    wide = [np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]
+    narrow = [np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]
+    a = point_statistics(f1, wide, 1.0e7)
+    b = point_statistics(f2, narrow, 1.0e7)
     assert a["mean_s"][1] == b["mean_s"][1] and a["var_s"][1] == b["var_s"][1]
 
 
 def _direct_signals(ensemble, grid, spec, sign):
     """Reference (trajectory x phi) matrices of S and S_a, one phase at a time."""
-    spec = replace(resolve_homodyne(spec, ensemble), correction_sign=sign)
+    spec = replace(spec, correction_sign=sign)
     lo_noise = lo_noise_samples(ensemble)
-    samples = [measure_signals(ensemble, phi, spec, lo_noise) for phi in grid.values]
+    samples = [measure_signals(ensemble, phi, spec, lo_noise) for phi in grid]
     return (np.column_stack([x.s_combined for x in samples]),
             np.column_stack([x.s_a for x in samples]))
 
@@ -80,7 +78,7 @@ def _direct_signals(ensemble, grid, spec, sign):
 def _direct_slope(ensemble, grid, spec, sign):
     """Reference per-trajectory slopes dS/dphi: for one harmonic (and a light
     record that does not depend on phi) they are S_a a quarter fringe on."""
-    return _direct_signals(ensemble, PhiGrid(grid.values + np.pi / 2), spec, sign)[1]
+    return _direct_signals(ensemble, grid + np.pi / 2, spec, sign)[1]
 
 
 def _direct_m(s, slope, n_total):
@@ -93,7 +91,7 @@ def _direct_m(s, slope, n_total):
 
 
 def test_features_match_direct_signals(working_point_ensemble):
-    grid = PhiGrid.from_range(0.0, 2 * np.pi, 201)
+    grid = np.linspace(0.0, 2 * np.pi, 201)
     spec = HomodyneSpec(gain_g=100.0)
     curve = sensitivity_curve(working_point_ensemble, grid, spec, resamples=100)
     s, s_a = _direct_signals(working_point_ensemble, grid, spec, curve.correction_sign)
@@ -104,13 +102,13 @@ def test_features_match_direct_signals(working_point_ensemble):
 
 
 def test_bootstrap_matches_resampled_reference(working_point_ensemble):
-    grid = PhiGrid.from_range(0.0, 2 * np.pi, 41)
+    grid = np.linspace(0.0, 2 * np.pi, 41)
     spec = HomodyneSpec(gain_g=100.0)
     features, _, sign = fringe_features(working_point_ensemble, spec)
     s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
     slope = _direct_slope(working_point_ensemble, grid, spec, sign)
     n = s.shape[0]
-    lo, hi = bootstrap_ci(features, grid.values, 1.0e7, resamples=100, master_seed=9)
+    lo, hi = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=9)
     rng = np.random.Generator(np.random.Philox(
         key=9, counter=[0, 0, 0, estimator._BOOTSTRAP_STREAM_BLOCK]))
     resamples = [rng.integers(0, n, size=n) for _ in range(100)]
@@ -121,7 +119,7 @@ def test_bootstrap_matches_resampled_reference(working_point_ensemble):
 
 def test_slope_is_exact(working_point_ensemble):
     # central differences miss sin(h)/h - 1 inside a grid and more at its ends
-    grid = PhiGrid.from_range(0.0, 2 * np.pi, 201)
+    grid = np.linspace(0.0, 2 * np.pi, 201)
     spec = HomodyneSpec(gain_g=100.0)
     curve = sensitivity_curve(working_point_ensemble, grid, spec, resamples=100)
     ref = _direct_slope(working_point_ensemble, grid, spec, curve.correction_sign).mean(axis=0)
@@ -137,7 +135,7 @@ def test_one_lo_draw_per_ensemble(working_point_ensemble, monkeypatch):
 
     monkeypatch.setattr(estimator, "lo_noise_samples", counting)
     monkeypatch.setattr(interferometer, "lo_noise_samples", counting)
-    grid = PhiGrid.from_range(0.0, 2 * np.pi, 21)
+    grid = np.linspace(0.0, 2 * np.pi, 21)
     sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100)
     assert len(calls) == 1
     m_at_phi(working_point_ensemble, HomodyneSpec(gain_g=100.0), resamples=100)
@@ -214,7 +212,7 @@ def _synthetic_features(rng, n_traj, slope=5.0, sigma=2.0):
 
 def test_m_invariant_under_signal_rescaling():
     rng = np.random.default_rng(3)
-    phi = PhiGrid.from_range(0.0, 1.0, 11).values
+    phi = np.linspace(0.0, 1.0, 11)
     f = _synthetic_features(rng, 400, sigma=1.0)
     m1 = point_statistics(f, phi, 1.0e7)["m"]
     m2 = point_statistics(7.3 * f, phi, 1.0e7)["m"]
@@ -222,7 +220,7 @@ def test_m_invariant_under_signal_rescaling():
 
 
 def test_zero_derivative_is_flagged():
-    phi = PhiGrid.from_range(0.0, 1.0, 5).values
+    phi = np.linspace(0.0, 1.0, 5)
     rng = np.random.default_rng(4)
     f = np.column_stack([np.zeros(50), np.zeros(50), rng.normal(size=50)])  # B = C = 0
     stats = point_statistics(f, phi, 1.0)
@@ -232,7 +230,7 @@ def test_zero_derivative_is_flagged():
 # --- SQL recovery and the undepleted benchmark ------------------------------------
 
 def test_sql_recovery(coherent_ensemble):
-    m, _, sign = m_at_phi(coherent_ensemble, HomodyneSpec(gain_g=100.0), correction=False)
+    m, _, sign = m_at_phi(coherent_ensemble, HomodyneSpec(gain_g=100.0, correction_sign="off"))
     assert sign == "off"
     rel_se = np.sqrt(0.5 / (coherent_ensemble.n_traj - 1))
     assert abs(m - 1.0) < 5 * rel_se
@@ -241,7 +239,7 @@ def test_sql_recovery(coherent_ensemble):
 @pytest.mark.parametrize("r", [0.5, 1.0])
 def test_uncorrected_m_matches_undepleted_prediction(r):
     ens = build_ensemble(1.0e7, 0.0, r, 4000, SEED)
-    m, _, _ = m_at_phi(ens, HomodyneSpec(gain_g=100.0), correction=False)
+    m, _, _ = m_at_phi(ens, HomodyneSpec(gain_g=100.0, correction_sign="off"))
     expected = predict(r, 1.0e7).m_plain
     rel_se = np.sqrt(0.5 / (ens.n_traj - 1))
     assert abs(m - expected) < 5 * rel_se * expected
@@ -253,7 +251,8 @@ def test_shuffling_light_record_destroys_gain(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     phi = [np.pi / 2]
     f_corr, s_b, sign = fringe_features(working_point_ensemble, spec)
-    f_off, _, _ = fringe_features(working_point_ensemble, spec, correction=False)
+    f_off, _, _ = fringe_features(working_point_ensemble, replace(spec, correction_sign="off"))
+    assert not np.any(np.signbit(f_off[:, 2])) and np.all(f_off[:, 2] == 0.0)  # D = +0.0
     m_corr = point_statistics(f_corr, phi, 1.0e7)["m"][0]
     m_off = point_statistics(f_off, phi, 1.0e7)["m"][0]
 
@@ -279,7 +278,7 @@ def test_gain_saturation(working_point_ensemble):
 
 def test_bootstrap_coverage_on_synthetic_truth():
     rng = np.random.default_rng(99)
-    phi = PhiGrid.from_range(0.0, 1.0, 11).values
+    phi = np.linspace(0.0, 1.0, 11)
     mid = len(phi) // 2
     m_true = np.sqrt(2.0) * 2.0 / (5.0 * np.cos(phi[mid]))
     hits = 0
@@ -292,7 +291,7 @@ def test_bootstrap_coverage_on_synthetic_truth():
 
 def test_bootstrap_width_shrinks_with_sqrt_n():
     rng = np.random.default_rng(7)
-    phi = PhiGrid.from_range(0.0, 1.0, 11).values
+    phi = np.linspace(0.0, 1.0, 11)
     mid = len(phi) // 2
     widths = {n: [] for n in (250, 500)}
     for rep in range(30):
@@ -305,7 +304,7 @@ def test_bootstrap_width_shrinks_with_sqrt_n():
 
 
 def test_bootstrap_rejects_too_few_resamples():
-    phi = PhiGrid.from_range(0.0, 1.0, 3).values
+    phi = np.linspace(0.0, 1.0, 3)
     with pytest.raises(ValueError):
         bootstrap_ci(np.zeros((10, 3)), phi, 1.0, resamples=50)
 
@@ -313,7 +312,7 @@ def test_bootstrap_rejects_too_few_resamples():
 def test_bootstrap_flags_constant_signal():
     # a constant signal has zero fringe slope: M is undefined and the
     # interval edges come out infinite rather than silently masked
-    phi = PhiGrid.from_range(0.0, 1.0, 5).values
+    phi = np.linspace(0.0, 1.0, 5)
     f = np.column_stack([np.zeros(60), np.zeros(60), np.full(60, 3.7)])  # B = C = 0
     with np.errstate(invalid="ignore"):
         lo, hi = bootstrap_ci(f, phi, 1.0, resamples=100, master_seed=1)
@@ -340,7 +339,7 @@ def test_resample_sums_match_exact_sums_of_gathered_terms(n_traj):
 def test_stacked_bootstrap_equals_each_set_alone(n_traj):
     rng = np.random.default_rng(8)
     features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
-    phi = PhiGrid.from_range(0.0, 1.0, 4).values
+    phi = np.linspace(0.0, 1.0, 4)
     lo, hi = bootstrap_ci(features, phi, 1.0e7, resamples=100, master_seed=4)
     assert lo.shape == hi.shape == (3, 4)
     for s, f in enumerate(features):
@@ -354,17 +353,17 @@ def test_stacked_bootstrap_equals_each_set_alone(n_traj):
 
 def test_bootstrap_deterministic(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    grid = PhiGrid.from_range(0.0, np.pi, 9)
+    grid = np.linspace(0.0, np.pi, 9)
     features, _, _ = fringe_features(working_point_ensemble, spec)
-    a = bootstrap_ci(features, grid.values, 1.0e7, resamples=100, master_seed=5)
-    b = bootstrap_ci(features, grid.values, 1.0e7, resamples=100, master_seed=5)
+    a = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=5)
+    b = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=5)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 # --- full curve -----------------------------------------------------------------
 
 def test_sensitivity_curve_fields(working_point_ensemble):
-    grid = PhiGrid.from_range(0.0, 2 * np.pi, 41)
+    grid = np.linspace(0.0, 2 * np.pi, 41)
     curve = sensitivity_curve(
         working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100
     )
@@ -382,14 +381,14 @@ def test_sensitivity_curve_fields(working_point_ensemble):
     assert min_m < 0.2
     assert abs(argmin - np.pi / 2) < 0.4 or abs(argmin - 3 * np.pi / 2) < 0.4
     # worst sensitivity sits at the fringe extrema where the slope vanishes
-    k_pi = int(np.argmin(np.abs(grid.values - np.pi)))
+    k_pi = int(np.argmin(np.abs(grid - np.pi)))
     assert curve.m[k_pi] > 10 * min_m or np.isinf(curve.m[k_pi])
 
 
 def test_sensitivity_curve_requires_enough_trajectories():
     ens = build_ensemble(1.0e6, 0.0, 0.5, 50, SEED)
     with pytest.raises(ValueError):
-        sensitivity_curve(ens, PhiGrid.from_range(0, 1, 5), HomodyneSpec())
+        sensitivity_curve(ens, np.linspace(0, 1, 5), HomodyneSpec())
 
 
 # --- r scan ---------------------------------------------------------------------

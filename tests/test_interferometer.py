@@ -12,9 +12,10 @@ from atomlight.interferometer import (
     calibrate_correction_sign,
     combine_signals,
     detected_photons,
+    lo_amplitude,
+    lo_noise_samples,
     measure_signals,
     phase_imprint,
-    resolve_homodyne,
     run_mzi,
     signal_atoms,
     signal_light,
@@ -147,22 +148,18 @@ def test_balanced_point_mean_zero(coherent_ensemble):
 # --- homodyne -----------------------------------------------------------------
 
 def test_signal_light_zero_field():
-    spec = HomodyneSpec(gain_g=10.0, lo_amplitude=500.0, lo_sampled=False)
-    assert signal_light(_state(1.0, 0.0, 0.0), spec) == pytest.approx(0.0, abs=1e-9)
+    assert signal_light(0j, 500.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_signal_light_imaginary_field():
     # beta2 = i y with a real classical LO: S_b = -2 beta_LO y
-    spec = HomodyneSpec(gain_g=10.0, lo_amplitude=300.0, lo_sampled=False)
-    out = signal_light(_state(0.0, 0.0, 2.5j), spec)
+    out = signal_light(2.5j, 300.0)
     assert out == pytest.approx(-2.0 * 300.0 * 2.5, rel=1e-10)
 
 
 def test_signal_light_linear_in_lo():
-    spec1 = HomodyneSpec(gain_g=10.0, lo_amplitude=100.0, lo_sampled=False)
-    spec2 = HomodyneSpec(gain_g=10.0, lo_amplitude=200.0, lo_sampled=False)
-    s1 = signal_light(_state(0.0, 0.0, 1.0 + 0.7j), spec1)
-    s2 = signal_light(_state(0.0, 0.0, 1.0 + 0.7j), spec2)
+    s1 = signal_light(1.0 + 0.7j, 100.0)
+    s2 = signal_light(1.0 + 0.7j, 200.0)
     assert s2 == pytest.approx(2.0 * s1, rel=1e-9)
 
 
@@ -173,25 +170,24 @@ def test_homodyne_shot_noise():
     beta_lo = 1.0e5
     b2 = sample_coherent_batch(0.0, SEED, "light2", n)
     lo = sample_coherent_batch(0.0, SEED, "local_oscillator", n)
-    spec = HomodyneSpec(gain_g=1.0, lo_amplitude=beta_lo, lo_sampled=True)
-    s_b = signal_light(ModeTriple(np.zeros(n), np.zeros(n), b2, "t1"), spec, lo)
+    s_b = signal_light(b2, beta_lo + lo)
     rel_se = np.sqrt(2.0 / (n - 1))
     assert abs(s_b.mean()) < 5 * beta_lo / np.sqrt(n)
     assert abs(s_b.var(ddof=1) / beta_lo**2 - 1.0) < 5 * rel_se
 
 
 def test_signal_light_requires_lo_amplitude():
-    with pytest.raises(ValueError):
-        signal_light(_state(0, 0, 1j), HomodyneSpec(gain_g=5.0))
+    with pytest.raises(TypeError):
+        signal_light(1j)
 
 
 # --- combining ------------------------------------------------------------------
 
 def test_combine_signals_arithmetic():
-    spec = HomodyneSpec(gain_g=100.0, lo_amplitude=1.0, correction_sign="plus")
+    spec = HomodyneSpec(gain_g=100.0, correction_sign="plus")
     assert combine_signals(10.0, 0.0, spec) == 10.0
     assert combine_signals(10.0, 5.0, spec) == pytest.approx(9.95)
-    flipped = HomodyneSpec(gain_g=100.0, lo_amplitude=1.0, correction_sign="minus")
+    flipped = HomodyneSpec(gain_g=100.0, correction_sign="minus")
     assert combine_signals(10.0, 5.0, flipped) == pytest.approx(10.05)
 
 
@@ -201,23 +197,27 @@ def test_combine_signals_rejects_auto():
 
 
 def test_resolve_homodyne_derives_lo(working_point_ensemble):
-    spec = resolve_homodyne(HomodyneSpec(gain_g=100.0), working_point_ensemble)
+    beta_lo = lo_amplitude(working_point_ensemble, HomodyneSpec(gain_g=100.0, lo_sampled=False))
     n1 = occupation(working_point_ensemble.state.alpha1)
-    assert spec.lo_amplitude == pytest.approx(100.0 * np.sqrt(n1), rel=1e-12)
+    assert beta_lo == pytest.approx(100.0 * np.sqrt(n1), rel=1e-12)
+    # lo_sampled adds the LO's own draw per trajectory, drawn there or passed in
+    noise = lo_noise_samples(working_point_ensemble)
+    sampled = HomodyneSpec(gain_g=100.0)
+    assert np.array_equal(lo_amplitude(working_point_ensemble, sampled), beta_lo + noise)
+    assert np.array_equal(lo_amplitude(working_point_ensemble, sampled, noise), beta_lo + noise)
 
 
 # --- sign calibration and correlations ------------------------------------------
 
 def _calibrate_at(ensemble, spec, phi=np.pi / 2):
     """The sign chosen from the interferometer's own signals at phi."""
-    sample = measure_signals(ensemble, phi, resolve_homodyne(spec, ensemble))
+    sample = measure_signals(ensemble, phi, spec)
     return calibrate_correction_sign(sample.s_a, sample.s_b, spec.gain_g)
 
 
 def test_calibration_reduces_variance(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     sign = _calibrate_at(working_point_ensemble, spec)
-    spec = resolve_homodyne(spec, working_point_ensemble)
     sample = measure_signals(working_point_ensemble, np.pi / 2, spec)
     s_corr = sample.s_a - {"plus": 1, "minus": -1}[sign] * sample.s_b / spec.gain_g
     assert np.var(s_corr, ddof=1) < np.var(sample.s_a, ddof=1)
@@ -259,7 +259,7 @@ def test_feature_sign_matches_interferometer_sign(request, ensemble, phi):
     (3 * np.pi / 2, -1.0, -0.9),
 ])
 def test_correlation_structure(working_point_ensemble, phi, lo, hi):
-    spec = resolve_homodyne(HomodyneSpec(gain_g=100.0), working_point_ensemble)
+    spec = HomodyneSpec(gain_g=100.0)
     sample = measure_signals(working_point_ensemble, phi, spec)
     corr = np.corrcoef(sample.s_a, sample.s_b / spec.gain_g)[0, 1]
     assert lo <= corr <= hi

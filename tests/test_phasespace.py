@@ -10,12 +10,10 @@ from atomlight.estimator import _BOOTSTRAP_STREAM_BLOCK
 from atomlight.phasespace import (
     STREAMS,
     ModeTriple,
-    SeedSpec,
     _box_muller,
     occupation,
     quadrature_x,
     quadrature_y,
-    sample_coherent,
     sample_coherent_batch,
     sample_initial_ensemble,
 )
@@ -59,22 +57,26 @@ def test_symmetric_ordering_identity(n):
 
 
 def test_same_seed_bit_identical():
-    spec = SeedSpec(master_seed=42, trajectory_index=17, stream_tag="light2")
-    assert sample_coherent(1 + 2j, spec) == sample_coherent(1 + 2j, spec)
+    def draw():
+        return sample_coherent_batch(1 + 2j, 42, "light2", 1, first_index=17)[0]
+
+    assert draw() == draw()
 
 
 @given(master=st.integers(min_value=0, max_value=2**63 - 1),
        traj=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=50, deadline=None)
 def test_draws_are_pure_functions(master, traj):
-    spec = SeedSpec(master, traj, "atoms1")
-    assert sample_coherent(0.0, spec) == sample_coherent(0.0, spec)
+    def draw():
+        return sample_coherent_batch(0.0, master, "atoms1", 1, first_index=traj)[0]
+
+    assert draw() == draw()
 
 
 def test_batch_matches_scalar_path():
     batch = sample_coherent_batch(2.0 - 1.0j, master_seed=9, stream_tag="atoms2", n_traj=32)
     singles = np.array([
-        sample_coherent(2.0 - 1.0j, SeedSpec(9, i, "atoms2")) for i in range(32)
+        sample_coherent_batch(2.0 - 1.0j, 9, "atoms2", 1, first_index=i)[0] for i in range(32)
     ])
     assert np.array_equal(batch, singles)
 
@@ -94,7 +96,8 @@ def test_sample_coherent_is_the_batch_row():
     batch = sample_coherent_batch(1.0 + 2.0j, master_seed=5, stream_tag="local_oscillator",
                                   n_traj=200)
     for i in (0, 1, 77, 199):
-        assert sample_coherent(1.0 + 2.0j, SeedSpec(5, i, "local_oscillator")) == batch[i]
+        assert sample_coherent_batch(1.0 + 2.0j, 5, "local_oscillator", 1,
+                                     first_index=i)[0] == batch[i]
 
 
 def test_counter_layout():
@@ -170,10 +173,10 @@ def test_initial_state_rejects_bad_populations(n_total, n_seed):
 
 
 def test_seed_spec_validation():
+    with pytest.raises(KeyError):
+        sample_coherent_batch(0.0, 1, "nope", 1)
     with pytest.raises(ValueError):
-        SeedSpec(1, 0, "nope")
-    with pytest.raises(ValueError):
-        SeedSpec(1, -1, "atoms1")
+        sample_coherent_batch(0.0, 1, "atoms1", 1, first_index=-1)
 
 
 def test_time_tag_forward_only():
