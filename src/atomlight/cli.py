@@ -28,7 +28,7 @@ from .config import (
     make_config,
     parse_assignments,
 )
-from .dynamics import ConservationReport, transferred_atoms
+from .dynamics import ConservationReport, IntegrationError, transferred_atoms
 from .estimator import (
     fringe_features,
     prepare,
@@ -389,6 +389,10 @@ def main(argv=None) -> int:
         command = {"phi-sweep": cmd_phi_sweep, "r-scan": cmd_r_scan, "scatter": cmd_scatter,
                    "analytic-table": cmd_analytic_table, "figures": cmd_figures}[args.command]
         return command(make_config(_resolve_mapping(args)), out_dir)
+    except IntegrationError as exc:  # raised before any file is written
+        print(json.dumps({"error": "integration", "invariant": "finite_state", "pass": exc.lattice,
+                          "step_index": exc.step_index, "limit": "finite"}), file=sys.stderr)
+        return 1
     except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
         print(_error_record("config", str(exc)), file=sys.stderr)
         return 2

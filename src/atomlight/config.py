@@ -21,10 +21,17 @@ CORRECTIONS = {"on": "plus", "off": "off", "auto_sign": "auto"}
 OUTPUT_FORMATS = ("csv", "json")
 INT_KEYS = ("phi_count", "trajectories", "steps_per_unit_r", "master_seed", "threads",
             "bootstrap_resamples")
+FLOAT_KEYS = ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g")
+LIST_KEYS = ("r_list", "scatter_phis")
 
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration input."""
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool (JSON true/false would pass as 1/0)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -57,10 +64,19 @@ class RunConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not isinstance(self.lo_sampled, bool):
             raise ConfigError(f"lo_sampled must be a boolean, got {self.lo_sampled!r}")
-        for key in ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g",
-                    "r_list", "scatter_phis"):
+        for key in FLOAT_KEYS + LIST_KEYS:
             value = getattr(self, key)
-            if value is not None and not np.all(np.isfinite(value)):
+            if key == "r_list" and value is None:
+                continue
+            values = value if key in LIST_KEYS else [value]
+            if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
+                kind = "a list of numbers" if key in LIST_KEYS else "a number"
+                raise ConfigError(f"{key} must be {kind}, got {value!r}")
+            try:
+                finite = np.all(np.isfinite(np.array(values, dtype=np.float64)))
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise ConfigError(f"{key} must be finite")
         if self.n_total <= 0:
             raise ConfigError("n_total must be finite and > 0")

@@ -26,8 +26,12 @@ the integrator.
 evolve_tw steps fixed-step RK4 on the lattice h = 1/steps_per_unit_r
 (default 1/40) and runs every ensemble a second time on 2h.  Step doubling
 gives the RK4 error of the h pass as |y_h - y_2h| / 15 (Richardson), which
-the run reports next to the drifts and the CLI gates at 1e-6 (gates.rk4).
-Every bundled r value lies on both the 1/40 and the 1/20 lattice.
+the run reports next to the drifts and the CLI gates at 1e-6 (gates.rk4);
+the drifts are tracked on the h pass only.  Every bundled r value lies on
+both the 1/40 and the 1/20 lattice.  A step is classical RK4 with the step
+constants folded into the right-hand side: k'1 = (h/2) f(y),
+k'2 = (h/2) f(y + k'1), k'3 = h f(y + k'2), k'4 = (h/2) f(y + k'3), and
+y += (k'1 + 2 k'2 + k'3 + k'4) / 3, in two stage buffers per chunk.
 
 The pump treatment is chosen by one setting, the mode of build_ensembles
 (EVOLUTION_MODES).  "clamped" is an integrator setting
@@ -55,12 +59,11 @@ DEFAULT_STEPS_PER_UNIT_R = 40
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrator produces a non-finite amplitude."""
+    """Raised when the integrator produces a non-finite amplitude on the h or 2h pass."""
 
-    def __init__(self, step_index: int, snapshot: ModeTriple):
-        self.step_index = step_index
-        self.snapshot = snapshot
-        super().__init__(f"non-finite state at step {step_index}")
+    def __init__(self, step_index: int, snapshot: ModeTriple, lattice: str):
+        self.step_index, self.snapshot, self.lattice = step_index, snapshot, lattice
+        super().__init__(f"non-finite state at step {step_index} of the {lattice} pass")
 
 
 @dataclass
@@ -126,91 +129,93 @@ class _Workspace:
     """
 
     def __init__(self, y0):
-        n2, nb = np.abs(y0[1]) ** 2, np.abs(y0[2]) ** 2
-        self.tot0 = np.abs(y0[0]) ** 2 + n2
-        self.mr0 = n2 - nb
-        self.scale0 = n2 + nb  # initial Manley-Rowe scale
-        self.k = np.zeros((4,) + y0.shape, dtype=np.complex128)  # k[s] = (d a1, d a2, d b2)
-        self.arg = np.empty_like(y0)  # stage argument, then the finite probe
-        self.lin = np.empty_like(y0[:2])  # 1j * (a1, b2)
+        n1, n2, nb = y0.real ** 2 + y0.imag ** 2  # |y|^2 as the steps take it
+        self.tot0, self.mr0, self.scale0 = n1 + n2, n2 - nb, n2 + nb  # scale0: initial MR scale
+        self.k = np.empty((2,) + y0.shape, dtype=np.complex128)  # the stage sum, the latest stage
+        self.arg = np.empty_like(y0)  # stage argument, then scratch
+        self.im2 = self.arg.view(np.float64)[:, :y0.shape[1]]  # Im(y)^2, in arg's memory
+        self.lin = np.empty_like(y0[0])  # the folded factor times a1 or b2
         self.mag = np.empty(y0.shape)  # |a1|^2, |a2|^2, |b2|^2, then drift terms
-        self.finite = np.empty(self.tot0.shape, dtype=bool)
         self.y, self.y_stop = np.empty_like(y0), np.empty_like(y0)
         self.dev, self.dev_stop = np.empty(y0.shape), np.empty(y0.shape)
         self.rel = np.empty((2,) + self.tot0.shape)  # max |y_h - y_2h| and max |y_h| over modes
 
 
-def _integrate(y0, stops, steps_per_unit_r, spec: IntegratorSpec, n_pump0: float,
-               ws: _Workspace):
+def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float, ws: _Workspace, doubled=False):
     """Yield the amplitudes (rows a1, a2, b2) and raw drift rows at each stop (ascending r).
 
-    One pass on the lattice h = 1/steps_per_unit_r (a count that need not be
-    whole) serves every stop; a stop off the lattice takes its last, shorter
-    step on a copy.  The yielded arrays are ws buffers, valid until the next
-    stop.  The drift rows (atoms, Manley-Rowe, Manley-Rowe scale) are
-    running per-trajectory maxima, combined into a report later, so chunked
-    execution aggregates exactly like a single pass.  Steps run in place,
-    keeping the operation order of y + (h/6) (k1 + 2 k2 + 2 k3 + k4).
+    One pass on the lattice h = 1/steps_per_unit_r, or 2h when doubled (a
+    count that need not be whole), serves every stop; a stop off the lattice
+    takes its last, shorter step on a copy.  The yielded arrays are ws
+    buffers, valid until the next stop.  The drift rows (atoms, Manley-Rowe,
+    Manley-Rowe scale) are running per-trajectory maxima, combined into a
+    report later, so chunked execution aggregates exactly like a single
+    pass; the 2h pass only feeds the error estimate and yields None for them.
+    Steps run in place in the folded form: f(src, out, c) writes c f(src),
+    one slot sums the stages and the other holds the latest.  With the pump
+    clamped the stages run on rows a2, b2 only.  A non-finite amplitude
+    raises IntegrationError at the step that made it.
     """
-    h = 1.0 / steps_per_unit_r
-    inv_sq_n1 = 1.0 / np.sqrt(n_pump0)
-    k, arg, lin, mag = ws.k, ws.arg, ws.lin, ws.mag
+    steps, lattice = (spec.steps_per_unit_r / 2, "2h") if doubled else (spec.steps_per_unit_r, "h")
+    h, inv_sq_n1 = 1.0 / steps, 1.0 / np.sqrt(n_pump0)
+    rows = slice(1 if spec.clamp_pump else 0, 3)
+    acc, k, arg, lin = ws.k[0, rows], ws.k[1, rows], ws.arg[rows], ws.lin
+    (n1, n2, nb), mag, im2 = ws.mag, ws.mag[rows], ws.im2[rows]  # |y|^2 rows, Im(y)^2 scratch
 
-    def f(src, out):
-        """Right-hand side at src (rows a1, a2, b2) into out."""
-        np.conjugate(src[1:], out=out[:0:-1])  # out[1] = conj(b2), out[2] = conj(a2)
+    def f(src, out, c):
+        """c times the right-hand side at src into out (both on rows)."""
         if spec.clamp_pump:  # classical pump amplitude: the sqrt(N1(0)) factors cancel
-            np.multiply(1j, out[1:], out=out[1:])  # out[0] stays 0
+            np.conjugate(src, out=out[::-1])
+            np.multiply(1j * c, out, out=out)
             return
-        np.multiply(1j, src[::2], out=lin)
-        np.multiply(lin[1], src[1], out=out[0])
-        np.multiply(lin[0], out[1:], out=out[1:])
-        np.multiply(out, inv_sq_n1, out=out)
+        np.conjugate(src[1:], out=out[:0:-1])  # out[1] = conj(b2), out[2] = conj(a2)
+        w = 1j * (c * inv_sq_n1)
+        np.multiply(np.multiply(w, src[2], out=lin), src[1], out=out[0])
+        np.multiply(np.multiply(w, src[0], out=lin), out[1:], out=out[1:])
 
-    def rk4_step(index, h, y, dev):
-        """One step of y, and the running drift maxima dev after it, in place."""
-        f(y, k[0])
-        for s, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
-            np.multiply(c, k[s - 1], out=arg)
-            np.add(y, arg, out=arg)
-            f(arg, k[s])
-        for s in (1, 2):  # ((k1 + 2 k2) + 2 k3) + k4
-            np.multiply(2.0, k[s], out=k[s])
-            np.add(k[s - 1], k[s], out=k[s])
-        np.add(k[2], k[3], out=k[3])
-        np.multiply(h / 6.0, k[3], out=k[3])
-        np.add(y, k[3], out=y)
+    def rk4_step(index, h, whole, dev):
+        """One step of whole (all rows), and the running drift maxima dev after it, in place."""
+        y = whole[rows]
+        f(y, acc, 0.5 * h)  # k'1
+        f(np.add(y, acc, out=arg), k, 0.5 * h)  # k'2
+        np.add(y, k, out=arg)
+        np.add(acc, np.add(k, k, out=k), out=acc)  # k'1 + 2 k'2
+        f(arg, k, h)  # k'3
+        np.add(acc, k, out=acc)
+        f(np.add(y, k, out=arg), k, 0.5 * h)  # k'4
+        np.add(y, np.multiply(np.add(acc, k, out=acc), 1.0 / 3.0, out=acc), out=y)
 
-        probe = np.add(np.add(y[0], y[1], out=arg[0]), y[2], out=arg[0])  # NaN/Inf propagate
-        if not np.isfinite(probe, out=ws.finite).all():
-            raise IntegrationError(index, ModeTriple(*y.copy(), "t0"))
+        if not np.isfinite(np.sum(whole)):  # NaN/Inf propagate; a sum can also just overflow
+            if not np.isfinite(np.abs(whole.view(np.float64), out=ws.arg.view(np.float64)).max()):
+                raise IntegrationError(index, ModeTriple(*whole.copy(), "t0"), lattice)
+        if dev is not None:  # the h pass: |y|^2 as re^2 + im^2, then the drift maxima
+            np.add(np.square(y.real, out=mag), np.square(y.imag, out=im2), out=mag)
+            if not spec.clamp_pump:
+                np.subtract(np.add(n1, n2, out=n1), ws.tot0, out=n1)
+                np.maximum(dev[0], np.abs(n1, out=n1), out=dev[0])
+            np.subtract(np.subtract(n2, nb, out=n1), ws.mr0, out=n1)
+            np.maximum(dev[1], np.abs(n1, out=n1), out=dev[1])
+            np.maximum(dev[2], np.add(n2, nb, out=n1), out=dev[2])
 
-        np.square(np.abs(y, out=mag), out=mag)
-        n1, n2, nb = mag
-        if not spec.clamp_pump:
-            np.subtract(np.add(n1, n2, out=n1), ws.tot0, out=n1)
-            np.maximum(dev[0], np.abs(n1, out=n1), out=dev[0])
-        np.subtract(np.subtract(n2, nb, out=n1), ws.mr0, out=n1)
-        np.maximum(dev[1], np.abs(n1, out=n1), out=dev[1])
-        np.maximum(dev[2], np.add(n2, nb, out=n1), out=dev[2])
-
-    y, dev = ws.y, ws.dev
+    y, dev, dev_stop, done = ws.y, ws.dev, ws.dev_stop, 0
     np.copyto(y, y0)
     dev[:2] = 0.0  # atoms, MR
     np.copyto(dev[2], ws.scale0)  # MR scale
-    done = 0
-    with np.errstate(invalid="ignore", over="ignore"):  # probe handles non-finites
+    if doubled:  # nothing reads the 2h pass's drifts
+        dev = dev_stop = None
+    with np.errstate(invalid="ignore", over="ignore"):  # the finite check handles non-finites
         for r in stops:
-            n = steps_per_unit_r * r
+            n = steps * r
             n_full = int(np.floor(n + 1e-9))  # 400 * 2.2 = 880.0000000000001 is 880 steps
             for index in range(done, n_full):
                 rk4_step(index, h, y, dev)
             done = n_full
             np.copyto(ws.y_stop, y)  # the run buffers keep changing
-            np.copyto(ws.dev_stop, dev)
+            if dev is not None:
+                np.copyto(dev_stop, dev)
             if n - n_full > 1e-9:  # off the lattice
-                rk4_step(n_full, (n - n_full) * h, ws.y_stop, ws.dev_stop)
-            yield ws.y_stop, ws.dev_stop
+                rk4_step(n_full, (n - n_full) * h, ws.y_stop, dev_stop)
+            yield ws.y_stop, dev_stop
 
 
 def _evolve_chunk(y0, ws: _Workspace, out, stops, spec: IntegratorSpec, n_pump0: float):
@@ -220,20 +225,17 @@ def _evolve_chunk(y0, ws: _Workspace, out, stops, spec: IntegratorSpec, n_pump0:
     max over trajectories of max(|y_h - y_2h|) / 15 / max(|y_h|), the
     Richardson error of RK4 relative to each trajectory's largest amplitude.
     """
-    stats, steps = [], spec.steps_per_unit_r
-    for s, (y, dev) in enumerate(_integrate(y0, stops, steps, spec, n_pump0, ws)):
+    stats = []
+    for s, (y, dev) in enumerate(_integrate(y0, stops, spec, n_pump0, ws)):
         out[s] = y
-        rel_atoms = np.divide(dev[0], ws.tot0, out=dev[0])
-        rel_atoms = 0.0 if spec.clamp_pump else float(np.max(rel_atoms))
+        rel_atoms = 0.0 if spec.clamp_pump else float(np.divide(dev[0], ws.tot0, out=dev[0]).max())
         stats.append([rel_atoms, float(np.max(dev[1])), float(np.max(dev[2]))])
     diff, big = ws.rel
     # the 2h pass; with an odd count a stop can fall off its lattice and end on a partial step
-    for s, (y, _) in enumerate(_integrate(y0, stops, steps / 2, spec, n_pump0, ws)):
-        np.abs(np.subtract(out[s], y, out=ws.arg), out=ws.mag)
-        np.max(ws.mag, axis=0, out=diff)
+    for s, (y, _) in enumerate(_integrate(y0, stops, spec, n_pump0, ws, doubled=True)):
+        np.max(np.abs(np.subtract(out[s], y, out=ws.arg), out=ws.mag), axis=0, out=diff)
         np.max(np.abs(out[s], out=ws.mag), axis=0, out=big)
-        np.divide(diff, big, out=diff)
-        stats[s].append(float(np.max(diff)) / 15.0)
+        stats[s].append(float(np.max(np.divide(diff, big, out=diff))) / 15.0)
     return stats
 
 
@@ -261,11 +263,9 @@ def evolve_tw(
     stops : strictly increasing r values up to r itself; the evolution to a
         smaller r is a prefix, so one pass yields the state at every stop.
 
-    Each chunk is integrated twice, on the lattice h = 1/steps_per_unit_r
-    and on 2h, with the same stops; the 2h states only feed the error
-    estimate (ConservationReport.rk4_error) and are dropped.  A non-finite
-    amplitude in either pass raises IntegrationError with the step index on
-    that pass's lattice; the h pass runs first.
+    Each chunk is integrated on h and then on 2h with the same stops; the 2h
+    states only feed ConservationReport.rk4_error.  A non-finite amplitude
+    raises IntegrationError with its pass and the step index on that pass.
 
     Returns the state at t1 and the conservation report of the run; with
     stops, the state is replaced by one (state, report) pair per stop, and

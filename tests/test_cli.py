@@ -134,6 +134,22 @@ def test_bad_value_rejected_before_work(tmp_path, capsys, verb, assignment):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("key,value", [
+    ("r", True), ("gain_g", "100"), ("r_list", "1, 2"), ("n_seed", None),
+    ("n_total", 10**400),  # a JSON integer past the float range
+])
+def test_embedded_config_values_must_be_numbers(tmp_path, capsys, key, value):
+    # a config embedded in a JSON summary skips the text parser's conversions
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps({"config": {key: value}}))
+    out = tmp_path / "out"
+    code = main(["phi-sweep", "--config", str(summary), "--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config" and record["message"].startswith(f"{key} must be")
+    assert not out.exists()
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -380,6 +396,20 @@ def test_rk4_failure_is_reported(tmp_path, capsys, verb, extra):
     gates = json.loads((out / f"{verb.replace('-', '_')}_summary.json").read_text())["gates"]
     assert gates["rk4"]["passed"] is False and gates["drift"]["passed"] is True
     assert gates["rk4"]["value"] == record["value"]
+
+
+def test_integration_error_is_reported(tmp_path, capsys):
+    # one step per unit r with the pump clamped: each step multiplies the
+    # amplitudes by about 2.7 until the h pass overflows, near step 707
+    out = tmp_path / "out"
+    code = main(["phi-sweep", "--set", "mode=clamped", "--set", "r=720",
+                 "--set", "steps_per_unit_r=1", "--set", "trajectories=100", "--out", str(out)])
+    assert code == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert record == {"error": "integration", "invariant": "finite_state", "pass": "h",
+                      "step_index": record["step_index"], "limit": "finite"}
+    assert 0 < record["step_index"] < 720
+    assert not out.exists()
 
 
 def test_summaries_carry_passed_gates(tmp_path):

@@ -331,14 +331,12 @@ def test_stops_must_rise_to_r():
         build_ensembles(1.0e6, 0.0, [], 8, SEED)
 
 
-# --- the in-place integrator against the allocate-per-operation form -----------
+# --- the in-place integrator against the allocate-per-operation forms ----------
 
-def reference_integrate(a1, a2, b2, stops, spec, n_pump0, steps_per_unit_r=None):
-    """RK4 written with a fresh array per operation: the form the buffered
-    integrator must reproduce bit for bit (on spec's lattice unless
-    steps_per_unit_r is given)."""
-    steps_per_unit_r = steps_per_unit_r or spec.steps_per_unit_r
-    h = 1.0 / steps_per_unit_r
+def textbook_integrate(a1, a2, b2, stops, spec, n_pump0):
+    """Classical RK4 as y + (h/6) (k1 + 2 k2 + 2 k3 + k4), with a fresh array per
+    operation: the oracle the folded step must match to rounding."""
+    h = 1.0 / spec.steps_per_unit_r
     inv_sq_n1 = 1.0 / np.sqrt(n_pump0)
 
     def f(a1, a2, b2):
@@ -350,27 +348,65 @@ def reference_integrate(a1, a2, b2, stops, spec, n_pump0, steps_per_unit_r=None)
             1j * a1 * np.conj(a2) * inv_sq_n1,
         )
 
-    tot0 = np.abs(a1) ** 2 + np.abs(a2) ** 2
-    mr0 = np.abs(a2) ** 2 - np.abs(b2) ** 2
-
-    def rk4_step(h, a1, a2, b2, dev_atoms, dev_mr, scale_mr):
+    def rk4_step(h, a1, a2, b2):
         k1 = f(a1, a2, b2)
         k2 = f(a1 + 0.5 * h * k1[0], a2 + 0.5 * h * k1[1], b2 + 0.5 * h * k1[2])
         k3 = f(a1 + 0.5 * h * k2[0], a2 + 0.5 * h * k2[1], b2 + 0.5 * h * k2[2])
         k4 = f(a1 + h * k3[0], a2 + h * k3[1], b2 + h * k3[2])
-        a1 = a1 + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        a2 = a2 + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        b2 = b2 + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        n2 = np.abs(a2) ** 2
-        nb = np.abs(b2) ** 2
+        return tuple(y + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                     for i, y in enumerate((a1, a2, b2)))
+
+    run, out, done = (a1, a2, b2), [], 0
+    for r in stops:
+        n = spec.steps_per_unit_r * r
+        n_full = int(np.floor(n + 1e-9))
+        for _ in range(done, n_full):
+            run = rk4_step(h, *run)
+        done = n_full
+        out.append(rk4_step((n - n_full) * h, *run) if n - n_full > 1e-9 else run)
+    return out
+
+
+def reference_integrate(a1, a2, b2, stops, spec, n_pump0, steps_per_unit_r=None):
+    """The folded RK4 step written with a fresh array per operation: the form the
+    buffered integrator must reproduce bit for bit (on spec's lattice unless
+    steps_per_unit_r is given).  k'1 = (h/2) f(y), k'2 = (h/2) f(y + k'1),
+    k'3 = h f(y + k'2), k'4 = (h/2) f(y + k'3), y += (k'1 + 2 k'2 + k'3 + k'4) / 3;
+    with the pump clamped the stages run on (a2, b2) alone."""
+    steps_per_unit_r = steps_per_unit_r or spec.steps_per_unit_r
+    h = 1.0 / steps_per_unit_r
+    inv_sq_n1 = 1.0 / np.sqrt(n_pump0)
+
+    def f(y, c):  # c times the right-hand side
+        if spec.clamp_pump:
+            a2, b2 = y
+            return np.stack([(1j * c) * np.conj(b2), (1j * c) * np.conj(a2)])
+        a1, a2, b2 = y
+        w = 1j * (c * inv_sq_n1)
+        return np.stack([(w * b2) * a2, (w * a1) * np.conj(b2), (w * a1) * np.conj(a2)])
+
+    def norm2(z):
+        return z.real ** 2 + z.imag ** 2
+
+    tot0 = norm2(a1) + norm2(a2)
+    mr0 = norm2(a2) - norm2(b2)
+
+    def rk4_step(h, a1, a2, b2, dev_atoms, dev_mr, scale_mr):
+        y = np.stack([a2, b2] if spec.clamp_pump else [a1, a2, b2])
+        k1 = f(y, 0.5 * h)
+        k2 = f(y + k1, 0.5 * h)
+        k3 = f(y + k2, h)
+        k4 = f(y + k3, 0.5 * h)
+        y = y + (k1 + 2.0 * k2 + k3 + k4) * (1.0 / 3.0)
+        a1, a2, b2 = (a1, *y) if spec.clamp_pump else y
+        n2, nb = norm2(a2), norm2(b2)
         if not spec.clamp_pump:
-            dev_atoms = np.maximum(dev_atoms, np.abs(np.abs(a1) ** 2 + n2 - tot0))
+            dev_atoms = np.maximum(dev_atoms, np.abs(norm2(a1) + n2 - tot0))
         dev_mr = np.maximum(dev_mr, np.abs(n2 - nb - mr0))
         scale_mr = np.maximum(scale_mr, n2 + nb)
         return a1, a2, b2, dev_atoms, dev_mr, scale_mr
 
-    run = (a1, a2, b2, np.zeros_like(tot0), np.zeros_like(mr0),
-           np.abs(a2) ** 2 + np.abs(b2) ** 2)
+    run = (a1, a2, b2, np.zeros_like(tot0), np.zeros_like(mr0), norm2(a2) + norm2(b2))
     out, done = [], 0
     for r in stops:
         n = steps_per_unit_r * r
@@ -408,6 +444,31 @@ def test_odd_step_count_is_bit_identical_to_the_reference(clamp):
                                 [0.25, 1.2345, 2.0, 2.2, 3.0])
 
 
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("steps", [40, 41])
+def test_folded_step_matches_the_textbook_rk4(clamp, steps):
+    # the folded stages are classical RK4 rearranged: only the roundings differ
+    spec = IntegratorSpec(steps_per_unit_r=steps, clamp_pump=clamp)
+    stops = [0.25, 1.2345, 2.0, 2.2, 3.0]
+    t0 = small_vacuum_ensemble(300, n_seed=1.0e4)
+    pairs, _ = evolve_tw(t0, stops[-1], spec, n_pump0=1.0e7 - 1.0e4, stops=stops)
+    oracle = textbook_integrate(t0.alpha1, t0.alpha2, t0.beta2, stops, spec, 1.0e7 - 1.0e4)
+    for want, (state, _) in zip(oracle, pairs, strict=True):
+        for x, attr in zip(want, ("alpha1", "alpha2", "beta2"), strict=True):
+            assert np.max(np.abs(getattr(state, attr) - x) / np.abs(x)) <= 1e-13
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_clamped_pump_is_never_written(n_threads):
+    # the stage slots are shared scratch; with the pump clamped alpha1 must
+    # come out of every stop, on and off the lattice, bit for bit as it went in
+    t0 = small_vacuum_ensemble(300, n_seed=1.0e4)
+    pairs, _ = evolve_tw(t0, 3.0, IntegratorSpec(clamp_pump=True), n_pump0=1.0e7 - 1.0e4,
+                         n_threads=n_threads, stops=[0.25, 1.2345, 2.0, 3.0])
+    for state, _ in pairs:
+        assert state.alpha1.tobytes() == t0.alpha1.tobytes()
+
+
 def check_against_the_reference(spec, stops):
     steps = spec.steps_per_unit_r
     t0 = small_vacuum_ensemble(300, n_seed=1.0e4)
@@ -438,12 +499,13 @@ def check_against_the_reference(spec, stops):
 
 
 def test_integration_error_reports_the_failing_step():
-    # with the pump clamped, a2 = 1e307 grows as cosh(r) until the step's
-    # stage sums overflow; every other trajectory stays finite
+    # with the pump clamped, a2 = 1e308 grows as cosh(r) until the state itself
+    # overflows (the folded stages are scaled before they are summed); every
+    # other trajectory stays finite
     spec = IntegratorSpec(steps_per_unit_r=400, clamp_pump=True)
     t0 = small_vacuum_ensemble(6)
     a1, a2, b2 = (np.array(getattr(t0, k)) for k in ("alpha1", "alpha2", "beta2"))
-    a2[3] = 1.0e307
+    a2[3] = 1.0e308
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationError) as err:
             evolve_tw(ModeTriple(a1, a2, b2), 3.0, spec)
