@@ -1,11 +1,11 @@
 """Batch command-line interface.
 
-Verbs: ``phi-sweep``, ``r-scan``, ``scatter``, ``feasibility``,
-``analytic-table``; ``figures`` (also reachable as ``--figures``) runs the
-bundled figure recipes.  Every output embeds the fully resolved
-configuration, numbers are written with 17 significant digits, and
-re-running from an output's embedded config reproduces the files
-byte-for-byte at any thread count.
+Verbs (``_verbs``): ``phi-sweep``, ``r-scan``, ``scatter``, ``analytic-table``,
+``feasibility``, and ``figures`` (also ``--figures``), the bundled figure
+recipes.  Config input is checked by key kind before any work.  Every output
+embeds the fully resolved configuration, numbers are written with 17
+significant digits, and re-running from an output's embedded config reproduces
+the files byte-for-byte at any thread count.
 """
 
 from __future__ import annotations
@@ -13,17 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .analytics import heisenberg, predict, r_crit, sql
 from .config import (
-    FEASIBILITY_KEYS,
-    RUN_KEYS,
+    RUN_KINDS,
+    SETUP_KINDS,
     ConfigError,
     RunConfig,
+    check_kinds,
     load_config_file,
     make_config,
     parse_assignments,
@@ -90,8 +91,17 @@ def write_summary(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _data_path(out_dir: Path, stem: str, fmt: str) -> Path:
-    return out_dir / f"{stem}.{'json' if fmt == 'json' else 'csv'}"
+def _write_run(config: RunConfig, out_dir: Path, stem: str, columns: list[str], rows,
+               summary: dict, reports=None, finite=None) -> int:
+    """Write the data table and the summary (config, summary, then the gates over
+    reports and finite when reports are given); 0 unless a gate failed."""
+    payload = {"config": config.to_dict(), **summary}
+    write_table(out_dir / f"{stem}.{config.output_format}", columns, rows, payload["config"],
+                config.output_format)
+    if reports is not None:
+        payload["gates"] = _gates(reports, finite)
+    write_summary(out_dir / f"{stem}_summary.json", payload)
+    return _gate_status(payload.get("gates", {}))
 
 
 PHI_SWEEP_COLUMNS = [
@@ -109,18 +119,11 @@ def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
         curve.phi, curve.mean_s_a, curve.var_s_a, curve.mean_s_b, curve.mean_s,
         curve.var_s, curve.ds_dphi, curve.delta_phi, curve.m, curve.m_ci_lo, curve.m_ci_hi,
     ))
-    cfg = config.to_dict()
-    write_table(_data_path(out_dir, stem, config.output_format),
-                PHI_SWEEP_COLUMNS, rows, cfg, config.output_format)
-
     min_m, argmin_phi, k = curve.min_m()
     drift = ensemble.conservation
     transferred = transferred_atoms(ensemble)
     ci = [float(curve.m_ci_lo[k]), float(curve.m_ci_hi[k])]
-    gates = _gates([drift], {"min_m": min_m, "argmin_phi": argmin_phi,
-                             "transferred_atoms": transferred})
-    write_summary(out_dir / f"{stem}_summary.json", {
-        "config": cfg,
+    return _write_run(config, out_dir, stem, PHI_SWEEP_COLUMNS, rows, {
         "min_m": min_m,
         "argmin_phi": argmin_phi,
         "m_ci_at_argmin": ci,
@@ -130,9 +133,7 @@ def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
         "max_rel_drift_manley_rowe": drift.max_rel_drift_manley_rowe,
         "traj_count": curve.traj_count,
         "error_budget": _error_budget(drift, min_m, ci),
-        "gates": gates,
-    })
-    return _gate_status(gates)
+    }, [drift], {"min_m": min_m, "argmin_phi": argmin_phi, "transferred_atoms": transferred})
 
 
 R_SCAN_COLUMNS = [
@@ -150,23 +151,16 @@ def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan", ensembles
          row.var_squeezed_combo, row.m_plain, row.m_recycled, row.correction_sign)
         for row in result.rows
     ]
-    cfg = config.to_dict()
-    write_table(_data_path(out_dir, stem, config.output_format),
-                R_SCAN_COLUMNS, rows, cfg, config.output_format)
     report = result.report
     finite = {"r_star": report.r_star, "m_star": report.m_star,
               "atoms_transferred_at_star": report.atoms_transferred_at_star}
-    gates = _gates([row.conservation for row in result.rows], finite)
     star = result.rows[result.star]
-    write_summary(out_dir / f"{stem}_summary.json", {
-        "config": cfg,
+    return _write_run(config, out_dir, stem, R_SCAN_COLUMNS, rows, {
         **finite,
         "equivalent_atom_gain": report.equivalent_atom_gain,
         "at_boundary": report.at_boundary,
         "error_budget": _error_budget(star.conservation, star.m, (star.m_ci_lo, star.m_ci_hi)),
-        "gates": gates,
-    })
-    return _gate_status(gates)
+    }, [row.conservation for row in result.rows], finite)
 
 
 SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
@@ -184,32 +178,31 @@ def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembl
         s = s_a + d
         rows.extend(zip(range(ensemble.n_traj), [phi] * ensemble.n_traj, s_a, s_b_scaled, s))
         corr[_fmt(float(phi))] = float(np.corrcoef(s_a, s_b_scaled)[0, 1])
-    cfg = config.to_dict()
-    write_table(_data_path(out_dir, stem, config.output_format),
-                SCATTER_COLUMNS, rows, cfg, config.output_format)
     drift = ensemble.conservation
     transferred = transferred_atoms(ensemble)
     finite = {f"corr_s_a_vs_s_b_over_g[{phi}]": c for phi, c in corr.items()}
-    gates = _gates([drift], {**finite, "transferred_atoms": transferred})
-    write_summary(out_dir / f"{stem}_summary.json", {
-        "config": cfg,
+    return _write_run(config, out_dir, stem, SCATTER_COLUMNS, rows, {
         "correction_sign": sign,
         "corr_s_a_vs_s_b_over_g": corr,
         "transferred_atoms": transferred,
         "max_rel_drift_atoms": drift.max_rel_drift_atoms,
         "max_rel_drift_manley_rowe": drift.max_rel_drift_manley_rowe,
-        "gates": gates,
-    })
-    return _gate_status(gates)
+    }, [drift], {**finite, "transferred_atoms": transferred})
+
+
+def make_setup(mapping: dict) -> PhysicalSetup:
+    """The feasibility setup of mapping, checked by kind as a run config is; a
+    number given in JSON is stored as a float, as the report echoes it."""
+    check_kinds(mapping, SETUP_KINDS)
+    return PhysicalSetup(**{key: float(value) for key, value in mapping.items()}).validate()
 
 
 def cmd_feasibility(setup: PhysicalSetup, out_dir: Path, stem: str = "feasibility") -> int:
-    setup.validate()
     fraction = capture_fraction(setup)
     ratio = rate_ratio(setup)
     scaling = scaling_estimate(setup.n_seed, setup.n_total) if setup.n_seed > 0 else None
     write_summary(out_dir / f"{stem}.json", {
-        "config": {key: getattr(setup, key) for key in FEASIBILITY_KEYS},
+        "config": asdict(setup),
         "capture_fraction": fraction,
         "rate_ratio": ratio,
         "scaling_estimate": scaling,
@@ -231,16 +224,11 @@ def cmd_analytic_table(config: RunConfig, out_dir: Path, stem: str = "analytic_t
         p = predict(float(r), config.n_total)
         rows.append((p.r, p.delta_phi_plain, p.delta_phi_recycled, p.m_plain,
                      p.m_recycled, p.var_squeezed_combo, p.var_antisqueezed_combo))
-    cfg = config.to_dict()
-    write_table(_data_path(out_dir, stem, config.output_format),
-                ANALYTIC_COLUMNS, rows, cfg, config.output_format)
-    write_summary(out_dir / f"{stem}_summary.json", {
-        "config": cfg,
+    return _write_run(config, out_dir, stem, ANALYTIC_COLUMNS, rows, {
         "sql": sql(config.n_total),
         "heisenberg": heisenberg(config.n_total),
         "r_crit": r_crit(),
     })
-    return 0
 
 
 def cmd_figures(config: RunConfig, out_dir: Path) -> int:
@@ -269,7 +257,7 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
              squeezed_combo_variance(s), transferred_atoms(s))
             for r, u, s in zip(r_grid, tw_unseeded, tw_seeded)]
     write_table(
-        _data_path(fig_dir, "squeezing_vs_r", config.output_format),
+        fig_dir / f"squeezing_vs_r.{config.output_format}",
         ["r", "var_undepleted", "var_tw_unseeded", "transferred_unseeded",
          "var_tw_seeded", "transferred_seeded"],
         rows, config.to_dict(), config.output_format,
@@ -323,14 +311,21 @@ def _error_record(kind: str, message: str) -> str:
     return json.dumps({"error": kind, "message": message})
 
 
-VERBS = {
-    "phi-sweep": "sensitivity across the interferometer phase grid",
-    "r-scan": "M at phi = pi/2 across r_list, with the optimum",
-    "scatter": "per-trajectory signals at a few phases",
-    "feasibility": "geometric capture fraction and rate-ratio estimates",
-    "analytic-table": "closed-form undepleted-pump predictions per r",
-    "figures": "run the bundled figure recipes",
-}
+def _verbs() -> dict:
+    """verb: (handler, config keys and kinds, config constructor, help).  Built when
+    called, so that a function rebound on this module (as perfbench/tracing.py
+    wraps the handlers) is the one that runs."""
+    run = (RUN_KINDS, make_config)
+    return {
+        "phi-sweep": (cmd_phi_sweep, *run, "sensitivity across the interferometer phase grid"),
+        "r-scan": (cmd_r_scan, *run, "M at phi = pi/2 across r_list, with the optimum"),
+        "scatter": (cmd_scatter, *run, "per-trajectory signals at a few phases"),
+        "feasibility": (cmd_feasibility, SETUP_KINDS, make_setup,
+                        "geometric capture fraction and rate-ratio estimates"),
+        "analytic-table": (cmd_analytic_table, *run,
+                           "closed-form undepleted-pump predictions per r"),
+        "figures": (cmd_figures, *run, "run the bundled figure recipes"),
+    }
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -342,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override master_seed")
     common.add_argument("--threads", type=int, help="trajectory worker threads")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--format", choices=("csv", "json"), help="data file format")
+    common.add_argument("--format", help="data file format, csv or json")
 
     parser = argparse.ArgumentParser(
         prog="atomlight",
@@ -351,44 +346,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"atomlight {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb, text in VERBS.items():
+    for verb, (*_, text) in _verbs().items():
         sub.add_parser(verb, parents=[common], help=text)
     return parser
 
 
-def _resolve_mapping(args, keys=RUN_KEYS) -> dict:
-    """The config file, then each --set, then the common flags that name a key."""
+def _resolve_mapping(args, keys) -> dict:
+    """The config file, then each --set, then the common flags (refused for a key
+    that keys lacks, as an unknown --set key is)."""
     mapping = {}
     if args.config:
         mapping.update(load_config_file(args.config, keys=keys))
     for item in args.set:
         mapping.update(parse_assignments([item], source="--set", keys=keys))
     flags = {"master_seed": args.seed, "threads": args.threads, "output_format": args.format}
-    mapping.update({k: v for k, v in flags.items() if v is not None and k in keys})
+    flags = {key: value for key, value in flags.items() if value is not None}
+    unknown = sorted(set(flags) - set(keys))
+    if unknown:
+        raise ConfigError(f"common flags set keys {args.command} does not have: {unknown}")
+    mapping.update(flags)
     return mapping
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    verbs = _verbs()
     if "--figures" in argv:  # common-flag spelling of the figures verb
         argv.remove("--figures")
-        if argv and argv[0] in VERBS and argv[0] != "figures":
+        if argv and argv[0] in verbs and argv[0] != "figures":
             print(_error_record("config", f"--figures conflicts with the "
                                           f"{argv[0]!r} command"), file=sys.stderr)
             return 2
         if not argv or argv[0] != "figures":
             argv.insert(0, "figures")
     args = _build_parser().parse_args(argv)
-    out_dir = Path(args.out)
+    handler, kinds, make, _ = verbs[args.command]
 
     try:
-        if args.command == "feasibility":
-            mapping = _resolve_mapping(args, FEASIBILITY_KEYS)
-            return cmd_feasibility(PhysicalSetup(**{k: float(v) for k, v in mapping.items()}),
-                                   out_dir)
-        command = {"phi-sweep": cmd_phi_sweep, "r-scan": cmd_r_scan, "scatter": cmd_scatter,
-                   "analytic-table": cmd_analytic_table, "figures": cmd_figures}[args.command]
-        return command(make_config(_resolve_mapping(args)), out_dir)
+        return handler(make(_resolve_mapping(args, kinds)), Path(args.out))
     except IntegrationError as exc:  # raised before any file is written
         print(json.dumps({"error": "integration", "invariant": "finite_state", "pass": exc.lattice,
                           "step_index": exc.step_index, "limit": "finite"}), file=sys.stderr)

@@ -5,12 +5,16 @@ unknown keys are hard errors so typos cannot silently fall back to a
 default), with command-line overrides applied on top.  The defaults
 reproduce the standard working point: r = 3, N_seed = 1e4, N_t = 1e7,
 g = 100, 1000 trajectories.
+
+Each key of a run config (``RUN_KINDS``) and of a feasibility setup
+(``SETUP_KINDS``) has one kind: how its text parses and which values it takes,
+checked again on the values of a config embedded in a JSON summary.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,10 +23,7 @@ from .dynamics import DEFAULT_STEPS_PER_UNIT_R, EVOLUTION_MODES
 # config value -> HomodyneSpec.correction_sign
 CORRECTIONS = {"on": "plus", "off": "off", "auto_sign": "auto"}
 OUTPUT_FORMATS = ("csv", "json")
-INT_KEYS = ("phi_count", "trajectories", "steps_per_unit_r", "master_seed", "threads",
-            "bootstrap_resamples")
-FLOAT_KEYS = ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g")
-LIST_KEYS = ("r_list", "scatter_phis")
+_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
 class ConfigError(ValueError):
@@ -32,6 +33,54 @@ class ConfigError(ValueError):
 def _is_number(value) -> bool:
     """A real number that is not a bool (JSON true/false would pass as 1/0)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(values) -> bool:
+    try:
+        return bool(np.all(np.isfinite(np.array(values, dtype=np.float64))))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_floats(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value)) and _finite(value)
+
+
+def _parse_floats(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+# A kind is (what a value must be, text -> value, does a value qualify).
+INT = ("an integer", int, lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool))
+FLOAT = ("a finite number", float, lambda v: _is_number(v) and _finite(v))
+FLOATS = ("a list of finite numbers", _parse_floats, _is_floats)
+FLOATS_OR_NONE = ("a list of finite numbers or null", _parse_floats,
+                  lambda v: v is None or _is_floats(v))
+BOOL = ("a boolean", lambda raw: _BOOL_STRINGS[raw.lower()], lambda v: isinstance(v, bool))
+
+
+def _choice(options: tuple) -> tuple:
+    return (f"one of {options}", str, lambda v: v in options)
+
+
+RUN_KINDS = {
+    "n_total": FLOAT, "n_seed": FLOAT, "r": FLOAT, "r_list": FLOATS_OR_NONE,
+    "phi_start": FLOAT, "phi_stop": FLOAT, "phi_count": INT, "gain_g": FLOAT,
+    "trajectories": INT, "steps_per_unit_r": INT, "master_seed": INT,
+    "mode": _choice(EVOLUTION_MODES), "correction": _choice(tuple(CORRECTIONS)),
+    "lo_sampled": BOOL, "output_format": _choice(OUTPUT_FORMATS), "threads": INT,
+    "bootstrap_resamples": INT, "scatter_phis": FLOATS,
+}
+SETUP_KINDS = dict.fromkeys(
+    ("atomic_mass", "radial_trap_freq", "wavelength", "n_seed", "n_total"), FLOAT)
+
+
+def check_kinds(values: dict, kinds: dict):
+    """Raise a ConfigError naming the first key whose value its kind refuses."""
+    for key, value in values.items():
+        what, _, qualifies = kinds[key]
+        if not qualifies(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -58,26 +107,7 @@ class RunConfig:
     )
 
     def validate(self) -> "RunConfig":
-        for key in INT_KEYS:  # a config embedded in a JSON summary skips the text parser
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if not isinstance(self.lo_sampled, bool):
-            raise ConfigError(f"lo_sampled must be a boolean, got {self.lo_sampled!r}")
-        for key in FLOAT_KEYS + LIST_KEYS:
-            value = getattr(self, key)
-            if key == "r_list" and value is None:
-                continue
-            values = value if key in LIST_KEYS else [value]
-            if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
-                kind = "a list of numbers" if key in LIST_KEYS else "a number"
-                raise ConfigError(f"{key} must be {kind}, got {value!r}")
-            try:
-                finite = np.all(np.isfinite(np.array(values, dtype=np.float64)))
-            except OverflowError:  # an int beyond the float range
-                finite = False
-            if not finite:
-                raise ConfigError(f"{key} must be finite")
+        check_kinds(vars(self), RUN_KINDS)
         if self.n_total <= 0:
             raise ConfigError("n_total must be finite and > 0")
         if self.n_seed < 0 or self.n_seed >= self.n_total:
@@ -97,12 +127,6 @@ class RunConfig:
             raise ConfigError("trajectories must be >= 100")
         if self.steps_per_unit_r < 1:
             raise ConfigError("steps_per_unit_r must be >= 1")
-        if self.mode not in EVOLUTION_MODES:
-            raise ConfigError(f"mode must be one of {EVOLUTION_MODES}")
-        if self.correction not in CORRECTIONS:
-            raise ConfigError(f"correction must be one of {tuple(CORRECTIONS)}")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError(f"output_format must be one of {OUTPUT_FORMATS}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.bootstrap_resamples < 100:
@@ -121,36 +145,8 @@ class RunConfig:
         return out
 
 
-RUN_KEYS = tuple(f.name for f in fields(RunConfig))
-FEASIBILITY_KEYS = ("atomic_mass", "radial_trap_freq", "wavelength", "n_seed", "n_total")
-
-_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("r_list", "scatter_phis"):
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-    if key == "lo_sampled":
-        try:
-            return _BOOL_STRINGS[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
-    if key in ("mode", "correction", "output_format"):
-        return raw
-    if key in INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-
-
-def parse_assignments(lines, source: str = "<config>", keys=RUN_KEYS) -> dict:
-    """Parse ``key = value`` lines into a mapping of known config keys."""
+def parse_assignments(lines, source: str = "<config>", keys=RUN_KINDS) -> dict:
+    """Parse ``key = value`` lines into a mapping of the keys of ``keys``, by kind."""
     out = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -161,11 +157,15 @@ def parse_assignments(lines, source: str = "<config>", keys=RUN_KEYS) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in keys:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        out[key] = _parse_value(key, raw)
+        what, parse, _ = keys[key]
+        try:
+            out[key] = parse(raw)
+        except (ValueError, KeyError):
+            raise ConfigError(f"{source}:{lineno}: {key} must be {what}, got {raw!r}") from None
     return out
 
 
-def load_config_file(path, keys=RUN_KEYS) -> dict:
+def load_config_file(path, keys=RUN_KINDS) -> dict:
     """Load a flat key=value config file, or the embedded config of a JSON summary."""
     import json
     from pathlib import Path
@@ -182,5 +182,4 @@ def load_config_file(path, keys=RUN_KEYS) -> dict:
 
 
 def make_config(mapping: dict) -> RunConfig:
-    cfg = RunConfig(**mapping)
-    return cfg.validate()
+    return RunConfig(**mapping).validate()

@@ -42,6 +42,7 @@ from .interferometer import (
 from .phasespace import quadrature_x, quadrature_y
 
 _BOOTSTRAP_STREAM_BLOCK = 5  # Philox counter block disjoint from trajectory streams
+CI_LEVEL = 0.95  # coverage of every bootstrap interval
 
 
 @dataclass
@@ -208,10 +209,9 @@ def bootstrap_ci(
     phi,
     n_total: float,
     resamples: int = 200,
-    quantile: float = 0.95,
     master_seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Percentile bootstrap interval for M at each phase in phi.
+    """Percentile bootstrap interval (coverage CI_LEVEL) for M at each phase in phi.
 
     Whole trajectories are resampled so the variance and the fringe slope are
     recomputed jointly.  features is as in point_statistics, giving edges of
@@ -236,7 +236,7 @@ def bootstrap_ci(
     statistics = [_moments(f, phi, block[s * rows:(s + 1) * rows])[1]
                   for s, f in enumerate(features)]
     sums = _resample_sums(block, resamples, master_seed)
-    lo_q = 100.0 * (1.0 - quantile) / 2.0
+    lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
     edges = np.stack([
         np.percentile(stats(sums[:, s * rows:(s + 1) * rows], n_total)["m"],
                       [lo_q, 100.0 - lo_q], axis=0)
@@ -250,7 +250,6 @@ def sensitivity_curve(
     phi,
     spec: HomodyneSpec,
     resamples: int = 200,
-    quantile: float = 0.95,
 ) -> SensitivityCurve:
     """Full sensitivity analysis of one ensemble at each phase in phi."""
     if ensemble.n_traj < 100:
@@ -262,8 +261,7 @@ def sensitivity_curve(
     # the atomic record alone (B, C), for the fringe and scatter diagnostics
     atomic = point_statistics(features[:, :2], phi, ensemble.n_total)
     ci_lo, ci_hi = bootstrap_ci(
-        features, phi, ensemble.n_total, resamples=resamples, quantile=quantile,
-        master_seed=ensemble.master_seed,
+        features, phi, ensemble.n_total, resamples=resamples, master_seed=ensemble.master_seed,
     )
     return SensitivityCurve(
         phi=phi,

@@ -309,6 +309,51 @@ def test_feasibility_config_file_and_rerun(tmp_path):
     assert (out1 / "feasibility.json").read_bytes() == (out2 / "feasibility.json").read_bytes()
 
 
+@pytest.mark.parametrize("given,key", [
+    ("--set wavelength=nan", "wavelength"),
+    ("--set n_total=inf", "n_total"),
+    ('{"n_seed": true}', "n_seed"),
+    ('{"n_seed": "1e4"}', "n_seed"),
+    ('{"n_total": null}', "n_total"),
+    ("--seed 5", "master_seed"),
+    ("--threads 3", "threads"),
+    ("--format json", "output_format"),
+])
+def test_feasibility_bad_input_rejected_before_work(tmp_path, capsys, given, key):
+    # {...} is an embedded JSON config; a common flag names a key feasibility lacks
+    args = given.split()
+    if given.startswith("{"):
+        summary = tmp_path / "feasibility.json"
+        summary.write_text(f'{{"config": {given}}}')
+        args = ["--config", str(summary)]
+    out = tmp_path / "out"
+    code = main(["feasibility", *args, "--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config" and key in record["message"]
+    assert not out.exists()
+
+
+def test_benchmark_set_up_resolves_its_workloads(tmp_path):
+    # perfbench times this set-up (import and config resolution) for every
+    # listed workload; a rename or a stricter parse must fail here first
+    root = SRC.parent
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        from workloads import LISTED, WORKLOADS
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    for name in LISTED:  # phi_sweep_wp and r_scan_seeded
+        wl = WORKLOADS[name]
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"config": wl.config, "sets": list(wl.sets),
+                                    "seed": 12345, "threads": wl.threads}))
+        proc = subprocess.run([sys.executable, str(root / "perfbench" / "tracing.py"), "setup",
+                               str(spec)], cwd=root, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 # --- analytic table ----------------------------------------------------------------
 
 def test_analytic_table(tmp_path):

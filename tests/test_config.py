@@ -1,14 +1,18 @@
 """Property tests: every bad config mapping is refused by validation."""
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomlight.config import ConfigError, make_config
+from atomlight.cli import make_setup
+from atomlight.config import RUN_KINDS, SETUP_KINDS, ConfigError, RunConfig, make_config
+from atomlight.feasibility import PhysicalSetup
 
 FLOAT_KEYS = ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g")
+SETUP_KEYS = ("atomic_mass", "radial_trap_freq", "wavelength", "n_seed", "n_total")
 LIST_KEYS = ("r_list", "scatter_phis")
 INT_KEYS = ("phi_count", "trajectories", "steps_per_unit_r", "master_seed", "threads",
             "bootstrap_resamples")
@@ -28,16 +32,33 @@ valid_rest = st.fixed_dictionaries({}, optional={
 })
 
 
-def rejected(mapping) -> bool:
+# a valid feasibility setup around the bundled Rb-87 example
+valid_setup = st.fixed_dictionaries({}, optional={
+    "radial_trap_freq": st.floats(10.0, 1.0e4),
+    "wavelength": st.floats(1.0e-7, 2.0e-6),
+    "n_seed": st.floats(0.0, 1.0e4),
+})
+
+
+def rejected(mapping, make=make_config) -> bool:
     with pytest.raises(ConfigError):
-        make_config(mapping)
+        make(mapping)
     return True
 
 
+def test_every_field_has_one_kind():
+    assert list(RUN_KINDS) == [f.name for f in fields(RunConfig)]
+    assert list(SETUP_KINDS) == [f.name for f in fields(PhysicalSetup)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(valid_rest, st.sampled_from(FLOAT_KEYS), NON_FINITE)
-def test_non_finite_float_key_rejected(rest, key, value):
-    assert rejected({**rest, key: value})
+@given(st.one_of(st.tuples(valid_rest, st.sampled_from(FLOAT_KEYS), st.just(make_config)),
+                 st.tuples(valid_setup, st.sampled_from(SETUP_KEYS), st.just(make_setup))),
+       NON_FINITE)
+def test_non_finite_float_key_rejected(case, value):
+    # run configs and feasibility setups pass the same check on each key's kind
+    rest, key, make = case
+    assert rejected({**rest, key: value}, make)
 
 
 @settings(max_examples=60, deadline=None)
