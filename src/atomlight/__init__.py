@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 import os
 
-# The trajectory workers (--threads) are the program's parallelism; an idle
-# OpenBLAS pool only spins.  Set before numpy loads it; a user's own value wins.
+# The program runs on one thread (see dynamics); an idle OpenBLAS pool only
+# spins.  Set before numpy loads it; a user's own value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .phasespace import (

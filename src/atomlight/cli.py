@@ -251,19 +251,19 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
     tw_unseeded, tw_seeded, m_unseeded, m_seeded, working = (
         [built[cfg.n_seed, cfg.mode][r] for r in cfg.r_list] for cfg in recipes)
 
-    # (a) variance of the squeezed quadrature combination vs r
+    # (a) variance of the squeezed quadrature combination vs r, gated over its TW ensembles
+    columns = ["r", "var_undepleted", "var_tw_unseeded", "transferred_unseeded",
+               "var_tw_seeded", "transferred_seeded"]
     rows = [(r, predict(r, config.n_total).var_squeezed_combo,
              squeezed_combo_variance(u), transferred_atoms(u),
              squeezed_combo_variance(s), transferred_atoms(s))
             for r, u, s in zip(r_grid, tw_unseeded, tw_seeded)]
-    write_table(
-        fig_dir / f"squeezing_vs_r.{config.output_format}",
-        ["r", "var_undepleted", "var_tw_unseeded", "transferred_unseeded",
-         "var_tw_seeded", "transferred_seeded"],
-        rows, config.to_dict(), config.output_format,
-    )
+    finite = {key: float(np.max(np.abs(column)))  # NaN and inf survive the max
+              for key, column in zip(columns[2:], list(zip(*rows))[2:])}
+    status = _write_run(config, fig_dir, "squeezing_vs_r", columns, rows, {},
+                        [e.conservation for e in tw_unseeded + tw_seeded], finite)
     # (b), (c) M vs r, unseeded and seeded
-    status = cmd_r_scan(unseeded, fig_dir, "m_vs_r_unseeded", m_unseeded)
+    status |= cmd_r_scan(unseeded, fig_dir, "m_vs_r_unseeded", m_unseeded)
     status |= cmd_r_scan(seeded, fig_dir, "m_vs_r_seeded", m_seeded)
     # (d) fringe, per-trajectory scatter and M vs phi at the working point
     status |= cmd_phi_sweep(config, fig_dir, "phi_sweep_working_point", working)
@@ -335,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     common.add_argument("--seed", type=int, help="override master_seed")
-    common.add_argument("--threads", type=int, help="trajectory worker threads")
+    common.add_argument("--threads", type=int, help="accepted; RK4 runs on one thread")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--format", help="data file format, csv or json")
 

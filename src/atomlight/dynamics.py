@@ -33,6 +33,16 @@ constants folded into the right-hand side: k'1 = (h/2) f(y),
 k'2 = (h/2) f(y + k'1), k'3 = h f(y + k'2), k'4 = (h/2) f(y + k'3), and
 y += (k'1 + 2 k'2 + k'3 + k'4) / 3, in two stage buffers per chunk.
 
+evolve_tw steps the ensemble in chunks of RK4_CHUNK trajectories, one after
+another, in one workspace as wide as a chunk: the RK4 scratch stays in a
+core's L2 cache and does not grow with the ensemble.  Every operation is per
+trajectory and the drift and error maxima are taken over chunks, so states
+and reports are bit-identical at any chunk size.  The chunks run on the
+calling thread at any thread count: numpy releases the interpreter lock for
+each ufunc, which takes about 7 us on a chunk, less than a hand-off of the
+lock between threads, and a second worker thread made the RK4 slower at
+every ensemble size timed (3e4 to 1e6 trajectories, 2 cores).
+
 The pump treatment is chosen by one setting, the mode of build_ensembles
 (EVOLUTION_MODES).  "clamped" is an integrator setting
 (IntegratorSpec.clamp_pump); "decorrelated" integrates the full dynamics
@@ -56,6 +66,13 @@ from .phasespace import (
 EVOLUTION_MODES = ("tw", "analytic", "clamped", "decorrelated")
 
 DEFAULT_STEPS_PER_UNIT_R = 40
+
+# Trajectories per RK4 chunk.  A step touches about 270 B per trajectory of
+# the workspace, so a chunk's working set (1.4 MB) stays in a 2 MB L2 core
+# cache at any ensemble size.  Of the widths timed at 1e4 and 1e5
+# trajectories (2500 to 12500, and one chunk), 5000 was fastest at 1e4 and
+# within the noise of the fastest at 1e5.
+RK4_CHUNK = 5000
 
 
 class IntegrationError(RuntimeError):
@@ -121,24 +138,47 @@ def evolve_analytic(state: ModeTriple, r: float) -> ModeTriple:
 
 
 class _Workspace:
-    """Everything the RK4 passes over one chunk (rows a1, a2, b2) write to.
+    """Everything the RK4 passes over a chunk (rows a1, a2, b2) write to.
 
-    Built on the calling thread and reused by both passes, so a worker
-    thread allocates nothing: glibc would keep what a worker frees in that
-    thread's own arena, out of reach of the rest of the run.
+    As wide as the widest chunk it will take, and reused by every chunk and
+    by both passes over each.  start points the attributes at the leading
+    columns, so a shorter last chunk works in views.
     """
 
-    def __init__(self, y0):
-        n1, n2, nb = y0.real ** 2 + y0.imag ** 2  # |y|^2 as the steps take it
-        self.tot0, self.mr0, self.scale0 = n1 + n2, n2 - nb, n2 + nb  # scale0: initial MR scale
-        self.k = np.empty((2,) + y0.shape, dtype=np.complex128)  # the stage sum, the latest stage
-        self.arg = np.empty_like(y0)  # stage argument, then scratch
-        self.im2 = self.arg.view(np.float64)[:, :y0.shape[1]]  # Im(y)^2, in arg's memory
-        self.lin = np.empty_like(y0[0])  # the folded factor times a1 or b2
-        self.mag = np.empty(y0.shape)  # |a1|^2, |a2|^2, |b2|^2, then drift terms
-        self.y, self.y_stop = np.empty_like(y0), np.empty_like(y0)
-        self.dev, self.dev_stop = np.empty(y0.shape), np.empty(y0.shape)
-        self.rel = np.empty((2,) + self.tot0.shape)  # max |y_h - y_2h| and max |y_h| over modes
+    def __init__(self, width: int):
+        self._buffers = {
+            "y0": np.empty((3, width), dtype=np.complex128),  # the chunk's initial state
+            "k": np.empty((2, 3, width), dtype=np.complex128),  # the stage sum, the latest stage
+            "arg": np.empty((3, width), dtype=np.complex128),  # stage argument, then scratch
+            "lin": np.empty(width, dtype=np.complex128),  # the folded factor times a1 or b2
+            "mag": np.empty((3, width)),  # |a1|^2, |a2|^2, |b2|^2, then drift terms
+            "y": np.empty((3, width), dtype=np.complex128),
+            "y_stop": np.empty((3, width), dtype=np.complex128),
+            "dev": np.empty((3, width)),
+            "dev_stop": np.empty((3, width)),
+            "initial": np.empty((3, width)),  # tot0, mr0, scale0 (the initial MR scale)
+            "rel": np.empty((2, width)),  # max |y_h - y_2h| and max |y_h| over modes
+        }
+
+    def start(self, rows):
+        """Take a chunk: copy in its rows (a1, a2, b2) and set its initial invariants.
+
+        Returns the chunk's initial state, a workspace view.
+        """
+        width = len(rows[0])
+        for name, buffer in self._buffers.items():
+            setattr(self, name, buffer[..., :width])
+        self.im2 = self.arg.view(np.float64)[:, :width]  # Im(y)^2, in arg's memory
+        for row, source in zip(self.y0, rows):
+            np.copyto(row, source)
+        n1, n2, nb = self.mag  # |y|^2 as the steps take it
+        np.add(np.square(self.y0.real, out=self.mag), np.square(self.y0.imag, out=self.im2),
+               out=self.mag)
+        self.tot0, self.mr0, self.scale0 = self.initial
+        np.add(n1, n2, out=self.tot0)
+        np.subtract(n2, nb, out=self.mr0)
+        np.add(n2, nb, out=self.scale0)
+        return self.y0
 
 
 def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float, ws: _Workspace, doubled=False):
@@ -218,13 +258,15 @@ def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float, ws: _Workspace, 
             yield ws.y_stop, dev_stop
 
 
-def _evolve_chunk(y0, ws: _Workspace, out, stops, spec: IntegratorSpec, n_pump0: float):
-    """The h pass into out (one row block per stop), then the 2h pass on the same stops.
+def _evolve_chunk(rows, ws: _Workspace, out, stops, spec: IntegratorSpec, n_pump0: float):
+    """The h pass of the chunk rows (a1, a2, b2) into out (one row block per
+    stop), then the 2h pass on the same stops, both in ws.
 
     Returns per stop the raw drift extrema and the step-doubling estimate
     max over trajectories of max(|y_h - y_2h|) / 15 / max(|y_h|), the
     Richardson error of RK4 relative to each trajectory's largest amplitude.
     """
+    y0 = ws.start(rows)
     stats = []
     for s, (y, dev) in enumerate(_integrate(y0, stops, spec, n_pump0, ws)):
         out[s] = y
@@ -257,15 +299,18 @@ def evolve_tw(
     n_pump0 : nominal initial pump occupation N1(0) used for the time
         rescaling.  Defaults to the symmetric-ordering estimate from the
         state itself.
-    n_threads : split the ensemble into contiguous chunks evolved in
-        parallel.  All operations are elementwise per trajectory, so the
-        result is bit-identical at any thread count.
+    n_threads : kept for callers that pass a thread count; the chunks run
+        on the calling thread whatever it is (see the module docstring).
     stops : strictly increasing r values up to r itself; the evolution to a
         smaller r is a prefix, so one pass yields the state at every stop.
 
-    Each chunk is integrated on h and then on 2h with the same stops; the 2h
-    states only feed ConservationReport.rk4_error.  A non-finite amplitude
-    raises IntegrationError with its pass and the step index on that pass.
+    Each chunk of RK4_CHUNK trajectories is integrated on h and then on 2h
+    with the same stops; the 2h states only feed ConservationReport.rk4_error.
+    A non-finite amplitude raises IntegrationError with its pass and the step
+    index on that pass, after every chunk has run: the earliest failure, an
+    h-pass one before any 2h-pass one, then the smallest step index, so the
+    error does not depend on the chunking.  Its snapshot is the failing
+    chunk's state.
 
     Returns the state at t1 and the conservation report of the run; with
     stops, the state is replaced by one (state, report) pair per stop, and
@@ -281,22 +326,20 @@ def evolve_tw(
     if n_pump0 is None:
         n_pump0 = max(occupation(state.alpha1), 1.0)
 
-    y = np.array([state.alpha1, state.alpha2, state.beta2], dtype=np.complex128).reshape(3, -1)
-    states = np.empty((len(points),) + y.shape, dtype=np.complex128)
-    bounds = np.linspace(0, y.shape[1], max(1, min(n_threads, y.shape[1])) + 1, dtype=int)
-    chunks = [(y[:, i:j], _Workspace(y[:, i:j]), states[:, :, i:j])
-              for i, j in zip(bounds[:-1], bounds[1:])]
-
-    def run(chunk):
-        return _evolve_chunk(*chunk, points, spec, n_pump0)
-
-    if len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(chunks[0])]
+    rows = [np.ravel(np.asarray(a, dtype=np.complex128))
+            for a in (state.alpha1, state.alpha2, state.beta2)]
+    n = rows[0].size
+    states = np.empty((len(points), 3, n), dtype=np.complex128)
+    ws, parts, failures = _Workspace(min(RK4_CHUNK, n)), [], []
+    for i in range(0, max(n, 1), RK4_CHUNK):
+        cols = slice(i, i + RK4_CHUNK)
+        try:
+            parts.append(_evolve_chunk([row[cols] for row in rows], ws, states[:, :, cols],
+                                       points, spec, n_pump0))
+        except IntegrationError as exc:
+            failures.append(exc)
+    if failures:  # the failure one chunk of the whole ensemble would have raised
+        raise min(failures, key=lambda exc: (exc.lattice != "h", exc.step_index))
 
     pairs = []
     for a1_a2_b2, pieces in zip(states, zip(*parts)):  # one stop, every chunk

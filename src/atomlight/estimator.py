@@ -204,6 +204,29 @@ def _resample_sums(terms, resamples: int, master_seed: int) -> np.ndarray:
     return sums
 
 
+def _percentile(values, percent) -> np.ndarray:
+    """np.percentile(values, percent, axis=0) with its default "linear" rule,
+    bit for bit, from a sorted copy.
+
+    np.percentile picks its partition points through np.unique, which
+    imports numpy.ma (about 10 ms and 1.3-2 MB of peak memory) in a run that
+    has not loaded it.  The interpolation is numpy's _lerp: a + (b - a) g,
+    or b - (b - a)(1 - g) where g >= 0.5; a column whose sorted last entry
+    is NaN gives that NaN.
+    """
+    ordered = np.sort(values, axis=0)
+    n = ordered.shape[0]
+    virtual = (n - 1) * np.true_divide(percent, 100)
+    below = np.floor(virtual)
+    gamma = (virtual - below).reshape((-1,) + (1,) * (ordered.ndim - 1))
+    lo = np.clip(below.astype(np.intp), 0, n - 1)
+    a, b = ordered[lo], ordered[np.minimum(lo + 1, n - 1)]
+    diff = b - a
+    out = np.add(a, diff * gamma)
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return np.where(np.isnan(ordered[-1]), ordered[-1], out)
+
+
 def bootstrap_ci(
     features,
     phi,
@@ -238,8 +261,7 @@ def bootstrap_ci(
     sums = _resample_sums(block, resamples, master_seed)
     lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
     edges = np.stack([
-        np.percentile(stats(sums[:, s * rows:(s + 1) * rows], n_total)["m"],
-                      [lo_q, 100.0 - lo_q], axis=0)
+        _percentile(stats(sums[:, s * rows:(s + 1) * rows], n_total)["m"], [lo_q, 100.0 - lo_q])
         for s, stats in enumerate(statistics)
     ], axis=1)
     return (edges[0], edges[1]) if stacked else (edges[0, 0], edges[1, 0])

@@ -533,3 +533,52 @@ def test_figures_recipes(tmp_path):
         "scatter_working_point.csv",
     ):
         assert (fig / name).exists(), name
+    # every written table has its gates
+    summary = json.loads((fig / "squeezing_vs_r_summary.json").read_text())
+    assert all(gate["passed"] for gate in summary["gates"].values())
+
+
+def test_figures_gate_the_squeezing_table(tmp_path, capsys):
+    # with mode=analytic only the squeezing table reads the TW ensembles, and
+    # 2 steps per unit r fails the drift and rk4 gates there
+    code, out = run(["--figures", "--set", "mode=analytic", "--set", "steps_per_unit_r=2",
+                     "--set", "trajectories=100"], tmp_path)
+    assert code == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert {record["error"] for record in records} == {"drift", "rk4"}
+    gates = json.loads((out / "figures" / "squeezing_vs_r_summary.json").read_text())["gates"]
+    assert gates["drift"]["passed"] is False and gates["rk4"]["passed"] is False
+    assert gates["finite"]["passed"] is True
+    assert (out / "figures" / "squeezing_vs_r.csv").exists()
+
+
+# --- what a run loads ----------------------------------------------------------------
+
+def test_runs_leave_numpy_ma_unloaded(tmp_path):
+    # np.percentile would import numpy.ma (through np.unique) in every bootstrap
+    runs = [["phi-sweep", "--set", "trajectories=200", "--set", "phi_count=5",
+             "--set", "bootstrap_resamples=100", "--out", str(tmp_path / "a")],
+            ["r-scan", "--config", str(SRC.parent / "configs" / "r_scan_seeded.cfg"),
+             "--set", "trajectories=200", "--out", str(tmp_path / "b")]]
+    code = (f"import sys; from atomlight.cli import main; "
+            f"assert [main(args) for args in {runs!r}] == [0, 0]; "
+            f"print('numpy.ma' in sys.modules)")
+    assert _fresh_python(["-c", code]).strip() == "False"
+
+
+def test_benchmark_counters_read_the_run(tmp_path):
+    # perfbench derives its per-layer metrics from evolve_tw's call shape and
+    # report; a change to either must fail here, not zero the metrics
+    root = SRC.parent
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracing.py"), "run", str(spans), "probe",
+         "phi-sweep", "--config", "configs/working_point.cfg", "--set", "trajectories=200",
+         "--set", "phi_count=5", "--set", "bootstrap_resamples=100", "--seed", "1",
+         "--threads", "1", "--out", str(tmp_path / "out")],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(spans.read_text())["counts"]
+    assert counts["dynamics.traj_steps"] == 24000  # 200 trajectories, 40 steps per unit r to 3
+    assert counts["dynamics.max_drift"] > 0

@@ -477,7 +477,8 @@ def check_against_the_reference(spec, stops):
     rk4 = step_doubling_estimate(
         ref, reference_integrate(*y0, stops, spec, 1.0e7 - 1.0e4, steps_per_unit_r=steps / 2))
     states = np.empty((len(stops),) + y0.shape, dtype=np.complex128)
-    got = dynamics._evolve_chunk(y0, dynamics._Workspace(y0), states, stops, spec, 1.0e7 - 1.0e4)
+    got = dynamics._evolve_chunk(y0, dynamics._Workspace(y0.shape[1]), states, stops, spec,
+                                 1.0e7 - 1.0e4)
     for want, state, have, err in zip(ref, states, got, rk4, strict=True):
         for x, y in zip(want[:3], state):
             assert np.array_equal(x, y)
@@ -520,3 +521,65 @@ def test_integration_error_reports_the_failing_step():
     probe = snap.alpha1 + snap.alpha2 + snap.beta2
     assert not np.isfinite(probe[3]) and not np.isfinite(after[0] + after[1] + after[2])[3]
     assert np.array_equal(np.isfinite(probe), np.isfinite(after[0] + after[1] + after[2]))
+
+
+# --- fixed-size chunks -----------------------------------------------------------
+
+CHUNK = 7
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_chunk_boundaries_change_nothing(clamp, n_threads, monkeypatch):
+    # stops on (0.25, 2.2) and off (1.2345) the lattice; n around one and two chunks
+    spec, stops = IntegratorSpec(clamp_pump=clamp), [0.25, 1.2345, 2.2]
+    for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
+        t0 = small_vacuum_ensemble(n, n_seed=1.0e4)
+        assert dynamics.RK4_CHUNK > n  # one chunk
+        whole, whole_run = evolve_tw(t0, 2.2, spec, n_pump0=1.0e7 - 1.0e4,
+                                     n_threads=n_threads, stops=stops)
+        widths = []
+
+        class Counted(dynamics._Workspace):
+            def __init__(self, width):
+                widths.append(width)
+                super().__init__(width)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "RK4_CHUNK", CHUNK)
+            patch.setattr(dynamics, "_Workspace", Counted)
+            chunked, chunked_run = evolve_tw(t0, 2.2, spec, n_pump0=1.0e7 - 1.0e4,
+                                             n_threads=n_threads, stops=stops)
+        assert widths == [min(CHUNK, n)]  # one workspace per call, one chunk wide
+        for (want, want_report), (got, got_report) in zip(whole, chunked, strict=True):
+            for attr in ("alpha1", "alpha2", "beta2"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+            assert got_report == want_report
+        assert chunked_run == whole_run
+
+
+@pytest.mark.parametrize("n_threads, chunk", [(1, None), (2, None), (1, 4), (2, 4)])
+def test_integration_error_does_not_depend_on_chunks_or_threads(n_threads, chunk, monkeypatch):
+    # trajectory 9 (a2 = 1e308) overflows first, on the h pass; trajectory 2
+    # (a2 = 1e307) later, and in another chunk when chunks are 4 wide
+    spec = IntegratorSpec(steps_per_unit_r=400, clamp_pump=True)
+    t0 = sample_initial_ensemble(1.0e7, 0.0, 5, 12)
+    a2 = np.array(t0.alpha2)
+    a2[2], a2[9] = 1.0e307, 1.0e308
+    state = ModeTriple(t0.alpha1, a2, t0.beta2)
+
+    def failure():
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
+            evolve_tw(state, 5.0, spec, n_pump0=1.0e7, n_threads=n_threads)
+        return err.value
+
+    whole = failure()  # one chunk of the whole ensemble
+    if chunk is not None:
+        monkeypatch.setattr(dynamics, "RK4_CHUNK", chunk)
+    got = failure()
+    assert (got.lattice, got.step_index) == (whole.lattice, whole.step_index) == ("h", 476)
+    # the snapshot is the failing chunk's state: the one holding trajectory 9
+    first = 0 if chunk is None else 9 // chunk * chunk
+    snap = got.snapshot
+    assert snap.n_traj == (12 if chunk is None else chunk)
+    assert list(np.flatnonzero(~np.isfinite(snap.alpha2 + snap.beta2)) + first) == [9]

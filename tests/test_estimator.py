@@ -117,6 +117,20 @@ def test_bootstrap_matches_resampled_reference(working_point_ensemble):
     assert np.allclose(hi, np.percentile(ms, 97.5, axis=0), rtol=1e-8, atol=0.0)
 
 
+def test_percentile_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(SEED)
+    with np.errstate(invalid="ignore"):  # inf - inf, as in np.percentile
+        for case in range(2000):
+            n, columns = int(rng.integers(100, 1000)), int(rng.integers(1, 5))
+            values = rng.standard_normal((n, columns)) * 10.0 ** rng.integers(-3, 4)
+            for column in range(columns):  # some columns get inf, -inf or NaN entries
+                hit = rng.integers(0, n, int(rng.integers(0, 4)))
+                values[hit, column] = rng.choice([np.inf, -np.inf, np.nan, 0.0], hit.size)
+            percent = [2.5, 97.5] if case % 2 else [0.0, *rng.uniform(0, 100, 3), 100.0]
+            want = np.percentile(values, percent, axis=0)
+            assert estimator._percentile(values, percent).tobytes() == want.tobytes(), case
+
+
 def test_slope_is_exact(working_point_ensemble):
     # central differences miss sin(h)/h - 1 inside a grid and more at its ends
     grid = np.linspace(0.0, 2 * np.pi, 201)
