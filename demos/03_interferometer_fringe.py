@@ -9,10 +9,10 @@ fringe; the dips below zero beat the standard quantum limit.
 
 import numpy as np
 
-from atomlight import HomodyneSpec, build_ensemble, measure_signals, sensitivity_curve
+from atomlight import HomodyneSpec, build_ensembles, measure_signals, sensitivity_curve
 
 N_TOTAL = 1.0e7
-ensemble = build_ensemble(N_TOTAL, 1.0e4, 3.0, 1000, 12345)
+ensemble = build_ensembles(N_TOTAL, 1.0e4, [3.0], 1000, 12345)[0]
 spec = HomodyneSpec(gain_g=100.0)
 
 curve = sensitivity_curve(ensemble, np.linspace(0.0, 2.0 * np.pi, 201), spec, resamples=100)

@@ -25,7 +25,7 @@ from .phasespace import (
 )
 from .dynamics import (
     IntegratorSpec,
-    build_ensemble,
+    build_ensembles,
     evolve_analytic,
     evolve_tw,
     transferred_atoms,
@@ -48,7 +48,7 @@ __all__ = [
     "IntegratorSpec",
     "PhysicalSetup",
     "RunConfig",
-    "build_ensemble",
+    "build_ensembles",
     "capture_fraction",
     "detected_photons",
     "evolve_analytic",

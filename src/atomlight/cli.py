@@ -228,7 +228,7 @@ def cmd_analytic_table(config: RunConfig, out_dir: Path, stem: str = "analytic_t
         "sql": sql(config.n_total),
         "heisenberg": heisenberg(config.n_total),
         "r_crit": r_crit(),
-    })
+    }, [ConservationReport()], _column_maxima(ANALYTIC_COLUMNS, rows))
 
 
 def cmd_figures(config: RunConfig, out_dir: Path) -> int:
@@ -258,10 +258,9 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
              squeezed_combo_variance(u), transferred_atoms(u),
              squeezed_combo_variance(s), transferred_atoms(s))
             for r, u, s in zip(r_grid, tw_unseeded, tw_seeded)]
-    finite = {key: float(np.max(np.abs(column)))  # NaN and inf survive the max
-              for key, column in zip(columns[2:], list(zip(*rows))[2:])}
     status = _write_run(config, fig_dir, "squeezing_vs_r", columns, rows, {},
-                        [e.conservation for e in tw_unseeded + tw_seeded], finite)
+                        [e.conservation for e in tw_unseeded + tw_seeded],
+                        _column_maxima(columns[2:], [row[2:] for row in rows]))
     # (b), (c) M vs r, unseeded and seeded
     status |= cmd_r_scan(unseeded, fig_dir, "m_vs_r_unseeded", m_unseeded)
     status |= cmd_r_scan(seeded, fig_dir, "m_vs_r_seeded", m_seeded)
@@ -276,6 +275,11 @@ def _error_budget(conservation: ConservationReport, m: float, ci) -> dict:
     against Monte Carlo (half the bootstrap interval over M)."""
     return {"rk4_rel": conservation.rk4_error,
             "mc_rel": float(np.divide(ci[1] - ci[0], 2.0 * m))}
+
+
+def _column_maxima(columns, rows) -> dict:
+    """Each column's largest |value|, for the finite gate (NaN and inf survive the max)."""
+    return {key: float(np.max(np.abs(column))) for key, column in zip(columns, zip(*rows))}
 
 
 def _gates(reports, finite: dict) -> dict:
@@ -335,7 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     common.add_argument("--seed", type=int, help="override master_seed")
-    common.add_argument("--threads", type=int, help="accepted; RK4 runs on one thread")
+    common.add_argument("--threads", type=int,
+                        help="accepted for the benchmark workloads, which pass it; "
+                             "changes nothing, as the program runs on one thread")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--format", help="data file format, csv or json")
 

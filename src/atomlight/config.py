@@ -131,6 +131,8 @@ class RunConfig:
             raise ConfigError("threads must be >= 1")
         if self.bootstrap_resamples < 100:
             raise ConfigError("bootstrap_resamples must be >= 100")
+        if len(self.scatter_phis) == 0:
+            raise ConfigError("scatter_phis must be non-empty")
         return self
 
     def to_dict(self) -> dict:

@@ -38,10 +38,10 @@ another, in one workspace as wide as a chunk: the RK4 scratch stays in a
 core's L2 cache and does not grow with the ensemble.  Every operation is per
 trajectory and the drift and error maxima are taken over chunks, so states
 and reports are bit-identical at any chunk size.  The chunks run on the
-calling thread at any thread count: numpy releases the interpreter lock for
-each ufunc, which takes about 7 us on a chunk, less than a hand-off of the
-lock between threads, and a second worker thread made the RK4 slower at
-every ensemble size timed (3e4 to 1e6 trajectories, 2 cores).
+calling thread: numpy releases the interpreter lock for each ufunc, which
+takes about 7 us on a chunk, less than a hand-off of the lock between
+threads, and a second worker thread made the RK4 slower at every ensemble
+size timed (3e4 to 1e6 trajectories, 2 cores).
 
 The pump treatment is chosen by one setting, the mode of build_ensembles
 (EVOLUTION_MODES).  "clamped" is an integrator setting
@@ -286,7 +286,6 @@ def evolve_tw(
     r: float,
     spec: IntegratorSpec | None = None,
     n_pump0: float | None = None,
-    n_threads: int = 1,
     stops=None,
 ):
     """Integrate the full c-number equations from t0 to t1 with fixed-step RK4.
@@ -299,8 +298,6 @@ def evolve_tw(
     n_pump0 : nominal initial pump occupation N1(0) used for the time
         rescaling.  Defaults to the symmetric-ordering estimate from the
         state itself.
-    n_threads : kept for callers that pass a thread count; the chunks run
-        on the calling thread whatever it is (see the module docstring).
     stops : strictly increasing r values up to r itself; the evolution to a
         smaller r is a prefix, so one pass yields the state at every stop.
 
@@ -386,7 +383,6 @@ def build_ensembles(
     master_seed: int,
     mode: str = "tw",
     steps_per_unit_r: int = DEFAULT_STEPS_PER_UNIT_R,
-    n_threads: int = 1,
 ) -> list[Ensemble]:
     """Sample one initial ensemble and propagate it to every r in r_values.
 
@@ -410,9 +406,7 @@ def build_ensembles(
         pairs = [(evolve_analytic(t0, r), ConservationReport()) for r in stops]
     else:
         spec = IntegratorSpec(steps_per_unit_r=steps_per_unit_r, clamp_pump=(mode == "clamped"))
-        pairs, _ = evolve_tw(
-            t0, stops[-1], spec, n_pump0=n_total - n_seed, n_threads=n_threads, stops=stops,
-        )
+        pairs, _ = evolve_tw(t0, stops[-1], spec, n_pump0=n_total - n_seed, stops=stops)
     if mode == "decorrelated":  # swap the pump for an uncorrelated one of equal occupation
         for k, (t1, report) in enumerate(pairs):
             amplitude = np.sqrt(max(occupation(t1.alpha1), 0.0))
@@ -420,22 +414,6 @@ def build_ensembles(
             pairs[k] = (replace(t1, alpha1=pump), report)
     at = dict(zip(stops, pairs))
     return [Ensemble(at[r][0], master_seed, n_total, n_seed, r, mode, at[r][1]) for r in r_values]
-
-
-def build_ensemble(
-    n_total: float,
-    n_seed: float,
-    r: float,
-    n_traj: int,
-    master_seed: int,
-    mode: str = "tw",
-    steps_per_unit_r: int = DEFAULT_STEPS_PER_UNIT_R,
-    n_threads: int = 1,
-) -> Ensemble:
-    """Sample an initial ensemble and propagate it to r (build_ensembles of [r])."""
-    return build_ensembles(
-        n_total, n_seed, [r], n_traj, master_seed, mode, steps_per_unit_r, n_threads
-    )[0]
 
 
 def transferred_atoms(ensemble: Ensemble) -> float:

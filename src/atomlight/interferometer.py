@@ -161,16 +161,16 @@ def calibrate_correction_sign(s_a, s_b, gain_g: float) -> str:
     """Pick the correction sign with the smaller V(S) for per-trajectory
     atomic and light records s_a and s_b taken at one reference phase.
 
-    Ties break toward "plus".  At the standard working point phi = pi/2
-    (where S_a is the fringe feature C) the chosen sign subtracts the shared
-    noise; a half fringe away the correlation flips and the opposite sign
-    would be chosen.
+    V(s_a - s_b/g) - V(s_a + s_b/g) = -4 cov(s_a, s_b)/g, so for any g > 0
+    the choice is the sign of the centred covariance: "plus" when it is
+    >= 0 (ties break toward "plus").  At the standard working point
+    phi = pi/2 (where S_a is the fringe feature C) the chosen sign subtracts
+    the shared noise; a half fringe away the correlation flips and the
+    opposite sign would be chosen.
     """
     if np.size(s_a) == 0:
         raise ValueError("empty ensemble")
-    var_plus = float(np.var(s_a - s_b / gain_g, ddof=1))
-    var_minus = float(np.var(s_a + s_b / gain_g, ddof=1))
-    return "plus" if var_plus <= var_minus else "minus"
+    return "plus" if np.dot(s_a - np.mean(s_a), s_b - np.mean(s_b)) >= 0 else "minus"
 
 
 def detected_photons(ensemble: Ensemble, spec: HomodyneSpec) -> float:

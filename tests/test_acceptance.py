@@ -15,7 +15,7 @@ from atomlight import (
     IntegratorSpec,
     PhysicalSetup,
     RunConfig,
-    build_ensemble,
+    build_ensembles,
     capture_fraction,
     detected_photons,
     evolve_analytic,
@@ -42,7 +42,7 @@ def report(criterion: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def fig3_ensemble():
-    return build_ensemble(N_TOTAL, 1.0e4, 3.0, 1000, MASTER_SEED)
+    return build_ensembles(N_TOTAL, 1.0e4, [3.0], 1000, MASTER_SEED)[0]
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def test_criterion_03_squeezing_variance():
     details = []
     ok = True
     for r in (0.0, 1.0, 2.0, 3.0):
-        ens = build_ensemble(N_TOTAL, 0.0, r, n_traj, MASTER_SEED, mode="clamped")
+        ens = build_ensembles(N_TOTAL, 0.0, [r], n_traj, MASTER_SEED, mode="clamped")[0]
         var = squeezed_combo_variance(ens)
         expected = 2.0 * np.exp(-2.0 * r)
         ok &= abs(var - expected) < 5 * rel_se * expected
@@ -109,7 +109,7 @@ def test_criterion_03_squeezing_variance():
 
 
 def test_criterion_04_sql_recovery():
-    ens = build_ensemble(N_TOTAL, 0.0, 0.0, 10_000, MASTER_SEED)
+    ens = build_ensembles(N_TOTAL, 0.0, [0.0], 10_000, MASTER_SEED)[0]
     m, _, _ = m_at_phi(ens, HomodyneSpec(gain_g=100.0, correction_sign="off"))
     ok = 0.95 <= m <= 1.05
     report(4, ok, f"r=0, correction off, 1e4 trajectories: M(pi/2) = {m:.4f} in [0.95, 1.05]")
@@ -173,7 +173,7 @@ def test_criterion_08_gain_saturation_and_sign(fig3_ensemble):
 def test_criterion_09_low_gain_photon_inclusive():
     best = None
     for r in (2.0, 2.25, 2.5):
-        ens = build_ensemble(N_TOTAL, 1.0e4, r, 1000, MASTER_SEED)
+        ens = build_ensembles(N_TOTAL, 1.0e4, [r], 1000, MASTER_SEED)[0]
         spec = HomodyneSpec(gain_g=1.0, lo_sampled=True)
         m, _, _ = m_at_phi(ens, spec)
         if best is None or m < best[0]:

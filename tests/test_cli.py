@@ -122,6 +122,7 @@ def test_invalid_value_rejected(tmp_path, capsys):
     ("phi-sweep", "gain_g=nan"),
     ("r-scan", "r_list=1.0, nan"),
     ("scatter", "scatter_phis=1.0, inf"),
+    ("scatter", "scatter_phis="),
     ("phi-sweep", "master_seed=-1"),
     ("phi-sweep", f"master_seed={2**64}"),
     ("phi-sweep", "trajectories=50"),
@@ -130,7 +131,8 @@ def test_bad_value_rejected_before_work(tmp_path, capsys, verb, assignment):
     out = tmp_path / "out"
     code = main([verb, "--set", assignment, "--out", str(out)])
     assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config" and assignment.split("=")[0] in record["message"]
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -477,6 +479,7 @@ def test_summaries_carry_passed_gates(tmp_path):
     ("phi-sweep", [], ("min_m", "argmin_phi")),
     ("r-scan", ["--set", "r_list=0.5, 1.0"], ("m_star",)),
     ("scatter", [], ("corr_s_a_vs_s_b_over_g[1.5707963267948966]",)),
+    ("analytic-table", ["--set", "r_list=1, 900"], ("delta_phi_plain",)),  # cosh(1800) overflows
 ])
 def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra, keys):
     original = estimator.fringe_features

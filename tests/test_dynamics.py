@@ -9,7 +9,6 @@ from atomlight.dynamics import (
     Ensemble,
     IntegrationError,
     IntegratorSpec,
-    build_ensemble,
     build_ensembles,
     evolve_analytic,
     evolve_tw,
@@ -200,13 +199,13 @@ def test_depleted_pump_matches_the_elliptic_solution():
 # --- transferred atoms -------------------------------------------------------
 
 def test_transferred_atoms_zero_at_r_zero():
-    ens = build_ensemble(1.0e7, 0.0, 0.0, 2000, SEED)
+    ens = build_ensembles(1.0e7, 0.0, [0.0], 2000, SEED)[0]
     se = 0.5 / np.sqrt(2000)  # Var(|vacuum sample|^2) = 1/4
     assert abs(transferred_atoms(ens)) < 3 * se
 
 
 def test_transferred_atoms_clamped_sinh():
-    ens = build_ensemble(1.0e7, 0.0, 1.0, 4000, SEED, mode="clamped")
+    ens = build_ensembles(1.0e7, 0.0, [1.0], 4000, SEED, mode="clamped")[0]
     se = np.std(np.abs(ens.state.alpha2) ** 2, ddof=1) / np.sqrt(4000)
     assert abs(transferred_atoms(ens) - np.sinh(1.0) ** 2) < 3 * se
 
@@ -214,8 +213,8 @@ def test_transferred_atoms_clamped_sinh():
 # --- modes and diagnostics ---------------------------------------------------
 
 def test_decorrelated_pump_matches_occupation_and_breaks_correlation():
-    full = build_ensemble(1.0e7, 1.0e4, 2.5, 3000, SEED, mode="tw")
-    dec = build_ensemble(1.0e7, 1.0e4, 2.5, 3000, SEED, mode="decorrelated")
+    full = build_ensembles(1.0e7, 1.0e4, [2.5], 3000, SEED, mode="tw")[0]
+    dec = build_ensembles(1.0e7, 1.0e4, [2.5], 3000, SEED, mode="decorrelated")[0]
     # same alpha2/beta2 trajectories (pump swap happens after evolution)
     assert np.array_equal(full.state.alpha2, dec.state.alpha2)
     occ_full = occupation(full.state.alpha1)
@@ -255,34 +254,24 @@ def test_negative_r_rejected():
 
 # --- determinism -------------------------------------------------------------
 
-def test_build_ensemble_deterministic():
-    a = build_ensemble(1.0e6, 100.0, 1.5, 400, SEED)
-    b = build_ensemble(1.0e6, 100.0, 1.5, 400, SEED)
+def test_build_ensembles_deterministic():
+    a = build_ensembles(1.0e6, 100.0, [1.5], 400, SEED)[0]
+    b = build_ensembles(1.0e6, 100.0, [1.5], 400, SEED)[0]
     assert np.array_equal(a.state.alpha1, b.state.alpha1)
     assert np.array_equal(a.state.alpha2, b.state.alpha2)
     assert np.array_equal(a.state.beta2, b.state.beta2)
 
 
-def test_thread_count_does_not_change_results():
-    one = build_ensemble(1.0e6, 100.0, 2.0, 500, SEED, n_threads=1)
-    four = build_ensemble(1.0e6, 100.0, 2.0, 500, SEED, n_threads=4)
-    assert np.array_equal(one.state.alpha1, four.state.alpha1)
-    assert np.array_equal(one.state.alpha2, four.state.alpha2)
-    assert np.array_equal(one.state.beta2, four.state.beta2)
-    assert one.conservation == four.conservation
-
-
 # --- one pass for many r -----------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["tw", "clamped", "decorrelated"])
-@pytest.mark.parametrize("n_threads", [1, 2])
-def test_build_ensembles_equals_per_r_builds(mode, n_threads):
+def test_build_ensembles_equals_per_r_builds(mode):
     # unsorted, repeated lattice values: each one is a prefix of the pass to the largest
     r_values = [1.5, 0.25, 1.0, 0.25, 0.0]
-    many = build_ensembles(1.0e6, 100.0, r_values, 200, SEED, mode=mode, n_threads=n_threads)
+    many = build_ensembles(1.0e6, 100.0, r_values, 200, SEED, mode=mode)
     assert [ens.r for ens in many] == r_values
     for r, ens in zip(r_values, many):
-        one = build_ensemble(1.0e6, 100.0, r, 200, SEED, mode=mode, n_threads=n_threads)
+        one = build_ensembles(1.0e6, 100.0, [r], 200, SEED, mode=mode)[0]
         for attr in ("alpha1", "alpha2", "beta2"):
             assert np.array_equal(getattr(ens.state, attr), getattr(one.state, attr))
         assert ens.conservation == one.conservation
@@ -458,13 +447,12 @@ def test_folded_step_matches_the_textbook_rk4(clamp, steps):
             assert np.max(np.abs(getattr(state, attr) - x) / np.abs(x)) <= 1e-13
 
 
-@pytest.mark.parametrize("n_threads", [1, 2])
-def test_clamped_pump_is_never_written(n_threads):
+def test_clamped_pump_is_never_written():
     # the stage slots are shared scratch; with the pump clamped alpha1 must
     # come out of every stop, on and off the lattice, bit for bit as it went in
     t0 = small_vacuum_ensemble(300, n_seed=1.0e4)
     pairs, _ = evolve_tw(t0, 3.0, IntegratorSpec(clamp_pump=True), n_pump0=1.0e7 - 1.0e4,
-                         n_threads=n_threads, stops=[0.25, 1.2345, 2.0, 3.0])
+                         stops=[0.25, 1.2345, 2.0, 3.0])
     for state, _ in pairs:
         assert state.alpha1.tobytes() == t0.alpha1.tobytes()
 
@@ -486,17 +474,15 @@ def check_against_the_reference(spec, stops):
         assert have[3] == err
     # the input is not touched by the in-place steps
     assert np.array_equal(y0, np.stack([t0.alpha1, t0.alpha2, t0.beta2]))
-    for n_threads in (1, 2):
-        pairs, run = evolve_tw(t0, stops[-1], spec, n_pump0=1.0e7 - 1.0e4,
-                               n_threads=n_threads, stops=stops)
-        for want, err, (state, report) in zip(ref, rk4, pairs, strict=True):
-            assert np.array_equal(state.alpha1, want[0])
-            assert np.array_equal(state.alpha2, want[1])
-            assert np.array_equal(state.beta2, want[2])
-            assert report.max_rel_drift_atoms == want[3]
-            assert report.max_rel_drift_manley_rowe == want[4] / max(1.0, want[5])
-            assert report.rk4_error == err
-        assert run.rk4_error == max(rk4)
+    pairs, run = evolve_tw(t0, stops[-1], spec, n_pump0=1.0e7 - 1.0e4, stops=stops)
+    for want, err, (state, report) in zip(ref, rk4, pairs, strict=True):
+        assert np.array_equal(state.alpha1, want[0])
+        assert np.array_equal(state.alpha2, want[1])
+        assert np.array_equal(state.beta2, want[2])
+        assert report.max_rel_drift_atoms == want[3]
+        assert report.max_rel_drift_manley_rowe == want[4] / max(1.0, want[5])
+        assert report.rk4_error == err
+    assert run.rk4_error == max(rk4)
 
 
 def test_integration_error_reports_the_failing_step():
@@ -529,15 +515,13 @@ CHUNK = 7
 
 
 @pytest.mark.parametrize("clamp", [False, True])
-@pytest.mark.parametrize("n_threads", [1, 2])
-def test_chunk_boundaries_change_nothing(clamp, n_threads, monkeypatch):
+def test_chunk_boundaries_change_nothing(clamp, monkeypatch):
     # stops on (0.25, 2.2) and off (1.2345) the lattice; n around one and two chunks
     spec, stops = IntegratorSpec(clamp_pump=clamp), [0.25, 1.2345, 2.2]
     for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
         t0 = small_vacuum_ensemble(n, n_seed=1.0e4)
         assert dynamics.RK4_CHUNK > n  # one chunk
-        whole, whole_run = evolve_tw(t0, 2.2, spec, n_pump0=1.0e7 - 1.0e4,
-                                     n_threads=n_threads, stops=stops)
+        whole, whole_run = evolve_tw(t0, 2.2, spec, n_pump0=1.0e7 - 1.0e4, stops=stops)
         widths = []
 
         class Counted(dynamics._Workspace):
@@ -548,8 +532,7 @@ def test_chunk_boundaries_change_nothing(clamp, n_threads, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(dynamics, "RK4_CHUNK", CHUNK)
             patch.setattr(dynamics, "_Workspace", Counted)
-            chunked, chunked_run = evolve_tw(t0, 2.2, spec, n_pump0=1.0e7 - 1.0e4,
-                                             n_threads=n_threads, stops=stops)
+            chunked, chunked_run = evolve_tw(t0, 2.2, spec, n_pump0=1.0e7 - 1.0e4, stops=stops)
         assert widths == [min(CHUNK, n)]  # one workspace per call, one chunk wide
         for (want, want_report), (got, got_report) in zip(whole, chunked, strict=True):
             for attr in ("alpha1", "alpha2", "beta2"):
@@ -558,8 +541,8 @@ def test_chunk_boundaries_change_nothing(clamp, n_threads, monkeypatch):
         assert chunked_run == whole_run
 
 
-@pytest.mark.parametrize("n_threads, chunk", [(1, None), (2, None), (1, 4), (2, 4)])
-def test_integration_error_does_not_depend_on_chunks_or_threads(n_threads, chunk, monkeypatch):
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_integration_error_does_not_depend_on_chunks(chunk, monkeypatch):
     # trajectory 9 (a2 = 1e308) overflows first, on the h pass; trajectory 2
     # (a2 = 1e307) later, and in another chunk when chunks are 4 wide
     spec = IntegratorSpec(steps_per_unit_r=400, clamp_pump=True)
@@ -570,7 +553,7 @@ def test_integration_error_does_not_depend_on_chunks_or_threads(n_threads, chunk
 
     def failure():
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as err:
-            evolve_tw(state, 5.0, spec, n_pump0=1.0e7, n_threads=n_threads)
+            evolve_tw(state, 5.0, spec, n_pump0=1.0e7)
         return err.value
 
     whole = failure()  # one chunk of the whole ensemble

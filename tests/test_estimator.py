@@ -12,7 +12,7 @@ import atomlight.dynamics as dynamics
 import atomlight.estimator as estimator
 import atomlight.interferometer as interferometer
 from atomlight.config import ConfigError, RunConfig
-from atomlight.dynamics import build_ensemble, build_ensembles
+from atomlight.dynamics import build_ensembles
 from atomlight.estimator import (
     bootstrap_ci,
     fringe_features,
@@ -179,14 +179,14 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
     assert counts == {"sample_initial_ensemble": 1, "evolve_tw": 1, "lo_noise_samples": 1,
                       "bootstrap_ci": 1}
     # the shared draw and the pass to r = 2 give what a run at one r gives
-    ens = build_ensemble(1.0e7, 1.0e4, 1.5, 100, SEED, steps_per_unit_r=50)
+    ens = build_ensembles(1.0e7, 1.0e4, [1.5], 100, SEED, steps_per_unit_r=50)[0]
     m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
     row = result.rows[2]
     assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
     assert result.rows[1] == result.rows[3]
     # the one bootstrap call gives every row what m_at_phi gives its ensemble alone
     for r, row in zip(r_values, result.rows):
-        ens = build_ensemble(1.0e7, 1.0e4, r, 100, SEED, steps_per_unit_r=50)
+        ens = build_ensembles(1.0e7, 1.0e4, [r], 100, SEED, steps_per_unit_r=50)[0]
         m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
         assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
 
@@ -252,7 +252,7 @@ def test_sql_recovery(coherent_ensemble):
 
 @pytest.mark.parametrize("r", [0.5, 1.0])
 def test_uncorrected_m_matches_undepleted_prediction(r):
-    ens = build_ensemble(1.0e7, 0.0, r, 4000, SEED)
+    ens = build_ensembles(1.0e7, 0.0, [r], 4000, SEED)[0]
     m, _, _ = m_at_phi(ens, HomodyneSpec(gain_g=100.0, correction_sign="off"))
     expected = predict(r, 1.0e7).m_plain
     rel_se = np.sqrt(0.5 / (ens.n_traj - 1))
@@ -400,7 +400,7 @@ def test_sensitivity_curve_fields(working_point_ensemble):
 
 
 def test_sensitivity_curve_requires_enough_trajectories():
-    ens = build_ensemble(1.0e6, 0.0, 0.5, 50, SEED)
+    ens = build_ensembles(1.0e6, 0.0, [0.5], 50, SEED)[0]
     with pytest.raises(ValueError):
         sensitivity_curve(ens, np.linspace(0, 1, 5), HomodyneSpec())
 

@@ -235,6 +235,24 @@ def test_calibration_runs_without_squeezing(coherent_ensemble):
     assert sign in ("plus", "minus")
 
 
+def _two_variance_sign(s_a, s_b, gain_g):
+    """The reference: the sign whose combined signal has the smaller variance."""
+    var_plus = np.var(s_a - s_b / gain_g, ddof=1)
+    var_minus = np.var(s_a + s_b / gain_g, ddof=1)
+    return "plus" if var_plus <= var_minus else "minus"
+
+
+def test_calibration_matches_two_variance_form_on_random_records():
+    # correlations from -1 to 1 at scales and gains far from the working point's
+    rng = np.random.default_rng(SEED)
+    for _ in range(300):
+        n = int(rng.integers(2, 3000))
+        gain_g, scale = 10.0 ** rng.uniform(-1, 3), 10.0 ** rng.uniform(-3, 6)
+        s_a = scale * rng.normal(size=n) + rng.normal()
+        s_b = gain_g * (rng.uniform(-1, 1) * s_a + scale * rng.normal(size=n))
+        assert calibrate_correction_sign(s_a, s_b, gain_g) == _two_variance_sign(s_a, s_b, gain_g)
+
+
 def test_calibration_rejects_empty():
     with pytest.raises(ValueError):
         calibrate_correction_sign(np.empty(0), np.empty(0), 100.0)
@@ -249,6 +267,7 @@ def test_feature_sign_matches_interferometer_sign(request, ensemble, phi):
     features, s_b, sign = fringe_features(ensemble, spec)
     from_features = calibrate_correction_sign(np.sin(phi) * features[:, 1], s_b, spec.gain_g)
     assert from_features == _calibrate_at(ensemble, spec, phi)
+    assert from_features == _two_variance_sign(np.sin(phi) * features[:, 1], s_b, spec.gain_g)
     if phi == np.pi / 2:
         assert sign == from_features
 
