@@ -1,5 +1,8 @@
 """Integrator vs analytic oracle, conservation laws, growth laws."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.special import ellipj, ellipkinc
@@ -21,6 +24,21 @@ SEED = 4242
 
 def small_vacuum_ensemble(n_traj=2000, n_total=1.0e7, n_seed=0.0):
     return sample_initial_ensemble(n_total, n_seed, SEED, n_traj)
+
+
+def on_threads(n_threads, call):
+    """Results of call() started at once on n_threads threads, one per thread.
+
+    The integrator keeps no state between calls (each has its own workspace),
+    so callers on several threads must each get what a lone caller gets."""
+    start = threading.Barrier(n_threads)
+
+    def run():
+        start.wait()
+        return call()
+
+    with ThreadPoolExecutor(n_threads) as pool:
+        return [f.result() for f in [pool.submit(run) for _ in range(n_threads)]]
 
 
 # --- identity and exact-map values -----------------------------------------
@@ -265,17 +283,19 @@ def test_build_ensembles_deterministic():
 # --- one pass for many r -----------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["tw", "clamped", "decorrelated"])
-def test_build_ensembles_equals_per_r_builds(mode):
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_build_ensembles_equals_per_r_builds(mode, n_threads):
     # unsorted, repeated lattice values: each one is a prefix of the pass to the largest
     r_values = [1.5, 0.25, 1.0, 0.25, 0.0]
-    many = build_ensembles(1.0e6, 100.0, r_values, 200, SEED, mode=mode)
-    assert [ens.r for ens in many] == r_values
-    for r, ens in zip(r_values, many):
-        one = build_ensembles(1.0e6, 100.0, [r], 200, SEED, mode=mode)[0]
-        for attr in ("alpha1", "alpha2", "beta2"):
-            assert np.array_equal(getattr(ens.state, attr), getattr(one.state, attr))
-        assert ens.conservation == one.conservation
-        assert ens.mode == mode and ens.state.time_tag == "t1"
+    for many in on_threads(
+            n_threads, lambda: build_ensembles(1.0e6, 100.0, r_values, 200, SEED, mode=mode)):
+        assert [ens.r for ens in many] == r_values
+        for r, ens in zip(r_values, many):
+            one = build_ensembles(1.0e6, 100.0, [r], 200, SEED, mode=mode)[0]
+            for attr in ("alpha1", "alpha2", "beta2"):
+                assert np.array_equal(getattr(ens.state, attr), getattr(one.state, attr))
+            assert ens.conservation == one.conservation
+            assert ens.mode == mode and ens.state.time_tag == "t1"
 
 
 def test_off_lattice_r_takes_one_shorter_step():
@@ -447,14 +467,16 @@ def test_folded_step_matches_the_textbook_rk4(clamp, steps):
             assert np.max(np.abs(getattr(state, attr) - x) / np.abs(x)) <= 1e-13
 
 
-def test_clamped_pump_is_never_written():
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_clamped_pump_is_never_written(n_threads):
     # the stage slots are shared scratch; with the pump clamped alpha1 must
     # come out of every stop, on and off the lattice, bit for bit as it went in
     t0 = small_vacuum_ensemble(300, n_seed=1.0e4)
-    pairs, _ = evolve_tw(t0, 3.0, IntegratorSpec(clamp_pump=True), n_pump0=1.0e7 - 1.0e4,
-                         stops=[0.25, 1.2345, 2.0, 3.0])
-    for state, _ in pairs:
-        assert state.alpha1.tobytes() == t0.alpha1.tobytes()
+    for pairs, _ in on_threads(n_threads, lambda: evolve_tw(
+            t0, 3.0, IntegratorSpec(clamp_pump=True), n_pump0=1.0e7 - 1.0e4,
+            stops=[0.25, 1.2345, 2.0, 3.0])):
+        for state, _ in pairs:
+            assert state.alpha1.tobytes() == t0.alpha1.tobytes()
 
 
 def check_against_the_reference(spec, stops):
@@ -515,7 +537,8 @@ CHUNK = 7
 
 
 @pytest.mark.parametrize("clamp", [False, True])
-def test_chunk_boundaries_change_nothing(clamp, monkeypatch):
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_chunk_boundaries_change_nothing(clamp, n_threads, monkeypatch):
     # stops on (0.25, 2.2) and off (1.2345) the lattice; n around one and two chunks
     spec, stops = IntegratorSpec(clamp_pump=clamp), [0.25, 1.2345, 2.2]
     for n in (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1):
@@ -532,17 +555,19 @@ def test_chunk_boundaries_change_nothing(clamp, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(dynamics, "RK4_CHUNK", CHUNK)
             patch.setattr(dynamics, "_Workspace", Counted)
-            chunked, chunked_run = evolve_tw(t0, 2.2, spec, n_pump0=1.0e7 - 1.0e4, stops=stops)
-        assert widths == [min(CHUNK, n)]  # one workspace per call, one chunk wide
-        for (want, want_report), (got, got_report) in zip(whole, chunked, strict=True):
-            for attr in ("alpha1", "alpha2", "beta2"):
-                assert np.array_equal(getattr(got, attr), getattr(want, attr))
-            assert got_report == want_report
-        assert chunked_run == whole_run
+            runs = on_threads(n_threads, lambda: evolve_tw(t0, 2.2, spec, n_pump0=1.0e7 - 1.0e4,
+                                                           stops=stops))
+        assert widths == [min(CHUNK, n)] * n_threads  # one workspace per call, one chunk wide
+        for chunked, chunked_run in runs:
+            for (want, want_report), (got, got_report) in zip(whole, chunked, strict=True):
+                for attr in ("alpha1", "alpha2", "beta2"):
+                    assert np.array_equal(getattr(got, attr), getattr(want, attr))
+                assert got_report == want_report
+            assert chunked_run == whole_run
 
 
-@pytest.mark.parametrize("chunk", [None, 4])
-def test_integration_error_does_not_depend_on_chunks(chunk, monkeypatch):
+@pytest.mark.parametrize("n_threads, chunk", [(1, None), (2, None), (1, 4), (2, 4)])
+def test_integration_error_does_not_depend_on_chunks_or_threads(n_threads, chunk, monkeypatch):
     # trajectory 9 (a2 = 1e308) overflows first, on the h pass; trajectory 2
     # (a2 = 1e307) later, and in another chunk when chunks are 4 wide
     spec = IntegratorSpec(steps_per_unit_r=400, clamp_pump=True)
@@ -559,10 +584,10 @@ def test_integration_error_does_not_depend_on_chunks(chunk, monkeypatch):
     whole = failure()  # one chunk of the whole ensemble
     if chunk is not None:
         monkeypatch.setattr(dynamics, "RK4_CHUNK", chunk)
-    got = failure()
-    assert (got.lattice, got.step_index) == (whole.lattice, whole.step_index) == ("h", 476)
-    # the snapshot is the failing chunk's state: the one holding trajectory 9
-    first = 0 if chunk is None else 9 // chunk * chunk
-    snap = got.snapshot
-    assert snap.n_traj == (12 if chunk is None else chunk)
-    assert list(np.flatnonzero(~np.isfinite(snap.alpha2 + snap.beta2)) + first) == [9]
+    for got in on_threads(n_threads, failure):
+        assert (got.lattice, got.step_index) == (whole.lattice, whole.step_index) == ("h", 476)
+        # the snapshot is the failing chunk's state: the one holding trajectory 9
+        first = 0 if chunk is None else 9 // chunk * chunk
+        snap = got.snapshot
+        assert snap.n_traj == (12 if chunk is None else chunk)
+        assert list(np.flatnonzero(~np.isfinite(snap.alpha2 + snap.beta2)) + first) == [9]
