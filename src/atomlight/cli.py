@@ -115,10 +115,7 @@ def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
     (ensemble,), spec = prepare(config, [config.r], ensembles)
     phi = np.linspace(config.phi_start, config.phi_stop, config.phi_count)
     curve = sensitivity_curve(ensemble, phi, spec, resamples=config.bootstrap_resamples)
-    rows = list(zip(
-        curve.phi, curve.mean_s_a, curve.var_s_a, curve.mean_s_b, curve.mean_s,
-        curve.var_s, curve.ds_dphi, curve.delta_phi, curve.m, curve.m_ci_lo, curve.m_ci_hi,
-    ))
+    rows = list(zip(*(getattr(curve, c) for c in PHI_SWEEP_COLUMNS)))
     min_m, argmin_phi, k = curve.min_m()
     drift = ensemble.conservation
     transferred = transferred_atoms(ensemble)
@@ -146,11 +143,7 @@ def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan", ensembles
     if not config.r_list:
         raise ConfigError("r-scan needs a non-empty r_list")
     result = scan_over_r(config.r_list, config, ensembles)
-    rows = [
-        (row.r, row.m, row.m_ci_lo, row.m_ci_hi, row.transferred,
-         row.var_squeezed_combo, row.m_plain, row.m_recycled, row.correction_sign)
-        for row in result.rows
-    ]
+    rows = [tuple(getattr(row, c) for c in R_SCAN_COLUMNS) for row in result.rows]
     report = result.report
     finite = {"r_star": report.r_star, "m_star": report.m_star,
               "atoms_transferred_at_star": report.atoms_transferred_at_star}

@@ -19,6 +19,12 @@ single phase can be evaluated on its own, and
 Confidence intervals are trajectory-level bootstrap: whole trajectories
 are resampled and V(S), d<S>/dphi and M are recomputed jointly from the
 feature sums over each resample.
+
+Every M goes through one evaluation, _curves: check that the ensembles
+share one draw and have enough trajectories, draw the LO noise once, build
+each ensemble's features, take the point statistics of each, and bootstrap
+them all with one bootstrap_ci call.  sensitivity_curve, m_at_phi and the
+sampled scan_over_r are reads of its curves.
 """
 
 from __future__ import annotations
@@ -227,30 +233,21 @@ def _percentile(values, percent) -> np.ndarray:
     return np.where(np.isnan(ordered[-1]), ordered[-1], out)
 
 
-def bootstrap_ci(
-    features,
-    phi,
-    n_total: float,
-    resamples: int = 200,
-    master_seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+def bootstrap_ci(features, phi, n_total: float, resamples: int = 200,
+                 master_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Percentile bootstrap interval (coverage CI_LEVEL) for M at each phase in phi.
 
     Whole trajectories are resampled so the variance and the fringe slope are
-    recomputed jointly.  features is as in point_statistics, giving edges of
-    shape (len(phi),), or a stack of such arrays of shape (sets, n, k),
-    giving edges of shape (sets, len(phi)).  Every set is resampled with the
-    same trajectory indices, drawn once per resample, and each set's edges
-    are exactly those of a call on that set alone.  Phases where the
-    resampled slope vanishes give infinite M and show up as infinite
-    interval edges (flagged, not masked).
+    recomputed jointly.  features is a stack of shape (sets, n, k), each set
+    as in point_statistics, and the edges have shape (sets, len(phi)).  Every
+    set is resampled with the same trajectory indices, drawn once per
+    resample, and each set's edges are exactly those of a stack of that set
+    alone.  Phases where the resampled slope vanishes give infinite M and
+    show up as infinite interval edges (flagged, not masked).
     """
     if resamples < 100:
         raise ValueError("resamples must be >= 100")
     features = np.asarray(features, dtype=float)
-    stacked = features.ndim == 3
-    if not stacked:
-        features = features[np.newaxis]
     sets, n_traj, k = features.shape
     if n_traj < 2:
         raise ValueError("too few trajectories to bootstrap")
@@ -264,65 +261,66 @@ def bootstrap_ci(
         _percentile(stats(sums[:, s * rows:(s + 1) * rows], n_total)["m"], [lo_q, 100.0 - lo_q])
         for s, stats in enumerate(statistics)
     ], axis=1)
-    return (edges[0], edges[1]) if stacked else (edges[0, 0], edges[1, 0])
+    return edges[0], edges[1]
 
 
-def sensitivity_curve(
-    ensemble: Ensemble,
-    phi,
-    spec: HomodyneSpec,
-    resamples: int = 200,
-) -> SensitivityCurve:
-    """Full sensitivity analysis of one ensemble at each phase in phi."""
-    if ensemble.n_traj < 100:
+def _curves(ensembles, phi, spec: HomodyneSpec,
+            resamples: int | None) -> list[SensitivityCurve]:
+    """The sensitivity curve of each ensemble at each phase in phi.
+
+    The ensembles must come from one draw: the LO noise and the bootstrap's
+    resample stream depend on (master_seed, n_traj) only, and the M scale on
+    n_total.  One LO draw and one bootstrap_ci call serve every ensemble, so
+    each curve equals that of its ensemble alone.  With resamples None each
+    interval collapses to its point.
+    """
+    shared = {(e.n_traj, e.master_seed, e.n_total) for e in ensembles}
+    if len(shared) > 1:
+        raise ValueError("the ensembles of a scan must share n_traj, master_seed and "
+                         f"n_total; got {sorted(shared)}")
+    (n_traj, master_seed, n_total), = shared
+    if n_traj < 100:
         raise ValueError("need at least 100 trajectories")
 
     phi = np.array(phi, dtype=float)
-    features, s_b, sign = fringe_features(ensemble, spec)
-    stats = point_statistics(features, phi, ensemble.n_total)
-    # the atomic record alone (B, C), for the fringe and scatter diagnostics
-    atomic = point_statistics(features[:, :2], phi, ensemble.n_total)
-    ci_lo, ci_hi = bootstrap_ci(
-        features, phi, ensemble.n_total, resamples=resamples, master_seed=ensemble.master_seed,
-    )
-    return SensitivityCurve(
-        phi=phi,
-        mean_s_a=atomic["mean_s"],
-        var_s_a=atomic["var_s"],
-        mean_s_b=np.full(phi.size, float(np.mean(s_b))),
-        mean_s=stats["mean_s"],
-        var_s=stats["var_s"],
-        ds_dphi=stats["ds_dphi"],
-        delta_phi=stats["delta_phi"],
-        m=stats["m"],
-        m_ci_lo=ci_lo,
-        m_ci_hi=ci_hi,
-        traj_count=ensemble.n_traj,
-        n_total=float(ensemble.n_total),
-        correction_sign=sign,
-    )
+    lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
+    features, s_b, signs = zip(*(fringe_features(e, spec, lo_noise) for e in ensembles))
+    del lo_noise  # keep the noise and the unstacked features out of the bootstrap's peak memory
+    features = np.stack(features)
+    if resamples is not None:
+        ci_lo, ci_hi = bootstrap_ci(features, phi, n_total, resamples=resamples,
+                                    master_seed=master_seed)
+    curves = []
+    for s, f in enumerate(features):
+        # the full record (B, C, D), and the atomic record alone (B, C) for the
+        # fringe and scatter diagnostics
+        stats, atomic = (point_statistics(x, phi, n_total) for x in (f, f[:, :2]))
+        curves.append(SensitivityCurve(
+            phi=phi, mean_s_a=atomic["mean_s"], var_s_a=atomic["var_s"],
+            mean_s_b=np.full(phi.size, float(np.mean(s_b[s]))), **stats,
+            m_ci_lo=stats["m"] if resamples is None else ci_lo[s],
+            m_ci_hi=stats["m"] if resamples is None else ci_hi[s],
+            traj_count=n_traj, n_total=float(n_total), correction_sign=signs[s],
+        ))
+    return curves
 
 
-def m_at_phi(
-    ensemble: Ensemble,
-    spec: HomodyneSpec,
-    phi: float = np.pi / 2,
-    resamples: int | None = None,
-) -> tuple[float, tuple[float, float], str]:
+def sensitivity_curve(ensemble: Ensemble, phi, spec: HomodyneSpec,
+                      resamples: int = 200) -> SensitivityCurve:
+    """Full sensitivity analysis of one ensemble at each phase in phi."""
+    return _curves([ensemble], phi, spec, resamples)[0]
+
+
+def m_at_phi(ensemble: Ensemble, spec: HomodyneSpec, phi: float = np.pi / 2,
+             resamples: int | None = None) -> tuple[float, tuple[float, float], str]:
     """M at a single working phase, from the exact fringe slope there.
 
     Returns (m, (ci_lo, ci_hi), correction_sign); the interval collapses to
     the point value when resamples is None.
     """
-    features, _, sign = fringe_features(ensemble, spec)
-    m = float(point_statistics(features, [phi], ensemble.n_total)["m"][0])
-    if resamples is None:
-        return m, (m, m), sign
-    lo, hi = bootstrap_ci(
-        features, [phi], ensemble.n_total, resamples=resamples,
-        master_seed=ensemble.master_seed,
-    )
-    return m, (float(lo[0]), float(hi[0])), sign
+    curve = _curves([ensemble], [phi], spec, resamples)[0]
+    m, lo, hi = (float(x[0]) for x in (curve.m, curve.m_ci_lo, curve.m_ci_hi))
+    return m, (lo, hi), curve.correction_sign
 
 
 def squeezed_combo_variance(ensemble: Ensemble) -> float:
@@ -344,34 +342,14 @@ def prepare(config: RunConfig, r_values,
     return ensembles, spec
 
 
-def _check_scan_ensembles(r_values, ensembles):
-    """Reject ensembles that are not one per r, in order, from one shared draw.
-
-    The scan pairs rows with ensembles and bootstraps them all with one
-    resample stream, which only exists for one (master_seed, n_traj); the
-    interval's M scale takes one n_total.
-    """
-    if len(ensembles) != len(r_values):
-        raise ValueError(f"{len(ensembles)} ensembles for {len(r_values)} r values")
-    for r, ensemble in zip(r_values, ensembles):
-        if ensemble.r != r:
-            raise ValueError(f"ensemble at r = {ensemble.r} given for r = {r}")
-    shared = {(e.n_traj, e.master_seed, e.n_total) for e in ensembles}
-    if len(shared) > 1:
-        raise ValueError("the ensembles of a scan must share n_traj, master_seed and "
-                         f"n_total; got {sorted(shared)}")
-
-
 def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     """Evaluate M at phi = pi/2 for each r and locate the optimum.
 
     In "analytic" mode the rows come from the closed undepleted-pump forms
     (exact, no sampling); otherwise one pass to the largest r gives every r
-    its ensemble (or ensembles holds them, one per r), one LO draw (it
-    depends on the seed and the trajectory count only) serves them all, and
-    each r gets its own sign calibration.  One bootstrap_ci call gives every
-    r its interval from one resample stream, the one m_at_phi draws for each
-    ensemble alone, so every row equals m_at_phi on its own ensemble.
+    its ensemble (or ensembles holds them, one per r, in order), and one
+    _curves call at pi/2 evaluates them all, each r with its own sign
+    calibration, so every row equals m_at_phi on its own ensemble.
     """
     r_values = [float(v) for v in r_values]
     if not r_values:
@@ -394,24 +372,21 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
             ))
     else:
         ensembles, spec = prepare(config, r_values, ensembles)
-        _check_scan_ensembles(r_values, ensembles)
-        lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
-        fringes = [fringe_features(e, spec, lo_noise) for e in ensembles]
-        features = np.stack([f for f, _, _ in fringes])
-        n_total = ensembles[0].n_total
-        ci_lo, ci_hi = bootstrap_ci(
-            features, [np.pi / 2], n_total, resamples=config.bootstrap_resamples,
-            master_seed=ensembles[0].master_seed,
-        )
-        for s, (r, ensemble) in enumerate(zip(r_values, ensembles)):
+        if len(ensembles) != len(r_values):
+            raise ValueError(f"{len(ensembles)} ensembles for {len(r_values)} r values")
+        for r, ensemble in zip(r_values, ensembles):
+            if ensemble.r != r:
+                raise ValueError(f"ensemble at r = {ensemble.r} given for r = {r}")
+        curves = _curves(ensembles, [np.pi / 2], spec, config.bootstrap_resamples)
+        for r, ensemble, curve in zip(r_values, ensembles, curves):
             pred = predict(r, config.n_total)
             rows.append(RScanRow(
-                r=r, m=float(point_statistics(features[s], [np.pi / 2], n_total)["m"][0]),
-                m_ci_lo=float(ci_lo[s, 0]), m_ci_hi=float(ci_hi[s, 0]),
+                r=r, m=float(curve.m[0]),
+                m_ci_lo=float(curve.m_ci_lo[0]), m_ci_hi=float(curve.m_ci_hi[0]),
                 transferred=transferred_atoms(ensemble),
                 var_squeezed_combo=squeezed_combo_variance(ensemble),
                 m_plain=pred.m_plain, m_recycled=pred.m_recycled,
-                correction_sign=fringes[s][2],
+                correction_sign=curve.correction_sign,
                 conservation=ensemble.conservation,
             ))
 

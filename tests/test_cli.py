@@ -501,6 +501,17 @@ def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra
     assert gates["finite"]["invariant"] == record["invariant"]
 
 
+def test_overflowing_closed_forms_leave_one_json_record_per_stderr_line(tmp_path):
+    # run in a fresh interpreter, with numpy's default error handling
+    proc = subprocess.run(
+        [sys.executable, "-m", "atomlight.cli", "analytic-table", "--set", "r_list=1,900",
+         "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    records = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert [record["error"] for record in records] == ["finite"]
+
+
 # --- figures -----------------------------------------------------------------------
 
 def test_figures_sample_and_integrate_each_ensemble_once(tmp_path, monkeypatch):

@@ -108,7 +108,8 @@ def test_bootstrap_matches_resampled_reference(working_point_ensemble):
     s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
     slope = _direct_slope(working_point_ensemble, grid, spec, sign)
     n = s.shape[0]
-    lo, hi = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=9)
+    lo, hi = (e[0] for e in bootstrap_ci(features[np.newaxis], grid, 1.0e7, resamples=100,
+                                         master_seed=9))
     rng = np.random.Generator(np.random.Philox(
         key=9, counter=[0, 0, 0, estimator._BOOTSTRAP_STREAM_BLOCK]))
     resamples = [rng.integers(0, n, size=n) for _ in range(100)]
@@ -184,11 +185,15 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
     row = result.rows[2]
     assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
     assert result.rows[1] == result.rows[3]
-    # the one bootstrap call gives every row what m_at_phi gives its ensemble alone
+    # the one bootstrap call gives every row what m_at_phi and sensitivity_curve
+    # give its ensemble alone
     for r, row in zip(r_values, result.rows):
         ens = build_ensembles(1.0e7, 1.0e4, [r], 100, SEED, steps_per_unit_r=50)[0]
         m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
         assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
+        curve = sensitivity_curve(ens, [np.pi / 2], HomodyneSpec(gain_g=100.0), 100)
+        assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (
+            curve.m[0], curve.m_ci_lo[0], curve.m_ci_hi[0], curve.correction_sign)
 
 
 def _scan_ensembles(r_values, n_traj=100, master_seed=SEED, n_total=1.0e7):
@@ -298,7 +303,8 @@ def test_bootstrap_coverage_on_synthetic_truth():
     hits = 0
     for rep in range(100):
         f = _synthetic_features(rng, n_traj=500)
-        lo, hi = bootstrap_ci(f, phi, 1.0, resamples=200, master_seed=rep)
+        lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, 1.0, resamples=200,
+                                             master_seed=rep))
         hits += int(lo[mid] <= m_true <= hi[mid])
     assert hits >= 90
 
@@ -311,7 +317,8 @@ def test_bootstrap_width_shrinks_with_sqrt_n():
     for rep in range(30):
         for n in widths:
             f = _synthetic_features(rng, n_traj=n)
-            lo, hi = bootstrap_ci(f, phi, 1.0, resamples=200, master_seed=1000 + rep)
+            lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, 1.0, resamples=200,
+                                                 master_seed=1000 + rep))
             widths[n].append(hi[mid] - lo[mid])
     ratio = np.median(widths[500]) / np.median(widths[250])
     assert 0.8 / np.sqrt(2.0) < ratio < 1.2 / np.sqrt(2.0)
@@ -320,7 +327,7 @@ def test_bootstrap_width_shrinks_with_sqrt_n():
 def test_bootstrap_rejects_too_few_resamples():
     phi = np.linspace(0.0, 1.0, 3)
     with pytest.raises(ValueError):
-        bootstrap_ci(np.zeros((10, 3)), phi, 1.0, resamples=50)
+        bootstrap_ci(np.zeros((1, 10, 3)), phi, 1.0, resamples=50)
 
 
 def test_bootstrap_flags_constant_signal():
@@ -329,7 +336,8 @@ def test_bootstrap_flags_constant_signal():
     phi = np.linspace(0.0, 1.0, 5)
     f = np.column_stack([np.zeros(60), np.zeros(60), np.full(60, 3.7)])  # B = C = 0
     with np.errstate(invalid="ignore"):
-        lo, hi = bootstrap_ci(f, phi, 1.0, resamples=100, master_seed=1)
+        lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, 1.0, resamples=100,
+                                             master_seed=1))
     assert not np.any(np.isfinite(lo))
     assert not np.any(np.isfinite(hi))
 
@@ -356,22 +364,22 @@ def test_stacked_bootstrap_equals_each_set_alone(n_traj):
     phi = np.linspace(0.0, 1.0, 4)
     lo, hi = bootstrap_ci(features, phi, 1.0e7, resamples=100, master_seed=4)
     assert lo.shape == hi.shape == (3, 4)
-    for s, f in enumerate(features):
-        lo_s, hi_s = bootstrap_ci(f, phi, 1.0e7, resamples=100, master_seed=4)
-        assert np.array_equal(lo[s], lo_s) and np.array_equal(hi[s], hi_s)
+    for s in range(len(features)):  # each set against a stack of that set alone
+        lo_s, hi_s = bootstrap_ci(features[s:s + 1], phi, 1.0e7, resamples=100, master_seed=4)
+        assert np.array_equal(lo[s], lo_s[0]) and np.array_equal(hi[s], hi_s[0])
     # the atomic record alone (k = 2) too
     lo, hi = bootstrap_ci(features[:, :, :2], phi, 1.0e7, resamples=100, master_seed=4)
-    lo_s, hi_s = bootstrap_ci(features[1, :, :2], phi, 1.0e7, resamples=100, master_seed=4)
-    assert np.array_equal(lo[1], lo_s) and np.array_equal(hi[1], hi_s)
+    lo_s, hi_s = bootstrap_ci(features[1:2, :, :2], phi, 1.0e7, resamples=100, master_seed=4)
+    assert np.array_equal(lo[1], lo_s[0]) and np.array_equal(hi[1], hi_s[0])
 
 
 def test_bootstrap_deterministic(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     grid = np.linspace(0.0, np.pi, 9)
     features, _, _ = fringe_features(working_point_ensemble, spec)
-    a = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=5)
-    b = bootstrap_ci(features, grid, 1.0e7, resamples=100, master_seed=5)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    a = bootstrap_ci(features[np.newaxis], grid, 1.0e7, resamples=100, master_seed=5)
+    b = bootstrap_ci(features[np.newaxis], grid, 1.0e7, resamples=100, master_seed=5)
+    assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1][0], b[1][0])
 
 
 # --- full curve -----------------------------------------------------------------
@@ -401,8 +409,13 @@ def test_sensitivity_curve_fields(working_point_ensemble):
 
 def test_sensitivity_curve_requires_enough_trajectories():
     ens = build_ensembles(1.0e6, 0.0, [0.5], 50, SEED)[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 100 trajectories"):
         sensitivity_curve(ens, np.linspace(0, 1, 5), HomodyneSpec())
+    # every M goes through the same check
+    with pytest.raises(ValueError, match="at least 100 trajectories"):
+        m_at_phi(ens, HomodyneSpec())
+    with pytest.raises(ValueError, match="at least 100 trajectories"):
+        scan_over_r([0.5], RunConfig(n_total=1.0e6, n_seed=0.0), [ens])
 
 
 # --- r scan ---------------------------------------------------------------------
