@@ -49,6 +49,12 @@ from .phasespace import quadrature_x, quadrature_y
 
 _BOOTSTRAP_STREAM_BLOCK = 5  # Philox counter block disjoint from trajectory streams
 CI_LEVEL = 0.95  # coverage of every bootstrap interval
+# (resample, phase) cells whose statistics bootstrap_ci evaluates at once, in
+# blocks of whole resamples (at least one), so its transient arrays stay this
+# size whatever the resample count.  That is 24 resamples at 201 phases (as
+# fast as one evaluation of all of them) and every resample of an r-scan's
+# single phase, where more blocks would only add per-call overhead.
+RESAMPLE_BLOCK_CELLS = 5000
 
 
 @dataclass
@@ -119,23 +125,26 @@ def fringe_design(phi) -> np.ndarray:
 
 
 def fringe_features(
-    ensemble: Ensemble, spec: HomodyneSpec, lo_noise=None
+    ensemble: Ensemble, spec: HomodyneSpec, lo_noise=None, out=None
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Per-trajectory features (B, C, D), the light record S_b, and the sign used.
 
     The LO noise is drawn once (or passed in).  An "auto" correction sign is
     calibrated at pi/2, where the atomic signal is C.  With the sign "off"
-    D = 0, so S is the bare atomic signal.
+    D = 0, so S is the bare atomic signal.  The (n, 3) features are written
+    into out when it is given.
     """
     s_b = np.asarray(signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise)),
                      dtype=float)
     split = beam_splitter_half(ensemble.state)
-    z = 2j * split.alpha2 * np.conj(split.alpha1)  # B - iC
+    z = 2j * split.alpha2
+    z *= np.conj(split.alpha1)  # B - iC
+    del split  # free the split amplitudes before D and the stacked features are made
     b, c = z.real, -z.imag
     if spec.correction_sign == "auto":
         spec = replace(spec, correction_sign=calibrate_correction_sign(c, s_b, spec.gain_g))
     d = combine_signals(np.zeros_like(s_b), s_b, spec)  # "off" returns the zeros (+0.0)
-    return np.column_stack([b, c, d]), s_b, spec.correction_sign
+    return np.stack([b, c, d], axis=1, out=out), s_b, spec.correction_sign
 
 
 def _moments(features, phi, terms=None):
@@ -149,7 +158,8 @@ def _moments(features, phi, terms=None):
     and their pairwise products) over any n-element index set, so a
     bootstrap resample costs one weighted sum.  The k (k + 3) / 2 terms are
     rows with trajectories along the contiguous axis, written into terms
-    when it is given.
+    when it is given; each row is formed in place from the features or from
+    two centred rows, so no other (n, k)-sized array is made.
     """
     features = np.asarray(features, dtype=float)
     n, k = features.shape
@@ -157,7 +167,6 @@ def _moments(features, phi, terms=None):
     design = fringe_design(phi)[:, :k]
     slope = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)[:, :k]
     center = features.mean(axis=0)
-    centred = features - center
     i, j = np.triu_indices(k)
     weights = design[:, i] * design[:, j] * np.where(i == j, 1.0, 2.0)
 
@@ -174,8 +183,9 @@ def _moments(features, phi, terms=None):
 
     if terms is None:
         terms = np.empty((k + i.size, n))
-    terms[:k] = centred.T
-    np.multiply(centred[:, i].T, centred[:, j].T, out=terms[k:])
+    np.subtract(features.T, center[:, None], out=terms[:k])
+    for row, (a, b) in enumerate(zip(i, j), start=k):
+        np.multiply(terms[a], terms[b], out=terms[row])
     return terms, statistics
 
 
@@ -244,6 +254,11 @@ def bootstrap_ci(features, phi, n_total: float, resamples: int = 200,
     resample, and each set's edges are exactly those of a stack of that set
     alone.  Phases where the resampled slope vanishes give infinite M and
     show up as infinite interval edges (flagged, not masked).
+
+    The term rows of every set are one (sets * k (k + 3) / 2, n) block, and
+    the statistics are evaluated in blocks of about RESAMPLE_BLOCK_CELLS
+    (resample, phase) cells; every value is per cell, so the edges do not
+    depend on the block.
     """
     if resamples < 100:
         raise ValueError("resamples must be >= 100")
@@ -256,11 +271,16 @@ def bootstrap_ci(features, phi, n_total: float, resamples: int = 200,
     statistics = [_moments(f, phi, block[s * rows:(s + 1) * rows])[1]
                   for s, f in enumerate(features)]
     sums = _resample_sums(block, resamples, master_seed)
+    del block
+    step = max(1, RESAMPLE_BLOCK_CELLS // np.size(phi))
+
+    def m_rows(s: int) -> np.ndarray:
+        cols = slice(s * rows, (s + 1) * rows)
+        return np.concatenate([statistics[s](sums[t:t + step, cols], n_total)["m"]
+                               for t in range(0, resamples, step)])
+
     lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
-    edges = np.stack([
-        _percentile(stats(sums[:, s * rows:(s + 1) * rows], n_total)["m"], [lo_q, 100.0 - lo_q])
-        for s, stats in enumerate(statistics)
-    ], axis=1)
+    edges = np.stack([_percentile(m_rows(s), [lo_q, 100.0 - lo_q]) for s in range(sets)], axis=1)
     return edges[0], edges[1]
 
 
@@ -284,9 +304,15 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
 
     phi = np.array(phi, dtype=float)
     lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
-    features, s_b, signs = zip(*(fringe_features(e, spec, lo_noise) for e in ensembles))
-    del lo_noise  # keep the noise and the unstacked features out of the bootstrap's peak memory
-    features = np.stack(features)
+    # each ensemble's features are written into the stack (assigning them back
+    # copies nothing), and of its light record only the mean is kept
+    features = np.empty((len(ensembles), n_traj, 3))
+    mean_s_b, signs = [], []
+    for s, e in enumerate(ensembles):
+        features[s], s_b, sign = fringe_features(e, spec, lo_noise, features[s])
+        mean_s_b.append(float(np.mean(s_b)))
+        signs.append(sign)
+    del lo_noise, s_b  # keep the noise and the light record out of the bootstrap's peak memory
     if resamples is not None:
         ci_lo, ci_hi = bootstrap_ci(features, phi, n_total, resamples=resamples,
                                     master_seed=master_seed)
@@ -297,7 +323,7 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
         stats, atomic = (point_statistics(x, phi, n_total) for x in (f, f[:, :2]))
         curves.append(SensitivityCurve(
             phi=phi, mean_s_a=atomic["mean_s"], var_s_a=atomic["var_s"],
-            mean_s_b=np.full(phi.size, float(np.mean(s_b[s]))), **stats,
+            mean_s_b=np.full(phi.size, mean_s_b[s]), **stats,
             m_ci_lo=stats["m"] if resamples is None else ci_lo[s],
             m_ci_hi=stats["m"] if resamples is None else ci_hi[s],
             traj_count=n_traj, n_total=float(n_total), correction_sign=signs[s],
@@ -346,10 +372,12 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     """Evaluate M at phi = pi/2 for each r and locate the optimum.
 
     In "analytic" mode the rows come from the closed undepleted-pump forms
-    (exact, no sampling); otherwise one pass to the largest r gives every r
-    its ensemble (or ensembles holds them, one per r, in order), and one
-    _curves call at pi/2 evaluates them all, each r with its own sign
-    calibration, so every row equals m_at_phi on its own ensemble.
+    (exact, no sampling), and an r whose transfer (n_seed + 1) sinh^2 r
+    exceeds the n_total - n_seed pump atoms raises ValueError before any row
+    is made; otherwise one pass to the largest r gives every r its ensemble
+    (or ensembles holds them, one per r, in order), and one _curves call at
+    pi/2 evaluates them all, each r with its own sign calibration, so every
+    row equals m_at_phi on its own ensemble.
     """
     r_values = [float(v) for v in r_values]
     if not r_values:
@@ -359,12 +387,22 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
 
     rows = []
     if config.mode == "analytic":
-        for r in r_values:
+        # the undepleted pump holds only while the transfer fits in the pump
+        available = config.n_total - config.n_seed
+        with np.errstate(over="ignore"):
+            transferred = [(config.n_seed + 1.0) * np.sinh(r) ** 2 for r in r_values]
+        for r, atoms in zip(r_values, transferred):
+            if atoms > available:
+                raise ValueError(
+                    f"r_list: r = {r} is past the analytic model's range: it transfers "
+                    f"(n_seed + 1) sinh^2 r = {atoms:.6g} atoms, more than the "
+                    f"n_total - n_seed = {available:.6g} in the pump")
+        for r, atoms in zip(r_values, transferred):
             pred = predict(r, config.n_total)
             m = pred.m_plain if config.correction == "off" else pred.m_recycled
             rows.append(RScanRow(
                 r=r, m=m, m_ci_lo=m, m_ci_hi=m,
-                transferred=(config.n_seed + 1.0) * np.sinh(r) ** 2,
+                transferred=atoms,
                 var_squeezed_combo=pred.var_squeezed_combo,
                 m_plain=pred.m_plain, m_recycled=pred.m_recycled,
                 correction_sign="off" if config.correction == "off" else "plus",

@@ -203,6 +203,25 @@ def test_r_scan_analytic_mode(tmp_path):
     assert summary["at_boundary"] is True
 
 
+def test_analytic_r_scan_refuses_r_past_the_pump(tmp_path, capsys):
+    # r = 30 would transfer 2.9e29 atoms out of a pump of 1e7 - 1e4
+    code, out = run(["r-scan", "--set", "mode=analytic", "--set", "r_list=1, 30, 40"], tmp_path)
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith("r_list: r = 30.0 ")
+    assert not out.exists()
+    # in range, the rows are written as before
+    code, out = run(["r-scan", "--set", "mode=analytic", "--set", "r_list=1,2"], tmp_path)
+    assert code == 0
+    lines = [l for l in (out / "r_scan.csv").read_text().splitlines() if not l.startswith("#")]
+    assert lines[1:] == [
+        "1,0.52026009502288895,0.52026009502288895,0.52026009502288895,13812.359553263697,"
+        "0.2706705664732254,1.939638030943823,0.52026009502288895,plus",
+        "2,0.19139299302082188,0.19139299302082188,0.19139299302082188,131554.31829650042,"
+        "0.036631277777468357,5.2257279718730567,0.19139299302082188,plus",
+    ]
+
+
 def test_r_scan_tw_smoke(tmp_path):
     code, out = run([
         "r-scan", "--set", "r_list=0.5,1.0", "--set", "trajectories=150",

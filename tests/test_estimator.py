@@ -1,6 +1,7 @@
 """Sensitivity curves, bootstrap intervals and the r-scan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,61 @@ def test_bootstrap_deterministic(working_point_ensemble):
     a = bootstrap_ci(features[np.newaxis], grid, 1.0e7, resamples=100, master_seed=5)
     b = bootstrap_ci(features[np.newaxis], grid, 1.0e7, resamples=100, master_seed=5)
     assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1][0], b[1][0])
+
+
+@pytest.mark.parametrize("phases", [1, 201])
+@pytest.mark.parametrize("resamples", [100, 257])  # 257 is no multiple of a block
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("sets", [1, 3])
+def test_resample_blocks_change_nothing(sets, k, resamples, phases, monkeypatch):
+    rng = np.random.default_rng(17)
+    features = np.stack([_synthetic_features(rng, 300, slope=s) for s in (5.0, 2.0, 9.0)])
+    # C = 0: the first set's slope vanishes at phi = 0, where every resample's M
+    # is inf and the percentile edges are not finite
+    features[0, :, 1] = 0.0
+    features = features[:sets, :, :k]
+    phi = np.linspace(0.0, np.pi, phases)
+    edges = {}
+    for block in (1, 7, resamples + 1):  # resamples per evaluation of the statistics
+        with monkeypatch.context() as patch, np.errstate(invalid="ignore"):
+            patch.setattr(estimator, "RESAMPLE_BLOCK_CELLS", block * phases)
+            edges[block] = bootstrap_ci(features, phi, 1.0e7, resamples=resamples, master_seed=6)
+    whole_lo, whole_hi = edges[resamples + 1]
+    assert not np.isfinite(whole_lo[0, 0]) and not np.isfinite(whole_hi[0, 0])
+    assert np.all(np.isfinite(whole_lo[1:])) and np.all(np.isfinite(whole_hi[1:]))
+    for lo, hi in edges.values():
+        assert lo.tobytes() == whole_lo.tobytes() and hi.tobytes() == whole_hi.tobytes()
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that numpy and Python allocate during call(), above what was live."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimator_transient_memory_is_one_term_block():
+    """The 9 term rows of a (B, C, D) record are the estimator's one large array.
+
+    On a (1, 2e5, 3) stack the measured tracemalloc peaks are 1.34 block sizes
+    for bootstrap_ci (the block plus the draw, bincount and float counts of
+    one resample) and 1.00 for point_statistics.  Before the rows were written
+    in place both were 2.67: a centred copy and two gathered (n, 6) copies sat
+    beside the block.
+    """
+    n = 200_000
+    features = _synthetic_features(np.random.default_rng(5), n)[np.newaxis]
+    phi = np.linspace(0.0, 2 * np.pi, 201)
+    block = 9 * n * features.itemsize
+    boot = _traced_peak(lambda: bootstrap_ci(features, phi, 1.0e7, resamples=100,
+                                             master_seed=2))
+    point = _traced_peak(lambda: point_statistics(features[0], phi, 1.0e7))
+    assert boot < 1.45 * block
+    assert point < 1.1 * block
 
 
 # --- full curve -----------------------------------------------------------------
