@@ -38,6 +38,7 @@ from .estimator import (
     squeezed_combo_variance,
 )
 from .feasibility import PhysicalSetup, capture_fraction, rate_ratio, scaling_estimate
+from .interferometer import correction_weight
 from . import __version__
 
 DRIFT_LIMIT = 1.0e-6  # conservation drift above this fails the run
@@ -161,14 +162,13 @@ SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
 
 def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembles=None) -> int:
     (ensemble,), spec = prepare(config, [config.r], ensembles)
-    features, s_b, sign = fringe_features(ensemble, spec)
-    b, c, d = features.T
-    s_b_scaled = s_b / config.gain_g
+    features, _, sign = fringe_features(ensemble, spec)
+    b, c, s_b_scaled = features.T
     rows = []
     corr = {}
     for phi in config.scatter_phis:
         s_a = b * np.cos(phi) + c * np.sin(phi)
-        s = s_a + d
+        s = s_a + correction_weight(sign) * s_b_scaled
         rows.extend(zip(range(ensemble.n_traj), [phi] * ensemble.n_traj, s_a, s_b_scaled, s))
         corr[_fmt(float(phi))] = float(np.corrcoef(s_a, s_b_scaled)[0, 1])
     drift = ensemble.conservation

@@ -367,7 +367,6 @@ class Ensemble:
     n_total: float
     n_seed: float
     r: float
-    mode: str = "tw"
     conservation: ConservationReport = field(default_factory=ConservationReport)
 
     @property
@@ -413,7 +412,7 @@ def build_ensembles(
             pump = sample_coherent_batch(amplitude, master_seed, "pump_resample", n_traj)
             pairs[k] = (replace(t1, alpha1=pump), report)
     at = dict(zip(stops, pairs))
-    return [Ensemble(at[r][0], master_seed, n_total, n_seed, r, mode, at[r][1]) for r in r_values]
+    return [Ensemble(at[r][0], master_seed, n_total, n_seed, r, at[r][1]) for r in r_values]
 
 
 def transferred_atoms(ensemble: Ensemble) -> float:

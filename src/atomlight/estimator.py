@@ -1,13 +1,15 @@
 """Sensitivity estimation from trajectory ensembles.
 
 Per trajectory the combined signal is a single fringe harmonic in the
-interferometer phase,
+interferometer phase plus the weighted light record,
 
-    S(phi) = B cos(phi) + C sin(phi) + D,
+    S(phi) = B cos(phi) + C sin(phi) + w S_b / g,
 
 where B - iC = 2i alpha2' conj(alpha1') from the atomic amplitudes after
-the first beam splitter and D = -sign * S_b / g from the light record
-(D = +0.0 with correction_sign "off").  The dynamics do not depend on phi,
+the first beam splitter.  The features (B, C, S_b / g) do not depend on the
+correction: its sign is the weight w (interferometer.correction_weight) in
+the fringe design, and the atomic record S_a is S at w = 0, read from the
+same sums.  The dynamics do not depend on phi,
 so one ensemble and one local-oscillator draw serve every phase (exact
 common random numbers), and the per-phase mean and unbiased variance of S
 follow from three feature means and a 3x3 covariance.  The slope of the
@@ -29,7 +31,7 @@ sampled scan_over_r are reads of its curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .interferometer import (
     HomodyneSpec,
     beam_splitter_half,
     calibrate_correction_sign,
-    combine_signals,
+    correction_weight,
     lo_amplitude,
     lo_noise_samples,
     signal_light,
@@ -118,68 +120,69 @@ class RScanResult:
     star: int  # index of the row the report describes
 
 
-def fringe_design(phi) -> np.ndarray:
-    """Rows (cos phi, sin phi, 1): S(phi) = design @ (B, C, D) per trajectory."""
-    phi = np.asarray(phi, dtype=float)
-    return np.stack([np.cos(phi), np.sin(phi), np.ones_like(phi)], axis=-1)
-
-
 def fringe_features(
     ensemble: Ensemble, spec: HomodyneSpec, lo_noise=None, out=None
 ) -> tuple[np.ndarray, np.ndarray, str]:
-    """Per-trajectory features (B, C, D), the light record S_b, and the sign used.
+    """Per-trajectory features (B, C, S_b / g), the light record S_b, and the sign.
 
-    The LO noise is drawn once (or passed in).  An "auto" correction sign is
-    calibrated at pi/2, where the atomic signal is C.  With the sign "off"
-    D = 0, so S is the bare atomic signal.  The (n, 3) features are written
-    into out when it is given.
+    The features are the same for every correction sign, and an "auto" sign
+    is calibrated at pi/2, where the atomic signal is C.  The LO noise is
+    drawn once (or passed in).  The (n, 3) features are written into out
+    when it is given.
     """
     s_b = np.asarray(signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise)),
                      dtype=float)
     split = beam_splitter_half(ensemble.state)
     z = 2j * split.alpha2
     z *= np.conj(split.alpha1)  # B - iC
-    del split  # free the split amplitudes before D and the stacked features are made
+    del split  # free the split amplitudes before the stacked features are made
     b, c = z.real, -z.imag
-    if spec.correction_sign == "auto":
-        spec = replace(spec, correction_sign=calibrate_correction_sign(c, s_b, spec.gain_g))
-    d = combine_signals(np.zeros_like(s_b), s_b, spec)  # "off" returns the zeros (+0.0)
-    return np.stack([b, c, d], axis=1, out=out), s_b, spec.correction_sign
+    sign = spec.correction_sign
+    if sign == "auto":
+        sign = calibrate_correction_sign(c, s_b)
+    return np.stack([b, c, s_b / spec.gain_g], axis=1, out=out), s_b, sign
 
 
-def _moments(features, phi, terms=None):
+def _moments(features, phi, weights, terms=None):
     """Per-trajectory terms, and the statistics that their sums determine.
 
-    A feature row f holds (B, C, D), or (B, C) for the atomic record alone,
-    and the signal at phase phi_p is S_p = design[p] @ f with the rows of
-    fringe_design cut to the feature count.  The mean of S_p and its exact
-    slope need the feature means, its unbiased variance the feature
-    covariance.  Both follow from the sums of the terms (centred features
-    and their pairwise products) over any n-element index set, so a
-    bootstrap resample costs one weighted sum.  The k (k + 3) / 2 terms are
-    rows with trajectories along the contiguous axis, written into terms
+    A feature row f holds (B, C, S_b / g), and for each w in weights the
+    signal at phase phi_p is S_p = (cos phi_p, sin phi_p, w) @ f; the atomic
+    record alone is w = 0.  statistics returns one dict per weight, each
+    from that weight's own design (einsum's summation order follows its
+    operands' layout, so a stacked one would round differently).  The mean
+    of S_p and its exact slope need the feature means, its unbiased
+    variance the feature covariance.  Both follow from the sums of the
+    terms (centred features and their pairwise products) over any n-element
+    index set, so a bootstrap resample costs one weighted sum.  The 9 terms
+    are rows with trajectories along the contiguous axis, written into terms
     when it is given; each row is formed in place from the features or from
-    two centred rows, so no other (n, k)-sized array is made.
+    two centred rows, so no other (n, 3)-sized array is made.
     """
     features = np.asarray(features, dtype=float)
     n, k = features.shape
     phi = np.asarray(phi, dtype=float)
-    design = fringe_design(phi)[:, :k]
-    slope = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)[:, :k]
+    slope = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
     center = features.mean(axis=0)
     i, j = np.triu_indices(k)
-    weights = design[:, i] * design[:, j] * np.where(i == j, 1.0, 2.0)
+    designs = [np.stack([np.cos(phi), np.sin(phi), np.full_like(phi, w)], axis=-1)
+               for w in weights]
+    pairs = [d[:, i] * d[:, j] * np.where(i == j, 1.0, 2.0) for d in designs]
 
-    def statistics(sums: np.ndarray, n_total: float) -> dict:
+    def statistics(sums: np.ndarray, n_total: float) -> list[dict]:
         shift = sums[..., :k] / n
         cov = (sums[..., k:] - n * shift[..., i] * shift[..., j]) / (n - 1)
-        mean_s = np.einsum("...k,pk->...p", center + shift, design)
-        var_s = np.maximum(np.einsum("...q,pq->...p", cov, weights), 0.0)
-        ds = np.einsum("...k,pk->...p", center + shift, slope)
-        with np.errstate(divide="ignore"):
-            delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
-        return {"mean_s": mean_s, "var_s": var_s, "ds_dphi": ds,
-                "delta_phi": delta_phi, "m": delta_phi * np.sqrt(n_total)}
+        mean = center + shift
+        ds = np.einsum("...k,pk->...p", mean, slope)
+        out = []
+        for design, pair in zip(designs, pairs):
+            mean_s = np.einsum("...k,pk->...p", mean, design)
+            var_s = np.maximum(np.einsum("...q,pq->...p", cov, pair), 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0
+                delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
+            out.append({"mean_s": mean_s, "var_s": var_s, "ds_dphi": ds,
+                        "delta_phi": delta_phi, "m": delta_phi * np.sqrt(n_total)})
+        return out
 
     if terms is None:
         terms = np.empty((k + i.size, n))
@@ -189,13 +192,13 @@ def _moments(features, phi, terms=None):
     return terms, statistics
 
 
-def point_statistics(features, phi, n_total: float) -> dict:
+def point_statistics(features, phi, weights, n_total: float) -> list[dict]:
     """Mean, variance, exact fringe slope, delta_phi and M at each phase in phi.
 
-    features holds one (B, C, D) row per trajectory, or (B, C) for the
-    atomic signal alone.
+    features holds one (B, C, S_b / g) row per trajectory.  One dict per entry
+    of weights (0 for the atomic signal alone), all from one set of term sums.
     """
-    terms, statistics = _moments(features, phi)
+    terms, statistics = _moments(features, phi, weights)
     return statistics(terms.sum(axis=1), n_total)
 
 
@@ -243,20 +246,20 @@ def _percentile(values, percent) -> np.ndarray:
     return np.where(np.isnan(ordered[-1]), ordered[-1], out)
 
 
-def bootstrap_ci(features, phi, n_total: float, resamples: int = 200,
+def bootstrap_ci(features, phi, weights, n_total: float, resamples: int = 200,
                  master_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Percentile bootstrap interval (coverage CI_LEVEL) for M at each phase in phi.
 
     Whole trajectories are resampled so the variance and the fringe slope are
-    recomputed jointly.  features is a stack of shape (sets, n, k), each set
-    as in point_statistics, and the edges have shape (sets, len(phi)).  Every
-    set is resampled with the same trajectory indices, drawn once per
-    resample, and each set's edges are exactly those of a stack of that set
-    alone.  Phases where the resampled slope vanishes give infinite M and
-    show up as infinite interval edges (flagged, not masked).
+    recomputed jointly.  features is a stack of shape (sets, n, 3), each set
+    as in point_statistics with its own entry of weights, and the edges have
+    shape (sets, len(phi)).  Every set is resampled with the same trajectory
+    indices, drawn once per resample, and each set's edges are exactly those
+    of a stack of that set alone.  A vanishing resampled slope gives an
+    infinite M, and an edge next to one is +inf (flagged, not masked).
 
-    The term rows of every set are one (sets * k (k + 3) / 2, n) block, and
-    the statistics are evaluated in blocks of about RESAMPLE_BLOCK_CELLS
+    The term rows of every set are one (sets * 9, n) block, and the
+    statistics are evaluated in blocks of about RESAMPLE_BLOCK_CELLS
     (resample, phase) cells; every value is per cell, so the edges do not
     depend on the block.
     """
@@ -268,19 +271,18 @@ def bootstrap_ci(features, phi, n_total: float, resamples: int = 200,
         raise ValueError("too few trajectories to bootstrap")
     rows = k * (k + 3) // 2
     block = np.empty((sets * rows, n_traj))
-    statistics = [_moments(f, phi, block[s * rows:(s + 1) * rows])[1]
-                  for s, f in enumerate(features)]
+    statistics = [_moments(f, phi, [w], block[s * rows:(s + 1) * rows])[1]
+                  for s, (f, w) in enumerate(zip(features, weights, strict=True))]
     sums = _resample_sums(block, resamples, master_seed)
     del block
     step = max(1, RESAMPLE_BLOCK_CELLS // np.size(phi))
-
-    def m_rows(s: int) -> np.ndarray:
-        cols = slice(s * rows, (s + 1) * rows)
-        return np.concatenate([statistics[s](sums[t:t + step, cols], n_total)["m"]
-                               for t in range(0, resamples, step)])
-
+    m = np.stack([np.concatenate([stats(sums[t:t + step, s * rows:(s + 1) * rows], n_total)[0]["m"]
+                                  for t in range(0, resamples, step)])
+                  for s, stats in enumerate(statistics)], axis=1)  # (resamples, sets, phases)
     lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
-    edges = np.stack([_percentile(m_rows(s), [lo_q, 100.0 - lo_q]) for s in range(sets)], axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf where an edge meets an infinite M
+        edges = _percentile(m, [lo_q, 100.0 - lo_q])
+    edges[np.isnan(edges) & ~np.isnan(m).any(axis=0)] = np.inf
     return edges[0], edges[1]
 
 
@@ -313,14 +315,14 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
         mean_s_b.append(float(np.mean(s_b)))
         signs.append(sign)
     del lo_noise, s_b  # keep the noise and the light record out of the bootstrap's peak memory
+    weights = [correction_weight(sign) for sign in signs]
     if resamples is not None:
-        ci_lo, ci_hi = bootstrap_ci(features, phi, n_total, resamples=resamples,
+        ci_lo, ci_hi = bootstrap_ci(features, phi, weights, n_total, resamples=resamples,
                                     master_seed=master_seed)
     curves = []
     for s, f in enumerate(features):
-        # the full record (B, C, D), and the atomic record alone (B, C) for the
-        # fringe and scatter diagnostics
-        stats, atomic = (point_statistics(x, phi, n_total) for x in (f, f[:, :2]))
+        # S at the set's weight and the atomic record S_a (weight 0), from one term block
+        stats, atomic = point_statistics(f, phi, [weights[s], 0.0], n_total)
         curves.append(SensitivityCurve(
             phi=phi, mean_s_a=atomic["mean_s"], var_s_a=atomic["var_s"],
             mean_s_b=np.full(phi.size, mean_s_b[s]), **stats,

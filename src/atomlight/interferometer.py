@@ -11,10 +11,10 @@ mixes it with a strong local oscillator on a 50/50 beam splitter and takes
 the photon number difference between the output ports,
 S_b = |c|^2 - |d|^2 = -2 Im(beta2 conj(beta_LO)).
 
-The combined signal S = S_a -/+ S_b / g removes the quantum noise the two
-records share.  Which sign cancels (rather than doubles) the shared noise
-depends on the working phase, so it is calibrated from the ensemble;
-HomodyneSpec.correction_sign "off" leaves S = S_a.
+The combined signal S = S_a + w S_b / g removes the quantum noise the two
+records share, with w from the correction sign in one place,
+correction_weight.  Which sign cancels (rather than doubles) the shared
+noise depends on the working phase, so it is calibrated from the ensemble.
 
 The LO amplitude is resolved in one place, lo_amplitude: beta_LO =
 g sqrt(<N1(t1)>) from the ensemble, plus the per-trajectory vacuum noise
@@ -32,8 +32,6 @@ from .dynamics import Ensemble
 from .phasespace import ModeTriple, occupation, sample_coherent_batch
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-SIGN_VALUES = {"plus": 1.0, "minus": -1.0}
 
 
 @dataclass
@@ -112,13 +110,16 @@ def signal_light(beta2, beta_lo) -> np.ndarray | float:
     return np.abs(c) ** 2 - np.abs(d) ** 2
 
 
-def combine_signals(s_a, s_b, spec: HomodyneSpec):
-    """S = s_a - sign * s_b / g with the resolved correction sign ("off": S = s_a)."""
-    if spec.correction_sign == "auto":
+def correction_weight(correction_sign: str) -> float:
+    """w in S = S_a + w S_b / g: -1 for "plus", +1 for "minus", 0 for "off"."""
+    if correction_sign == "auto":
         raise ValueError("correction_sign is unresolved; calibrate or set it explicitly")
-    if spec.correction_sign == "off":
-        return s_a
-    return s_a - SIGN_VALUES[spec.correction_sign] * s_b / spec.gain_g
+    return {"plus": -1.0, "minus": 1.0, "off": 0.0}[correction_sign]
+
+
+def combine_signals(s_a, s_b, spec: HomodyneSpec):
+    """S = s_a + w * (s_b / g) with the weight of the resolved correction sign."""
+    return s_a + correction_weight(spec.correction_sign) * (s_b / spec.gain_g)
 
 
 def lo_noise_samples(ensemble: Ensemble) -> np.ndarray:
@@ -150,20 +151,17 @@ def measure_signals(
     beta_lo = lo_amplitude(ensemble, spec, lo_noise)
     s_a = np.asarray(signal_atoms(run_mzi(ensemble.state, phi)), dtype=float)
     s_b = np.asarray(signal_light(ensemble.state.beta2, beta_lo), dtype=float)
-    if spec.correction_sign == "auto":
-        s = s_a.copy()
-    else:
-        s = np.array(combine_signals(s_a, s_b, spec), dtype=float)
+    s = s_a.copy() if spec.correction_sign == "auto" else combine_signals(s_a, s_b, spec)
     return SignalSample(s_a=s_a, s_b=s_b, s_combined=s, phi=phi)
 
 
-def calibrate_correction_sign(s_a, s_b, gain_g: float) -> str:
+def calibrate_correction_sign(s_a, s_b) -> str:
     """Pick the correction sign with the smaller V(S) for per-trajectory
     atomic and light records s_a and s_b taken at one reference phase.
 
     V(s_a - s_b/g) - V(s_a + s_b/g) = -4 cov(s_a, s_b)/g, so for any g > 0
-    the choice is the sign of the centred covariance: "plus" when it is
-    >= 0 (ties break toward "plus").  At the standard working point
+    the choice is the sign of the centred covariance, and g does not enter:
+    "plus" when it is >= 0 (ties break toward "plus").  At the working point
     phi = pi/2 (where S_a is the fringe feature C) the chosen sign subtracts
     the shared noise; a half fringe away the correlation flips and the
     opposite sign would be chosen.

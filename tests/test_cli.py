@@ -264,19 +264,23 @@ def test_r_scan_is_independent_of_openblas_threads(tmp_path):
 
 
 def test_runs_stay_off_the_interferometer_path(tmp_path, monkeypatch):
-    # the fringe features carry every phase and the sign calibration
-    counts = {"run_mzi": 0, "measure_signals": 0}
+    # the fringe features carry every phase, the sign calibration and the correction
+    counts = {"run_mzi": 0, "measure_signals": 0, "combine_signals": 0}
     for name in counts:
         def counted(*args, _original=getattr(interferometer, name), _name=name, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(interferometer, name, counted)
+        for module in (interferometer, estimator, cli):  # wherever the name is bound
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     code, _ = run(["phi-sweep"] + FAST, tmp_path, "phi")
     assert code == 0
     code, _ = run(["r-scan", "--set", "r_list=0.5, 1.0"] + FAST, tmp_path, "rs")
     assert code == 0
-    assert counts == {"run_mzi": 0, "measure_signals": 0}
+    code, _ = run(["scatter"] + FAST, tmp_path, "sc")
+    assert code == 0
+    assert counts == {"run_mzi": 0, "measure_signals": 0, "combine_signals": 0}
 
 
 # --- scatter ------------------------------------------------------------------------
@@ -290,6 +294,22 @@ def test_scatter_outputs(tmp_path):
     assert len(lines) == 1 + 150 * 3  # three default phases
     summary = json.loads((out / "scatter_summary.json").read_text())
     assert len(summary["corr_s_a_vs_s_b_over_g"]) == 3
+
+
+@pytest.mark.parametrize("correction, weight", [
+    ("on", -1.0), ("off", 0.0), ("auto_sign", None)])
+def test_scatter_signal_is_the_weighted_light_record(tmp_path, correction, weight):
+    # s = s_a + w s_b / g, with w the weight of the sign the summary reports
+    code, out = run(["scatter", "--set", f"correction={correction}"] + FAST, tmp_path)
+    assert code == 0
+    sign = json.loads((out / "scatter_summary.json").read_text())["correction_sign"]
+    if weight is None:
+        weight = interferometer.correction_weight(sign)
+    assert weight == {"plus": -1.0, "minus": 1.0, "off": 0.0}[sign]
+    lines = [l for l in (out / "scatter.csv").read_text().splitlines() if not l.startswith("#")]
+    s_a, s_b_over_g, s = np.array([l.split(",") for l in lines[1:]], dtype=float)[:, 2:].T
+    assert np.array_equal(s, s_a + weight * s_b_over_g)
+    assert np.all(s_b_over_g != 0.0)  # the light record is written for every setting
 
 
 # --- feasibility ----------------------------------------------------------------------

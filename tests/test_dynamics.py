@@ -295,7 +295,7 @@ def test_build_ensembles_equals_per_r_builds(mode, n_threads):
             for attr in ("alpha1", "alpha2", "beta2"):
                 assert np.array_equal(getattr(ens.state, attr), getattr(one.state, attr))
             assert ens.conservation == one.conservation
-            assert ens.mode == mode and ens.state.time_tag == "t1"
+            assert ens.state.time_tag == "t1"
 
 
 def test_off_lattice_r_takes_one_shorter_step():

@@ -24,6 +24,7 @@ from atomlight.estimator import (
 )
 from atomlight.interferometer import (
     HomodyneSpec,
+    correction_weight,
     lo_noise_samples,
     measure_signals,
 )
@@ -56,15 +57,46 @@ def test_phi_grid_rejects_bad_input():
 
 def test_shared_phases_are_bit_identical(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    f1, sb1, _ = fringe_features(working_point_ensemble, spec)
+    f1, sb1, sign = fringe_features(working_point_ensemble, spec)
     f2, sb2, _ = fringe_features(working_point_ensemble, spec)
     assert np.array_equal(f1, f2)  # same trajectories, same LO draw
     assert np.array_equal(sb1, sb2)
     wide = [np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]
     narrow = [np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]
-    a = point_statistics(f1, wide, 1.0e7)
-    b = point_statistics(f2, narrow, 1.0e7)
+    w = correction_weight(sign)
+    a, = point_statistics(f1, wide, [w], 1.0e7)
+    b, = point_statistics(f2, narrow, [w], 1.0e7)
     assert a["mean_s"][1] == b["mean_s"][1] and a["var_s"][1] == b["var_s"][1]
+
+
+def test_features_do_not_depend_on_the_correction(working_point_ensemble):
+    # the sign is a weight in the design, so every setting gives the same features
+    lo_noise = lo_noise_samples(working_point_ensemble)
+    spec = HomodyneSpec(gain_g=100.0)
+    auto, s_b, sign = fringe_features(working_point_ensemble, spec, lo_noise)
+    assert sign in ("plus", "minus")
+    assert np.array_equal(auto[:, 2], s_b / spec.gain_g)
+    for setting in ("plus", "minus", "off"):
+        features, light, resolved = fringe_features(
+            working_point_ensemble, replace(spec, correction_sign=setting), lo_noise)
+        assert resolved == setting
+        assert features.tobytes() == auto.tobytes() and light.tobytes() == s_b.tobytes()
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus", "off"])
+def test_weighted_light_feature_is_the_combined_signal(working_point_ensemble, sign):
+    # S = S_a + w S_b / g: the light record's part is the weighted feature, bit for bit,
+    # and B cos(phi) + C sin(phi) is the interferometer's S_a
+    spec = HomodyneSpec(gain_g=100.0, correction_sign=sign)
+    lo_noise = lo_noise_samples(working_point_ensemble)
+    features, _, _ = fringe_features(working_point_ensemble, spec, lo_noise)
+    b, c, s_b_over_g = features.T
+    w = correction_weight(sign)
+    for phi in (0.3, np.pi / 2, 2.0, 3 * np.pi / 2):
+        sample = measure_signals(working_point_ensemble, phi, spec, lo_noise)
+        assert (sample.s_a + w * s_b_over_g).tobytes() == sample.s_combined.tobytes()
+        s_a = b * np.cos(phi) + c * np.sin(phi)
+        assert np.max(np.abs(s_a - sample.s_a)) <= 1e-9 * np.max(np.abs(sample.s_a))
 
 
 def _direct_signals(ensemble, grid, spec, sign):
@@ -109,8 +141,8 @@ def test_bootstrap_matches_resampled_reference(working_point_ensemble):
     s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
     slope = _direct_slope(working_point_ensemble, grid, spec, sign)
     n = s.shape[0]
-    lo, hi = (e[0] for e in bootstrap_ci(features[np.newaxis], grid, 1.0e7, resamples=100,
-                                         master_seed=9))
+    lo, hi = (e[0] for e in bootstrap_ci(features[np.newaxis], grid, [correction_weight(sign)],
+                                         1.0e7, resamples=100, master_seed=9))
     rng = np.random.Generator(np.random.Philox(
         key=9, counter=[0, 0, 0, estimator._BOOTSTRAP_STREAM_BLOCK]))
     resamples = [rng.integers(0, n, size=n) for _ in range(100)]
@@ -225,8 +257,8 @@ def test_scan_rejects_ensembles_that_do_not_match(ensembles, match, monkeypatch)
 # --- estimator algebra -----------------------------------------------------------
 
 def _synthetic_features(rng, n_traj, slope=5.0, sigma=2.0):
-    """(B, C, D) rows (0, slope, 0) + sigma N(0, 1): M(phi) = sqrt(2) sigma /
-    (slope cos phi) for n_total = 1."""
+    """(B, C, S_b / g) rows (0, slope, 0) + sigma N(0, 1): at weight 1,
+    M(phi) = sqrt(2) sigma / (slope cos phi) for n_total = 1."""
     return np.array([0.0, slope, 0.0]) + sigma * rng.normal(size=(n_traj, 3))
 
 
@@ -234,8 +266,8 @@ def test_m_invariant_under_signal_rescaling():
     rng = np.random.default_rng(3)
     phi = np.linspace(0.0, 1.0, 11)
     f = _synthetic_features(rng, 400, sigma=1.0)
-    m1 = point_statistics(f, phi, 1.0e7)["m"]
-    m2 = point_statistics(7.3 * f, phi, 1.0e7)["m"]
+    m1 = point_statistics(f, phi, [1.0], 1.0e7)[0]["m"]
+    m2 = point_statistics(7.3 * f, phi, [1.0], 1.0e7)[0]["m"]
     assert np.all(np.abs(m2 - m1) <= 1e-10 * np.abs(m1))
 
 
@@ -243,8 +275,8 @@ def test_zero_derivative_is_flagged():
     phi = np.linspace(0.0, 1.0, 5)
     rng = np.random.default_rng(4)
     f = np.column_stack([np.zeros(50), np.zeros(50), rng.normal(size=50)])  # B = C = 0
-    stats = point_statistics(f, phi, 1.0)
-    assert np.all(np.isinf(stats["delta_phi"]))
+    for stats in point_statistics(f, phi, [1.0, 0.0], 1.0):  # 0 / 0 at weight 0
+        assert np.all(np.isposinf(stats["delta_phi"]))
 
 
 # --- SQL recovery and the undepleted benchmark ------------------------------------
@@ -270,17 +302,14 @@ def test_uncorrected_m_matches_undepleted_prediction(r):
 def test_shuffling_light_record_destroys_gain(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     phi = [np.pi / 2]
-    f_corr, s_b, sign = fringe_features(working_point_ensemble, spec)
-    f_off, _, _ = fringe_features(working_point_ensemble, replace(spec, correction_sign="off"))
-    assert not np.any(np.signbit(f_off[:, 2])) and np.all(f_off[:, 2] == 0.0)  # D = +0.0
-    m_corr = point_statistics(f_corr, phi, 1.0e7)["m"][0]
-    m_off = point_statistics(f_off, phi, 1.0e7)["m"][0]
+    features, _, sign = fringe_features(working_point_ensemble, spec)
+    corr, off = point_statistics(features, phi, [correction_weight(sign), 0.0], 1.0e7)
+    m_corr, m_off = corr["m"][0], off["m"][0]
 
-    perm = np.random.default_rng(11).permutation(s_b.size)
-    sign_value = {"plus": 1.0, "minus": -1.0}[sign]
-    f_shuffled = f_off.copy()
-    f_shuffled[:, 2] = -sign_value * s_b[perm] / spec.gain_g
-    m_shuffled = point_statistics(f_shuffled, phi, 1.0e7)["m"][0]
+    perm = np.random.default_rng(11).permutation(len(features))
+    f_shuffled = features.copy()
+    f_shuffled[:, 2] = features[perm, 2]
+    m_shuffled = point_statistics(f_shuffled, phi, [correction_weight(sign)], 1.0e7)[0]["m"][0]
 
     assert m_corr < 0.5 * m_off       # the correction genuinely helps
     assert m_shuffled > m_off         # ... but only through the correlations
@@ -304,7 +333,7 @@ def test_bootstrap_coverage_on_synthetic_truth():
     hits = 0
     for rep in range(100):
         f = _synthetic_features(rng, n_traj=500)
-        lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, 1.0, resamples=200,
+        lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, [1.0], 1.0, resamples=200,
                                              master_seed=rep))
         hits += int(lo[mid] <= m_true <= hi[mid])
     assert hits >= 90
@@ -318,7 +347,7 @@ def test_bootstrap_width_shrinks_with_sqrt_n():
     for rep in range(30):
         for n in widths:
             f = _synthetic_features(rng, n_traj=n)
-            lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, 1.0, resamples=200,
+            lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, [1.0], 1.0, resamples=200,
                                                  master_seed=1000 + rep))
             widths[n].append(hi[mid] - lo[mid])
     ratio = np.median(widths[500]) / np.median(widths[250])
@@ -328,19 +357,27 @@ def test_bootstrap_width_shrinks_with_sqrt_n():
 def test_bootstrap_rejects_too_few_resamples():
     phi = np.linspace(0.0, 1.0, 3)
     with pytest.raises(ValueError):
-        bootstrap_ci(np.zeros((1, 10, 3)), phi, 1.0, resamples=50)
+        bootstrap_ci(np.zeros((1, 10, 3)), phi, [1.0], 1.0, resamples=50)
 
 
 def test_bootstrap_flags_constant_signal():
     # a constant signal has zero fringe slope: M is undefined and the
-    # interval edges come out infinite rather than silently masked
+    # interval edges come out +inf rather than NaN or silently masked
     phi = np.linspace(0.0, 1.0, 5)
     f = np.column_stack([np.zeros(60), np.zeros(60), np.full(60, 3.7)])  # B = C = 0
-    with np.errstate(invalid="ignore"):
-        lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, 1.0, resamples=100,
-                                             master_seed=1))
-    assert not np.any(np.isfinite(lo))
-    assert not np.any(np.isfinite(hi))
+    lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, [1.0], 1.0, resamples=100,
+                                         master_seed=1))
+    assert np.all(np.isposinf(lo))
+    assert np.all(np.isposinf(hi))
+
+
+def test_bootstrap_edges_keep_nan_from_nan_signals():
+    # only a NaN M makes a NaN edge; the inf - inf of the percentile does not
+    phi = np.linspace(0.0, 1.0, 3)
+    f = _synthetic_features(np.random.default_rng(12), 200)
+    f[7, 0] = np.nan
+    lo, hi = bootstrap_ci(f[np.newaxis], phi, [1.0], 1.0, resamples=100, master_seed=2)
+    assert np.all(np.isnan(lo)) and np.all(np.isnan(hi))
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])
@@ -363,45 +400,52 @@ def test_stacked_bootstrap_equals_each_set_alone(n_traj):
     rng = np.random.default_rng(8)
     features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
     phi = np.linspace(0.0, 1.0, 4)
-    lo, hi = bootstrap_ci(features, phi, 1.0e7, resamples=100, master_seed=4)
+    weights = [-1.0, 1.0, 0.0]  # one per set
+    lo, hi = bootstrap_ci(features, phi, weights, 1.0e7, resamples=100, master_seed=4)
     assert lo.shape == hi.shape == (3, 4)
     for s in range(len(features)):  # each set against a stack of that set alone
-        lo_s, hi_s = bootstrap_ci(features[s:s + 1], phi, 1.0e7, resamples=100, master_seed=4)
+        lo_s, hi_s = bootstrap_ci(features[s:s + 1], phi, weights[s:s + 1], 1.0e7,
+                                  resamples=100, master_seed=4)
         assert np.array_equal(lo[s], lo_s[0]) and np.array_equal(hi[s], hi_s[0])
-    # the atomic record alone (k = 2) too
-    lo, hi = bootstrap_ci(features[:, :, :2], phi, 1.0e7, resamples=100, master_seed=4)
-    lo_s, hi_s = bootstrap_ci(features[1:2, :, :2], phi, 1.0e7, resamples=100, master_seed=4)
+    # the atomic record alone (weight 0 on every set) too
+    lo, hi = bootstrap_ci(features, phi, [0.0] * 3, 1.0e7, resamples=100, master_seed=4)
+    lo_s, hi_s = bootstrap_ci(features[1:2], phi, [0.0], 1.0e7, resamples=100, master_seed=4)
     assert np.array_equal(lo[1], lo_s[0]) and np.array_equal(hi[1], hi_s[0])
+    with pytest.raises(ValueError):  # a weight for every set
+        bootstrap_ci(features, phi, [1.0, 1.0], 1.0e7, resamples=100, master_seed=4)
 
 
 def test_bootstrap_deterministic(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     grid = np.linspace(0.0, np.pi, 9)
-    features, _, _ = fringe_features(working_point_ensemble, spec)
-    a = bootstrap_ci(features[np.newaxis], grid, 1.0e7, resamples=100, master_seed=5)
-    b = bootstrap_ci(features[np.newaxis], grid, 1.0e7, resamples=100, master_seed=5)
+    features, _, sign = fringe_features(working_point_ensemble, spec)
+    w = [correction_weight(sign)]
+    a = bootstrap_ci(features[np.newaxis], grid, w, 1.0e7, resamples=100, master_seed=5)
+    b = bootstrap_ci(features[np.newaxis], grid, w, 1.0e7, resamples=100, master_seed=5)
     assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1][0], b[1][0])
 
 
 @pytest.mark.parametrize("phases", [1, 201])
 @pytest.mark.parametrize("resamples", [100, 257])  # 257 is no multiple of a block
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3])  # 2: the atomic record (weight 0); 3: with the light
 @pytest.mark.parametrize("sets", [1, 3])
 def test_resample_blocks_change_nothing(sets, k, resamples, phases, monkeypatch):
     rng = np.random.default_rng(17)
     features = np.stack([_synthetic_features(rng, 300, slope=s) for s in (5.0, 2.0, 9.0)])
     # C = 0: the first set's slope vanishes at phi = 0, where every resample's M
-    # is inf and the percentile edges are not finite
+    # is inf and the percentile edges are +inf
     features[0, :, 1] = 0.0
-    features = features[:sets, :, :k]
+    features = features[:sets]
+    weights = [{2: 0.0, 3: 1.0}[k]] * sets
     phi = np.linspace(0.0, np.pi, phases)
     edges = {}
     for block in (1, 7, resamples + 1):  # resamples per evaluation of the statistics
-        with monkeypatch.context() as patch, np.errstate(invalid="ignore"):
+        with monkeypatch.context() as patch:
             patch.setattr(estimator, "RESAMPLE_BLOCK_CELLS", block * phases)
-            edges[block] = bootstrap_ci(features, phi, 1.0e7, resamples=resamples, master_seed=6)
+            edges[block] = bootstrap_ci(features, phi, weights, 1.0e7, resamples=resamples,
+                                        master_seed=6)
     whole_lo, whole_hi = edges[resamples + 1]
-    assert not np.isfinite(whole_lo[0, 0]) and not np.isfinite(whole_hi[0, 0])
+    assert np.isposinf(whole_lo[0, 0]) and np.isposinf(whole_hi[0, 0])
     assert np.all(np.isfinite(whole_lo[1:])) and np.all(np.isfinite(whole_hi[1:]))
     for lo, hi in edges.values():
         assert lo.tobytes() == whole_lo.tobytes() and hi.tobytes() == whole_hi.tobytes()
@@ -419,7 +463,7 @@ def _traced_peak(call) -> int:
 
 
 def test_estimator_transient_memory_is_one_term_block():
-    """The 9 term rows of a (B, C, D) record are the estimator's one large array.
+    """The 9 term rows of a (B, C, S_b / g) record are the estimator's one large array.
 
     On a (1, 2e5, 3) stack the measured tracemalloc peaks are 1.34 block sizes
     for bootstrap_ci (the block plus the draw, bincount and float counts of
@@ -431,9 +475,9 @@ def test_estimator_transient_memory_is_one_term_block():
     features = _synthetic_features(np.random.default_rng(5), n)[np.newaxis]
     phi = np.linspace(0.0, 2 * np.pi, 201)
     block = 9 * n * features.itemsize
-    boot = _traced_peak(lambda: bootstrap_ci(features, phi, 1.0e7, resamples=100,
+    boot = _traced_peak(lambda: bootstrap_ci(features, phi, [1.0], 1.0e7, resamples=100,
                                              master_seed=2))
-    point = _traced_peak(lambda: point_statistics(features[0], phi, 1.0e7))
+    point = _traced_peak(lambda: point_statistics(features[0], phi, [1.0, 0.0], 1.0e7))
     assert boot < 1.45 * block
     assert point < 1.1 * block
 

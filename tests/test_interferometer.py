@@ -11,6 +11,7 @@ from atomlight.interferometer import (
     beam_splitter_half,
     calibrate_correction_sign,
     combine_signals,
+    correction_weight,
     detected_photons,
     lo_amplitude,
     lo_noise_samples,
@@ -189,11 +190,15 @@ def test_combine_signals_arithmetic():
     assert combine_signals(10.0, 5.0, spec) == pytest.approx(9.95)
     flipped = HomodyneSpec(gain_g=100.0, correction_sign="minus")
     assert combine_signals(10.0, 5.0, flipped) == pytest.approx(10.05)
+    assert combine_signals(10.0, 5.0, HomodyneSpec(correction_sign="off")) == 10.0
+    assert [correction_weight(sign) for sign in ("plus", "minus", "off")] == [-1.0, 1.0, 0.0]
 
 
 def test_combine_signals_rejects_auto():
     with pytest.raises(ValueError):
         combine_signals(1.0, 1.0, HomodyneSpec(correction_sign="auto"))
+    with pytest.raises(ValueError, match="unresolved"):
+        correction_weight("auto")
 
 
 def test_resolve_homodyne_derives_lo(working_point_ensemble):
@@ -212,7 +217,7 @@ def test_resolve_homodyne_derives_lo(working_point_ensemble):
 def _calibrate_at(ensemble, spec, phi=np.pi / 2):
     """The sign chosen from the interferometer's own signals at phi."""
     sample = measure_signals(ensemble, phi, spec)
-    return calibrate_correction_sign(sample.s_a, sample.s_b, spec.gain_g)
+    return calibrate_correction_sign(sample.s_a, sample.s_b)
 
 
 def test_calibration_reduces_variance(working_point_ensemble):
@@ -250,12 +255,12 @@ def test_calibration_matches_two_variance_form_on_random_records():
         gain_g, scale = 10.0 ** rng.uniform(-1, 3), 10.0 ** rng.uniform(-3, 6)
         s_a = scale * rng.normal(size=n) + rng.normal()
         s_b = gain_g * (rng.uniform(-1, 1) * s_a + scale * rng.normal(size=n))
-        assert calibrate_correction_sign(s_a, s_b, gain_g) == _two_variance_sign(s_a, s_b, gain_g)
+        assert calibrate_correction_sign(s_a, s_b) == _two_variance_sign(s_a, s_b, gain_g)
 
 
 def test_calibration_rejects_empty():
     with pytest.raises(ValueError):
-        calibrate_correction_sign(np.empty(0), np.empty(0), 100.0)
+        calibrate_correction_sign(np.empty(0), np.empty(0))
 
 
 @pytest.mark.parametrize("ensemble", ["working_point_ensemble", "coherent_ensemble"])
@@ -265,7 +270,7 @@ def test_feature_sign_matches_interferometer_sign(request, ensemble, phi):
     ensemble = request.getfixturevalue(ensemble)
     spec = HomodyneSpec(gain_g=100.0)
     features, s_b, sign = fringe_features(ensemble, spec)
-    from_features = calibrate_correction_sign(np.sin(phi) * features[:, 1], s_b, spec.gain_g)
+    from_features = calibrate_correction_sign(np.sin(phi) * features[:, 1], s_b)
     assert from_features == _calibrate_at(ensemble, spec, phi)
     assert from_features == _two_variance_sign(np.sin(phi) * features[:, 1], s_b, spec.gain_g)
     if phi == np.pi / 2:
