@@ -44,10 +44,10 @@ threads, and a second worker thread made the RK4 slower at every ensemble
 size timed (3e4 to 1e6 trajectories, 2 cores).
 
 The pump treatment is chosen by one setting, the mode of build_ensembles
-(EVOLUTION_MODES).  "clamped" is an integrator setting
-(IntegratorSpec.clamp_pump); "decorrelated" integrates the full dynamics
-and then, in build_ensembles, swaps the pump at each stop for an
-independent coherent draw from the "pump_resample" stream.
+(EVOLUTION_MODES), and means the same in every use: "tw" integrates the full
+dynamics, "clamped" holds the pump classical in the integrator
+(IntegratorSpec.clamp_pump), and "analytic" applies the Bogoliubov map.  The
+two held-pump modes are refused at an r whose transfer the pump cannot hold.
 """
 
 from __future__ import annotations
@@ -56,14 +56,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .phasespace import (
-    ModeTriple,
-    occupation,
-    sample_coherent_batch,
-    sample_initial_ensemble,
-)
+from .phasespace import ModeTriple, occupation, sample_initial_ensemble
 
-EVOLUTION_MODES = ("tw", "analytic", "clamped", "decorrelated")
+EVOLUTION_MODES = ("tw", "analytic", "clamped")
 
 DEFAULT_STEPS_PER_UNIT_R = 40
 
@@ -390,9 +385,11 @@ def build_ensembles(
     to max(r_values) serve the whole list.  Returns one Ensemble per entry
     of r_values, in the order given; repeated values share their state.
 
-    mode: "tw" (full dynamics), "clamped" (pump held classical),
-    "analytic" (exact Bogoliubov map), or "decorrelated" (full dynamics,
-    then the pump is swapped for an uncorrelated coherent state).
+    mode: "tw" (full dynamics), "clamped" (pump held classical) or
+    "analytic" (exact Bogoliubov map).  A held pump holds only while the
+    transfer (n_seed + 1) sinh^2 r fits in its n_total - n_seed atoms, so
+    in those two modes the smallest r past that raises ValueError before
+    any sampling.
     """
     if mode not in EVOLUTION_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -400,17 +397,22 @@ def build_ensembles(
     if not r_values:
         raise ValueError("r_values must be non-empty")
     stops = sorted(set(r_values))
+    if mode in ("analytic", "clamped"):
+        available = n_total - n_seed
+        for r in stops:
+            with np.errstate(over="ignore"):  # sinh overflows to inf, which is past
+                atoms = (n_seed + 1.0) * np.sinh(r) ** 2
+            if atoms > available:
+                raise ValueError(
+                    f"r = {r} is past the {mode} mode's undepleted-pump range: it transfers "
+                    f"(n_seed + 1) sinh^2 r = {atoms:.6g} atoms, more than the "
+                    f"n_total - n_seed = {available:.6g} in the pump")
     t0 = sample_initial_ensemble(n_total, n_seed, master_seed, n_traj)
     if mode == "analytic":
         pairs = [(evolve_analytic(t0, r), ConservationReport()) for r in stops]
     else:
         spec = IntegratorSpec(steps_per_unit_r=steps_per_unit_r, clamp_pump=(mode == "clamped"))
         pairs, _ = evolve_tw(t0, stops[-1], spec, n_pump0=n_total - n_seed, stops=stops)
-    if mode == "decorrelated":  # swap the pump for an uncorrelated one of equal occupation
-        for k, (t1, report) in enumerate(pairs):
-            amplitude = np.sqrt(max(occupation(t1.alpha1), 0.0))
-            pump = sample_coherent_batch(amplitude, master_seed, "pump_resample", n_traj)
-            pairs[k] = (replace(t1, alpha1=pump), report)
     at = dict(zip(stops, pairs))
     return [Ensemble(at[r][0], master_seed, n_total, n_seed, r, at[r][1]) for r in r_values]
 

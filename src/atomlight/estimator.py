@@ -25,8 +25,8 @@ feature sums over each resample.
 Every M goes through one evaluation, _curves: check that the ensembles
 share one draw and have enough trajectories, draw the LO noise once, build
 each ensemble's features, take the point statistics of each, and bootstrap
-them all with one bootstrap_ci call.  sensitivity_curve, m_at_phi and the
-sampled scan_over_r are reads of its curves.
+them all with one bootstrap_ci call.  sensitivity_curve, m_at_phi and
+scan_over_r are reads of its curves, in every evolution mode.
 """
 
 from __future__ import annotations
@@ -373,13 +373,11 @@ def prepare(config: RunConfig, r_values,
 def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     """Evaluate M at phi = pi/2 for each r and locate the optimum.
 
-    In "analytic" mode the rows come from the closed undepleted-pump forms
-    (exact, no sampling), and an r whose transfer (n_seed + 1) sinh^2 r
-    exceeds the n_total - n_seed pump atoms raises ValueError before any row
-    is made; otherwise one pass to the largest r gives every r its ensemble
-    (or ensembles holds them, one per r, in order), and one _curves call at
-    pi/2 evaluates them all, each r with its own sign calibration, so every
-    row equals m_at_phi on its own ensemble.
+    One pass to the largest r gives every r its ensemble (or ensembles holds
+    them, one per r, in order), in any mode, and one _curves call at pi/2
+    evaluates them all, each r with its own sign calibration, so every row
+    equals m_at_phi on its own ensemble.  The closed undepleted-pump forms
+    ride along in m_plain and m_recycled.
     """
     r_values = [float(v) for v in r_values]
     if not r_values:
@@ -387,48 +385,25 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     if any(v < 0 for v in r_values):
         raise ValueError("r_values must be >= 0")
 
+    ensembles, spec = prepare(config, r_values, ensembles)
+    if len(ensembles) != len(r_values):
+        raise ValueError(f"{len(ensembles)} ensembles for {len(r_values)} r values")
+    for r, ensemble in zip(r_values, ensembles):
+        if ensemble.r != r:
+            raise ValueError(f"ensemble at r = {ensemble.r} given for r = {r}")
+    curves = _curves(ensembles, [np.pi / 2], spec, config.bootstrap_resamples)
     rows = []
-    if config.mode == "analytic":
-        # the undepleted pump holds only while the transfer fits in the pump
-        available = config.n_total - config.n_seed
-        with np.errstate(over="ignore"):
-            transferred = [(config.n_seed + 1.0) * np.sinh(r) ** 2 for r in r_values]
-        for r, atoms in zip(r_values, transferred):
-            if atoms > available:
-                raise ValueError(
-                    f"r_list: r = {r} is past the analytic model's range: it transfers "
-                    f"(n_seed + 1) sinh^2 r = {atoms:.6g} atoms, more than the "
-                    f"n_total - n_seed = {available:.6g} in the pump")
-        for r, atoms in zip(r_values, transferred):
-            pred = predict(r, config.n_total)
-            m = pred.m_plain if config.correction == "off" else pred.m_recycled
-            rows.append(RScanRow(
-                r=r, m=m, m_ci_lo=m, m_ci_hi=m,
-                transferred=atoms,
-                var_squeezed_combo=pred.var_squeezed_combo,
-                m_plain=pred.m_plain, m_recycled=pred.m_recycled,
-                correction_sign="off" if config.correction == "off" else "plus",
-                conservation=ConservationReport(),
-            ))
-    else:
-        ensembles, spec = prepare(config, r_values, ensembles)
-        if len(ensembles) != len(r_values):
-            raise ValueError(f"{len(ensembles)} ensembles for {len(r_values)} r values")
-        for r, ensemble in zip(r_values, ensembles):
-            if ensemble.r != r:
-                raise ValueError(f"ensemble at r = {ensemble.r} given for r = {r}")
-        curves = _curves(ensembles, [np.pi / 2], spec, config.bootstrap_resamples)
-        for r, ensemble, curve in zip(r_values, ensembles, curves):
-            pred = predict(r, config.n_total)
-            rows.append(RScanRow(
-                r=r, m=float(curve.m[0]),
-                m_ci_lo=float(curve.m_ci_lo[0]), m_ci_hi=float(curve.m_ci_hi[0]),
-                transferred=transferred_atoms(ensemble),
-                var_squeezed_combo=squeezed_combo_variance(ensemble),
-                m_plain=pred.m_plain, m_recycled=pred.m_recycled,
-                correction_sign=curve.correction_sign,
-                conservation=ensemble.conservation,
-            ))
+    for r, ensemble, curve in zip(r_values, ensembles, curves):
+        pred = predict(r, config.n_total)
+        rows.append(RScanRow(
+            r=r, m=float(curve.m[0]),
+            m_ci_lo=float(curve.m_ci_lo[0]), m_ci_hi=float(curve.m_ci_hi[0]),
+            transferred=transferred_atoms(ensemble),
+            var_squeezed_combo=squeezed_combo_variance(ensemble),
+            m_plain=pred.m_plain, m_recycled=pred.m_recycled,
+            correction_sign=curve.correction_sign,
+            conservation=ensemble.conservation,
+        ))
 
     k = int(np.argmin([row.m for row in rows]))
     best = rows[k]

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Stream tags, one per independent noise source.  "pump_resample" feeds the
-# diagnostic mode that swaps the pump for an uncorrelated coherent state.
+# Stream tags, one per independent noise source.  A tag is part of every
+# draw from its stream, so tags are never renumbered: 4 is left unassigned on
+# purpose.
 STREAMS = {
     "atoms1": 0,
     "atoms2": 1,
     "light2": 2,
     "local_oscillator": 3,
-    "pump_resample": 4,
 }
 
 TIME_TAGS = ("t0", "t1", "t3")

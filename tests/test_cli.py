@@ -193,11 +193,16 @@ def test_r_scan_analytic_mode(tmp_path):
     assert code == 0
     lines = [l for l in (out / "r_scan.csv").read_text().splitlines()
              if not l.startswith("#")]
-    assert lines[0].split(",")[0:2] == ["r", "m"]
+    header = lines[0].split(",")
+    assert header[0:4] == ["r", "m", "m_ci_lo", "m_ci_hi"]
+    assert header[6:8] == ["m_plain", "m_recycled"]
     for line in lines[1:]:
         parts = line.split(",")
-        r, m = float(parts[0]), float(parts[1])
-        assert m == pytest.approx(np.sqrt(2.0) * np.exp(-r), rel=1e-14)
+        r, m, lo, hi = (float(v) for v in parts[0:4])
+        m_plain, m_recycled = float(parts[6]), float(parts[7])
+        assert m_plain == pytest.approx(np.sqrt(np.cosh(2.0 * r)), rel=1e-14)
+        assert m_recycled == pytest.approx(np.sqrt(2.0) * np.exp(-r), rel=1e-14)
+        assert lo < m < hi  # sampled, with a bootstrap interval
     summary = json.loads((out / "r_scan_summary.json").read_text())
     assert summary["r_star"] == 2.0
     assert summary["at_boundary"] is True
@@ -205,21 +210,47 @@ def test_r_scan_analytic_mode(tmp_path):
 
 def test_analytic_r_scan_refuses_r_past_the_pump(tmp_path, capsys):
     # r = 30 would transfer 2.9e29 atoms out of a pump of 1e7 - 1e4
-    code, out = run(["r-scan", "--set", "mode=analytic", "--set", "r_list=1, 30, 40"], tmp_path)
+    code, out = run(["r-scan", "--set", "mode=analytic", "--set", "r_list=1, 40, 30"], tmp_path)
     assert code == 2
     message = json.loads(capsys.readouterr().err)["message"]
-    assert message.startswith("r_list: r = 30.0 ")
+    assert message.startswith("r = 30.0 is past the analytic mode's undepleted-pump range: ")
     assert not out.exists()
-    # in range, the rows are written as before
+    # in range, the rows are the sampled Bogoliubov map
     code, out = run(["r-scan", "--set", "mode=analytic", "--set", "r_list=1,2"], tmp_path)
     assert code == 0
     lines = [l for l in (out / "r_scan.csv").read_text().splitlines() if not l.startswith("#")]
     assert lines[1:] == [
-        "1,0.52026009502288895,0.52026009502288895,0.52026009502288895,13812.359553263697,"
-        "0.2706705664732254,1.939638030943823,0.52026009502288895,plus",
-        "2,0.19139299302082188,0.19139299302082188,0.19139299302082188,131554.31829650042,"
-        "0.036631277777468357,5.2257279718730567,0.19139299302082188,plus",
+        "1,0.50711660164603423,0.48576857362283116,0.52981301757714694,13820.517541189827,"
+        "0.25690613240728821,1.939638030943823,0.52026009502288895,plus",
+        "2,0.21687145998097765,0.20791140565600966,0.22658925678137598,131616.02732915818,"
+        "0.034768464194563142,5.2257279718730567,0.19139299302082188,plus",
     ]
+
+
+@pytest.mark.parametrize("verb, mode", [
+    ("phi-sweep", "analytic"), ("scatter", "clamped"), ("r-scan", "clamped"),
+    ("figures", "analytic"),
+])
+def test_held_pump_past_the_pump_is_refused_in_every_verb(tmp_path, capsys, verb, mode):
+    # r = 12 would transfer 6.6e13 atoms out of a pump of 1e7 - 1e4
+    code, out = run([verb, "--set", f"mode={mode}", "--set", "r=12", "--set", "r_list=12",
+                     "--set", "trajectories=100"], tmp_path)
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith(f"r = 12.0 is past the {mode} mode's undepleted-pump range: ")
+    assert not out.exists()
+
+
+def test_retired_mode_is_refused_before_work(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled for a refused mode")
+
+    monkeypatch.setattr(dynamics, "sample_initial_ensemble", unreachable)
+    code, out = run(["phi-sweep", "--set", "mode=decorrelated"], tmp_path)
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config" and record["message"].startswith("mode must be one of")
+    assert not out.exists()
 
 
 def test_r_scan_tw_smoke(tmp_path):
@@ -485,10 +516,11 @@ def test_rk4_failure_is_reported(tmp_path, capsys, verb, extra):
 
 
 def test_integration_error_is_reported(tmp_path, capsys):
-    # one step per unit r with the pump clamped: each step multiplies the
-    # amplitudes by about 2.7 until the h pass overflows, near step 707
+    # one step per unit r on a pump of 1000 atoms under a seed of 9999000: the
+    # coupling, sqrt(n_seed / n_pump) = 100 per unit r, makes the steps unstable,
+    # and the h pass overflows within a few of them
     out = tmp_path / "out"
-    code = main(["phi-sweep", "--set", "mode=clamped", "--set", "r=720",
+    code = main(["phi-sweep", "--set", "n_seed=9999000", "--set", "r=720",
                  "--set", "steps_per_unit_r=1", "--set", "trajectories=100", "--out", str(out)])
     assert code == 1
     (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atomlight.cli import make_setup
-from atomlight.config import RUN_KINDS, SETUP_KINDS, ConfigError, RunConfig, make_config
+from atomlight.config import (
+    CORRECTIONS,
+    RUN_KINDS,
+    SETUP_KINDS,
+    ConfigError,
+    RunConfig,
+    make_config,
+)
+from atomlight.dynamics import EVOLUTION_MODES
 from atomlight.feasibility import PhysicalSetup
 
 FLOAT_KEYS = ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g")
@@ -27,8 +35,8 @@ valid_rest = st.fixed_dictionaries({}, optional={
     "phi_count": st.integers(2, 401),
     "threads": st.integers(1, 8),
     "bootstrap_resamples": st.integers(100, 1000),
-    "mode": st.sampled_from(["tw", "analytic", "clamped", "decorrelated"]),
-    "correction": st.sampled_from(["on", "off", "auto_sign"]),
+    "mode": st.sampled_from(EVOLUTION_MODES),
+    "correction": st.sampled_from(list(CORRECTIONS)),
 })
 
 

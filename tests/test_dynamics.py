@@ -230,20 +230,30 @@ def test_transferred_atoms_clamped_sinh():
 
 # --- modes and diagnostics ---------------------------------------------------
 
-def test_decorrelated_pump_matches_occupation_and_breaks_correlation():
+def test_full_dynamics_deplete_the_pump():
+    # per trajectory the pump gives up what the transferred mode gains, so
+    # the full dynamics have no range to refuse
     full = build_ensembles(1.0e7, 1.0e4, [2.5], 3000, SEED, mode="tw")[0]
-    dec = build_ensembles(1.0e7, 1.0e4, [2.5], 3000, SEED, mode="decorrelated")[0]
-    # same alpha2/beta2 trajectories (pump swap happens after evolution)
-    assert np.array_equal(full.state.alpha2, dec.state.alpha2)
-    occ_full = occupation(full.state.alpha1)
-    occ_dec = occupation(dec.state.alpha1)
-    assert abs(occ_dec - occ_full) < 5 * occ_full / np.sqrt(3000)
-    # amplitude correlation with the transferred mode is gone
-    n1 = np.abs(dec.state.alpha1) ** 2
-    n2 = np.abs(dec.state.alpha2) ** 2
-    assert abs(np.corrcoef(n1, n2)[0, 1]) < 0.1
-    n1_full = np.abs(full.state.alpha1) ** 2
-    assert np.corrcoef(n1_full, n2)[0, 1] < -0.5  # full dynamics: anti-correlated
+    n1, n2 = np.abs(full.state.alpha1) ** 2, np.abs(full.state.alpha2) ** 2
+    assert np.corrcoef(n1, n2)[0, 1] < -0.5  # anti-correlated
+    assert build_ensembles(1.0e7, 1.0e4, [4.25], 100, SEED, mode="tw")[0].r == 4.25
+
+
+@pytest.mark.parametrize("mode", ["analytic", "clamped"])
+def test_held_pump_refuses_r_past_the_pump_before_sampling(mode, monkeypatch):
+    # (n_seed + 1) sinh^2 r may not exceed the n_total - n_seed pump atoms:
+    # 10001 sinh^2 4 = 7.45e6 fits in 9.99e6, and 10001 sinh^2 4.25 = 1.23e7 does not
+    assert build_ensembles(1.0e7, 1.0e4, [4.0], 100, SEED, mode=mode)[0].r == 4.0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled past the pump")
+
+    monkeypatch.setattr(dynamics, "sample_initial_ensemble", unreachable)
+    with pytest.raises(ValueError, match=rf"^r = 4.25 is past the {mode} mode's "
+                                         r"undepleted-pump range: it transfers .* = 1.2"):
+        build_ensembles(1.0e7, 1.0e4, [1.0, 4.5, 4.25], 100, SEED, mode=mode)
+    with pytest.raises(ValueError, match=r"^r = 900.0 .* = inf atoms"):  # sinh overflows
+        build_ensembles(1.0e7, 1.0e4, [900.0], 100, SEED, mode=mode)
 
 
 def test_nonfinite_state_aborts_with_diagnostics():
@@ -282,7 +292,7 @@ def test_build_ensembles_deterministic():
 
 # --- one pass for many r -----------------------------------------------------
 
-@pytest.mark.parametrize("mode", ["tw", "clamped", "decorrelated"])
+@pytest.mark.parametrize("mode", ["tw", "clamped", "analytic"])
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_build_ensembles_equals_per_r_builds(mode, n_threads):
     # unsorted, repeated lattice values: each one is a prefix of the pass to the largest

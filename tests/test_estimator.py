@@ -521,23 +521,48 @@ def test_sensitivity_curve_requires_enough_trajectories():
 # --- r scan ---------------------------------------------------------------------
 
 def test_analytic_scan_is_exact():
+    # the closed forms ride along on every row, exactly
     config = RunConfig(mode="analytic", correction="auto_sign")
     result = scan_over_r([0.5, 1.0, 2.0, 3.0], config)
     for row in result.rows:
-        assert row.m == pytest.approx(np.sqrt(2.0) * np.exp(-row.r), rel=1e-14)
-        assert row.m_ci_lo == row.m == row.m_ci_hi
-    ms = [row.m for row in result.rows]
-    assert all(a > b for a, b in zip(ms, ms[1:]))  # no interior minimum
-    assert result.report.at_boundary
-    assert result.report.r_star == 3.0
+        assert row.m_recycled == pytest.approx(np.sqrt(2.0) * np.exp(-row.r), rel=1e-14)
+        assert row.m_plain == pytest.approx(np.sqrt(np.cosh(2 * row.r)), rel=1e-14)
+        assert row.m_ci_lo < row.m < row.m_ci_hi  # the sampled M has a real interval
+    ms = [row.m_recycled for row in result.rows]
+    assert all(a > b for a, b in zip(ms, ms[1:]))  # the closed form has no interior minimum
+    # the sampled map keeps the pump noise that sets the optimum
+    assert (result.report.r_star, result.report.at_boundary) == (2.0, False)
 
 
 def test_analytic_scan_without_correction():
     config = RunConfig(mode="analytic", correction="off")
     result = scan_over_r([0.0, 1.0, 2.0], config)
     for row in result.rows:
-        assert row.m == pytest.approx(np.sqrt(np.cosh(2 * row.r)), rel=1e-14)
+        assert row.m_plain == pytest.approx(np.sqrt(np.cosh(2 * row.r)), rel=1e-14)
+        assert row.m_ci_lo <= row.m_plain <= row.m_ci_hi
+        assert row.correction_sign == "off"
     assert result.report.r_star == 0.0
+
+
+@pytest.mark.parametrize("mode", dynamics.EVOLUTION_MODES)
+def test_scan_rows_equal_every_verb_in_every_mode(mode):
+    # one model per mode: an r-scan row is m_at_phi on the mode's ensemble, and
+    # the pi/2 entry of a phase grid up to the rounding of one phase against several
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=200, master_seed=SEED,
+                       steps_per_unit_r=50, bootstrap_resamples=100, mode=mode)
+    r_values = [1.0, 2.5]
+    result = scan_over_r(r_values, config)
+    spec = HomodyneSpec(gain_g=config.gain_g)
+    grid = np.linspace(config.phi_start, config.phi_stop, 5)
+    assert grid[1] == np.pi / 2
+    for r, row in zip(r_values, result.rows):
+        ens = build_ensembles(1.0e7, 1.0e4, [r], 200, SEED, mode=mode, steps_per_unit_r=50)[0]
+        m, (lo, hi), sign = m_at_phi(ens, spec, resamples=100)
+        assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
+        curve = sensitivity_curve(ens, grid, spec, resamples=100)
+        got = (curve.m[1], curve.m_ci_lo[1], curve.m_ci_hi[1])
+        assert got == pytest.approx((row.m, row.m_ci_lo, row.m_ci_hi), rel=1e-12)
+        assert curve.correction_sign == row.correction_sign
 
 
 def test_scan_rejects_bad_r_values():
