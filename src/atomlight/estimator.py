@@ -5,8 +5,10 @@ interferometer phase plus the weighted light record,
 
     S(phi) = B cos(phi) + C sin(phi) + w S_b / g,
 
-where B - iC = 2i alpha2' conj(alpha1') from the atomic amplitudes after
-the first beam splitter.  The features (B, C, S_b / g) do not depend on the
+where B = |alpha1|^2 - |alpha2|^2 and C = -2 Re(alpha1 conj(alpha2)) follow in
+closed form from the t1 amplitudes, and S_b = -2 Im(beta2 conj(beta_LO)) is
+the homodyne record (interferometer.signal_light); no amplitude is split and
+no port intensity formed.  The features (B, C, S_b / g) do not depend on the
 correction: its sign is the weight w (interferometer.correction_weight) in
 the fringe design, and the atomic record S_a is S at w = 0, read from the
 same sums.  The dynamics do not depend on phi,
@@ -40,7 +42,6 @@ from .config import CORRECTIONS, RunConfig
 from .dynamics import ConservationReport, Ensemble, build_ensembles, transferred_atoms
 from .interferometer import (
     HomodyneSpec,
-    beam_splitter_half,
     calibrate_correction_sign,
     correction_weight,
     lo_amplitude,
@@ -125,18 +126,19 @@ def fringe_features(
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Per-trajectory features (B, C, S_b / g), the light record S_b, and the sign.
 
-    The features are the same for every correction sign, and an "auto" sign
-    is calibrated at pi/2, where the atomic signal is C.  The LO noise is
-    drawn once (or passed in).  The (n, 3) features are written into out
-    when it is given.
+    B = |alpha1|^2 - |alpha2|^2 and C = -2 Re(alpha1 conj(alpha2)) are the
+    coefficients of the Mach-Zehnder output N2 - N1 = B cos phi + C sin phi,
+    taken from the unsplit t1 amplitudes (interferometer.run_mzi is the
+    oracle).  The features are the same for every correction sign, and an
+    "auto" sign is calibrated at pi/2, where the atomic signal is C.  The LO
+    noise is drawn once (or passed in).  The (n, 3) features are written
+    into out when it is given.
     """
     s_b = np.asarray(signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise)),
                      dtype=float)
-    split = beam_splitter_half(ensemble.state)
-    z = 2j * split.alpha2
-    z *= np.conj(split.alpha1)  # B - iC
-    del split  # free the split amplitudes before the stacked features are made
-    b, c = z.real, -z.imag
+    a1, a2 = ensemble.state.alpha1, ensemble.state.alpha2
+    b = (a1.real ** 2 + a1.imag ** 2) - (a2.real ** 2 + a2.imag ** 2)  # |alpha1|^2 - |alpha2|^2
+    c = -2.0 * (a1.real * a2.real + a1.imag * a2.imag)  # -2 Re(alpha1 conj(alpha2))
     sign = spec.correction_sign
     if sign == "auto":
         sign = calibrate_correction_sign(c, s_b)

@@ -2,14 +2,19 @@
 
 Atoms: a Mach-Zehnder sequence of two 50/50 Raman beam splitters with the
 phase to be estimated imprinted on the transferred mode between them, then
-the number difference S_a = N2 - N1 at t3.
+the number difference S_a = N2 - N1 at t3.  Its closed form is the fringe
+B cos(phi) + C sin(phi) with B = |alpha1|^2 - |alpha2|^2 and
+C = -2 Re(alpha1 conj(alpha2)) at t1, which the estimator uses; the
+splitter path here (run_mzi, signal_atoms, combine_signals and
+measure_signals) is the independent oracle it is tested against.
 
 Light: the scattered mode leaves the condensate at the end of the
 super-radiance step and is detected independently of the atomic
 interferometer, so beta2 is measured at its t1 value.  Homodyne detection
 mixes it with a strong local oscillator on a 50/50 beam splitter and takes
 the photon number difference between the output ports,
-S_b = |c|^2 - |d|^2 = -2 Im(beta2 conj(beta_LO)).
+S_b = |c|^2 - |d|^2 = -2 Im(beta2 conj(beta_LO)); signal_light returns the
+closed form, which the estimator and the oracle share.
 
 The combined signal S = S_a + w S_b / g removes the quantum noise the two
 records share, with w from the correction sign in one place,
@@ -104,10 +109,14 @@ def signal_atoms(state: ModeTriple) -> np.ndarray | float:
 
 def signal_light(beta2, beta_lo) -> np.ndarray | float:
     """Homodyne photon-number difference of the scattered light beta2 against
-    an LO of amplitude beta_lo: -2 Im(beta2 conj(beta_LO))."""
-    c = (beta2 - 1j * beta_lo) * _INV_SQRT2
-    d = (beta_lo - 1j * beta2) * _INV_SQRT2
-    return np.abs(c) ** 2 - np.abs(d) ** 2
+    an LO of amplitude beta_lo: -2 Im(beta2 conj(beta_LO)).
+
+    This is |c|^2 - |d|^2 for the output ports c = (beta2 - i beta_LO) / sqrt(2)
+    and d = (beta_LO - i beta2) / sqrt(2), taken in closed form: the port
+    intensities are of order beta_LO^2, and their difference would lose that
+    much of the record's precision.
+    """
+    return -2.0 * np.imag(beta2 * np.conj(beta_lo))
 
 
 def correction_weight(correction_sign: str) -> float:

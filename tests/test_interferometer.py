@@ -164,6 +164,14 @@ def test_signal_light_linear_in_lo():
     assert s2 == pytest.approx(2.0 * s1, rel=1e-9)
 
 
+def test_signal_light_is_exact_where_the_port_intensities_cancel():
+    # the ports hold about 4.5e10 photons each, and their difference (4.2e5)
+    # taken from them would be off by about 4e-11 relative
+    beta2, beta_lo = 0.3 + 0.7j, 3.0e5
+    assert signal_light(beta2, beta_lo) == pytest.approx(-2.0 * beta2.imag * beta_lo,
+                                                         rel=1e-14, abs=0.0)
+
+
 def test_homodyne_shot_noise():
     # oracle: propagate vacuum covariance through the 50/50 map with a
     # sampled LO; Var(S_b) = beta_LO^2 * (V(Re b2) + V(Im b2)) * 4 ... = beta_LO^2
