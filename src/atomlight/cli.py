@@ -29,7 +29,7 @@ from .config import (
     make_config,
     parse_assignments,
 )
-from .dynamics import ConservationReport, IntegrationError, transferred_atoms
+from .dynamics import ConservationReport, IntegrationError, check_pump_range, transferred_atoms
 from .estimator import (
     fringe_features,
     prepare,
@@ -240,6 +240,7 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
     runs = {}
     for cfg in recipes:
         runs.setdefault((cfg.n_seed, cfg.mode), (cfg, []))[1].extend(cfg.r_list)
+        check_pump_range(cfg.n_total, cfg.n_seed, cfg.r_list, cfg.mode)  # before any build
     built = {key: dict(zip(rs, prepare(cfg, rs)[0])) for key, (cfg, rs) in runs.items()}
     tw_unseeded, tw_seeded, m_unseeded, m_seeded, working = (
         [built[cfg.n_seed, cfg.mode][r] for r in cfg.r_list] for cfg in recipes)

@@ -369,6 +369,22 @@ class Ensemble:
         return self.state.n_traj
 
 
+def check_pump_range(n_total: float, n_seed: float, r_values, mode: str):
+    """In a held-pump mode ("analytic", "clamped"), raise ValueError at the smallest
+    r whose transfer (n_seed + 1) sinh^2 r exceeds the pump's n_total - n_seed."""
+    if mode not in ("analytic", "clamped"):
+        return
+    available = n_total - n_seed
+    for r in sorted(set(r_values)):
+        with np.errstate(over="ignore"):  # sinh overflows to inf, which is past
+            atoms = (n_seed + 1.0) * np.sinh(r) ** 2
+        if atoms > available:
+            raise ValueError(
+                f"r = {r} is past the {mode} mode's undepleted-pump range: it transfers "
+                f"(n_seed + 1) sinh^2 r = {atoms:.6g} atoms, more than the "
+                f"n_total - n_seed = {available:.6g} in the pump")
+
+
 def build_ensembles(
     n_total: float,
     n_seed: float,
@@ -386,27 +402,16 @@ def build_ensembles(
     of r_values, in the order given; repeated values share their state.
 
     mode: "tw" (full dynamics), "clamped" (pump held classical) or
-    "analytic" (exact Bogoliubov map).  A held pump holds only while the
-    transfer (n_seed + 1) sinh^2 r fits in its n_total - n_seed atoms, so
-    in those two modes the smallest r past that raises ValueError before
-    any sampling.
+    "analytic" (exact Bogoliubov map).  In those two modes an r past the
+    pump's range (check_pump_range) raises ValueError before any sampling.
     """
     if mode not in EVOLUTION_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     r_values = [float(r) for r in r_values]
     if not r_values:
         raise ValueError("r_values must be non-empty")
+    check_pump_range(n_total, n_seed, r_values, mode)
     stops = sorted(set(r_values))
-    if mode in ("analytic", "clamped"):
-        available = n_total - n_seed
-        for r in stops:
-            with np.errstate(over="ignore"):  # sinh overflows to inf, which is past
-                atoms = (n_seed + 1.0) * np.sinh(r) ** 2
-            if atoms > available:
-                raise ValueError(
-                    f"r = {r} is past the {mode} mode's undepleted-pump range: it transfers "
-                    f"(n_seed + 1) sinh^2 r = {atoms:.6g} atoms, more than the "
-                    f"n_total - n_seed = {available:.6g} in the pump")
     t0 = sample_initial_ensemble(n_total, n_seed, master_seed, n_traj)
     if mode == "analytic":
         pairs = [(evolve_analytic(t0, r), ConservationReport()) for r in stops]

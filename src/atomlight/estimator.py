@@ -5,18 +5,17 @@ interferometer phase plus the weighted light record,
 
     S(phi) = B cos(phi) + C sin(phi) + w S_b / g,
 
-where B = |alpha1|^2 - |alpha2|^2 and C = -2 Re(alpha1 conj(alpha2)) follow in
-closed form from the t1 amplitudes, and S_b = -2 Im(beta2 conj(beta_LO)) is
-the homodyne record (interferometer.signal_light); no amplitude is split and
-no port intensity formed.  The features (B, C, S_b / g) do not depend on the
-correction: its sign is the weight w (interferometer.correction_weight) in
-the fringe design, and the atomic record S_a is S at w = 0, read from the
-same sums.  The dynamics do not depend on phi,
-so one ensemble and one local-oscillator draw serve every phase (exact
-common random numbers), and the per-phase mean and unbiased variance of S
-follow from three feature means and a 3x3 covariance.  The slope of the
-mean fringe is exact, d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so any
-single phase can be evaluated on its own, and
+with the closed forms B = |alpha1|^2 - |alpha2|^2, C = -2 Re(alpha1 conj(alpha2))
+of the t1 amplitudes and S_b = -2 Im(beta2 conj(beta_LO)) (signal_light).
+The features (B, C, S_b / g) do not depend on the correction: its sign is
+the weight w (interferometer.correction_weight) in the fringe design, and
+the atomic record S_a is S at w = 0, read from the same sums.  The dynamics
+do not depend on phi, so one ensemble and one local-oscillator draw serve
+every phase (exact common random numbers), and the per-phase mean and
+unbiased variance of S follow from three feature means and a 3x3 covariance,
+each summed in one fixed order per phase.  The slope of the mean fringe is
+exact, d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so any single phase can be
+evaluated on its own, and
 
     delta_phi = sqrt( V(S) / (d<S>/dphi)^2 ),    M = delta_phi * sqrt(N_t).
 
@@ -126,16 +125,13 @@ def fringe_features(
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Per-trajectory features (B, C, S_b / g), the light record S_b, and the sign.
 
-    B = |alpha1|^2 - |alpha2|^2 and C = -2 Re(alpha1 conj(alpha2)) are the
-    coefficients of the Mach-Zehnder output N2 - N1 = B cos phi + C sin phi,
-    taken from the unsplit t1 amplitudes (interferometer.run_mzi is the
-    oracle).  The features are the same for every correction sign, and an
-    "auto" sign is calibrated at pi/2, where the atomic signal is C.  The LO
-    noise is drawn once (or passed in).  The (n, 3) features are written
-    into out when it is given.
+    B and C, the fringe of N2 - N1, come from the unsplit t1 amplitudes
+    (run_mzi is the oracle).  The features are the same for every correction
+    sign, and an "auto" sign is calibrated at pi/2, where the atomic signal is
+    C.  The LO noise is drawn once (or passed in), and the (n, 3) features
+    are written into out when it is given.
     """
-    s_b = np.asarray(signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise)),
-                     dtype=float)
+    s_b = signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise))
     a1, a2 = ensemble.state.alpha1, ensemble.state.alpha2
     b = (a1.real ** 2 + a1.imag ** 2) - (a2.real ** 2 + a2.imag ** 2)  # |alpha1|^2 - |alpha2|^2
     c = -2.0 * (a1.real * a2.real + a1.imag * a2.imag)  # -2 Re(alpha1 conj(alpha2))
@@ -150,41 +146,39 @@ def _moments(features, phi, weights, terms=None):
 
     A feature row f holds (B, C, S_b / g), and for each w in weights the
     signal at phase phi_p is S_p = (cos phi_p, sin phi_p, w) @ f; the atomic
-    record alone is w = 0.  statistics returns one dict per weight, each
-    from that weight's own design (einsum's summation order follows its
-    operands' layout, so a stacked one would round differently).  The mean
-    of S_p and its exact slope need the feature means, its unbiased
-    variance the feature covariance.  Both follow from the sums of the
-    terms (centred features and their pairwise products) over any n-element
-    index set, so a bootstrap resample costs one weighted sum.  The 9 terms
-    are rows with trajectories along the contiguous axis, written into terms
+    record alone is w = 0.  Its mean and exact slope need the feature means,
+    its unbiased variance the feature covariance; both follow from the sums
+    of the terms (centred features and their pairwise products) over any
+    index set, so a bootstrap resample costs one weighted sum.  statistics
+    returns one dict per weight from one (weights, phases) design, adding
+    the 3 terms of a mean or slope and the 6 of a variance in one fixed
+    order per cell, whatever else is evaluated with it.  The 9 terms are
+    rows with trajectories along the contiguous axis, written into terms
     when it is given; each row is formed in place from the features or from
     two centred rows, so no other (n, 3)-sized array is made.
     """
     features = np.asarray(features, dtype=float)
     n, k = features.shape
     phi = np.asarray(phi, dtype=float)
-    slope = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
     center = features.mean(axis=0)
     i, j = np.triu_indices(k)
-    designs = [np.stack([np.cos(phi), np.sin(phi), np.full_like(phi, w)], axis=-1)
-               for w in weights]
-    pairs = [d[:, i] * d[:, j] * np.where(i == j, 1.0, 2.0) for d in designs]
+    design = np.broadcast_arrays(np.cos(phi), np.sin(phi), np.array(weights, float)[:, None])
+    pairs = [design[a] * design[b] * (1.0 if a == b else 2.0) for a, b in zip(i, j)]
+    slope = [-np.sin(phi), np.cos(phi), np.zeros_like(phi)]
 
     def statistics(sums: np.ndarray, n_total: float) -> list[dict]:
-        shift = sums[..., :k] / n
-        cov = (sums[..., k:] - n * shift[..., i] * shift[..., j]) / (n - 1)
-        mean = center + shift
-        ds = np.einsum("...k,pk->...p", mean, slope)
-        out = []
-        for design, pair in zip(designs, pairs):
-            mean_s = np.einsum("...k,pk->...p", mean, design)
-            var_s = np.maximum(np.einsum("...q,pq->...p", cov, pair), 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0
-                delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
-            out.append({"mean_s": mean_s, "var_s": var_s, "ds_dphi": ds,
-                        "delta_phi": delta_phi, "m": delta_phi * np.sqrt(n_total)})
-        return out
+        sums = np.moveaxis(sums, -1, 0)[..., None, None]  # (term, ..., weight, phase)
+        shift = sums[:k] / n
+        cov = (sums[k:] - n * shift[i] * shift[j]) / (n - 1)
+        mean = center.reshape((k,) + (1,) * (shift.ndim - 1)) + shift
+        ds = sum(x * y for x, y in zip(mean, slope))  # Python's sum: term by term
+        mean_s = sum(x * y for x, y in zip(mean, design))
+        var_s = np.maximum(sum(x * y for x, y in zip(cov, pairs)), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0
+            delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
+        return [{"mean_s": mean_s[..., w, :], "var_s": var_s[..., w, :], "ds_dphi": ds[..., 0, :],
+                 "delta_phi": delta_phi[..., w, :], "m": delta_phi[..., w, :] * np.sqrt(n_total)}
+                for w in range(len(weights))]
 
     if terms is None:
         terms = np.empty((k + i.size, n))

@@ -1,30 +1,23 @@
-"""Measurement chain after the super-radiance step.
+"""Measurement chain after the super-radiance step: the oracle of the
+estimator's closed forms, the LO amplitude and the correction sign.
 
-Atoms: a Mach-Zehnder sequence of two 50/50 Raman beam splitters with the
-phase to be estimated imprinted on the transferred mode between them, then
-the number difference S_a = N2 - N1 at t3.  Its closed form is the fringe
-B cos(phi) + C sin(phi) with B = |alpha1|^2 - |alpha2|^2 and
-C = -2 Re(alpha1 conj(alpha2)) at t1, which the estimator uses; the
-splitter path here (run_mzi, signal_atoms, combine_signals and
-measure_signals) is the independent oracle it is tested against.
+Atoms: two 50/50 Raman beam splitters with the phase imprinted on the
+transferred mode between them give S_a = N2 - N1 at t3 (run_mzi,
+signal_atoms), the independent check of the closed-form fringe
+B cos(phi) + C sin(phi) that the estimator takes from the t1 amplitudes.
 
-Light: the scattered mode leaves the condensate at the end of the
-super-radiance step and is detected independently of the atomic
-interferometer, so beta2 is measured at its t1 value.  Homodyne detection
-mixes it with a strong local oscillator on a 50/50 beam splitter and takes
-the photon number difference between the output ports,
-S_b = |c|^2 - |d|^2 = -2 Im(beta2 conj(beta_LO)); signal_light returns the
-closed form, which the estimator and the oracle share.
+Light: beta2 leaves the condensate at t1 and is detected apart from the
+atoms.  Homodyne detection against a strong local oscillator gives the port
+difference S_b = |c|^2 - |d|^2 = -2 Im(beta2 conj(beta_LO)), which
+signal_light returns in closed form for the estimator and the oracle alike.
 
 The combined signal S = S_a + w S_b / g removes the quantum noise the two
 records share, with w from the correction sign in one place,
 correction_weight.  Which sign cancels (rather than doubles) the shared
 noise depends on the working phase, so it is calibrated from the ensemble.
-
 The LO amplitude is resolved in one place, lo_amplitude: beta_LO =
-g sqrt(<N1(t1)>) from the ensemble, plus the per-trajectory vacuum noise
-of the LO when HomodyneSpec.lo_sampled is set.  signal_light takes the
-resolved amplitudes.
+g sqrt(<N1(t1)>), plus the LO's per-trajectory vacuum noise when
+HomodyneSpec.lo_sampled is set.
 """
 
 from __future__ import annotations
@@ -109,13 +102,8 @@ def signal_atoms(state: ModeTriple) -> np.ndarray | float:
 
 def signal_light(beta2, beta_lo) -> np.ndarray | float:
     """Homodyne photon-number difference of the scattered light beta2 against
-    an LO of amplitude beta_lo: -2 Im(beta2 conj(beta_LO)).
-
-    This is |c|^2 - |d|^2 for the output ports c = (beta2 - i beta_LO) / sqrt(2)
-    and d = (beta_LO - i beta2) / sqrt(2), taken in closed form: the port
-    intensities are of order beta_LO^2, and their difference would lose that
-    much of the record's precision.
-    """
+    an LO of amplitude beta_lo, -2 Im(beta2 conj(beta_LO)): the port difference
+    |c|^2 - |d|^2 without the cancellation of two ports of order beta_LO^2."""
     return -2.0 * np.imag(beta2 * np.conj(beta_lo))
 
 

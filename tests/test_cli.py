@@ -220,9 +220,9 @@ def test_analytic_r_scan_refuses_r_past_the_pump(tmp_path, capsys):
     assert code == 0
     lines = [l for l in (out / "r_scan.csv").read_text().splitlines() if not l.startswith("#")]
     assert lines[1:] == [
-        "1,0.50711660164320616,0.48576857361977654,0.52981301757176891,13820.517541189827,"
+        "1,0.50711660164320693,0.4857685736197766,0.52981301757176968,13820.517541189827,"
         "0.25690613240728821,1.939638030943823,0.52026009502288895,plus",
-        "2,0.21687145997973087,0.20791140565589805,0.22658925678013911,131616.02732915818,"
+        "2,0.21687145997973087,0.20791140565589805,0.22658925678012556,131616.02732915818,"
         "0.034768464194563142,5.2257279718730567,0.19139299302082188,plus",
     ]
 
@@ -600,6 +600,23 @@ def test_figures_sample_and_integrate_each_ensemble_once(tmp_path, monkeypatch):
     assert code == 0
     # unseeded and seeded: one sample and one pass each
     assert counts == {"sample_initial_ensemble": 2, "evolve_tw": 2}
+
+
+def test_figures_refuse_an_r_past_the_pump_before_any_build(tmp_path, capsys, monkeypatch):
+    # every recipe group's range is checked before the TW groups are integrated
+    counts = {"sample_initial_ensemble": 0, "evolve_tw": 0}
+    for name in counts:
+        def counted(*args, _original=getattr(dynamics, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    code, out = run(["--figures", "--set", "mode=analytic", "--set", "r=12"], tmp_path)
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith("r = 12.0 is past the analytic mode's undepleted-pump range: ")
+    assert counts == {"sample_initial_ensemble": 0, "evolve_tw": 0}
+    assert not out.exists()
 
 
 def test_figures_recipes(tmp_path):

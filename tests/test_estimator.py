@@ -69,6 +69,31 @@ def test_shared_phases_are_bit_identical(working_point_ensemble):
     assert a["mean_s"][1] == b["mean_s"][1] and a["var_s"][1] == b["var_s"][1]
 
 
+@pytest.mark.parametrize("n_seed, r", [(1.0e4, 3.0), (0.0, 4.5)])
+def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
+    # each cell's mean, slope and variance are summed term by term in one order,
+    # so the pi/2 entry of a grid is the single-phase value bit for bit, even
+    # unseeded where the corrected variance nearly cancels
+    ensemble = build_ensembles(1.0e7, n_seed, [r], 10_000, 12345)[0]
+    spec = HomodyneSpec(gain_g=100.0)
+    grid = np.linspace(0.0, np.pi, 129)  # a step of pi/128 holds pi/2 exactly
+    assert grid[64] == np.pi / 2
+    curve = sensitivity_curve(ensemble, grid, spec, resamples=200)
+    m, (lo, hi), sign = m_at_phi(ensemble, spec, np.pi / 2, resamples=200)
+    assert sign == curve.correction_sign
+    assert np.array_equal(m, curve.m[64])
+    assert np.array_equal(lo, curve.m_ci_lo[64]) and np.array_equal(hi, curve.m_ci_hi[64])
+    # and one weight's statistics do not depend on the weights beside it
+    features, _, _ = fringe_features(ensemble, spec)
+    w = correction_weight(sign)
+    both = point_statistics(features, grid, [w, 0.0], 1.0e7)
+    alone = point_statistics(features, grid, [w], 1.0e7) + \
+        point_statistics(features, grid, [0.0], 1.0e7)
+    for stacked, single in zip(both, alone):
+        assert stacked.keys() == single.keys()
+        assert all(np.array_equal(stacked[key], single[key]) for key in stacked)
+
+
 def test_features_do_not_depend_on_the_correction(working_point_ensemble):
     # the sign is a weight in the design, so every setting gives the same features
     lo_noise = lo_noise_samples(working_point_ensemble)
