@@ -41,7 +41,16 @@ and reports are bit-identical at any chunk size.  The chunks run on the
 calling thread: numpy releases the interpreter lock for each ufunc, which
 takes about 7 us on a chunk, less than a hand-off of the lock between
 threads, and a second worker thread made the RK4 slower at every ensemble
-size timed (3e4 to 1e6 trajectories, 2 cores).
+size timed (3e4 to 1e6 trajectories, 2 cores).  Each workspace buffer is
+allocated on its own and each of its rows starts on a 64-byte cache line:
+a three-operand ufunc (out = a + b) ran 2 to 3x slower on operands that
+start 16 to 48 B past a line, where numpy's allocator put them (carving
+them from one block raised peak RSS through glibc's mmap threshold).
+The state is checked for finiteness once per stop, after its last whole
+step and after a partial step.  NaN and inf stay non-finite under RK4's adds
+and multiplies, so a failed check replays the pass from its start with a
+check after every step, which raises IntegrationError at the step that made
+the first non-finite amplitude, with the snapshot a per-step check gives.
 
 The pump treatment is chosen by one setting, the mode of build_ensembles
 (EVOLUTION_MODES), and means the same in every use: "tw" integrates the full
@@ -132,6 +141,16 @@ def evolve_analytic(state: ModeTriple, r: float) -> ModeTriple:
     return state.advanced(np.copy(state.alpha1), a2, b2, "t1")
 
 
+def _aligned(shape, dtype=np.complex128):
+    """An empty array of shape, in a buffer of its own, each row starting on a 64-byte line."""
+    itemsize = np.dtype(dtype).itemsize
+    padded = -(-shape[-1] * itemsize // 64) * (64 // itemsize)  # rows padded to whole lines
+    size = int(np.prod(shape[:-1])) * padded * itemsize
+    raw = np.empty(size + 64, dtype=np.uint8)  # 64 B of slack for the aligned start
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(dtype).reshape(*shape[:-1], padded)[..., :shape[-1]]
+
+
 class _Workspace:
     """Everything the RK4 passes over a chunk (rows a1, a2, b2) write to.
 
@@ -142,17 +161,17 @@ class _Workspace:
 
     def __init__(self, width: int):
         self._buffers = {
-            "y0": np.empty((3, width), dtype=np.complex128),  # the chunk's initial state
-            "k": np.empty((2, 3, width), dtype=np.complex128),  # the stage sum, the latest stage
-            "arg": np.empty((3, width), dtype=np.complex128),  # stage argument, then scratch
-            "lin": np.empty(width, dtype=np.complex128),  # the folded factor times a1 or b2
-            "mag": np.empty((3, width)),  # |a1|^2, |a2|^2, |b2|^2, then drift terms
-            "y": np.empty((3, width), dtype=np.complex128),
-            "y_stop": np.empty((3, width), dtype=np.complex128),
-            "dev": np.empty((3, width)),
-            "dev_stop": np.empty((3, width)),
-            "initial": np.empty((3, width)),  # tot0, mr0, scale0 (the initial MR scale)
-            "rel": np.empty((2, width)),  # max |y_h - y_2h| and max |y_h| over modes
+            "y0": _aligned((3, width)),  # the chunk's initial state
+            "k": _aligned((2, 3, width)),  # the stage sum, the latest stage
+            "arg": _aligned((3, width)),  # stage argument, then scratch
+            "lin": _aligned((width,)),  # the folded factor times a1 or b2
+            "mag": _aligned((3, width), float),  # |a1|^2, |a2|^2, |b2|^2, then drift terms
+            "y": _aligned((3, width)),
+            "y_stop": _aligned((3, width)),
+            "dev": _aligned((3, width), float),
+            "dev_stop": _aligned((3, width), float),
+            "initial": _aligned((3, width), float),  # tot0, mr0, scale0 (the initial MR scale)
+            "rel": _aligned((2, width), float),  # max |y_h - y_2h| and max |y_h| over modes
         }
 
     def start(self, rows):
@@ -176,7 +195,8 @@ class _Workspace:
         return self.y0
 
 
-def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float, ws: _Workspace, doubled=False):
+def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float, ws: _Workspace, doubled=False,
+               every_step=False):
     """Yield the amplitudes (rows a1, a2, b2) and raw drift rows at each stop (ascending r).
 
     One pass on the lattice h = 1/steps_per_unit_r, or 2h when doubled (a
@@ -189,7 +209,8 @@ def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float, ws: _Workspace, 
     Steps run in place in the folded form: f(src, out, c) writes c f(src),
     one slot sums the stages and the other holds the latest.  With the pump
     clamped the stages run on rows a2, b2 only.  A non-finite amplitude
-    raises IntegrationError at the step that made it.
+    raises IntegrationError at the step that made it, found by a replay
+    with every_step when a check at a stop fails (module docstring).
     """
     steps, lattice = (spec.steps_per_unit_r / 2, "2h") if doubled else (spec.steps_per_unit_r, "h")
     h, inv_sq_n1 = 1.0 / steps, 1.0 / np.sqrt(n_pump0)
@@ -208,8 +229,8 @@ def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float, ws: _Workspace, 
         np.multiply(np.multiply(w, src[2], out=lin), src[1], out=out[0])
         np.multiply(np.multiply(w, src[0], out=lin), out[1:], out=out[1:])
 
-    def rk4_step(index, h, whole, dev):
-        """One step of whole (all rows), and the running drift maxima dev after it, in place."""
+    def rk4_step(index, h, whole, dev, check):
+        """One step of whole (all rows), its finiteness check if check, and the drift maxima dev."""
         y = whole[rows]
         f(y, acc, 0.5 * h)  # k'1
         f(np.add(y, acc, out=arg), k, 0.5 * h)  # k'2
@@ -220,8 +241,11 @@ def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float, ws: _Workspace, 
         f(np.add(y, k, out=arg), k, 0.5 * h)  # k'4
         np.add(y, np.multiply(np.add(acc, k, out=acc), 1.0 / 3.0, out=acc), out=y)
 
-        if not np.isfinite(np.sum(whole)):  # NaN/Inf propagate; a sum can also just overflow
+        if check and not np.isfinite(np.sum(whole)):  # a sum can also just overflow
             if not np.isfinite(np.abs(whole.view(np.float64), out=ws.arg.view(np.float64)).max()):
+                if not every_step:  # the replay raises at the step that made it
+                    for _ in _integrate(y0, stops, spec, n_pump0, ws, doubled, every_step=True):
+                        pass
                 raise IntegrationError(index, ModeTriple(*whole.copy(), "t0"), lattice)
         if dev is not None:  # the h pass: |y|^2 as re^2 + im^2, then the drift maxima
             np.add(np.square(y.real, out=mag), np.square(y.imag, out=im2), out=mag)
@@ -243,13 +267,13 @@ def _integrate(y0, stops, spec: IntegratorSpec, n_pump0: float, ws: _Workspace, 
             n = steps * r
             n_full = int(np.floor(n + 1e-9))  # 400 * 2.2 = 880.0000000000001 is 880 steps
             for index in range(done, n_full):
-                rk4_step(index, h, y, dev)
+                rk4_step(index, h, y, dev, every_step or index == n_full - 1)
             done = n_full
             np.copyto(ws.y_stop, y)  # the run buffers keep changing
             if dev is not None:
                 np.copyto(dev_stop, dev)
             if n - n_full > 1e-9:  # off the lattice
-                rk4_step(n_full, (n - n_full) * h, ws.y_stop, dev_stop)
+                rk4_step(n_full, (n - n_full) * h, ws.y_stop, dev_stop, True)
             yield ws.y_stop, dev_stop
 
 

@@ -541,6 +541,82 @@ def test_integration_error_reports_the_failing_step():
     assert np.array_equal(np.isfinite(probe), np.isfinite(after[0] + after[1] + after[2]))
 
 
+def first_nonfinite_reference(y0, stops, spec, n_pump0, steps_per_unit_r):
+    """The position in stops of the reference's first non-finite state, and that state."""
+    states = reference_integrate(*y0, stops, spec, n_pump0, steps_per_unit_r=steps_per_unit_r)
+    return next((i, s[:3]) for i, s in enumerate(states) if not np.isfinite(np.stack(s[:3])).all())
+
+
+def assert_snapshot_is(err, state):
+    snap = err.snapshot
+    for got, want in zip((snap.alpha1, snap.alpha2, snap.beta2), state, strict=True):
+        np.testing.assert_array_equal(got, want)  # NaN where the reference has NaN
+
+
+def test_a_failure_first_on_the_2h_pass_replays_to_its_step():
+    # with alpha2 = 100 and N1(0) = 1 the pair (alpha1, beta2) of trajectory 3
+    # oscillates at 100 per unit r: RK4 is stable on h = 1/40 (100 h = 2.5 < 2.8)
+    # and not on 2h, so the h pass ends finite and the 2h pass overflows
+    a1, a2, b2 = np.ones(5, complex), np.ones(5, complex), np.zeros(5, complex)
+    a2[3] = 100.0
+    spec = IntegratorSpec()
+    with np.errstate(over="ignore", invalid="ignore"):
+        (h_pass,) = reference_integrate(a1, a2, b2, [3.0], spec, 1.0)
+        assert np.isfinite(np.stack(h_pass[:3])).all()
+        with pytest.raises(IntegrationError) as err:
+            evolve_tw(ModeTriple(a1, a2, b2), 3.0, spec, n_pump0=1.0)
+        # the ends of the 60 steps of the 2h pass: the k-th is step index k
+        step, state = first_nonfinite_reference((a1, a2, b2), [(k + 1) / 20 for k in range(60)],
+                                                spec, 1.0, 20)
+    assert (err.value.lattice, err.value.step_index) == ("2h", step)
+    assert_snapshot_is(err.value, state)
+
+
+def test_a_failure_in_a_partial_step_replays_to_its_step():
+    # a2 ~ 9.68e307 cosh r overflows between the end of step 48 (r = 49/40) and
+    # the stop 1.2345, so the failing step is the partial one (index 49) to that stop
+    spec = IntegratorSpec(clamp_pump=True)
+    t0 = small_vacuum_ensemble(6)
+    a1, a2, b2 = (np.array(getattr(t0, k)) for k in ("alpha1", "alpha2", "beta2"))
+    a2[3] = 9.68e307
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError) as err:
+            evolve_tw(ModeTriple(a1, a2, b2), 2.0, spec, n_pump0=1.0e7, stops=[0.5, 1.2345, 2.0])
+        at, state = first_nonfinite_reference((a1, a2, b2), [0.5, 49 / 40, 1.2345], spec, 1.0e7, 40)
+    assert at == 2
+    assert (err.value.lattice, err.value.step_index) == ("h", 49)
+    assert_snapshot_is(err.value, state)
+
+
+def test_a_stop_at_r_zero_checks_no_step():
+    # no step runs to r = 0, so its input passes unchecked; the first step fails
+    t0 = ModeTriple(np.array([np.inf + 0j, 1.0 + 0j]), np.zeros(2, complex), np.zeros(2, complex))
+    state, _ = evolve_tw(t0, 0.0)
+    assert state.alpha1.tobytes() == t0.alpha1.tobytes()
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrationError) as err:
+        evolve_tw(t0, 1.0, stops=[0.0, 1.0])
+    assert (err.value.lattice, err.value.step_index) == ("h", 0)
+
+
+# --- the workspace -----------------------------------------------------------------
+
+@pytest.mark.parametrize("width", [7, 1000, 1001, 4999, 5000])
+def test_every_workspace_row_starts_on_a_cache_line(width):
+    # three-operand ufuncs run about 2x slower on operands that start off a 64-byte line
+    ws = dynamics._Workspace(width)
+
+    def offsets(arrays):
+        return {a[row].ctypes.data % 64 for a in arrays for row in np.ndindex(a.shape[:-1])}
+
+    assert offsets(ws._buffers.values()) == {0}
+    for n in (width, width // 2 + 1):  # a whole chunk and a short last chunk
+        t0 = small_vacuum_ensemble(n)
+        ws.start([t0.alpha1, t0.alpha2, t0.beta2])
+        views = [getattr(ws, name) for name in [*ws._buffers, "im2", "tot0", "mr0", "scale0"]]
+        assert {v.shape[-1] for v in views} == {n}
+        assert offsets(views) == {0}
+
+
 # --- fixed-size chunks -----------------------------------------------------------
 
 CHUNK = 7
