@@ -24,10 +24,10 @@ are resampled and V(S), d<S>/dphi and M are recomputed jointly from the
 feature sums over each resample.
 
 Every M goes through one evaluation, _curves: check that the ensembles
-share one draw and have enough trajectories, draw the LO noise once, build
-each ensemble's features, take the point statistics of each, and bootstrap
-them all with one bootstrap_ci call.  sensitivity_curve, m_at_phi and
-scan_over_r are reads of its curves, in every evolution mode.
+share one draw and have enough trajectories, draw the LO noise once, stack
+the ensembles' features, and evaluate every (set, weight, phase) cell with
+one point_statistics and one bootstrap_ci call.  sensitivity_curve,
+m_at_phi and scan_over_r are reads of its curves, in every evolution mode.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ from .phasespace import quadrature_x, quadrature_y
 
 _BOOTSTRAP_STREAM_BLOCK = 5  # Philox counter block disjoint from trajectory streams
 CI_LEVEL = 0.95  # coverage of every bootstrap interval
-# (resample, phase) cells whose statistics bootstrap_ci evaluates at once, in
-# blocks of whole resamples (at least one), so its transient arrays stay this
-# size whatever the resample count.  That is 24 resamples at 201 phases (as
-# fast as one evaluation of all of them) and every resample of an r-scan's
-# single phase, where more blocks would only add per-call overhead.
+# (resample, set, phase) cells whose statistics bootstrap_ci evaluates at once,
+# in blocks of whole resamples (at least one), so its transient arrays stay
+# this size whatever the resample count.  That is 24 resamples of one set at
+# 201 phases (as fast as one evaluation of all of them) and every resample of
+# a 13-r scan's single phase, where more blocks would only add per-call overhead.
 RESAMPLE_BLOCK_CELLS = 5000
 
 
@@ -141,65 +141,68 @@ def fringe_features(
     return np.stack([b, c, s_b / spec.gain_g], axis=1, out=out), s_b, sign
 
 
-def _moments(features, phi, weights, terms=None):
-    """Per-trajectory terms, and the statistics that their sums determine.
+def _moments(features):
+    """Per-trajectory terms of a feature stack, and the statistics their sums determine.
 
-    A feature row f holds (B, C, S_b / g), and for each w in weights the
-    signal at phase phi_p is S_p = (cos phi_p, sin phi_p, w) @ f; the atomic
-    record alone is w = 0.  Its mean and exact slope need the feature means,
-    its unbiased variance the feature covariance; both follow from the sums
-    of the terms (centred features and their pairwise products) over any
-    index set, so a bootstrap resample costs one weighted sum.  statistics
-    returns one dict per weight from one (weights, phases) design, adding
-    the 3 terms of a mean or slope and the 6 of a variance in one fixed
-    order per cell, whatever else is evaluated with it.  The 9 terms are
-    rows with trajectories along the contiguous axis, written into terms
-    when it is given; each row is formed in place from the features or from
-    two centred rows, so no other (n, 3)-sized array is made.
+    features is a (sets, n, 3) stack of rows f = (B, C, S_b / g), and for a
+    weight w the signal at phase phi_p is S_p = (cos phi_p, sin phi_p, w) @ f;
+    the atomic record alone is w = 0.  Its mean and exact slope need the
+    feature means, its unbiased variance the feature covariance; both follow
+    from the sums of the terms (centred features and their pairwise products)
+    over any index set, so a bootstrap resample costs one weighted sum.
+    statistics(sums, phi, weights, n_total) takes sums of shape (..., sets, 9)
+    and a list of weights (or one weight) per set, and returns a dict of
+    (..., sets, weights, phases) arrays; each cell adds the 3 terms of its
+    mean or slope and the 6 of its variance in one fixed order, whatever else
+    is evaluated with it.  The terms are a (sets, 9, n) block, trajectories
+    on the contiguous axis, each row formed in place from the features or
+    from two centred rows, so no other (n, 3)-sized array is made.
     """
     features = np.asarray(features, dtype=float)
-    n, k = features.shape
-    phi = np.asarray(phi, dtype=float)
-    center = features.mean(axis=0)
+    sets, n, k = features.shape
+    center = features.mean(axis=1)
     i, j = np.triu_indices(k)
-    design = np.broadcast_arrays(np.cos(phi), np.sin(phi), np.array(weights, float)[:, None])
-    pairs = [design[a] * design[b] * (1.0 if a == b else 2.0) for a, b in zip(i, j)]
-    slope = [-np.sin(phi), np.cos(phi), np.zeros_like(phi)]
 
-    def statistics(sums: np.ndarray, n_total: float) -> list[dict]:
-        sums = np.moveaxis(sums, -1, 0)[..., None, None]  # (term, ..., weight, phase)
-        shift = sums[:k] / n
-        cov = (sums[k:] - n * shift[i] * shift[j]) / (n - 1)
-        mean = center.reshape((k,) + (1,) * (shift.ndim - 1)) + shift
+    def statistics(sums: np.ndarray, phi, weights, n_total: float) -> dict:
+        weights = np.array(weights, dtype=float)
+        if len(weights) != sets:
+            raise ValueError(f"{len(weights)} weight lists for {sets} sets")
+        phi = np.asarray(phi, dtype=float)
+        design = np.broadcast_arrays(np.cos(phi), np.sin(phi), weights.reshape(sets, -1, 1))
+        pairs = [design[a] * design[b] * (1.0 if a == b else 2.0) for a, b in zip(i, j)]
+        slope = [-np.sin(phi), np.cos(phi), np.zeros_like(phi)]
+        shift = sums[..., :k] / n
+        cov = (sums[..., k:] - n * shift[..., i] * shift[..., j]) / (n - 1)
+        mean = np.moveaxis(center + shift, -1, 0)[..., None, None]  # (term, ..., set, 1, 1)
+        cov = np.moveaxis(cov, -1, 0)[..., None, None]
         ds = sum(x * y for x, y in zip(mean, slope))  # Python's sum: term by term
         mean_s = sum(x * y for x, y in zip(mean, design))
         var_s = np.maximum(sum(x * y for x, y in zip(cov, pairs)), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0
             delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
-        return [{"mean_s": mean_s[..., w, :], "var_s": var_s[..., w, :], "ds_dphi": ds[..., 0, :],
-                 "delta_phi": delta_phi[..., w, :], "m": delta_phi[..., w, :] * np.sqrt(n_total)}
-                for w in range(len(weights))]
+        return {"mean_s": mean_s, "var_s": var_s, "ds_dphi": np.broadcast_to(ds, var_s.shape),
+                "delta_phi": delta_phi, "m": delta_phi * np.sqrt(n_total)}
 
-    if terms is None:
-        terms = np.empty((k + i.size, n))
-    np.subtract(features.T, center[:, None], out=terms[:k])
+    terms = np.empty((sets, k + i.size, n))
+    np.subtract(features.transpose(0, 2, 1), center[:, :, None], out=terms[:, :k])
     for row, (a, b) in enumerate(zip(i, j), start=k):
-        np.multiply(terms[a], terms[b], out=terms[row])
+        np.multiply(terms[:, a], terms[:, b], out=terms[:, row])
     return terms, statistics
 
 
-def point_statistics(features, phi, weights, n_total: float) -> list[dict]:
-    """Mean, variance, exact fringe slope, delta_phi and M at each phase in phi.
+def point_statistics(features, phi, weights, n_total: float) -> dict:
+    """Mean, variance, exact fringe slope, delta_phi and M of every cell.
 
-    features holds one (B, C, S_b / g) row per trajectory.  One dict per entry
-    of weights (0 for the atomic signal alone), all from one set of term sums.
+    features is a (sets, n, 3) stack of (B, C, S_b / g) rows and weights one
+    list per set (0 for the atomic signal alone); each array has shape
+    (sets, weights, phases), all from one block of term sums.
     """
-    terms, statistics = _moments(features, phi, weights)
-    return statistics(terms.sum(axis=1), n_total)
+    terms, statistics = _moments(features)
+    return statistics(terms.sum(axis=-1), phi, weights, n_total)
 
 
 def _resample_sums(terms, resamples: int, master_seed: int) -> np.ndarray:
-    """Sums of each row of terms over the trajectories (columns) of every resample.
+    """Sums of each row of terms over the trajectories (last axis) of every resample.
 
     Resample t draws n trajectory indices from the Philox stream of
     master_seed, so the draws depend on (master_seed, n) only, and sums the
@@ -208,14 +211,14 @@ def _resample_sums(terms, resamples: int, master_seed: int) -> np.ndarray:
     it; the counts are floats because integer counts are cast through
     nditer buffers, which doubles the cost at 1e4 trajectories.
     """
-    n_traj = terms.shape[1]
+    n_traj = terms.shape[-1]
     counter = [0, 0, 0, _BOOTSTRAP_STREAM_BLOCK]
     rng = np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
     counts = np.empty(n_traj)
-    sums = np.empty((resamples, terms.shape[0]))
+    sums = np.empty((resamples,) + terms.shape[:-1])
     for t in range(resamples):
         counts[:] = np.bincount(rng.integers(0, n_traj, size=n_traj), minlength=n_traj)
-        np.einsum("tn,n->t", terms, counts, out=sums[t])
+        np.einsum("...n,n->...", terms, counts, out=sums[t])
     return sums
 
 
@@ -247,34 +250,33 @@ def bootstrap_ci(features, phi, weights, n_total: float, resamples: int = 200,
     """Percentile bootstrap interval (coverage CI_LEVEL) for M at each phase in phi.
 
     Whole trajectories are resampled so the variance and the fringe slope are
-    recomputed jointly.  features is a stack of shape (sets, n, 3), each set
-    as in point_statistics with its own entry of weights, and the edges have
+    recomputed jointly.  features is a stack of shape (sets, n, 3) as in
+    point_statistics, weights holds one weight per set, and the edges have
     shape (sets, len(phi)).  Every set is resampled with the same trajectory
     indices, drawn once per resample, and each set's edges are exactly those
     of a stack of that set alone.  A vanishing resampled slope gives an
     infinite M, and an edge next to one is +inf (flagged, not masked).
 
-    The term rows of every set are one (sets * 9, n) block, and the
+    The term rows of every set are one (sets, 9, n) block, and the
     statistics are evaluated in blocks of about RESAMPLE_BLOCK_CELLS
-    (resample, phase) cells; every value is per cell, so the edges do not
-    depend on the block.
+    (resample, set, phase) cells; every value is per cell, so the edges do
+    not depend on the block.
     """
     if resamples < 100:
         raise ValueError("resamples must be >= 100")
     features = np.asarray(features, dtype=float)
-    sets, n_traj, k = features.shape
+    sets, n_traj, _ = features.shape
     if n_traj < 2:
         raise ValueError("too few trajectories to bootstrap")
-    rows = k * (k + 3) // 2
-    block = np.empty((sets * rows, n_traj))
-    statistics = [_moments(f, phi, [w], block[s * rows:(s + 1) * rows])[1]
-                  for s, (f, w) in enumerate(zip(features, weights, strict=True))]
-    sums = _resample_sums(block, resamples, master_seed)
-    del block
-    step = max(1, RESAMPLE_BLOCK_CELLS // np.size(phi))
-    m = np.stack([np.concatenate([stats(sums[t:t + step, s * rows:(s + 1) * rows], n_total)[0]["m"]
-                                  for t in range(0, resamples, step)])
-                  for s, stats in enumerate(statistics)], axis=1)  # (resamples, sets, phases)
+    if len(weights) != sets:
+        raise ValueError(f"{len(weights)} weights for {sets} sets")
+    terms, statistics = _moments(features)
+    sums = _resample_sums(terms, resamples, master_seed)  # (resamples, sets, 9)
+    del terms  # keep the block out of the statistics' transient memory
+    step = max(1, RESAMPLE_BLOCK_CELLS // (sets * np.size(phi)))
+    m = np.empty((resamples, sets, np.size(phi)))
+    for t in range(0, resamples, step):
+        m[t:t + step] = statistics(sums[t:t + step], phi, weights, n_total)["m"][..., 0, :]
     lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
     with np.errstate(invalid="ignore"):  # inf - inf where an edge meets an infinite M
         edges = _percentile(m, [lo_q, 100.0 - lo_q])
@@ -288,9 +290,9 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
 
     The ensembles must come from one draw: the LO noise and the bootstrap's
     resample stream depend on (master_seed, n_traj) only, and the M scale on
-    n_total.  One LO draw and one bootstrap_ci call serve every ensemble, so
-    each curve equals that of its ensemble alone.  With resamples None each
-    interval collapses to its point.
+    n_total.  One LO draw, one point_statistics call and one bootstrap_ci
+    call serve every ensemble, so each curve equals that of its ensemble
+    alone.  With resamples None each interval collapses to its point.
     """
     shared = {(e.n_traj, e.master_seed, e.n_total) for e in ensembles}
     if len(shared) > 1:
@@ -315,18 +317,16 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
     if resamples is not None:
         ci_lo, ci_hi = bootstrap_ci(features, phi, weights, n_total, resamples=resamples,
                                     master_seed=master_seed)
-    curves = []
-    for s, f in enumerate(features):
-        # S at the set's weight and the atomic record S_a (weight 0), from one term block
-        stats, atomic = point_statistics(f, phi, [weights[s], 0.0], n_total)
-        curves.append(SensitivityCurve(
-            phi=phi, mean_s_a=atomic["mean_s"], var_s_a=atomic["var_s"],
-            mean_s_b=np.full(phi.size, mean_s_b[s]), **stats,
-            m_ci_lo=stats["m"] if resamples is None else ci_lo[s],
-            m_ci_hi=stats["m"] if resamples is None else ci_hi[s],
-            traj_count=n_traj, n_total=float(n_total), correction_sign=signs[s],
-        ))
-    return curves
+    # S at each set's weight and the atomic record S_a (weight 0), from one term block
+    stats = point_statistics(features, phi, [[w, 0.0] for w in weights], n_total)
+    if resamples is None:
+        ci_lo = ci_hi = stats["m"][:, 0]
+    return [SensitivityCurve(
+        phi=phi, mean_s_a=stats["mean_s"][s, 1], var_s_a=stats["var_s"][s, 1],
+        mean_s_b=np.full(phi.size, mean_s_b[s]), **{key: x[s, 0] for key, x in stats.items()},
+        m_ci_lo=ci_lo[s], m_ci_hi=ci_hi[s],
+        traj_count=n_traj, n_total=float(n_total), correction_sign=signs[s],
+    ) for s in range(len(ensembles))]
 
 
 def sensitivity_curve(ensemble: Ensemble, phi, spec: HomodyneSpec,
@@ -408,6 +408,6 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
         m_star=best.m,
         atoms_transferred_at_star=best.transferred,
         equivalent_atom_gain=1.0 / best.m**2 if best.m > 0 else float("inf"),
-        at_boundary=(k == 0 or k == len(rows) - 1) and len(rows) > 1,
+        at_boundary=len(set(r_values)) > 1 and best.r in (min(r_values), max(r_values)),
     )
     return RScanResult(rows=rows, report=report, star=k)

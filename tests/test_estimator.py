@@ -64,9 +64,10 @@ def test_shared_phases_are_bit_identical(working_point_ensemble):
     wide = [np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]
     narrow = [np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]
     w = correction_weight(sign)
-    a, = point_statistics(f1, wide, [w], 1.0e7)
-    b, = point_statistics(f2, narrow, [w], 1.0e7)
-    assert a["mean_s"][1] == b["mean_s"][1] and a["var_s"][1] == b["var_s"][1]
+    a = point_statistics(f1[np.newaxis], wide, [[w]], 1.0e7)
+    b = point_statistics(f2[np.newaxis], narrow, [[w]], 1.0e7)
+    assert a["mean_s"][0, 0, 1] == b["mean_s"][0, 0, 1]
+    assert a["var_s"][0, 0, 1] == b["var_s"][0, 0, 1]
 
 
 @pytest.mark.parametrize("n_seed, r", [(1.0e4, 3.0), (0.0, 4.5)])
@@ -86,12 +87,11 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
     # and one weight's statistics do not depend on the weights beside it
     features, _, _ = fringe_features(ensemble, spec)
     w = correction_weight(sign)
-    both = point_statistics(features, grid, [w, 0.0], 1.0e7)
-    alone = point_statistics(features, grid, [w], 1.0e7) + \
-        point_statistics(features, grid, [0.0], 1.0e7)
-    for stacked, single in zip(both, alone):
-        assert stacked.keys() == single.keys()
-        assert all(np.array_equal(stacked[key], single[key]) for key in stacked)
+    both = point_statistics(features[np.newaxis], grid, [[w, 0.0]], 1.0e7)
+    for column, weight in enumerate((w, 0.0)):
+        single = point_statistics(features[np.newaxis], grid, [[weight]], 1.0e7)
+        assert both.keys() == single.keys()
+        assert all(np.array_equal(both[key][:, column], single[key][:, 0]) for key in both)
 
 
 def test_features_do_not_depend_on_the_correction(working_point_ensemble):
@@ -254,6 +254,28 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
             curve.m[0], curve.m_ci_lo[0], curve.m_ci_hi[0], curve.correction_sign)
 
 
+def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, monkeypatch):
+    # _curves forms one term block of the whole stack for the point statistics
+    # and one for the bootstrap, whatever the number of ensembles and phases
+    calls = []  # the number of sets in each call's stack
+
+    def counting(features):
+        calls.append(len(features))
+        return moments(features)
+
+    moments = estimator._moments
+    monkeypatch.setattr(estimator, "_moments", counting)
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
+                       steps_per_unit_r=50, bootstrap_resamples=100)
+    result = scan_over_r([1.0 + 0.25 * k for k in range(13)], config)
+    assert len(result.rows) == 13 and calls == [13, 13]
+    grid = np.linspace(0.0, 2 * np.pi, 201)
+    sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100)
+    assert calls == [13, 13, 1, 1]
+    m_at_phi(working_point_ensemble, HomodyneSpec(gain_g=100.0))  # no bootstrap
+    assert calls == [13, 13, 1, 1, 1]
+
+
 def _scan_ensembles(r_values, n_traj=100, master_seed=SEED, n_total=1.0e7):
     return build_ensembles(n_total, 1.0e4, r_values, n_traj, master_seed, steps_per_unit_r=50)
 
@@ -290,9 +312,9 @@ def _synthetic_features(rng, n_traj, slope=5.0, sigma=2.0):
 def test_m_invariant_under_signal_rescaling():
     rng = np.random.default_rng(3)
     phi = np.linspace(0.0, 1.0, 11)
-    f = _synthetic_features(rng, 400, sigma=1.0)
-    m1 = point_statistics(f, phi, [1.0], 1.0e7)[0]["m"]
-    m2 = point_statistics(7.3 * f, phi, [1.0], 1.0e7)[0]["m"]
+    f = _synthetic_features(rng, 400, sigma=1.0)[np.newaxis]
+    m1 = point_statistics(f, phi, [[1.0]], 1.0e7)["m"]
+    m2 = point_statistics(7.3 * f, phi, [[1.0]], 1.0e7)["m"]
     assert np.all(np.abs(m2 - m1) <= 1e-10 * np.abs(m1))
 
 
@@ -300,8 +322,9 @@ def test_zero_derivative_is_flagged():
     phi = np.linspace(0.0, 1.0, 5)
     rng = np.random.default_rng(4)
     f = np.column_stack([np.zeros(50), np.zeros(50), rng.normal(size=50)])  # B = C = 0
-    for stats in point_statistics(f, phi, [1.0, 0.0], 1.0):  # 0 / 0 at weight 0
-        assert np.all(np.isposinf(stats["delta_phi"]))
+    stats = point_statistics(f[np.newaxis], phi, [[1.0, 0.0]], 1.0)  # 0 / 0 at weight 0
+    assert stats["delta_phi"].shape == (1, 2, 5)
+    assert np.all(np.isposinf(stats["delta_phi"]))
 
 
 # --- SQL recovery and the undepleted benchmark ------------------------------------
@@ -328,13 +351,13 @@ def test_shuffling_light_record_destroys_gain(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     phi = [np.pi / 2]
     features, _, sign = fringe_features(working_point_ensemble, spec)
-    corr, off = point_statistics(features, phi, [correction_weight(sign), 0.0], 1.0e7)
-    m_corr, m_off = corr["m"][0], off["m"][0]
+    w = correction_weight(sign)
+    m_corr, m_off = point_statistics(features[np.newaxis], phi, [[w, 0.0]], 1.0e7)["m"][0, :, 0]
 
     perm = np.random.default_rng(11).permutation(len(features))
     f_shuffled = features.copy()
     f_shuffled[:, 2] = features[perm, 2]
-    m_shuffled = point_statistics(f_shuffled, phi, [correction_weight(sign)], 1.0e7)[0]["m"][0]
+    m_shuffled = point_statistics(f_shuffled[np.newaxis], phi, [[w]], 1.0e7)["m"][0, 0, 0]
 
     assert m_corr < 0.5 * m_off       # the correction genuinely helps
     assert m_shuffled > m_off         # ... but only through the correlations
@@ -421,6 +444,23 @@ def test_resample_sums_match_exact_sums_of_gathered_terms(n_traj):
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])
+def test_stacked_point_statistics_equal_each_set_alone(n_traj):
+    rng = np.random.default_rng(8)
+    features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
+    phi = np.linspace(0.0, 1.0, 4)
+    for weights in ([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]],  # a list per set
+                    [[0.0]] * 3):  # the atomic record alone on every set
+        stats = point_statistics(features, phi, weights, 1.0e7)
+        assert all(x.shape == (3, len(weights[0]), 4) for x in stats.values())
+        for s in range(len(features)):  # each set against a stack of that set alone
+            alone = point_statistics(features[s:s + 1], phi, weights[s:s + 1], 1.0e7)
+            assert stats.keys() == alone.keys()
+            assert all(np.array_equal(stats[key][s], alone[key][0]) for key in stats)
+    with pytest.raises(ValueError, match="2 weight lists for 3 sets"):  # a list for every set
+        point_statistics(features, phi, [[1.0], [1.0]], 1.0e7)
+
+
+@pytest.mark.parametrize("n_traj", [1000, 10000])
 def test_stacked_bootstrap_equals_each_set_alone(n_traj):
     rng = np.random.default_rng(8)
     features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
@@ -436,7 +476,7 @@ def test_stacked_bootstrap_equals_each_set_alone(n_traj):
     lo, hi = bootstrap_ci(features, phi, [0.0] * 3, 1.0e7, resamples=100, master_seed=4)
     lo_s, hi_s = bootstrap_ci(features[1:2], phi, [0.0], 1.0e7, resamples=100, master_seed=4)
     assert np.array_equal(lo[1], lo_s[0]) and np.array_equal(hi[1], hi_s[0])
-    with pytest.raises(ValueError):  # a weight for every set
+    with pytest.raises(ValueError, match="2 weights for 3 sets"):  # a weight for every set
         bootstrap_ci(features, phi, [1.0, 1.0], 1.0e7, resamples=100, master_seed=4)
 
 
@@ -502,7 +542,7 @@ def test_estimator_transient_memory_is_one_term_block():
     block = 9 * n * features.itemsize
     boot = _traced_peak(lambda: bootstrap_ci(features, phi, [1.0], 1.0e7, resamples=100,
                                              master_seed=2))
-    point = _traced_peak(lambda: point_statistics(features[0], phi, [1.0, 0.0], 1.0e7))
+    point = _traced_peak(lambda: point_statistics(features, phi, [[1.0, 0.0]], 1.0e7))
     assert boot < 1.45 * block
     assert point < 1.1 * block
 
@@ -588,6 +628,24 @@ def test_scan_rows_equal_every_verb_in_every_mode(mode):
         got = (curve.m[1], curve.m_ci_lo[1], curve.m_ci_hi[1])
         assert got == pytest.approx((row.m, row.m_ci_lo, row.m_ci_hi), rel=1e-12)
         assert curve.correction_sign == row.correction_sign
+
+
+def test_scan_does_not_depend_on_the_order_of_r_values():
+    # the rows at each r, and the optimum with its boundary flag, are the same
+    # in any order; the boundary is the smallest or largest r, not a list end
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=400, master_seed=12345)
+    results = [scan_over_r(order, config) for order in ([1.0, 2.0, 3.0], [1.0, 3.0, 2.0],
+                                                          [3.0, 1.0, 2.0])]
+    first = results[0]
+    assert (first.report.r_star, first.report.at_boundary) == (3.0, True)
+    for result in results:
+        assert result.report == first.report
+        assert result.rows[result.star].r == result.report.r_star
+        by_r = {row.r: row for row in result.rows}
+        assert by_r == {row.r: row for row in first.rows}
+    # with one distinct r there is no boundary to sit on
+    report = scan_over_r([2.0, 2.0], config).report
+    assert (report.r_star, report.at_boundary) == (2.0, False)
 
 
 def test_scan_rejects_bad_r_values():
