@@ -19,17 +19,17 @@ unseeded = scan_over_r(np.arange(3.0, 5.51, 0.25), config)
 for row in unseeded.rows:
     print(f"r={row.r:4.2f}  M={row.m:8.4f}  closed form {row.m_recycled:7.4f}  "
           f"transferred {row.transferred:10.3g}")
-rep = unseeded.report
-print(f"optimum: M = {rep.m_star:.4f} at r = {rep.r_star} "
-      f"(worth {rep.equivalent_atom_gain:,.0f}x more atoms)")
+best = unseeded.rows[unseeded.star]
+print(f"optimum: M = {best.m:.4f} at r = {best.r} "
+      f"(worth {1.0 / best.m**2:,.0f}x more atoms)")
 
 print("\n=== seed of 1e4 atoms ===")
 config = RunConfig(n_seed=1.0e4, trajectories=N_TRAJ, bootstrap_resamples=100)
 seeded = scan_over_r(np.arange(1.0, 4.01, 0.25), config)
-rep = seeded.report
-print(f"optimum: M = {rep.m_star:.4f} at r = {rep.r_star} with "
-      f"{rep.atoms_transferred_at_star:.3g} atoms transferred "
-      f"({rep.equivalent_atom_gain:,.0f}x atom equivalent)")
+best = seeded.rows[seeded.star]
+print(f"optimum: M = {best.m:.4f} at r = {best.r} with "
+      f"{best.transferred:.3g} atoms transferred "
+      f"({1.0 / best.m**2:,.0f}x atom equivalent)")
 
 try:
     import matplotlib

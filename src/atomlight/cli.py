@@ -145,14 +145,12 @@ def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan", ensembles
         raise ConfigError("r-scan needs a non-empty r_list")
     result = scan_over_r(config.r_list, config, ensembles)
     rows = [tuple(getattr(row, c) for c in R_SCAN_COLUMNS) for row in result.rows]
-    report = result.report
-    finite = {"r_star": report.r_star, "m_star": report.m_star,
-              "atoms_transferred_at_star": report.atoms_transferred_at_star}
     star = result.rows[result.star]
+    finite = {"r_star": star.r, "m_star": star.m, "atoms_transferred_at_star": star.transferred}
     return _write_run(config, out_dir, stem, R_SCAN_COLUMNS, rows, {
         **finite,
-        "equivalent_atom_gain": report.equivalent_atom_gain,
-        "at_boundary": report.at_boundary,
+        "equivalent_atom_gain": 1.0 / star.m**2 if star.m > 0 else float("inf"),
+        "at_boundary": result.at_boundary,
         "error_budget": _error_budget(star.conservation, star.m, (star.m_ci_lo, star.m_ci_hi)),
     }, [row.conservation for row in result.rows], finite)
 

@@ -23,6 +23,10 @@ from .dynamics import DEFAULT_STEPS_PER_UNIT_R, EVOLUTION_MODES
 # config value -> HomodyneSpec.correction_sign
 CORRECTIONS = {"on": "plus", "off": "off", "auto_sign": "auto"}
 OUTPUT_FORMATS = ("csv", "json")
+# the fewest trajectories a sensitivity is estimated from, and the fewest
+# bootstrap resamples an interval is read from
+MIN_TRAJECTORIES = 100
+MIN_RESAMPLES = 100
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -123,14 +127,14 @@ class RunConfig:
             raise ConfigError("gain_g must be > 0")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must lie in [0, 2^64)")
-        if self.trajectories < 100:
-            raise ConfigError("trajectories must be >= 100")
+        if self.trajectories < MIN_TRAJECTORIES:
+            raise ConfigError(f"trajectories must be >= {MIN_TRAJECTORIES}")
         if self.steps_per_unit_r < 1:
             raise ConfigError("steps_per_unit_r must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.bootstrap_resamples < 100:
-            raise ConfigError("bootstrap_resamples must be >= 100")
+        if self.bootstrap_resamples < MIN_RESAMPLES:
+            raise ConfigError(f"bootstrap_resamples must be >= {MIN_RESAMPLES}")
         if len(self.scatter_phis) == 0:
             raise ConfigError("scatter_phis must be non-empty")
         return self

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import predict
-from .config import CORRECTIONS, RunConfig
+from .config import CORRECTIONS, MIN_RESAMPLES, MIN_TRAJECTORIES, RunConfig
 from .dynamics import ConservationReport, Ensemble, build_ensembles, transferred_atoms
 from .interferometer import (
     HomodyneSpec,
@@ -47,9 +47,8 @@ from .interferometer import (
     lo_noise_samples,
     signal_light,
 )
-from .phasespace import quadrature_x, quadrature_y
+from .phasespace import open_stream, quadrature_x, quadrature_y
 
-_BOOTSTRAP_STREAM_BLOCK = 5  # Philox counter block disjoint from trajectory streams
 CI_LEVEL = 0.95  # coverage of every bootstrap interval
 # (resample, set, phase) cells whose statistics bootstrap_ci evaluates at once,
 # in blocks of whole resamples (at least one), so its transient arrays stay
@@ -91,15 +90,6 @@ class SensitivityCurve:
 
 
 @dataclass
-class OptimumReport:
-    r_star: float
-    m_star: float
-    atoms_transferred_at_star: float
-    equivalent_atom_gain: float  # 1 / m_star^2
-    at_boundary: bool = False
-
-
-@dataclass
 class RScanRow:
     r: float
     m: float
@@ -116,8 +106,8 @@ class RScanRow:
 @dataclass
 class RScanResult:
     rows: list[RScanRow]
-    report: OptimumReport
-    star: int  # index of the row the report describes
+    star: int  # index of the row with the least M, the optimum
+    at_boundary: bool  # r_star is the smallest or largest of more than one distinct r
 
 
 def fringe_features(
@@ -204,7 +194,7 @@ def point_statistics(features, phi, weights, n_total: float) -> dict:
 def _resample_sums(terms, resamples: int, master_seed: int) -> np.ndarray:
     """Sums of each row of terms over the trajectories (last axis) of every resample.
 
-    Resample t draws n trajectory indices from the Philox stream of
+    Resample t draws n trajectory indices from the "bootstrap" stream of
     master_seed, so the draws depend on (master_seed, n) only, and sums the
     terms weighted by how often it drew each trajectory.  einsum makes no
     BLAS call and sums each row in one order whatever rows are stacked with
@@ -212,8 +202,7 @@ def _resample_sums(terms, resamples: int, master_seed: int) -> np.ndarray:
     nditer buffers, which doubles the cost at 1e4 trajectories.
     """
     n_traj = terms.shape[-1]
-    counter = [0, 0, 0, _BOOTSTRAP_STREAM_BLOCK]
-    rng = np.random.Generator(np.random.Philox(key=master_seed, counter=counter))
+    rng = open_stream(master_seed, "bootstrap")
     counts = np.empty(n_traj)
     sums = np.empty((resamples,) + terms.shape[:-1])
     for t in range(resamples):
@@ -262,8 +251,8 @@ def bootstrap_ci(features, phi, weights, n_total: float, resamples: int = 200,
     (resample, set, phase) cells; every value is per cell, so the edges do
     not depend on the block.
     """
-    if resamples < 100:
-        raise ValueError("resamples must be >= 100")
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"resamples must be >= {MIN_RESAMPLES}")
     features = np.asarray(features, dtype=float)
     sets, n_traj, _ = features.shape
     if n_traj < 2:
@@ -299,8 +288,8 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
         raise ValueError("the ensembles of a scan must share n_traj, master_seed and "
                          f"n_total; got {sorted(shared)}")
     (n_traj, master_seed, n_total), = shared
-    if n_traj < 100:
-        raise ValueError("need at least 100 trajectories")
+    if n_traj < MIN_TRAJECTORIES:
+        raise ValueError(f"need at least {MIN_TRAJECTORIES} trajectories")
 
     phi = np.array(phi, dtype=float)
     lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
@@ -401,13 +390,7 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
             conservation=ensemble.conservation,
         ))
 
-    k = int(np.argmin([row.m for row in rows]))
-    best = rows[k]
-    report = OptimumReport(
-        r_star=best.r,
-        m_star=best.m,
-        atoms_transferred_at_star=best.transferred,
-        equivalent_atom_gain=1.0 / best.m**2 if best.m > 0 else float("inf"),
-        at_boundary=len(set(r_values)) > 1 and best.r in (min(r_values), max(r_values)),
-    )
-    return RScanResult(rows=rows, report=report, star=k)
+    star = int(np.argmin([row.m for row in rows]))
+    r_star = rows[star].r
+    at_boundary = len(set(r_values)) > 1 and r_star in (min(r_values), max(r_values))
+    return RScanResult(rows=rows, star=star, at_boundary=at_boundary)

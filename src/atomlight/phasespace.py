@@ -9,12 +9,13 @@ mode occupation (symmetric ordering) and the quadrature X = a + a^dag has
 vacuum variance 1.
 
 All noise comes from one counter-based Philox stream per noise source
-(Salmon et al., SC'11): key master_seed, counter word 3 the stream tag,
-and raw block i (four 64-bit words, counted in word 0) belongs to
-trajectory i.  The first two words of a block give one complex Gaussian by
-Box-Muller.  A draw is therefore a pure function of (master_seed,
-trajectory_index, stream_tag), so ensembles are reproducible bit-for-bit
-however they are split into chunks or threads.
+(Salmon et al., SC'11), opened by open_stream: key master_seed, counter
+word 3 the stream tag, and raw block i (four 64-bit words, counted in
+word 0) belongs to trajectory i.  The first two words of a block give one
+complex Gaussian by Box-Muller.  A draw is therefore a pure function of
+(master_seed, trajectory_index, stream_tag), so ensembles are reproducible
+bit-for-bit however they are split into chunks or threads.  The bootstrap's
+resample indices are drawn from the start of the "bootstrap" stream.
 """
 
 from __future__ import annotations
@@ -23,14 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Stream tags, one per independent noise source.  A tag is part of every
-# draw from its stream, so tags are never renumbered: 4 is left unassigned on
-# purpose.
+# Stream tags, one per independent noise source (the bootstrap's resample
+# draw included).  A tag is part of every draw from its stream, so tags are
+# never renumbered: 4 is left unassigned on purpose.
 STREAMS = {
     "atoms1": 0,
     "atoms2": 1,
     "light2": 2,
     "local_oscillator": 3,
+    "bootstrap": 5,
 }
 
 TIME_TAGS = ("t0", "t1", "t3")
@@ -95,6 +97,15 @@ def _box_muller(words: np.ndarray) -> np.ndarray:
     return radius * (np.cos(angle) + 1j * np.sin(angle))
 
 
+def open_stream(master_seed: int, stream_tag: str, first_index: int = 0) -> np.random.Generator:
+    """A generator on the Philox stream stream_tag of master_seed, advanced to
+    raw block first_index; its bit_generator reads the raw words."""
+    if first_index < 0:
+        raise ValueError("first_index must be >= 0")
+    bits = np.random.Philox(key=master_seed, counter=[0, 0, 0, STREAMS[stream_tag]])
+    return np.random.Generator(bits.advance(first_index))
+
+
 def sample_coherent_batch(
     mean_amplitude: complex,
     master_seed: int,
@@ -110,10 +121,7 @@ def sample_coherent_batch(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    if first_index < 0:
-        raise ValueError("first_index must be >= 0")
-    bits = np.random.Philox(key=master_seed, counter=[0, 0, 0, STREAMS[stream_tag]])
-    bits.advance(first_index)
+    bits = open_stream(master_seed, stream_tag, first_index).bit_generator
     words = bits.random_raw(4 * n_traj).reshape(n_traj, 4)[:, :2]
     return mean_amplitude + _box_muller(words)
 

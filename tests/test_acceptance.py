@@ -120,24 +120,24 @@ def test_criterion_05_unseeded_optimum():
                        master_seed=MASTER_SEED, bootstrap_resamples=200)
     r_values = [round(v, 10) for v in np.arange(3.0, 5.51, 0.25)]
     result = scan_over_r(r_values, config)
-    rep = result.report
-    ok = (0.015 <= rep.m_star <= 0.05
-          and 2000.0 / 3.0 <= rep.atoms_transferred_at_star <= 2000.0 * 3.0)
-    report(5, ok, f"unseeded optimum: M* = {rep.m_star:.4f} at r = {rep.r_star} "
-                  f"with {rep.atoms_transferred_at_star:.0f} atoms transferred "
+    star = result.rows[result.star]
+    ok = (0.015 <= star.m <= 0.05
+          and 2000.0 / 3.0 <= star.transferred <= 2000.0 * 3.0)
+    report(5, ok, f"unseeded optimum: M* = {star.m:.4f} at r = {star.r} "
+                  f"with {star.transferred:.0f} atoms transferred "
                   f"(targets: M in [0.015, 0.05], transfer within 3x of 2000)")
 
 
 def test_criterion_06_seeded_optimum(seeded_scan):
-    rep = seeded_scan.report
     rows = seeded_scan.rows
+    star = rows[seeded_scan.star]
     k_corr = int(np.argmin([row.var_squeezed_combo for row in rows]))
     transfer_at_corr_opt = rows[k_corr].transferred
-    ok = (0.06 <= rep.m_star <= 0.13
-          and 1.0e6 / 3.0 <= rep.atoms_transferred_at_star <= 3.0e6
+    ok = (0.06 <= star.m <= 0.13
+          and 1.0e6 / 3.0 <= star.transferred <= 3.0e6
           and 2.3e5 / 3.0 <= transfer_at_corr_opt <= 2.3e5 * 3.0)
-    report(6, ok, f"seeded optimum: M* = {rep.m_star:.4f} at r = {rep.r_star} with "
-                  f"{rep.atoms_transferred_at_star:.3g} transferred; correlation optimum at "
+    report(6, ok, f"seeded optimum: M* = {star.m:.4f} at r = {star.r} with "
+                  f"{star.transferred:.3g} transferred; correlation optimum at "
                   f"r = {rows[k_corr].r} with {transfer_at_corr_opt:.3g} transferred "
                   f"(targets: M in [0.06, 0.13], 1e6 and 2.3e5 within 3x)")
 

@@ -263,6 +263,28 @@ def test_r_scan_tw_smoke(tmp_path):
     assert summary["equivalent_atom_gain"] == pytest.approx(1.0 / summary["m_star"] ** 2)
 
 
+@pytest.mark.parametrize("r_list, at_boundary", [("3, 1, 2", True), ("2, 2", False)])
+def test_r_scan_summary_reads_the_best_row(tmp_path, r_list, at_boundary):
+    # the optimum is the data row with the least m, whatever the order of r_list
+    code, out = run(["r-scan", "--config", str(SRC.parent / "configs" / "r_scan_seeded.cfg"),
+                     "--set", f"r_list={r_list}", "--set", "trajectories=150",
+                     "--set", "bootstrap_resamples=100"], tmp_path)
+    assert code == 0
+    lines = [l for l in (out / "r_scan.csv").read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    best = min((dict(zip(header, line.split(","))) for line in lines[1:]),
+               key=lambda row: float(row["m"]))
+    m = float(best["m"])
+    summary = json.loads((out / "r_scan_summary.json").read_text())
+    assert list(summary) == ["config", "r_star", "m_star", "atoms_transferred_at_star",
+                             "equivalent_atom_gain", "at_boundary", "error_budget", "gates"]
+    assert summary["r_star"] == float(best["r"])
+    assert summary["m_star"] == m
+    assert summary["atoms_transferred_at_star"] == float(best["transferred"])
+    assert summary["equivalent_atom_gain"] == 1.0 / m**2
+    assert summary["at_boundary"] is at_boundary
+
+
 def _fresh_python(args, openblas_threads=None):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(SRC)

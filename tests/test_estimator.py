@@ -28,6 +28,7 @@ from atomlight.interferometer import (
     lo_noise_samples,
     measure_signals,
 )
+from atomlight.phasespace import STREAMS
 
 SEED = 555
 
@@ -169,7 +170,7 @@ def test_bootstrap_matches_resampled_reference(working_point_ensemble):
     lo, hi = (e[0] for e in bootstrap_ci(features[np.newaxis], grid, [correction_weight(sign)],
                                          1.0e7, resamples=100, master_seed=9))
     rng = np.random.Generator(np.random.Philox(
-        key=9, counter=[0, 0, 0, estimator._BOOTSTRAP_STREAM_BLOCK]))
+        key=9, counter=[0, 0, 0, STREAMS["bootstrap"]]))
     resamples = [rng.integers(0, n, size=n) for _ in range(100)]
     ms = np.array([_direct_m(s[idx], slope[idx], 1.0e7) for idx in resamples])
     assert np.allclose(lo, np.percentile(ms, 2.5, axis=0), rtol=1e-8, atol=0.0)
@@ -436,7 +437,7 @@ def test_resample_sums_match_exact_sums_of_gathered_terms(n_traj):
     terms[4] = terms[3] ** 2
     sums = estimator._resample_sums(terms, 100, master_seed=3)
     draws = np.random.Generator(np.random.Philox(
-        key=3, counter=[0, 0, 0, estimator._BOOTSTRAP_STREAM_BLOCK]))
+        key=3, counter=[0, 0, 0, STREAMS["bootstrap"]]))
     for row in sums:
         idx = draws.integers(0, n_traj, size=n_traj)
         ref = np.array([math.fsum(t) for t in terms[:, idx]])
@@ -596,7 +597,7 @@ def test_analytic_scan_is_exact():
     ms = [row.m_recycled for row in result.rows]
     assert all(a > b for a, b in zip(ms, ms[1:]))  # the closed form has no interior minimum
     # the sampled map keeps the pump noise that sets the optimum
-    assert (result.report.r_star, result.report.at_boundary) == (2.0, False)
+    assert (result.rows[result.star].r, result.at_boundary) == (2.0, False)
 
 
 def test_analytic_scan_without_correction():
@@ -606,7 +607,7 @@ def test_analytic_scan_without_correction():
         assert row.m_plain == pytest.approx(np.sqrt(np.cosh(2 * row.r)), rel=1e-14)
         assert row.m_ci_lo <= row.m_plain <= row.m_ci_hi
         assert row.correction_sign == "off"
-    assert result.report.r_star == 0.0
+    assert result.rows[result.star].r == 0.0
 
 
 @pytest.mark.parametrize("mode", dynamics.EVOLUTION_MODES)
@@ -637,15 +638,15 @@ def test_scan_does_not_depend_on_the_order_of_r_values():
     results = [scan_over_r(order, config) for order in ([1.0, 2.0, 3.0], [1.0, 3.0, 2.0],
                                                           [3.0, 1.0, 2.0])]
     first = results[0]
-    assert (first.report.r_star, first.report.at_boundary) == (3.0, True)
+    assert (first.rows[first.star].r, first.at_boundary) == (3.0, True)
     for result in results:
-        assert result.report == first.report
-        assert result.rows[result.star].r == result.report.r_star
+        assert result.rows[result.star] == first.rows[first.star]
+        assert result.at_boundary == first.at_boundary
         by_r = {row.r: row for row in result.rows}
         assert by_r == {row.r: row for row in first.rows}
     # with one distinct r there is no boundary to sit on
-    report = scan_over_r([2.0, 2.0], config).report
-    assert (report.r_star, report.at_boundary) == (2.0, False)
+    result = scan_over_r([2.0, 2.0], config)
+    assert (result.rows[result.star].r, result.at_boundary) == (2.0, False)
 
 
 def test_scan_rejects_bad_r_values():
@@ -671,8 +672,6 @@ def test_tw_scan_reports_transfer_and_optimum():
         bootstrap_resamples=100,
     )
     result = scan_over_r([4.0, 4.5, 5.0], config)
-    report = result.report
-    assert report.m_star < 0.1
-    assert report.equivalent_atom_gain == pytest.approx(1.0 / report.m_star**2)
+    assert result.rows[result.star].m < 0.1
     row = result.rows[1]
     assert row.transferred == pytest.approx(np.sinh(4.5) ** 2, rel=0.25)

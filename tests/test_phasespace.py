@@ -1,17 +1,20 @@
 """Wigner sampling moments, stream independence and the determinism contract."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from atomlight.estimator import _BOOTSTRAP_STREAM_BLOCK
 from atomlight.phasespace import (
     STREAMS,
     ModeTriple,
     _box_muller,
     occupation,
+    open_stream,
     quadrature_x,
     quadrature_y,
     sample_coherent_batch,
@@ -126,7 +129,30 @@ def test_trajectory_streams_are_disjoint_from_the_bootstrap_block():
     # the bootstrap's Philox counter carries its block in word 3, as the
     # trajectory streams carry their tags; distinct word-3 values never meet
     assert len(set(STREAMS.values())) == len(STREAMS)
-    assert _BOOTSTRAP_STREAM_BLOCK not in STREAMS.values()
+    assert STREAMS["bootstrap"] not in [tag for name, tag in STREAMS.items()
+                                        if name != "bootstrap"]
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_open_stream_is_the_documented_counter_layout(name):
+    # key master_seed, the stream's tag in counter word 3, advanced to raw block i
+    for i in (0, 1, 77, 2**40):
+        bits = np.random.Philox(key=2**64 - 1, counter=[0, 0, 0, STREAMS[name]])
+        want = bits.advance(i).random_raw(8)
+        got = open_stream(2**64 - 1, name, first_index=i).bit_generator.random_raw(8)
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="first_index must be >= 0"):
+        open_stream(1, name, first_index=-1)
+
+
+def test_only_phasespace_names_numpy_random():
+    # every random stream is opened in one module, so the layout is stated once
+    package = Path(__file__).resolve().parents[1] / "src" / "atomlight"
+    modules = sorted(package.glob("*.py"))
+    assert package / "phasespace.py" in modules
+    named = [m.name for m in modules
+             if re.search(r"\b(np|numpy)\.random\b", m.read_text(encoding="utf-8"))]
+    assert named == ["phasespace.py"]
 
 
 def test_distinct_streams_uncorrelated():
