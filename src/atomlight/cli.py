@@ -168,7 +168,8 @@ def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembl
         s_a = b * np.cos(phi) + c * np.sin(phi)
         s = s_a + correction_weight(sign) * s_b_scaled
         rows.extend(zip(range(ensemble.n_traj), [phi] * ensemble.n_traj, s_a, s_b_scaled, s))
-        corr[_fmt(float(phi))] = float(np.corrcoef(s_a, s_b_scaled)[0, 1])
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite gate reports them
+            corr[_fmt(float(phi))] = float(np.corrcoef(s_a, s_b_scaled)[0, 1])
     drift = ensemble.conservation
     transferred = transferred_atoms(ensemble)
     finite = {f"corr_s_a_vs_s_b_over_g[{phi}]": c for phi, c in corr.items()}

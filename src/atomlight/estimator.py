@@ -25,9 +25,10 @@ feature sums over each resample.
 
 Every M goes through one evaluation, _curves: check that the ensembles
 share one draw and have enough trajectories, draw the LO noise once, stack
-the ensembles' features, and evaluate every (set, weight, phase) cell with
-one point_statistics and one bootstrap_ci call.  sensitivity_curve,
-m_at_phi and scan_over_r are reads of its curves, in every evolution mode.
+the ensembles' features, and evaluate every (set, weight, phase) cell and
+every interval with one evaluate call, which forms one term block of the
+stack.  sensitivity_curve, m_at_phi and scan_over_r are reads of its curves,
+in every evolution mode.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .interferometer import (
 from .phasespace import open_stream, quadrature_x, quadrature_y
 
 CI_LEVEL = 0.95  # coverage of every bootstrap interval
-# (resample, set, phase) cells whose statistics bootstrap_ci evaluates at once,
+# (resample, set, phase) cells whose statistics evaluate takes at once,
 # in blocks of whole resamples (at least one), so its transient arrays stay
 # this size whatever the resample count.  That is 24 resamples of one set at
 # 201 phases (as fast as one evaluation of all of them) and every resample of
@@ -180,17 +181,6 @@ def _moments(features):
     return terms, statistics
 
 
-def point_statistics(features, phi, weights, n_total: float) -> dict:
-    """Mean, variance, exact fringe slope, delta_phi and M of every cell.
-
-    features is a (sets, n, 3) stack of (B, C, S_b / g) rows and weights one
-    list per set (0 for the atomic signal alone); each array has shape
-    (sets, weights, phases), all from one block of term sums.
-    """
-    terms, statistics = _moments(features)
-    return statistics(terms.sum(axis=-1), phi, weights, n_total)
-
-
 def _resample_sums(terms, resamples: int, master_seed: int) -> np.ndarray:
     """Sums of each row of terms over the trajectories (last axis) of every resample.
 
@@ -234,43 +224,43 @@ def _percentile(values, percent) -> np.ndarray:
     return np.where(np.isnan(ordered[-1]), ordered[-1], out)
 
 
-def bootstrap_ci(features, phi, weights, n_total: float, resamples: int = 200,
-                 master_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Percentile bootstrap interval (coverage CI_LEVEL) for M at each phase in phi.
+def evaluate(features, phi, weights, n_total: float, resamples: int | None = None,
+             master_seed: int = 0) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Statistics of every (set, weight, phase) cell and the interval of M at
+    each set's first weight, from one (sets, 9, n) term block.
 
-    Whole trajectories are resampled so the variance and the fringe slope are
-    recomputed jointly.  features is a stack of shape (sets, n, 3) as in
-    point_statistics, weights holds one weight per set, and the edges have
-    shape (sets, len(phi)).  Every set is resampled with the same trajectory
-    indices, drawn once per resample, and each set's edges are exactly those
-    of a stack of that set alone.  A vanishing resampled slope gives an
-    infinite M, and an edge next to one is +inf (flagged, not masked).
-
-    The term rows of every set are one (sets, 9, n) block, and the
-    statistics are evaluated in blocks of about RESAMPLE_BLOCK_CELLS
-    (resample, set, phase) cells; every value is per cell, so the edges do
-    not depend on the block.
+    features is a (sets, n, 3) stack of (B, C, S_b / g) rows and weights one
+    list per set (0 for the atomic signal alone).  The statistics (mean,
+    variance, exact fringe slope, delta_phi and M) are (sets, weights, phases)
+    arrays from the block's sums.  The edges, of shape (sets, phases), are a
+    percentile bootstrap (coverage CI_LEVEL) from its resample sums, or M
+    itself when resamples is None.  Whole trajectories are resampled, so the
+    variance and the slope are recomputed jointly, with the same indices for
+    every set, so each set's edges are those of that set alone.  A vanishing
+    resampled slope gives an infinite M, and an edge next to one is +inf.
+    The resamples' statistics are evaluated in blocks of about
+    RESAMPLE_BLOCK_CELLS (resample, set, phase) cells; every value is per
+    cell, so the edges do not depend on their size.  Overflow is left to the
+    caller's finiteness gate, unwarned.
     """
-    if resamples < MIN_RESAMPLES:
+    if resamples is not None and resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}")
-    features = np.asarray(features, dtype=float)
-    sets, n_traj, _ = features.shape
-    if n_traj < 2:
-        raise ValueError("too few trajectories to bootstrap")
-    if len(weights) != sets:
-        raise ValueError(f"{len(weights)} weights for {sets} sets")
-    terms, statistics = _moments(features)
-    sums = _resample_sums(terms, resamples, master_seed)  # (resamples, sets, 9)
-    del terms  # keep the block out of the statistics' transient memory
-    step = max(1, RESAMPLE_BLOCK_CELLS // (sets * np.size(phi)))
-    m = np.empty((resamples, sets, np.size(phi)))
-    for t in range(0, resamples, step):
-        m[t:t + step] = statistics(sums[t:t + step], phi, weights, n_total)["m"][..., 0, :]
-    lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
-    with np.errstate(invalid="ignore"):  # inf - inf where an edge meets an infinite M
-        edges = _percentile(m, [lo_q, 100.0 - lo_q])
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms, statistics = _moments(features)
+        stats = statistics(terms.sum(axis=-1), phi, weights, n_total)
+        if resamples is None:
+            return stats, stats["m"][:, 0], stats["m"][:, 0]
+        sums = _resample_sums(terms, resamples, master_seed)  # (resamples, sets, 9)
+        del terms  # keep the block out of the statistics' transient memory
+        first = np.array(weights, dtype=float).reshape(len(weights), -1)[:, :1]
+        m = np.empty((resamples,) + stats["m"].shape[::2])  # (resamples, sets, phases)
+        step = max(1, RESAMPLE_BLOCK_CELLS // m[0].size)
+        for t in range(0, resamples, step):
+            m[t:t + step] = statistics(sums[t:t + step], phi, first, n_total)["m"][..., 0, :]
+        lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
+        edges = _percentile(m, [lo_q, 100.0 - lo_q])  # inf - inf where an edge meets an infinite M
     edges[np.isnan(edges) & ~np.isnan(m).any(axis=0)] = np.inf
-    return edges[0], edges[1]
+    return stats, edges[0], edges[1]
 
 
 def _curves(ensembles, phi, spec: HomodyneSpec,
@@ -279,9 +269,9 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
 
     The ensembles must come from one draw: the LO noise and the bootstrap's
     resample stream depend on (master_seed, n_traj) only, and the M scale on
-    n_total.  One LO draw, one point_statistics call and one bootstrap_ci
-    call serve every ensemble, so each curve equals that of its ensemble
-    alone.  With resamples None each interval collapses to its point.
+    n_total.  One LO draw and one evaluate call serve every ensemble, so
+    each curve equals that of its ensemble alone.  With resamples None each
+    interval collapses to its point.
     """
     shared = {(e.n_traj, e.master_seed, e.n_total) for e in ensembles}
     if len(shared) > 1:
@@ -302,14 +292,9 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
         mean_s_b.append(float(np.mean(s_b)))
         signs.append(sign)
     del lo_noise, s_b  # keep the noise and the light record out of the bootstrap's peak memory
-    weights = [correction_weight(sign) for sign in signs]
-    if resamples is not None:
-        ci_lo, ci_hi = bootstrap_ci(features, phi, weights, n_total, resamples=resamples,
-                                    master_seed=master_seed)
-    # S at each set's weight and the atomic record S_a (weight 0), from one term block
-    stats = point_statistics(features, phi, [[w, 0.0] for w in weights], n_total)
-    if resamples is None:
-        ci_lo = ci_hi = stats["m"][:, 0]
+    # S at each set's weight (with its interval) and the atomic record S_a (weight 0)
+    weights = [[correction_weight(sign), 0.0] for sign in signs]
+    stats, ci_lo, ci_hi = evaluate(features, phi, weights, n_total, resamples, master_seed)
     return [SensitivityCurve(
         phi=phi, mean_s_a=stats["mean_s"][s, 1], var_s_a=stats["var_s"][s, 1],
         mean_s_b=np.full(phi.size, mean_s_b[s]), **{key: x[s, 0] for key, x in stats.items()},

@@ -51,11 +51,18 @@ def capture_fraction(setup: PhysicalSetup) -> float:
     """Fraction of spontaneous emission landing in the phase-matched mode.
 
     3 / (4 pi (k2 sigma)^2) for a cigar-shaped condensate of width sigma
-    aligned with the scattered mode and the dipole-pattern peak.
+    aligned with the scattered mode and the dipole-pattern peak.  A setup for
+    which this is not a finite fraction in (0, 1] raises ValueError.
     """
     setup.validate()
-    k_sigma = setup.k2 * setup.condensate_width
-    return float(3.0 / (4.0 * np.pi * k_sigma**2))
+    try:
+        fraction = 3.0 / (4.0 * np.pi * (setup.k2 * setup.condensate_width) ** 2)
+    except ArithmeticError:  # (k2 sigma)^2 overflows, or a product underflows to 0
+        fraction = math.nan
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"capture_fraction {fraction} is not a fraction in (0, 1]; check "
+                         "wavelength, radial_trap_freq and atomic_mass")
+    return fraction
 
 
 def rate_ratio(setup: PhysicalSetup) -> float:

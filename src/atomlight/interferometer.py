@@ -165,7 +165,9 @@ def calibrate_correction_sign(s_a, s_b) -> str:
     """
     if np.size(s_a) == 0:
         raise ValueError("empty ensemble")
-    return "plus" if np.dot(s_a - np.mean(s_a), s_b - np.mean(s_b)) >= 0 else "minus"
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN M follows, and its gate reports it
+        cov = np.dot(s_a - np.mean(s_a), s_b - np.mean(s_b))
+    return "plus" if cov >= 0 else "minus"
 
 
 def detected_photons(ensemble: Ensemble, spec: HomodyneSpec) -> float:

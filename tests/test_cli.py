@@ -288,6 +288,7 @@ def test_r_scan_summary_reads_the_best_row(tmp_path, r_list, at_boundary):
 def _fresh_python(args, openblas_threads=None):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(SRC)
+    env["PYTHONWARNINGS"] = "error"
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
     proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
@@ -414,6 +415,10 @@ def test_feasibility_config_file_and_rerun(tmp_path):
     ("--seed 5", "master_seed"),
     ("--threads 3", "threads"),
     ("--format json", "output_format"),
+    # k2 sigma overflows, underflows to 0, or gives a capture fraction above 1
+    ("--set wavelength=1e300", "capture_fraction"),
+    ("--set wavelength=1e-300", "capture_fraction"),
+    ("--set radial_trap_freq=1e300", "capture_fraction"),
 ])
 def test_feasibility_bad_input_rejected_before_work(tmp_path, capsys, given, key):
     # {...} is an embedded JSON config; a common flag names a key feasibility lacks
@@ -597,14 +602,33 @@ def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra
 
 
 def test_overflowing_closed_forms_leave_one_json_record_per_stderr_line(tmp_path):
-    # run in a fresh interpreter, with numpy's default error handling
+    # run in a fresh interpreter, where any warning is an error
     proc = subprocess.run(
         [sys.executable, "-m", "atomlight.cli", "analytic-table", "--set", "r_list=1,900",
          "--out", str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120)
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"},
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     records = [json.loads(line) for line in proc.stderr.splitlines()]
     assert [record["error"] for record in records] == ["finite"]
+
+
+@pytest.mark.parametrize("verb,extra", [
+    ("phi-sweep", []),
+    ("r-scan", ["--set", "r_list=1, 2"]),
+    ("scatter", []),
+    ("figures", ["--set", "r=2"]),
+])
+@pytest.mark.parametrize("setting", ["n_total=1e300", "gain_g=1e-300"])
+def test_overflowing_statistics_leave_only_gate_records(tmp_path, capsys, verb, extra, setting):
+    # the finite gate reports the overflow; numpy warns of none of it on the way
+    code, _ = run([verb, "--set", setting, "--set", "trajectories=200",
+                   "--set", "bootstrap_resamples=100", *extra], tmp_path)
+    assert code == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert records and all(record["error"] == "finite" for record in records)
+    if verb != "figures":  # a figures run gives a record per failed recipe
+        assert len(records) == 1
 
 
 # --- figures -----------------------------------------------------------------------

@@ -20,7 +20,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -31,7 +31,7 @@ def test_readme_quick_start_runs(tmp_path):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
     code = block.split("```", 1)[0]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -43,7 +43,7 @@ def test_readme_quick_start_runs(tmp_path):
 
 def test_cli_import_stays_light():
     # scipy and the thread pool are loaded only where a run needs them
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
     code = ("import sys, atomlight.cli; "
             "print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -15,10 +15,9 @@ import atomlight.interferometer as interferometer
 from atomlight.config import ConfigError, RunConfig
 from atomlight.dynamics import build_ensembles
 from atomlight.estimator import (
-    bootstrap_ci,
+    evaluate,
     fringe_features,
     m_at_phi,
-    point_statistics,
     scan_over_r,
     sensitivity_curve,
 )
@@ -65,8 +64,8 @@ def test_shared_phases_are_bit_identical(working_point_ensemble):
     wide = [np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]
     narrow = [np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]
     w = correction_weight(sign)
-    a = point_statistics(f1[np.newaxis], wide, [[w]], 1.0e7)
-    b = point_statistics(f2[np.newaxis], narrow, [[w]], 1.0e7)
+    a, _, _ = evaluate(f1[np.newaxis], wide, [[w]], 1.0e7)
+    b, _, _ = evaluate(f2[np.newaxis], narrow, [[w]], 1.0e7)
     assert a["mean_s"][0, 0, 1] == b["mean_s"][0, 0, 1]
     assert a["var_s"][0, 0, 1] == b["var_s"][0, 0, 1]
 
@@ -88,9 +87,9 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
     # and one weight's statistics do not depend on the weights beside it
     features, _, _ = fringe_features(ensemble, spec)
     w = correction_weight(sign)
-    both = point_statistics(features[np.newaxis], grid, [[w, 0.0]], 1.0e7)
+    both, _, _ = evaluate(features[np.newaxis], grid, [[w, 0.0]], 1.0e7)
     for column, weight in enumerate((w, 0.0)):
-        single = point_statistics(features[np.newaxis], grid, [[weight]], 1.0e7)
+        single, _, _ = evaluate(features[np.newaxis], grid, [[weight]], 1.0e7)
         assert both.keys() == single.keys()
         assert all(np.array_equal(both[key][:, column], single[key][:, 0]) for key in both)
 
@@ -167,8 +166,8 @@ def test_bootstrap_matches_resampled_reference(working_point_ensemble):
     s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
     slope = _direct_slope(working_point_ensemble, grid, spec, sign)
     n = s.shape[0]
-    lo, hi = (e[0] for e in bootstrap_ci(features[np.newaxis], grid, [correction_weight(sign)],
-                                         1.0e7, resamples=100, master_seed=9))
+    _, (lo,), (hi,) = evaluate(features[np.newaxis], grid, [correction_weight(sign)], 1.0e7,
+                               resamples=100, master_seed=9)
     rng = np.random.Generator(np.random.Philox(
         key=9, counter=[0, 0, 0, STREAMS["bootstrap"]]))
     resamples = [rng.integers(0, n, size=n) for _ in range(100)]
@@ -231,20 +230,20 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
     counted(dynamics, "sample_initial_ensemble")
     counted(dynamics, "evolve_tw")
     counted(estimator, "lo_noise_samples")
-    counted(estimator, "bootstrap_ci")
+    counted(estimator, "evaluate")
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
                        steps_per_unit_r=50, bootstrap_resamples=100)
     r_values = [2.0, 1.0, 1.5, 1.0]
     result = scan_over_r(r_values, config)
     assert counts == {"sample_initial_ensemble": 1, "evolve_tw": 1, "lo_noise_samples": 1,
-                      "bootstrap_ci": 1}
+                      "evaluate": 1}
     # the shared draw and the pass to r = 2 give what a run at one r gives
     ens = build_ensembles(1.0e7, 1.0e4, [1.5], 100, SEED, steps_per_unit_r=50)[0]
     m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
     row = result.rows[2]
     assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
     assert result.rows[1] == result.rows[3]
-    # the one bootstrap call gives every row what m_at_phi and sensitivity_curve
+    # the one evaluation gives every row what m_at_phi and sensitivity_curve
     # give its ensemble alone
     for r, row in zip(r_values, result.rows):
         ens = build_ensembles(1.0e7, 1.0e4, [r], 100, SEED, steps_per_unit_r=50)[0]
@@ -257,7 +256,7 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
 
 def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, monkeypatch):
     # _curves forms one term block of the whole stack for the point statistics
-    # and one for the bootstrap, whatever the number of ensembles and phases
+    # and the bootstrap together, whatever the number of ensembles and phases
     calls = []  # the number of sets in each call's stack
 
     def counting(features):
@@ -269,12 +268,12 @@ def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, mo
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
                        steps_per_unit_r=50, bootstrap_resamples=100)
     result = scan_over_r([1.0 + 0.25 * k for k in range(13)], config)
-    assert len(result.rows) == 13 and calls == [13, 13]
+    assert len(result.rows) == 13 and calls == [13]
     grid = np.linspace(0.0, 2 * np.pi, 201)
     sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100)
-    assert calls == [13, 13, 1, 1]
+    assert calls == [13, 1]
     m_at_phi(working_point_ensemble, HomodyneSpec(gain_g=100.0))  # no bootstrap
-    assert calls == [13, 13, 1, 1, 1]
+    assert calls == [13, 1, 1]
 
 
 def _scan_ensembles(r_values, n_traj=100, master_seed=SEED, n_total=1.0e7):
@@ -295,7 +294,7 @@ def test_scan_rejects_ensembles_that_do_not_match(ensembles, match, monkeypatch)
         raise AssertionError("features computed for mismatched ensembles")
 
     monkeypatch.setattr(estimator, "fringe_features", unreachable)
-    monkeypatch.setattr(estimator, "bootstrap_ci", unreachable)
+    monkeypatch.setattr(estimator, "evaluate", unreachable)
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
                        steps_per_unit_r=50, bootstrap_resamples=100)
     with pytest.raises(ValueError, match=match):
@@ -314,8 +313,8 @@ def test_m_invariant_under_signal_rescaling():
     rng = np.random.default_rng(3)
     phi = np.linspace(0.0, 1.0, 11)
     f = _synthetic_features(rng, 400, sigma=1.0)[np.newaxis]
-    m1 = point_statistics(f, phi, [[1.0]], 1.0e7)["m"]
-    m2 = point_statistics(7.3 * f, phi, [[1.0]], 1.0e7)["m"]
+    m1 = evaluate(f, phi, [[1.0]], 1.0e7)[0]["m"]
+    m2 = evaluate(7.3 * f, phi, [[1.0]], 1.0e7)[0]["m"]
     assert np.all(np.abs(m2 - m1) <= 1e-10 * np.abs(m1))
 
 
@@ -323,9 +322,11 @@ def test_zero_derivative_is_flagged():
     phi = np.linspace(0.0, 1.0, 5)
     rng = np.random.default_rng(4)
     f = np.column_stack([np.zeros(50), np.zeros(50), rng.normal(size=50)])  # B = C = 0
-    stats = point_statistics(f[np.newaxis], phi, [[1.0, 0.0]], 1.0)  # 0 / 0 at weight 0
+    stats, lo, hi = evaluate(f[np.newaxis], phi, [[1.0, 0.0]], 1.0)  # 0 / 0 at weight 0
     assert stats["delta_phi"].shape == (1, 2, 5)
     assert np.all(np.isposinf(stats["delta_phi"]))
+    # without resamples the edges are M at the first weight
+    assert np.array_equal(lo, stats["m"][:, 0]) and np.array_equal(hi, stats["m"][:, 0])
 
 
 # --- SQL recovery and the undepleted benchmark ------------------------------------
@@ -353,12 +354,12 @@ def test_shuffling_light_record_destroys_gain(working_point_ensemble):
     phi = [np.pi / 2]
     features, _, sign = fringe_features(working_point_ensemble, spec)
     w = correction_weight(sign)
-    m_corr, m_off = point_statistics(features[np.newaxis], phi, [[w, 0.0]], 1.0e7)["m"][0, :, 0]
+    m_corr, m_off = evaluate(features[np.newaxis], phi, [[w, 0.0]], 1.0e7)[0]["m"][0, :, 0]
 
     perm = np.random.default_rng(11).permutation(len(features))
     f_shuffled = features.copy()
     f_shuffled[:, 2] = features[perm, 2]
-    m_shuffled = point_statistics(f_shuffled[np.newaxis], phi, [[w]], 1.0e7)["m"][0, 0, 0]
+    m_shuffled = evaluate(f_shuffled[np.newaxis], phi, [[w]], 1.0e7)[0]["m"][0, 0, 0]
 
     assert m_corr < 0.5 * m_off       # the correction genuinely helps
     assert m_shuffled > m_off         # ... but only through the correlations
@@ -382,8 +383,8 @@ def test_bootstrap_coverage_on_synthetic_truth():
     hits = 0
     for rep in range(100):
         f = _synthetic_features(rng, n_traj=500)
-        lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, [1.0], 1.0, resamples=200,
-                                             master_seed=rep))
+        _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, [1.0], 1.0, resamples=200,
+                                   master_seed=rep)
         hits += int(lo[mid] <= m_true <= hi[mid])
     assert hits >= 90
 
@@ -396,8 +397,8 @@ def test_bootstrap_width_shrinks_with_sqrt_n():
     for rep in range(30):
         for n in widths:
             f = _synthetic_features(rng, n_traj=n)
-            lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, [1.0], 1.0, resamples=200,
-                                                 master_seed=1000 + rep))
+            _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, [1.0], 1.0, resamples=200,
+                                       master_seed=1000 + rep)
             widths[n].append(hi[mid] - lo[mid])
     ratio = np.median(widths[500]) / np.median(widths[250])
     assert 0.8 / np.sqrt(2.0) < ratio < 1.2 / np.sqrt(2.0)
@@ -406,7 +407,7 @@ def test_bootstrap_width_shrinks_with_sqrt_n():
 def test_bootstrap_rejects_too_few_resamples():
     phi = np.linspace(0.0, 1.0, 3)
     with pytest.raises(ValueError):
-        bootstrap_ci(np.zeros((1, 10, 3)), phi, [1.0], 1.0, resamples=50)
+        evaluate(np.zeros((1, 10, 3)), phi, [1.0], 1.0, resamples=50)
 
 
 def test_bootstrap_flags_constant_signal():
@@ -414,8 +415,7 @@ def test_bootstrap_flags_constant_signal():
     # interval edges come out +inf rather than NaN or silently masked
     phi = np.linspace(0.0, 1.0, 5)
     f = np.column_stack([np.zeros(60), np.zeros(60), np.full(60, 3.7)])  # B = C = 0
-    lo, hi = (e[0] for e in bootstrap_ci(f[np.newaxis], phi, [1.0], 1.0, resamples=100,
-                                         master_seed=1))
+    _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, [1.0], 1.0, resamples=100, master_seed=1)
     assert np.all(np.isposinf(lo))
     assert np.all(np.isposinf(hi))
 
@@ -425,7 +425,7 @@ def test_bootstrap_edges_keep_nan_from_nan_signals():
     phi = np.linspace(0.0, 1.0, 3)
     f = _synthetic_features(np.random.default_rng(12), 200)
     f[7, 0] = np.nan
-    lo, hi = bootstrap_ci(f[np.newaxis], phi, [1.0], 1.0, resamples=100, master_seed=2)
+    _, lo, hi = evaluate(f[np.newaxis], phi, [1.0], 1.0, resamples=100, master_seed=2)
     assert np.all(np.isnan(lo)) and np.all(np.isnan(hi))
 
 
@@ -451,14 +451,14 @@ def test_stacked_point_statistics_equal_each_set_alone(n_traj):
     phi = np.linspace(0.0, 1.0, 4)
     for weights in ([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]],  # a list per set
                     [[0.0]] * 3):  # the atomic record alone on every set
-        stats = point_statistics(features, phi, weights, 1.0e7)
+        stats, _, _ = evaluate(features, phi, weights, 1.0e7)
         assert all(x.shape == (3, len(weights[0]), 4) for x in stats.values())
         for s in range(len(features)):  # each set against a stack of that set alone
-            alone = point_statistics(features[s:s + 1], phi, weights[s:s + 1], 1.0e7)
+            alone, _, _ = evaluate(features[s:s + 1], phi, weights[s:s + 1], 1.0e7)
             assert stats.keys() == alone.keys()
             assert all(np.array_equal(stats[key][s], alone[key][0]) for key in stats)
     with pytest.raises(ValueError, match="2 weight lists for 3 sets"):  # a list for every set
-        point_statistics(features, phi, [[1.0], [1.0]], 1.0e7)
+        evaluate(features, phi, [[1.0], [1.0]], 1.0e7)
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])
@@ -467,18 +467,23 @@ def test_stacked_bootstrap_equals_each_set_alone(n_traj):
     features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
     phi = np.linspace(0.0, 1.0, 4)
     weights = [-1.0, 1.0, 0.0]  # one per set
-    lo, hi = bootstrap_ci(features, phi, weights, 1.0e7, resamples=100, master_seed=4)
+    _, lo, hi = evaluate(features, phi, weights, 1.0e7, resamples=100, master_seed=4)
     assert lo.shape == hi.shape == (3, 4)
     for s in range(len(features)):  # each set against a stack of that set alone
-        lo_s, hi_s = bootstrap_ci(features[s:s + 1], phi, weights[s:s + 1], 1.0e7,
-                                  resamples=100, master_seed=4)
+        _, lo_s, hi_s = evaluate(features[s:s + 1], phi, weights[s:s + 1], 1.0e7,
+                                 resamples=100, master_seed=4)
         assert np.array_equal(lo[s], lo_s[0]) and np.array_equal(hi[s], hi_s[0])
     # the atomic record alone (weight 0 on every set) too
-    lo, hi = bootstrap_ci(features, phi, [0.0] * 3, 1.0e7, resamples=100, master_seed=4)
-    lo_s, hi_s = bootstrap_ci(features[1:2], phi, [0.0], 1.0e7, resamples=100, master_seed=4)
+    _, lo, hi = evaluate(features, phi, [0.0] * 3, 1.0e7, resamples=100, master_seed=4)
+    _, lo_s, hi_s = evaluate(features[1:2], phi, [0.0], 1.0e7, resamples=100, master_seed=4)
     assert np.array_equal(lo[1], lo_s[0]) and np.array_equal(hi[1], hi_s[0])
-    with pytest.raises(ValueError, match="2 weights for 3 sets"):  # a weight for every set
-        bootstrap_ci(features, phi, [1.0, 1.0], 1.0e7, resamples=100, master_seed=4)
+    # the interval is that of each set's first weight, whatever weights follow it
+    _, lo_w, hi_w = evaluate(features, phi, [[w, 0.0] for w in weights], 1.0e7, resamples=100,
+                             master_seed=4)
+    _, lo, hi = evaluate(features, phi, weights, 1.0e7, resamples=100, master_seed=4)
+    assert np.array_equal(lo_w, lo) and np.array_equal(hi_w, hi)
+    with pytest.raises(ValueError, match="2 weight lists for 3 sets"):  # a weight for every set
+        evaluate(features, phi, [1.0, 1.0], 1.0e7, resamples=100, master_seed=4)
 
 
 def test_bootstrap_deterministic(working_point_ensemble):
@@ -486,9 +491,9 @@ def test_bootstrap_deterministic(working_point_ensemble):
     grid = np.linspace(0.0, np.pi, 9)
     features, _, sign = fringe_features(working_point_ensemble, spec)
     w = [correction_weight(sign)]
-    a = bootstrap_ci(features[np.newaxis], grid, w, 1.0e7, resamples=100, master_seed=5)
-    b = bootstrap_ci(features[np.newaxis], grid, w, 1.0e7, resamples=100, master_seed=5)
-    assert np.array_equal(a[0][0], b[0][0]) and np.array_equal(a[1][0], b[1][0])
+    a = evaluate(features[np.newaxis], grid, w, 1.0e7, resamples=100, master_seed=5)
+    b = evaluate(features[np.newaxis], grid, w, 1.0e7, resamples=100, master_seed=5)
+    assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
 
 @pytest.mark.parametrize("phases", [1, 201])
@@ -508,8 +513,8 @@ def test_resample_blocks_change_nothing(sets, k, resamples, phases, monkeypatch)
     for block in (1, 7, resamples + 1):  # resamples per evaluation of the statistics
         with monkeypatch.context() as patch:
             patch.setattr(estimator, "RESAMPLE_BLOCK_CELLS", block * phases)
-            edges[block] = bootstrap_ci(features, phi, weights, 1.0e7, resamples=resamples,
-                                        master_seed=6)
+            edges[block] = evaluate(features, phi, weights, 1.0e7, resamples=resamples,
+                                    master_seed=6)[1:]
     whole_lo, whole_hi = edges[resamples + 1]
     assert np.isposinf(whole_lo[0, 0]) and np.isposinf(whole_hi[0, 0])
     assert np.all(np.isfinite(whole_lo[1:])) and np.all(np.isfinite(whole_hi[1:]))
@@ -531,19 +536,19 @@ def _traced_peak(call) -> int:
 def test_estimator_transient_memory_is_one_term_block():
     """The 9 term rows of a (B, C, S_b / g) record are the estimator's one large array.
 
-    On a (1, 2e5, 3) stack the measured tracemalloc peaks are 1.34 block sizes
-    for bootstrap_ci (the block plus the draw, bincount and float counts of
-    one resample) and 1.00 for point_statistics.  Before the rows were written
-    in place both were 2.67: a centred copy and two gathered (n, 6) copies sat
-    beside the block.
+    On a (1, 2e5, 3) stack the measured tracemalloc peaks of evaluate are
+    1.34 block sizes with resamples (the block plus the draw, bincount and
+    float counts of one resample) and 1.00 without.  Before the rows were
+    written in place both were 2.67: a centred copy and two gathered (n, 6)
+    copies sat beside the block.
     """
     n = 200_000
     features = _synthetic_features(np.random.default_rng(5), n)[np.newaxis]
     phi = np.linspace(0.0, 2 * np.pi, 201)
     block = 9 * n * features.itemsize
-    boot = _traced_peak(lambda: bootstrap_ci(features, phi, [1.0], 1.0e7, resamples=100,
-                                             master_seed=2))
-    point = _traced_peak(lambda: point_statistics(features, phi, [[1.0, 0.0]], 1.0e7))
+    boot = _traced_peak(lambda: evaluate(features, phi, [[1.0, 0.0]], 1.0e7, resamples=100,
+                                         master_seed=2))
+    point = _traced_peak(lambda: evaluate(features, phi, [[1.0, 0.0]], 1.0e7))
     assert boot < 1.45 * block
     assert point < 1.1 * block
 
