@@ -38,7 +38,6 @@ def r_crit() -> float:
     return float(np.log(np.sqrt(2.0)))
 
 
-@np.errstate(over="ignore")  # cosh and exp overflow to inf at large r; the finite gate reports it
 def predict(r: float, n_total: float) -> AnalyticPrediction:
     """Undepleted-pump sensitivities at squeezing r, with and without the correction."""
     if r < 0:

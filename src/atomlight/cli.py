@@ -5,7 +5,9 @@ Verbs (``_verbs``): ``phi-sweep``, ``r-scan``, ``scatter``, ``analytic-table``,
 recipes.  Config input is checked by key kind before any work.  Every output
 embeds the fully resolved configuration, numbers are written with 17
 significant digits, and re-running from an output's embedded config reproduces
-the files byte-for-byte at any thread count.
+the files byte-for-byte at any thread count.  main alone sets numpy's
+floating-point error state: it ignores every error around the verb, whose
+gates report each non-finite value it hides; library calls warn as numpy does.
 """
 
 from __future__ import annotations
@@ -168,8 +170,7 @@ def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembl
         s_a = b * np.cos(phi) + c * np.sin(phi)
         s = s_a + correction_weight(sign) * s_b_scaled
         rows.extend(zip(range(ensemble.n_traj), [phi] * ensemble.n_traj, s_a, s_b_scaled, s))
-        with np.errstate(over="ignore", invalid="ignore"):  # the finite gate reports them
-            corr[_fmt(float(phi))] = float(np.corrcoef(s_a, s_b_scaled)[0, 1])
+        corr[_fmt(float(phi))] = float(np.corrcoef(s_a, s_b_scaled)[0, 1])
     drift = ensemble.conservation
     transferred = transferred_atoms(ensemble)
     finite = {f"corr_s_a_vs_s_b_over_g[{phi}]": c for phi, c in corr.items()}
@@ -382,7 +383,8 @@ def main(argv=None) -> int:
     handler, kinds, make, _ = verbs[args.command]
 
     try:
-        return handler(make(_resolve_mapping(args, kinds)), Path(args.out))
+        with np.errstate(all="ignore"):  # the gates report what overflows
+            return handler(make(_resolve_mapping(args, kinds)), Path(args.out))
     except IntegrationError as exc:  # raised before any file is written
         print(json.dumps({"error": "integration", "invariant": "finite_state", "pass": exc.lattice,
                           "step_index": exc.step_index, "limit": "finite"}), file=sys.stderr)
@@ -392,6 +394,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(_error_record("io", str(exc)), file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(_error_record("memory", str(exc)), file=sys.stderr)
         return 1
 
 

@@ -180,6 +180,8 @@ def load_config_file(path, keys=RUN_KINDS) -> dict:
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
         embedded = payload.get("config", payload)
+        if not isinstance(embedded, dict):
+            raise ConfigError(f"{path}: the embedded config must be a JSON object")
         unknown = set(embedded) - set(keys)
         if unknown:
             raise ConfigError(f"{path}: unknown keys in embedded config: {sorted(unknown)}")

@@ -240,32 +240,31 @@ def evaluate(features, phi, weights, n_total: float, resamples: int | None = Non
     resampled slope gives an infinite M, and an edge next to one is +inf.
     The resamples' statistics are evaluated in blocks of about
     RESAMPLE_BLOCK_CELLS (resample, set, phase) cells; every value is per
-    cell, so the edges do not depend on their size.  Overflow is left to the
-    caller's finiteness gate, unwarned.
+    cell, so the edges do not depend on their size.
     """
     if resamples is not None and resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms, statistics = _moments(features)
-        stats = statistics(terms.sum(axis=-1), phi, weights, n_total)
-        if resamples is None:
-            return stats, stats["m"][:, 0], stats["m"][:, 0]
-        sums = _resample_sums(terms, resamples, master_seed)  # (resamples, sets, 9)
-        del terms  # keep the block out of the statistics' transient memory
-        first = np.array(weights, dtype=float).reshape(len(weights), -1)[:, :1]
-        m = np.empty((resamples,) + stats["m"].shape[::2])  # (resamples, sets, phases)
-        step = max(1, RESAMPLE_BLOCK_CELLS // m[0].size)
-        for t in range(0, resamples, step):
-            m[t:t + step] = statistics(sums[t:t + step], phi, first, n_total)["m"][..., 0, :]
-        lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
-        edges = _percentile(m, [lo_q, 100.0 - lo_q])  # inf - inf where an edge meets an infinite M
+    terms, statistics = _moments(features)
+    stats = statistics(terms.sum(axis=-1), phi, weights, n_total)
+    if resamples is None:
+        return stats, stats["m"][:, 0], stats["m"][:, 0]
+    sums = _resample_sums(terms, resamples, master_seed)  # (resamples, sets, 9)
+    del terms  # keep the block out of the statistics' transient memory
+    first = np.array(weights, dtype=float).reshape(len(weights), -1)[:, :1]
+    m = np.empty((resamples,) + stats["m"].shape[::2])  # (resamples, sets, phases)
+    step = max(1, RESAMPLE_BLOCK_CELLS // m[0].size)
+    for t in range(0, resamples, step):
+        m[t:t + step] = statistics(sums[t:t + step], phi, first, n_total)["m"][..., 0, :]
+    lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
+    with np.errstate(invalid="ignore"):  # inf - inf where an edge meets an infinite M
+        edges = _percentile(m, [lo_q, 100.0 - lo_q])
     edges[np.isnan(edges) & ~np.isnan(m).any(axis=0)] = np.inf
     return stats, edges[0], edges[1]
 
 
 def _curves(ensembles, phi, spec: HomodyneSpec,
             resamples: int | None) -> list[SensitivityCurve]:
-    """The sensitivity curve of each ensemble at each phase in phi.
+    """The sensitivity curve of each ensemble at each phase in phi, a non-empty 1-D grid.
 
     The ensembles must come from one draw: the LO noise and the bootstrap's
     resample stream depend on (master_seed, n_traj) only, and the M scale on
@@ -282,6 +281,8 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
         raise ValueError(f"need at least {MIN_TRAJECTORIES} trajectories")
 
     phi = np.array(phi, dtype=float)
+    if phi.ndim != 1 or phi.size == 0:
+        raise ValueError(f"phi must be a non-empty 1-D grid of phases; got shape {phi.shape}")
     lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
     # each ensemble's features are written into the stack (assigning them back
     # copies nothing), and of its light record only the mean is kept

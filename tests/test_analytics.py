@@ -50,6 +50,13 @@ def test_predict_rejects_negative_r():
         predict(1.0, 0.0)
 
 
+def test_predict_warns_of_overflow():
+    # the library leaves numpy's error state alone; only the CLI silences it
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        p = predict(400.0, 1.0e7)
+    assert np.isinf(p.delta_phi_plain) and np.isinf(p.var_antisqueezed_combo)
+
+
 def test_crossover():
     rc = r_crit()
     assert rc == pytest.approx(np.log(np.sqrt(2.0)), rel=1e-15)

@@ -1,5 +1,6 @@
 """Command-line interface: schemas, determinism, error records."""
 
+import ast
 import json
 import os
 import subprocess
@@ -406,12 +407,21 @@ def test_feasibility_config_file_and_rerun(tmp_path):
     assert (out1 / "feasibility.json").read_bytes() == (out2 / "feasibility.json").read_bytes()
 
 
+NOT_AN_OBJECT = "feasibility.json: the embedded config must be a JSON object"
+
+
 @pytest.mark.parametrize("given,key", [
     ("--set wavelength=nan", "wavelength"),
     ("--set n_total=inf", "n_total"),
     ('{"n_seed": true}', "n_seed"),
     ('{"n_seed": "1e4"}', "n_seed"),
     ('{"n_total": null}', "n_total"),
+    # an embedded config that is not a JSON object, refused with the file's name
+    ("null", NOT_AN_OBJECT),
+    ("5", NOT_AN_OBJECT),
+    ("[[1]]", NOT_AN_OBJECT),
+    ('"abc"', NOT_AN_OBJECT),
+    ("[]", NOT_AN_OBJECT),
     ("--seed 5", "master_seed"),
     ("--threads 3", "threads"),
     ("--format json", "output_format"),
@@ -421,9 +431,10 @@ def test_feasibility_config_file_and_rerun(tmp_path):
     ("--set radial_trap_freq=1e300", "capture_fraction"),
 ])
 def test_feasibility_bad_input_rejected_before_work(tmp_path, capsys, given, key):
-    # {...} is an embedded JSON config; a common flag names a key feasibility lacks
+    # anything but a flag is an embedded JSON config; a common flag names a key
+    # feasibility lacks
     args = given.split()
-    if given.startswith("{"):
+    if not given.startswith("--"):
         summary = tmp_path / "feasibility.json"
         summary.write_text(f'{{"config": {given}}}')
         args = ["--config", str(summary)]
@@ -559,6 +570,16 @@ def test_integration_error_is_reported(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_failed_allocation_is_reported(tmp_path, capsys):
+    # numpy refuses the first trajectory-sized array (petabytes) before taking any memory
+    out = tmp_path / "out"
+    code = main(["phi-sweep", "--set", "trajectories=1000000000000000", "--out", str(out)])
+    assert code == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert record["error"] == "memory" and "allocate" in record["message"]
+    assert not out.exists()
+
+
 def test_summaries_carry_passed_gates(tmp_path):
     for verb, extra in (("phi-sweep", []), ("scatter", []),
                         ("r-scan", ["--set", "r_list=0.5, 1.0"])):
@@ -590,8 +611,7 @@ def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra
 
     monkeypatch.setattr(estimator, "fringe_features", nan_features)
     monkeypatch.setattr(cli, "fringe_features", nan_features)
-    with np.errstate(all="ignore"):
-        code, out = run([verb] + FAST + extra, tmp_path)
+    code, out = run([verb] + FAST + extra, tmp_path)
     assert code == 1
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "finite" and record["limit"] == "finite"
@@ -601,25 +621,35 @@ def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra
     assert gates["finite"]["invariant"] == record["invariant"]
 
 
-def test_overflowing_closed_forms_leave_one_json_record_per_stderr_line(tmp_path):
-    # run in a fresh interpreter, where any warning is an error
-    proc = subprocess.run(
-        [sys.executable, "-m", "atomlight.cli", "analytic-table", "--set", "r_list=1,900",
-         "--out", str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"},
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    records = [json.loads(line) for line in proc.stderr.splitlines()]
-    assert [record["error"] for record in records] == ["finite"]
-
-
-@pytest.mark.parametrize("verb,extra", [
+OVERFLOWING_STATISTICS = [
     ("phi-sweep", []),
     ("r-scan", ["--set", "r_list=1, 2"]),
     ("scatter", []),
     ("figures", ["--set", "r=2"]),
-])
-@pytest.mark.parametrize("setting", ["n_total=1e300", "gain_g=1e-300"])
+]
+
+
+def test_overflowing_closed_forms_leave_one_json_record_per_stderr_line(tmp_path):
+    # run in a fresh interpreter, where any warning is an error: the closed
+    # forms overflow at r = 900, and S_b / g at g = 1e-320 in every sampled verb
+    runs = [["analytic-table", "--set", "r_list=1,900"]]
+    runs += [[verb, "--set", "gain_g=1e-320", "--set", "trajectories=200",
+              "--set", "bootstrap_resamples=100", *extra]
+             for verb, extra in OVERFLOWING_STATISTICS]
+    for i, args in enumerate(runs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "atomlight.cli", *args, "--out", str(tmp_path / str(i))],
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, args
+        records = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert records and all(record["error"] == "finite" for record in records), args
+        if args[0] != "figures":  # a figures run gives a record per failed recipe
+            assert len(records) == 1, args
+
+
+@pytest.mark.parametrize("verb,extra", OVERFLOWING_STATISTICS)
+@pytest.mark.parametrize("setting", ["n_total=1e300", "gain_g=1e-300", "gain_g=1e-320"])
 def test_overflowing_statistics_leave_only_gate_records(tmp_path, capsys, verb, extra, setting):
     # the finite gate reports the overflow; numpy warns of none of it on the way
     code, _ = run([verb, "--set", setting, "--set", "trajectories=200",
@@ -629,6 +659,36 @@ def test_overflowing_statistics_leave_only_gate_records(tmp_path, capsys, verb, 
     assert records and all(record["error"] == "finite" for record in records)
     if verb != "figures":  # a figures run gives a record per failed recipe
         assert len(records) == 1
+
+
+def _numpy_error_state_sites(module: Path) -> list[str]:
+    """module.function for each use of np.errstate or np.seterr in module,
+    named by its innermost enclosing function (a decorator by the one it wraps)."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "attr", getattr(child, "id", None))
+            if isinstance(child, (ast.Attribute, ast.Name)) and name in ("errstate", "seterr"):
+                sites.append(f"{module.stem}.{scope}")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+    visit(ast.parse(module.read_text(encoding="utf-8")), "<module>")
+    return sites
+
+
+def test_numpy_error_state_is_set_by_main_and_expected_non_finites_only():
+    # main silences numpy around the verb, whose gates report what overflows;
+    # library code sets it only where its own algorithm expects a non-finite
+    sites = sorted(site for module in sorted((SRC / "atomlight").glob("*.py"))
+                   for site in _numpy_error_state_sites(module))
+    assert sites == [
+        "cli.main",
+        "dynamics._integrate",  # non-finite amplitudes, checked once per stop
+        "dynamics.check_pump_range",  # sinh^2 r overflows to inf: past the pump
+        "estimator.evaluate",  # inf - inf in _percentile next to an infinite M
+        "estimator.statistics",  # x / 0, a zero slope: an infinite M
+    ]
 
 
 # --- figures -----------------------------------------------------------------------

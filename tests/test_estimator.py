@@ -41,7 +41,7 @@ def test_phi_grid_from_range(working_point_ensemble):
     assert curve.phi[1] - curve.phi[0] == pytest.approx(np.pi / 100)
 
 
-def test_phi_grid_rejects_bad_input():
+def test_phi_grid_rejects_bad_input(working_point_ensemble, monkeypatch):
     # the grid is phi_count points from phi_start to phi_stop; the config checks it
     with pytest.raises(ConfigError):
         RunConfig(phi_count=1).validate()
@@ -51,6 +51,14 @@ def test_phi_grid_rejects_bad_input():
         RunConfig(phi_start=np.nan, phi_stop=np.nan).validate()
     with pytest.raises(ConfigError):
         RunConfig(phi_stop=np.inf).validate()
+    # and the estimator takes a non-empty 1-D grid, refused before any draw
+    def no_draw(ensemble):
+        raise AssertionError("LO noise drawn for a bad grid")
+
+    monkeypatch.setattr(estimator, "lo_noise_samples", no_draw)
+    for grid in ([], [[0.1, 0.2]], 0.1):
+        with pytest.raises(ValueError, match="non-empty 1-D grid"):
+            sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(), resamples=100)
 
 
 # --- common random numbers -------------------------------------------------------
