@@ -44,7 +44,7 @@ from .interferometer import correction_weight
 from . import __version__
 
 DRIFT_LIMIT = 1.0e-6  # conservation drift above this fails the run
-RK4_LIMIT = 1.0e-6  # step-doubling estimate of the RK4 error above this fails the run
+RK4_LIMIT = 1.0e-6  # the propagator's error estimate (rk4_error) above this fails the run
 RATE_RATIO_VALID = 100.0  # single-mode model considered valid above this
 
 
@@ -265,8 +265,9 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
 
 
 def _error_budget(conservation: ConservationReport, m: float, ci) -> dict:
-    """Relative precision of M at the reported point: RK4 (step-doubling estimate)
-    against Monte Carlo (half the bootstrap interval over M)."""
+    """Relative precision of M at the reported point: the propagator's estimate
+    (ConservationReport.rk4_error: the drift of K in tw mode, step doubling in
+    clamped mode) against Monte Carlo (half the bootstrap interval over M)."""
     return {"rk4_rel": conservation.rk4_error,
             "mc_rel": float(np.divide(ci[1] - ci[0], 2.0 * m))}
 
@@ -277,9 +278,10 @@ def _column_maxima(columns, rows) -> dict:
 
 
 def _gates(reports, finite: dict) -> dict:
-    """Summary gates block: the worse conservation drift and the RK4 error estimate
-    over reports against their limits, and the first value in finite that is not
-    finite (on a pass, the keys checked).  A NaN in any report is the worst value."""
+    """Summary gates block: the worse conservation drift and the propagator's error
+    estimate (rk4_error) over reports against their limits, and the first value
+    in finite that is not finite (on a pass, the keys checked).  A NaN in any
+    report is the worst value."""
     drifts = {"atom_number": float(np.max([c.max_rel_drift_atoms for c in reports])),
               "manley_rowe": float(np.max([c.max_rel_drift_manley_rowe for c in reports]))}
     worst = max(drifts, key=lambda key: (np.isnan(drifts[key]), drifts[key]))

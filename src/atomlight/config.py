@@ -178,7 +178,10 @@ def load_config_file(path, keys=RUN_KINDS) -> dict:
 
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         embedded = payload.get("config", payload)
         if not isinstance(embedded, dict):
             raise ConfigError(f"{path}: the embedded config must be a JSON object")

@@ -9,10 +9,11 @@ The c-number equations of motion for (alpha1, alpha2, beta2) are
 with coupling G = 1 in simulation units.  Time is rescaled so the
 integration variable is s = sqrt(N1(0)) * t, which runs from 0 to the
 squeezing parameter r; the physical time and coupling never appear
-separately.  Two exact invariants are tracked per trajectory:
+separately.  Three exact invariants hold per trajectory:
 
     |alpha1|^2 + |alpha2|^2          (atom number)
     |alpha2|^2 - |beta2|^2           (Manley-Rowe: one photon per atom)
+    Re(conj(alpha1) alpha2 beta2)    (K, the Hamiltonian)
 
 With the pump clamped to its classical amplitude sqrt(N1(0)) the pair
 (alpha2, beta2) obeys the exact two-mode Bogoliubov map
@@ -23,7 +24,18 @@ With the pump clamped to its classical amplitude sqrt(N1(0)) the pair
 which is used both as the undepleted-pump propagator and as an oracle for
 the integrator.
 
-evolve_tw steps fixed-step RK4 on the lattice h = 1/steps_per_unit_r
+The full equations are classical three-wave mixing, which is integrable:
+evolve_closed_form evaluates each trajectory at each stop from t0, with
+|alpha2|^2 an elliptic function of s and each phase an elliptic integral of
+the third kind, computed with numpy alone in threewave (descending Landen
+for sn and cn, Carlson's duplication for F and the third-kind integrals).
+It is the "tw" propagator.  Its report holds the drifts of the two
+quadratic invariants from the returned amplitudes, and in rk4_error the
+drift of K, which no phase imposes, so that gates.rk4 measures the phases'
+error.
+
+evolve_tw, the integrator of the "clamped" mode and the oracle of the closed
+form, steps fixed-step RK4 on the lattice h = 1/steps_per_unit_r
 (default 1/40) and runs every ensemble a second time on 2h.  Step doubling
 gives the RK4 error of the h pass as |y_h - y_2h| / 15 (Richardson), which
 the run reports next to the drifts and the CLI gates at 1e-6 (gates.rk4);
@@ -53,10 +65,11 @@ check after every step, which raises IntegrationError at the step that made
 the first non-finite amplitude, with the snapshot a per-step check gives.
 
 The pump treatment is chosen by one setting, the mode of build_ensembles
-(EVOLUTION_MODES), and means the same in every use: "tw" integrates the full
-dynamics, "clamped" holds the pump classical in the integrator
-(IntegratorSpec.clamp_pump), and "analytic" applies the Bogoliubov map.  The
-two held-pump modes are refused at an r whose transfer the pump cannot hold.
+(EVOLUTION_MODES), and means the same in every use: "tw" evaluates the full
+dynamics in closed form, "clamped" holds the pump classical in the RK4
+integrator (IntegratorSpec.clamp_pump), and "analytic" applies the
+Bogoliubov map.  The two held-pump modes are refused at an r whose transfer
+the pump cannot hold.
 """
 
 from __future__ import annotations
@@ -65,6 +78,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import threewave
 from .phasespace import ModeTriple, occupation, sample_initial_ensemble
 
 EVOLUTION_MODES = ("tw", "analytic", "clamped")
@@ -80,7 +94,8 @@ RK4_CHUNK = 5000
 
 
 class IntegrationError(RuntimeError):
-    """Raised when the integrator produces a non-finite amplitude on the h or 2h pass."""
+    """Raised at a non-finite amplitude: on the RK4 h or 2h pass (lattice "h" or
+    "2h", step_index the step), or in the closed form ("closed_form", the stop)."""
 
     def __init__(self, step_index: int, snapshot: ModeTriple, lattice: str):
         self.step_index, self.snapshot, self.lattice = step_index, snapshot, lattice
@@ -91,7 +106,8 @@ class IntegrationError(RuntimeError):
 class IntegratorSpec:
     """Step control and pump treatment for evolve_tw.
 
-    steps_per_unit_r: lattice h = 1 / steps_per_unit_r of the RK4 steps.
+    steps_per_unit_r: lattice h = 1 / steps_per_unit_r of the RK4 steps (the
+                     clamped mode's lattice; the tw mode takes no steps).
     clamp_pump:      drive the alpha2/beta2 pair with the classical pump
                      amplitude sqrt(N1(0)) and leave alpha1 untouched
                      (undepleted-pump mode).
@@ -107,17 +123,20 @@ class IntegratorSpec:
 
 @dataclass
 class ConservationReport:
-    """Worst relative drift of the two exact invariants over a run, and the
-    step-doubling estimate of the RK4 error at its end.
+    """Worst relative drift of the two quadratic invariants over a run, and
+    the propagator's error estimate.
 
     Atom-number drift is relative to the per-trajectory initial total;
     Manley-Rowe drift is relative to the largest |alpha2|^2 + |beta2|^2
-    reached during the run (the difference itself starts near zero, so its
-    own magnitude is not a usable scale).  In clamped mode atom number is
-    intentionally not conserved and its drift is reported as 0.  rk4_error
-    is the largest |y_h - y_2h| / 15 over trajectories and modes, relative
-    to the trajectory's largest amplitude, at the run's end (for a run with
-    several stops, the largest over the stops); 0 for the analytic map.
+    reached (the difference itself starts near zero, so its own magnitude
+    is not a usable scale): over every RK4 step of the run, or at t0 and the
+    stop for the closed form.  In clamped mode atom number is intentionally
+    not conserved and its drift is reported as 0.  rk4_error is, for RK4
+    (clamped), the largest |y_h - y_2h| / 15 over trajectories and modes,
+    relative to the trajectory's largest amplitude, at the run's end (for a
+    run with several stops, the largest over the stops); for the closed form
+    (tw), the largest drift of K = Re(conj(a1) a2 b2) relative to the
+    trajectory's larger |a1 a2 b2| at t0 and the stop; 0 for the analytic map.
     """
 
     max_rel_drift_atoms: float = 0.0
@@ -372,6 +391,40 @@ def evolve_tw(
     return pairs, whole
 
 
+def evolve_closed_form(state: ModeTriple, stops, n_pump0: float):
+    """The full c-number dynamics from t0 to each r in stops, in closed form.
+
+    The three-wave equations are integrable (threewave): x = |alpha2|^2 is
+    an elliptic function of s and each phase an elliptic integral of the
+    third kind.  Each stop is one evaluation from t0, so stops need no
+    lattice and no order, only to be finite and >= 0; r = 0 returns the
+    input amplitudes.  States and reports do not depend on
+    threewave.CLOSED_FORM_BLOCK.
+
+    Returns one (state, ConservationReport) pair per stop.  The drifts are
+    taken from the returned amplitudes, each against its t0 value; rk4_error
+    holds the drift of K = Re(conj(a1) a2 b2), which the phases do not
+    impose, relative to the trajectory's larger |a1 a2 b2| at t0 and the
+    stop.  A non-finite amplitude raises IntegrationError at the first such
+    stop (pass "closed_form"), its snapshot the state at that stop.  A
+    trajectory with K = 0 and a mode exactly at 0 has no phase at t0 for the
+    integrals to start from (a Wigner sample has none); the closed form does
+    not follow it, and its K drift or a non-finite state reports it.
+    """
+    _require_time_tag(state, "t0")
+    stops = [float(r) for r in stops]
+    if not all(np.isfinite(stops)) or min(stops) < 0:
+        raise ValueError("stops must be finite and >= 0")
+    rows = [np.ravel(np.asarray(a, dtype=np.complex128))
+            for a in (state.alpha1, state.alpha2, state.beta2)]
+    states, maxima, bad = threewave.evaluate(rows, stops, 1.0 / np.sqrt(n_pump0))
+    if bad:
+        first = min(bad)
+        raise IntegrationError(first, ModeTriple(*states[first], "t1"), "closed_form")
+    return [(state.advanced(*y, "t1"), ConservationReport(atoms, dev_mr / max(1.0, scale_mr), k))
+            for y, (atoms, dev_mr, scale_mr, k) in zip(states, maxima.tolist())]
+
+
 @dataclass
 class Ensemble:
     """A t1 trajectory ensemble plus the run metadata needed downstream.
@@ -420,14 +473,15 @@ def build_ensembles(
 ) -> list[Ensemble]:
     """Sample one initial ensemble and propagate it to every r in r_values.
 
-    The t0 sample does not depend on r, and the evolution to a smaller r is
-    a prefix of the evolution to a larger one, so one sample and one pass
-    to max(r_values) serve the whole list.  Returns one Ensemble per entry
+    The t0 sample does not depend on r, so one sample serves the whole list,
+    with one closed-form evaluation of every r (tw) or one RK4 pass to
+    max(r_values), of which each smaller r is a prefix.  Returns one Ensemble per entry
     of r_values, in the order given; repeated values share their state.
 
-    mode: "tw" (full dynamics), "clamped" (pump held classical) or
-    "analytic" (exact Bogoliubov map).  In those two modes an r past the
-    pump's range (check_pump_range) raises ValueError before any sampling.
+    mode: "tw" (full dynamics, evolve_closed_form), "clamped" (pump held
+    classical, evolve_tw on the steps_per_unit_r lattice) or "analytic"
+    (exact Bogoliubov map).  In those two modes an r past the pump's range
+    (check_pump_range) raises ValueError before any sampling.
     """
     if mode not in EVOLUTION_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -439,8 +493,10 @@ def build_ensembles(
     t0 = sample_initial_ensemble(n_total, n_seed, master_seed, n_traj)
     if mode == "analytic":
         pairs = [(evolve_analytic(t0, r), ConservationReport()) for r in stops]
+    elif mode == "tw":
+        pairs = evolve_closed_form(t0, stops, n_pump0=n_total - n_seed)
     else:
-        spec = IntegratorSpec(steps_per_unit_r=steps_per_unit_r, clamp_pump=(mode == "clamped"))
+        spec = IntegratorSpec(steps_per_unit_r=steps_per_unit_r, clamp_pump=True)
         pairs, _ = evolve_tw(t0, stops[-1], spec, n_pump0=n_total - n_seed, stops=stops)
     at = dict(zip(stops, pairs))
     return [Ensemble(at[r][0], master_seed, n_total, n_seed, r, at[r][1]) for r in r_values]

@@ -344,7 +344,7 @@ def prepare(config: RunConfig, r_values,
 def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     """Evaluate M at phi = pi/2 for each r and locate the optimum.
 
-    One pass to the largest r gives every r its ensemble (or ensembles holds
+    One build gives every r its ensemble from one sample (or ensembles holds
     them, one per r, in order), in any mode, and one _curves call at pi/2
     evaluates them all, each r with its own sign calibration, so every row
     equals m_at_phi on its own ensemble.  The closed undepleted-pump forms

@@ -41,6 +41,11 @@ TIME_TAGS = ("t0", "t1", "t3")
 # has variance 1/4, so <|eta|^2> = 1/2.
 NOISE_SIGMA = 0.5
 
+# Trajectories per raw draw: a block's words and Box-Muller temporaries take
+# about 150 B per trajectory (10 MB), so sampling stays bounded at any
+# ensemble size, and both benchmark workloads draw in a single block.
+SAMPLE_BLOCK = 1 << 16
+
 
 @dataclass
 class ModeTriple:
@@ -117,13 +122,18 @@ def sample_coherent_batch(
 
     mean_amplitude + eta, with Re(eta), Im(eta) independent Gaussians of
     variance 1/4.  Trajectory i reads raw block i of the stream, so any split
-    of an index range reproduces the whole draw bit for bit.
+    of an index range reproduces the whole draw bit for bit; the words are
+    drawn SAMPLE_BLOCK trajectories at a time into one output array.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     bits = open_stream(master_seed, stream_tag, first_index).bit_generator
-    words = bits.random_raw(4 * n_traj).reshape(n_traj, 4)[:, :2]
-    return mean_amplitude + _box_muller(words)
+    out = np.empty(n_traj, dtype=np.complex128)
+    for start in range(0, n_traj, SAMPLE_BLOCK):
+        block = out[start:start + SAMPLE_BLOCK]
+        words = bits.random_raw(4 * block.size).reshape(block.size, 4)[:, :2]
+        np.add(_box_muller(words), mean_amplitude, out=block)
+    return out
 
 
 def initial_means(n_total: float, n_seed: float) -> tuple[complex, complex, complex]:

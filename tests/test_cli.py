@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atomlight import cli, dynamics, estimator, interferometer
+from atomlight import cli, dynamics, estimator, interferometer, threewave
 from atomlight.cli import DRIFT_LIMIT, RK4_LIMIT, _gates, main
 from atomlight.dynamics import ConservationReport
 
@@ -422,6 +422,7 @@ NOT_AN_OBJECT = "feasibility.json: the embedded config must be a JSON object"
     ("[[1]]", NOT_AN_OBJECT),
     ('"abc"', NOT_AN_OBJECT),
     ("[]", NOT_AN_OBJECT),
+    ("", "feasibility.json: Expecting value: line 1 column 12"),  # malformed JSON
     ("--seed 5", "master_seed"),
     ("--threads 3", "threads"),
     ("--format json", "output_format"),
@@ -525,8 +526,10 @@ def test_gates_name_a_nan_drift_as_the_worst(nan_first):
     ("r-scan", ["--set", "r_list=1.0, 3.0", "--set", "bootstrap_resamples=100"]),
 ])
 def test_drift_failure_is_reported(tmp_path, capsys, verb, extra):
-    code, out = run([verb, "--set", "trajectories=150", "--set", "steps_per_unit_r=2"] + extra,
-                    tmp_path)
+    # the clamped mode's RK4 at 2 steps per unit r: Manley-Rowe drift 6.6e-6
+    # (phi-sweep at r = 3) and 1.2e-4 (r-scan); tw has no step to coarsen
+    code, out = run([verb, "--set", "trajectories=150", "--set", "steps_per_unit_r=2",
+                     "--set", "mode=clamped"] + extra, tmp_path)
     assert code == 1
     records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     (record,) = [rec for rec in records if rec["error"] == "drift"]
@@ -543,9 +546,10 @@ def test_drift_failure_is_reported(tmp_path, capsys, verb, extra):
     ("r-scan", ["--set", "r_list=1.0, 3.0", "--set", "bootstrap_resamples=100"]),
 ])
 def test_rk4_failure_is_reported(tmp_path, capsys, verb, extra):
-    # 8 steps per unit r to r = 3: step-doubling estimate 1.5e-6, atom drift 4.2e-7
-    code, out = run([verb, "--set", "trajectories=150", "--set", "steps_per_unit_r=8"] + extra,
-                    tmp_path)
+    # the clamped mode's RK4 at 8 steps per unit r to r = 3: step-doubling
+    # estimate 1.6e-6, Manley-Rowe drift 1.1e-7 at most
+    code, out = run([verb, "--set", "trajectories=150", "--set", "steps_per_unit_r=8",
+                     "--set", "mode=clamped"] + extra, tmp_path)
     assert code == 1
     (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert record["error"] == "rk4" and record["invariant"] == "rk4_step_error"
@@ -555,13 +559,22 @@ def test_rk4_failure_is_reported(tmp_path, capsys, verb, extra):
     assert gates["rk4"]["value"] == record["value"]
 
 
-def test_integration_error_is_reported(tmp_path, capsys):
-    # one step per unit r on a pump of 1000 atoms under a seed of 9999000: the
-    # coupling, sqrt(n_seed / n_pump) = 100 per unit r, makes the steps unstable,
-    # and the h pass overflows within a few of them
+def test_integration_error_is_reported(tmp_path, capsys, monkeypatch):
+    # no config overflows a propagator any more (the clamped RK4 grows no faster
+    # than the exact map, whose range is checked, and the closed form works in
+    # units of sqrt(A)), so the sample carries one alpha2 = 1e308, which the
+    # clamped h pass takes past the largest double near r = 1.2 (step index 47 of 120)
+    original = dynamics.sample_initial_ensemble
+
+    def with_a_huge_amplitude(*args):
+        t0 = original(*args)
+        t0.alpha2[3] = 1.0e308
+        return t0
+
+    monkeypatch.setattr(dynamics, "sample_initial_ensemble", with_a_huge_amplitude)
     out = tmp_path / "out"
-    code = main(["phi-sweep", "--set", "n_seed=9999000", "--set", "r=720",
-                 "--set", "steps_per_unit_r=1", "--set", "trajectories=100", "--out", str(out)])
+    code = main(["phi-sweep", "--set", "mode=clamped", "--set", "trajectories=100",
+                 "--out", str(out)])
     assert code == 1
     (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert record == {"error": "integration", "invariant": "finite_state", "pass": "h",
@@ -694,23 +707,23 @@ def test_numpy_error_state_is_set_by_main_and_expected_non_finites_only():
 # --- figures -----------------------------------------------------------------------
 
 def test_figures_sample_and_integrate_each_ensemble_once(tmp_path, monkeypatch):
-    counts = {}
-    for name in ("sample_initial_ensemble", "evolve_tw"):
+    counts = {"sample_initial_ensemble": 0, "evolve_closed_form": 0, "evolve_tw": 0}
+    for name in counts:
         def counted(*args, _original=getattr(dynamics, name), _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
+            counts[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, name, counted)
     code, _ = run(["--figures", "--set", "trajectories=100", "--set", "steps_per_unit_r=20",
                    "--set", "bootstrap_resamples=100", "--set", "phi_count=21"], tmp_path)
     assert code == 0
-    # unseeded and seeded: one sample and one pass each
-    assert counts == {"sample_initial_ensemble": 2, "evolve_tw": 2}
+    # unseeded and seeded: one sample and one closed-form evaluation each
+    assert counts == {"sample_initial_ensemble": 2, "evolve_closed_form": 2, "evolve_tw": 0}
 
 
 def test_figures_refuse_an_r_past_the_pump_before_any_build(tmp_path, capsys, monkeypatch):
     # every recipe group's range is checked before the TW groups are integrated
-    counts = {"sample_initial_ensemble": 0, "evolve_tw": 0}
+    counts = {"sample_initial_ensemble": 0, "evolve_closed_form": 0, "evolve_tw": 0}
     for name in counts:
         def counted(*args, _original=getattr(dynamics, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -721,7 +734,7 @@ def test_figures_refuse_an_r_past_the_pump_before_any_build(tmp_path, capsys, mo
     assert code == 2
     message = json.loads(capsys.readouterr().err)["message"]
     assert message.startswith("r = 12.0 is past the analytic mode's undepleted-pump range: ")
-    assert counts == {"sample_initial_ensemble": 0, "evolve_tw": 0}
+    assert counts == {"sample_initial_ensemble": 0, "evolve_closed_form": 0, "evolve_tw": 0}
     assert not out.exists()
 
 
@@ -748,16 +761,40 @@ def test_figures_recipes(tmp_path):
     assert all(gate["passed"] for gate in summary["gates"].values())
 
 
-def test_figures_gate_the_squeezing_table(tmp_path, capsys):
+def flip_the_orbit_branch(monkeypatch):
+    """Start every closed-form trajectory on the wrong side of its orbit's minimum."""
+    original = threewave._orbit
+
+    def flipped(*args):
+        o = original(*args)
+        return {**o, "v0": -o["v0"], "s0": -o["s0"]}
+
+    monkeypatch.setattr(threewave, "_orbit", flipped)
+
+
+def test_a_flipped_orbit_branch_fails_the_rk4_gate(tmp_path, capsys, monkeypatch):
+    # the amplitudes keep A and D exactly, so the drift gate passes; the drift of
+    # K = Re(conj(a1) a2 b2), which gates.rk4 holds for tw, catches the branch
+    flip_the_orbit_branch(monkeypatch)
+    code, out = run(["phi-sweep"] + FAST, tmp_path)
+    assert code == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert record["error"] == "rk4" and record["value"] > 1e3 * RK4_LIMIT
+    gates = json.loads((out / "phi_sweep_summary.json").read_text())["gates"]
+    assert gates["rk4"]["passed"] is False and gates["drift"]["passed"] is True
+
+
+def test_figures_gate_the_squeezing_table(tmp_path, capsys, monkeypatch):
     # with mode=analytic only the squeezing table reads the TW ensembles, and
-    # 2 steps per unit r fails the drift and rk4 gates there
-    code, out = run(["--figures", "--set", "mode=analytic", "--set", "steps_per_unit_r=2",
-                     "--set", "trajectories=100"], tmp_path)
+    # a flipped orbit branch fails the rk4 gate there
+    flip_the_orbit_branch(monkeypatch)
+    code, out = run(["--figures", "--set", "mode=analytic", "--set", "trajectories=100"],
+                    tmp_path)
     assert code == 1
     records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-    assert {record["error"] for record in records} == {"drift", "rk4"}
+    assert {record["error"] for record in records} == {"rk4"}
     gates = json.loads((out / "figures" / "squeezing_vs_r_summary.json").read_text())["gates"]
-    assert gates["drift"]["passed"] is False and gates["rk4"]["passed"] is False
+    assert gates["drift"]["passed"] is True and gates["rk4"]["passed"] is False
     assert gates["finite"]["passed"] is True
     assert (out / "figures" / "squeezing_vs_r.csv").exists()
 
@@ -778,14 +815,15 @@ def test_runs_leave_numpy_ma_unloaded(tmp_path):
 
 def test_benchmark_counters_read_the_run(tmp_path):
     # perfbench derives its per-layer metrics from evolve_tw's call shape and
-    # report; a change to either must fail here, not zero the metrics
+    # report; a change to either must fail here, not zero the metrics.  Only
+    # the clamped mode calls evolve_tw: tw runs read 0 there by construction
     root = SRC.parent
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "tracing.py"), "run", str(spans), "probe",
          "phi-sweep", "--config", "configs/working_point.cfg", "--set", "trajectories=200",
-         "--set", "phi_count=5", "--set", "bootstrap_resamples=100", "--seed", "1",
-         "--threads", "1", "--out", str(tmp_path / "out")],
+         "--set", "phi_count=5", "--set", "bootstrap_resamples=100", "--set", "mode=clamped",
+         "--seed", "1", "--threads", "1", "--out", str(tmp_path / "out")],
         cwd=root, env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,19 +1,20 @@
-"""Integrator vs analytic oracle, conservation laws, growth laws."""
+"""Integrator and closed form vs their oracles, conservation laws, growth laws."""
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.special import ellipj, ellipkinc
+from scipy.special import ellipj, ellipkinc, elliprc, elliprf, elliprj
 
-from atomlight import dynamics
+from atomlight import dynamics, threewave
 from atomlight.dynamics import (
     Ensemble,
     IntegrationError,
     IntegratorSpec,
     build_ensembles,
     evolve_analytic,
+    evolve_closed_form,
     evolve_tw,
     transferred_atoms,
 )
@@ -199,19 +200,29 @@ def exact_n2(a1, a2, b2, kappa, s):
     return a - (a - b) * sn ** 2
 
 
-def test_depleted_pump_matches_the_elliptic_solution():
+def check_the_depleted_pump(propagate):
+    """propagate(t0, r_values, n_pump0) -> [(state, report)] against exact_n2."""
     # 990 pump atoms, seed 10: the transferred mode takes most of the pump near
     # r = 4 and gives it back by r = 6
     n_total, n_seed = 1.0e3, 10.0
     r_values = [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     t0 = sample_initial_ensemble(n_total, n_seed, SEED, 40)
-    pairs, _ = evolve_tw(t0, r_values[-1], n_pump0=n_total - n_seed, stops=r_values)
+    pairs = propagate(t0, r_values, n_total - n_seed)
     kappa = 1.0 / np.sqrt(n_total - n_seed)
     want = np.array([exact_n2(*y, kappa, r_values)
                      for y in zip(t0.alpha1, t0.alpha2, t0.beta2)]).T
     assert np.mean(want[4]) > 0.5 * n_total > np.mean(want[6])
     for (state, _), exact in zip(pairs, want, strict=True):
         assert np.max(np.abs(np.abs(state.alpha2) ** 2 - exact) / exact) < 1e-6
+
+
+def test_depleted_pump_matches_the_elliptic_solution():
+    check_the_depleted_pump(
+        lambda t0, stops, n_pump0: evolve_tw(t0, stops[-1], n_pump0=n_pump0, stops=stops)[0])
+
+
+def test_closed_form_matches_the_elliptic_solution():
+    check_the_depleted_pump(evolve_closed_form)
 
 
 # --- transferred atoms -------------------------------------------------------
@@ -677,3 +688,141 @@ def test_integration_error_does_not_depend_on_chunks_or_threads(n_threads, chunk
         snap = got.snapshot
         assert snap.n_traj == (12 if chunk is None else chunk)
         assert list(np.flatnonzero(~np.isfinite(snap.alpha2 + snap.beta2)) + first) == [9]
+
+
+# --- the closed form: its kernels against scipy ---------------------------------------
+# sn, cn and dn lie in [-1, 1], so they are compared absolutely, that is relative
+# to their range: near a zero of cn no oracle is good to 1e-13 of the value.
+
+
+@pytest.mark.parametrize("m1", [0.5, 1.0e-3, 2.0**-27])
+def test_jacobi_functions_agree_with_ellipj(m1):
+    m = 1.0 - m1  # exact, so both sides see the same parameter
+    half = ellipkinc(np.pi / 2, m)
+    u = np.linspace(-2.0 * half, 2.0 * half, 61)
+    got = threewave._jacobi(u, m, m1)
+    for x, want in zip(got, ellipj(u, m)[:3], strict=True):
+        assert np.max(np.abs(x - want)) < 1e-13
+
+
+@pytest.mark.parametrize("m1", [2.0**-27, 2.0**-40])
+def test_jacobi_functions_invert_ellipkinc_near_m_one(m1):
+    # scipy's ellipj is off by up to 1e-9 near u = K once m1 < 1e-9 (its
+    # m -> 1 expansion), so here the oracle is the amplitude: sn(F(phi)) = sin phi
+    m = 1.0 - m1
+    phi = np.linspace(-np.pi / 2, np.pi / 2, 61)
+    sn, cn, dn = threewave._jacobi(ellipkinc(phi, m), m, m1)
+    assert np.max(np.abs(sn - np.sin(phi))) < 1e-13
+    assert np.max(np.abs(cn - np.cos(phi))) < 1e-13
+    assert np.max(np.abs(dn - np.sqrt(m1 + m * np.cos(phi) ** 2))) < 1e-13
+
+
+def carlson_cells(m1):
+    """(x, y, z) = (cn^2, dn^2, 1) over a quarter period, from cn = 1 to cn = 0."""
+    c2 = np.concatenate([np.linspace(0.0, 1.0, 41), [1e-8, 1e-16]])
+    return c2, m1 + (1.0 - m1) * c2, 1.0
+
+
+@pytest.mark.parametrize("m1", [0.5, 1.0e-3, 4.0e-9, 1.0e-12])
+def test_carlson_integrals_agree_with_scipy(m1):
+    x, y, z = carlson_cells(m1)
+    # p = 1 - n sn^2 for negative characteristics n and for near-1 ones,
+    # n = 1 - eps with 0 < eps <= m1 (p = eps + n cn^2, as the phases form it)
+    ps = [1.0 + n * (1.0 - x) for n in (10.0, 1.0)]
+    ps += [eps + (1.0 - eps) * x for eps in (m1, 0.5 * m1, 1.0e-3 * m1)]
+    assert np.max(np.abs(threewave._carlson(x, y, z) / elliprf(x, y, z) - 1.0)) < 1e-13
+    for p, rj in zip(ps, threewave._carlson(x, y, z, ps), strict=True):
+        assert np.max(np.abs(rj / elliprj(x, y, z, p) - 1.0)) < 1e-13
+
+
+def test_rc_agrees_with_elliprc():
+    x = np.array([0.0, 1e-12, 0.3, 1.0, 7.0, 1.0, 2.0, 1e-300])
+    gap = np.array([1.0, 1e-12, 0.0, 1e-9, 3.0, 1e6, 1e-300, 1.0])
+    assert np.max(np.abs(threewave._rc(x, gap) / elliprc(x, x + gap) - 1.0)) < 1e-13
+
+
+# --- the closed form against the fine RK4 -------------------------------------------
+
+@pytest.mark.parametrize("n_total,n_seed,stops", [
+    (1.0e7, 1.0e4, [3.0, 4.0]),  # the working point and past it, seeded
+    (1.0e7, 0.0, [4.5, 5.5]),  # unseeded, about the optimum: m1 near 4e-9
+    (1.0e3, 10.0, [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),  # the pump empties and refills
+])
+def test_closed_form_matches_the_fine_rk4(n_total, n_seed, stops):
+    # every amplitude within 1e-9 of its trajectory's largest amplitude, against
+    # RK4 at 16x the default steps (its own error is below 1e-12 here)
+    t0 = sample_initial_ensemble(n_total, n_seed, SEED, 200)
+    fine = IntegratorSpec(steps_per_unit_r=16 * dynamics.DEFAULT_STEPS_PER_UNIT_R)
+    oracle, _ = evolve_tw(t0, stops[-1], fine, n_pump0=n_total - n_seed, stops=stops)
+    closed = evolve_closed_form(t0, stops, n_pump0=n_total - n_seed)
+    for (want, _), (got, report) in zip(oracle, closed, strict=True):
+        y_ref = np.stack([want.alpha1, want.alpha2, want.beta2])
+        y = np.stack([got.alpha1, got.alpha2, got.beta2])
+        assert np.max(np.abs(y - y_ref) / np.max(np.abs(y_ref), axis=0)) < 1e-9
+        assert report.rk4_error < 1e-12  # the drift of K
+        assert report.max_rel_drift_atoms < 1e-14 and report.max_rel_drift_manley_rowe < 1e-14
+
+
+def test_tw_ensembles_take_no_rk4_step(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the tw mode stepped RK4")
+
+    monkeypatch.setattr(dynamics, "evolve_tw", unreachable)
+    (ens,) = build_ensembles(1.0e7, 1.0e4, [3.0], 50, SEED, mode="tw")
+    assert ens.conservation.rk4_error < 1e-12
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_closed_form_blocks_change_nothing(n, monkeypatch):
+    # stops in no order, r = 0 among them, and turns past the pump's refill
+    t0 = sample_initial_ensemble(1.0e3, 10.0, SEED, n)
+    stops = [6.0, 0.0, 2.5, 9.0]
+    whole = evolve_closed_form(t0, stops, n_pump0=990.0)
+    assert threewave.CLOSED_FORM_BLOCK > n
+    monkeypatch.setattr(threewave, "CLOSED_FORM_BLOCK", CHUNK)
+    for (want, want_report), (got, got_report) in zip(
+            whole, evolve_closed_form(t0, stops, n_pump0=990.0), strict=True):
+        for attr in ("alpha1", "alpha2", "beta2"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        assert got_report == want_report
+
+
+def test_closed_form_reports_drifts_of_its_amplitudes():
+    t0 = sample_initial_ensemble(1.0e3, 10.0, SEED, 300)
+    ((state, report),) = evolve_closed_form(t0, [4.0], n_pump0=990.0)
+
+    def invariants(s):
+        n1, n2, nb = (np.abs(a) ** 2 for a in (s.alpha1, s.alpha2, s.beta2))
+        p = np.conj(s.alpha1) * s.alpha2 * s.beta2
+        return n1 + n2, n2 - nb, n2 + nb, p
+
+    (a0, d0, w0, p0), (a1, d1, w1, p1) = invariants(t0), invariants(state)
+    assert report.max_rel_drift_atoms == pytest.approx(np.max(np.abs(a1 - a0) / a0), rel=1e-6)
+    assert report.max_rel_drift_manley_rowe == pytest.approx(
+        np.max(np.abs(d1 - d0)) / max(1.0, np.max(np.maximum(w0, w1))), rel=1e-6)
+    assert report.rk4_error == pytest.approx(
+        np.max(np.abs(p1.real - p0.real) / np.maximum(np.abs(p0), np.abs(p1))), rel=1e-6)
+    assert 0.0 < report.rk4_error < 1e-13
+
+
+def test_closed_form_r_zero_and_stops():
+    t0 = small_vacuum_ensemble(16)
+    ((state, report),) = evolve_closed_form(t0, [0.0], n_pump0=1.0e7)
+    assert state.alpha2.tobytes() == t0.alpha2.tobytes() and state.time_tag == "t1"
+    assert report == dynamics.ConservationReport()
+    for stops in ([-0.5], [np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError):
+            evolve_closed_form(t0, stops, n_pump0=1.0e7)
+    with pytest.raises(ValueError):
+        evolve_closed_form(ModeTriple(1.0 + 0j, 0j, 0j, "t1"), [1.0], n_pump0=1.0)
+
+
+def test_closed_form_raises_at_the_first_non_finite_stop():
+    t0 = small_vacuum_ensemble(6)
+    a1 = np.array(t0.alpha1)
+    a1[2] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrationError) as err:
+        evolve_closed_form(ModeTriple(a1, t0.alpha2, t0.beta2), [0.5, 1.0], n_pump0=1.0e7)
+    assert (err.value.lattice, err.value.step_index) == ("closed_form", 0)
+    snap = err.value.snapshot
+    assert list(np.flatnonzero(~np.isfinite(snap.alpha1 + snap.alpha2 + snap.beta2))) == [2]

@@ -236,16 +236,16 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(dynamics, "sample_initial_ensemble")
-    counted(dynamics, "evolve_tw")
+    counted(dynamics, "evolve_closed_form")
     counted(estimator, "lo_noise_samples")
     counted(estimator, "evaluate")
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
                        steps_per_unit_r=50, bootstrap_resamples=100)
     r_values = [2.0, 1.0, 1.5, 1.0]
     result = scan_over_r(r_values, config)
-    assert counts == {"sample_initial_ensemble": 1, "evolve_tw": 1, "lo_noise_samples": 1,
-                      "evaluate": 1}
-    # the shared draw and the pass to r = 2 give what a run at one r gives
+    assert counts == {"sample_initial_ensemble": 1, "evolve_closed_form": 1,
+                      "lo_noise_samples": 1, "evaluate": 1}
+    # the shared draw and the build of every r give what a run at one r gives
     ens = build_ensembles(1.0e7, 1.0e4, [1.5], 100, SEED, steps_per_unit_r=50)[0]
     m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
     row = result.rows[2]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from atomlight import phasespace
 from atomlight.phasespace import (
     STREAMS,
     ModeTriple,
@@ -93,6 +94,16 @@ def test_split_draws_equal_the_whole_draw():
         for i, j in zip(cuts[:-1], cuts[1:])
     ]
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_blocked_draws_equal_the_one_shot_draw(monkeypatch):
+    # 2 blocks and 3 trajectories of a third, from one bit generator into one array
+    block, n = 16, 2 * 16 + 3
+    bits = open_stream(23, "atoms2", first_index=5).bit_generator
+    one_shot = (4.0 - 1.0j) + _box_muller(bits.random_raw(4 * n).reshape(n, 4)[:, :2])
+    monkeypatch.setattr(phasespace, "SAMPLE_BLOCK", block)
+    blocked = sample_coherent_batch(4.0 - 1.0j, 23, "atoms2", n, first_index=5)
+    assert blocked.tobytes() == one_shot.tobytes()
 
 
 def test_sample_coherent_is_the_batch_row():
