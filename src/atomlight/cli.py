@@ -115,13 +115,13 @@ PHI_SWEEP_COLUMNS = [
 
 def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
                   ensembles=None) -> int:
-    (ensemble,), spec = prepare(config, [config.r], ensembles)
+    ensembles, spec = prepare(config, [config.r], ensembles)
+    drift, transferred = ensembles[0].conservation, transferred_atoms(ensembles[0])
     phi = np.linspace(config.phi_start, config.phi_stop, config.phi_count)
-    curve = sensitivity_curve(ensemble, phi, spec, resamples=config.bootstrap_resamples)
+    # popped, not named, so that the ensemble is freed once its features are read
+    curve = sensitivity_curve(ensembles.pop(), phi, spec, resamples=config.bootstrap_resamples)
     rows = list(zip(*(getattr(curve, c) for c in PHI_SWEEP_COLUMNS)))
     min_m, argmin_phi, k = curve.min_m()
-    drift = ensemble.conservation
-    transferred = transferred_atoms(ensemble)
     ci = [float(curve.m_ci_lo[k]), float(curve.m_ci_hi[k])]
     return _write_run(config, out_dir, stem, PHI_SWEEP_COLUMNS, rows, {
         "min_m": min_m,

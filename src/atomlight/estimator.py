@@ -25,10 +25,10 @@ feature sums over each resample.
 
 Every M goes through one evaluation, _curves: check that the ensembles
 share one draw and have enough trajectories, draw the LO noise once, stack
-the ensembles' features, and evaluate every (set, weight, phase) cell and
-every interval with one evaluate call, which forms one term block of the
-stack.  sensitivity_curve, m_at_phi and scan_over_r are reads of its curves,
-in every evolution mode.
+the features (dropping each ensemble once read), and evaluate every (set,
+weight, phase) cell and every interval with one evaluate call, which forms
+one term block of the stack and drops the stack.  sensitivity_curve,
+m_at_phi and scan_over_r are reads of its curves, in every evolution mode.
 """
 
 from __future__ import annotations
@@ -189,15 +189,15 @@ def _resample_sums(terms, resamples: int, master_seed: int) -> np.ndarray:
     terms weighted by how often it drew each trajectory.  einsum makes no
     BLAS call and sums each row in one order whatever rows are stacked with
     it; the counts are floats because integer counts are cast through
-    nditer buffers, which doubles the cost at 1e4 trajectories.
+    nditer buffers, which doubles the cost at 1e4 trajectories.  No name holds
+    the draw or the counts, so at most two of the three are live at once.
     """
     n_traj = terms.shape[-1]
     rng = open_stream(master_seed, "bootstrap")
-    counts = np.empty(n_traj)
     sums = np.empty((resamples,) + terms.shape[:-1])
     for t in range(resamples):
-        counts[:] = np.bincount(rng.integers(0, n_traj, size=n_traj), minlength=n_traj)
-        np.einsum("...n,n->...", terms, counts, out=sums[t])
+        np.einsum("...n,n->...", terms, np.bincount(
+            rng.integers(0, n_traj, size=n_traj), minlength=n_traj).astype(float), out=sums[t])
     return sums
 
 
@@ -240,11 +240,13 @@ def evaluate(features, phi, weights, n_total: float, resamples: int | None = Non
     resampled slope gives an infinite M, and an edge next to one is +inf.
     The resamples' statistics are evaluated in blocks of about
     RESAMPLE_BLOCK_CELLS (resample, set, phase) cells; every value is per
-    cell, so the edges do not depend on their size.
+    cell, so the edges do not depend on their size.  The stack is dropped
+    once the block is formed, and the block once its resample sums are.
     """
     if resamples is not None and resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}")
     terms, statistics = _moments(features)
+    del features  # freed here if no caller names it (_curves does not)
     stats = statistics(terms.sum(axis=-1), phi, weights, n_total)
     if resamples is None:
         return stats, stats["m"][:, 0], stats["m"][:, 0]
@@ -262,7 +264,19 @@ def evaluate(features, phi, weights, n_total: float, resamples: int | None = Non
     return stats, edges[0], edges[1]
 
 
-def _curves(ensembles, phi, spec: HomodyneSpec,
+def _feature_stack(ensembles: list, spec: HomodyneSpec, signs: list, mean_s_b: list):
+    """The (sets, n, 3) features of the ensembles, each popped from the list as it is
+    read, from one LO draw; each set's sign and mean light record go to signs and mean_s_b."""
+    lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
+    features = np.empty((len(ensembles), ensembles[0].n_traj, 3))
+    for s in range(len(features)):  # written into the stack: assigning back copies nothing
+        features[s], s_b, sign = fringe_features(ensembles.pop(0), spec, lo_noise, features[s])
+        mean_s_b.append(float(np.mean(s_b)))
+        signs.append(sign)
+    return features
+
+
+def _curves(ensembles: list, phi, spec: HomodyneSpec,
             resamples: int | None) -> list[SensitivityCurve]:
     """The sensitivity curve of each ensemble at each phase in phi, a non-empty 1-D grid.
 
@@ -270,7 +284,8 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
     resample stream depend on (master_seed, n_traj) only, and the M scale on
     n_total.  One LO draw and one evaluate call serve every ensemble, so
     each curve equals that of its ensemble alone.  With resamples None each
-    interval collapses to its point.
+    interval collapses to its point.  The list is emptied as the features
+    are read, so no ensemble or stack that only it held is live in the bootstrap.
     """
     shared = {(e.n_traj, e.master_seed, e.n_total) for e in ensembles}
     if len(shared) > 1:
@@ -283,31 +298,26 @@ def _curves(ensembles, phi, spec: HomodyneSpec,
     phi = np.array(phi, dtype=float)
     if phi.ndim != 1 or phi.size == 0:
         raise ValueError(f"phi must be a non-empty 1-D grid of phases; got shape {phi.shape}")
-    lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
-    # each ensemble's features are written into the stack (assigning them back
-    # copies nothing), and of its light record only the mean is kept
-    features = np.empty((len(ensembles), n_traj, 3))
-    mean_s_b, signs = [], []
-    for s, e in enumerate(ensembles):
-        features[s], s_b, sign = fringe_features(e, spec, lo_noise, features[s])
-        mean_s_b.append(float(np.mean(s_b)))
-        signs.append(sign)
-    del lo_noise, s_b  # keep the noise and the light record out of the bootstrap's peak memory
-    # S at each set's weight (with its interval) and the atomic record S_a (weight 0)
-    weights = [[correction_weight(sign), 0.0] for sign in signs]
-    stats, ci_lo, ci_hi = evaluate(features, phi, weights, n_total, resamples, master_seed)
+    signs, mean_s_b = [], []
+    # S at each set's weight (with its interval) and S_a (weight 0).  Arguments are
+    # evaluated in order: the stack, which no name here holds, first fills signs
+    stats, ci_lo, ci_hi = evaluate(
+        _feature_stack(ensembles, spec, signs, mean_s_b), phi,
+        [[correction_weight(sign), 0.0] for sign in signs], n_total, resamples, master_seed)
     return [SensitivityCurve(
         phi=phi, mean_s_a=stats["mean_s"][s, 1], var_s_a=stats["var_s"][s, 1],
         mean_s_b=np.full(phi.size, mean_s_b[s]), **{key: x[s, 0] for key, x in stats.items()},
         m_ci_lo=ci_lo[s], m_ci_hi=ci_hi[s],
         traj_count=n_traj, n_total=float(n_total), correction_sign=signs[s],
-    ) for s in range(len(ensembles))]
+    ) for s in range(len(signs))]
 
 
 def sensitivity_curve(ensemble: Ensemble, phi, spec: HomodyneSpec,
                       resamples: int = 200) -> SensitivityCurve:
     """Full sensitivity analysis of one ensemble at each phase in phi."""
-    return _curves([ensemble], phi, spec, resamples)[0]
+    ensembles = [ensemble]
+    del ensemble  # so that _curves frees it, unless the caller holds it
+    return _curves(ensembles, phi, spec, resamples)[0]
 
 
 def m_at_phi(ensemble: Ensemble, spec: HomodyneSpec, phi: float = np.pi / 2,
@@ -330,7 +340,7 @@ def squeezed_combo_variance(ensemble: Ensemble) -> float:
 
 def prepare(config: RunConfig, r_values,
             ensembles=None) -> tuple[list[Ensemble], HomodyneSpec]:
-    """The ensembles at each r (built unless given) and the homodyne settings."""
+    """The ensembles at each r (built unless given) in a new list, and the homodyne settings."""
     if ensembles is None:
         ensembles = build_ensembles(
             config.n_total, config.n_seed, r_values, config.trajectories, config.master_seed,
@@ -338,7 +348,7 @@ def prepare(config: RunConfig, r_values,
         )
     spec = HomodyneSpec(gain_g=config.gain_g, lo_sampled=config.lo_sampled,
                         correction_sign=CORRECTIONS[config.correction])
-    return ensembles, spec
+    return list(ensembles), spec
 
 
 def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
@@ -348,7 +358,8 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     them, one per r, in order), in any mode, and one _curves call at pi/2
     evaluates them all, each r with its own sign calibration, so every row
     equals m_at_phi on its own ensemble.  The closed undepleted-pump forms
-    ride along in m_plain and m_recycled.
+    ride along in m_plain and m_recycled.  Each row's other scalars are read
+    before _curves, which frees the ensembles this call built.
     """
     r_values = [float(v) for v in r_values]
     if not r_values:
@@ -359,22 +370,20 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     ensembles, spec = prepare(config, r_values, ensembles)
     if len(ensembles) != len(r_values):
         raise ValueError(f"{len(ensembles)} ensembles for {len(r_values)} r values")
-    for r, ensemble in zip(r_values, ensembles):
-        if ensemble.r != r:
-            raise ValueError(f"ensemble at r = {ensemble.r} given for r = {r}")
+    for r, ensemble_r in zip(r_values, [e.r for e in ensembles]):
+        if ensemble_r != r:
+            raise ValueError(f"ensemble at r = {ensemble_r} given for r = {r}")
+    read = [dict(r=r, transferred=transferred_atoms(e), conservation=e.conservation,
+                 var_squeezed_combo=squeezed_combo_variance(e))
+            for r, e in zip(r_values, ensembles)]
     curves = _curves(ensembles, [np.pi / 2], spec, config.bootstrap_resamples)
     rows = []
-    for r, ensemble, curve in zip(r_values, ensembles, curves):
-        pred = predict(r, config.n_total)
+    for fields, curve in zip(read, curves):
+        pred = predict(fields["r"], config.n_total)
         rows.append(RScanRow(
-            r=r, m=float(curve.m[0]),
-            m_ci_lo=float(curve.m_ci_lo[0]), m_ci_hi=float(curve.m_ci_hi[0]),
-            transferred=transferred_atoms(ensemble),
-            var_squeezed_combo=squeezed_combo_variance(ensemble),
+            m=float(curve.m[0]), m_ci_lo=float(curve.m_ci_lo[0]), m_ci_hi=float(curve.m_ci_hi[0]),
             m_plain=pred.m_plain, m_recycled=pred.m_recycled,
-            correction_sign=curve.correction_sign,
-            conservation=ensemble.conservation,
-        ))
+            correction_sign=curve.correction_sign, **fields))
 
     star = int(np.argmin([row.m for row in rows]))
     r_star = rows[star].r

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -797,6 +798,50 @@ def test_figures_gate_the_squeezing_table(tmp_path, capsys, monkeypatch):
     assert gates["drift"]["passed"] is True and gates["rk4"]["passed"] is False
     assert gates["finite"]["passed"] is True
     assert (out / "figures" / "squeezing_vs_r.csv").exists()
+
+
+# --- what a run keeps -----------------------------------------------------------------
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 a caller holds its arguments until the call returns")
+@pytest.mark.parametrize("verb, config", [("phi-sweep", "working_point.cfg"),
+                                          ("r-scan", "r_scan_seeded.cfg")])
+def test_amplitudes_and_features_are_freed_before_the_bootstrap(tmp_path, monkeypatch,
+                                                                verb, config):
+    # each stage drops its input once the next has read it: on entry to the
+    # bootstrap no t1 amplitude array (nor the block it is a view of) and no
+    # feature stack is alive.  A Python call moves its arguments into the
+    # callee's frame, so an argument that no caller names (the popped
+    # ensemble, _curves' stack) goes when the callee drops it
+    refs, alive = [], []
+
+    def tracked(name, arrays):
+        original = getattr(estimator, name)
+
+        def wrapper(*args, **kwargs):
+            refs.extend(weakref.ref(a) for a in arrays(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, name, wrapper)
+
+    def amplitudes(ensemble):
+        rows = (ensemble.state.alpha1, ensemble.state.alpha2, ensemble.state.beta2)
+        return rows + tuple(a.base for a in rows if a.base is not None)
+
+    tracked("fringe_features", amplitudes)
+    tracked("_moments", lambda features: (features,))
+    resample_sums = estimator._resample_sums
+
+    def bootstrap(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return resample_sums(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_resample_sums", bootstrap)
+    code, _ = run([verb, "--config", str(SRC.parent / "configs" / config),
+                   "--set", "trajectories=200", "--set", "bootstrap_resamples=100"], tmp_path)
+    assert code == 0
+    sets = 13 if verb == "r-scan" else 1
+    assert len(refs) >= 3 * sets + 1 and alive == [0]
 
 
 # --- what a run loads ----------------------------------------------------------------
