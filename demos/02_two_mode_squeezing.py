@@ -2,8 +2,9 @@
 
 The scattered light and the transferred atoms develop correlated
 quadratures: Var(X_a2 + Y_b2) = 2 exp(-2r) in the undepleted-pump limit.
-This script compares that closed form with the clamped-pump trajectories
-(exact agreement) and with the full depleted dynamics, where the variance
+This script compares that closed form with the Wigner draws carried through
+the Bogoliubov map (mode "analytic": the same law, up to sampling error) and
+with the full depleted dynamics (mode "tw"), where the variance
 turns back up once a macroscopic fraction of the condensate has been
 moved.  The full-dynamics minimum marks the point of maximum atom-light
 correlation.
@@ -20,20 +21,20 @@ N_TRAJ = 800
 MASTER = 99
 
 r_values = np.arange(0.0, 4.01, 0.25)
-var_closed, var_clamped, var_full, transfer_full = [], [], [], []
+var_closed, var_held, var_full, transfer_full = [], [], [], []
 
-# one sample and one integration to max(r) per mode give the ensemble at every r
-clamped_runs = build_ensembles(N_TOTAL, N_SEED, r_values, N_TRAJ, MASTER, mode="clamped")
+# one sample per mode, propagated to every r, gives the ensemble at every r
+held_runs = build_ensembles(N_TOTAL, N_SEED, r_values, N_TRAJ, MASTER, mode="analytic")
 full_runs = build_ensembles(N_TOTAL, N_SEED, r_values, N_TRAJ, MASTER, mode="tw")
 
-print(f"{'r':>5} {'2e^-2r':>10} {'clamped TW':>12} {'full TW':>12} {'transferred':>12}")
-for r, clamped, full in zip(r_values, clamped_runs, full_runs):
+print(f"{'r':>5} {'2e^-2r':>10} {'Bogoliubov':>12} {'full TW':>12} {'transferred':>12}")
+for r, held, full in zip(r_values, held_runs, full_runs):
     closed = predict(float(r), N_TOTAL).var_squeezed_combo
     var_closed.append(closed)
-    var_clamped.append(squeezed_combo_variance(clamped))
+    var_held.append(squeezed_combo_variance(held))
     var_full.append(squeezed_combo_variance(full))
     transfer_full.append(transferred_atoms(full))
-    print(f"{r:5.2f} {closed:10.4f} {var_clamped[-1]:12.4f} {var_full[-1]:12.4f} "
+    print(f"{r:5.2f} {closed:10.4f} {var_held[-1]:12.4f} {var_full[-1]:12.4f} "
           f"{transfer_full[-1]:12.3g}")
 
 k = int(np.argmin(var_full))
@@ -49,7 +50,7 @@ except ImportError:
 else:
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.semilogy(r_values, var_closed, "k:", label="undepleted closed form")
-    ax.semilogy(r_values, var_clamped, "C0--", label="clamped-pump trajectories")
+    ax.semilogy(r_values, var_held, "C0--", label="Bogoliubov map of the draws")
     ax.semilogy(r_values, var_full, "C1-", label=f"full dynamics, seed {N_SEED:.0e}")
     ax.set_xlabel("squeezing parameter r")
     ax.set_ylabel(r"Var$(X_{a_2} + Y_{b_2})$")

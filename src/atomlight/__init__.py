@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 import os
 
-# The program runs on one thread (see dynamics); an idle OpenBLAS pool only
-# spins.  Set before numpy loads it; a user's own value wins.
+# The program runs on one thread, so an idle OpenBLAS pool would only spin.
+# Set before numpy loads it; a user's own value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .phasespace import (
@@ -24,10 +24,8 @@ from .phasespace import (
     sample_initial_ensemble,
 )
 from .dynamics import (
-    IntegratorSpec,
     build_ensembles,
     evolve_analytic,
-    evolve_tw,
     transferred_atoms,
 )
 from .interferometer import HomodyneSpec, detected_photons, measure_signals
@@ -45,14 +43,12 @@ from .config import RunConfig
 # itself; everything else is imported from its module.
 __all__ = [
     "HomodyneSpec",
-    "IntegratorSpec",
     "PhysicalSetup",
     "RunConfig",
     "build_ensembles",
     "capture_fraction",
     "detected_photons",
     "evolve_analytic",
-    "evolve_tw",
     "m_at_phi",
     "measure_signals",
     "occupation",

@@ -44,7 +44,7 @@ from .interferometer import correction_weight
 from . import __version__
 
 DRIFT_LIMIT = 1.0e-6  # conservation drift above this fails the run
-RK4_LIMIT = 1.0e-6  # the propagator's error estimate (rk4_error) above this fails the run
+K_DRIFT_LIMIT = 1.0e-6  # the drift of K (ConservationReport.k_drift) above this fails the run
 RATE_RATIO_VALID = 100.0  # single-mode model considered valid above this
 
 
@@ -265,10 +265,10 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
 
 
 def _error_budget(conservation: ConservationReport, m: float, ci) -> dict:
-    """Relative precision of M at the reported point: the propagator's estimate
-    (ConservationReport.rk4_error: the drift of K in tw mode, step doubling in
-    clamped mode) against Monte Carlo (half the bootstrap interval over M)."""
-    return {"rk4_rel": conservation.rk4_error,
+    """Relative precision of M at the reported point: the drift of K
+    (ConservationReport.k_drift) against Monte Carlo (half the bootstrap
+    interval over M)."""
+    return {"k_drift_rel": conservation.k_drift,
             "mc_rel": float(np.divide(ci[1] - ci[0], 2.0 * m))}
 
 
@@ -278,19 +278,19 @@ def _column_maxima(columns, rows) -> dict:
 
 
 def _gates(reports, finite: dict) -> dict:
-    """Summary gates block: the worse conservation drift and the propagator's error
-    estimate (rk4_error) over reports against their limits, and the first value
-    in finite that is not finite (on a pass, the keys checked).  A NaN in any
+    """Summary gates block: the worse drift of the quadratic invariants and the
+    drift of K over reports against their limits, and the first value in
+    finite that is not finite (on a pass, the keys checked).  A NaN in any
     report is the worst value."""
     drifts = {"atom_number": float(np.max([c.max_rel_drift_atoms for c in reports])),
               "manley_rowe": float(np.max([c.max_rel_drift_manley_rowe for c in reports]))}
     worst = max(drifts, key=lambda key: (np.isnan(drifts[key]), drifts[key]))
-    rk4 = float(np.max([c.rk4_error for c in reports]))
+    k_drift = float(np.max([c.k_drift for c in reports]))
     bad = next((key for key, value in finite.items() if not np.isfinite(value)), None)
     return {"drift": {"invariant": worst, "value": drifts[worst], "limit": DRIFT_LIMIT,
                       "passed": all(d <= DRIFT_LIMIT for d in drifts.values())},
-            "rk4": {"invariant": "rk4_step_error", "value": rk4, "limit": RK4_LIMIT,
-                    "passed": rk4 <= RK4_LIMIT},
+            "k_drift": {"invariant": "hamiltonian", "value": k_drift, "limit": K_DRIFT_LIMIT,
+                        "passed": k_drift <= K_DRIFT_LIMIT},
             "finite": {"invariant": bad or ", ".join(finite), "limit": "finite",
                        "value": None if bad is None else float(finite[bad]),
                        "passed": bad is None}}
@@ -388,8 +388,9 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):  # the gates report what overflows
             return handler(make(_resolve_mapping(args, kinds)), Path(args.out))
     except IntegrationError as exc:  # raised before any file is written
-        print(json.dumps({"error": "integration", "invariant": "finite_state", "pass": exc.lattice,
-                          "step_index": exc.step_index, "limit": "finite"}), file=sys.stderr)
+        print(json.dumps({"error": "integration", "invariant": "finite_state",
+                          "pass": "closed_form", "step_index": exc.step_index,
+                          "limit": "finite"}), file=sys.stderr)
         return 1
     except (ValueError, TypeError) as exc:  # ConfigError is a ValueError
         print(_error_record("config", str(exc)), file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dynamics import DEFAULT_STEPS_PER_UNIT_R, EVOLUTION_MODES
+from .dynamics import EVOLUTION_MODES
 
 # config value -> HomodyneSpec.correction_sign
 CORRECTIONS = {"on": "plus", "off": "off", "auto_sign": "auto"}
@@ -70,7 +70,7 @@ def _choice(options: tuple) -> tuple:
 RUN_KINDS = {
     "n_total": FLOAT, "n_seed": FLOAT, "r": FLOAT, "r_list": FLOATS_OR_NONE,
     "phi_start": FLOAT, "phi_stop": FLOAT, "phi_count": INT, "gain_g": FLOAT,
-    "trajectories": INT, "steps_per_unit_r": INT, "master_seed": INT,
+    "trajectories": INT, "master_seed": INT,
     "mode": _choice(EVOLUTION_MODES), "correction": _choice(tuple(CORRECTIONS)),
     "lo_sampled": BOOL, "output_format": _choice(OUTPUT_FORMATS), "threads": INT,
     "bootstrap_resamples": INT, "scatter_phis": FLOATS,
@@ -98,7 +98,6 @@ class RunConfig:
     phi_count: int = 201
     gain_g: float = 100.0
     trajectories: int = 1000
-    steps_per_unit_r: int = DEFAULT_STEPS_PER_UNIT_R
     master_seed: int = 12345
     mode: str = "tw"
     correction: str = "auto_sign"
@@ -129,8 +128,6 @@ class RunConfig:
             raise ConfigError("master_seed must lie in [0, 2^64)")
         if self.trajectories < MIN_TRAJECTORIES:
             raise ConfigError(f"trajectories must be >= {MIN_TRAJECTORIES}")
-        if self.steps_per_unit_r < 1:
-            raise ConfigError("steps_per_unit_r must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.bootstrap_resamples < MIN_RESAMPLES:

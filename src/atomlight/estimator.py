@@ -344,8 +344,7 @@ def prepare(config: RunConfig, r_values,
     if ensembles is None:
         ensembles = build_ensembles(
             config.n_total, config.n_seed, r_values, config.trajectories, config.master_seed,
-            mode=config.mode, steps_per_unit_r=config.steps_per_unit_r,
-        )
+            mode=config.mode)
     spec = HomodyneSpec(gain_g=config.gain_g, lo_sampled=config.lo_sampled,
                         correction_sign=CORRECTIONS[config.correction])
     return list(ensembles), spec

@@ -12,14 +12,12 @@ import pytest
 
 from atomlight import (
     HomodyneSpec,
-    IntegratorSpec,
     PhysicalSetup,
     RunConfig,
     build_ensembles,
     capture_fraction,
     detected_photons,
     evolve_analytic,
-    evolve_tw,
     m_at_phi,
     measure_signals,
     predict,
@@ -30,6 +28,8 @@ from atomlight import (
     transferred_atoms,
 )
 from atomlight.cli import main
+from atomlight.dynamics import evolve_closed_form
+from test_dynamics import textbook_integrate
 
 MASTER_SEED = 12345
 N_TOTAL = 1.0e7
@@ -69,22 +69,24 @@ def test_criterion_01_analytic_exactness():
 
 
 def test_criterion_02_oracle_equivalence_and_conservation():
+    # the held-pump equations by plain RK4 (40 steps per unit r) against the
+    # Bogoliubov map, and the drifts of the full dynamics in closed form
     t0 = sample_initial_ensemble(N_TOTAL, 1.0e4, MASTER_SEED, 200)
     worst = 0.0
-    for r in (0.5, 1.0, 2.0, 3.0):
+    rs = (0.5, 1.0, 2.0, 3.0)
+    held = textbook_integrate(t0.alpha1, t0.alpha2, t0.beta2, rs, N_TOTAL - 1.0e4, clamp=True)
+    for r, (_, *num) in zip(rs, held):
         ref = evolve_analytic(t0, r)
-        num, _ = evolve_tw(t0, r, IntegratorSpec(clamp_pump=True))
-        for attr in ("alpha2", "beta2"):
-            a, b = getattr(ref, attr), getattr(num, attr)
+        for a, b in zip((ref.alpha2, ref.beta2), num):
             scale = np.abs(a).max()
             worst = max(worst,
                         np.abs(b.real - a.real).max() / scale,
                         np.abs(b.imag - a.imag).max() / scale)
-    _, drift = evolve_tw(t0, 3.0, n_pump0=N_TOTAL - 1.0e4)
+    ((_, drift),) = evolve_closed_form(t0, [3.0], n_pump0=N_TOTAL - 1.0e4)
     ok = (worst < 1e-6
           and drift.max_rel_drift_atoms < 1e-8
           and drift.max_rel_drift_manley_rowe < 1e-8)
-    report(2, ok, f"clamped integrator vs Bogoliubov map: worst rel err {worst:.2e}; "
+    report(2, ok, f"held-pump RK4 vs Bogoliubov map: worst rel err {worst:.2e}; "
                   f"full-dynamics drifts {drift.max_rel_drift_atoms:.2e} (atoms), "
                   f"{drift.max_rel_drift_manley_rowe:.2e} (Manley-Rowe)")
 
@@ -95,7 +97,7 @@ def test_criterion_03_squeezing_variance():
     details = []
     ok = True
     for r in (0.0, 1.0, 2.0, 3.0):
-        ens = build_ensembles(N_TOTAL, 0.0, [r], n_traj, MASTER_SEED, mode="clamped")[0]
+        ens = build_ensembles(N_TOTAL, 0.0, [r], n_traj, MASTER_SEED, mode="analytic")[0]
         var = squeezed_combo_variance(ens)
         expected = 2.0 * np.exp(-2.0 * r)
         ok &= abs(var - expected) < 5 * rel_se * expected

@@ -104,8 +104,8 @@ def test_uncertainty_product():
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0])
 def test_monte_carlo_agreement(r):
-    # clamped-pump ensemble variance of the correlated quadrature pair
-    ens = build_ensembles(1.0e7, 0.0, [r], 5000, 2024, mode="clamped")[0]
+    # held-pump (Bogoliubov map) ensemble variance of the correlated quadrature pair
+    ens = build_ensembles(1.0e7, 0.0, [r], 5000, 2024, mode="analytic")[0]
     var = squeezed_combo_variance(ens)
     expected = predict(r, 1.0e7).var_squeezed_combo
     rel_se = np.sqrt(2.0 / (ens.n_traj - 1))

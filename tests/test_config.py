@@ -22,8 +22,7 @@ from atomlight.feasibility import PhysicalSetup
 FLOAT_KEYS = ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g")
 SETUP_KEYS = ("atomic_mass", "radial_trap_freq", "wavelength", "n_seed", "n_total")
 LIST_KEYS = ("r_list", "scatter_phis")
-INT_KEYS = ("phi_count", "trajectories", "steps_per_unit_r", "master_seed", "threads",
-            "bootstrap_resamples")
+INT_KEYS = ("phi_count", "trajectories", "master_seed", "threads", "bootstrap_resamples")
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 # valid settings that do not constrain one another, to vary the rest of the mapping

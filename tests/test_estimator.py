@@ -240,13 +240,13 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
     counted(estimator, "lo_noise_samples")
     counted(estimator, "evaluate")
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
-                       steps_per_unit_r=50, bootstrap_resamples=100)
+                       bootstrap_resamples=100)
     r_values = [2.0, 1.0, 1.5, 1.0]
     result = scan_over_r(r_values, config)
     assert counts == {"sample_initial_ensemble": 1, "evolve_closed_form": 1,
                       "lo_noise_samples": 1, "evaluate": 1}
     # the shared draw and the build of every r give what a run at one r gives
-    ens = build_ensembles(1.0e7, 1.0e4, [1.5], 100, SEED, steps_per_unit_r=50)[0]
+    ens = build_ensembles(1.0e7, 1.0e4, [1.5], 100, SEED)[0]
     m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
     row = result.rows[2]
     assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
@@ -254,7 +254,7 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
     # the one evaluation gives every row what m_at_phi and sensitivity_curve
     # give its ensemble alone
     for r, row in zip(r_values, result.rows):
-        ens = build_ensembles(1.0e7, 1.0e4, [r], 100, SEED, steps_per_unit_r=50)[0]
+        ens = build_ensembles(1.0e7, 1.0e4, [r], 100, SEED)[0]
         m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
         assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
         curve = sensitivity_curve(ens, [np.pi / 2], HomodyneSpec(gain_g=100.0), 100)
@@ -274,7 +274,7 @@ def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, mo
     moments = estimator._moments
     monkeypatch.setattr(estimator, "_moments", counting)
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
-                       steps_per_unit_r=50, bootstrap_resamples=100)
+                       bootstrap_resamples=100)
     result = scan_over_r([1.0 + 0.25 * k for k in range(13)], config)
     assert len(result.rows) == 13 and calls == [13]
     grid = np.linspace(0.0, 2 * np.pi, 201)
@@ -285,7 +285,7 @@ def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, mo
 
 
 def _scan_ensembles(r_values, n_traj=100, master_seed=SEED, n_total=1.0e7):
-    return build_ensembles(n_total, 1.0e4, r_values, n_traj, master_seed, steps_per_unit_r=50)
+    return build_ensembles(n_total, 1.0e4, r_values, n_traj, master_seed)
 
 
 def test_given_ensembles_stay_with_their_caller():
@@ -319,7 +319,7 @@ def test_scan_rejects_ensembles_that_do_not_match(ensembles, match, monkeypatch)
     monkeypatch.setattr(estimator, "fringe_features", unreachable)
     monkeypatch.setattr(estimator, "evaluate", unreachable)
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
-                       steps_per_unit_r=50, bootstrap_resamples=100)
+                       bootstrap_resamples=100)
     with pytest.raises(ValueError, match=match):
         scan_over_r([1.0, 2.0, 3.0], config, ensembles())
 
@@ -645,14 +645,14 @@ def test_scan_rows_equal_every_verb_in_every_mode(mode):
     # one model per mode: an r-scan row is m_at_phi on the mode's ensemble, and
     # the pi/2 entry of a phase grid up to the rounding of one phase against several
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=200, master_seed=SEED,
-                       steps_per_unit_r=50, bootstrap_resamples=100, mode=mode)
+                       bootstrap_resamples=100, mode=mode)
     r_values = [1.0, 2.5]
     result = scan_over_r(r_values, config)
     spec = HomodyneSpec(gain_g=config.gain_g)
     grid = np.linspace(config.phi_start, config.phi_stop, 5)
     assert grid[1] == np.pi / 2
     for r, row in zip(r_values, result.rows):
-        ens = build_ensembles(1.0e7, 1.0e4, [r], 200, SEED, mode=mode, steps_per_unit_r=50)[0]
+        ens = build_ensembles(1.0e7, 1.0e4, [r], 200, SEED, mode=mode)[0]
         m, (lo, hi), sign = m_at_phi(ens, spec, resamples=100)
         assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
         curve = sensitivity_curve(ens, grid, spec, resamples=100)
