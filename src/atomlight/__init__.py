@@ -28,10 +28,9 @@ from .dynamics import (
     evolve_analytic,
     transferred_atoms,
 )
-from .interferometer import HomodyneSpec, detected_photons, measure_signals
+from .interferometer import HomodyneSpec, detected_photons
 from .analytics import predict
 from .estimator import (
-    m_at_phi,
     scan_over_r,
     sensitivity_curve,
     squeezed_combo_variance,
@@ -49,8 +48,6 @@ __all__ = [
     "capture_fraction",
     "detected_photons",
     "evolve_analytic",
-    "m_at_phi",
-    "measure_signals",
     "occupation",
     "predict",
     "quadrature_x",

@@ -27,8 +27,9 @@ Every M goes through one evaluation, _curves: check that the ensembles
 share one draw and have enough trajectories, draw the LO noise once, stack
 the features (dropping each ensemble once read), and evaluate every (set,
 weight, phase) cell and every interval with one evaluate call, which forms
-one term block of the stack and drops the stack.  sensitivity_curve,
-m_at_phi and scan_over_r are reads of its curves, in every evolution mode.
+one term block of the stack and drops the stack.  sensitivity_curve (a
+single phase included) and scan_over_r are reads of its curves, in every
+evolution mode.
 """
 
 from __future__ import annotations
@@ -116,11 +117,12 @@ def fringe_features(
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Per-trajectory features (B, C, S_b / g), the light record S_b, and the sign.
 
-    B and C, the fringe of N2 - N1, come from the unsplit t1 amplitudes
-    (run_mzi is the oracle).  The features are the same for every correction
-    sign, and an "auto" sign is calibrated at pi/2, where the atomic signal is
-    C.  The LO noise is drawn once (or passed in), and the (n, 3) features
-    are written into out when it is given.
+    B and C, the fringe of N2 - N1 behind the Mach-Zehnder interferometer,
+    come in closed form from the unsplit t1 amplitudes: no splitter is
+    applied.  The features are the same for every correction sign, and an
+    "auto" sign is calibrated at pi/2, where the atomic signal is C.  The LO
+    noise is drawn once (or passed in), and the (n, 3) features are written
+    into out when it is given.
     """
     s_b = signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise))
     a1, a2 = ensemble.state.alpha1, ensemble.state.alpha2
@@ -313,23 +315,12 @@ def _curves(ensembles: list, phi, spec: HomodyneSpec,
 
 
 def sensitivity_curve(ensemble: Ensemble, phi, spec: HomodyneSpec,
-                      resamples: int = 200) -> SensitivityCurve:
-    """Full sensitivity analysis of one ensemble at each phase in phi."""
+                      resamples: int | None = 200) -> SensitivityCurve:
+    """Full sensitivity analysis of one ensemble at each phase in phi (one
+    phase is a grid of one); with resamples None each interval is its point."""
     ensembles = [ensemble]
     del ensemble  # so that _curves frees it, unless the caller holds it
     return _curves(ensembles, phi, spec, resamples)[0]
-
-
-def m_at_phi(ensemble: Ensemble, spec: HomodyneSpec, phi: float = np.pi / 2,
-             resamples: int | None = None) -> tuple[float, tuple[float, float], str]:
-    """M at a single working phase, from the exact fringe slope there.
-
-    Returns (m, (ci_lo, ci_hi), correction_sign); the interval collapses to
-    the point value when resamples is None.
-    """
-    curve = _curves([ensemble], [phi], spec, resamples)[0]
-    m, lo, hi = (float(x[0]) for x in (curve.m, curve.m_ci_lo, curve.m_ci_hi))
-    return m, (lo, hi), curve.correction_sign
 
 
 def squeezed_combo_variance(ensemble: Ensemble) -> float:
@@ -356,9 +347,10 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     One build gives every r its ensemble from one sample (or ensembles holds
     them, one per r, in order), in any mode, and one _curves call at pi/2
     evaluates them all, each r with its own sign calibration, so every row
-    equals m_at_phi on its own ensemble.  The closed undepleted-pump forms
-    ride along in m_plain and m_recycled.  Each row's other scalars are read
-    before _curves, which frees the ensembles this call built.
+    equals sensitivity_curve at pi/2 on its own ensemble.  The closed
+    undepleted-pump forms ride along in m_plain and m_recycled.  Each row's
+    other scalars are read before _curves, which frees the ensembles this
+    call built.
     """
     r_values = [float(v) for v in r_values]
     if not r_values:

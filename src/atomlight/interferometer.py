@@ -1,15 +1,12 @@
-"""Measurement chain after the super-radiance step: the oracle of the
-estimator's closed forms, the LO amplitude and the correction sign.
+"""Homodyne read-out of the light from the super-radiance step: the LO
+amplitude, the light record and the correction sign.
 
-Atoms: two 50/50 Raman beam splitters with the phase imprinted on the
-transferred mode between them give S_a = N2 - N1 at t3 (run_mzi,
-signal_atoms), the independent check of the closed-form fringe
-B cos(phi) + C sin(phi) that the estimator takes from the t1 amplitudes.
-
-Light: beta2 leaves the condensate at t1 and is detected apart from the
-atoms.  Homodyne detection against a strong local oscillator gives the port
+beta2 leaves the condensate at t1 and is detected apart from the atoms.
+Homodyne detection against a strong local oscillator gives the port
 difference S_b = |c|^2 - |d|^2 = -2 Im(beta2 conj(beta_LO)), which
-signal_light returns in closed form for the estimator and the oracle alike.
+signal_light returns in closed form.  The atoms' record S_a = N2 - N1 after
+the Mach-Zehnder interferometer is a fringe the estimator takes in closed form
+from the t1 amplitudes (estimator.fringe_features).
 
 The combined signal S = S_a + w S_b / g removes the quantum noise the two
 records share, with w from the correction sign in one place,
@@ -27,9 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import Ensemble
-from .phasespace import ModeTriple, occupation, sample_coherent_batch
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+from .phasespace import occupation, sample_coherent_batch
 
 
 @dataclass
@@ -38,8 +33,9 @@ class HomodyneSpec:
 
     gain_g: ratio of LO amplitude to the mean pump amplitude at t1.
     lo_sampled: include the LO's own vacuum (shot) noise.
-    correction_sign: "plus", "minus", "auto" (calibrate before combining),
-        or "off" (no correction: S is the atomic signal alone).
+    correction_sign: "plus", "minus", "auto" (calibrated from the ensemble
+        when its features are formed), or "off" (no correction: S is the
+        atomic signal alone).
     """
 
     gain_g: float = 100.0
@@ -51,53 +47,6 @@ class HomodyneSpec:
             raise ValueError("gain_g must be finite and > 0")
         if self.correction_sign not in ("plus", "minus", "auto", "off"):
             raise ValueError(f"unknown correction_sign {self.correction_sign!r}")
-
-
-@dataclass
-class SignalSample:
-    """Per-trajectory signals at one interferometer phase (array-valued)."""
-
-    s_a: np.ndarray
-    s_b: np.ndarray
-    s_combined: np.ndarray
-    phi: float
-
-
-def beam_splitter_half(state: ModeTriple) -> ModeTriple:
-    """50/50 Raman transition on the two atomic modes; the light is untouched.
-
-    alpha1' = (alpha1 - i alpha2) / sqrt(2)
-    alpha2' = (alpha2 - i alpha1) / sqrt(2)
-    """
-    a1 = (state.alpha1 - 1j * state.alpha2) * _INV_SQRT2
-    a2 = (state.alpha2 - 1j * state.alpha1) * _INV_SQRT2
-    return replace(state, alpha1=a1, alpha2=a2)
-
-
-def phase_imprint(state: ModeTriple, phi: float) -> ModeTriple:
-    """Multiply the transferred mode by exp(i phi)."""
-    return replace(state, alpha2=state.alpha2 * np.exp(1j * phi))
-
-
-def run_mzi(state: ModeTriple, phi: float) -> ModeTriple:
-    """Full Mach-Zehnder: splitter, phase imprint on mode 2, splitter.
-
-    Requires a t1 state and returns the t3 state.
-    """
-    if state.time_tag != "t1":
-        raise ValueError(f"run_mzi needs a t1 state, got {state.time_tag}")
-    out = beam_splitter_half(phase_imprint(beam_splitter_half(state), phi))
-    return state.advanced(out.alpha1, out.alpha2, out.beta2, "t3")
-
-
-def signal_atoms(state: ModeTriple) -> np.ndarray | float:
-    """Number difference N2 - N1 at the interferometer output.
-
-    The symmetric-ordering 1/2 offsets cancel in the difference.
-    """
-    if state.time_tag != "t3":
-        raise ValueError(f"signal_atoms needs a t3 state, got {state.time_tag}")
-    return np.abs(state.alpha2) ** 2 - np.abs(state.alpha1) ** 2
 
 
 def signal_light(beta2, beta_lo) -> np.ndarray | float:
@@ -114,11 +63,6 @@ def correction_weight(correction_sign: str) -> float:
     return {"plus": -1.0, "minus": 1.0, "off": 0.0}[correction_sign]
 
 
-def combine_signals(s_a, s_b, spec: HomodyneSpec):
-    """S = s_a + w * (s_b / g) with the weight of the resolved correction sign."""
-    return s_a + correction_weight(spec.correction_sign) * (s_b / spec.gain_g)
-
-
 def lo_noise_samples(ensemble: Ensemble) -> np.ndarray:
     """Per-trajectory LO vacuum noise, reused across all phases."""
     return sample_coherent_batch(0.0, ensemble.master_seed, "local_oscillator", ensemble.n_traj)
@@ -131,25 +75,6 @@ def lo_amplitude(ensemble: Ensemble, spec: HomodyneSpec, lo_noise=None):
     if not spec.lo_sampled:
         return beta_lo
     return beta_lo + (lo_noise_samples(ensemble) if lo_noise is None else lo_noise)
-
-
-def measure_signals(
-    ensemble: Ensemble,
-    phi: float,
-    spec: HomodyneSpec,
-    lo_noise: np.ndarray | None = None,
-) -> SignalSample:
-    """All three signals over the ensemble at one phase.
-
-    The light signal is evaluated on the t1 amplitudes; only the atoms pass
-    through the interferometer.  With correction_sign "auto" the combined
-    signal is left as s_a (calibrate first for a corrected signal).
-    """
-    beta_lo = lo_amplitude(ensemble, spec, lo_noise)
-    s_a = np.asarray(signal_atoms(run_mzi(ensemble.state, phi)), dtype=float)
-    s_b = np.asarray(signal_light(ensemble.state.beta2, beta_lo), dtype=float)
-    s = s_a.copy() if spec.correction_sign == "auto" else combine_signals(s_a, s_b, spec)
-    return SignalSample(s_a=s_a, s_b=s_b, s_combined=s, phi=phi)
 
 
 def calibrate_correction_sign(s_a, s_b) -> str:

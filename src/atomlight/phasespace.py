@@ -35,7 +35,7 @@ STREAMS = {
     "bootstrap": 5,
 }
 
-TIME_TAGS = ("t0", "t1", "t3")
+TIME_TAGS = ("t0", "t1")
 
 # Wigner width of a coherent state: each quadrature of the added noise eta
 # has variance 1/4, so <|eta|^2> = 1/2.

@@ -18,18 +18,18 @@ from atomlight import (
     capture_fraction,
     detected_photons,
     evolve_analytic,
-    m_at_phi,
-    measure_signals,
     predict,
     rate_ratio,
     sample_initial_ensemble,
     scan_over_r,
+    sensitivity_curve,
     squeezed_combo_variance,
     transferred_atoms,
 )
 from atomlight.cli import main
 from atomlight.dynamics import evolve_closed_form
-from test_dynamics import textbook_integrate
+from atomlight.estimator import fringe_features
+from oracles import textbook_integrate
 
 MASTER_SEED = 12345
 N_TOTAL = 1.0e7
@@ -38,6 +38,11 @@ N_TOTAL = 1.0e7
 def report(criterion: int, ok: bool, detail: str):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
     assert ok, detail
+
+
+def at_pi_2(ensemble, spec, resamples=None):
+    """The sensitivity curve of ensemble at the working phase pi/2 alone."""
+    return sensitivity_curve(ensemble, [np.pi / 2], spec, resamples)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +117,7 @@ def test_criterion_03_squeezing_variance():
 
 def test_criterion_04_sql_recovery():
     ens = build_ensembles(N_TOTAL, 0.0, [0.0], 10_000, MASTER_SEED)[0]
-    m, _, _ = m_at_phi(ens, HomodyneSpec(gain_g=100.0, correction_sign="off"))
+    m = at_pi_2(ens, HomodyneSpec(gain_g=100.0, correction_sign="off")).m[0]
     ok = 0.95 <= m <= 1.05
     report(4, ok, f"r=0, correction off, 1e4 trajectories: M(pi/2) = {m:.4f} in [0.95, 1.05]")
 
@@ -146,11 +151,14 @@ def test_criterion_06_seeded_optimum(seeded_scan):
 
 def test_criterion_07_working_point(fig3_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    m, _, sign = m_at_phi(fig3_ensemble, spec)
+    curve = at_pi_2(fig3_ensemble, spec)
+    m, sign = curve.m[0], curve.correction_sign
+    # the correlations that scatter reports: S_a = B cos(phi) + C sin(phi) against S_b / g
+    b, c, s_b_over_g = fringe_features(fig3_ensemble, spec)[0].T
     corrs = {}
     for phi in (np.pi / 2, np.pi, 3 * np.pi / 2):
-        sample = measure_signals(fig3_ensemble, phi, spec)
-        corrs[phi] = float(np.corrcoef(sample.s_a, sample.s_b / spec.gain_g)[0, 1])
+        s_a = b * np.cos(phi) + c * np.sin(phi)
+        corrs[phi] = float(np.corrcoef(s_a, s_b_over_g)[0, 1])
     ok = (0.06 <= m <= 0.13
           and corrs[np.pi / 2] > 0.9
           and abs(corrs[np.pi]) < 0.1
@@ -161,12 +169,12 @@ def test_criterion_07_working_point(fig3_ensemble):
 
 
 def test_criterion_08_gain_saturation_and_sign(fig3_ensemble):
-    m100, (lo, hi), sign = m_at_phi(fig3_ensemble, HomodyneSpec(gain_g=100.0), resamples=200)
-    m1000, _, _ = m_at_phi(fig3_ensemble, HomodyneSpec(gain_g=1000.0))
-    width = hi - lo
-    anti = "minus" if sign == "plus" else "plus"
-    m_anti, _, _ = m_at_phi(fig3_ensemble, HomodyneSpec(gain_g=100.0, correction_sign=anti))
-    m_off, _, _ = m_at_phi(fig3_ensemble, HomodyneSpec(gain_g=100.0, correction_sign="off"))
+    at_100 = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=100.0), resamples=200)
+    m100, width = at_100.m[0], at_100.m_ci_hi[0] - at_100.m_ci_lo[0]
+    m1000 = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=1000.0)).m[0]
+    anti = "minus" if at_100.correction_sign == "plus" else "plus"
+    m_anti = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=100.0, correction_sign=anti)).m[0]
+    m_off = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=100.0, correction_sign="off")).m[0]
     ok = abs(m1000 - m100) < width and m_anti > m_off
     report(8, ok, f"gain 100 -> 1000 moves M by {abs(m1000-m100):.2e} < CI width {width:.2e}; "
                   f"anti-calibrated M = {m_anti:.2f} > uncorrected M = {m_off:.2f}")
@@ -177,7 +185,7 @@ def test_criterion_09_low_gain_photon_inclusive():
     for r in (2.0, 2.25, 2.5):
         ens = build_ensembles(N_TOTAL, 1.0e4, [r], 1000, MASTER_SEED)[0]
         spec = HomodyneSpec(gain_g=1.0, lo_sampled=True)
-        m, _, _ = m_at_phi(ens, spec)
+        m = at_pi_2(ens, spec).m[0]
         if best is None or m < best[0]:
             best = (m, r, detected_photons(ens, spec))
     m, r, n_p = best

@@ -338,28 +338,6 @@ def test_r_scan_is_independent_of_openblas_threads(tmp_path):
             (tmp_path / "two" / name).read_bytes()
 
 
-def test_runs_stay_off_the_interferometer_path(tmp_path, monkeypatch):
-    # the fringe features carry every phase, the sign calibration and the correction,
-    # in closed form from the unsplit amplitudes
-    counts = {"run_mzi": 0, "measure_signals": 0, "combine_signals": 0, "beam_splitter_half": 0}
-    for name in counts:
-        def counted(*args, _original=getattr(interferometer, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module in (interferometer, estimator, cli):  # wherever the name is bound
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
-    code, _ = run(["phi-sweep"] + FAST, tmp_path, "phi")
-    assert code == 0
-    code, _ = run(["r-scan", "--set", "r_list=0.5, 1.0"] + FAST, tmp_path, "rs")
-    assert code == 0
-    code, _ = run(["scatter"] + FAST, tmp_path, "sc")
-    assert code == 0
-    assert counts == {"run_mzi": 0, "measure_signals": 0, "combine_signals": 0,
-                      "beam_splitter_half": 0}
-
-
 # --- scatter ------------------------------------------------------------------------
 
 def test_scatter_outputs(tmp_path):

@@ -42,7 +42,8 @@ def test_readme_quick_start_runs(tmp_path):
 
 
 def test_cli_import_stays_light():
-    # scipy and the thread pool are loaded only where a run needs them
+    # importing the CLI loads neither scipy (a test dependency only) nor a thread
+    # pool (the program runs on one thread)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
     code = ("import sys, atomlight.cli; "
             "print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))")

@@ -1,7 +1,7 @@
 """Propagators vs their oracles, conservation laws, growth laws.
 
-The oracle of the closed form and of the Bogoliubov map is textbook_integrate,
-a plain classical RK4 of the c-number equations.
+The oracle of the closed form and of the Bogoliubov map is
+oracles.textbook_integrate, a plain classical RK4 of the c-number equations.
 """
 
 import threading
@@ -20,6 +20,7 @@ from atomlight.dynamics import (
     transferred_atoms,
 )
 from atomlight.phasespace import ModeTriple, occupation, sample_initial_ensemble
+from oracles import textbook_integrate
 
 SEED = 4242
 
@@ -41,45 +42,6 @@ def on_threads(n_threads, call):
 
     with ThreadPoolExecutor(n_threads) as pool:
         return [f.result() for f in [pool.submit(run) for _ in range(n_threads)]]
-
-
-def textbook_integrate(a1, a2, b2, stops, n_pump0, steps_per_unit_r=40, clamp=False):
-    """The c-number equations by classical RK4, y + (h/6) (k1 + 2 k2 + 2 k3 + k4),
-    with a fresh array per operation: (a1, a2, b2) at each stop (ascending r).
-
-    h = 1 / steps_per_unit_r; a stop between lattice points takes one shorter
-    last step, on a copy.  clamp holds the pump at its classical amplitude:
-    alpha1 stays as it is and (alpha2, beta2) follow the linear pair equations.
-    """
-    h = 1.0 / steps_per_unit_r
-    inv_sq_n1 = 1.0 / np.sqrt(n_pump0)
-
-    def f(a1, a2, b2):
-        if clamp:
-            return np.zeros_like(a1), 1j * np.conj(b2), 1j * np.conj(a2)
-        return (
-            1j * b2 * a2 * inv_sq_n1,
-            1j * a1 * np.conj(b2) * inv_sq_n1,
-            1j * a1 * np.conj(a2) * inv_sq_n1,
-        )
-
-    def rk4_step(h, a1, a2, b2):
-        k1 = f(a1, a2, b2)
-        k2 = f(a1 + 0.5 * h * k1[0], a2 + 0.5 * h * k1[1], b2 + 0.5 * h * k1[2])
-        k3 = f(a1 + 0.5 * h * k2[0], a2 + 0.5 * h * k2[1], b2 + 0.5 * h * k2[2])
-        k4 = f(a1 + h * k3[0], a2 + h * k3[1], b2 + h * k3[2])
-        return tuple(y + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                     for i, y in enumerate((a1, a2, b2)))
-
-    run, out, done = (a1, a2, b2), [], 0
-    for r in stops:
-        n = steps_per_unit_r * r
-        n_full = int(np.floor(n + 1e-9))
-        for _ in range(done, n_full):
-            run = rk4_step(h, *run)
-        done = n_full
-        out.append(rk4_step((n - n_full) * h, *run) if n - n_full > 1e-9 else run)
-    return out
 
 
 def worst_drifts(y0, states):

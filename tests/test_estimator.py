@@ -17,17 +17,12 @@ from atomlight.dynamics import build_ensembles
 from atomlight.estimator import (
     evaluate,
     fringe_features,
-    m_at_phi,
     scan_over_r,
     sensitivity_curve,
 )
-from atomlight.interferometer import (
-    HomodyneSpec,
-    correction_weight,
-    lo_noise_samples,
-    measure_signals,
-)
+from atomlight.interferometer import HomodyneSpec, correction_weight, lo_noise_samples
 from atomlight.phasespace import STREAMS
+from oracles import interferometer_signals
 
 SEED = 555
 
@@ -88,13 +83,14 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
     grid = np.linspace(0.0, np.pi, 129)  # a step of pi/128 holds pi/2 exactly
     assert grid[64] == np.pi / 2
     curve = sensitivity_curve(ensemble, grid, spec, resamples=200)
-    m, (lo, hi), sign = m_at_phi(ensemble, spec, np.pi / 2, resamples=200)
-    assert sign == curve.correction_sign
-    assert np.array_equal(m, curve.m[64])
-    assert np.array_equal(lo, curve.m_ci_lo[64]) and np.array_equal(hi, curve.m_ci_hi[64])
+    single = sensitivity_curve(ensemble, [np.pi / 2], spec, resamples=200)
+    assert single.correction_sign == curve.correction_sign
+    assert np.array_equal(single.m[0], curve.m[64])
+    assert np.array_equal(single.m_ci_lo[0], curve.m_ci_lo[64])
+    assert np.array_equal(single.m_ci_hi[0], curve.m_ci_hi[64])
     # and one weight's statistics do not depend on the weights beside it
     features, _, _ = fringe_features(ensemble, spec)
-    w = correction_weight(sign)
+    w = correction_weight(curve.correction_sign)
     both, _, _ = evaluate(features[np.newaxis], grid, [[w, 0.0]], 1.0e7)
     for column, weight in enumerate((w, 0.0)):
         single, _, _ = evaluate(features[np.newaxis], grid, [[weight]], 1.0e7)
@@ -119,26 +115,27 @@ def test_features_do_not_depend_on_the_correction(working_point_ensemble):
 @pytest.mark.parametrize("sign", ["plus", "minus", "off"])
 def test_weighted_light_feature_is_the_combined_signal(working_point_ensemble, sign):
     # S = S_a + w S_b / g: the light record's part is the weighted feature, bit for bit,
-    # and B cos(phi) + C sin(phi) is the interferometer's S_a
+    # and B cos(phi) + C sin(phi) is the step-by-step interferometer's S_a
     spec = HomodyneSpec(gain_g=100.0, correction_sign=sign)
     lo_noise = lo_noise_samples(working_point_ensemble)
     features, _, _ = fringe_features(working_point_ensemble, spec, lo_noise)
     b, c, s_b_over_g = features.T
     w = correction_weight(sign)
     for phi in (0.3, np.pi / 2, 2.0, 3 * np.pi / 2):
-        sample = measure_signals(working_point_ensemble, phi, spec, lo_noise)
-        assert (sample.s_a + w * s_b_over_g).tobytes() == sample.s_combined.tobytes()
+        ref_s_a, s_b = interferometer_signals(working_point_ensemble, phi, spec, lo_noise)
+        assert (w * s_b_over_g).tobytes() == (w * (s_b / spec.gain_g)).tobytes()
         s_a = b * np.cos(phi) + c * np.sin(phi)
-        assert np.max(np.abs(s_a - sample.s_a)) <= 1e-9 * np.max(np.abs(sample.s_a))
+        assert np.max(np.abs(s_a - ref_s_a)) <= 1e-9 * np.max(np.abs(ref_s_a))
 
 
 def _direct_signals(ensemble, grid, spec, sign):
-    """Reference (trajectory x phi) matrices of S and S_a, one phase at a time."""
-    spec = replace(spec, correction_sign=sign)
+    """Reference (trajectory x phi) matrices of S = S_a + w S_b / g and S_a,
+    one phase at a time through the step-by-step interferometer."""
     lo_noise = lo_noise_samples(ensemble)
-    samples = [measure_signals(ensemble, phi, spec, lo_noise) for phi in grid]
-    return (np.column_stack([x.s_combined for x in samples]),
-            np.column_stack([x.s_a for x in samples]))
+    pairs = [interferometer_signals(ensemble, phi, spec, lo_noise) for phi in grid]
+    w = correction_weight(sign)
+    return (np.column_stack([s_a + w * (s_b / spec.gain_g) for s_a, s_b in pairs]),
+            np.column_stack([s_a for s_a, _ in pairs]))
 
 
 def _direct_slope(ensemble, grid, spec, sign):
@@ -219,7 +216,7 @@ def test_one_lo_draw_per_ensemble(working_point_ensemble, monkeypatch):
     grid = np.linspace(0.0, 2 * np.pi, 21)
     sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100)
     assert len(calls) == 1
-    m_at_phi(working_point_ensemble, HomodyneSpec(gain_g=100.0), resamples=100)
+    sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0), 100)
     assert len(calls) == 2
 
 
@@ -245,18 +242,11 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
     result = scan_over_r(r_values, config)
     assert counts == {"sample_initial_ensemble": 1, "evolve_closed_form": 1,
                       "lo_noise_samples": 1, "evaluate": 1}
-    # the shared draw and the build of every r give what a run at one r gives
-    ens = build_ensembles(1.0e7, 1.0e4, [1.5], 100, SEED)[0]
-    m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
-    row = result.rows[2]
-    assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
     assert result.rows[1] == result.rows[3]
-    # the one evaluation gives every row what m_at_phi and sensitivity_curve
-    # give its ensemble alone
+    # the shared draw, the build of every r and the one evaluation give every row
+    # what sensitivity_curve gives its ensemble alone
     for r, row in zip(r_values, result.rows):
         ens = build_ensembles(1.0e7, 1.0e4, [r], 100, SEED)[0]
-        m, (lo, hi), sign = m_at_phi(ens, HomodyneSpec(gain_g=100.0), resamples=100)
-        assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
         curve = sensitivity_curve(ens, [np.pi / 2], HomodyneSpec(gain_g=100.0), 100)
         assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (
             curve.m[0], curve.m_ci_lo[0], curve.m_ci_hi[0], curve.correction_sign)
@@ -280,8 +270,11 @@ def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, mo
     grid = np.linspace(0.0, 2 * np.pi, 201)
     sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100)
     assert calls == [13, 1]
-    m_at_phi(working_point_ensemble, HomodyneSpec(gain_g=100.0))  # no bootstrap
+    # one phase without a bootstrap: the interval collapses to the point, bit for bit
+    curve = sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0),
+                              resamples=None)
     assert calls == [13, 1, 1]
+    assert curve.m_ci_lo.tobytes() == curve.m.tobytes() == curve.m_ci_hi.tobytes()
 
 
 def _scan_ensembles(r_values, n_traj=100, master_seed=SEED, n_total=1.0e7):
@@ -355,8 +348,10 @@ def test_zero_derivative_is_flagged():
 # --- SQL recovery and the undepleted benchmark ------------------------------------
 
 def test_sql_recovery(coherent_ensemble):
-    m, _, sign = m_at_phi(coherent_ensemble, HomodyneSpec(gain_g=100.0, correction_sign="off"))
-    assert sign == "off"
+    curve = sensitivity_curve(coherent_ensemble, [np.pi / 2],
+                              HomodyneSpec(gain_g=100.0, correction_sign="off"), None)
+    assert curve.correction_sign == "off"
+    m = curve.m[0]
     rel_se = np.sqrt(0.5 / (coherent_ensemble.n_traj - 1))
     assert abs(m - 1.0) < 5 * rel_se
 
@@ -364,7 +359,8 @@ def test_sql_recovery(coherent_ensemble):
 @pytest.mark.parametrize("r", [0.5, 1.0])
 def test_uncorrected_m_matches_undepleted_prediction(r):
     ens = build_ensembles(1.0e7, 0.0, [r], 4000, SEED)[0]
-    m, _, _ = m_at_phi(ens, HomodyneSpec(gain_g=100.0, correction_sign="off"))
+    m = sensitivity_curve(ens, [np.pi / 2], HomodyneSpec(gain_g=100.0, correction_sign="off"),
+                          None).m[0]
     expected = predict(r, 1.0e7).m_plain
     rel_se = np.sqrt(0.5 / (ens.n_traj - 1))
     assert abs(m - expected) < 5 * rel_se * expected
@@ -389,11 +385,11 @@ def test_shuffling_light_record_destroys_gain(working_point_ensemble):
 
 
 def test_gain_saturation(working_point_ensemble):
-    m100, (lo, hi), _ = m_at_phi(
-        working_point_ensemble, HomodyneSpec(gain_g=100.0), resamples=200
-    )
-    m1000, _, _ = m_at_phi(working_point_ensemble, HomodyneSpec(gain_g=1000.0))
-    assert abs(m1000 - m100) < (hi - lo)
+    at_100 = sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0),
+                               resamples=200)
+    at_1000 = sensitivity_curve(working_point_ensemble, [np.pi / 2],
+                                HomodyneSpec(gain_g=1000.0), None)
+    assert abs(at_1000.m[0] - at_100.m[0]) < (at_100.m_ci_hi[0] - at_100.m_ci_lo[0])
 
 
 # --- bootstrap -----------------------------------------------------------------
@@ -609,8 +605,6 @@ def test_sensitivity_curve_requires_enough_trajectories():
         sensitivity_curve(ens, np.linspace(0, 1, 5), HomodyneSpec())
     # every M goes through the same check
     with pytest.raises(ValueError, match="at least 100 trajectories"):
-        m_at_phi(ens, HomodyneSpec())
-    with pytest.raises(ValueError, match="at least 100 trajectories"):
         scan_over_r([0.5], RunConfig(n_total=1.0e6, n_seed=0.0), [ens])
 
 
@@ -642,8 +636,8 @@ def test_analytic_scan_without_correction():
 
 @pytest.mark.parametrize("mode", dynamics.EVOLUTION_MODES)
 def test_scan_rows_equal_every_verb_in_every_mode(mode):
-    # one model per mode: an r-scan row is m_at_phi on the mode's ensemble, and
-    # the pi/2 entry of a phase grid up to the rounding of one phase against several
+    # one model per mode: an r-scan row is the mode's ensemble read at pi/2 alone,
+    # and the pi/2 entry of a phase grid up to the rounding of one phase against several
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=200, master_seed=SEED,
                        bootstrap_resamples=100, mode=mode)
     r_values = [1.0, 2.5]
@@ -653,8 +647,9 @@ def test_scan_rows_equal_every_verb_in_every_mode(mode):
     assert grid[1] == np.pi / 2
     for r, row in zip(r_values, result.rows):
         ens = build_ensembles(1.0e7, 1.0e4, [r], 200, SEED, mode=mode)[0]
-        m, (lo, hi), sign = m_at_phi(ens, spec, resamples=100)
-        assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (m, lo, hi, sign)
+        alone = sensitivity_curve(ens, [np.pi / 2], spec, resamples=100)
+        assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (
+            alone.m[0], alone.m_ci_lo[0], alone.m_ci_hi[0], alone.correction_sign)
         curve = sensitivity_curve(ens, grid, spec, resamples=100)
         got = (curve.m[1], curve.m_ci_lo[1], curve.m_ci_hi[1])
         assert got == pytest.approx((row.m, row.m_ci_lo, row.m_ci_hi), rel=1e-12)

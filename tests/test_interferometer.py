@@ -1,4 +1,4 @@
-"""Beam-splitter algebra, homodyne read-out and sign calibration."""
+"""The step-by-step interferometer oracle, the homodyne read-out and the sign calibration."""
 
 import numpy as np
 import pytest
@@ -8,67 +8,63 @@ from hypothesis import strategies as st
 from atomlight.estimator import fringe_features
 from atomlight.interferometer import (
     HomodyneSpec,
-    beam_splitter_half,
     calibrate_correction_sign,
-    combine_signals,
     correction_weight,
     detected_photons,
     lo_amplitude,
     lo_noise_samples,
-    measure_signals,
+    signal_light,
+)
+from atomlight.phasespace import occupation, sample_coherent_batch
+from oracles import (
+    beam_splitter_half,
+    interferometer_signals,
     phase_imprint,
     run_mzi,
     signal_atoms,
-    signal_light,
 )
-from atomlight.phasespace import ModeTriple, occupation, sample_coherent_batch
 
 SEED = 777
 
 amplitudes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
 
 
-def _state(a1, a2, b2=0j, tag="t1"):
-    return ModeTriple(complex(a1), complex(a2), complex(b2), tag)
-
-
 # --- beam splitter -----------------------------------------------------------
 
 def test_beam_splitter_known_point():
-    out = beam_splitter_half(_state(1.0, 0.0))
-    assert out.alpha1 == pytest.approx(1 / np.sqrt(2))
-    assert out.alpha2 == pytest.approx(-1j / np.sqrt(2))
+    a1, a2 = beam_splitter_half(1.0 + 0j, 0j)
+    assert a1 == pytest.approx(1 / np.sqrt(2))
+    assert a2 == pytest.approx(-1j / np.sqrt(2))
 
 
 @given(a1=amplitudes, a2=amplitudes)
 @settings(max_examples=100, deadline=None)
 def test_beam_splitter_unitarity(a1, a2):
-    out = beam_splitter_half(_state(a1, a2))
+    out1, out2 = beam_splitter_half(a1, a2)
     before = abs(a1) ** 2 + abs(a2) ** 2
-    after = abs(out.alpha1) ** 2 + abs(out.alpha2) ** 2
+    after = abs(out1) ** 2 + abs(out2) ** 2
     assert after == pytest.approx(before, rel=1e-12, abs=1e-9)
 
 
 def test_two_beam_splitters_swap_populations():
-    out = beam_splitter_half(beam_splitter_half(_state(3.0 + 1j, 0.0)))
-    assert abs(out.alpha2) ** 2 == pytest.approx(abs(3.0 + 1j) ** 2, rel=1e-12)
-    assert abs(out.alpha1) == pytest.approx(0.0, abs=1e-12)
+    a1, a2 = beam_splitter_half(*beam_splitter_half(3.0 + 1j, 0j))
+    assert abs(a2) ** 2 == pytest.approx(abs(3.0 + 1j) ** 2, rel=1e-12)
+    assert abs(a1) == pytest.approx(0.0, abs=1e-12)
 
 
 # --- phase imprint -----------------------------------------------------------
 
 def test_phase_imprint_zero_and_pi():
-    s = _state(1.0, 2.0 - 1.0j)
-    assert phase_imprint(s, 0.0).alpha2 == s.alpha2
-    assert phase_imprint(s, np.pi).alpha2 == pytest.approx(-s.alpha2, rel=1e-12)
+    a2 = 2.0 - 1.0j
+    assert phase_imprint(a2, 0.0) == a2
+    assert phase_imprint(a2, np.pi) == pytest.approx(-a2, rel=1e-12)
 
 
 @given(a2=amplitudes, phi=st.floats(min_value=-10, max_value=10,
                                     allow_nan=False, allow_infinity=False))
 @settings(max_examples=100, deadline=None)
 def test_phase_imprint_preserves_modulus(a2, phi):
-    out = phase_imprint(_state(0.0, a2), phi)
-    assert abs(out.alpha2) == pytest.approx(abs(a2), rel=1e-12, abs=1e-12)
+    assert abs(phase_imprint(a2, phi)) == pytest.approx(abs(a2), rel=1e-12, abs=1e-12)
 
 
 # --- full interferometer ------------------------------------------------------
@@ -81,53 +77,46 @@ def _mzi_matrix(phi):
 
 
 def test_mzi_full_transfer_at_zero_phase():
-    out = run_mzi(_state(2.0, 0.0), 0.0)
-    assert out.alpha2 == pytest.approx(-2.0j, rel=1e-12)
-    assert abs(out.alpha1) == pytest.approx(0.0, abs=1e-12)
-    assert out.time_tag == "t3"
+    a1, a2 = run_mzi(2.0 + 0j, 0j, 0.0)
+    assert a2 == pytest.approx(-2.0j, rel=1e-12)
+    assert abs(a1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mzi_reflection_at_pi():
-    out = run_mzi(_state(2.0, 0.0), np.pi)
-    assert abs(out.alpha1) ** 2 == pytest.approx(4.0, rel=1e-12)
-    assert abs(out.alpha2) == pytest.approx(0.0, abs=1e-12)
+    a1, a2 = run_mzi(2.0 + 0j, 0j, np.pi)
+    assert abs(a1) ** 2 == pytest.approx(4.0, rel=1e-12)
+    assert abs(a2) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("phi", np.linspace(0.0, 2 * np.pi, 9))
 def test_mzi_matches_matrix_oracle(phi):
     a1, a2 = 1.3 - 0.4j, -0.2 + 2.1j
-    out = run_mzi(_state(a1, a2), phi)
+    out = run_mzi(a1, a2, phi)
     expect = _mzi_matrix(phi) @ np.array([a1, a2])
-    assert out.alpha1 == pytest.approx(expect[0], rel=1e-12)
-    assert out.alpha2 == pytest.approx(expect[1], rel=1e-12)
+    assert out[0] == pytest.approx(expect[0], rel=1e-12)
+    assert out[1] == pytest.approx(expect[1], rel=1e-12)
 
 
 @given(a1=amplitudes, a2=amplitudes,
        phi=st.floats(min_value=0, max_value=2 * np.pi, allow_nan=False))
 @settings(max_examples=100, deadline=None)
 def test_mzi_conserves_atom_number(a1, a2, phi):
-    out = run_mzi(_state(a1, a2), phi)
+    out1, out2 = run_mzi(a1, a2, phi)
     before = abs(a1) ** 2 + abs(a2) ** 2
-    after = abs(out.alpha1) ** 2 + abs(out.alpha2) ** 2
+    after = abs(out1) ** 2 + abs(out2) ** 2
     assert after == pytest.approx(before, rel=1e-12, abs=1e-9)
-
-
-def test_mzi_requires_t1():
-    with pytest.raises(ValueError):
-        run_mzi(ModeTriple(1.0 + 0j, 0j, 0j, "t0"), 0.0)
 
 
 # --- atomic signal ------------------------------------------------------------
 
 def test_signal_atoms_all_in_pump():
     n = 1.0e4
-    assert signal_atoms(_state(np.sqrt(n), 0.0, tag="t3")) == pytest.approx(-n)
+    assert signal_atoms(np.sqrt(n), 0.0) == pytest.approx(-n)
 
 
 def test_signal_atoms_after_full_transfer():
     n = 1.0e4
-    out = run_mzi(_state(np.sqrt(n), 0.0), 0.0)
-    assert signal_atoms(out) == pytest.approx(n, rel=1e-12)
+    assert signal_atoms(*run_mzi(np.sqrt(n), 0.0, 0.0)) == pytest.approx(n, rel=1e-12)
 
 
 def test_fringe_is_cosine(coherent_ensemble):
@@ -135,15 +124,15 @@ def test_fringe_is_cosine(coherent_ensemble):
     n_total = coherent_ensemble.n_total
     spec = HomodyneSpec(lo_sampled=False)
     for phi in np.linspace(0.0, 2 * np.pi, 9):
-        sample = measure_signals(coherent_ensemble, phi, spec)
-        se = np.std(sample.s_a, ddof=1) / np.sqrt(coherent_ensemble.n_traj)
-        assert abs(sample.s_a.mean() - n_total * np.cos(phi)) < 4 * se + 1e-6
+        s_a, _ = interferometer_signals(coherent_ensemble, phi, spec)
+        se = np.std(s_a, ddof=1) / np.sqrt(coherent_ensemble.n_traj)
+        assert abs(s_a.mean() - n_total * np.cos(phi)) < 4 * se + 1e-6
 
 
 def test_balanced_point_mean_zero(coherent_ensemble):
-    sample = measure_signals(coherent_ensemble, np.pi / 2, HomodyneSpec(lo_sampled=False))
-    se = np.std(sample.s_a, ddof=1) / np.sqrt(coherent_ensemble.n_traj)
-    assert abs(sample.s_a.mean()) < 3 * se
+    s_a, _ = interferometer_signals(coherent_ensemble, np.pi / 2, HomodyneSpec(lo_sampled=False))
+    se = np.std(s_a, ddof=1) / np.sqrt(coherent_ensemble.n_traj)
+    assert abs(s_a.mean()) < 3 * se
 
 
 # --- homodyne -----------------------------------------------------------------
@@ -190,21 +179,14 @@ def test_signal_light_requires_lo_amplitude():
         signal_light(1j)
 
 
-# --- combining ------------------------------------------------------------------
+# --- correction weight ------------------------------------------------------------
 
-def test_combine_signals_arithmetic():
-    spec = HomodyneSpec(gain_g=100.0, correction_sign="plus")
-    assert combine_signals(10.0, 0.0, spec) == 10.0
-    assert combine_signals(10.0, 5.0, spec) == pytest.approx(9.95)
-    flipped = HomodyneSpec(gain_g=100.0, correction_sign="minus")
-    assert combine_signals(10.0, 5.0, flipped) == pytest.approx(10.05)
-    assert combine_signals(10.0, 5.0, HomodyneSpec(correction_sign="off")) == 10.0
+def test_correction_weight_values():
+    # S = S_a + w S_b / g: "plus" subtracts the light record, "minus" adds it
     assert [correction_weight(sign) for sign in ("plus", "minus", "off")] == [-1.0, 1.0, 0.0]
 
 
-def test_combine_signals_rejects_auto():
-    with pytest.raises(ValueError):
-        combine_signals(1.0, 1.0, HomodyneSpec(correction_sign="auto"))
+def test_correction_weight_rejects_auto():
     with pytest.raises(ValueError, match="unresolved"):
         correction_weight("auto")
 
@@ -223,17 +205,16 @@ def test_resolve_homodyne_derives_lo(working_point_ensemble):
 # --- sign calibration and correlations ------------------------------------------
 
 def _calibrate_at(ensemble, spec, phi=np.pi / 2):
-    """The sign chosen from the interferometer's own signals at phi."""
-    sample = measure_signals(ensemble, phi, spec)
-    return calibrate_correction_sign(sample.s_a, sample.s_b)
+    """The sign chosen from the step-by-step interferometer's signals at phi."""
+    return calibrate_correction_sign(*interferometer_signals(ensemble, phi, spec))
 
 
 def test_calibration_reduces_variance(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     sign = _calibrate_at(working_point_ensemble, spec)
-    sample = measure_signals(working_point_ensemble, np.pi / 2, spec)
-    s_corr = sample.s_a - {"plus": 1, "minus": -1}[sign] * sample.s_b / spec.gain_g
-    assert np.var(s_corr, ddof=1) < np.var(sample.s_a, ddof=1)
+    s_a, s_b = interferometer_signals(working_point_ensemble, np.pi / 2, spec)
+    s_corr = s_a - {"plus": 1, "minus": -1}[sign] * s_b / spec.gain_g
+    assert np.var(s_corr, ddof=1) < np.var(s_a, ddof=1)
 
 
 def test_calibration_flips_half_fringe_away(working_point_ensemble):
@@ -292,8 +273,8 @@ def test_feature_sign_matches_interferometer_sign(request, ensemble, phi):
 ])
 def test_correlation_structure(working_point_ensemble, phi, lo, hi):
     spec = HomodyneSpec(gain_g=100.0)
-    sample = measure_signals(working_point_ensemble, phi, spec)
-    corr = np.corrcoef(sample.s_a, sample.s_b / spec.gain_g)[0, 1]
+    s_a, s_b = interferometer_signals(working_point_ensemble, phi, spec)
+    corr = np.corrcoef(s_a, s_b / spec.gain_g)[0, 1]
     assert lo <= corr <= hi
 
 

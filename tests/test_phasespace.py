@@ -220,5 +220,7 @@ def test_time_tag_forward_only():
     state = ModeTriple(1.0 + 0j, 0j, 0j, "t1")
     with pytest.raises(ValueError):
         state.advanced(1.0 + 0j, 0j, 0j, "t0")
-    out = state.advanced(1.0 + 0j, 0j, 0j, "t3")
-    assert out.time_tag == "t3"
+    assert ModeTriple(1.0 + 0j, 0j, 0j).advanced(1.0 + 0j, 0j, 0j, "t1").time_tag == "t1"
+    # t0 (before the splitting pulse) and t1 (after it) are the only times
+    with pytest.raises(ValueError, match="unknown time_tag 't3'"):
+        ModeTriple(1.0 + 0j, 0j, 0j, "t3")
