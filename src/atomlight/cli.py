@@ -334,8 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                          "with an embedded config")
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
-    common.add_argument("--seed", type=int, help="override master_seed")
-    common.add_argument("--threads", type=int,
+    common.add_argument("--seed", help="override master_seed")
+    common.add_argument("--threads",
                         help="accepted for the benchmark workloads, which pass it; "
                              "changes nothing, as the program runs on one thread")
     common.add_argument("--out", default=".", help="output directory")
@@ -354,19 +354,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_mapping(args, keys) -> dict:
-    """The config file, then each --set, then the common flags (refused for a key
-    that keys lacks, as an unknown --set key is)."""
+    """The config file, then each --set, then the common flags, each parsed as
+    the --set of its key."""
     mapping = {}
     if args.config:
         mapping.update(load_config_file(args.config, keys=keys))
     for item in args.set:
         mapping.update(parse_assignments([item], source="--set", keys=keys))
-    flags = {"master_seed": args.seed, "threads": args.threads, "output_format": args.format}
-    flags = {key: value for key, value in flags.items() if value is not None}
-    unknown = sorted(set(flags) - set(keys))
-    if unknown:
-        raise ConfigError(f"common flags set keys {args.command} does not have: {unknown}")
-    mapping.update(flags)
+    flags = {"--seed": ("master_seed", args.seed), "--threads": ("threads", args.threads),
+             "--format": ("output_format", args.format)}
+    for flag, (key, value) in flags.items():
+        if value is not None:
+            mapping.update(parse_assignments([f"{key}={value}"], source=flag, keys=keys))
     return mapping
 
 
@@ -388,8 +387,7 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):  # the gates report what overflows
             return handler(make(_resolve_mapping(args, kinds)), Path(args.out))
     except IntegrationError as exc:  # raised before any file is written
-        print(json.dumps({"error": "integration", "invariant": "finite_state",
-                          "pass": "closed_form", "step_index": exc.step_index,
+        print(json.dumps({"error": "integration", "invariant": "finite_state", "r": exc.r,
                           "limit": "finite"}), file=sys.stderr)
         return 1
     except (ValueError, TypeError) as exc:  # ConfigError is a ValueError

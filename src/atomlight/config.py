@@ -173,7 +173,10 @@ def load_config_file(path, keys=RUN_KINDS) -> dict:
     import json
     from pathlib import Path
 
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)

@@ -18,19 +18,21 @@ separately.  Three exact invariants hold per trajectory:
 With the pump held at its classical amplitude sqrt(N1(0)) the pair
 (alpha2, beta2) obeys the exact two-mode Bogoliubov map
 
-    alpha2(t1) = alpha2(0) cosh r + i conj(beta2(0)) sinh r
-    beta2(t1)  = beta2(0) cosh r + i conj(alpha2(0)) sinh r
+    alpha2(r) = alpha2(0) cosh r + i conj(beta2(0)) sinh r
+    beta2(r)  = beta2(0) cosh r + i conj(alpha2(0)) sinh r
 
 which is the undepleted-pump ("analytic") propagator.
 
 The full equations are classical three-wave mixing, which is integrable:
-evolve_closed_form evaluates each trajectory at each stop from t0, with
+evolve_closed_form evaluates each trajectory at each stop from s = 0, with
 |alpha2|^2 an elliptic function of s and each phase an elliptic integral of
 the third kind, computed with numpy alone in threewave (descending Landen
 for sn and cn, Carlson's duplication for F and the third-kind integrals).
 Its report holds the drifts of the two quadratic invariants from the
 returned amplitudes, and in k_drift the drift of K, which no phase imposes,
-so that the K-drift gate measures the phases' error.
+so that the K-drift gate measures the phases' error.  The equations are
+autonomous, so both propagators take any amplitude triple: r1, then r2 from
+the result (same n_pump0), is r1 + r2.
 
 The pump treatment is chosen by one setting, the mode of build_ensembles
 (EVOLUTION_MODES), and means the same in every use: "tw" evaluates the full
@@ -51,12 +53,12 @@ EVOLUTION_MODES = ("tw", "analytic")
 
 
 class IntegrationError(RuntimeError):
-    """Raised by the closed form at a non-finite amplitude: step_index is the
-    first such stop, snapshot the state there."""
+    """Raised by the closed form at a non-finite amplitude: r is the first stop
+    given whose state is not finite, snapshot the state there."""
 
-    def __init__(self, step_index: int, snapshot: ModeTriple):
-        self.step_index, self.snapshot = step_index, snapshot
-        super().__init__(f"non-finite state at stop {step_index} of the closed form")
+    def __init__(self, r: float, snapshot: ModeTriple):
+        self.r, self.snapshot = r, snapshot
+        super().__init__(f"non-finite state at r = {r} of the closed form")
 
 
 @dataclass
@@ -65,10 +67,10 @@ class ConservationReport:
 
     Atom-number drift is relative to the per-trajectory initial total;
     Manley-Rowe drift is relative to the largest |alpha2|^2 + |beta2|^2 at
-    t0 and the stop (the difference itself starts near zero, so its own
+    s = 0 and the stop (the difference itself starts near zero, so its own
     magnitude is not a usable scale).  k_drift is the largest drift of
     K = Re(conj(a1) a2 b2) relative to the trajectory's larger |a1 a2 b2| at
-    t0 and the stop.  All three are 0 for the analytic map.
+    s = 0 and the stop.  All three are 0 for the analytic map.
     """
 
     max_rel_drift_atoms: float = 0.0
@@ -76,43 +78,37 @@ class ConservationReport:
     k_drift: float = 0.0
 
 
-def _require_time_tag(state: ModeTriple, tag: str):
-    if state.time_tag != tag:
-        raise ValueError(f"expected state at {tag}, got {state.time_tag}")
-
-
 def evolve_analytic(state: ModeTriple, r: float) -> ModeTriple:
-    """Exact undepleted-pump (Bogoliubov) propagation from t0 to t1."""
-    _require_time_tag(state, "t0")
+    """Exact undepleted-pump (Bogoliubov) propagation of state by r."""
     if r < 0 or not np.isfinite(r):
         raise ValueError("r must be finite and >= 0")
     ch, sh = np.cosh(r), np.sinh(r)
     a2 = state.alpha2 * ch + 1j * np.conj(state.beta2) * sh
     b2 = state.beta2 * ch + 1j * np.conj(state.alpha2) * sh
-    return state.advanced(np.copy(state.alpha1), a2, b2, "t1")
+    return ModeTriple(np.copy(state.alpha1), a2, b2)
 
 
 def evolve_closed_form(state: ModeTriple, stops, n_pump0: float):
-    """The full c-number dynamics from t0 to each r in stops, in closed form.
+    """The full c-number dynamics of state to each r in stops, in closed form.
 
     The three-wave equations are integrable (threewave): x = |alpha2|^2 is
     an elliptic function of s and each phase an elliptic integral of the
-    third kind.  Each stop is one evaluation from t0, so stops need no
-    lattice and no order, only to be finite and >= 0; r = 0 returns the
+    third kind.  state, sampled or propagated, is taken as s = 0 in the unit
+    that n_pump0 sets, and each stop is one evaluation from it, so stops need
+    no lattice and no order, only to be finite and >= 0; r = 0 returns the
     input amplitudes.  States and reports do not depend on
     threewave.CLOSED_FORM_BLOCK.
 
     Returns one (state, ConservationReport) pair per stop.  The drifts are
-    taken from the returned amplitudes, each against its t0 value; k_drift
+    taken from the returned amplitudes, each against its s = 0 value; k_drift
     holds the drift of K = Re(conj(a1) a2 b2), which the phases do not
-    impose, relative to the trajectory's larger |a1 a2 b2| at t0 and the
-    stop.  A non-finite amplitude raises IntegrationError at the first such
-    stop, its snapshot the state at that stop.  A trajectory with K = 0 and
-    a mode exactly at 0 has no phase at t0 for the integrals to start from
-    (a Wigner sample has none); the closed form does not follow it, and its
-    K drift or a non-finite state reports it.
+    impose, relative to the trajectory's larger |a1 a2 b2| at s = 0 and the
+    stop.  A non-finite amplitude raises IntegrationError with the first stop
+    given whose state is not finite, and that state.  A trajectory with K = 0
+    and a mode exactly at 0 has no phase at s = 0 for the integrals to start
+    from (a Wigner sample has none); the closed form does not follow it, and
+    its K drift or a non-finite state reports it.
     """
-    _require_time_tag(state, "t0")
     stops = [float(r) for r in stops]
     if not all(np.isfinite(stops)) or min(stops) < 0:
         raise ValueError("stops must be finite and >= 0")
@@ -121,14 +117,14 @@ def evolve_closed_form(state: ModeTriple, stops, n_pump0: float):
     states, maxima, bad = threewave.evaluate(rows, stops, 1.0 / np.sqrt(n_pump0))
     if bad:
         first = min(bad)
-        raise IntegrationError(first, ModeTriple(*states[first], "t1"))
-    return [(state.advanced(*y, "t1"), ConservationReport(atoms, dev_mr / max(1.0, scale_mr), k))
+        raise IntegrationError(stops[first], ModeTriple(*states[first]))
+    return [(ModeTriple(*y), ConservationReport(atoms, dev_mr / max(1.0, scale_mr), k))
             for y, (atoms, dev_mr, scale_mr, k) in zip(states, maxima.tolist())]
 
 
 @dataclass
 class Ensemble:
-    """A t1 trajectory ensemble plus the run metadata needed downstream.
+    """A trajectory ensemble at r plus the run metadata needed downstream.
 
     The same ensemble is reused across every interferometer phase (common
     random numbers): the dynamics do not depend on phi, so re-evolving per
@@ -173,7 +169,7 @@ def build_ensembles(
 ) -> list[Ensemble]:
     """Sample one initial ensemble and propagate it to every r in r_values.
 
-    The t0 sample does not depend on r, so one sample serves the whole list,
+    The sample does not depend on r, so one sample serves the whole list,
     with one closed-form evaluation of every r (tw) or the Bogoliubov map at
     each (analytic).  Returns one Ensemble per entry of r_values, in the
     order given; repeated values share their state.
@@ -201,7 +197,7 @@ def build_ensembles(
 def transferred_atoms(ensemble: Ensemble) -> float:
     """Atoms moved into the transferred mode during the super-radiance step.
 
-    mean(|alpha2(t1)|^2) - 1/2 - n_seed.
+    mean(|alpha2(r)|^2) - 1/2 - n_seed.
     """
     if ensemble.n_traj == 0:
         raise ValueError("empty ensemble")

@@ -35,8 +35,6 @@ STREAMS = {
     "bootstrap": 5,
 }
 
-TIME_TAGS = ("t0", "t1")
-
 # Wigner width of a coherent state: each quadrature of the added noise eta
 # has variance 1/4, so <|eta|^2> = 1/2.
 NOISE_SIGMA = 0.5
@@ -49,30 +47,21 @@ SAMPLE_BLOCK = 1 << 16
 
 @dataclass
 class ModeTriple:
-    """c-number amplitudes of the three retained modes at a named time.
+    """c-number amplitudes of the three retained modes.
 
     Fields may be complex scalars (one trajectory) or complex arrays of equal
-    shape (a trajectory ensemble).
+    shape (a trajectory ensemble).  A triple carries no time: the equations
+    of motion are autonomous, so a propagated state is as valid a start as a
+    sampled one.
     """
 
     alpha1: complex | np.ndarray
     alpha2: complex | np.ndarray
     beta2: complex | np.ndarray
-    time_tag: str = "t0"
-
-    def __post_init__(self):
-        if self.time_tag not in TIME_TAGS:
-            raise ValueError(f"unknown time_tag {self.time_tag!r}")
 
     @property
     def n_traj(self) -> int:
         return int(np.size(self.alpha1))
-
-    def advanced(self, alpha1, alpha2, beta2, time_tag: str) -> "ModeTriple":
-        """New state at a later time tag; the tag may only move forward."""
-        if TIME_TAGS.index(time_tag) < TIME_TAGS.index(self.time_tag):
-            raise ValueError(f"time_tag may not go backwards: {self.time_tag} -> {time_tag}")
-        return ModeTriple(alpha1, alpha2, beta2, time_tag)
 
 
 def quadrature_x(amps) -> np.ndarray | float:
@@ -169,5 +158,4 @@ def sample_initial_ensemble(
         alpha1=sample_coherent_batch(m1, master_seed, "atoms1", n_traj),
         alpha2=sample_coherent_batch(m2, master_seed, "atoms2", n_traj),
         beta2=sample_coherent_batch(m3, master_seed, "light2", n_traj),
-        time_tag="t0",
     )

@@ -14,7 +14,7 @@ form without cancellation; a trajectory is worked in units of sqrt(A), so
 that squares of both the pump and the vacuum stay in range.
 
 evaluate takes an ensemble in blocks of CLOSED_FORM_BLOCK trajectories and
-each stop as one evaluation from t0; every operation is elementwise with
+each stop as one evaluation from s = 0; every operation is elementwise with
 fixed iteration counts, so results do not depend on the block size.
 dynamics.evolve_closed_form is the interface.  The numerics are a module of
 their own because every run compiles the package when no bytecode is
@@ -29,9 +29,8 @@ import numpy as np
 # Trajectories per closed-form block.  A block keeps its orbit (about 20
 # arrays of this width) and one stop's temporaries (about 50).  A phi-sweep of
 # 1e4 trajectories at r = 3 peaked at 37.58 MB of RSS with 512 or 1024, 37.56
-# with 2048 and 37.87 with 4096, against 37.81 with the RK4 (medians of 8
-# runs, 2-core host); 2048 is the widest of the lowest, with the least
-# per-call overhead.
+# with 2048 and 37.87 with 4096 (medians of 8 runs, 2-core host); 2048 is the
+# widest of the lowest, with the least per-call overhead.
 CLOSED_FORM_BLOCK = 2048
 # Fixed counts, so that each element is rounded alike in any block.  Nine
 # duplications bring R_F and R_J to rounding with arguments down to 1e-40
@@ -198,12 +197,12 @@ def _invariants(y):
 
 
 def _block(rows, out, stops, kappa):
-    """Write the state of a block (views a1, a2, b2 at t0) at each stop into out[stop].
+    """Write the state of a block (views a1, a2, b2 at s = 0) at each stop into out[stop].
 
     Returns per stop the raw maxima (relative atom drift, Manley-Rowe drift,
     Manley-Rowe scale, relative drift of K) and the set of stops whose state
     is not finite.  Only the orbit is kept across stops, and each stop is
-    evaluated in a scope of its own: the t0 invariants and phases are read
+    evaluated in a scope of its own: the s = 0 invariants and phases are read
     again from rows, so a block holds about one stop's temporaries at a time.
     """
     unit = np.sqrt(_invariants(rows)[0])  # sqrt(A): squares of both A and the vacuum stay in range

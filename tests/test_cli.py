@@ -143,13 +143,20 @@ def test_invalid_value_rejected(tmp_path, capsys):
     ("phi-sweep", "master_seed=-1"),
     ("phi-sweep", f"master_seed={2**64}"),
     ("phi-sweep", "trajectories=50"),
+    # a common flag is the --set of its key, refused in the same record
+    ("phi-sweep", "--seed=abc"),
+    ("phi-sweep", "--seed=1.5"),
+    ("phi-sweep", "--threads=x"),
 ])
 def test_bad_value_rejected_before_work(tmp_path, capsys, verb, assignment):
+    key = assignment.split("=")[0]
+    args = [assignment] if key.startswith("--") else ["--set", assignment]
     out = tmp_path / "out"
-    code = main([verb, "--set", assignment, "--out", str(out)])
+    code = main([verb, *args, "--out", str(out)])
     assert code == 2
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "config" and assignment.split("=")[0] in record["message"]
+    record = json.loads(capsys.readouterr().err)  # one line: one record
+    key = {"--seed": "master_seed", "--threads": "threads"}.get(key, key)
+    assert record["error"] == "config" and key in record["message"]
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -183,6 +190,18 @@ def test_config_file_parsing(tmp_path):
     summary = json.loads((out / "phi_sweep_summary.json").read_text())
     assert summary["config"]["trajectories"] == 120
     assert summary["config"]["r"] == 0.5
+
+
+def test_non_utf8_config_file_is_named(tmp_path, capsys):
+    # a UTF-16 byte-order mark is not UTF-8: the record names the file, as for bad JSON
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfetrajectories = 120\n")
+    out = tmp_path / "out"
+    code = main(["phi-sweep", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config" and record["message"].startswith(f"{cfg}: ")
+    assert not out.exists()
 
 
 def test_seed_override(tmp_path):
@@ -583,8 +602,8 @@ def test_integration_error_is_reported(tmp_path, capsys, monkeypatch):
     code = main(["phi-sweep", "--set", "trajectories=100", "--out", str(out)])
     assert code == 1
     (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-    assert record == {"error": "integration", "invariant": "finite_state", "pass": "closed_form",
-                      "step_index": 0, "limit": "finite"}
+    assert record == {"error": "integration", "invariant": "finite_state", "r": 3.0,
+                      "limit": "finite"}
     assert not out.exists()
 
 

@@ -12,7 +12,6 @@ from scipy import stats
 from atomlight import phasespace
 from atomlight.phasespace import (
     STREAMS,
-    ModeTriple,
     _box_muller,
     occupation,
     open_stream,
@@ -185,7 +184,7 @@ def test_distinct_streams_uncorrelated():
 def test_initial_state_means():
     # one trajectory of the t0 state
     state = sample_initial_ensemble(1.0e7, 0.0, master_seed=21, n_traj=1)
-    assert state.time_tag == "t0" and state.n_traj == 1
+    assert state.n_traj == 1
     assert abs(state.alpha1[0] - np.sqrt(1.0e7)) < 5.0  # vacuum-width fluctuation
     assert abs(state.alpha2[0]) < 5.0
     assert abs(state.beta2[0]) < 5.0
@@ -215,12 +214,3 @@ def test_seed_spec_validation():
     with pytest.raises(ValueError):
         sample_coherent_batch(0.0, 1, "atoms1", 1, first_index=-1)
 
-
-def test_time_tag_forward_only():
-    state = ModeTriple(1.0 + 0j, 0j, 0j, "t1")
-    with pytest.raises(ValueError):
-        state.advanced(1.0 + 0j, 0j, 0j, "t0")
-    assert ModeTriple(1.0 + 0j, 0j, 0j).advanced(1.0 + 0j, 0j, 0j, "t1").time_tag == "t1"
-    # t0 (before the splitting pulse) and t1 (after it) are the only times
-    with pytest.raises(ValueError, match="unknown time_tag 't3'"):
-        ModeTriple(1.0 + 0j, 0j, 0j, "t3")
