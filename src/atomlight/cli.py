@@ -32,15 +32,9 @@ from .config import (
     parse_assignments,
 )
 from .dynamics import ConservationReport, IntegrationError, check_pump_range, transferred_atoms
-from .estimator import (
-    fringe_features,
-    prepare,
-    scan_over_r,
-    sensitivity_curve,
-    squeezed_combo_variance,
-)
+from .estimator import prepare, scan_over_r, sensitivity_curve, squeezed_combo_variance
 from .feasibility import PhysicalSetup, capture_fraction, rate_ratio, scaling_estimate
-from .interferometer import correction_weight
+from .interferometer import correction_weight, feature_stack
 from . import __version__
 
 DRIFT_LIMIT = 1.0e-6  # conservation drift above this fails the run
@@ -95,16 +89,15 @@ def write_summary(path: Path, payload: dict):
 
 
 def _write_run(config: RunConfig, out_dir: Path, stem: str, columns: list[str], rows,
-               summary: dict, reports=None, finite=None) -> int:
+               summary: dict, reports, finite: dict) -> int:
     """Write the data table and the summary (config, summary, then the gates over
-    reports and finite when reports are given); 0 unless a gate failed."""
+    reports and finite); 0 unless a gate failed."""
     payload = {"config": config.to_dict(), **summary}
     write_table(out_dir / f"{stem}.{config.output_format}", columns, rows, payload["config"],
                 config.output_format)
-    if reports is not None:
-        payload["gates"] = _gates(reports, finite)
+    payload["gates"] = _gates(reports, finite)
     write_summary(out_dir / f"{stem}_summary.json", payload)
-    return _gate_status(payload.get("gates", {}))
+    return _gate_status(payload["gates"])
 
 
 PHI_SWEEP_COLUMNS = [
@@ -162,8 +155,9 @@ SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
 
 def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembles=None) -> int:
     (ensemble,), spec = prepare(config, [config.r], ensembles)
-    features, _, sign = fringe_features(ensemble, spec)
-    b, c, s_b_scaled = features.T
+    signs = []  # a stack of one: every verb's features and LO draw come from feature_stack
+    b, c, s_b_scaled = feature_stack([ensemble], spec, signs, [])[0].T
+    (sign,) = signs
     rows = []
     corr = {}
     for phi in config.scatter_phis:
@@ -212,11 +206,8 @@ ANALYTIC_COLUMNS = [
 
 def cmd_analytic_table(config: RunConfig, out_dir: Path, stem: str = "analytic_table") -> int:
     r_values = config.r_list if config.r_list else list(np.linspace(0.0, 5.0, 51))
-    rows = []
-    for r in r_values:
-        p = predict(float(r), config.n_total)
-        rows.append((p.r, p.delta_phi_plain, p.delta_phi_recycled, p.m_plain,
-                     p.m_recycled, p.var_squeezed_combo, p.var_antisqueezed_combo))
+    predictions = [predict(float(r), config.n_total) for r in r_values]
+    rows = [tuple(getattr(p, c) for c in ANALYTIC_COLUMNS) for p in predictions]
     return _write_run(config, out_dir, stem, ANALYTIC_COLUMNS, rows, {
         "sql": sql(config.n_total),
         "heisenberg": heisenberg(config.n_total),

@@ -120,8 +120,9 @@ class RunConfig:
         if self.r_list is not None:
             if len(self.r_list) == 0 or any(v < 0 for v in self.r_list):
                 raise ConfigError("r_list must be non-empty with all values >= 0")
-        if self.phi_count < 2 or self.phi_stop <= self.phi_start:
-            raise ConfigError("phi grid needs phi_stop > phi_start and phi_count >= 2")
+        if self.phi_count < 2 or not 0 < self.phi_stop - self.phi_start < np.inf:
+            raise ConfigError("phi grid needs a finite width phi_stop - phi_start > 0 "
+                              "and phi_count >= 2")
         if self.gain_g <= 0:
             raise ConfigError("gain_g must be > 0")
         if not 0 <= self.master_seed < 2**64:

@@ -1,19 +1,17 @@
-"""Sensitivity estimation from trajectory ensembles.
+"""Sensitivity estimation from the read-out's feature stacks.
 
 Per trajectory the combined signal is a single fringe harmonic in the
 interferometer phase plus the weighted light record,
 
     S(phi) = B cos(phi) + C sin(phi) + w S_b / g,
 
-with the closed forms B = |alpha1|^2 - |alpha2|^2, C = -2 Re(alpha1 conj(alpha2))
-of the t1 amplitudes and S_b = -2 Im(beta2 conj(beta_LO)) (signal_light).
-The features (B, C, S_b / g) do not depend on the correction: its sign is
-the weight w (interferometer.correction_weight) in the fringe design, and
-the atomic record S_a is S at w = 0, read from the same sums.  The dynamics
-do not depend on phi, so one ensemble and one local-oscillator draw serve
-every phase (exact common random numbers), and the per-phase mean and
-unbiased variance of S follow from three feature means and a 3x3 covariance,
-each summed in one fixed order per phase.  The slope of the mean fringe is
+from the features (B, C, S_b / g) of the read-out (interferometer).  The
+correction's sign is only the weight w in the fringe design, and the atomic
+record S_a is S at w = 0, read from the same sums.  The dynamics do not
+depend on phi, so one ensemble and one local-oscillator draw serve every
+phase (exact common random numbers), and the per-phase mean and unbiased
+variance of S follow from three feature means and a 3x3 covariance, each
+summed in one fixed order per phase.  The slope of the mean fringe is
 exact, d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so any single phase can be
 evaluated on its own, and
 
@@ -24,12 +22,12 @@ are resampled and V(S), d<S>/dphi and M are recomputed jointly from the
 feature sums over each resample.
 
 Every M goes through one evaluation, _curves: check that the ensembles
-share one draw and have enough trajectories, draw the LO noise once, stack
-the features (dropping each ensemble once read), and evaluate every (set,
-weight, phase) cell and every interval with one evaluate call, which forms
-one term block of the stack and drops the stack.  sensitivity_curve (a
-single phase included) and scan_over_r are reads of its curves, in every
-evolution mode.
+share one draw and have enough trajectories, take their feature stack from
+the read-out (one LO draw; each ensemble dropped once read), and evaluate
+every (set, weight, phase) cell and every interval with one evaluate call,
+which forms one term block of the stack and drops the stack.
+sensitivity_curve (a single phase included) and scan_over_r are reads of
+its curves, in every evolution mode.
 """
 
 from __future__ import annotations
@@ -41,14 +39,7 @@ import numpy as np
 from .analytics import predict
 from .config import CORRECTIONS, MIN_RESAMPLES, MIN_TRAJECTORIES, RunConfig
 from .dynamics import ConservationReport, Ensemble, build_ensembles, transferred_atoms
-from .interferometer import (
-    HomodyneSpec,
-    calibrate_correction_sign,
-    correction_weight,
-    lo_amplitude,
-    lo_noise_samples,
-    signal_light,
-)
+from .interferometer import HomodyneSpec, correction_weight, feature_stack
 from .phasespace import open_stream, quadrature_x, quadrature_y
 
 CI_LEVEL = 0.95  # coverage of every bootstrap interval
@@ -110,28 +101,6 @@ class RScanResult:
     rows: list[RScanRow]
     star: int  # index of the row with the least M, the optimum
     at_boundary: bool  # r_star is the smallest or largest of more than one distinct r
-
-
-def fringe_features(
-    ensemble: Ensemble, spec: HomodyneSpec, lo_noise=None, out=None
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Per-trajectory features (B, C, S_b / g), the light record S_b, and the sign.
-
-    B and C, the fringe of N2 - N1 behind the Mach-Zehnder interferometer,
-    come in closed form from the unsplit t1 amplitudes: no splitter is
-    applied.  The features are the same for every correction sign, and an
-    "auto" sign is calibrated at pi/2, where the atomic signal is C.  The LO
-    noise is drawn once (or passed in), and the (n, 3) features are written
-    into out when it is given.
-    """
-    s_b = signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise))
-    a1, a2 = ensemble.state.alpha1, ensemble.state.alpha2
-    b = (a1.real ** 2 + a1.imag ** 2) - (a2.real ** 2 + a2.imag ** 2)  # |alpha1|^2 - |alpha2|^2
-    c = -2.0 * (a1.real * a2.real + a1.imag * a2.imag)  # -2 Re(alpha1 conj(alpha2))
-    sign = spec.correction_sign
-    if sign == "auto":
-        sign = calibrate_correction_sign(c, s_b)
-    return np.stack([b, c, s_b / spec.gain_g], axis=1, out=out), s_b, sign
 
 
 def _moments(features):
@@ -266,18 +235,6 @@ def evaluate(features, phi, weights, n_total: float, resamples: int | None = Non
     return stats, edges[0], edges[1]
 
 
-def _feature_stack(ensembles: list, spec: HomodyneSpec, signs: list, mean_s_b: list):
-    """The (sets, n, 3) features of the ensembles, each popped from the list as it is
-    read, from one LO draw; each set's sign and mean light record go to signs and mean_s_b."""
-    lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
-    features = np.empty((len(ensembles), ensembles[0].n_traj, 3))
-    for s in range(len(features)):  # written into the stack: assigning back copies nothing
-        features[s], s_b, sign = fringe_features(ensembles.pop(0), spec, lo_noise, features[s])
-        mean_s_b.append(float(np.mean(s_b)))
-        signs.append(sign)
-    return features
-
-
 def _curves(ensembles: list, phi, spec: HomodyneSpec,
             resamples: int | None) -> list[SensitivityCurve]:
     """The sensitivity curve of each ensemble at each phase in phi, a non-empty 1-D grid.
@@ -304,7 +261,7 @@ def _curves(ensembles: list, phi, spec: HomodyneSpec,
     # S at each set's weight (with its interval) and S_a (weight 0).  Arguments are
     # evaluated in order: the stack, which no name here holds, first fills signs
     stats, ci_lo, ci_hi = evaluate(
-        _feature_stack(ensembles, spec, signs, mean_s_b), phi,
+        feature_stack(ensembles, spec, signs, mean_s_b), phi,
         [[correction_weight(sign), 0.0] for sign in signs], n_total, resamples, master_seed)
     return [SensitivityCurve(
         phi=phi, mean_s_a=stats["mean_s"][s, 1], var_s_a=stats["var_s"][s, 1],

@@ -1,25 +1,34 @@
-"""Homodyne read-out of the light from the super-radiance step: the LO
-amplitude, the light record and the correction sign.
+"""Homodyne read-out of the t1 state: the per-trajectory fringe features
+that every M is evaluated from, the LO amplitude and its one draw, the light
+record and the correction sign.
 
 beta2 leaves the condensate at t1 and is detected apart from the atoms.
 Homodyne detection against a strong local oscillator gives the port
 difference S_b = |c|^2 - |d|^2 = -2 Im(beta2 conj(beta_LO)), which
-signal_light returns in closed form.  The atoms' record S_a = N2 - N1 after
-the Mach-Zehnder interferometer is a fringe the estimator takes in closed form
-from the t1 amplitudes (estimator.fringe_features).
+signal_light returns in closed form, with beta_LO = g sqrt(<N1(t1)>) from
+lo_amplitude.  The atoms' record S_a = N2 - N1 after the Mach-Zehnder
+interferometer is a single fringe harmonic in its phase,
+
+    S_a(phi) = B cos(phi) + C sin(phi),
+
+with B = |alpha1|^2 - |alpha2|^2 and C = -2 Re(alpha1 conj(alpha2)) of the
+unsplit t1 amplitudes, so no splitter is applied.  fringe_features forms the
+rows (B, C, S_b / g) of one ensemble.
 
 The combined signal S = S_a + w S_b / g removes the quantum noise the two
 records share, with w from the correction sign in one place,
-correction_weight.  Which sign cancels (rather than doubles) the shared
-noise depends on the working phase, so it is calibrated from the ensemble.
-The LO amplitude is resolved in one place, lo_amplitude: beta_LO =
-g sqrt(<N1(t1)>), plus the LO's per-trajectory vacuum noise when
-HomodyneSpec.lo_sampled is set.
+correction_weight, so the features are the same for every sign.  Which sign
+cancels (rather than doubles) the shared noise depends on the working
+phase, so an "auto" sign is calibrated from the ensemble at pi/2, where S_a
+is C.  feature_stack forms the (sets, n, 3) stack that the estimator
+evaluates (the scatter verb's single ensemble is a stack of one); it alone
+reads HomodyneSpec.lo_sampled and draws the LO's per-trajectory vacuum
+noise, once for all of its ensembles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,12 +78,10 @@ def lo_noise_samples(ensemble: Ensemble) -> np.ndarray:
 
 
 def lo_amplitude(ensemble: Ensemble, spec: HomodyneSpec, lo_noise=None):
-    """beta_LO = g sqrt(<N1(t1)>), plus the LO's vacuum noise per trajectory
-    when spec.lo_sampled (drawn here unless lo_noise holds the draw)."""
+    """beta_LO = g sqrt(<N1(t1)>), plus lo_noise (the LO's vacuum noise per
+    trajectory) when it is given."""
     beta_lo = spec.gain_g * np.sqrt(max(occupation(ensemble.state.alpha1), 0.0))
-    if not spec.lo_sampled:
-        return beta_lo
-    return beta_lo + (lo_noise_samples(ensemble) if lo_noise is None else lo_noise)
+    return beta_lo if lo_noise is None else beta_lo + lo_noise
 
 
 def calibrate_correction_sign(s_a, s_b) -> str:
@@ -94,11 +101,48 @@ def calibrate_correction_sign(s_a, s_b) -> str:
     return "plus" if cov >= 0 else "minus"
 
 
+def fringe_features(
+    ensemble: Ensemble, spec: HomodyneSpec, lo_noise, out=None
+) -> tuple[np.ndarray, np.ndarray, str]:
+    """Per-trajectory features (B, C, S_b / g), the light record S_b, and the sign.
+
+    S_b is read against lo_amplitude(ensemble, spec, lo_noise), so lo_noise
+    None is an LO without vacuum noise.  An "auto" sign is calibrated at
+    pi/2, where the atomic signal is C.  The (n, 3) features are written
+    into out when it is given.
+    """
+    s_b = signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise))
+    a1, a2 = ensemble.state.alpha1, ensemble.state.alpha2
+    b = (a1.real ** 2 + a1.imag ** 2) - (a2.real ** 2 + a2.imag ** 2)  # |alpha1|^2 - |alpha2|^2
+    c = -2.0 * (a1.real * a2.real + a1.imag * a2.imag)  # -2 Re(alpha1 conj(alpha2))
+    sign = spec.correction_sign
+    if sign == "auto":
+        sign = calibrate_correction_sign(c, s_b)
+    return np.stack([b, c, s_b / spec.gain_g], axis=1, out=out), s_b, sign
+
+
+def feature_stack(ensembles: list, spec: HomodyneSpec, signs: list, mean_s_b: list):
+    """The (sets, n, 3) features of the ensembles, each popped from the list as it is
+    read, from one LO draw; each set's sign and mean light record go to signs and mean_s_b.
+
+    The ensembles come from one sample (the estimator checks that they share
+    master_seed and n_traj), so the noise drawn for the first is that of
+    each.  The lists receive what the caller reads besides the stack, so
+    that no caller needs to name it.
+    """
+    lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
+    features = np.empty((len(ensembles), ensembles[0].n_traj, 3))
+    for s in range(len(features)):  # written into the stack: assigning back copies nothing
+        features[s], s_b, sign = fringe_features(ensembles.pop(0), spec, lo_noise, features[s])
+        mean_s_b.append(float(np.mean(s_b)))
+        signs.append(sign)
+    return features
+
+
 def detected_photons(ensemble: Ensemble, spec: HomodyneSpec) -> float:
     """Total photons hitting the homodyne detectors: LO plus scattered light.
 
     The LO counts at its mean amplitude.  Used for the photon-inclusive
     sensitivity bound 1/sqrt(N_atoms + N_photons).
     """
-    beta_lo = lo_amplitude(ensemble, replace(spec, lo_sampled=False))
-    return float(beta_lo**2 + max(occupation(ensemble.state.beta2), 0.0))
+    return float(lo_amplitude(ensemble, spec) ** 2 + max(occupation(ensemble.state.beta2), 0.0))

@@ -7,13 +7,14 @@ run_mzi is the Mach-Zehnder interferometer taken step by step on the t1
 atomic amplitudes: a 50/50 Raman beam splitter, the phase imprinted on the
 transferred mode, a second splitter.  signal_atoms is the number difference
 N2 - N1 at its output, so signal_atoms(*run_mzi(alpha1, alpha2, phi)) is the
-atomic record that the estimator takes in closed form as B cos(phi) + C sin(phi).
+atomic record that the read-out takes in closed form as B cos(phi) + C sin(phi)
+(interferometer.fringe_features).
 interferometer_signals pairs it with the homodyne light record at one phase.
 """
 
 import numpy as np
 
-from atomlight.interferometer import lo_amplitude, signal_light
+from atomlight.interferometer import lo_amplitude, lo_noise_samples, signal_light
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -87,8 +88,10 @@ def signal_atoms(alpha1, alpha2):
 
 def interferometer_signals(ensemble, phi, spec, lo_noise=None):
     """(S_a, S_b) per trajectory at phase phi: the atoms through run_mzi, the
-    light by the homodyne read-out of the t1 amplitudes (drawing the LO noise
-    unless lo_noise holds the draw)."""
+    light by the homodyne read-out of the t1 amplitudes against an LO with the
+    noise lo_noise (drawn here when spec.lo_sampled and none is given)."""
+    if lo_noise is None and spec.lo_sampled:
+        lo_noise = lo_noise_samples(ensemble)
     state = ensemble.state
     s_a = signal_atoms(*run_mzi(state.alpha1, state.alpha2, phi))
     return s_a, signal_light(state.beta2, lo_amplitude(ensemble, spec, lo_noise))

@@ -125,6 +125,19 @@ def test_unknown_key_rejected(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_phase_range_of_infinite_width_rejected(tmp_path, capsys):
+    # phi_stop - phi_start overflows, where np.linspace would give NaN and inf phases
+    out = tmp_path / "out"
+    code = main(["phi-sweep", "--set", "phi_start=-1e308", "--set", "phi_stop=1e308",
+                 "--set", "trajectories=100", "--set", "phi_count=5",
+                 "--set", "bootstrap_resamples=100", "--out", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)  # one line: one record
+    assert record["error"] == "config"
+    assert "phi_start" in record["message"] and "phi_stop" in record["message"]
+    assert not out.exists()
+
+
 def test_invalid_value_rejected(tmp_path, capsys):
     code = main(["phi-sweep", "--set", "trajectories=-5", "--out", str(tmp_path)])
     assert code == 2
@@ -386,6 +399,27 @@ def test_scatter_signal_is_the_weighted_light_record(tmp_path, correction, weigh
     assert np.all(s_b_over_g != 0.0)  # the light record is written for every setting
 
 
+def test_scatter_reads_the_stack_of_one_lo_draw(tmp_path, monkeypatch):
+    # scatter's features are the read-out's stack of its one ensemble, from one LO draw
+    draws = []
+    lo_noise_samples = interferometer.lo_noise_samples
+
+    def counting(ensemble):
+        draws.append(ensemble.n_traj)
+        return lo_noise_samples(ensemble)
+
+    monkeypatch.setattr(interferometer, "lo_noise_samples", counting)
+    code, out = run(["scatter"] + FAST, tmp_path)
+    assert code == 0 and draws == [150]
+    config = cli.make_config(json.loads((out / "scatter_summary.json").read_text())["config"])
+    ensembles, spec = estimator.prepare(config, [config.r])
+    stack = interferometer.feature_stack(ensembles, spec, [], [])
+    lines = [l for l in (out / "scatter.csv").read_text().splitlines() if not l.startswith("#")]
+    rows = np.array([l.split(",") for l in lines[1:]], dtype=float)
+    for k in range(len(config.scatter_phis)):
+        assert np.array_equal(rows[k * 150:(k + 1) * 150, 3], stack[0, :, 2])
+
+
 # --- feasibility ----------------------------------------------------------------------
 
 def test_feasibility_defaults(tmp_path):
@@ -640,14 +674,13 @@ def test_summaries_carry_passed_gates(tmp_path):
     ("analytic-table", ["--set", "r_list=1, 900"], ("delta_phi_plain",)),  # cosh(1800) overflows
 ])
 def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra, keys):
-    original = estimator.fringe_features
+    original = interferometer.fringe_features
 
     def nan_features(*args, **kwargs):
         features, s_b, sign = original(*args, **kwargs)
         return np.full_like(features, np.nan), s_b, sign
 
-    monkeypatch.setattr(estimator, "fringe_features", nan_features)
-    monkeypatch.setattr(cli, "fringe_features", nan_features)
+    monkeypatch.setattr(interferometer, "fringe_features", nan_features)
     code, out = run([verb] + FAST + extra, tmp_path)
     assert code == 1
     record = json.loads(capsys.readouterr().err)
@@ -836,21 +869,21 @@ def test_amplitudes_and_features_are_freed_before_the_bootstrap(tmp_path, monkey
     # ensemble, _curves' stack) goes when the callee drops it
     refs, alive = [], []
 
-    def tracked(name, arrays):
-        original = getattr(estimator, name)
+    def tracked(module, name, arrays):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             refs.extend(weakref.ref(a) for a in arrays(args[0]))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(estimator, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     def amplitudes(ensemble):
         rows = (ensemble.state.alpha1, ensemble.state.alpha2, ensemble.state.beta2)
         return rows + tuple(a.base for a in rows if a.base is not None)
 
-    tracked("fringe_features", amplitudes)
-    tracked("_moments", lambda features: (features,))
+    tracked(interferometer, "fringe_features", amplitudes)
+    tracked(estimator, "_moments", lambda features: (features,))
     resample_sums = estimator._resample_sums
 
     def bootstrap(*args, **kwargs):

@@ -7,20 +7,19 @@ import numpy as np
 import pytest
 
 from atomlight.analytics import predict
-from dataclasses import replace
 
 import atomlight.dynamics as dynamics
 import atomlight.estimator as estimator
 import atomlight.interferometer as interferometer
 from atomlight.config import ConfigError, RunConfig
 from atomlight.dynamics import build_ensembles
-from atomlight.estimator import (
-    evaluate,
+from atomlight.estimator import evaluate, scan_over_r, sensitivity_curve
+from atomlight.interferometer import (
+    HomodyneSpec,
+    correction_weight,
     fringe_features,
-    scan_over_r,
-    sensitivity_curve,
+    lo_noise_samples,
 )
-from atomlight.interferometer import HomodyneSpec, correction_weight, lo_noise_samples
 from atomlight.phasespace import STREAMS
 from oracles import interferometer_signals
 
@@ -46,11 +45,13 @@ def test_phi_grid_rejects_bad_input(working_point_ensemble, monkeypatch):
         RunConfig(phi_start=np.nan, phi_stop=np.nan).validate()
     with pytest.raises(ConfigError):
         RunConfig(phi_stop=np.inf).validate()
+    with pytest.raises(ConfigError, match="phi_stop - phi_start"):  # the width overflows
+        RunConfig(phi_start=-1e308, phi_stop=1e308).validate()
     # and the estimator takes a non-empty 1-D grid, refused before any draw
     def no_draw(ensemble):
         raise AssertionError("LO noise drawn for a bad grid")
 
-    monkeypatch.setattr(estimator, "lo_noise_samples", no_draw)
+    monkeypatch.setattr(interferometer, "lo_noise_samples", no_draw)
     for grid in ([], [[0.1, 0.2]], 0.1):
         with pytest.raises(ValueError, match="non-empty 1-D grid"):
             sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(), resamples=100)
@@ -60,8 +61,10 @@ def test_phi_grid_rejects_bad_input(working_point_ensemble, monkeypatch):
 
 def test_shared_phases_are_bit_identical(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    f1, sb1, sign = fringe_features(working_point_ensemble, spec)
-    f2, sb2, _ = fringe_features(working_point_ensemble, spec)
+    f1, sb1, sign = fringe_features(working_point_ensemble, spec,
+                                    lo_noise_samples(working_point_ensemble))
+    f2, sb2, _ = fringe_features(working_point_ensemble, spec,
+                                 lo_noise_samples(working_point_ensemble))
     assert np.array_equal(f1, f2)  # same trajectories, same LO draw
     assert np.array_equal(sb1, sb2)
     wide = [np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]
@@ -89,43 +92,13 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
     assert np.array_equal(single.m_ci_lo[0], curve.m_ci_lo[64])
     assert np.array_equal(single.m_ci_hi[0], curve.m_ci_hi[64])
     # and one weight's statistics do not depend on the weights beside it
-    features, _, _ = fringe_features(ensemble, spec)
+    features, _, _ = fringe_features(ensemble, spec, lo_noise_samples(ensemble))
     w = correction_weight(curve.correction_sign)
     both, _, _ = evaluate(features[np.newaxis], grid, [[w, 0.0]], 1.0e7)
     for column, weight in enumerate((w, 0.0)):
         single, _, _ = evaluate(features[np.newaxis], grid, [[weight]], 1.0e7)
         assert both.keys() == single.keys()
         assert all(np.array_equal(both[key][:, column], single[key][:, 0]) for key in both)
-
-
-def test_features_do_not_depend_on_the_correction(working_point_ensemble):
-    # the sign is a weight in the design, so every setting gives the same features
-    lo_noise = lo_noise_samples(working_point_ensemble)
-    spec = HomodyneSpec(gain_g=100.0)
-    auto, s_b, sign = fringe_features(working_point_ensemble, spec, lo_noise)
-    assert sign in ("plus", "minus")
-    assert np.array_equal(auto[:, 2], s_b / spec.gain_g)
-    for setting in ("plus", "minus", "off"):
-        features, light, resolved = fringe_features(
-            working_point_ensemble, replace(spec, correction_sign=setting), lo_noise)
-        assert resolved == setting
-        assert features.tobytes() == auto.tobytes() and light.tobytes() == s_b.tobytes()
-
-
-@pytest.mark.parametrize("sign", ["plus", "minus", "off"])
-def test_weighted_light_feature_is_the_combined_signal(working_point_ensemble, sign):
-    # S = S_a + w S_b / g: the light record's part is the weighted feature, bit for bit,
-    # and B cos(phi) + C sin(phi) is the step-by-step interferometer's S_a
-    spec = HomodyneSpec(gain_g=100.0, correction_sign=sign)
-    lo_noise = lo_noise_samples(working_point_ensemble)
-    features, _, _ = fringe_features(working_point_ensemble, spec, lo_noise)
-    b, c, s_b_over_g = features.T
-    w = correction_weight(sign)
-    for phi in (0.3, np.pi / 2, 2.0, 3 * np.pi / 2):
-        ref_s_a, s_b = interferometer_signals(working_point_ensemble, phi, spec, lo_noise)
-        assert (w * s_b_over_g).tobytes() == (w * (s_b / spec.gain_g)).tobytes()
-        s_a = b * np.cos(phi) + c * np.sin(phi)
-        assert np.max(np.abs(s_a - ref_s_a)) <= 1e-9 * np.max(np.abs(ref_s_a))
 
 
 def _direct_signals(ensemble, grid, spec, sign):
@@ -167,7 +140,8 @@ def test_features_match_direct_signals(working_point_ensemble):
 def test_bootstrap_matches_resampled_reference(working_point_ensemble):
     grid = np.linspace(0.0, 2 * np.pi, 41)
     spec = HomodyneSpec(gain_g=100.0)
-    features, _, sign = fringe_features(working_point_ensemble, spec)
+    features, _, sign = fringe_features(working_point_ensemble, spec,
+                                        lo_noise_samples(working_point_ensemble))
     s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
     slope = _direct_slope(working_point_ensemble, grid, spec, sign)
     n = s.shape[0]
@@ -211,7 +185,6 @@ def test_one_lo_draw_per_ensemble(working_point_ensemble, monkeypatch):
         calls.append(ensemble)
         return lo_noise_samples(ensemble)
 
-    monkeypatch.setattr(estimator, "lo_noise_samples", counting)
     monkeypatch.setattr(interferometer, "lo_noise_samples", counting)
     grid = np.linspace(0.0, 2 * np.pi, 21)
     sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100)
@@ -234,7 +207,7 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
 
     counted(dynamics, "sample_initial_ensemble")
     counted(dynamics, "evolve_closed_form")
-    counted(estimator, "lo_noise_samples")
+    counted(interferometer, "lo_noise_samples")
     counted(estimator, "evaluate")
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
                        bootstrap_resamples=100)
@@ -309,7 +282,7 @@ def test_scan_rejects_ensembles_that_do_not_match(ensembles, match, monkeypatch)
     def unreachable(*args, **kwargs):
         raise AssertionError("features computed for mismatched ensembles")
 
-    monkeypatch.setattr(estimator, "fringe_features", unreachable)
+    monkeypatch.setattr(estimator, "feature_stack", unreachable)
     monkeypatch.setattr(estimator, "evaluate", unreachable)
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
                        bootstrap_resamples=100)
@@ -371,7 +344,8 @@ def test_uncorrected_m_matches_undepleted_prediction(r):
 def test_shuffling_light_record_destroys_gain(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     phi = [np.pi / 2]
-    features, _, sign = fringe_features(working_point_ensemble, spec)
+    features, _, sign = fringe_features(working_point_ensemble, spec,
+                                        lo_noise_samples(working_point_ensemble))
     w = correction_weight(sign)
     m_corr, m_off = evaluate(features[np.newaxis], phi, [[w, 0.0]], 1.0e7)[0]["m"][0, :, 0]
 
@@ -508,7 +482,8 @@ def test_stacked_bootstrap_equals_each_set_alone(n_traj):
 def test_bootstrap_deterministic(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     grid = np.linspace(0.0, np.pi, 9)
-    features, _, sign = fringe_features(working_point_ensemble, spec)
+    features, _, sign = fringe_features(working_point_ensemble, spec,
+                                        lo_noise_samples(working_point_ensemble))
     w = [correction_weight(sign)]
     a = evaluate(features[np.newaxis], grid, w, 1.0e7, resamples=100, master_seed=5)
     b = evaluate(features[np.newaxis], grid, w, 1.0e7, resamples=100, master_seed=5)

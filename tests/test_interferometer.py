@@ -1,16 +1,19 @@
-"""The step-by-step interferometer oracle, the homodyne read-out and the sign calibration."""
+"""The step-by-step interferometer oracle, the homodyne read-out, its fringe
+features and the sign calibration."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomlight.estimator import fringe_features
 from atomlight.interferometer import (
     HomodyneSpec,
     calibrate_correction_sign,
     correction_weight,
     detected_photons,
+    fringe_features,
     lo_amplitude,
     lo_noise_samples,
     signal_light,
@@ -195,11 +198,43 @@ def test_resolve_homodyne_derives_lo(working_point_ensemble):
     beta_lo = lo_amplitude(working_point_ensemble, HomodyneSpec(gain_g=100.0, lo_sampled=False))
     n1 = occupation(working_point_ensemble.state.alpha1)
     assert beta_lo == pytest.approx(100.0 * np.sqrt(n1), rel=1e-12)
-    # lo_sampled adds the LO's own draw per trajectory, drawn there or passed in
+    # it draws nothing: the LO's own noise per trajectory is added when passed in
     noise = lo_noise_samples(working_point_ensemble)
     sampled = HomodyneSpec(gain_g=100.0)
-    assert np.array_equal(lo_amplitude(working_point_ensemble, sampled), beta_lo + noise)
+    assert lo_amplitude(working_point_ensemble, sampled) == beta_lo
     assert np.array_equal(lo_amplitude(working_point_ensemble, sampled, noise), beta_lo + noise)
+
+
+# --- fringe features ----------------------------------------------------------------
+
+def test_features_do_not_depend_on_the_correction(working_point_ensemble):
+    # the sign is a weight in the design, so every setting gives the same features
+    lo_noise = lo_noise_samples(working_point_ensemble)
+    spec = HomodyneSpec(gain_g=100.0)
+    auto, s_b, sign = fringe_features(working_point_ensemble, spec, lo_noise)
+    assert sign in ("plus", "minus")
+    assert np.array_equal(auto[:, 2], s_b / spec.gain_g)
+    for setting in ("plus", "minus", "off"):
+        features, light, resolved = fringe_features(
+            working_point_ensemble, replace(spec, correction_sign=setting), lo_noise)
+        assert resolved == setting
+        assert features.tobytes() == auto.tobytes() and light.tobytes() == s_b.tobytes()
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus", "off"])
+def test_weighted_light_feature_is_the_combined_signal(working_point_ensemble, sign):
+    # S = S_a + w S_b / g: the light record's part is the weighted feature, bit for bit,
+    # and B cos(phi) + C sin(phi) is the step-by-step interferometer's S_a
+    spec = HomodyneSpec(gain_g=100.0, correction_sign=sign)
+    lo_noise = lo_noise_samples(working_point_ensemble)
+    features, _, _ = fringe_features(working_point_ensemble, spec, lo_noise)
+    b, c, s_b_over_g = features.T
+    w = correction_weight(sign)
+    for phi in (0.3, np.pi / 2, 2.0, 3 * np.pi / 2):
+        ref_s_a, s_b = interferometer_signals(working_point_ensemble, phi, spec, lo_noise)
+        assert (w * s_b_over_g).tobytes() == (w * (s_b / spec.gain_g)).tobytes()
+        s_a = b * np.cos(phi) + c * np.sin(phi)
+        assert np.max(np.abs(s_a - ref_s_a)) <= 1e-9 * np.max(np.abs(ref_s_a))
 
 
 # --- sign calibration and correlations ------------------------------------------
@@ -258,7 +293,7 @@ def test_feature_sign_matches_interferometer_sign(request, ensemble, phi):
     # S_a(phi) = B cos(phi) + C sin(phi), so the record at pi/2 (3pi/2) is C (-C)
     ensemble = request.getfixturevalue(ensemble)
     spec = HomodyneSpec(gain_g=100.0)
-    features, s_b, sign = fringe_features(ensemble, spec)
+    features, s_b, sign = fringe_features(ensemble, spec, lo_noise_samples(ensemble))
     from_features = calibrate_correction_sign(np.sin(phi) * features[:, 1], s_b)
     assert from_features == _calibrate_at(ensemble, spec, phi)
     assert from_features == _two_variance_sign(np.sin(phi) * features[:, 1], s_b, spec.gain_g)
