@@ -24,7 +24,7 @@ min_m, argmin, _ = curve.min_m()
 print(f"best sensitivity: M = {min_m:.4f} at phi = {argmin/np.pi:.3f} pi "
       f"(SQL is M = 1)")
 
-b, c, s_b_over_g = feature_stack([ensemble], spec, [], [])[0].T
+b, c, s_b_over_g = feature_stack([ensemble], spec)[0].T
 phases = {"pi/2": np.pi / 2, "pi": np.pi, "3pi/2": 3 * np.pi / 2}
 scatter = {}
 for name, phi in phases.items():

@@ -13,6 +13,7 @@ gates report each non-finite value it hides; library calls warn as numpy does.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from dataclasses import asdict, replace
@@ -32,9 +33,10 @@ from .config import (
     parse_assignments,
 )
 from .dynamics import ConservationReport, IntegrationError, check_pump_range, transferred_atoms
-from .estimator import prepare, scan_over_r, sensitivity_curve, squeezed_combo_variance
+from .estimator import (correction_weight, evaluate, prepare, scan_over_r, sensitivity_curve,
+                        squeezed_combo_variance)
 from .feasibility import PhysicalSetup, capture_fraction, rate_ratio, scaling_estimate
-from .interferometer import correction_weight, feature_stack
+from .interferometer import feature_stack
 from . import __version__
 
 DRIFT_LIMIT = 1.0e-6  # conservation drift above this fails the run
@@ -155,9 +157,11 @@ SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
 
 def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembles=None) -> int:
     (ensemble,), spec = prepare(config, [config.r], ensembles)
-    signs = []  # a stack of one: every verb's features and LO draw come from feature_stack
-    b, c, s_b_scaled = feature_stack([ensemble], spec, signs, [])[0].T
-    (sign,) = signs
+    # a stack of one: its features, LO draw and sign come as every verb's do
+    stack = feature_stack([ensemble], spec)
+    (sign,) = evaluate(stack, config.scatter_phis, [spec.correction_sign],
+                       ensemble.n_total)[0]["correction_sign"]
+    b, c, s_b_scaled = stack[0].T
     rows = []
     corr = {}
     for phi in config.scatter_phis:
@@ -376,7 +380,11 @@ def main(argv=None) -> int:
 
     try:
         with np.errstate(all="ignore"):  # the gates report what overflows
-            return handler(make(_resolve_mapping(args, kinds)), Path(args.out))
+            config, out = make(_resolve_mapping(args, kinds)), Path(args.out)
+            # an --out that cannot be made is refused before any work, creating nothing
+            if not next(d for d in (out, *out.absolute().parents) if d.exists()).is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(out))
+            return handler(config, out)
     except IntegrationError as exc:  # raised before any file is written
         print(json.dumps({"error": "integration", "invariant": "finite_state", "r": exc.r,
                           "limit": "finite"}), file=sys.stderr)

@@ -6,12 +6,13 @@ interferometer phase plus the weighted light record,
     S(phi) = B cos(phi) + C sin(phi) + w S_b / g,
 
 from the features (B, C, S_b / g) of the read-out (interferometer).  The
-correction's sign is only the weight w in the fringe design, and the atomic
-record S_a is S at w = 0, read from the same sums.  The dynamics do not
-depend on phi, so one ensemble and one local-oscillator draw serve every
-phase (exact common random numbers), and the per-phase mean and unbiased
-variance of S follow from three feature means and a 3x3 covariance, each
-summed in one fixed order per phase.  The slope of the mean fringe is
+correction is decided here alone: its sign is only the weight w in the fringe
+design, an "auto" sign is resolved from the same sums as every statistic, and
+the atomic record S_a is S at w = 0, read from those sums too.  The
+dynamics do not depend on phi, so one ensemble and one local-oscillator draw
+serve every phase (exact common random numbers), and the per-phase mean and
+unbiased variance of S follow from three feature means and a 3x3 covariance,
+each summed in one fixed order per phase.  The slope of the mean fringe is
 exact, d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so any single phase can be
 evaluated on its own, and
 
@@ -24,8 +25,8 @@ feature sums over each resample.
 Every M goes through one evaluation, _curves: check that the ensembles
 share one draw and have enough trajectories, take their feature stack from
 the read-out (one LO draw; each ensemble dropped once read), and evaluate
-every (set, weight, phase) cell and every interval with one evaluate call,
-which forms one term block of the stack and drops the stack.
+every (set, weight, phase) cell, every interval and each set's sign with one
+evaluate call, which forms one term block of the stack and drops the stack.
 sensitivity_curve (a single phase included) and scan_over_r are reads of
 its curves, in every evolution mode.
 """
@@ -39,7 +40,7 @@ import numpy as np
 from .analytics import predict
 from .config import CORRECTIONS, MIN_RESAMPLES, MIN_TRAJECTORIES, RunConfig
 from .dynamics import ConservationReport, Ensemble, build_ensembles, transferred_atoms
-from .interferometer import HomodyneSpec, correction_weight, feature_stack
+from .interferometer import HomodyneSpec, feature_stack
 from .phasespace import open_stream, quadrature_x, quadrature_y
 
 CI_LEVEL = 0.95  # coverage of every bootstrap interval
@@ -67,7 +68,6 @@ class SensitivityCurve:
     m_ci_lo: np.ndarray
     m_ci_hi: np.ndarray
     traj_count: int
-    n_total: float
     correction_sign: str  # "plus", "minus" or "off"
 
     def min_m(self) -> tuple[float, float, int]:
@@ -103,6 +103,13 @@ class RScanResult:
     at_boundary: bool  # r_star is the smallest or largest of more than one distinct r
 
 
+def correction_weight(correction_sign: str) -> float:
+    """w in S = S_a + w S_b / g: -1 for "plus", +1 for "minus", 0 for "off"."""
+    if correction_sign == "auto":
+        raise ValueError("correction_sign is unresolved; evaluate resolves it")
+    return {"plus": -1.0, "minus": 1.0, "off": 0.0}[correction_sign]
+
+
 def _moments(features):
     """Per-trajectory terms of a feature stack, and the statistics their sums determine.
 
@@ -112,30 +119,35 @@ def _moments(features):
     feature means, its unbiased variance the feature covariance; both follow
     from the sums of the terms (centred features and their pairwise products)
     over any index set, so a bootstrap resample costs one weighted sum.
-    statistics(sums, phi, weights, n_total) takes sums of shape (..., sets, 9)
-    and a list of weights (or one weight) per set, and returns a dict of
-    (..., sets, weights, phases) arrays; each cell adds the 3 terms of its
-    mean or slope and the 6 of its variance in one fixed order, whatever else
-    is evaluated with it.  The terms are a (sets, 9, n) block, trajectories
-    on the contiguous axis, each row formed in place from the features or
-    from two centred rows, so no other (n, 3)-sized array is made.
+    moments(sums) takes sums of shape (..., sets, 9) and returns the feature
+    means (..., sets, 3) and covariances (..., sets, 6) of the pairs
+    (B, B), (B, C), (B, S_b / g), (C, C), (C, S_b / g), (S_b / g, S_b / g);
+    statistics(mean, cov, phi, weights, n_total) takes them and a list of
+    weights (or one weight) per set, and returns a dict of (..., sets,
+    weights, phases) arrays; each cell adds the 3 terms of its mean or slope
+    and the 6 of its variance in one fixed order, whatever else is evaluated
+    with it.  The terms are a (sets, 9, n) block, trajectories on the
+    contiguous axis, each row formed in place from the features or from two
+    centred rows, so no other (n, 3)-sized array is made.
     """
     features = np.asarray(features, dtype=float)
     sets, n, k = features.shape
+    if n < 2:
+        raise ValueError(f"a variance needs at least 2 trajectories; got {n}")
     center = features.mean(axis=1)
     i, j = np.triu_indices(k)
 
-    def statistics(sums: np.ndarray, phi, weights, n_total: float) -> dict:
+    def moments(sums: np.ndarray):
+        shift = sums[..., :k] / n
+        return center + shift, (sums[..., k:] - n * shift[..., i] * shift[..., j]) / (n - 1)
+
+    def statistics(mean, cov, phi, weights, n_total: float) -> dict:
         weights = np.array(weights, dtype=float)
-        if len(weights) != sets:
-            raise ValueError(f"{len(weights)} weight lists for {sets} sets")
         phi = np.asarray(phi, dtype=float)
         design = np.broadcast_arrays(np.cos(phi), np.sin(phi), weights.reshape(sets, -1, 1))
         pairs = [design[a] * design[b] * (1.0 if a == b else 2.0) for a, b in zip(i, j)]
         slope = [-np.sin(phi), np.cos(phi), np.zeros_like(phi)]
-        shift = sums[..., :k] / n
-        cov = (sums[..., k:] - n * shift[..., i] * shift[..., j]) / (n - 1)
-        mean = np.moveaxis(center + shift, -1, 0)[..., None, None]  # (term, ..., set, 1, 1)
+        mean = np.moveaxis(mean, -1, 0)[..., None, None]  # (term, ..., set, 1, 1)
         cov = np.moveaxis(cov, -1, 0)[..., None, None]
         ds = sum(x * y for x, y in zip(mean, slope))  # Python's sum: term by term
         mean_s = sum(x * y for x, y in zip(mean, design))
@@ -149,7 +161,7 @@ def _moments(features):
     np.subtract(features.transpose(0, 2, 1), center[:, :, None], out=terms[:, :k])
     for row, (a, b) in enumerate(zip(i, j), start=k):
         np.multiply(terms[:, a], terms[:, b], out=terms[:, row])
-    return terms, statistics
+    return terms, moments, statistics
 
 
 def _resample_sums(terms, resamples: int, master_seed: int) -> np.ndarray:
@@ -195,39 +207,53 @@ def _percentile(values, percent) -> np.ndarray:
     return np.where(np.isnan(ordered[-1]), ordered[-1], out)
 
 
-def evaluate(features, phi, weights, n_total: float, resamples: int | None = None,
+def evaluate(features, phi, corrections, n_total: float, resamples: int | None = None,
              master_seed: int = 0) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Statistics of every (set, weight, phase) cell and the interval of M at
-    each set's first weight, from one (sets, 9, n) term block.
+    """Statistics of every set at its correction's weight and at weight 0, and
+    the interval of M at the first, from one (sets, 9, n) term block.
 
-    features is a (sets, n, 3) stack of (B, C, S_b / g) rows and weights one
-    list per set (0 for the atomic signal alone).  The statistics (mean,
-    variance, exact fringe slope, delta_phi and M) are (sets, weights, phases)
-    arrays from the block's sums.  The edges, of shape (sets, phases), are a
-    percentile bootstrap (coverage CI_LEVEL) from its resample sums, or M
-    itself when resamples is None.  Whole trajectories are resampled, so the
-    variance and the slope are recomputed jointly, with the same indices for
-    every set, so each set's edges are those of that set alone.  A vanishing
-    resampled slope gives an infinite M, and an edge next to one is +inf.
-    The resamples' statistics are evaluated in blocks of about
-    RESAMPLE_BLOCK_CELLS (resample, set, phase) cells; every value is per
-    cell, so the edges do not depend on their size.  The stack is dropped
-    once the block is formed, and the block once its resample sums are.
+    features is a (sets, n, 3) stack of (B, C, S_b / g) rows and corrections
+    one name per set: "plus" (weight -1), "minus" (+1), "off" (0) or "auto".
+    "auto" is resolved once, from the sums of the whole sample, and every
+    resample uses its weight: "plus" where cov(C, S_b / g) >= 0 (ties too),
+    "minus" otherwise.  C is the atomic record at pi/2, and for any g > 0
+    V(C - S_b/g) - V(C + S_b/g) = -4 cov(C, S_b/g), so that is the sign with
+    the smaller V(S) there.  The statistics (mean, variance, exact fringe
+    slope, delta_phi and M) are (sets, 2, phases) arrays from the block's
+    sums; beside them are each set's resolved "correction_sign" and its mean
+    light record "mean_s_b_over_g", a (sets,) array.  The edges, of shape
+    (sets, phases), are a percentile bootstrap (coverage CI_LEVEL) from its
+    resample sums, or M itself when resamples is None.  Whole trajectories
+    are resampled, so the variance and the slope are recomputed jointly,
+    with the same indices for every set, so each set's edges are those of
+    that set alone.  A vanishing resampled slope gives an infinite M, and an
+    edge next to one is +inf.  The resamples' statistics are evaluated in
+    blocks of about RESAMPLE_BLOCK_CELLS (resample, set, phase) cells; every
+    value is per cell, so the edges do not depend on their size.  The stack
+    is dropped once the block is formed, and the block once its resample
+    sums are.
     """
     if resamples is not None and resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}")
-    terms, statistics = _moments(features)
+    if len(corrections) != len(features):
+        raise ValueError(f"{len(corrections)} corrections for {len(features)} sets")
+    terms, moments, statistics = _moments(features)
     del features  # freed here if no caller names it (_curves does not)
-    stats = statistics(terms.sum(axis=-1), phi, weights, n_total)
+    mean, cov = moments(terms.sum(axis=-1))
+    signs = [("plus" if c_s >= 0 else "minus") if name == "auto" else name
+             for name, c_s in zip(corrections, cov[:, 4])]  # cov(C, S_b / g)
+    weights = [correction_weight(sign) for sign in signs]
+    stats = statistics(mean, cov, phi, [[w, 0.0] for w in weights], n_total)
+    stats.update(correction_sign=signs, mean_s_b_over_g=mean[:, 2])
     if resamples is None:
         return stats, stats["m"][:, 0], stats["m"][:, 0]
     sums = _resample_sums(terms, resamples, master_seed)  # (resamples, sets, 9)
     del terms  # keep the block out of the statistics' transient memory
-    first = np.array(weights, dtype=float).reshape(len(weights), -1)[:, :1]
     m = np.empty((resamples,) + stats["m"].shape[::2])  # (resamples, sets, phases)
     step = max(1, RESAMPLE_BLOCK_CELLS // m[0].size)
     for t in range(0, resamples, step):
-        m[t:t + step] = statistics(sums[t:t + step], phi, first, n_total)["m"][..., 0, :]
+        block = statistics(*moments(sums[t:t + step]), phi, weights, n_total)
+        m[t:t + step] = block["m"][..., 0, :]
     lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
     with np.errstate(invalid="ignore"):  # inf - inf where an edge meets an infinite M
         edges = _percentile(m, [lo_q, 100.0 - lo_q])
@@ -257,17 +283,15 @@ def _curves(ensembles: list, phi, spec: HomodyneSpec,
     phi = np.array(phi, dtype=float)
     if phi.ndim != 1 or phi.size == 0:
         raise ValueError(f"phi must be a non-empty 1-D grid of phases; got shape {phi.shape}")
-    signs, mean_s_b = [], []
-    # S at each set's weight (with its interval) and S_a (weight 0).  Arguments are
-    # evaluated in order: the stack, which no name here holds, first fills signs
-    stats, ci_lo, ci_hi = evaluate(
-        feature_stack(ensembles, spec, signs, mean_s_b), phi,
-        [[correction_weight(sign), 0.0] for sign in signs], n_total, resamples, master_seed)
+    corrections = [spec.correction_sign] * len(ensembles)
+    stats, ci_lo, ci_hi = evaluate(feature_stack(ensembles, spec), phi, corrections, n_total,
+                                   resamples, master_seed)
+    signs, mean_s_b_over_g = stats.pop("correction_sign"), stats.pop("mean_s_b_over_g")
     return [SensitivityCurve(
         phi=phi, mean_s_a=stats["mean_s"][s, 1], var_s_a=stats["var_s"][s, 1],
-        mean_s_b=np.full(phi.size, mean_s_b[s]), **{key: x[s, 0] for key, x in stats.items()},
-        m_ci_lo=ci_lo[s], m_ci_hi=ci_hi[s],
-        traj_count=n_traj, n_total=float(n_total), correction_sign=signs[s],
+        mean_s_b=np.full(phi.size, spec.gain_g * mean_s_b_over_g[s]),
+        **{key: x[s, 0] for key, x in stats.items()}, m_ci_lo=ci_lo[s], m_ci_hi=ci_hi[s],
+        traj_count=n_traj, correction_sign=signs[s],
     ) for s in range(len(signs))]
 
 

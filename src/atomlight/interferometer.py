@@ -1,6 +1,6 @@
 """Homodyne read-out of the t1 state: the per-trajectory fringe features
-that every M is evaluated from, the LO amplitude and its one draw, the light
-record and the correction sign.
+that every M is evaluated from, the LO amplitude and its one draw, and the
+light record.
 
 beta2 leaves the condensate at t1 and is detected apart from the atoms.
 Homodyne detection against a strong local oscillator gives the port
@@ -13,17 +13,13 @@ interferometer is a single fringe harmonic in its phase,
 
 with B = |alpha1|^2 - |alpha2|^2 and C = -2 Re(alpha1 conj(alpha2)) of the
 unsplit t1 amplitudes, so no splitter is applied.  fringe_features forms the
-rows (B, C, S_b / g) of one ensemble.
-
-The combined signal S = S_a + w S_b / g removes the quantum noise the two
-records share, with w from the correction sign in one place,
-correction_weight, so the features are the same for every sign.  Which sign
-cancels (rather than doubles) the shared noise depends on the working
-phase, so an "auto" sign is calibrated from the ensemble at pi/2, where S_a
-is C.  feature_stack forms the (sets, n, 3) stack that the estimator
-evaluates (the scatter verb's single ensemble is a stack of one); it alone
-reads HomodyneSpec.lo_sampled and draws the LO's per-trajectory vacuum
-noise, once for all of its ensembles.
+rows (B, C, S_b / g) of one ensemble; they are the same for every correction
+setting, since the correction S = S_a + w S_b / g is a weight that the
+estimator applies (and, for an "auto" sign, decides) when it evaluates them.
+feature_stack forms the (sets, n, 3) stack that the estimator evaluates (the
+scatter verb's single ensemble is a stack of one); it alone reads
+HomodyneSpec.lo_sampled and draws the LO's per-trajectory vacuum noise, once
+for all of its ensembles.
 """
 
 from __future__ import annotations
@@ -43,8 +39,8 @@ class HomodyneSpec:
     gain_g: ratio of LO amplitude to the mean pump amplitude at t1.
     lo_sampled: include the LO's own vacuum (shot) noise.
     correction_sign: "plus", "minus", "auto" (calibrated from the ensemble
-        when its features are formed), or "off" (no correction: S is the
-        atomic signal alone).
+        when its features are evaluated, estimator.evaluate), or "off" (no
+        correction: S is the atomic signal alone).
     """
 
     gain_g: float = 100.0
@@ -65,13 +61,6 @@ def signal_light(beta2, beta_lo) -> np.ndarray | float:
     return -2.0 * np.imag(beta2 * np.conj(beta_lo))
 
 
-def correction_weight(correction_sign: str) -> float:
-    """w in S = S_a + w S_b / g: -1 for "plus", +1 for "minus", 0 for "off"."""
-    if correction_sign == "auto":
-        raise ValueError("correction_sign is unresolved; calibrate or set it explicitly")
-    return {"plus": -1.0, "minus": 1.0, "off": 0.0}[correction_sign]
-
-
 def lo_noise_samples(ensemble: Ensemble) -> np.ndarray:
     """Per-trajectory LO vacuum noise, reused across all phases."""
     return sample_coherent_batch(0.0, ensemble.master_seed, "local_oscillator", ensemble.n_traj)
@@ -84,58 +73,31 @@ def lo_amplitude(ensemble: Ensemble, spec: HomodyneSpec, lo_noise=None):
     return beta_lo if lo_noise is None else beta_lo + lo_noise
 
 
-def calibrate_correction_sign(s_a, s_b) -> str:
-    """Pick the correction sign with the smaller V(S) for per-trajectory
-    atomic and light records s_a and s_b taken at one reference phase.
-
-    V(s_a - s_b/g) - V(s_a + s_b/g) = -4 cov(s_a, s_b)/g, so for any g > 0
-    the choice is the sign of the centred covariance, and g does not enter:
-    "plus" when it is >= 0 (ties break toward "plus").  At the working point
-    phi = pi/2 (where S_a is the fringe feature C) the chosen sign subtracts
-    the shared noise; a half fringe away the correlation flips and the
-    opposite sign would be chosen.
-    """
-    if np.size(s_a) == 0:
-        raise ValueError("empty ensemble")
-    cov = np.dot(s_a - np.mean(s_a), s_b - np.mean(s_b))
-    return "plus" if cov >= 0 else "minus"
-
-
-def fringe_features(
-    ensemble: Ensemble, spec: HomodyneSpec, lo_noise, out=None
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Per-trajectory features (B, C, S_b / g), the light record S_b, and the sign.
+def fringe_features(ensemble: Ensemble, spec: HomodyneSpec, lo_noise, out=None) -> np.ndarray:
+    """Per-trajectory features (B, C, S_b / g), an (n, 3) array.
 
     S_b is read against lo_amplitude(ensemble, spec, lo_noise), so lo_noise
-    None is an LO without vacuum noise.  An "auto" sign is calibrated at
-    pi/2, where the atomic signal is C.  The (n, 3) features are written
-    into out when it is given.
+    None is an LO without vacuum noise.  The features are written into out
+    when it is given.
     """
     s_b = signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise))
     a1, a2 = ensemble.state.alpha1, ensemble.state.alpha2
     b = (a1.real ** 2 + a1.imag ** 2) - (a2.real ** 2 + a2.imag ** 2)  # |alpha1|^2 - |alpha2|^2
     c = -2.0 * (a1.real * a2.real + a1.imag * a2.imag)  # -2 Re(alpha1 conj(alpha2))
-    sign = spec.correction_sign
-    if sign == "auto":
-        sign = calibrate_correction_sign(c, s_b)
-    return np.stack([b, c, s_b / spec.gain_g], axis=1, out=out), s_b, sign
+    return np.stack([b, c, s_b / spec.gain_g], axis=1, out=out)
 
 
-def feature_stack(ensembles: list, spec: HomodyneSpec, signs: list, mean_s_b: list):
-    """The (sets, n, 3) features of the ensembles, each popped from the list as it is
-    read, from one LO draw; each set's sign and mean light record go to signs and mean_s_b.
+def feature_stack(ensembles: list, spec: HomodyneSpec) -> np.ndarray:
+    """The (sets, n, 3) features of the ensembles, each popped from the list as
+    it is read, from one LO draw.
 
     The ensembles come from one sample (the estimator checks that they share
-    master_seed and n_traj), so the noise drawn for the first is that of
-    each.  The lists receive what the caller reads besides the stack, so
-    that no caller needs to name it.
+    master_seed and n_traj), so the noise drawn for the first is that of each.
     """
     lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
     features = np.empty((len(ensembles), ensembles[0].n_traj, 3))
-    for s in range(len(features)):  # written into the stack: assigning back copies nothing
-        features[s], s_b, sign = fringe_features(ensembles.pop(0), spec, lo_noise, features[s])
-        mean_s_b.append(float(np.mean(s_b)))
-        signs.append(sign)
+    for s in range(len(features)):
+        fringe_features(ensembles.pop(0), spec, lo_noise, features[s])
     return features
 
 

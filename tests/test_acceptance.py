@@ -154,7 +154,7 @@ def test_criterion_07_working_point(fig3_ensemble):
     curve = at_pi_2(fig3_ensemble, spec)
     m, sign = curve.m[0], curve.correction_sign
     # the correlations that scatter reports: S_a = B cos(phi) + C sin(phi) against S_b / g
-    b, c, s_b_over_g = feature_stack([fig3_ensemble], spec, [], [])[0].T
+    b, c, s_b_over_g = feature_stack([fig3_ensemble], spec)[0].T
     corrs = {}
     for phi in (np.pi / 2, np.pi, 3 * np.pi / 2):
         s_a = b * np.cos(phi) + c * np.sin(phi)

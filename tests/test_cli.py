@@ -391,7 +391,7 @@ def test_scatter_signal_is_the_weighted_light_record(tmp_path, correction, weigh
     assert code == 0
     sign = json.loads((out / "scatter_summary.json").read_text())["correction_sign"]
     if weight is None:
-        weight = interferometer.correction_weight(sign)
+        weight = estimator.correction_weight(sign)
     assert weight == {"plus": -1.0, "minus": 1.0, "off": 0.0}[sign]
     lines = [l for l in (out / "scatter.csv").read_text().splitlines() if not l.startswith("#")]
     s_a, s_b_over_g, s = np.array([l.split(",") for l in lines[1:]], dtype=float)[:, 2:].T
@@ -413,7 +413,7 @@ def test_scatter_reads_the_stack_of_one_lo_draw(tmp_path, monkeypatch):
     assert code == 0 and draws == [150]
     config = cli.make_config(json.loads((out / "scatter_summary.json").read_text())["config"])
     ensembles, spec = estimator.prepare(config, [config.r])
-    stack = interferometer.feature_stack(ensembles, spec, [], [])
+    stack = interferometer.feature_stack(ensembles, spec)
     lines = [l for l in (out / "scatter.csv").read_text().splitlines() if not l.startswith("#")]
     rows = np.array([l.split(",") for l in lines[1:]], dtype=float)
     for k in range(len(config.scatter_phis)):
@@ -651,6 +651,24 @@ def test_failed_allocation_is_reported(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["phi-sweep", "feasibility"])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, verb):
+    # an --out under a regular file is an io record (exit 1) before any sampling,
+    # and nothing is created
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled for an unwritable --out")
+
+    monkeypatch.setattr(dynamics, "sample_initial_ensemble", unreachable)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    for out in (blocker / "x", blocker / "x" / "y", blocker):
+        code = main([verb, "--out", str(out)])
+        assert code == 1
+        (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert record == {"error": "io", "message": f"[Errno 20] Not a directory: '{out}'"}
+    assert sorted(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "kept\n"
+
+
 def test_summaries_carry_passed_gates(tmp_path):
     for verb, extra in (("phi-sweep", []), ("scatter", []),
                         ("r-scan", ["--set", "r_list=0.5, 1.0"])):
@@ -677,8 +695,9 @@ def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra
     original = interferometer.fringe_features
 
     def nan_features(*args, **kwargs):
-        features, s_b, sign = original(*args, **kwargs)
-        return np.full_like(features, np.nan), s_b, sign
+        features = original(*args, **kwargs)  # the stack's rows, where it writes them
+        features[...] = np.nan
+        return features
 
     monkeypatch.setattr(interferometer, "fringe_features", nan_features)
     code, out = run([verb] + FAST + extra, tmp_path)

@@ -13,17 +13,13 @@ import atomlight.estimator as estimator
 import atomlight.interferometer as interferometer
 from atomlight.config import ConfigError, RunConfig
 from atomlight.dynamics import build_ensembles
-from atomlight.estimator import evaluate, scan_over_r, sensitivity_curve
-from atomlight.interferometer import (
-    HomodyneSpec,
-    correction_weight,
-    fringe_features,
-    lo_noise_samples,
-)
+from atomlight.estimator import correction_weight, evaluate, scan_over_r, sensitivity_curve
+from atomlight.interferometer import HomodyneSpec, fringe_features, lo_noise_samples
 from atomlight.phasespace import STREAMS
 from oracles import interferometer_signals
 
 SEED = 555
+CELLS = ("mean_s", "var_s", "ds_dphi", "delta_phi", "m")  # evaluate's (sets, 2, phases) arrays
 
 
 # --- grid ----------------------------------------------------------------------
@@ -61,17 +57,14 @@ def test_phi_grid_rejects_bad_input(working_point_ensemble, monkeypatch):
 
 def test_shared_phases_are_bit_identical(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    f1, sb1, sign = fringe_features(working_point_ensemble, spec,
-                                    lo_noise_samples(working_point_ensemble))
-    f2, sb2, _ = fringe_features(working_point_ensemble, spec,
-                                 lo_noise_samples(working_point_ensemble))
-    assert np.array_equal(f1, f2)  # same trajectories, same LO draw
-    assert np.array_equal(sb1, sb2)
+    f1 = fringe_features(working_point_ensemble, spec, lo_noise_samples(working_point_ensemble))
+    f2 = fringe_features(working_point_ensemble, spec, lo_noise_samples(working_point_ensemble))
+    assert np.array_equal(f1, f2)  # same trajectories, same LO draw (S_b / g included)
     wide = [np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]
     narrow = [np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]
-    w = correction_weight(sign)
-    a, _, _ = evaluate(f1[np.newaxis], wide, [[w]], 1.0e7)
-    b, _, _ = evaluate(f2[np.newaxis], narrow, [[w]], 1.0e7)
+    a, _, _ = evaluate(f1[np.newaxis], wide, ["auto"], 1.0e7)
+    b, _, _ = evaluate(f2[np.newaxis], narrow, ["auto"], 1.0e7)
+    assert a["correction_sign"] == b["correction_sign"]
     assert a["mean_s"][0, 0, 1] == b["mean_s"][0, 0, 1]
     assert a["var_s"][0, 0, 1] == b["var_s"][0, 0, 1]
 
@@ -91,14 +84,14 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
     assert np.array_equal(single.m[0], curve.m[64])
     assert np.array_equal(single.m_ci_lo[0], curve.m_ci_lo[64])
     assert np.array_equal(single.m_ci_hi[0], curve.m_ci_hi[64])
-    # and one weight's statistics do not depend on the weights beside it
-    features, _, _ = fringe_features(ensemble, spec, lo_noise_samples(ensemble))
-    w = correction_weight(curve.correction_sign)
-    both, _, _ = evaluate(features[np.newaxis], grid, [[w, 0.0]], 1.0e7)
-    for column, weight in enumerate((w, 0.0)):
-        single, _, _ = evaluate(features[np.newaxis], grid, [[weight]], 1.0e7)
-        assert both.keys() == single.keys()
-        assert all(np.array_equal(both[key][:, column], single[key][:, 0]) for key in both)
+    # and weight 0's statistics do not depend on the weight beside it: evaluate
+    # gives each set its correction's weight and 0, so "off" is 0 beside 0
+    features = fringe_features(ensemble, spec, lo_noise_samples(ensemble))
+    both, _, _ = evaluate(features[np.newaxis], grid, [curve.correction_sign], 1.0e7)
+    off, _, _ = evaluate(features[np.newaxis], grid, ["off"], 1.0e7)
+    assert both.keys() == off.keys()
+    for column in (0, 1):
+        assert all(np.array_equal(both[key][:, 1], off[key][:, column]) for key in CELLS)
 
 
 def _direct_signals(ensemble, grid, spec, sign):
@@ -140,13 +133,14 @@ def test_features_match_direct_signals(working_point_ensemble):
 def test_bootstrap_matches_resampled_reference(working_point_ensemble):
     grid = np.linspace(0.0, 2 * np.pi, 41)
     spec = HomodyneSpec(gain_g=100.0)
-    features, _, sign = fringe_features(working_point_ensemble, spec,
-                                        lo_noise_samples(working_point_ensemble))
+    features = fringe_features(working_point_ensemble, spec,
+                               lo_noise_samples(working_point_ensemble))
+    stats, (lo,), (hi,) = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7,
+                                   resamples=100, master_seed=9)
+    (sign,) = stats["correction_sign"]
     s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
     slope = _direct_slope(working_point_ensemble, grid, spec, sign)
     n = s.shape[0]
-    _, (lo,), (hi,) = evaluate(features[np.newaxis], grid, [correction_weight(sign)], 1.0e7,
-                               resamples=100, master_seed=9)
     rng = np.random.Generator(np.random.Philox(
         key=9, counter=[0, 0, 0, STREAMS["bootstrap"]]))
     resamples = [rng.integers(0, n, size=n) for _ in range(100)]
@@ -302,8 +296,8 @@ def test_m_invariant_under_signal_rescaling():
     rng = np.random.default_rng(3)
     phi = np.linspace(0.0, 1.0, 11)
     f = _synthetic_features(rng, 400, sigma=1.0)[np.newaxis]
-    m1 = evaluate(f, phi, [[1.0]], 1.0e7)[0]["m"]
-    m2 = evaluate(7.3 * f, phi, [[1.0]], 1.0e7)[0]["m"]
+    m1 = evaluate(f, phi, ["minus"], 1.0e7)[0]["m"]
+    m2 = evaluate(7.3 * f, phi, ["minus"], 1.0e7)[0]["m"]
     assert np.all(np.abs(m2 - m1) <= 1e-10 * np.abs(m1))
 
 
@@ -311,7 +305,7 @@ def test_zero_derivative_is_flagged():
     phi = np.linspace(0.0, 1.0, 5)
     rng = np.random.default_rng(4)
     f = np.column_stack([np.zeros(50), np.zeros(50), rng.normal(size=50)])  # B = C = 0
-    stats, lo, hi = evaluate(f[np.newaxis], phi, [[1.0, 0.0]], 1.0)  # 0 / 0 at weight 0
+    stats, lo, hi = evaluate(f[np.newaxis], phi, ["minus"], 1.0)  # 0 / 0 at weight 0
     assert stats["delta_phi"].shape == (1, 2, 5)
     assert np.all(np.isposinf(stats["delta_phi"]))
     # without resamples the edges are M at the first weight
@@ -344,15 +338,16 @@ def test_uncorrected_m_matches_undepleted_prediction(r):
 def test_shuffling_light_record_destroys_gain(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     phi = [np.pi / 2]
-    features, _, sign = fringe_features(working_point_ensemble, spec,
-                                        lo_noise_samples(working_point_ensemble))
-    w = correction_weight(sign)
-    m_corr, m_off = evaluate(features[np.newaxis], phi, [[w, 0.0]], 1.0e7)[0]["m"][0, :, 0]
+    features = fringe_features(working_point_ensemble, spec,
+                               lo_noise_samples(working_point_ensemble))
+    stats = evaluate(features[np.newaxis], phi, ["auto"], 1.0e7)[0]
+    m_corr, m_off = stats["m"][0, :, 0]
 
     perm = np.random.default_rng(11).permutation(len(features))
     f_shuffled = features.copy()
     f_shuffled[:, 2] = features[perm, 2]
-    m_shuffled = evaluate(f_shuffled[np.newaxis], phi, [[w]], 1.0e7)[0]["m"][0, 0, 0]
+    m_shuffled = evaluate(f_shuffled[np.newaxis], phi, stats["correction_sign"],
+                          1.0e7)[0]["m"][0, 0, 0]
 
     assert m_corr < 0.5 * m_off       # the correction genuinely helps
     assert m_shuffled > m_off         # ... but only through the correlations
@@ -376,7 +371,7 @@ def test_bootstrap_coverage_on_synthetic_truth():
     hits = 0
     for rep in range(100):
         f = _synthetic_features(rng, n_traj=500)
-        _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, [1.0], 1.0, resamples=200,
+        _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0, resamples=200,
                                    master_seed=rep)
         hits += int(lo[mid] <= m_true <= hi[mid])
     assert hits >= 90
@@ -390,7 +385,7 @@ def test_bootstrap_width_shrinks_with_sqrt_n():
     for rep in range(30):
         for n in widths:
             f = _synthetic_features(rng, n_traj=n)
-            _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, [1.0], 1.0, resamples=200,
+            _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0, resamples=200,
                                        master_seed=1000 + rep)
             widths[n].append(hi[mid] - lo[mid])
     ratio = np.median(widths[500]) / np.median(widths[250])
@@ -400,7 +395,7 @@ def test_bootstrap_width_shrinks_with_sqrt_n():
 def test_bootstrap_rejects_too_few_resamples():
     phi = np.linspace(0.0, 1.0, 3)
     with pytest.raises(ValueError):
-        evaluate(np.zeros((1, 10, 3)), phi, [1.0], 1.0, resamples=50)
+        evaluate(np.zeros((1, 10, 3)), phi, ["minus"], 1.0, resamples=50)
 
 
 def test_bootstrap_flags_constant_signal():
@@ -408,7 +403,7 @@ def test_bootstrap_flags_constant_signal():
     # interval edges come out +inf rather than NaN or silently masked
     phi = np.linspace(0.0, 1.0, 5)
     f = np.column_stack([np.zeros(60), np.zeros(60), np.full(60, 3.7)])  # B = C = 0
-    _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, [1.0], 1.0, resamples=100, master_seed=1)
+    _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0, resamples=100, master_seed=1)
     assert np.all(np.isposinf(lo))
     assert np.all(np.isposinf(hi))
 
@@ -418,7 +413,7 @@ def test_bootstrap_edges_keep_nan_from_nan_signals():
     phi = np.linspace(0.0, 1.0, 3)
     f = _synthetic_features(np.random.default_rng(12), 200)
     f[7, 0] = np.nan
-    _, lo, hi = evaluate(f[np.newaxis], phi, [1.0], 1.0, resamples=100, master_seed=2)
+    _, lo, hi = evaluate(f[np.newaxis], phi, ["minus"], 1.0, resamples=100, master_seed=2)
     assert np.all(np.isnan(lo)) and np.all(np.isnan(hi))
 
 
@@ -442,16 +437,18 @@ def test_stacked_point_statistics_equal_each_set_alone(n_traj):
     rng = np.random.default_rng(8)
     features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
     phi = np.linspace(0.0, 1.0, 4)
-    for weights in ([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]],  # a list per set
-                    [[0.0]] * 3):  # the atomic record alone on every set
-        stats, _, _ = evaluate(features, phi, weights, 1.0e7)
-        assert all(x.shape == (3, len(weights[0]), 4) for x in stats.values())
+    for corrections in (["plus", "minus", "off"],  # a correction per set
+                        ["off"] * 3,  # the atomic record alone on every set
+                        ["auto"] * 3):  # each set resolved from its own sums
+        stats, _, _ = evaluate(features, phi, corrections, 1.0e7)
+        assert all(stats[key].shape == (3, 2, 4) for key in CELLS)
+        assert stats["mean_s_b_over_g"].shape == (3,) and len(stats["correction_sign"]) == 3
         for s in range(len(features)):  # each set against a stack of that set alone
-            alone, _, _ = evaluate(features[s:s + 1], phi, weights[s:s + 1], 1.0e7)
+            alone, _, _ = evaluate(features[s:s + 1], phi, corrections[s:s + 1], 1.0e7)
             assert stats.keys() == alone.keys()
             assert all(np.array_equal(stats[key][s], alone[key][0]) for key in stats)
-    with pytest.raises(ValueError, match="2 weight lists for 3 sets"):  # a list for every set
-        evaluate(features, phi, [[1.0], [1.0]], 1.0e7)
+    with pytest.raises(ValueError, match="2 corrections for 3 sets"):  # one for every set
+        evaluate(features, phi, ["minus", "minus"], 1.0e7)
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])
@@ -459,34 +456,35 @@ def test_stacked_bootstrap_equals_each_set_alone(n_traj):
     rng = np.random.default_rng(8)
     features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
     phi = np.linspace(0.0, 1.0, 4)
-    weights = [-1.0, 1.0, 0.0]  # one per set
-    _, lo, hi = evaluate(features, phi, weights, 1.0e7, resamples=100, master_seed=4)
+    corrections = ["plus", "minus", "off"]  # one per set
+    _, lo, hi = evaluate(features, phi, corrections, 1.0e7, resamples=100, master_seed=4)
     assert lo.shape == hi.shape == (3, 4)
     for s in range(len(features)):  # each set against a stack of that set alone
-        _, lo_s, hi_s = evaluate(features[s:s + 1], phi, weights[s:s + 1], 1.0e7,
+        _, lo_s, hi_s = evaluate(features[s:s + 1], phi, corrections[s:s + 1], 1.0e7,
                                  resamples=100, master_seed=4)
         assert np.array_equal(lo[s], lo_s[0]) and np.array_equal(hi[s], hi_s[0])
     # the atomic record alone (weight 0 on every set) too
-    _, lo, hi = evaluate(features, phi, [0.0] * 3, 1.0e7, resamples=100, master_seed=4)
-    _, lo_s, hi_s = evaluate(features[1:2], phi, [0.0], 1.0e7, resamples=100, master_seed=4)
+    _, lo, hi = evaluate(features, phi, ["off"] * 3, 1.0e7, resamples=100, master_seed=4)
+    _, lo_s, hi_s = evaluate(features[1:2], phi, ["off"], 1.0e7, resamples=100, master_seed=4)
     assert np.array_equal(lo[1], lo_s[0]) and np.array_equal(hi[1], hi_s[0])
-    # the interval is that of each set's first weight, whatever weights follow it
-    _, lo_w, hi_w = evaluate(features, phi, [[w, 0.0] for w in weights], 1.0e7, resamples=100,
-                             master_seed=4)
-    _, lo, hi = evaluate(features, phi, weights, 1.0e7, resamples=100, master_seed=4)
-    assert np.array_equal(lo_w, lo) and np.array_equal(hi_w, hi)
-    with pytest.raises(ValueError, match="2 weight lists for 3 sets"):  # a weight for every set
-        evaluate(features, phi, [1.0, 1.0], 1.0e7, resamples=100, master_seed=4)
+    # an "auto" set is resolved once, from the whole sample: every resample uses the
+    # weight of the sign it resolved to, so its interval is that sign's
+    stats, lo_a, hi_a = evaluate(features, phi, ["auto"] * 3, 1.0e7, resamples=100,
+                                 master_seed=4)
+    _, lo, hi = evaluate(features, phi, stats["correction_sign"], 1.0e7, resamples=100,
+                         master_seed=4)
+    assert np.array_equal(lo_a, lo) and np.array_equal(hi_a, hi)
+    with pytest.raises(ValueError, match="2 corrections for 3 sets"):  # one for every set
+        evaluate(features, phi, ["minus", "minus"], 1.0e7, resamples=100, master_seed=4)
 
 
 def test_bootstrap_deterministic(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     grid = np.linspace(0.0, np.pi, 9)
-    features, _, sign = fringe_features(working_point_ensemble, spec,
-                                        lo_noise_samples(working_point_ensemble))
-    w = [correction_weight(sign)]
-    a = evaluate(features[np.newaxis], grid, w, 1.0e7, resamples=100, master_seed=5)
-    b = evaluate(features[np.newaxis], grid, w, 1.0e7, resamples=100, master_seed=5)
+    features = fringe_features(working_point_ensemble, spec,
+                               lo_noise_samples(working_point_ensemble))
+    a = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7, resamples=100, master_seed=5)
+    b = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7, resamples=100, master_seed=5)
     assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
 
@@ -501,13 +499,13 @@ def test_resample_blocks_change_nothing(sets, k, resamples, phases, monkeypatch)
     # is inf and the percentile edges are +inf
     features[0, :, 1] = 0.0
     features = features[:sets]
-    weights = [{2: 0.0, 3: 1.0}[k]] * sets
+    corrections = [{2: "off", 3: "minus"}[k]] * sets
     phi = np.linspace(0.0, np.pi, phases)
     edges = {}
     for block in (1, 7, resamples + 1):  # resamples per evaluation of the statistics
         with monkeypatch.context() as patch:
             patch.setattr(estimator, "RESAMPLE_BLOCK_CELLS", block * phases)
-            edges[block] = evaluate(features, phi, weights, 1.0e7, resamples=resamples,
+            edges[block] = evaluate(features, phi, corrections, 1.0e7, resamples=resamples,
                                     master_seed=6)[1:]
     whole_lo, whole_hi = edges[resamples + 1]
     assert np.isposinf(whole_lo[0, 0]) and np.isposinf(whole_hi[0, 0])
@@ -542,9 +540,9 @@ def test_estimator_transient_memory_is_one_term_block():
     features = _synthetic_features(np.random.default_rng(5), n)[np.newaxis]
     phi = np.linspace(0.0, 2 * np.pi, 201)
     block = 9 * n * features.itemsize
-    boot = _traced_peak(lambda: evaluate(features, phi, [[1.0, 0.0]], 1.0e7, resamples=100,
+    boot = _traced_peak(lambda: evaluate(features, phi, ["minus"], 1.0e7, resamples=100,
                                          master_seed=2))
-    point = _traced_peak(lambda: evaluate(features, phi, [[1.0, 0.0]], 1.0e7))
+    point = _traced_peak(lambda: evaluate(features, phi, ["minus"], 1.0e7))
     assert boot < 1.3 * block
     assert point < 1.1 * block
 
@@ -561,10 +559,14 @@ def test_sensitivity_curve_fields(working_point_ensemble):
     assert np.all(curve.var_s >= 0)
     finite = np.isfinite(curve.m)
     assert np.allclose(
-        curve.m[finite], curve.delta_phi[finite] * np.sqrt(curve.n_total), rtol=1e-12
+        curve.m[finite], curve.delta_phi[finite] * np.sqrt(working_point_ensemble.n_total),
+        rtol=1e-12
     )
-    # the light record does not depend on phi
+    # the light record does not depend on phi, and its mean is that of the features' S_b
     assert np.all(curve.mean_s_b == curve.mean_s_b[0])
+    features = fringe_features(working_point_ensemble, HomodyneSpec(gain_g=100.0),
+                               lo_noise_samples(working_point_ensemble))
+    assert curve.mean_s_b[0] == pytest.approx(100.0 * features[:, 2].mean(), rel=1e-12)
     min_m, argmin, k = curve.min_m()
     assert (curve.m[k], curve.phi[k]) == (min_m, argmin)
     assert min_m < 0.2

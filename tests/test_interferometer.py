@@ -1,5 +1,5 @@
 """The step-by-step interferometer oracle, the homodyne read-out, its fringe
-features and the sign calibration."""
+features and the sign calibration that the estimator makes from them."""
 
 from dataclasses import replace
 
@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomlight.estimator import correction_weight, evaluate
 from atomlight.interferometer import (
     HomodyneSpec,
-    calibrate_correction_sign,
-    correction_weight,
     detected_photons,
     fringe_features,
     lo_amplitude,
@@ -190,6 +189,7 @@ def test_correction_weight_values():
 
 
 def test_correction_weight_rejects_auto():
+    # "auto" is resolved by evaluate, from the sums of the features it is given
     with pytest.raises(ValueError, match="unresolved"):
         correction_weight("auto")
 
@@ -211,14 +211,17 @@ def test_features_do_not_depend_on_the_correction(working_point_ensemble):
     # the sign is a weight in the design, so every setting gives the same features
     lo_noise = lo_noise_samples(working_point_ensemble)
     spec = HomodyneSpec(gain_g=100.0)
-    auto, s_b, sign = fringe_features(working_point_ensemble, spec, lo_noise)
-    assert sign in ("plus", "minus")
+    auto = fringe_features(working_point_ensemble, spec, lo_noise)
+    assert _auto_sign(auto) in ("plus", "minus")
+    s_b = signal_light(working_point_ensemble.state.beta2,
+                       lo_amplitude(working_point_ensemble, spec, lo_noise))
     assert np.array_equal(auto[:, 2], s_b / spec.gain_g)
     for setting in ("plus", "minus", "off"):
-        features, light, resolved = fringe_features(
+        features = fringe_features(
             working_point_ensemble, replace(spec, correction_sign=setting), lo_noise)
-        assert resolved == setting
-        assert features.tobytes() == auto.tobytes() and light.tobytes() == s_b.tobytes()
+        stats = evaluate(features[np.newaxis], [np.pi / 2], [setting], 1.0)[0]
+        assert stats["correction_sign"] == [setting]
+        assert features.tobytes() == auto.tobytes()
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus", "off"])
@@ -227,8 +230,7 @@ def test_weighted_light_feature_is_the_combined_signal(working_point_ensemble, s
     # and B cos(phi) + C sin(phi) is the step-by-step interferometer's S_a
     spec = HomodyneSpec(gain_g=100.0, correction_sign=sign)
     lo_noise = lo_noise_samples(working_point_ensemble)
-    features, _, _ = fringe_features(working_point_ensemble, spec, lo_noise)
-    b, c, s_b_over_g = features.T
+    b, c, s_b_over_g = fringe_features(working_point_ensemble, spec, lo_noise).T
     w = correction_weight(sign)
     for phi in (0.3, np.pi / 2, 2.0, 3 * np.pi / 2):
         ref_s_a, s_b = interferometer_signals(working_point_ensemble, phi, spec, lo_noise)
@@ -239,24 +241,38 @@ def test_weighted_light_feature_is_the_combined_signal(working_point_ensemble, s
 
 # --- sign calibration and correlations ------------------------------------------
 
+def _auto_sign(features):
+    """The sign that evaluate resolves for "auto" on one set of (B, C, S_b / g) rows."""
+    return evaluate(features[np.newaxis], [np.pi / 2], ["auto"], 1.0)[0]["correction_sign"][0]
+
+
 def _calibrate_at(ensemble, spec, phi=np.pi / 2):
-    """The sign chosen from the step-by-step interferometer's signals at phi."""
-    return calibrate_correction_sign(*interferometer_signals(ensemble, phi, spec))
+    """The sign resolved from the step-by-step interferometer's signals at phi,
+    its S_a in place of C (the atomic record at pi/2)."""
+    s_a, s_b = interferometer_signals(ensemble, phi, spec)
+    return _auto_sign(np.column_stack([np.zeros_like(s_a), s_a, s_b / spec.gain_g]))
 
 
 def test_calibration_reduces_variance(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    sign = _calibrate_at(working_point_ensemble, spec)
-    s_a, s_b = interferometer_signals(working_point_ensemble, np.pi / 2, spec)
+    lo_noise = lo_noise_samples(working_point_ensemble)
+    sign = _auto_sign(fringe_features(working_point_ensemble, spec, lo_noise))
+    assert sign == _calibrate_at(working_point_ensemble, spec)
+    s_a, s_b = interferometer_signals(working_point_ensemble, np.pi / 2, spec, lo_noise)
     s_corr = s_a - {"plus": 1, "minus": -1}[sign] * s_b / spec.gain_g
     assert np.var(s_corr, ddof=1) < np.var(s_a, ddof=1)
 
 
 def test_calibration_flips_half_fringe_away(working_point_ensemble):
+    # the atomic record at 3 pi / 2 is -C
     spec = HomodyneSpec(gain_g=100.0)
-    at_quarter = _calibrate_at(working_point_ensemble, spec, np.pi / 2)
-    at_three_quarter = _calibrate_at(working_point_ensemble, spec, 3 * np.pi / 2)
+    features = fringe_features(working_point_ensemble, spec,
+                               lo_noise_samples(working_point_ensemble))
+    at_quarter = _auto_sign(features)
+    features[:, 1] *= -1.0
+    at_three_quarter = _auto_sign(features)
     assert {at_quarter, at_three_quarter} == {"plus", "minus"}
+    assert at_three_quarter == _calibrate_at(working_point_ensemble, spec, 3 * np.pi / 2)
 
 
 def test_calibration_runs_without_squeezing(coherent_ensemble):
@@ -279,12 +295,20 @@ def test_calibration_matches_two_variance_form_on_random_records():
         gain_g, scale = 10.0 ** rng.uniform(-1, 3), 10.0 ** rng.uniform(-3, 6)
         s_a = scale * rng.normal(size=n) + rng.normal()
         s_b = gain_g * (rng.uniform(-1, 1) * s_a + scale * rng.normal(size=n))
-        assert calibrate_correction_sign(s_a, s_b) == _two_variance_sign(s_a, s_b, gain_g)
+        features = np.column_stack([rng.normal(size=n), s_a, s_b / gain_g])  # B plays no part
+        assert _auto_sign(features) == _two_variance_sign(s_a, s_b, gain_g)
+    # no covariance at all is a tie, which goes to "plus" in both forms
+    s_b = rng.normal(size=100)
+    assert _auto_sign(np.column_stack([s_b, np.zeros(100), s_b])) == "plus"
+    assert _two_variance_sign(np.zeros(100), s_b, 1.0) == "plus"
 
 
 def test_calibration_rejects_empty():
-    with pytest.raises(ValueError):
-        calibrate_correction_sign(np.empty(0), np.empty(0))
+    # a stack too small for a variance is refused, whatever its correction
+    for n in (0, 1):
+        for correction in ("auto", "plus"):
+            with pytest.raises(ValueError, match="at least 2 trajectories"):
+                evaluate(np.zeros((1, n, 3)), [np.pi / 2], [correction], 1.0)
 
 
 @pytest.mark.parametrize("ensemble", ["working_point_ensemble", "coherent_ensemble"])
@@ -293,12 +317,15 @@ def test_feature_sign_matches_interferometer_sign(request, ensemble, phi):
     # S_a(phi) = B cos(phi) + C sin(phi), so the record at pi/2 (3pi/2) is C (-C)
     ensemble = request.getfixturevalue(ensemble)
     spec = HomodyneSpec(gain_g=100.0)
-    features, s_b, sign = fringe_features(ensemble, spec, lo_noise_samples(ensemble))
-    from_features = calibrate_correction_sign(np.sin(phi) * features[:, 1], s_b)
+    features = fringe_features(ensemble, spec, lo_noise_samples(ensemble))
+    at_phi = features.copy()
+    at_phi[:, 1] *= np.sin(phi)
+    from_features = _auto_sign(at_phi)
     assert from_features == _calibrate_at(ensemble, spec, phi)
-    assert from_features == _two_variance_sign(np.sin(phi) * features[:, 1], s_b, spec.gain_g)
+    assert from_features == _two_variance_sign(at_phi[:, 1], spec.gain_g * features[:, 2],
+                                               spec.gain_g)
     if phi == np.pi / 2:
-        assert sign == from_features
+        assert _auto_sign(features) == from_features
 
 
 @pytest.mark.parametrize("phi,lo,hi", [
