@@ -18,7 +18,7 @@ N_TOTAL = 1.0e7
 ensemble = build_ensembles(N_TOTAL, 1.0e4, [3.0], 1000, 12345)[0]
 spec = HomodyneSpec(gain_g=100.0)
 
-curve = sensitivity_curve(ensemble, np.linspace(0.0, 2.0 * np.pi, 201), spec, resamples=100)
+curve = sensitivity_curve(ensemble, np.linspace(0.0, 2.0 * np.pi, 201), spec)
 print(f"correction sign calibrated to: {curve.correction_sign}")
 min_m, argmin, _ = curve.min_m()
 print(f"best sensitivity: M = {min_m:.4f} at phi = {argmin/np.pi:.3f} pi "

@@ -14,7 +14,7 @@ from atomlight import RunConfig, scan_over_r
 N_TRAJ = 600
 
 print("=== no seed ===")
-config = RunConfig(n_seed=0.0, trajectories=N_TRAJ, bootstrap_resamples=100)
+config = RunConfig(n_seed=0.0, trajectories=N_TRAJ)
 unseeded = scan_over_r(np.arange(3.0, 5.51, 0.25), config)
 for row in unseeded.rows:
     print(f"r={row.r:4.2f}  M={row.m:8.4f}  closed form {row.m_recycled:7.4f}  "
@@ -24,7 +24,7 @@ print(f"optimum: M = {best.m:.4f} at r = {best.r} "
       f"(worth {1.0 / best.m**2:,.0f}x more atoms)")
 
 print("\n=== seed of 1e4 atoms ===")
-config = RunConfig(n_seed=1.0e4, trajectories=N_TRAJ, bootstrap_resamples=100)
+config = RunConfig(n_seed=1.0e4, trajectories=N_TRAJ)
 seeded = scan_over_r(np.arange(1.0, 4.01, 0.25), config)
 best = seeded.rows[seeded.star]
 print(f"optimum: M = {best.m:.4f} at r = {best.r} with "

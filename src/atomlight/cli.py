@@ -114,7 +114,7 @@ def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
     drift, transferred = ensembles[0].conservation, transferred_atoms(ensembles[0])
     phi = np.linspace(config.phi_start, config.phi_stop, config.phi_count)
     # popped, not named, so that the ensemble is freed once its features are read
-    curve = sensitivity_curve(ensembles.pop(), phi, spec, resamples=config.bootstrap_resamples)
+    curve = sensitivity_curve(ensembles.pop(), phi, spec)
     rows = list(zip(*(getattr(curve, c) for c in PHI_SWEEP_COLUMNS)))
     min_m, argmin_phi, k = curve.min_m()
     ci = [float(curve.m_ci_lo[k]), float(curve.m_ci_hi[k])]
@@ -261,8 +261,8 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
 
 def _error_budget(conservation: ConservationReport, m: float, ci) -> dict:
     """Relative precision of M at the reported point: the drift of K
-    (ConservationReport.k_drift) against Monte Carlo (half the bootstrap
-    interval over M)."""
+    (ConservationReport.k_drift) against Monte Carlo (half the interval of M
+    over M)."""
     return {"k_drift_rel": conservation.k_drift,
             "mc_rel": float(np.divide(ci[1] - ci[0], 2.0 * m))}
 

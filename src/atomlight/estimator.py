@@ -18,9 +18,9 @@ evaluated on its own, and
 
     delta_phi = sqrt( V(S) / (d<S>/dphi)^2 ),    M = delta_phi * sqrt(N_t).
 
-Confidence intervals are trajectory-level bootstrap: whole trajectories
-are resampled and V(S), d<S>/dphi and M are recomputed jointly from the
-feature sums over each resample.
+The interval of M is the delta method's: the variance of the influence
+function of log M, from the centred feature moments up to order 4, which
+are sums over the same trajectories as the point statistics.
 
 Every M goes through one evaluation, _curves: check that the ensembles
 share one draw and have enough trajectories, take their feature stack from
@@ -33,23 +33,24 @@ its curves, in every evolution mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from .analytics import predict
-from .config import CORRECTIONS, MIN_RESAMPLES, MIN_TRAJECTORIES, RunConfig
+from .config import CORRECTIONS, MIN_TRAJECTORIES, RunConfig
 from .dynamics import ConservationReport, Ensemble, build_ensembles, transferred_atoms
 from .interferometer import HomodyneSpec, feature_stack
-from .phasespace import open_stream, quadrature_x, quadrature_y
+from .phasespace import quadrature_x, quadrature_y
 
-CI_LEVEL = 0.95  # coverage of every bootstrap interval
-# (resample, set, phase) cells whose statistics evaluate takes at once,
-# in blocks of whole resamples (at least one), so its transient arrays stay
-# this size whatever the resample count.  That is 24 resamples of one set at
-# 201 phases (as fast as one evaluation of all of them) and every resample of
-# a 13-r scan's single phase, where more blocks would only add per-call overhead.
-RESAMPLE_BLOCK_CELLS = 5000
+Z_CI = 1.959963984540054  # the standard normal's 0.975 quantile: 95 % intervals
+# the centred monomials of the features (B, C, S_b / g), as feature indices:
+# the pairs are rows 3.. of the term block, and the interval reads those of
+# degree 3 and 4 as well
+PAIRS, THIRD, FOURTH = (list(combinations_with_replacement(range(3), degree))
+                        for degree in (2, 3, 4))
 
 
 @dataclass
@@ -110,173 +111,168 @@ def correction_weight(correction_sign: str) -> float:
     return {"plus": -1.0, "minus": 1.0, "off": 0.0}[correction_sign]
 
 
+def _coefficient(monomial, vectors):
+    """The coefficient of a centred monomial's mean in the mean of the product
+    of the projections v . f~ of the vectors: the sum over the monomial's
+    distinct orderings of the products of the vectors' components, added in
+    one fixed order."""
+    return sum(math.prod(v[a] for v, a in zip(vectors, order))
+               for order in sorted(set(permutations(monomial))))
+
+
 def _moments(features):
-    """Per-trajectory terms of a feature stack, and the statistics their sums determine.
+    """The per-trajectory terms of a feature stack, the feature means and
+    covariances their sums give, and the statistics those determine.
 
     features is a (sets, n, 3) stack of rows f = (B, C, S_b / g), and for a
-    weight w the signal at phase phi_p is S_p = (cos phi_p, sin phi_p, w) @ f;
-    the atomic record alone is w = 0.  Its mean and exact slope need the
-    feature means, its unbiased variance the feature covariance; both follow
-    from the sums of the terms (centred features and their pairwise products)
-    over any index set, so a bootstrap resample costs one weighted sum.
-    moments(sums) takes sums of shape (..., sets, 9) and returns the feature
-    means (..., sets, 3) and covariances (..., sets, 6) of the pairs
-    (B, B), (B, C), (B, S_b / g), (C, C), (C, S_b / g), (S_b / g, S_b / g);
-    statistics(mean, cov, phi, weights, n_total) takes them and a list of
-    weights (or one weight) per set, and returns a dict of (..., sets,
-    weights, phases) arrays; each cell adds the 3 terms of its mean or slope
-    and the 6 of its variance in one fixed order, whatever else is evaluated
-    with it.  The terms are a (sets, 9, n) block, trajectories on the
-    contiguous axis, each row formed in place from the features or from two
-    centred rows, so no other (n, 3)-sized array is made.
+    weight w the signal at phase phi is S = d @ f with the design
+    d = (cos phi, sin phi, w); the atomic record alone is w = 0.  Its mean
+    and exact slope D = t @ mean(f), t = (-sin phi, cos phi, 0), need the
+    feature means, its unbiased variance V the covariances (sets, 6) of the
+    PAIRS (B, B), (B, C), (B, S_b / g), (C, C), (C, S_b / g),
+    (S_b / g, S_b / g).  Both come from the sums of the terms, a (sets, 9, n)
+    block of the centred features f~ and their PAIRS of products, each row
+    formed in place, trajectories on the contiguous axis.
+
+    statistics(higher, phi, weights, n_total), with higher the (sets, 25)
+    sums of _interval_sums in the basis of each set's first weight, takes a
+    list of weights per set and returns a dict of (sets, weights, phases)
+    arrays: the point statistics and the edges m_ci_lo, m_ci_hi of the delta
+    method's interval for log M (Efron & Tibshirani, An Introduction to the
+    Bootstrap, 1993, ch. 21; van der Vaart, Asymptotic Statistics, 1998,
+    ch. 3), M exp(-+Z_CI se).  se^2 = E[IF^2] / n for the influence function
+    IF = ((d @ f~)^2 - V) / (2 V) - (t @ f~) / D of log M, so
+    E[IF^2] = (mu4 - V^2) / (4 V^2) - mu3 / (V D) + t' Sigma t / D^2, with V
+    and Sigma population (co)variances, mu4 = E[(d @ f~)^4] and
+    mu3 = E[(d @ f~)^2 (t @ f~)].  The interval is taken at the weight given,
+    as a fixed design row; at a weight fitted to the least V, dV/dw = 0, so
+    the same formula holds.  An infinite M has +inf edges, a NaN M NaN edges
+    and M = 0 (no variance) edges 0.  Each cell adds the terms of its mean,
+    slope, variance and interval in one fixed order, whatever else is
+    evaluated with it.
     """
     features = np.asarray(features, dtype=float)
     sets, n, k = features.shape
     if n < 2:
         raise ValueError(f"a variance needs at least 2 trajectories; got {n}")
     center = features.mean(axis=1)
-    i, j = np.triu_indices(k)
-
-    def moments(sums: np.ndarray):
-        shift = sums[..., :k] / n
-        return center + shift, (sums[..., k:] - n * shift[..., i] * shift[..., j]) / (n - 1)
-
-    def statistics(mean, cov, phi, weights, n_total: float) -> dict:
-        weights = np.array(weights, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        design = np.broadcast_arrays(np.cos(phi), np.sin(phi), weights.reshape(sets, -1, 1))
-        pairs = [design[a] * design[b] * (1.0 if a == b else 2.0) for a, b in zip(i, j)]
-        slope = [-np.sin(phi), np.cos(phi), np.zeros_like(phi)]
-        mean = np.moveaxis(mean, -1, 0)[..., None, None]  # (term, ..., set, 1, 1)
-        cov = np.moveaxis(cov, -1, 0)[..., None, None]
-        ds = sum(x * y for x, y in zip(mean, slope))  # Python's sum: term by term
-        mean_s = sum(x * y for x, y in zip(mean, design))
-        var_s = np.maximum(sum(x * y for x, y in zip(cov, pairs)), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0
-            delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
-        return {"mean_s": mean_s, "var_s": var_s, "ds_dphi": np.broadcast_to(ds, var_s.shape),
-                "delta_phi": delta_phi, "m": delta_phi * np.sqrt(n_total)}
-
-    terms = np.empty((sets, k + i.size, n))
+    terms = np.empty((sets, k + len(PAIRS), n))
     np.subtract(features.transpose(0, 2, 1), center[:, :, None], out=terms[:, :k])
-    for row, (a, b) in enumerate(zip(i, j), start=k):
+    for row, (a, b) in enumerate(PAIRS, start=k):
         np.multiply(terms[:, a], terms[:, b], out=terms[:, row])
-    return terms, moments, statistics
+    sums = terms.sum(axis=-1)
+    shift = sums[:, :k] / n
+    i, j = np.array(PAIRS).T
+    mean, cov = center + shift, (sums[:, k:] - n * shift[:, i] * shift[:, j]) / (n - 1)
+
+    def statistics(higher, phi, weights, n_total: float) -> dict:
+        weights = np.array(weights, dtype=float).reshape(sets, -1, 1)
+        phi = np.asarray(phi, dtype=float)
+        design = np.broadcast_arrays(np.cos(phi), np.sin(phi), weights)
+        slope = [-np.sin(phi), np.cos(phi), np.zeros_like(phi)]
+        # d and t in the basis of each set's first weight, that of its higher sums
+        d_b, t_b = ([v[0], v[1], v[2] - weights[:, :1] * v[1]] for v in (design, slope))
+        first, second = (x.T[..., None, None] for x in (mean, cov))  # (term, set, 1, 1)
+        third, fourth = (x.T[..., None, None] / n for x in np.split(higher, [len(THIRD)], -1))
+        ds = sum(x * y for x, y in zip(first, slope))  # Python's sum: term by term
+        mean_s = sum(x * y for x, y in zip(first, design))
+        var_s = np.maximum(sum(x * _coefficient(p, [design] * 2)
+                               for x, p in zip(second, PAIRS)), 0.0)
+        var_t = sum(x * _coefficient(p, [slope] * 2) for x, p in zip(second, PAIRS))
+        mu3 = sum(x * _coefficient(p, [d_b, d_b, t_b]) for x, p in zip(third, THIRD))
+        mu4 = sum(x * _coefficient(p, [d_b] * 4) for x, p in zip(fourth, FOURTH))
+        # x / 0 and 0 / 0 (a zero slope: an infinite M; no variance: M = 0), and
+        # an edge past the float range
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
+            m = delta_phi * np.sqrt(n_total)
+            v, v_t = var_s * ((n - 1) / n), var_t * ((n - 1) / n)  # population variances
+            spread = (mu4 - v * v) / (4.0 * v * v) - mu3 / (v * ds) + v_t / (ds * ds)
+            se = np.sqrt(np.maximum(spread, 0.0) / n)
+            held = np.isinf(m) | (m == 0.0)
+            lo, hi = (np.where(held, m, m * np.exp(side * Z_CI * se)) for side in (-1.0, 1.0))
+        return {"mean_s": mean_s, "var_s": var_s, "ds_dphi": np.broadcast_to(ds, var_s.shape),
+                "delta_phi": delta_phi, "m": m, "m_ci_lo": lo, "m_ci_hi": hi}
+
+    return terms, mean, cov, statistics
 
 
-def _resample_sums(terms, resamples: int, master_seed: int) -> np.ndarray:
-    """Sums of each row of terms over the trajectories (last axis) of every resample.
+def _interval_sums(terms, weights) -> np.ndarray:
+    """The (sets, 25) sums over the trajectories of the centred monomials of
+    degree 3 (THIRD) and then 4 (FOURTH) of each set's features in the basis
+    (B, C + w S_b / g, S_b / g) of its weight w, from a (sets, 9, n) term block.
 
-    Resample t draws n trajectory indices from the "bootstrap" stream of
-    master_seed, so the draws depend on (master_seed, n) only, and sums the
-    terms weighted by how often it drew each trajectory.  einsum makes no
-    BLAS call and sums each row in one order whatever rows are stacked with
-    it; the counts are floats because integer counts are cast through
-    nditer buffers, which doubles the cost at 1e4 trajectories.  No name holds
-    the draw or the counts, so at most two of the three are live at once.
+    In that basis the signal at pi/2 is one feature, so its moments are not
+    the cancellation of far larger ones: at the unseeded optimum V(S) is
+    1e-7 of V(C) at N = 1e7 and 1e-9 at N = 1e9, where moments taken in the
+    features' own basis put se 2.6 % off (r = 4.5, 1e5 trajectories) and
+    out by factors (r = 5.6).  Each set's C row and
+    the pair rows with it are rewritten in place; then each monomial is the
+    product of a pair row with a feature row or another pair row, formed one
+    at a time in one trajectory-sized scratch and summed there, so a set's
+    sums do not depend on the sets beside it.
     """
-    n_traj = terms.shape[-1]
-    rng = open_stream(master_seed, "bootstrap")
-    sums = np.empty((resamples,) + terms.shape[:-1])
-    for t in range(resamples):
-        np.einsum("...n,n->...", terms, np.bincount(
-            rng.integers(0, n_traj, size=n_traj), minlength=n_traj).astype(float), out=sums[t])
+    sets, rows, n = terms.shape
+    row = {pair: r for r, pair in enumerate(PAIRS, start=rows - len(PAIRS))}
+    factors = [(row[a, b], c) for a, b, c in THIRD] + [(row[a, b], row[c, d])
+                                                          for a, b, c, d in FOURTH]
+    scratch = np.empty(n)
+    sums = np.empty((sets, len(factors)))
+    for s, w in enumerate(weights):
+        f = terms[s]
+        f[1] += np.multiply(f[2], w, out=scratch)  # C + w S_b / g
+        for a, b in PAIRS:
+            if 1 in (a, b):
+                np.multiply(f[a], f[b], out=f[row[a, b]])
+        for col, (x, y) in enumerate(factors):
+            sums[s, col] = np.multiply(f[x], f[y], out=scratch).sum()
     return sums
 
 
-def _percentile(values, percent) -> np.ndarray:
-    """np.percentile(values, percent, axis=0) with its default "linear" rule,
-    bit for bit, from a sorted copy.
-
-    np.percentile picks its partition points through np.unique, which
-    imports numpy.ma (about 10 ms and 1.3-2 MB of peak memory) in a run that
-    has not loaded it.  The interpolation is numpy's _lerp: a + (b - a) g,
-    or b - (b - a)(1 - g) where g >= 0.5; a column whose sorted last entry
-    is NaN gives that NaN.
-    """
-    ordered = np.sort(values, axis=0)
-    n = ordered.shape[0]
-    virtual = (n - 1) * np.true_divide(percent, 100)
-    below = np.floor(virtual)
-    gamma = (virtual - below).reshape((-1,) + (1,) * (ordered.ndim - 1))
-    lo = np.clip(below.astype(np.intp), 0, n - 1)
-    a, b = ordered[lo], ordered[np.minimum(lo + 1, n - 1)]
-    diff = b - a
-    out = np.add(a, diff * gamma)
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return np.where(np.isnan(ordered[-1]), ordered[-1], out)
-
-
-def evaluate(features, phi, corrections, n_total: float, resamples: int | None = None,
-             master_seed: int = 0) -> tuple[dict, np.ndarray, np.ndarray]:
+def evaluate(features, phi, corrections, n_total: float) -> tuple[dict, np.ndarray, np.ndarray]:
     """Statistics of every set at its correction's weight and at weight 0, and
     the interval of M at the first, from one (sets, 9, n) term block.
 
     features is a (sets, n, 3) stack of (B, C, S_b / g) rows and corrections
     one name per set: "plus" (weight -1), "minus" (+1), "off" (0) or "auto".
-    "auto" is resolved once, from the sums of the whole sample, and every
-    resample uses its weight: "plus" where cov(C, S_b / g) >= 0 (ties too),
-    "minus" otherwise.  C is the atomic record at pi/2, and for any g > 0
+    "auto" is resolved once, from the sums of the whole sample: "plus" where
+    cov(C, S_b / g) >= 0 (ties too), "minus" otherwise.  C is the atomic
+    record at pi/2, and for any g > 0
     V(C - S_b/g) - V(C + S_b/g) = -4 cov(C, S_b/g), so that is the sign with
     the smaller V(S) there.  The statistics (mean, variance, exact fringe
     slope, delta_phi and M) are (sets, 2, phases) arrays from the block's
     sums; beside them are each set's resolved "correction_sign" and its mean
     light record "mean_s_b_over_g", a (sets,) array.  The edges, of shape
-    (sets, phases), are a percentile bootstrap (coverage CI_LEVEL) from its
-    resample sums, or M itself when resamples is None.  Whole trajectories
-    are resampled, so the variance and the slope are recomputed jointly,
-    with the same indices for every set, so each set's edges are those of
-    that set alone.  A vanishing resampled slope gives an infinite M, and an
-    edge next to one is +inf.  The resamples' statistics are evaluated in
-    blocks of about RESAMPLE_BLOCK_CELLS (resample, set, phase) cells; every
-    value is per cell, so the edges do not depend on their size.  The stack
-    is dropped once the block is formed, and the block once its resample
-    sums are.
+    (sets, phases), are the delta-method interval of M at the resolved
+    weight (_moments), from the same sums and those of _interval_sums.  The
+    stack is dropped once the block is formed.
     """
-    if resamples is not None and resamples < MIN_RESAMPLES:
-        raise ValueError(f"resamples must be >= {MIN_RESAMPLES}")
     if len(corrections) != len(features):
         raise ValueError(f"{len(corrections)} corrections for {len(features)} sets")
-    terms, moments, statistics = _moments(features)
+    terms, mean, cov, statistics = _moments(features)
     del features  # freed here if no caller names it (_curves does not)
-    mean, cov = moments(terms.sum(axis=-1))
     signs = [("plus" if c_s >= 0 else "minus") if name == "auto" else name
              for name, c_s in zip(corrections, cov[:, 4])]  # cov(C, S_b / g)
-    weights = [correction_weight(sign) for sign in signs]
-    stats = statistics(mean, cov, phi, [[w, 0.0] for w in weights], n_total)
+    weights = [[correction_weight(sign), 0.0] for sign in signs]
+    stats = statistics(_interval_sums(terms, [w for w, _ in weights]), phi, weights, n_total)
     stats.update(correction_sign=signs, mean_s_b_over_g=mean[:, 2])
-    if resamples is None:
-        return stats, stats["m"][:, 0], stats["m"][:, 0]
-    sums = _resample_sums(terms, resamples, master_seed)  # (resamples, sets, 9)
-    del terms  # keep the block out of the statistics' transient memory
-    m = np.empty((resamples,) + stats["m"].shape[::2])  # (resamples, sets, phases)
-    step = max(1, RESAMPLE_BLOCK_CELLS // m[0].size)
-    for t in range(0, resamples, step):
-        block = statistics(*moments(sums[t:t + step]), phi, weights, n_total)
-        m[t:t + step] = block["m"][..., 0, :]
-    lo_q = 100.0 * (1.0 - CI_LEVEL) / 2.0
-    with np.errstate(invalid="ignore"):  # inf - inf where an edge meets an infinite M
-        edges = _percentile(m, [lo_q, 100.0 - lo_q])
-    edges[np.isnan(edges) & ~np.isnan(m).any(axis=0)] = np.inf
-    return stats, edges[0], edges[1]
+    return stats, stats.pop("m_ci_lo")[:, 0], stats.pop("m_ci_hi")[:, 0]
 
 
-def _curves(ensembles: list, phi, spec: HomodyneSpec,
-            resamples: int | None) -> list[SensitivityCurve]:
+def _curves(ensembles: list, phi, spec: HomodyneSpec) -> list[SensitivityCurve]:
     """The sensitivity curve of each ensemble at each phase in phi, a non-empty 1-D grid.
 
-    The ensembles must come from one draw: the LO noise and the bootstrap's
-    resample stream depend on (master_seed, n_traj) only, and the M scale on
-    n_total.  One LO draw and one evaluate call serve every ensemble, so
-    each curve equals that of its ensemble alone.  With resamples None each
-    interval collapses to its point.  The list is emptied as the features
-    are read, so no ensemble or stack that only it held is live in the bootstrap.
+    The ensembles must come from one draw: the LO noise depends on
+    (master_seed, n_traj) only, and the M scale on n_total.  One LO draw and
+    one evaluate call serve every ensemble, so each curve equals that of its
+    ensemble alone.  The list is emptied as the features are read, so no
+    ensemble or stack that only it held is live in the interval's sums.
     """
     shared = {(e.n_traj, e.master_seed, e.n_total) for e in ensembles}
     if len(shared) > 1:
         raise ValueError("the ensembles of a scan must share n_traj, master_seed and "
                          f"n_total; got {sorted(shared)}")
-    (n_traj, master_seed, n_total), = shared
+    (n_traj, _, n_total), = shared
     if n_traj < MIN_TRAJECTORIES:
         raise ValueError(f"need at least {MIN_TRAJECTORIES} trajectories")
 
@@ -284,8 +280,7 @@ def _curves(ensembles: list, phi, spec: HomodyneSpec,
     if phi.ndim != 1 or phi.size == 0:
         raise ValueError(f"phi must be a non-empty 1-D grid of phases; got shape {phi.shape}")
     corrections = [spec.correction_sign] * len(ensembles)
-    stats, ci_lo, ci_hi = evaluate(feature_stack(ensembles, spec), phi, corrections, n_total,
-                                   resamples, master_seed)
+    stats, ci_lo, ci_hi = evaluate(feature_stack(ensembles, spec), phi, corrections, n_total)
     signs, mean_s_b_over_g = stats.pop("correction_sign"), stats.pop("mean_s_b_over_g")
     return [SensitivityCurve(
         phi=phi, mean_s_a=stats["mean_s"][s, 1], var_s_a=stats["var_s"][s, 1],
@@ -295,13 +290,12 @@ def _curves(ensembles: list, phi, spec: HomodyneSpec,
     ) for s in range(len(signs))]
 
 
-def sensitivity_curve(ensemble: Ensemble, phi, spec: HomodyneSpec,
-                      resamples: int | None = 200) -> SensitivityCurve:
+def sensitivity_curve(ensemble: Ensemble, phi, spec: HomodyneSpec) -> SensitivityCurve:
     """Full sensitivity analysis of one ensemble at each phase in phi (one
-    phase is a grid of one); with resamples None each interval is its point."""
+    phase is a grid of one)."""
     ensembles = [ensemble]
     del ensemble  # so that _curves frees it, unless the caller holds it
-    return _curves(ensembles, phi, spec, resamples)[0]
+    return _curves(ensembles, phi, spec)[0]
 
 
 def squeezed_combo_variance(ensemble: Ensemble) -> float:
@@ -348,7 +342,7 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     read = [dict(r=r, transferred=transferred_atoms(e), conservation=e.conservation,
                  var_squeezed_combo=squeezed_combo_variance(e))
             for r, e in zip(r_values, ensembles)]
-    curves = _curves(ensembles, [np.pi / 2], spec, config.bootstrap_resamples)
+    curves = _curves(ensembles, [np.pi / 2], spec)
     rows = []
     for fields, curve in zip(read, curves):
         pred = predict(fields["r"], config.n_total)

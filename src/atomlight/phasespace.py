@@ -14,8 +14,7 @@ word 3 the stream tag, and raw block i (four 64-bit words, counted in
 word 0) belongs to trajectory i.  The first two words of a block give one
 complex Gaussian by Box-Muller.  A draw is therefore a pure function of
 (master_seed, trajectory_index, stream_tag), so ensembles are reproducible
-bit-for-bit however they are split into chunks or threads.  The bootstrap's
-resample indices are drawn from the start of the "bootstrap" stream.
+bit-for-bit however they are split into chunks or threads.
 """
 
 from __future__ import annotations
@@ -24,15 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Stream tags, one per independent noise source (the bootstrap's resample
-# draw included).  A tag is part of every draw from its stream, so tags are
-# never renumbered: 4 is left unassigned on purpose.
+# Stream tags, one per independent noise source.  A tag is part of every
+# draw from its stream, so tags are never renumbered: 4 and 5 are retired.
 STREAMS = {
     "atoms1": 0,
     "atoms2": 1,
     "light2": 2,
     "local_oscillator": 3,
-    "bootstrap": 5,
 }
 
 # Wigner width of a coherent state: each quadrature of the added noise eta
@@ -91,13 +88,13 @@ def _box_muller(words: np.ndarray) -> np.ndarray:
     return radius * (np.cos(angle) + 1j * np.sin(angle))
 
 
-def open_stream(master_seed: int, stream_tag: str, first_index: int = 0) -> np.random.Generator:
-    """A generator on the Philox stream stream_tag of master_seed, advanced to
-    raw block first_index; its bit_generator reads the raw words."""
+def open_stream(master_seed: int, stream_tag: str, first_index: int = 0) -> np.random.Philox:
+    """The Philox bit generator of stream stream_tag of master_seed, advanced
+    to raw block first_index."""
     if first_index < 0:
         raise ValueError("first_index must be >= 0")
-    bits = np.random.Philox(key=master_seed, counter=[0, 0, 0, STREAMS[stream_tag]])
-    return np.random.Generator(bits.advance(first_index))
+    return np.random.Philox(key=master_seed,
+                            counter=[0, 0, 0, STREAMS[stream_tag]]).advance(first_index)
 
 
 def sample_coherent_batch(
@@ -116,7 +113,7 @@ def sample_coherent_batch(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    bits = open_stream(master_seed, stream_tag, first_index).bit_generator
+    bits = open_stream(master_seed, stream_tag, first_index)
     out = np.empty(n_traj, dtype=np.complex128)
     for start in range(0, n_traj, SAMPLE_BLOCK):
         block = out[start:start + SAMPLE_BLOCK]

@@ -10,6 +10,11 @@ N2 - N1 at its output, so signal_atoms(*run_mzi(alpha1, alpha2, phi)) is the
 atomic record that the read-out takes in closed form as B cos(phi) + C sin(phi)
 (interferometer.fringe_features).
 interferometer_signals pairs it with the homodyne light record at one phase.
+
+direct_m and bootstrap_interval are M and its percentile bootstrap interval
+taken on per-trajectory signal and slope matrices, with whole trajectories
+gathered for each resample: the reference that the estimator's delta-method
+interval is compared against for coverage.
 """
 
 import numpy as np
@@ -95,3 +100,22 @@ def interferometer_signals(ensemble, phi, spec, lo_noise=None):
     state = ensemble.state
     s_a = signal_atoms(*run_mzi(state.alpha1, state.alpha2, phi))
     return s_a, signal_light(state.beta2, lo_amplitude(ensemble, spec, lo_noise))
+
+
+def direct_m(s, slope, n_total):
+    """M per phase from the sample moments of a (..., trajectories, phases)
+    signal matrix and its per-trajectory slope matrix."""
+    ds = slope.mean(axis=-2)
+    with np.errstate(divide="ignore"):
+        return np.where(ds != 0.0, np.sqrt(s.var(axis=-2, ddof=1)) / np.abs(ds), np.inf) \
+            * np.sqrt(n_total)
+
+
+def bootstrap_interval(s, slope, n_total, seed):
+    """The 95 % percentile bootstrap interval (lo, hi) of M at each phase from
+    200 resamples: each gathers n trajectories (rows of s and slope) drawn
+    with replacement by np.random.default_rng(seed), and np.percentile takes
+    the edges of the resamples' M."""
+    n = s.shape[0]
+    idx = np.random.default_rng(seed).integers(0, n, size=(200, n))
+    return np.percentile(direct_m(s[idx], slope[idx], n_total), [2.5, 97.5], axis=0)

@@ -40,9 +40,9 @@ def report(criterion: int, ok: bool, detail: str):
     assert ok, detail
 
 
-def at_pi_2(ensemble, spec, resamples=None):
+def at_pi_2(ensemble, spec):
     """The sensitivity curve of ensemble at the working phase pi/2 alone."""
-    return sensitivity_curve(ensemble, [np.pi / 2], spec, resamples)
+    return sensitivity_curve(ensemble, [np.pi / 2], spec)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def fig3_ensemble():
 @pytest.fixture(scope="module")
 def seeded_scan():
     config = RunConfig(n_total=N_TOTAL, n_seed=1.0e4, trajectories=1000,
-                       master_seed=MASTER_SEED, bootstrap_resamples=200)
+                       master_seed=MASTER_SEED)
     r_values = [round(v, 10) for v in np.arange(1.0, 4.01, 0.25)]
     return scan_over_r(r_values, config)
 
@@ -124,7 +124,7 @@ def test_criterion_04_sql_recovery():
 
 def test_criterion_05_unseeded_optimum():
     config = RunConfig(n_total=N_TOTAL, n_seed=0.0, trajectories=1000,
-                       master_seed=MASTER_SEED, bootstrap_resamples=200)
+                       master_seed=MASTER_SEED)
     r_values = [round(v, 10) for v in np.arange(3.0, 5.51, 0.25)]
     result = scan_over_r(r_values, config)
     star = result.rows[result.star]
@@ -169,7 +169,7 @@ def test_criterion_07_working_point(fig3_ensemble):
 
 
 def test_criterion_08_gain_saturation_and_sign(fig3_ensemble):
-    at_100 = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=100.0), resamples=200)
+    at_100 = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=100.0))
     m100, width = at_100.m[0], at_100.m_ci_hi[0] - at_100.m_ci_lo[0]
     m1000 = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=1000.0)).m[0]
     anti = "minus" if at_100.correction_sign == "plus" else "plus"

@@ -250,7 +250,7 @@ def test_r_scan_analytic_mode(tmp_path):
         m_plain, m_recycled = float(parts[6]), float(parts[7])
         assert m_plain == pytest.approx(np.sqrt(np.cosh(2.0 * r)), rel=1e-14)
         assert m_recycled == pytest.approx(np.sqrt(2.0) * np.exp(-r), rel=1e-14)
-        assert lo < m < hi  # sampled, with a bootstrap interval
+        assert lo < m < hi  # sampled, with an interval
     summary = json.loads((out / "r_scan_summary.json").read_text())
     assert summary["r_star"] == 2.0
     assert summary["at_boundary"] is True
@@ -268,9 +268,9 @@ def test_analytic_r_scan_refuses_r_past_the_pump(tmp_path, capsys):
     assert code == 0
     lines = [l for l in (out / "r_scan.csv").read_text().splitlines() if not l.startswith("#")]
     assert lines[1:] == [
-        "1,0.50711660164320693,0.4857685736197766,0.52981301757176968,13820.517541189827,"
+        "1,0.50711660164320693,0.48512498526505715,0.53010513882653743,13820.517541189827,"
         "0.25690613240728821,1.939638030943823,0.52026009502288895,plus",
-        "2,0.21687145997973087,0.20791140565589805,0.22658925678012556,131616.02732915818,"
+        "2,0.21687145997973087,0.20783841904946454,0.2262970935250731,131616.02732915818,"
         "0.034768464194563142,5.2257279718730567,0.19139299302082188,plus",
     ]
 
@@ -774,7 +774,6 @@ def test_numpy_error_state_is_set_by_main_and_expected_non_finites_only():
     assert sites == [
         "cli.main",
         "dynamics.check_pump_range",  # sinh^2 r overflows to inf: past the pump
-        "estimator.evaluate",  # inf - inf in _percentile next to an infinite M
         "estimator.statistics",  # x / 0, a zero slope: an infinite M
     ]
 
@@ -882,7 +881,7 @@ def test_figures_gate_the_squeezing_table(tmp_path, capsys, monkeypatch):
 def test_amplitudes_and_features_are_freed_before_the_bootstrap(tmp_path, monkeypatch,
                                                                 verb, config):
     # each stage drops its input once the next has read it: on entry to the
-    # bootstrap no t1 amplitude array (nor the block it is a view of) and no
+    # interval's sums no t1 amplitude array (nor the block it is a view of) and no
     # feature stack is alive.  A Python call moves its arguments into the
     # callee's frame, so an argument that no caller names (the popped
     # ensemble, _curves' stack) goes when the callee drops it
@@ -903,13 +902,13 @@ def test_amplitudes_and_features_are_freed_before_the_bootstrap(tmp_path, monkey
 
     tracked(interferometer, "fringe_features", amplitudes)
     tracked(estimator, "_moments", lambda features: (features,))
-    resample_sums = estimator._resample_sums
+    interval_sums = estimator._interval_sums
 
-    def bootstrap(*args, **kwargs):
+    def interval(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in refs))
-        return resample_sums(*args, **kwargs)
+        return interval_sums(*args, **kwargs)
 
-    monkeypatch.setattr(estimator, "_resample_sums", bootstrap)
+    monkeypatch.setattr(estimator, "_interval_sums", interval)
     code, _ = run([verb, "--config", str(SRC.parent / "configs" / config),
                    "--set", "trajectories=200", "--set", "bootstrap_resamples=100"], tmp_path)
     assert code == 0
@@ -920,7 +919,8 @@ def test_amplitudes_and_features_are_freed_before_the_bootstrap(tmp_path, monkey
 # --- what a run loads ----------------------------------------------------------------
 
 def test_runs_leave_numpy_ma_unloaded(tmp_path):
-    # np.percentile would import numpy.ma (through np.unique) in every bootstrap
+    # numpy.ma costs about 10 ms and 1.3-2 MB to import (np.percentile and np.unique
+    # load it), and no run needs it
     runs = [["phi-sweep", "--set", "trajectories=200", "--set", "phi_count=5",
              "--set", "bootstrap_resamples=100", "--out", str(tmp_path / "a")],
             ["r-scan", "--config", str(SRC.parent / "configs" / "r_scan_seeded.cfg"),

@@ -1,6 +1,5 @@
-"""Sensitivity curves, bootstrap intervals and the r-scan."""
+"""Sensitivity curves, their intervals and the r-scan."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -13,10 +12,9 @@ import atomlight.estimator as estimator
 import atomlight.interferometer as interferometer
 from atomlight.config import ConfigError, RunConfig
 from atomlight.dynamics import build_ensembles
-from atomlight.estimator import correction_weight, evaluate, scan_over_r, sensitivity_curve
-from atomlight.interferometer import HomodyneSpec, fringe_features, lo_noise_samples
-from atomlight.phasespace import STREAMS
-from oracles import interferometer_signals
+from atomlight.estimator import Z_CI, correction_weight, evaluate, scan_over_r, sensitivity_curve
+from atomlight.interferometer import HomodyneSpec, feature_stack, fringe_features, lo_noise_samples
+from oracles import bootstrap_interval, interferometer_signals
 
 SEED = 555
 CELLS = ("mean_s", "var_s", "ds_dphi", "delta_phi", "m")  # evaluate's (sets, 2, phases) arrays
@@ -26,7 +24,7 @@ CELLS = ("mean_s", "var_s", "ds_dphi", "delta_phi", "m")  # evaluate's (sets, 2,
 
 def test_phi_grid_from_range(working_point_ensemble):
     grid = np.linspace(0.0, 2 * np.pi, 201)
-    curve = sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(), resamples=100)
+    curve = sensitivity_curve(working_point_ensemble, grid, HomodyneSpec())
     assert len(curve.phi) == 201
     assert curve.phi[1] - curve.phi[0] == pytest.approx(np.pi / 100)
 
@@ -50,7 +48,7 @@ def test_phi_grid_rejects_bad_input(working_point_ensemble, monkeypatch):
     monkeypatch.setattr(interferometer, "lo_noise_samples", no_draw)
     for grid in ([], [[0.1, 0.2]], 0.1):
         with pytest.raises(ValueError, match="non-empty 1-D grid"):
-            sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(), resamples=100)
+            sensitivity_curve(working_point_ensemble, grid, HomodyneSpec())
 
 
 # --- common random numbers -------------------------------------------------------
@@ -78,8 +76,8 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
     spec = HomodyneSpec(gain_g=100.0)
     grid = np.linspace(0.0, np.pi, 129)  # a step of pi/128 holds pi/2 exactly
     assert grid[64] == np.pi / 2
-    curve = sensitivity_curve(ensemble, grid, spec, resamples=200)
-    single = sensitivity_curve(ensemble, [np.pi / 2], spec, resamples=200)
+    curve = sensitivity_curve(ensemble, grid, spec)
+    single = sensitivity_curve(ensemble, [np.pi / 2], spec)
     assert single.correction_sign == curve.correction_sign
     assert np.array_equal(single.m[0], curve.m[64])
     assert np.array_equal(single.m_ci_lo[0], curve.m_ci_lo[64])
@@ -110,19 +108,10 @@ def _direct_slope(ensemble, grid, spec, sign):
     return _direct_signals(ensemble, grid + np.pi / 2, spec, sign)[1]
 
 
-def _direct_m(s, slope, n_total):
-    """Reference M per phase from the sample moments of a signal matrix and
-    its per-trajectory slope matrix."""
-    ds = slope.mean(axis=0)
-    with np.errstate(divide="ignore"):
-        return np.where(ds != 0.0, np.sqrt(s.var(axis=0, ddof=1)) / np.abs(ds), np.inf) \
-            * np.sqrt(n_total)
-
-
 def test_features_match_direct_signals(working_point_ensemble):
     grid = np.linspace(0.0, 2 * np.pi, 201)
     spec = HomodyneSpec(gain_g=100.0)
-    curve = sensitivity_curve(working_point_ensemble, grid, spec, resamples=100)
+    curve = sensitivity_curve(working_point_ensemble, grid, spec)
     s, s_a = _direct_signals(working_point_ensemble, grid, spec, curve.correction_sign)
     for mean, var, ref in ((curve.mean_s, curve.var_s, s), (curve.mean_s_a, curve.var_s_a, s_a)):
         ref_mean = ref.mean(axis=0)
@@ -130,44 +119,37 @@ def test_features_match_direct_signals(working_point_ensemble):
         assert np.allclose(var, ref.var(axis=0, ddof=1), rtol=1e-9, atol=0.0)
 
 
-def test_bootstrap_matches_resampled_reference(working_point_ensemble):
+def test_interval_matches_the_direct_influence_function(working_point_ensemble):
+    # the edges are M exp(-+z se), se^2 the mean square of each trajectory's
+    # influence on log M over n, here taken from the step-by-step signals
     grid = np.linspace(0.0, 2 * np.pi, 41)
     spec = HomodyneSpec(gain_g=100.0)
     features = fringe_features(working_point_ensemble, spec,
                                lo_noise_samples(working_point_ensemble))
-    stats, (lo,), (hi,) = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7,
-                                   resamples=100, master_seed=9)
+    stats, (lo,), (hi,) = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7)
     (sign,) = stats["correction_sign"]
     s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
     slope = _direct_slope(working_point_ensemble, grid, spec, sign)
-    n = s.shape[0]
-    rng = np.random.Generator(np.random.Philox(
-        key=9, counter=[0, 0, 0, STREAMS["bootstrap"]]))
-    resamples = [rng.integers(0, n, size=n) for _ in range(100)]
-    ms = np.array([_direct_m(s[idx], slope[idx], 1.0e7) for idx in resamples])
-    assert np.allclose(lo, np.percentile(ms, 2.5, axis=0), rtol=1e-8, atol=0.0)
-    assert np.allclose(hi, np.percentile(ms, 97.5, axis=0), rtol=1e-8, atol=0.0)
+    s -= s.mean(axis=0)
+    v, ds = (s ** 2).mean(axis=0), slope.mean(axis=0)
+    influence = 0.5 * (s ** 2 - v) / v - (slope - ds) / ds
+    se = np.sqrt((influence ** 2).mean(axis=0) / len(s))
+    m = stats["m"][0, 0]
+    assert np.allclose(lo, m * np.exp(-Z_CI * se), rtol=1e-8, atol=0.0)
+    assert np.allclose(hi, m * np.exp(Z_CI * se), rtol=1e-8, atol=0.0)
 
 
-def test_percentile_is_numpys_bit_for_bit():
-    rng = np.random.default_rng(SEED)
-    with np.errstate(invalid="ignore"):  # inf - inf, as in np.percentile
-        for case in range(2000):
-            n, columns = int(rng.integers(100, 1000)), int(rng.integers(1, 5))
-            values = rng.standard_normal((n, columns)) * 10.0 ** rng.integers(-3, 4)
-            for column in range(columns):  # some columns get inf, -inf or NaN entries
-                hit = rng.integers(0, n, int(rng.integers(0, 4)))
-                values[hit, column] = rng.choice([np.inf, -np.inf, np.nan, 0.0], hit.size)
-            percent = [2.5, 97.5] if case % 2 else [0.0, *rng.uniform(0, 100, 3), 100.0]
-            want = np.percentile(values, percent, axis=0)
-            assert estimator._percentile(values, percent).tobytes() == want.tobytes(), case
+def test_z_is_the_normal_quantile():
+    from scipy import stats
+
+    assert abs(Z_CI - stats.norm.ppf(0.975)) <= 1e-15
 
 
 def test_slope_is_exact(working_point_ensemble):
     # central differences miss sin(h)/h - 1 inside a grid and more at its ends
     grid = np.linspace(0.0, 2 * np.pi, 201)
     spec = HomodyneSpec(gain_g=100.0)
-    curve = sensitivity_curve(working_point_ensemble, grid, spec, resamples=100)
+    curve = sensitivity_curve(working_point_ensemble, grid, spec)
     ref = _direct_slope(working_point_ensemble, grid, spec, curve.correction_sign).mean(axis=0)
     assert np.all(np.abs(curve.ds_dphi - ref) <= 1e-9 * np.abs(ref))
 
@@ -181,9 +163,9 @@ def test_one_lo_draw_per_ensemble(working_point_ensemble, monkeypatch):
 
     monkeypatch.setattr(interferometer, "lo_noise_samples", counting)
     grid = np.linspace(0.0, 2 * np.pi, 21)
-    sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100)
+    sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0))
     assert len(calls) == 1
-    sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0), 100)
+    sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0))
     assert len(calls) == 2
 
 
@@ -203,8 +185,7 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
     counted(dynamics, "evolve_closed_form")
     counted(interferometer, "lo_noise_samples")
     counted(estimator, "evaluate")
-    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
-                       bootstrap_resamples=100)
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
     r_values = [2.0, 1.0, 1.5, 1.0]
     result = scan_over_r(r_values, config)
     assert counts == {"sample_initial_ensemble": 1, "evolve_closed_form": 1,
@@ -214,14 +195,14 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
     # what sensitivity_curve gives its ensemble alone
     for r, row in zip(r_values, result.rows):
         ens = build_ensembles(1.0e7, 1.0e4, [r], 100, SEED)[0]
-        curve = sensitivity_curve(ens, [np.pi / 2], HomodyneSpec(gain_g=100.0), 100)
+        curve = sensitivity_curve(ens, [np.pi / 2], HomodyneSpec(gain_g=100.0))
         assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (
             curve.m[0], curve.m_ci_lo[0], curve.m_ci_hi[0], curve.correction_sign)
 
 
 def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, monkeypatch):
     # _curves forms one term block of the whole stack for the point statistics
-    # and the bootstrap together, whatever the number of ensembles and phases
+    # and the interval together, whatever the number of ensembles and phases
     calls = []  # the number of sets in each call's stack
 
     def counting(features):
@@ -230,18 +211,12 @@ def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, mo
 
     moments = estimator._moments
     monkeypatch.setattr(estimator, "_moments", counting)
-    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
-                       bootstrap_resamples=100)
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
     result = scan_over_r([1.0 + 0.25 * k for k in range(13)], config)
     assert len(result.rows) == 13 and calls == [13]
     grid = np.linspace(0.0, 2 * np.pi, 201)
-    sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100)
+    sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0))
     assert calls == [13, 1]
-    # one phase without a bootstrap: the interval collapses to the point, bit for bit
-    curve = sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0),
-                              resamples=None)
-    assert calls == [13, 1, 1]
-    assert curve.m_ci_lo.tobytes() == curve.m.tobytes() == curve.m_ci_hi.tobytes()
 
 
 def _scan_ensembles(r_values, n_traj=100, master_seed=SEED, n_total=1.0e7):
@@ -251,14 +226,13 @@ def _scan_ensembles(r_values, n_traj=100, master_seed=SEED, n_total=1.0e7):
 def test_given_ensembles_stay_with_their_caller():
     # the estimator empties only lists of its own: a caller's list keeps its
     # ensembles, and evaluating them again gives the same rows
-    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
-                       bootstrap_resamples=100)
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
     ensembles = _scan_ensembles([1.0, 2.0])
     held = list(ensembles)
     first = scan_over_r([1.0, 2.0], config, ensembles)
     assert len(ensembles) == 2 and all(a is b for a, b in zip(ensembles, held))
     assert scan_over_r([1.0, 2.0], config, ensembles).rows == first.rows
-    curve = sensitivity_curve(held[0], [np.pi / 2], HomodyneSpec(gain_g=100.0), 100)
+    curve = sensitivity_curve(held[0], [np.pi / 2], HomodyneSpec(gain_g=100.0))
     assert (curve.m[0], curve.m_ci_lo[0], curve.m_ci_hi[0]) == (
         first.rows[0].m, first.rows[0].m_ci_lo, first.rows[0].m_ci_hi)
 
@@ -272,14 +246,13 @@ def test_given_ensembles_stay_with_their_caller():
     (lambda: _scan_ensembles([1.0, 2.0]) + _scan_ensembles([3.0], n_total=2.0e7), "share"),
 ], ids=["short", "wrong-r", "n_traj", "master_seed", "n_total"])
 def test_scan_rejects_ensembles_that_do_not_match(ensembles, match, monkeypatch):
-    # rejected before any feature or bootstrap work
+    # rejected before any feature or interval work
     def unreachable(*args, **kwargs):
         raise AssertionError("features computed for mismatched ensembles")
 
     monkeypatch.setattr(estimator, "feature_stack", unreachable)
     monkeypatch.setattr(estimator, "evaluate", unreachable)
-    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED,
-                       bootstrap_resamples=100)
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
     with pytest.raises(ValueError, match=match):
         scan_over_r([1.0, 2.0, 3.0], config, ensembles())
 
@@ -308,7 +281,7 @@ def test_zero_derivative_is_flagged():
     stats, lo, hi = evaluate(f[np.newaxis], phi, ["minus"], 1.0)  # 0 / 0 at weight 0
     assert stats["delta_phi"].shape == (1, 2, 5)
     assert np.all(np.isposinf(stats["delta_phi"]))
-    # without resamples the edges are M at the first weight
+    # an infinite M has infinite edges
     assert np.array_equal(lo, stats["m"][:, 0]) and np.array_equal(hi, stats["m"][:, 0])
 
 
@@ -316,7 +289,7 @@ def test_zero_derivative_is_flagged():
 
 def test_sql_recovery(coherent_ensemble):
     curve = sensitivity_curve(coherent_ensemble, [np.pi / 2],
-                              HomodyneSpec(gain_g=100.0, correction_sign="off"), None)
+                              HomodyneSpec(gain_g=100.0, correction_sign="off"))
     assert curve.correction_sign == "off"
     m = curve.m[0]
     rel_se = np.sqrt(0.5 / (coherent_ensemble.n_traj - 1))
@@ -326,8 +299,8 @@ def test_sql_recovery(coherent_ensemble):
 @pytest.mark.parametrize("r", [0.5, 1.0])
 def test_uncorrected_m_matches_undepleted_prediction(r):
     ens = build_ensembles(1.0e7, 0.0, [r], 4000, SEED)[0]
-    m = sensitivity_curve(ens, [np.pi / 2], HomodyneSpec(gain_g=100.0, correction_sign="off"),
-                          None).m[0]
+    m = sensitivity_curve(ens, [np.pi / 2],
+                          HomodyneSpec(gain_g=100.0, correction_sign="off")).m[0]
     expected = predict(r, 1.0e7).m_plain
     rel_se = np.sqrt(0.5 / (ens.n_traj - 1))
     assert abs(m - expected) < 5 * rel_se * expected
@@ -354,14 +327,12 @@ def test_shuffling_light_record_destroys_gain(working_point_ensemble):
 
 
 def test_gain_saturation(working_point_ensemble):
-    at_100 = sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0),
-                               resamples=200)
-    at_1000 = sensitivity_curve(working_point_ensemble, [np.pi / 2],
-                                HomodyneSpec(gain_g=1000.0), None)
+    at_100 = sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0))
+    at_1000 = sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=1000.0))
     assert abs(at_1000.m[0] - at_100.m[0]) < (at_100.m_ci_hi[0] - at_100.m_ci_lo[0])
 
 
-# --- bootstrap -----------------------------------------------------------------
+# --- intervals -----------------------------------------------------------------
 
 def test_bootstrap_coverage_on_synthetic_truth():
     rng = np.random.default_rng(99)
@@ -371,8 +342,7 @@ def test_bootstrap_coverage_on_synthetic_truth():
     hits = 0
     for rep in range(100):
         f = _synthetic_features(rng, n_traj=500)
-        _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0, resamples=200,
-                                   master_seed=rep)
+        _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0)
         hits += int(lo[mid] <= m_true <= hi[mid])
     assert hits >= 90
 
@@ -385,17 +355,48 @@ def test_bootstrap_width_shrinks_with_sqrt_n():
     for rep in range(30):
         for n in widths:
             f = _synthetic_features(rng, n_traj=n)
-            _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0, resamples=200,
-                                       master_seed=1000 + rep)
+            _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0)
             widths[n].append(hi[mid] - lo[mid])
     ratio = np.median(widths[500]) / np.median(widths[250])
     assert 0.8 / np.sqrt(2.0) < ratio < 1.2 / np.sqrt(2.0)
 
 
-def test_bootstrap_rejects_too_few_resamples():
-    phi = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        evaluate(np.zeros((1, 10, 3)), phi, ["minus"], 1.0, resamples=50)
+COVERAGE_CASES = {"seeded r = 3": (1.0e4, [3.0]), "unseeded r = 4.5 and 5": (0.0, [4.5, 5.0])}
+
+
+def interval_coverage(n_seed, r_values, seeds):
+    """How often the delta interval and the oracle bootstrap of M(pi/2), from
+    an ensemble of 1e3 trajectories at each master seed in seeds, cover
+    M(pi/2) of one reference ensemble of 2e5: per r, the two hit counts and
+    the median ratio of the widths (delta over bootstrap).  N = 1e7 and
+    g = 100, and every r of a seed is built from one sample."""
+    spec, phi = HomodyneSpec(gain_g=100.0), np.pi / 2
+    reference = build_ensembles(1.0e7, n_seed, r_values, 200_000, 2**32)
+    truth = [c.m[0] for c in estimator._curves(reference, [phi], spec)]
+    hits, ratios = np.zeros((len(r_values), 2), dtype=int), []
+    for seed in seeds:
+        features = feature_stack(build_ensembles(1.0e7, n_seed, r_values, 1000, seed), spec)
+        stats, lo, hi = evaluate(features, [phi], ["auto"] * len(r_values), 1.0e7)
+        for k, (f, sign) in enumerate(zip(features, stats["correction_sign"])):
+            s = f @ [np.cos(phi), np.sin(phi), correction_weight(sign)]
+            slope = f @ [-np.sin(phi), np.cos(phi), 0.0]
+            b_lo, b_hi = bootstrap_interval(s[:, None], slope[:, None], 1.0e7, seed)[:, 0]
+            hits[k] += [lo[k, 0] <= truth[k] <= hi[k, 0], b_lo <= truth[k] <= b_hi]
+            ratios.append((hi[k, 0] - lo[k, 0]) / (b_hi - b_lo))
+    widths = np.median(np.reshape(ratios, (-1, len(r_values))), axis=0)
+    return {r: (*hits[k], widths[k]) for k, r in enumerate(r_values)}
+
+
+@pytest.mark.parametrize("case", sorted(COVERAGE_CASES))
+def test_delta_interval_covers_as_the_bootstrap_does(case):
+    # on the same 100 seeds the delta interval covers no less often than the
+    # resampled bootstrap, less one binomial sd of the bootstrap's count (3 hits
+    # at 90 %), the spread of a count; over 300 seeds it covered more often in
+    # every case
+    seeds = range(100)
+    for r, (delta, boot, _) in interval_coverage(*COVERAGE_CASES[case], seeds).items():
+        p = boot / len(seeds)
+        assert delta >= boot - np.sqrt(len(seeds) * p * (1.0 - p)), (r, delta, boot)
 
 
 def test_bootstrap_flags_constant_signal():
@@ -403,33 +404,18 @@ def test_bootstrap_flags_constant_signal():
     # interval edges come out +inf rather than NaN or silently masked
     phi = np.linspace(0.0, 1.0, 5)
     f = np.column_stack([np.zeros(60), np.zeros(60), np.full(60, 3.7)])  # B = C = 0
-    _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0, resamples=100, master_seed=1)
+    _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0)
     assert np.all(np.isposinf(lo))
     assert np.all(np.isposinf(hi))
 
 
 def test_bootstrap_edges_keep_nan_from_nan_signals():
-    # only a NaN M makes a NaN edge; the inf - inf of the percentile does not
+    # a NaN M makes NaN edges
     phi = np.linspace(0.0, 1.0, 3)
     f = _synthetic_features(np.random.default_rng(12), 200)
     f[7, 0] = np.nan
-    _, lo, hi = evaluate(f[np.newaxis], phi, ["minus"], 1.0, resamples=100, master_seed=2)
+    _, lo, hi = evaluate(f[np.newaxis], phi, ["minus"], 1.0)
     assert np.all(np.isnan(lo)) and np.all(np.isnan(hi))
-
-
-@pytest.mark.parametrize("n_traj", [1000, 10000])
-def test_resample_sums_match_exact_sums_of_gathered_terms(n_traj):
-    rng = np.random.default_rng(21)
-    terms = rng.normal(size=(5, n_traj)) * np.array([[1.0], [1e-3], [1e3], [1.0], [1.0]])
-    terms[3] -= terms[3].mean()  # centred: the sums cancel
-    terms[4] = terms[3] ** 2
-    sums = estimator._resample_sums(terms, 100, master_seed=3)
-    draws = np.random.Generator(np.random.Philox(
-        key=3, counter=[0, 0, 0, STREAMS["bootstrap"]]))
-    for row in sums:
-        idx = draws.integers(0, n_traj, size=n_traj)
-        ref = np.array([math.fsum(t) for t in terms[:, idx]])
-        assert np.all(np.abs(row - ref) <= 1e-13 * np.abs(terms[:, idx]).sum(axis=1))
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])
@@ -457,25 +443,22 @@ def test_stacked_bootstrap_equals_each_set_alone(n_traj):
     features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
     phi = np.linspace(0.0, 1.0, 4)
     corrections = ["plus", "minus", "off"]  # one per set
-    _, lo, hi = evaluate(features, phi, corrections, 1.0e7, resamples=100, master_seed=4)
+    _, lo, hi = evaluate(features, phi, corrections, 1.0e7)
     assert lo.shape == hi.shape == (3, 4)
     for s in range(len(features)):  # each set against a stack of that set alone
-        _, lo_s, hi_s = evaluate(features[s:s + 1], phi, corrections[s:s + 1], 1.0e7,
-                                 resamples=100, master_seed=4)
+        _, lo_s, hi_s = evaluate(features[s:s + 1], phi, corrections[s:s + 1], 1.0e7)
         assert np.array_equal(lo[s], lo_s[0]) and np.array_equal(hi[s], hi_s[0])
     # the atomic record alone (weight 0 on every set) too
-    _, lo, hi = evaluate(features, phi, ["off"] * 3, 1.0e7, resamples=100, master_seed=4)
-    _, lo_s, hi_s = evaluate(features[1:2], phi, ["off"], 1.0e7, resamples=100, master_seed=4)
+    _, lo, hi = evaluate(features, phi, ["off"] * 3, 1.0e7)
+    _, lo_s, hi_s = evaluate(features[1:2], phi, ["off"], 1.0e7)
     assert np.array_equal(lo[1], lo_s[0]) and np.array_equal(hi[1], hi_s[0])
-    # an "auto" set is resolved once, from the whole sample: every resample uses the
-    # weight of the sign it resolved to, so its interval is that sign's
-    stats, lo_a, hi_a = evaluate(features, phi, ["auto"] * 3, 1.0e7, resamples=100,
-                                 master_seed=4)
-    _, lo, hi = evaluate(features, phi, stats["correction_sign"], 1.0e7, resamples=100,
-                         master_seed=4)
+    # an "auto" set is resolved once, from the whole sample, and its interval is
+    # taken at the weight of the sign it resolved to
+    stats, lo_a, hi_a = evaluate(features, phi, ["auto"] * 3, 1.0e7)
+    _, lo, hi = evaluate(features, phi, stats["correction_sign"], 1.0e7)
     assert np.array_equal(lo_a, lo) and np.array_equal(hi_a, hi)
     with pytest.raises(ValueError, match="2 corrections for 3 sets"):  # one for every set
-        evaluate(features, phi, ["minus", "minus"], 1.0e7, resamples=100, master_seed=4)
+        evaluate(features, phi, ["minus", "minus"], 1.0e7)
 
 
 def test_bootstrap_deterministic(working_point_ensemble):
@@ -483,35 +466,9 @@ def test_bootstrap_deterministic(working_point_ensemble):
     grid = np.linspace(0.0, np.pi, 9)
     features = fringe_features(working_point_ensemble, spec,
                                lo_noise_samples(working_point_ensemble))
-    a = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7, resamples=100, master_seed=5)
-    b = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7, resamples=100, master_seed=5)
+    a = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7)
+    b = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7)
     assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
-
-
-@pytest.mark.parametrize("phases", [1, 201])
-@pytest.mark.parametrize("resamples", [100, 257])  # 257 is no multiple of a block
-@pytest.mark.parametrize("k", [2, 3])  # 2: the atomic record (weight 0); 3: with the light
-@pytest.mark.parametrize("sets", [1, 3])
-def test_resample_blocks_change_nothing(sets, k, resamples, phases, monkeypatch):
-    rng = np.random.default_rng(17)
-    features = np.stack([_synthetic_features(rng, 300, slope=s) for s in (5.0, 2.0, 9.0)])
-    # C = 0: the first set's slope vanishes at phi = 0, where every resample's M
-    # is inf and the percentile edges are +inf
-    features[0, :, 1] = 0.0
-    features = features[:sets]
-    corrections = [{2: "off", 3: "minus"}[k]] * sets
-    phi = np.linspace(0.0, np.pi, phases)
-    edges = {}
-    for block in (1, 7, resamples + 1):  # resamples per evaluation of the statistics
-        with monkeypatch.context() as patch:
-            patch.setattr(estimator, "RESAMPLE_BLOCK_CELLS", block * phases)
-            edges[block] = evaluate(features, phi, corrections, 1.0e7, resamples=resamples,
-                                    master_seed=6)[1:]
-    whole_lo, whole_hi = edges[resamples + 1]
-    assert np.isposinf(whole_lo[0, 0]) and np.isposinf(whole_hi[0, 0])
-    assert np.all(np.isfinite(whole_lo[1:])) and np.all(np.isfinite(whole_hi[1:]))
-    for lo, hi in edges.values():
-        assert lo.tobytes() == whole_lo.tobytes() and hi.tobytes() == whole_hi.tobytes()
 
 
 def _traced_peak(call) -> int:
@@ -528,32 +485,25 @@ def _traced_peak(call) -> int:
 def test_estimator_transient_memory_is_one_term_block():
     """The 9 term rows of a (B, C, S_b / g) record are the estimator's one large array.
 
-    On a (1, 2e5, 3) stack the measured tracemalloc peaks of evaluate are
-    1.22 block sizes with resamples (the block plus two trajectory-sized
-    arrays of one resample: its draw and bincount, or the bincount and its
-    float copy) and 1.00 without.  With a float counts buffer kept across
-    resamples it was 1.34, and before the rows were written in place both
-    were 2.67: a centred copy and two gathered (n, 6) copies sat beside the
-    block.
+    On a (1, 2e5, 3) stack the measured tracemalloc peak of evaluate is
+    1.11 block sizes: the block and the one trajectory-sized scratch in which
+    the interval's monomials are formed.  The bootstrap's resamples took
+    1.22 (a draw and its counts beside the block), and before the rows were
+    written in place it was 2.67: a centred copy and two gathered (n, 6)
+    copies sat beside the block.
     """
     n = 200_000
     features = _synthetic_features(np.random.default_rng(5), n)[np.newaxis]
     phi = np.linspace(0.0, 2 * np.pi, 201)
     block = 9 * n * features.itemsize
-    boot = _traced_peak(lambda: evaluate(features, phi, ["minus"], 1.0e7, resamples=100,
-                                         master_seed=2))
-    point = _traced_peak(lambda: evaluate(features, phi, ["minus"], 1.0e7))
-    assert boot < 1.3 * block
-    assert point < 1.1 * block
+    assert _traced_peak(lambda: evaluate(features, phi, ["minus"], 1.0e7)) < 1.3 * block
 
 
 # --- full curve -----------------------------------------------------------------
 
 def test_sensitivity_curve_fields(working_point_ensemble):
     grid = np.linspace(0.0, 2 * np.pi, 41)
-    curve = sensitivity_curve(
-        working_point_ensemble, grid, HomodyneSpec(gain_g=100.0), resamples=100
-    )
+    curve = sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0))
     assert curve.traj_count == working_point_ensemble.n_traj
     assert curve.correction_sign in ("plus", "minus")
     assert np.all(curve.var_s >= 0)
@@ -615,8 +565,7 @@ def test_analytic_scan_without_correction():
 def test_scan_rows_equal_every_verb_in_every_mode(mode):
     # one model per mode: an r-scan row is the mode's ensemble read at pi/2 alone,
     # and the pi/2 entry of a phase grid up to the rounding of one phase against several
-    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=200, master_seed=SEED,
-                       bootstrap_resamples=100, mode=mode)
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=200, master_seed=SEED, mode=mode)
     r_values = [1.0, 2.5]
     result = scan_over_r(r_values, config)
     spec = HomodyneSpec(gain_g=config.gain_g)
@@ -624,10 +573,10 @@ def test_scan_rows_equal_every_verb_in_every_mode(mode):
     assert grid[1] == np.pi / 2
     for r, row in zip(r_values, result.rows):
         ens = build_ensembles(1.0e7, 1.0e4, [r], 200, SEED, mode=mode)[0]
-        alone = sensitivity_curve(ens, [np.pi / 2], spec, resamples=100)
+        alone = sensitivity_curve(ens, [np.pi / 2], spec)
         assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (
             alone.m[0], alone.m_ci_lo[0], alone.m_ci_hi[0], alone.correction_sign)
-        curve = sensitivity_curve(ens, grid, spec, resamples=100)
+        curve = sensitivity_curve(ens, grid, spec)
         got = (curve.m[1], curve.m_ci_lo[1], curve.m_ci_hi[1])
         assert got == pytest.approx((row.m, row.m_ci_lo, row.m_ci_hi), rel=1e-12)
         assert curve.correction_sign == row.correction_sign
@@ -661,7 +610,7 @@ def test_scan_rejects_bad_r_values():
 
 def test_scan_at_r_zero_recovers_sql():
     config = RunConfig(n_total=1.0e7, n_seed=0.0, trajectories=400,
-                       master_seed=SEED, correction="off", bootstrap_resamples=100)
+                       master_seed=SEED, correction="off")
     result = scan_over_r([0.0], config)
     row = result.rows[0]
     assert row.m_ci_lo <= 1.0 <= row.m_ci_hi
@@ -671,7 +620,6 @@ def test_scan_at_r_zero_recovers_sql():
 def test_tw_scan_reports_transfer_and_optimum():
     config = RunConfig(
         n_total=1.0e7, n_seed=0.0, trajectories=300, master_seed=SEED,
-        bootstrap_resamples=100,
     )
     result = scan_over_r([4.0, 4.5, 5.0], config)
     assert result.rows[result.star].m < 0.1

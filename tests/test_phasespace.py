@@ -98,7 +98,7 @@ def test_split_draws_equal_the_whole_draw():
 def test_blocked_draws_equal_the_one_shot_draw(monkeypatch):
     # 2 blocks and 3 trajectories of a third, from one bit generator into one array
     block, n = 16, 2 * 16 + 3
-    bits = open_stream(23, "atoms2", first_index=5).bit_generator
+    bits = open_stream(23, "atoms2", first_index=5)
     one_shot = (4.0 - 1.0j) + _box_muller(bits.random_raw(4 * n).reshape(n, 4)[:, :2])
     monkeypatch.setattr(phasespace, "SAMPLE_BLOCK", block)
     blocked = sample_coherent_batch(4.0 - 1.0j, 23, "atoms2", n, first_index=5)
@@ -114,7 +114,9 @@ def test_sample_coherent_is_the_batch_row():
 
 
 def test_counter_layout():
-    # key master_seed, counter word 3 the stream tag, raw block i for trajectory i
+    # key master_seed, counter word 3 the stream tag, raw block i for trajectory i;
+    # distinct tags, so no two streams meet
+    assert len(set(STREAMS.values())) == len(STREAMS)
     bits = np.random.Philox(key=2**64 - 1, counter=[0, 0, 0, STREAMS["atoms2"]])
     words = bits.random_raw(4 * 6).reshape(6, 4)[:, :2]
     draws = sample_coherent_batch(0.0, master_seed=2**64 - 1, stream_tag="atoms2", n_traj=6)
@@ -135,21 +137,13 @@ def test_word_map_is_finite_at_the_extremes():
     assert abs(noise[0]) == pytest.approx(0.5 * np.sqrt(2.0 * 54.0 * np.log(2.0)), rel=1e-12)
 
 
-def test_trajectory_streams_are_disjoint_from_the_bootstrap_block():
-    # the bootstrap's Philox counter carries its block in word 3, as the
-    # trajectory streams carry their tags; distinct word-3 values never meet
-    assert len(set(STREAMS.values())) == len(STREAMS)
-    assert STREAMS["bootstrap"] not in [tag for name, tag in STREAMS.items()
-                                        if name != "bootstrap"]
-
-
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_open_stream_is_the_documented_counter_layout(name):
     # key master_seed, the stream's tag in counter word 3, advanced to raw block i
     for i in (0, 1, 77, 2**40):
         bits = np.random.Philox(key=2**64 - 1, counter=[0, 0, 0, STREAMS[name]])
         want = bits.advance(i).random_raw(8)
-        got = open_stream(2**64 - 1, name, first_index=i).bit_generator.random_raw(8)
+        got = open_stream(2**64 - 1, name, first_index=i).random_raw(8)
         assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="first_index must be >= 0"):
         open_stream(1, name, first_index=-1)
