@@ -26,9 +26,11 @@ Every M goes through one evaluation, _curves: check that the ensembles
 share one draw and have enough trajectories, take their feature stack from
 the read-out (one LO draw; each ensemble dropped once read), and evaluate
 every (set, weight, phase) cell, every interval and each set's sign with one
-evaluate call, which forms one term block of the stack and drops the stack.
-sensitivity_curve (a single phase included) and scan_over_r are reads of
-its curves, in every evolution mode.
+evaluate call.  evaluate takes the stack one set at a time: the set's
+centred features in three reused trajectory rows, its 34 monomial sums
+formed from them, so it holds five trajectory rows whatever the number of
+sets.  sensitivity_curve (a single phase included) and scan_over_r are
+reads of its curves, in every evolution mode.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .phasespace import quadrature_x, quadrature_y
 
 Z_CI = 1.959963984540054  # the standard normal's 0.975 quantile: 95 % intervals
 # the centred monomials of the features (B, C, S_b / g), as feature indices:
-# the pairs are rows 3.. of the term block, and the interval reads those of
-# degree 3 and 4 as well
+# the pairs give the covariances, and the interval reads those of degree 3
+# and 4 as well
 PAIRS, THIRD, FOURTH = (list(combinations_with_replacement(range(3), degree))
                         for degree in (2, 3, 4))
 
@@ -108,7 +110,11 @@ def correction_weight(correction_sign: str) -> float:
     """w in S = S_a + w S_b / g: -1 for "plus", +1 for "minus", 0 for "off"."""
     if correction_sign == "auto":
         raise ValueError("correction_sign is unresolved; evaluate resolves it")
-    return {"plus": -1.0, "minus": 1.0, "off": 0.0}[correction_sign]
+    weights = {"plus": -1.0, "minus": 1.0, "off": 0.0}
+    if correction_sign not in weights:
+        raise ValueError("correction_sign must be plus, minus, off or auto; "
+                         f"got {correction_sign!r}")
+    return weights[correction_sign]
 
 
 def _coefficient(monomial, vectors):
@@ -120,27 +126,37 @@ def _coefficient(monomial, vectors):
                for order in sorted(set(permutations(monomial))))
 
 
-def _moments(features):
-    """The per-trajectory terms of a feature stack, the feature means and
-    covariances their sums give, and the statistics those determine.
+def _monomial_sums(rows, monomials, scratch) -> list:
+    """The sum over the trajectories of each centred monomial of the (3, n)
+    rows: f_a, f_a f_b, (f_a f_b) f_c or (f_a f_b)(f_c f_d), each product
+    formed in the two trajectory-sized scratch rows and summed there."""
+    sums = []
+    for a, *rest in monomials:
+        x = rows[a] if not rest else np.multiply(rows[a], rows[rest[0]], out=scratch[0])
+        if len(rest) == 2:
+            x *= rows[rest[1]]
+        elif len(rest) == 3:
+            x *= np.multiply(rows[rest[1]], rows[rest[2]], out=scratch[1])
+        sums.append(x.sum())
+    return sums
 
-    features is a (sets, n, 3) stack of rows f = (B, C, S_b / g), and for a
-    weight w the signal at phase phi is S = d @ f with the design
-    d = (cos phi, sin phi, w); the atomic record alone is w = 0.  Its mean
-    and exact slope D = t @ mean(f), t = (-sin phi, cos phi, 0), need the
-    feature means, its unbiased variance V the covariances (sets, 6) of the
-    PAIRS (B, B), (B, C), (B, S_b / g), (C, C), (C, S_b / g),
-    (S_b / g, S_b / g).  Both come from the sums of the terms, a (sets, 9, n)
-    block of the centred features f~ and their PAIRS of products, each row
-    formed in place, trajectories on the contiguous axis.
 
-    statistics(higher, phi, weights, n_total), with higher the (sets, 25)
-    sums of _interval_sums in the basis of each set's first weight, takes a
-    list of weights per set and returns a dict of (sets, weights, phases)
-    arrays: the point statistics and the edges m_ci_lo, m_ci_hi of the delta
-    method's interval for log M (Efron & Tibshirani, An Introduction to the
-    Bootstrap, 1993, ch. 21; van der Vaart, Asymptotic Statistics, 1998,
-    ch. 3), M exp(-+Z_CI se).  se^2 = E[IF^2] / n for the influence function
+def _statistics(mean, cov, higher, n: int, phi, weights, n_total: float) -> dict:
+    """The statistics of each set's features at each of its weights and each phase.
+
+    mean and cov are the (sets, 3) means and (sets, 6) covariances of the
+    PAIRS of the features f = (B, C, S_b / g) of n trajectories, and higher
+    the (sets, 25) sums of their centred THIRD and FOURTH monomials in the
+    basis of each set's first weight.  For a weight w the signal at phase phi
+    is S = d @ f with the design d = (cos phi, sin phi, w); the atomic record
+    alone is w = 0.  Its mean and exact slope D = t @ mean(f),
+    t = (-sin phi, cos phi, 0), need the means, its unbiased variance V the
+    covariances.  weights is a list of weights per set, and the result a dict
+    of (sets, weights, phases) arrays: the point statistics and the edges
+    m_ci_lo, m_ci_hi of the delta method's interval for log M (Efron &
+    Tibshirani, An Introduction to the Bootstrap, 1993, ch. 21; van der
+    Vaart, Asymptotic Statistics, 1998, ch. 3), M exp(-+Z_CI se).
+    se^2 = E[IF^2] / n for the influence function
     IF = ((d @ f~)^2 - V) / (2 V) - (t @ f~) / D of log M, so
     E[IF^2] = (mu4 - V^2) / (4 V^2) - mu3 / (V D) + t' Sigma t / D^2, with V
     and Sigma population (co)variances, mu4 = E[(d @ f~)^4] and
@@ -151,110 +167,92 @@ def _moments(features):
     slope, variance and interval in one fixed order, whatever else is
     evaluated with it.
     """
+    weights = np.array(weights, dtype=float).reshape(len(mean), -1, 1)
+    phi = np.asarray(phi, dtype=float)
+    design = np.broadcast_arrays(np.cos(phi), np.sin(phi), weights)
+    slope = [-np.sin(phi), np.cos(phi), np.zeros_like(phi)]
+    # d and t in the basis of each set's first weight, that of its higher sums
+    d_b, t_b = ([v[0], v[1], v[2] - weights[:, :1] * v[1]] for v in (design, slope))
+    first, second = (x.T[..., None, None] for x in (mean, cov))  # (term, set, 1, 1)
+    third, fourth = (x.T[..., None, None] / n for x in np.split(higher, [len(THIRD)], -1))
+    ds = sum(x * y for x, y in zip(first, slope))  # Python's sum: term by term
+    mean_s = sum(x * y for x, y in zip(first, design))
+    var_s = np.maximum(sum(x * _coefficient(p, [design] * 2)
+                           for x, p in zip(second, PAIRS)), 0.0)
+    var_t = sum(x * _coefficient(p, [slope] * 2) for x, p in zip(second, PAIRS))
+    mu3 = sum(x * _coefficient(p, [d_b, d_b, t_b]) for x, p in zip(third, THIRD))
+    mu4 = sum(x * _coefficient(p, [d_b] * 4) for x, p in zip(fourth, FOURTH))
+    # x / 0 and 0 / 0 (a zero slope: an infinite M; no variance: M = 0), and
+    # an edge past the float range
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
+        m = delta_phi * np.sqrt(n_total)
+        v, v_t = var_s * ((n - 1) / n), var_t * ((n - 1) / n)  # population variances
+        spread = (mu4 - v * v) / (4.0 * v * v) - mu3 / (v * ds) + v_t / (ds * ds)
+        se = np.sqrt(np.maximum(spread, 0.0) / n)
+        held = np.isinf(m) | (m == 0.0)
+        lo, hi = (np.where(held, m, m * np.exp(side * Z_CI * se)) for side in (-1.0, 1.0))
+    return {"mean_s": mean_s, "var_s": var_s, "ds_dphi": np.broadcast_to(ds, var_s.shape),
+            "delta_phi": delta_phi, "m": m, "m_ci_lo": lo, "m_ci_hi": hi}
+
+
+def evaluate(features, phi, corrections, n_total: float) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Statistics of every set at its correction's weight and at weight 0, and
+    the interval of M at the first, from sums over one set at a time.
+
+    features is a (sets, n, 3) stack of (B, C, S_b / g) rows and corrections
+    one name per set: "plus" (weight -1), "minus" (+1), "off" (0) or "auto";
+    any other name is refused before any sum.  Each set is centred at its
+    feature means into three reused trajectory rows, whose 9 sums of degree
+    1 and 2 give its means and covariances.  "auto" is resolved from those,
+    over the whole sample: "plus" where cov(C, S_b / g) >= 0 (ties too),
+    "minus" otherwise.  C is the atomic record at pi/2, and for any g > 0
+    V(C - S_b/g) - V(C + S_b/g) = -4 cov(C, S_b/g), so that is the sign with
+    the smaller V(S) there.  The C row then becomes C + w S_b / g at the
+    resolved weight w, and the 25 sums of degree 3 and 4 are taken in that
+    basis, where the signal at pi/2 is one feature, so its moments are not
+    the cancellation of far larger ones: at the unseeded optimum V(S) is
+    1e-7 of V(C) at N = 1e7 and 1e-9 at N = 1e9, where moments taken in the
+    features' own basis put se 2.6 % off (r = 4.5, 1e5 trajectories) and
+    out by factors (r = 5.6).  A set's sums are formed on its rows alone, so
+    they do not depend on the sets beside it, and the transient is five
+    trajectory rows whatever the number of sets.
+
+    The statistics (mean, variance, exact fringe slope, delta_phi and M) are
+    (sets, 2, phases) arrays (_statistics); beside them are each set's
+    resolved "correction_sign" and its mean light record "mean_s_b_over_g",
+    a (sets,) array.  The edges, of shape (sets, phases), are the
+    delta-method interval of M at the resolved weight.
+    """
+    if len(corrections) != len(features):
+        raise ValueError(f"{len(corrections)} corrections for {len(features)} sets")
+    for name in corrections:
+        if name != "auto":
+            correction_weight(name)  # refuses an unknown name
     features = np.asarray(features, dtype=float)
     sets, n, k = features.shape
     if n < 2:
         raise ValueError(f"a variance needs at least 2 trajectories; got {n}")
     center = features.mean(axis=1)
-    terms = np.empty((sets, k + len(PAIRS), n))
-    np.subtract(features.transpose(0, 2, 1), center[:, :, None], out=terms[:, :k])
-    for row, (a, b) in enumerate(PAIRS, start=k):
-        np.multiply(terms[:, a], terms[:, b], out=terms[:, row])
-    sums = terms.sum(axis=-1)
-    shift = sums[:, :k] / n
+    rows, scratch = np.empty((k, n)), np.empty((2, n))
+    mean, cov = np.empty((sets, k)), np.empty((sets, len(PAIRS)))
+    higher = np.empty((sets, len(THIRD) + len(FOURTH)))
     i, j = np.array(PAIRS).T
-    mean, cov = center + shift, (sums[:, k:] - n * shift[:, i] * shift[:, j]) / (n - 1)
-
-    def statistics(higher, phi, weights, n_total: float) -> dict:
-        weights = np.array(weights, dtype=float).reshape(sets, -1, 1)
-        phi = np.asarray(phi, dtype=float)
-        design = np.broadcast_arrays(np.cos(phi), np.sin(phi), weights)
-        slope = [-np.sin(phi), np.cos(phi), np.zeros_like(phi)]
-        # d and t in the basis of each set's first weight, that of its higher sums
-        d_b, t_b = ([v[0], v[1], v[2] - weights[:, :1] * v[1]] for v in (design, slope))
-        first, second = (x.T[..., None, None] for x in (mean, cov))  # (term, set, 1, 1)
-        third, fourth = (x.T[..., None, None] / n for x in np.split(higher, [len(THIRD)], -1))
-        ds = sum(x * y for x, y in zip(first, slope))  # Python's sum: term by term
-        mean_s = sum(x * y for x, y in zip(first, design))
-        var_s = np.maximum(sum(x * _coefficient(p, [design] * 2)
-                               for x, p in zip(second, PAIRS)), 0.0)
-        var_t = sum(x * _coefficient(p, [slope] * 2) for x, p in zip(second, PAIRS))
-        mu3 = sum(x * _coefficient(p, [d_b, d_b, t_b]) for x, p in zip(third, THIRD))
-        mu4 = sum(x * _coefficient(p, [d_b] * 4) for x, p in zip(fourth, FOURTH))
-        # x / 0 and 0 / 0 (a zero slope: an infinite M; no variance: M = 0), and
-        # an edge past the float range
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            delta_phi = np.where(ds != 0.0, np.sqrt(var_s) / np.abs(ds), np.inf)
-            m = delta_phi * np.sqrt(n_total)
-            v, v_t = var_s * ((n - 1) / n), var_t * ((n - 1) / n)  # population variances
-            spread = (mu4 - v * v) / (4.0 * v * v) - mu3 / (v * ds) + v_t / (ds * ds)
-            se = np.sqrt(np.maximum(spread, 0.0) / n)
-            held = np.isinf(m) | (m == 0.0)
-            lo, hi = (np.where(held, m, m * np.exp(side * Z_CI * se)) for side in (-1.0, 1.0))
-        return {"mean_s": mean_s, "var_s": var_s, "ds_dphi": np.broadcast_to(ds, var_s.shape),
-                "delta_phi": delta_phi, "m": m, "m_ci_lo": lo, "m_ci_hi": hi}
-
-    return terms, mean, cov, statistics
-
-
-def _interval_sums(terms, weights) -> np.ndarray:
-    """The (sets, 25) sums over the trajectories of the centred monomials of
-    degree 3 (THIRD) and then 4 (FOURTH) of each set's features in the basis
-    (B, C + w S_b / g, S_b / g) of its weight w, from a (sets, 9, n) term block.
-
-    In that basis the signal at pi/2 is one feature, so its moments are not
-    the cancellation of far larger ones: at the unseeded optimum V(S) is
-    1e-7 of V(C) at N = 1e7 and 1e-9 at N = 1e9, where moments taken in the
-    features' own basis put se 2.6 % off (r = 4.5, 1e5 trajectories) and
-    out by factors (r = 5.6).  Each set's C row and
-    the pair rows with it are rewritten in place; then each monomial is the
-    product of a pair row with a feature row or another pair row, formed one
-    at a time in one trajectory-sized scratch and summed there, so a set's
-    sums do not depend on the sets beside it.
-    """
-    sets, rows, n = terms.shape
-    row = {pair: r for r, pair in enumerate(PAIRS, start=rows - len(PAIRS))}
-    factors = [(row[a, b], c) for a, b, c in THIRD] + [(row[a, b], row[c, d])
-                                                          for a, b, c, d in FOURTH]
-    scratch = np.empty(n)
-    sums = np.empty((sets, len(factors)))
-    for s, w in enumerate(weights):
-        f = terms[s]
-        f[1] += np.multiply(f[2], w, out=scratch)  # C + w S_b / g
-        for a, b in PAIRS:
-            if 1 in (a, b):
-                np.multiply(f[a], f[b], out=f[row[a, b]])
-        for col, (x, y) in enumerate(factors):
-            sums[s, col] = np.multiply(f[x], f[y], out=scratch).sum()
-    return sums
-
-
-def evaluate(features, phi, corrections, n_total: float) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Statistics of every set at its correction's weight and at weight 0, and
-    the interval of M at the first, from one (sets, 9, n) term block.
-
-    features is a (sets, n, 3) stack of (B, C, S_b / g) rows and corrections
-    one name per set: "plus" (weight -1), "minus" (+1), "off" (0) or "auto".
-    "auto" is resolved once, from the sums of the whole sample: "plus" where
-    cov(C, S_b / g) >= 0 (ties too), "minus" otherwise.  C is the atomic
-    record at pi/2, and for any g > 0
-    V(C - S_b/g) - V(C + S_b/g) = -4 cov(C, S_b/g), so that is the sign with
-    the smaller V(S) there.  The statistics (mean, variance, exact fringe
-    slope, delta_phi and M) are (sets, 2, phases) arrays from the block's
-    sums; beside them are each set's resolved "correction_sign" and its mean
-    light record "mean_s_b_over_g", a (sets,) array.  The edges, of shape
-    (sets, phases), are the delta-method interval of M at the resolved
-    weight (_moments), from the same sums and those of _interval_sums.  The
-    stack is dropped once the block is formed.
-    """
-    if len(corrections) != len(features):
-        raise ValueError(f"{len(corrections)} corrections for {len(features)} sets")
-    terms, mean, cov, statistics = _moments(features)
-    del features  # freed here if no caller names it (_curves does not)
-    signs = [("plus" if c_s >= 0 else "minus") if name == "auto" else name
-             for name, c_s in zip(corrections, cov[:, 4])]  # cov(C, S_b / g)
+    signs = []
+    for s in range(sets):
+        np.subtract(features[s].T, center[s, :, None], out=rows)
+        sums = np.array(_monomial_sums(rows, [(a,) for a in range(k)] + PAIRS, scratch))
+        shift = sums[:k] / n
+        mean[s], cov[s] = center[s] + shift, (sums[k:] - n * shift[i] * shift[j]) / (n - 1)
+        sign = corrections[s]
+        if sign == "auto":
+            sign = "plus" if cov[s, 4] >= 0 else "minus"  # cov(C, S_b / g)
+        signs.append(sign)
+        rows[1] += np.multiply(rows[2], correction_weight(sign), out=scratch[0])  # C + w S_b / g
+        higher[s] = _monomial_sums(rows, THIRD + FOURTH, scratch)
+    del rows, scratch  # the rows are not held beside the statistics' arrays
     weights = [[correction_weight(sign), 0.0] for sign in signs]
-    stats = statistics(_interval_sums(terms, [w for w, _ in weights]), phi, weights, n_total)
+    stats = _statistics(mean, cov, higher, n, phi, weights, n_total)
     stats.update(correction_sign=signs, mean_s_b_over_g=mean[:, 2])
     return stats, stats.pop("m_ci_lo")[:, 0], stats.pop("m_ci_hi")[:, 0]
 
@@ -266,7 +264,7 @@ def _curves(ensembles: list, phi, spec: HomodyneSpec) -> list[SensitivityCurve]:
     (master_seed, n_traj) only, and the M scale on n_total.  One LO draw and
     one evaluate call serve every ensemble, so each curve equals that of its
     ensemble alone.  The list is emptied as the features are read, so no
-    ensemble or stack that only it held is live in the interval's sums.
+    ensemble that only it held is live in the estimator's sums.
     """
     shared = {(e.n_traj, e.master_seed, e.n_total) for e in ensembles}
     if len(shared) > 1:

@@ -774,7 +774,7 @@ def test_numpy_error_state_is_set_by_main_and_expected_non_finites_only():
     assert sites == [
         "cli.main",
         "dynamics.check_pump_range",  # sinh^2 r overflows to inf: past the pump
-        "estimator.statistics",  # x / 0, a zero slope: an infinite M
+        "estimator._statistics",  # x / 0, a zero slope: an infinite M
     ]
 
 
@@ -878,13 +878,12 @@ def test_figures_gate_the_squeezing_table(tmp_path, capsys, monkeypatch):
                     reason="before 3.11 a caller holds its arguments until the call returns")
 @pytest.mark.parametrize("verb, config", [("phi-sweep", "working_point.cfg"),
                                           ("r-scan", "r_scan_seeded.cfg")])
-def test_amplitudes_and_features_are_freed_before_the_bootstrap(tmp_path, monkeypatch,
-                                                                verb, config):
+def test_amplitudes_are_freed_before_the_estimator_sums(tmp_path, monkeypatch, verb, config):
     # each stage drops its input once the next has read it: on entry to the
-    # interval's sums no t1 amplitude array (nor the block it is a view of) and no
-    # feature stack is alive.  A Python call moves its arguments into the
+    # estimator's first monomial sum no t1 amplitude array (nor the block it
+    # is a view of) is alive.  A Python call moves its arguments into the
     # callee's frame, so an argument that no caller names (the popped
-    # ensemble, _curves' stack) goes when the callee drops it
+    # ensemble) goes when the callee drops it
     refs, alive = [], []
 
     def tracked(module, name, arrays):
@@ -901,19 +900,19 @@ def test_amplitudes_and_features_are_freed_before_the_bootstrap(tmp_path, monkey
         return rows + tuple(a.base for a in rows if a.base is not None)
 
     tracked(interferometer, "fringe_features", amplitudes)
-    tracked(estimator, "_moments", lambda features: (features,))
-    interval_sums = estimator._interval_sums
+    monomial_sums = estimator._monomial_sums
 
-    def interval(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in refs))
-        return interval_sums(*args, **kwargs)
+    def first_sum(*args, **kwargs):
+        if not alive:
+            alive.append(sum(ref() is not None for ref in refs))
+        return monomial_sums(*args, **kwargs)
 
-    monkeypatch.setattr(estimator, "_interval_sums", interval)
+    monkeypatch.setattr(estimator, "_monomial_sums", first_sum)
     code, _ = run([verb, "--config", str(SRC.parent / "configs" / config),
                    "--set", "trajectories=200", "--set", "bootstrap_resamples=100"], tmp_path)
     assert code == 0
     sets = 13 if verb == "r-scan" else 1
-    assert len(refs) >= 3 * sets + 1 and alive == [0]
+    assert len(refs) >= 3 * sets and alive == [0]
 
 
 # --- what a run loads ----------------------------------------------------------------

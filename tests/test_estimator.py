@@ -201,16 +201,16 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
 
 
 def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, monkeypatch):
-    # _curves forms one term block of the whole stack for the point statistics
-    # and the interval together, whatever the number of ensembles and phases
+    # _curves makes one evaluate call over the whole stack for the point
+    # statistics and the interval together, whatever the number of ensembles
+    # and phases
     calls = []  # the number of sets in each call's stack
 
-    def counting(features):
+    def counting(features, *args, **kwargs):
         calls.append(len(features))
-        return moments(features)
+        return evaluate(features, *args, **kwargs)
 
-    moments = estimator._moments
-    monkeypatch.setattr(estimator, "_moments", counting)
+    monkeypatch.setattr(estimator, "evaluate", counting)
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
     result = scan_over_r([1.0 + 0.25 * k for k in range(13)], config)
     assert len(result.rows) == 13 and calls == [13]
@@ -419,7 +419,7 @@ def test_bootstrap_edges_keep_nan_from_nan_signals():
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])
-def test_stacked_point_statistics_equal_each_set_alone(n_traj):
+def test_stacked_point_statistics_equal_each_set_alone(n_traj, monkeypatch):
     rng = np.random.default_rng(8)
     features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
     phi = np.linspace(0.0, 1.0, 4)
@@ -435,6 +435,13 @@ def test_stacked_point_statistics_equal_each_set_alone(n_traj):
             assert all(np.array_equal(stats[key][s], alone[key][0]) for key in stats)
     with pytest.raises(ValueError, match="2 corrections for 3 sets"):  # one for every set
         evaluate(features, phi, ["minus", "minus"], 1.0e7)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sum formed for an unknown correction")
+
+    monkeypatch.setattr(estimator, "_monomial_sums", unreachable)
+    with pytest.raises(ValueError, match="got 'bogus'"):  # named, before any sum
+        evaluate(features, phi, ["minus", "bogus", "auto"], 1.0e7)
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])
@@ -482,21 +489,21 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def test_estimator_transient_memory_is_one_term_block():
-    """The 9 term rows of a (B, C, S_b / g) record are the estimator's one large array.
+@pytest.mark.parametrize("sets, n", [(1, 200_000), (13, 100_000)])
+def test_estimator_transient_memory_is_five_trajectory_rows(sets, n):
+    """evaluate holds five trajectory-sized rows, whatever the number of sets.
 
-    On a (1, 2e5, 3) stack the measured tracemalloc peak of evaluate is
-    1.11 block sizes: the block and the one trajectory-sized scratch in which
-    the interval's monomials are formed.  The bootstrap's resamples took
-    1.22 (a draw and its counts beside the block), and before the rows were
-    written in place it was 2.67: a centred copy and two gathered (n, 6)
-    copies sat beside the block.
+    They are a set's three centred features and the two scratch rows in
+    which its monomials are formed, reused from set to set.  The measured
+    tracemalloc peak of evaluate (201 phases) is 5.00 rows of n doubles at
+    both sizes; with the (sets, 9, n) term block of the whole stack it was
+    10.0 rows at one set and 118 at 13.
     """
-    n = 200_000
-    features = _synthetic_features(np.random.default_rng(5), n)[np.newaxis]
+    rng = np.random.default_rng(5)
+    features = np.stack([_synthetic_features(rng, n) for _ in range(sets)])
     phi = np.linspace(0.0, 2 * np.pi, 201)
-    block = 9 * n * features.itemsize
-    assert _traced_peak(lambda: evaluate(features, phi, ["minus"], 1.0e7)) < 1.3 * block
+    peak = _traced_peak(lambda: evaluate(features, phi, ["minus"] * sets, 1.0e7))
+    assert peak < 5.5 * n * features.itemsize
 
 
 # --- full curve -----------------------------------------------------------------
