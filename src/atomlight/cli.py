@@ -110,11 +110,10 @@ PHI_SWEEP_COLUMNS = [
 
 def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
                   ensembles=None) -> int:
-    ensembles, spec = prepare(config, [config.r], ensembles)
-    drift, transferred = ensembles[0].conservation, transferred_atoms(ensembles[0])
-    phi = np.linspace(config.phi_start, config.phi_stop, config.phi_count)
-    # popped, not named, so that the ensemble is freed once its features are read
-    curve = sensitivity_curve(ensembles.pop(), phi, spec)
+    phi = np.linspace(config.phi_start, config.phi_stop, config.phi_count)  # before any build
+    (ensemble,), spec = prepare(config, [config.r], ensembles)
+    drift, transferred = ensemble.conservation, transferred_atoms(ensemble)
+    curve = sensitivity_curve(ensemble, phi, spec)
     rows = list(zip(*(getattr(curve, c) for c in PHI_SWEEP_COLUMNS)))
     min_m, argmin_phi, k = curve.min_m()
     ci = [float(curve.m_ci_lo[k]), float(curve.m_ci_hi[k])]

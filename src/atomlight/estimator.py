@@ -24,13 +24,13 @@ are sums over the same trajectories as the point statistics.
 
 Every M goes through one evaluation, _curves: check that the ensembles
 share one draw and have enough trajectories, take their feature stack from
-the read-out (one LO draw; each ensemble dropped once read), and evaluate
-every (set, weight, phase) cell, every interval and each set's sign with one
-evaluate call.  evaluate takes the stack one set at a time: the set's
-centred features in three reused trajectory rows, its 34 monomial sums
-formed from them, so it holds five trajectory rows whatever the number of
-sets.  sensitivity_curve (a single phase included) and scan_over_r are
-reads of its curves, in every evolution mode.
+the read-out (one LO draw), and evaluate every (set, weight, phase) cell,
+every interval and each set's sign with one evaluate call.  evaluate takes
+the stack one set at a time: the set's centred features in three reused
+trajectory rows, its 34 monomial sums formed from them, so it holds five
+trajectory rows whatever the number of sets.  sensitivity_curve (a single phase included) and scan_over_r are
+reads of its curves, in every evolution mode.  Ensembles are plain values
+that live in their caller's scope: no function changes a list it is given.
 """
 
 from __future__ import annotations
@@ -263,8 +263,7 @@ def _curves(ensembles: list, phi, spec: HomodyneSpec) -> list[SensitivityCurve]:
     The ensembles must come from one draw: the LO noise depends on
     (master_seed, n_traj) only, and the M scale on n_total.  One LO draw and
     one evaluate call serve every ensemble, so each curve equals that of its
-    ensemble alone.  The list is emptied as the features are read, so no
-    ensemble that only it held is live in the estimator's sums.
+    ensemble alone.
     """
     shared = {(e.n_traj, e.master_seed, e.n_total) for e in ensembles}
     if len(shared) > 1:
@@ -291,9 +290,7 @@ def _curves(ensembles: list, phi, spec: HomodyneSpec) -> list[SensitivityCurve]:
 def sensitivity_curve(ensemble: Ensemble, phi, spec: HomodyneSpec) -> SensitivityCurve:
     """Full sensitivity analysis of one ensemble at each phase in phi (one
     phase is a grid of one)."""
-    ensembles = [ensemble]
-    del ensemble  # so that _curves frees it, unless the caller holds it
-    return _curves(ensembles, phi, spec)[0]
+    return _curves([ensemble], phi, spec)[0]
 
 
 def squeezed_combo_variance(ensemble: Ensemble) -> float:
@@ -304,14 +301,15 @@ def squeezed_combo_variance(ensemble: Ensemble) -> float:
 
 def prepare(config: RunConfig, r_values,
             ensembles=None) -> tuple[list[Ensemble], HomodyneSpec]:
-    """The ensembles at each r (built unless given) in a new list, and the homodyne settings."""
+    """The ensembles at each r (built unless given, else returned as they were
+    given), and the homodyne settings."""
     if ensembles is None:
         ensembles = build_ensembles(
             config.n_total, config.n_seed, r_values, config.trajectories, config.master_seed,
             mode=config.mode)
     spec = HomodyneSpec(gain_g=config.gain_g, lo_sampled=config.lo_sampled,
                         correction_sign=CORRECTIONS[config.correction])
-    return list(ensembles), spec
+    return ensembles, spec
 
 
 def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
@@ -321,9 +319,8 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     them, one per r, in order), in any mode, and one _curves call at pi/2
     evaluates them all, each r with its own sign calibration, so every row
     equals sensitivity_curve at pi/2 on its own ensemble.  The closed
-    undepleted-pump forms ride along in m_plain and m_recycled.  Each row's
-    other scalars are read before _curves, which frees the ensembles this
-    call built.
+    undepleted-pump forms ride along in m_plain and m_recycled, and each row's
+    other scalars are read from its ensemble beside its curve.
     """
     r_values = [float(v) for v in r_values]
     if not r_values:
@@ -334,20 +331,18 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     ensembles, spec = prepare(config, r_values, ensembles)
     if len(ensembles) != len(r_values):
         raise ValueError(f"{len(ensembles)} ensembles for {len(r_values)} r values")
-    for r, ensemble_r in zip(r_values, [e.r for e in ensembles]):
-        if ensemble_r != r:
-            raise ValueError(f"ensemble at r = {ensemble_r} given for r = {r}")
-    read = [dict(r=r, transferred=transferred_atoms(e), conservation=e.conservation,
-                 var_squeezed_combo=squeezed_combo_variance(e))
-            for r, e in zip(r_values, ensembles)]
-    curves = _curves(ensembles, [np.pi / 2], spec)
+    for r, ensemble in zip(r_values, ensembles):
+        if ensemble.r != r:
+            raise ValueError(f"ensemble at r = {ensemble.r} given for r = {r}")
     rows = []
-    for fields, curve in zip(read, curves):
-        pred = predict(fields["r"], config.n_total)
+    for r, ensemble, curve in zip(r_values, ensembles, _curves(ensembles, [np.pi / 2], spec)):
+        pred = predict(r, config.n_total)
         rows.append(RScanRow(
-            m=float(curve.m[0]), m_ci_lo=float(curve.m_ci_lo[0]), m_ci_hi=float(curve.m_ci_hi[0]),
-            m_plain=pred.m_plain, m_recycled=pred.m_recycled,
-            correction_sign=curve.correction_sign, **fields))
+            r=r, m=float(curve.m[0]), m_ci_lo=float(curve.m_ci_lo[0]),
+            m_ci_hi=float(curve.m_ci_hi[0]), transferred=transferred_atoms(ensemble),
+            var_squeezed_combo=squeezed_combo_variance(ensemble), m_plain=pred.m_plain,
+            m_recycled=pred.m_recycled, correction_sign=curve.correction_sign,
+            conservation=ensemble.conservation))
 
     star = int(np.argmin([row.m for row in rows]))
     r_star = rows[star].r

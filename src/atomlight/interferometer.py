@@ -88,16 +88,16 @@ def fringe_features(ensemble: Ensemble, spec: HomodyneSpec, lo_noise, out=None) 
 
 
 def feature_stack(ensembles: list, spec: HomodyneSpec) -> np.ndarray:
-    """The (sets, n, 3) features of the ensembles, each popped from the list as
-    it is read, from one LO draw.
+    """The (sets, n, 3) features of the ensembles, from one LO draw; the list
+    is only read.
 
     The ensembles come from one sample (the estimator checks that they share
     master_seed and n_traj), so the noise drawn for the first is that of each.
     """
     lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
     features = np.empty((len(ensembles), ensembles[0].n_traj, 3))
-    for s in range(len(features)):
-        fringe_features(ensembles.pop(0), spec, lo_noise, features[s])
+    for ensemble, out in zip(ensembles, features):
+        fringe_features(ensemble, spec, lo_noise, out)
     return features
 
 

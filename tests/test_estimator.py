@@ -224,14 +224,16 @@ def _scan_ensembles(r_values, n_traj=100, master_seed=SEED, n_total=1.0e7):
 
 
 def test_given_ensembles_stay_with_their_caller():
-    # the estimator empties only lists of its own: a caller's list keeps its
-    # ensembles, and evaluating them again gives the same rows
+    # a caller's list keeps its ensembles, and evaluating them again gives the
+    # same rows
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
     ensembles = _scan_ensembles([1.0, 2.0])
     held = list(ensembles)
     first = scan_over_r([1.0, 2.0], config, ensembles)
     assert len(ensembles) == 2 and all(a is b for a, b in zip(ensembles, held))
     assert scan_over_r([1.0, 2.0], config, ensembles).rows == first.rows
+    feature_stack(ensembles, HomodyneSpec(gain_g=100.0))  # reads the list, as given
+    assert len(ensembles) == 2 and all(a is b for a, b in zip(ensembles, held))
     curve = sensitivity_curve(held[0], [np.pi / 2], HomodyneSpec(gain_g=100.0))
     assert (curve.m[0], curve.m_ci_lo[0], curve.m_ci_hi[0]) == (
         first.rows[0].m, first.rows[0].m_ci_lo, first.rows[0].m_ci_hi)
@@ -334,7 +336,7 @@ def test_gain_saturation(working_point_ensemble):
 
 # --- intervals -----------------------------------------------------------------
 
-def test_bootstrap_coverage_on_synthetic_truth():
+def test_delta_interval_coverage_on_synthetic_truth():
     rng = np.random.default_rng(99)
     phi = np.linspace(0.0, 1.0, 11)
     mid = len(phi) // 2
@@ -347,7 +349,7 @@ def test_bootstrap_coverage_on_synthetic_truth():
     assert hits >= 90
 
 
-def test_bootstrap_width_shrinks_with_sqrt_n():
+def test_delta_interval_width_shrinks_with_sqrt_n():
     rng = np.random.default_rng(7)
     phi = np.linspace(0.0, 1.0, 11)
     mid = len(phi) // 2
@@ -399,7 +401,7 @@ def test_delta_interval_covers_as_the_bootstrap_does(case):
         assert delta >= boot - np.sqrt(len(seeds) * p * (1.0 - p)), (r, delta, boot)
 
 
-def test_bootstrap_flags_constant_signal():
+def test_delta_interval_flags_constant_signal():
     # a constant signal has zero fringe slope: M is undefined and the
     # interval edges come out +inf rather than NaN or silently masked
     phi = np.linspace(0.0, 1.0, 5)
@@ -409,7 +411,7 @@ def test_bootstrap_flags_constant_signal():
     assert np.all(np.isposinf(hi))
 
 
-def test_bootstrap_edges_keep_nan_from_nan_signals():
+def test_delta_interval_edges_keep_nan_from_nan_signals():
     # a NaN M makes NaN edges
     phi = np.linspace(0.0, 1.0, 3)
     f = _synthetic_features(np.random.default_rng(12), 200)
@@ -445,7 +447,7 @@ def test_stacked_point_statistics_equal_each_set_alone(n_traj, monkeypatch):
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])
-def test_stacked_bootstrap_equals_each_set_alone(n_traj):
+def test_stacked_delta_interval_equals_each_set_alone(n_traj):
     rng = np.random.default_rng(8)
     features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
     phi = np.linspace(0.0, 1.0, 4)
@@ -468,7 +470,7 @@ def test_stacked_bootstrap_equals_each_set_alone(n_traj):
         evaluate(features, phi, ["minus", "minus"], 1.0e7)
 
 
-def test_bootstrap_deterministic(working_point_ensemble):
+def test_delta_interval_deterministic(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     grid = np.linspace(0.0, np.pi, 9)
     features = fringe_features(working_point_ensemble, spec,
