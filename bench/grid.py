@@ -13,6 +13,8 @@ one side, named "tree".
 The rows of the grid:
 - ``phi-sweep`` on configs/working_point.cfg, seed 777, at each trajectory
   count in --sizes;
+- ``r-scan`` on configs/r_scan_seeded.cfg (13 values of r), seed 777, at
+  1e5 trajectories;
 - the command of each named benchmark workload (perfbench/workloads.py),
   seed 12345;
 - each --command, split as a shell would split it.
@@ -66,6 +68,9 @@ def rows(sizes, workloads, commands) -> list[tuple[str, list[str]]]:
     out = [(f"phi-sweep trajectories={n}",
             ["phi-sweep", "--config", "configs/working_point.cfg",
              "--set", f"trajectories={n}", "--seed", "777"]) for n in sizes]
+    out.append(("r-scan trajectories=100000",
+                ["r-scan", "--config", "configs/r_scan_seeded.cfg",
+                 "--set", "trajectories=100000", "--seed", "777"]))
     if workloads:
         sys.path.insert(0, str(ROOT))
         from perfbench.workloads import WORKLOADS

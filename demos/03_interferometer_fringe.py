@@ -12,7 +12,7 @@ fringe; the dips below zero beat the standard quantum limit.
 import numpy as np
 
 from atomlight import HomodyneSpec, build_ensembles, sensitivity_curve
-from atomlight.interferometer import feature_stack
+from atomlight.interferometer import feature_sets
 
 N_TOTAL = 1.0e7
 ensemble = build_ensembles(N_TOTAL, 1.0e4, [3.0], 1000, 12345)[0]
@@ -24,7 +24,8 @@ min_m, argmin, _ = curve.min_m()
 print(f"best sensitivity: M = {min_m:.4f} at phi = {argmin/np.pi:.3f} pi "
       f"(SQL is M = 1)")
 
-b, c, s_b_over_g = feature_stack([ensemble], spec)[0].T
+(features,) = feature_sets([ensemble], spec)
+b, c, s_b_over_g = features.T
 phases = {"pi/2": np.pi / 2, "pi": np.pi, "3pi/2": 3 * np.pi / 2}
 scatter = {}
 for name, phi in phases.items():

@@ -36,7 +36,7 @@ from .dynamics import ConservationReport, IntegrationError, check_pump_range, tr
 from .estimator import (correction_weight, evaluate, prepare, scan_over_r, sensitivity_curve,
                         squeezed_combo_variance)
 from .feasibility import PhysicalSetup, capture_fraction, rate_ratio, scaling_estimate
-from .interferometer import feature_stack
+from .interferometer import feature_sets
 from . import __version__
 
 DRIFT_LIMIT = 1.0e-6  # conservation drift above this fails the run
@@ -148,7 +148,8 @@ def cmd_r_scan(config: RunConfig, out_dir: Path, stem: str = "r_scan", ensembles
         "equivalent_atom_gain": 1.0 / star.m**2 if star.m > 0 else float("inf"),
         "at_boundary": result.at_boundary,
         "error_budget": _error_budget(star.conservation, star.m, (star.m_ci_lo, star.m_ci_hi)),
-    }, [row.conservation for row in result.rows], finite)
+    }, [row.conservation for row in result.rows],  # every numeric column, the sign's aside
+        {**finite, **_column_maxima(R_SCAN_COLUMNS[:-1], [row[:-1] for row in rows])})
 
 
 SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
@@ -156,11 +157,11 @@ SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
 
 def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembles=None) -> int:
     (ensemble,), spec = prepare(config, [config.r], ensembles)
-    # a stack of one: its features, LO draw and sign come as every verb's do
-    stack = feature_stack([ensemble], spec)
-    (sign,) = evaluate(stack, config.scatter_phis, [spec.correction_sign],
+    # a run of one: its features, LO draw and sign come as every verb's do
+    (features,) = feature_sets([ensemble], spec)
+    (sign,) = evaluate([features], config.scatter_phis, spec.correction_sign,
                        ensemble.n_total)[0]["correction_sign"]
-    b, c, s_b_scaled = stack[0].T
+    b, c, s_b_scaled = features.T
     rows = []
     corr = {}
     for phi in config.scatter_phis:

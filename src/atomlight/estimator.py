@@ -1,4 +1,4 @@
-"""Sensitivity estimation from the read-out's feature stacks.
+"""Sensitivity estimation from the read-out's fringe features.
 
 Per trajectory the combined signal is a single fringe harmonic in the
 interferometer phase plus the weighted light record,
@@ -23,28 +23,27 @@ function of log M, from the centred feature moments up to order 4, which
 are sums over the same trajectories as the point statistics.
 
 Every M goes through one evaluation, _curves: check that the ensembles
-share one draw and have enough trajectories, take their feature stack from
-the read-out (one LO draw), and evaluate every (set, weight, phase) cell,
-every interval and each set's sign with one evaluate call.  evaluate takes
-the stack one set at a time: the set's centred features in three reused
-trajectory rows, its 34 monomial sums formed from them, so it holds five
-trajectory rows whatever the number of sets.  sensitivity_curve (a single phase included) and scan_over_r are
-reads of its curves, in every evolution mode.  Ensembles are plain values
-that live in their caller's scope: no function changes a list it is given.
+share one draw and have enough trajectories, then make one evaluate call
+for every (set, weight, phase) cell, interval and sign, which reads the
+read-out's features one ensemble at a time (one LO draw) and drops each set
+before the next is formed.  sensitivity_curve (a single phase included) and
+scan_over_r are reads of its curves, in every evolution mode.  Ensembles
+are plain values that live in their caller's scope: no function changes a
+list it is given.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, repeat
 
 import numpy as np
 
 from .analytics import predict
 from .config import CORRECTIONS, MIN_TRAJECTORIES, RunConfig
 from .dynamics import ConservationReport, Ensemble, build_ensembles, transferred_atoms
-from .interferometer import HomodyneSpec, feature_stack
+from .interferometer import HomodyneSpec, feature_sets
 from .phasespace import quadrature_x, quadrature_y
 
 Z_CI = 1.959963984540054  # the standard normal's 0.975 quantile: 95 % intervals
@@ -141,13 +140,14 @@ def _monomial_sums(rows, monomials, scratch) -> list:
     return sums
 
 
-def _statistics(mean, cov, higher, n: int, phi, weights, n_total: float) -> dict:
+def _statistics(mean, cov, higher, n, phi, weights, n_total: float) -> dict:
     """The statistics of each set's features at each of its weights and each phase.
 
     mean and cov are the (sets, 3) means and (sets, 6) covariances of the
-    PAIRS of the features f = (B, C, S_b / g) of n trajectories, and higher
-    the (sets, 25) sums of their centred THIRD and FOURTH monomials in the
-    basis of each set's first weight.  For a weight w the signal at phase phi
+    PAIRS of the features f = (B, C, S_b / g) of each set's n trajectories
+    (n is (sets, 1, 1)), and higher the (sets, 25) sums of their centred
+    THIRD and FOURTH monomials in the basis of each set's first weight.  For
+    a weight w the signal at phase phi
     is S = d @ f with the design d = (cos phi, sin phi, w); the atomic record
     alone is w = 0.  Its mean and exact slope D = t @ mean(f),
     t = (-sin phi, cos phi, 0), need the means, its unbiased variance V the
@@ -196,17 +196,37 @@ def _statistics(mean, cov, higher, n: int, phi, weights, n_total: float) -> dict
             "delta_phi": delta_phi, "m": m, "m_ci_lo": lo, "m_ci_hi": hi}
 
 
-def evaluate(features, phi, corrections, n_total: float) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Statistics of every set at its correction's weight and at weight 0, and
+def _set_sums(features, correction: str) -> tuple:
+    """The means, covariances and higher sums of one (n, 3) set, its resolved
+    sign and n (evaluate); its rows, like the set, do not outlive the call."""
+    n, k = features.shape
+    if n < 2:
+        raise ValueError(f"a variance needs at least 2 trajectories; got {n}")
+    center = features.mean(axis=0)
+    rows, scratch = np.subtract(features.T, center[:, None], order="C"), np.empty((2, n))
+    sums = np.array(_monomial_sums(rows, [(a,) for a in range(k)] + PAIRS, scratch))
+    shift = sums[:k] / n
+    i, j = np.array(PAIRS).T
+    cov = (sums[k:] - n * shift[i] * shift[j]) / (n - 1)
+    if correction == "auto":
+        correction = "plus" if cov[4] >= 0 else "minus"  # cov(C, S_b / g)
+    rows[1] += np.multiply(rows[2], correction_weight(correction), out=scratch[0])  # C + w S_b / g
+    return center + shift, cov, _monomial_sums(rows, THIRD + FOURTH, scratch), correction, n
+
+
+def evaluate(features, phi, correction: str, n_total: float) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Statistics of every set at the correction's weight and at weight 0, and
     the interval of M at the first, from sums over one set at a time.
 
-    features is a (sets, n, 3) stack of (B, C, S_b / g) rows and corrections
-    one name per set: "plus" (weight -1), "minus" (+1), "off" (0) or "auto";
-    any other name is refused before any sum.  Each set is centred at its
-    feature means into three reused trajectory rows, whose 9 sums of degree
-    1 and 2 give its means and covariances.  "auto" is resolved from those,
-    over the whole sample: "plus" where cov(C, S_b / g) >= 0 (ties too),
-    "minus" otherwise.  C is the atomic record at pi/2, and for any g > 0
+    features is any iterable of (n, 3) arrays of (B, C, S_b / g) rows, one
+    per set (a (sets, n, 3) array, or the read-out's feature_sets), and
+    correction one name for every set: "plus" (weight -1), "minus" (+1),
+    "off" (0) or "auto"; any other name is refused before any set is read.
+    Each set is centred at its feature means into three trajectory rows,
+    whose 9 sums of degree 1 and 2 give its means and covariances.  "auto"
+    is resolved per set from those, over the whole sample: "plus" where
+    cov(C, S_b / g) >= 0 (ties too), "minus" otherwise.  C is the atomic
+    record at pi/2, and for any g > 0
     V(C - S_b/g) - V(C + S_b/g) = -4 cov(C, S_b/g), so that is the sign with
     the smaller V(S) there.  The C row then becomes C + w S_b / g at the
     resolved weight w, and the 25 sums of degree 3 and 4 are taken in that
@@ -215,45 +235,23 @@ def evaluate(features, phi, corrections, n_total: float) -> tuple[dict, np.ndarr
     1e-7 of V(C) at N = 1e7 and 1e-9 at N = 1e9, where moments taken in the
     features' own basis put se 2.6 % off (r = 4.5, 1e5 trajectories) and
     out by factors (r = 5.6).  A set's sums are formed on its rows alone, so
-    they do not depend on the sets beside it, and the transient is five
-    trajectory rows whatever the number of sets.
+    they do not depend on the sets beside it, and the set and its five
+    trajectory rows (three centred features, two scratch rows) are dropped
+    before the next set is drawn.
 
     The statistics (mean, variance, exact fringe slope, delta_phi and M) are
-    (sets, 2, phases) arrays (_statistics); beside them are each set's
-    resolved "correction_sign" and its mean light record "mean_s_b_over_g",
-    a (sets,) array.  The edges, of shape (sets, phases), are the
-    delta-method interval of M at the resolved weight.
+    (sets, 2, phases) arrays (_statistics, one call over every set); beside
+    them are each set's resolved "correction_sign" and its mean light record
+    "mean_s_b_over_g", a (sets,) array.  The edges, of shape (sets, phases),
+    are the delta-method interval of M at the resolved weight.
     """
-    if len(corrections) != len(features):
-        raise ValueError(f"{len(corrections)} corrections for {len(features)} sets")
-    for name in corrections:
-        if name != "auto":
-            correction_weight(name)  # refuses an unknown name
-    features = np.asarray(features, dtype=float)
-    sets, n, k = features.shape
-    if n < 2:
-        raise ValueError(f"a variance needs at least 2 trajectories; got {n}")
-    center = features.mean(axis=1)
-    rows, scratch = np.empty((k, n)), np.empty((2, n))
-    mean, cov = np.empty((sets, k)), np.empty((sets, len(PAIRS)))
-    higher = np.empty((sets, len(THIRD) + len(FOURTH)))
-    i, j = np.array(PAIRS).T
-    signs = []
-    for s in range(sets):
-        np.subtract(features[s].T, center[s, :, None], out=rows)
-        sums = np.array(_monomial_sums(rows, [(a,) for a in range(k)] + PAIRS, scratch))
-        shift = sums[:k] / n
-        mean[s], cov[s] = center[s] + shift, (sums[k:] - n * shift[i] * shift[j]) / (n - 1)
-        sign = corrections[s]
-        if sign == "auto":
-            sign = "plus" if cov[s, 4] >= 0 else "minus"  # cov(C, S_b / g)
-        signs.append(sign)
-        rows[1] += np.multiply(rows[2], correction_weight(sign), out=scratch[0])  # C + w S_b / g
-        higher[s] = _monomial_sums(rows, THIRD + FOURTH, scratch)
-    del rows, scratch  # the rows are not held beside the statistics' arrays
+    if correction != "auto":
+        correction_weight(correction)  # refuses an unknown name
+    # map drops each set once its sums are formed, before it draws the next
+    mean, cov, higher, signs, n = map(np.array, zip(*map(_set_sums, features, repeat(correction))))
     weights = [[correction_weight(sign), 0.0] for sign in signs]
-    stats = _statistics(mean, cov, higher, n, phi, weights, n_total)
-    stats.update(correction_sign=signs, mean_s_b_over_g=mean[:, 2])
+    stats = _statistics(mean, cov, higher, n[:, None, None], phi, weights, n_total)
+    stats.update(correction_sign=signs.tolist(), mean_s_b_over_g=mean[:, 2])
     return stats, stats.pop("m_ci_lo")[:, 0], stats.pop("m_ci_hi")[:, 0]
 
 
@@ -276,8 +274,8 @@ def _curves(ensembles: list, phi, spec: HomodyneSpec) -> list[SensitivityCurve]:
     phi = np.array(phi, dtype=float)
     if phi.ndim != 1 or phi.size == 0:
         raise ValueError(f"phi must be a non-empty 1-D grid of phases; got shape {phi.shape}")
-    corrections = [spec.correction_sign] * len(ensembles)
-    stats, ci_lo, ci_hi = evaluate(feature_stack(ensembles, spec), phi, corrections, n_total)
+    stats, ci_lo, ci_hi = evaluate(feature_sets(ensembles, spec), phi, spec.correction_sign,
+                                   n_total)
     signs, mean_s_b_over_g = stats.pop("correction_sign"), stats.pop("mean_s_b_over_g")
     return [SensitivityCurve(
         phi=phi, mean_s_a=stats["mean_s"][s, 1], var_s_a=stats["var_s"][s, 1],

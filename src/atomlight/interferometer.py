@@ -16,8 +16,8 @@ unsplit t1 amplitudes, so no splitter is applied.  fringe_features forms the
 rows (B, C, S_b / g) of one ensemble; they are the same for every correction
 setting, since the correction S = S_a + w S_b / g is a weight that the
 estimator applies (and, for an "auto" sign, decides) when it evaluates them.
-feature_stack forms the (sets, n, 3) stack that the estimator evaluates (the
-scatter verb's single ensemble is a stack of one); it alone reads
+feature_sets yields them one ensemble at a time, as the estimator reads them
+(the scatter verb's single ensemble is a run of one); it alone reads
 HomodyneSpec.lo_sampled and draws the LO's per-trajectory vacuum noise, once
 for all of its ensembles.
 """
@@ -73,32 +73,29 @@ def lo_amplitude(ensemble: Ensemble, spec: HomodyneSpec, lo_noise=None):
     return beta_lo if lo_noise is None else beta_lo + lo_noise
 
 
-def fringe_features(ensemble: Ensemble, spec: HomodyneSpec, lo_noise, out=None) -> np.ndarray:
+def fringe_features(ensemble: Ensemble, spec: HomodyneSpec, lo_noise) -> np.ndarray:
     """Per-trajectory features (B, C, S_b / g), an (n, 3) array.
 
     S_b is read against lo_amplitude(ensemble, spec, lo_noise), so lo_noise
-    None is an LO without vacuum noise.  The features are written into out
-    when it is given.
+    None is an LO without vacuum noise.
     """
     s_b = signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec, lo_noise))
     a1, a2 = ensemble.state.alpha1, ensemble.state.alpha2
     b = (a1.real ** 2 + a1.imag ** 2) - (a2.real ** 2 + a2.imag ** 2)  # |alpha1|^2 - |alpha2|^2
     c = -2.0 * (a1.real * a2.real + a1.imag * a2.imag)  # -2 Re(alpha1 conj(alpha2))
-    return np.stack([b, c, s_b / spec.gain_g], axis=1, out=out)
+    return np.stack([b, c, s_b / spec.gain_g], axis=1)
 
 
-def feature_stack(ensembles: list, spec: HomodyneSpec) -> np.ndarray:
-    """The (sets, n, 3) features of the ensembles, from one LO draw; the list
-    is only read.
+def feature_sets(ensembles: list, spec: HomodyneSpec):
+    """The (n, 3) features of each ensemble in turn, from one LO draw; the
+    list is only read, and each set is formed only when it is asked for.
 
     The ensembles come from one sample (the estimator checks that they share
     master_seed and n_traj), so the noise drawn for the first is that of each.
     """
     lo_noise = lo_noise_samples(ensembles[0]) if spec.lo_sampled else None
-    features = np.empty((len(ensembles), ensembles[0].n_traj, 3))
-    for ensemble, out in zip(ensembles, features):
-        fringe_features(ensemble, spec, lo_noise, out)
-    return features
+    for ensemble in ensembles:
+        yield fringe_features(ensemble, spec, lo_noise)
 
 
 def detected_photons(ensemble: Ensemble, spec: HomodyneSpec) -> float:

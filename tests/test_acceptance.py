@@ -28,7 +28,7 @@ from atomlight import (
 )
 from atomlight.cli import main
 from atomlight.dynamics import evolve_closed_form
-from atomlight.interferometer import feature_stack
+from atomlight.interferometer import feature_sets
 from oracles import textbook_integrate
 
 MASTER_SEED = 12345
@@ -154,7 +154,8 @@ def test_criterion_07_working_point(fig3_ensemble):
     curve = at_pi_2(fig3_ensemble, spec)
     m, sign = curve.m[0], curve.correction_sign
     # the correlations that scatter reports: S_a = B cos(phi) + C sin(phi) against S_b / g
-    b, c, s_b_over_g = feature_stack([fig3_ensemble], spec)[0].T
+    (features,) = feature_sets([fig3_ensemble], spec)
+    b, c, s_b_over_g = features.T
     corrs = {}
     for phi in (np.pi / 2, np.pi, 3 * np.pi / 2):
         s_a = b * np.cos(phi) + c * np.sin(phi)

@@ -22,12 +22,9 @@ def test_grid_smoke_at_200_trajectories(tmp_path):
     config = (ROOT / "configs" / "working_point.cfg").read_text(encoding="utf-8")
     (other / "configs" / "working_point.cfg").write_text(
         config.replace("gain_g = 100", "gain_g = 50"), encoding="utf-8")
-    out = tmp_path / "bench.json"
-    code = _grid().main(["--out", str(out), "--side", f"a={ROOT}", "--side", f"b={ROOT}",
-                         "--side", f"c={other}", "--sizes", "200", "--workloads", "",
-                         "--repeat", "2"])
-    assert code == 0
-    record = json.loads(out.read_text(encoding="utf-8"))
+    grid = _grid()
+    record = grid.grid({"a": ROOT, "b": ROOT, "c": other}, grid.rows([200], [], [])[:1], 2)
+    json.dumps(record)  # the record main writes is plain JSON
     assert set(record["host"]) == {"nproc", "cpu_model", "python", "numpy"}
     assert record["sides"] == ["a", "b", "c"] and record["repeat"] == 2
     (row,) = record["rows"]
@@ -54,8 +51,12 @@ def test_grid_runs_the_benchmark_workloads_commands():
     rows = _grid().rows([1000], ["phi_sweep_wp", "r_scan_seeded"], ["analytic-table --seed 1"])
     from perfbench.workloads import WORKLOADS  # importable once rows has read it
 
-    assert [name for name, _ in rows] == ["phi-sweep trajectories=1000", "phi_sweep_wp",
+    assert [name for name, _ in rows] == ["phi-sweep trajectories=1000",
+                                          "r-scan trajectories=100000", "phi_sweep_wp",
                                           "r_scan_seeded", "analytic-table --seed 1"]
-    for name, args in rows[1:3]:
+    # the r-scan row is the 13-set scan at 1e5 trajectories, seed 777
+    assert rows[1][1] == ["r-scan", "--config", "configs/r_scan_seeded.cfg",
+                          "--set", "trajectories=100000", "--seed", "777"]
+    for name, args in rows[2:4]:
         assert args + ["--out", "OUT"] == WORKLOADS[name].cli_args(12345, "OUT")
-    assert rows[3][1] == ["analytic-table", "--seed", "1"]
+    assert rows[4][1] == ["analytic-table", "--seed", "1"]

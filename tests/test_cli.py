@@ -399,8 +399,8 @@ def test_scatter_signal_is_the_weighted_light_record(tmp_path, correction, weigh
     assert np.all(s_b_over_g != 0.0)  # the light record is written for every setting
 
 
-def test_scatter_reads_the_stack_of_one_lo_draw(tmp_path, monkeypatch):
-    # scatter's features are the read-out's stack of its one ensemble, from one LO draw
+def test_scatter_reads_the_features_of_one_lo_draw(tmp_path, monkeypatch):
+    # scatter's features are the read-out's features of its one ensemble, from one LO draw
     draws = []
     lo_noise_samples = interferometer.lo_noise_samples
 
@@ -413,11 +413,11 @@ def test_scatter_reads_the_stack_of_one_lo_draw(tmp_path, monkeypatch):
     assert code == 0 and draws == [150]
     config = cli.make_config(json.loads((out / "scatter_summary.json").read_text())["config"])
     ensembles, spec = estimator.prepare(config, [config.r])
-    stack = interferometer.feature_stack(ensembles, spec)
+    (features,) = interferometer.feature_sets(ensembles, spec)
     lines = [l for l in (out / "scatter.csv").read_text().splitlines() if not l.startswith("#")]
     rows = np.array([l.split(",") for l in lines[1:]], dtype=float)
     for k in range(len(config.scatter_phis)):
-        assert np.array_equal(rows[k * 150:(k + 1) * 150, 3], stack[0, :, 2])
+        assert np.array_equal(rows[k * 150:(k + 1) * 150, 3], features[:, 2])
 
 
 # --- feasibility ----------------------------------------------------------------------
@@ -709,7 +709,7 @@ def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra
     original = interferometer.fringe_features
 
     def nan_features(*args, **kwargs):
-        features = original(*args, **kwargs)  # the stack's rows, where it writes them
+        features = original(*args, **kwargs)
         features[...] = np.nan
         return features
 
@@ -722,6 +722,18 @@ def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra
     gates = json.loads((out / f"{verb.replace('-', '_')}_summary.json").read_text())["gates"]
     assert gates["finite"]["passed"] is False and gates["drift"]["passed"] is True
     assert gates["finite"]["invariant"] == record["invariant"]
+
+
+def test_r_scan_gates_every_numeric_column(tmp_path, capsys):
+    # m_plain overflows at r = 400 (cosh(800)), in a row away from the optimum;
+    # analytic-table refuses the same r
+    code, out = run(["r-scan"] + FAST + ["--set", "r_list=3, 400"], tmp_path)
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert (record["error"], record["invariant"]) == ("finite", "m_plain")
+    gates = json.loads((out / "r_scan_summary.json").read_text())["gates"]
+    assert gates["finite"]["passed"] is False and gates["finite"]["invariant"] == "m_plain"
+    assert (out / "r_scan.csv").exists()
 
 
 OVERFLOWING_STATISTICS = [
@@ -890,41 +902,38 @@ def test_figures_gate_the_squeezing_table(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("verb, config", [("phi-sweep", "working_point.cfg"),
                                           ("r-scan", "r_scan_seeded.cfg")])
-def test_the_estimator_does_not_set_the_peak(tmp_path, monkeypatch, verb, config):
-    """At 2e4 trajectories evaluate's tracemalloc peak is at most feature_stack's.
+def test_the_estimator_holds_one_set_at_a_time(tmp_path, monkeypatch, verb, config):
+    """At 1e5 trajectories, the estimator stage (_curves: the read-out's
+    features and their sums) traces a peak above the live ensembles of less
+    than two sets' features and evaluate's five rows, 11 rows of n doubles,
+    whatever the number of sets.
 
-    Each peak is the most memory traced while the call runs, the ensembles
-    (alive in their caller's scope) and every earlier allocation included.
-    Measured: 3.18 MB against 4.27 MB for the phi-sweep, and 19.58 MB
-    against 19.90 MB for the 13 sets of the r-scan.  Besides its five
-    trajectory rows evaluate has a fixed cost (its per-set and per-phase
-    arrays and Python's own), so at 2e3 trajectories the r-scan's evaluate
-    reads 2.10 MB against feature_stack's 2.05 MB.
+    Measured: 10.03 rows for the one set of the phi-sweep and for the 13
+    sets of the r-scan, the LO noise (2 rows), one set's features (3) and
+    the five rows; with the (sets, n, 3) feature stack the r-scan read
+    46.0.  Below 65536 trajectories the LO draw's fixed block of raw words
+    sets the peak instead (14.8 rows at 2e4).
     """
-    peaks = {}
+    n, peaks = 100_000, []
+    curves = estimator._curves
 
-    def traced(name):
-        original = getattr(estimator, name)
+    def traced(*args, **kwargs):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return curves(*args, **kwargs)
+        finally:
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / (8 * n))
 
-        def wrapper(*args, **kwargs):
-            tracemalloc.reset_peak()
-            try:
-                return original(*args, **kwargs)
-            finally:
-                peaks[name] = tracemalloc.get_traced_memory()[1]
-
-        monkeypatch.setattr(estimator, name, wrapper)
-
-    traced("feature_stack")
-    traced("evaluate")
+    monkeypatch.setattr(estimator, "_curves", traced)
     tracemalloc.start()
     try:
         code, _ = run([verb, "--config", str(SRC.parent / "configs" / config),
-                       "--set", "trajectories=20000"], tmp_path)
+                       "--set", f"trajectories={n}"], tmp_path)
     finally:
         tracemalloc.stop()
-    assert code == 0
-    assert peaks["evaluate"] <= peaks["feature_stack"], peaks
+    assert code == 0 and len(peaks) == 1
+    assert peaks[0] < 2 * 3 + 5, peaks
 
 
 # --- what a run loads ----------------------------------------------------------------

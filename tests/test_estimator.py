@@ -13,7 +13,7 @@ import atomlight.interferometer as interferometer
 from atomlight.config import ConfigError, RunConfig
 from atomlight.dynamics import build_ensembles
 from atomlight.estimator import Z_CI, correction_weight, evaluate, scan_over_r, sensitivity_curve
-from atomlight.interferometer import HomodyneSpec, feature_stack, fringe_features, lo_noise_samples
+from atomlight.interferometer import HomodyneSpec, feature_sets, fringe_features, lo_noise_samples
 from oracles import bootstrap_interval, interferometer_signals
 
 SEED = 555
@@ -60,8 +60,8 @@ def test_shared_phases_are_bit_identical(working_point_ensemble):
     assert np.array_equal(f1, f2)  # same trajectories, same LO draw (S_b / g included)
     wide = [np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]
     narrow = [np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]
-    a, _, _ = evaluate(f1[np.newaxis], wide, ["auto"], 1.0e7)
-    b, _, _ = evaluate(f2[np.newaxis], narrow, ["auto"], 1.0e7)
+    a, _, _ = evaluate(f1[np.newaxis], wide, "auto", 1.0e7)
+    b, _, _ = evaluate(f2[np.newaxis], narrow, "auto", 1.0e7)
     assert a["correction_sign"] == b["correction_sign"]
     assert a["mean_s"][0, 0, 1] == b["mean_s"][0, 0, 1]
     assert a["var_s"][0, 0, 1] == b["var_s"][0, 0, 1]
@@ -85,8 +85,8 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
     # and weight 0's statistics do not depend on the weight beside it: evaluate
     # gives each set its correction's weight and 0, so "off" is 0 beside 0
     features = fringe_features(ensemble, spec, lo_noise_samples(ensemble))
-    both, _, _ = evaluate(features[np.newaxis], grid, [curve.correction_sign], 1.0e7)
-    off, _, _ = evaluate(features[np.newaxis], grid, ["off"], 1.0e7)
+    both, _, _ = evaluate(features[np.newaxis], grid, curve.correction_sign, 1.0e7)
+    off, _, _ = evaluate(features[np.newaxis], grid, "off", 1.0e7)
     assert both.keys() == off.keys()
     for column in (0, 1):
         assert all(np.array_equal(both[key][:, 1], off[key][:, column]) for key in CELLS)
@@ -126,7 +126,7 @@ def test_interval_matches_the_direct_influence_function(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     features = fringe_features(working_point_ensemble, spec,
                                lo_noise_samples(working_point_ensemble))
-    stats, (lo,), (hi,) = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7)
+    stats, (lo,), (hi,) = evaluate(features[np.newaxis], grid, "auto", 1.0e7)
     (sign,) = stats["correction_sign"]
     s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
     slope = _direct_slope(working_point_ensemble, grid, spec, sign)
@@ -201,14 +201,19 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
 
 
 def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, monkeypatch):
-    # _curves makes one evaluate call over the whole stack for the point
-    # statistics and the interval together, whatever the number of ensembles
-    # and phases
-    calls = []  # the number of sets in each call's stack
+    # _curves makes one evaluate call over every set for the point statistics
+    # and the interval together, whatever the number of ensembles and phases
+    calls = []  # the number of sets that each call draws
 
     def counting(features, *args, **kwargs):
-        calls.append(len(features))
-        return evaluate(features, *args, **kwargs)
+        calls.append(0)
+
+        def drawn():
+            for f in features:
+                calls[-1] += 1
+                yield f
+
+        return evaluate(drawn(), *args, **kwargs)
 
     monkeypatch.setattr(estimator, "evaluate", counting)
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
@@ -232,7 +237,7 @@ def test_given_ensembles_stay_with_their_caller():
     first = scan_over_r([1.0, 2.0], config, ensembles)
     assert len(ensembles) == 2 and all(a is b for a, b in zip(ensembles, held))
     assert scan_over_r([1.0, 2.0], config, ensembles).rows == first.rows
-    feature_stack(ensembles, HomodyneSpec(gain_g=100.0))  # reads the list, as given
+    list(feature_sets(ensembles, HomodyneSpec(gain_g=100.0)))  # reads the list, as given
     assert len(ensembles) == 2 and all(a is b for a, b in zip(ensembles, held))
     curve = sensitivity_curve(held[0], [np.pi / 2], HomodyneSpec(gain_g=100.0))
     assert (curve.m[0], curve.m_ci_lo[0], curve.m_ci_hi[0]) == (
@@ -252,7 +257,7 @@ def test_scan_rejects_ensembles_that_do_not_match(ensembles, match, monkeypatch)
     def unreachable(*args, **kwargs):
         raise AssertionError("features computed for mismatched ensembles")
 
-    monkeypatch.setattr(estimator, "feature_stack", unreachable)
+    monkeypatch.setattr(estimator, "feature_sets", unreachable)
     monkeypatch.setattr(estimator, "evaluate", unreachable)
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
     with pytest.raises(ValueError, match=match):
@@ -271,8 +276,8 @@ def test_m_invariant_under_signal_rescaling():
     rng = np.random.default_rng(3)
     phi = np.linspace(0.0, 1.0, 11)
     f = _synthetic_features(rng, 400, sigma=1.0)[np.newaxis]
-    m1 = evaluate(f, phi, ["minus"], 1.0e7)[0]["m"]
-    m2 = evaluate(7.3 * f, phi, ["minus"], 1.0e7)[0]["m"]
+    m1 = evaluate(f, phi, "minus", 1.0e7)[0]["m"]
+    m2 = evaluate(7.3 * f, phi, "minus", 1.0e7)[0]["m"]
     assert np.all(np.abs(m2 - m1) <= 1e-10 * np.abs(m1))
 
 
@@ -280,7 +285,7 @@ def test_zero_derivative_is_flagged():
     phi = np.linspace(0.0, 1.0, 5)
     rng = np.random.default_rng(4)
     f = np.column_stack([np.zeros(50), np.zeros(50), rng.normal(size=50)])  # B = C = 0
-    stats, lo, hi = evaluate(f[np.newaxis], phi, ["minus"], 1.0)  # 0 / 0 at weight 0
+    stats, lo, hi = evaluate(f[np.newaxis], phi, "minus", 1.0)  # 0 / 0 at weight 0
     assert stats["delta_phi"].shape == (1, 2, 5)
     assert np.all(np.isposinf(stats["delta_phi"]))
     # an infinite M has infinite edges
@@ -315,13 +320,13 @@ def test_shuffling_light_record_destroys_gain(working_point_ensemble):
     phi = [np.pi / 2]
     features = fringe_features(working_point_ensemble, spec,
                                lo_noise_samples(working_point_ensemble))
-    stats = evaluate(features[np.newaxis], phi, ["auto"], 1.0e7)[0]
+    stats = evaluate(features[np.newaxis], phi, "auto", 1.0e7)[0]
     m_corr, m_off = stats["m"][0, :, 0]
 
     perm = np.random.default_rng(11).permutation(len(features))
     f_shuffled = features.copy()
     f_shuffled[:, 2] = features[perm, 2]
-    m_shuffled = evaluate(f_shuffled[np.newaxis], phi, stats["correction_sign"],
+    m_shuffled = evaluate(f_shuffled[np.newaxis], phi, stats["correction_sign"][0],
                           1.0e7)[0]["m"][0, 0, 0]
 
     assert m_corr < 0.5 * m_off       # the correction genuinely helps
@@ -344,7 +349,7 @@ def test_delta_interval_coverage_on_synthetic_truth():
     hits = 0
     for rep in range(100):
         f = _synthetic_features(rng, n_traj=500)
-        _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0)
+        _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, "minus", 1.0)
         hits += int(lo[mid] <= m_true <= hi[mid])
     assert hits >= 90
 
@@ -357,7 +362,7 @@ def test_delta_interval_width_shrinks_with_sqrt_n():
     for rep in range(30):
         for n in widths:
             f = _synthetic_features(rng, n_traj=n)
-            _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0)
+            _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, "minus", 1.0)
             widths[n].append(hi[mid] - lo[mid])
     ratio = np.median(widths[500]) / np.median(widths[250])
     assert 0.8 / np.sqrt(2.0) < ratio < 1.2 / np.sqrt(2.0)
@@ -377,8 +382,8 @@ def interval_coverage(n_seed, r_values, seeds):
     truth = [c.m[0] for c in estimator._curves(reference, [phi], spec)]
     hits, ratios = np.zeros((len(r_values), 2), dtype=int), []
     for seed in seeds:
-        features = feature_stack(build_ensembles(1.0e7, n_seed, r_values, 1000, seed), spec)
-        stats, lo, hi = evaluate(features, [phi], ["auto"] * len(r_values), 1.0e7)
+        features = list(feature_sets(build_ensembles(1.0e7, n_seed, r_values, 1000, seed), spec))
+        stats, lo, hi = evaluate(features, [phi], "auto", 1.0e7)
         for k, (f, sign) in enumerate(zip(features, stats["correction_sign"])):
             s = f @ [np.cos(phi), np.sin(phi), correction_weight(sign)]
             slope = f @ [-np.sin(phi), np.cos(phi), 0.0]
@@ -406,7 +411,7 @@ def test_delta_interval_flags_constant_signal():
     # interval edges come out +inf rather than NaN or silently masked
     phi = np.linspace(0.0, 1.0, 5)
     f = np.column_stack([np.zeros(60), np.zeros(60), np.full(60, 3.7)])  # B = C = 0
-    _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, ["minus"], 1.0)
+    _, (lo,), (hi,) = evaluate(f[np.newaxis], phi, "minus", 1.0)
     assert np.all(np.isposinf(lo))
     assert np.all(np.isposinf(hi))
 
@@ -416,58 +421,55 @@ def test_delta_interval_edges_keep_nan_from_nan_signals():
     phi = np.linspace(0.0, 1.0, 3)
     f = _synthetic_features(np.random.default_rng(12), 200)
     f[7, 0] = np.nan
-    _, lo, hi = evaluate(f[np.newaxis], phi, ["minus"], 1.0)
+    _, lo, hi = evaluate(f[np.newaxis], phi, "minus", 1.0)
     assert np.all(np.isnan(lo)) and np.all(np.isnan(hi))
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])
-def test_stacked_point_statistics_equal_each_set_alone(n_traj, monkeypatch):
+def test_point_statistics_of_many_sets_equal_each_set_alone(n_traj):
     rng = np.random.default_rng(8)
-    features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
+    features = [_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)]
     phi = np.linspace(0.0, 1.0, 4)
-    for corrections in (["plus", "minus", "off"],  # a correction per set
-                        ["off"] * 3,  # the atomic record alone on every set
-                        ["auto"] * 3):  # each set resolved from its own sums
-        stats, _, _ = evaluate(features, phi, corrections, 1.0e7)
+    for correction in ("plus", "minus", "off",  # "off": the atomic record alone
+                       "auto"):  # each set resolved from its own sums
+        stats, _, _ = evaluate(iter(features), phi, correction, 1.0e7)
         assert all(stats[key].shape == (3, 2, 4) for key in CELLS)
         assert stats["mean_s_b_over_g"].shape == (3,) and len(stats["correction_sign"]) == 3
-        for s in range(len(features)):  # each set against a stack of that set alone
-            alone, _, _ = evaluate(features[s:s + 1], phi, corrections[s:s + 1], 1.0e7)
+        for s, f in enumerate(features):  # each set against a run of that set alone
+            alone, _, _ = evaluate([f], phi, correction, 1.0e7)
             assert stats.keys() == alone.keys()
             assert all(np.array_equal(stats[key][s], alone[key][0]) for key in stats)
-    with pytest.raises(ValueError, match="2 corrections for 3 sets"):  # one for every set
-        evaluate(features, phi, ["minus", "minus"], 1.0e7)
+    # each set is read at its own number of trajectories
+    shorter = features[1][1:]
+    both, _, _ = evaluate([features[0], shorter], phi, "minus", 1.0e7)
+    alone, _, _ = evaluate([shorter], phi, "minus", 1.0e7)
+    assert all(np.array_equal(both[key][1], alone[key][0]) for key in CELLS)
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a sum formed for an unknown correction")
+    def unread():
+        raise AssertionError("a set drawn for an unknown correction")
+        yield
 
-    monkeypatch.setattr(estimator, "_monomial_sums", unreachable)
-    with pytest.raises(ValueError, match="got 'bogus'"):  # named, before any sum
-        evaluate(features, phi, ["minus", "bogus", "auto"], 1.0e7)
+    with pytest.raises(ValueError, match="got 'bogus'"):  # named, before any set is drawn
+        evaluate(unread(), phi, "bogus", 1.0e7)
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])
-def test_stacked_delta_interval_equals_each_set_alone(n_traj):
+def test_delta_interval_of_many_sets_equals_each_set_alone(n_traj):
     rng = np.random.default_rng(8)
-    features = np.stack([_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)])
+    features = [_synthetic_features(rng, n_traj, slope=s) for s in (5.0, 2.0, 9.0)]
     phi = np.linspace(0.0, 1.0, 4)
-    corrections = ["plus", "minus", "off"]  # one per set
-    _, lo, hi = evaluate(features, phi, corrections, 1.0e7)
-    assert lo.shape == hi.shape == (3, 4)
-    for s in range(len(features)):  # each set against a stack of that set alone
-        _, lo_s, hi_s = evaluate(features[s:s + 1], phi, corrections[s:s + 1], 1.0e7)
-        assert np.array_equal(lo[s], lo_s[0]) and np.array_equal(hi[s], hi_s[0])
-    # the atomic record alone (weight 0 on every set) too
-    _, lo, hi = evaluate(features, phi, ["off"] * 3, 1.0e7)
-    _, lo_s, hi_s = evaluate(features[1:2], phi, ["off"], 1.0e7)
-    assert np.array_equal(lo[1], lo_s[0]) and np.array_equal(hi[1], hi_s[0])
+    for correction in ("plus", "minus", "off"):
+        _, lo, hi = evaluate(np.stack(features), phi, correction, 1.0e7)  # a (sets, n, 3) array
+        assert lo.shape == hi.shape == (3, 4)
+        for s, f in enumerate(features):  # each set against a run of that set alone
+            _, lo_s, hi_s = evaluate([f], phi, correction, 1.0e7)
+            assert np.array_equal(lo[s], lo_s[0]) and np.array_equal(hi[s], hi_s[0])
     # an "auto" set is resolved once, from the whole sample, and its interval is
     # taken at the weight of the sign it resolved to
-    stats, lo_a, hi_a = evaluate(features, phi, ["auto"] * 3, 1.0e7)
-    _, lo, hi = evaluate(features, phi, stats["correction_sign"], 1.0e7)
-    assert np.array_equal(lo_a, lo) and np.array_equal(hi_a, hi)
-    with pytest.raises(ValueError, match="2 corrections for 3 sets"):  # one for every set
-        evaluate(features, phi, ["minus", "minus"], 1.0e7)
+    stats, lo_a, hi_a = evaluate(features, phi, "auto", 1.0e7)
+    for s, (f, sign) in enumerate(zip(features, stats["correction_sign"])):
+        _, lo, hi = evaluate([f], phi, sign, 1.0e7)
+        assert np.array_equal(lo_a[s], lo[0]) and np.array_equal(hi_a[s], hi[0])
 
 
 def test_delta_interval_deterministic(working_point_ensemble):
@@ -475,8 +477,8 @@ def test_delta_interval_deterministic(working_point_ensemble):
     grid = np.linspace(0.0, np.pi, 9)
     features = fringe_features(working_point_ensemble, spec,
                                lo_noise_samples(working_point_ensemble))
-    a = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7)
-    b = evaluate(features[np.newaxis], grid, ["auto"], 1.0e7)
+    a = evaluate(features[np.newaxis], grid, "auto", 1.0e7)
+    b = evaluate(features[np.newaxis], grid, "auto", 1.0e7)
     assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
 
@@ -496,7 +498,7 @@ def test_estimator_transient_memory_is_five_trajectory_rows(sets, n):
     """evaluate holds five trajectory-sized rows, whatever the number of sets.
 
     They are a set's three centred features and the two scratch rows in
-    which its monomials are formed, reused from set to set.  The measured
+    which its monomials are formed, dropped with the set.  The measured
     tracemalloc peak of evaluate (201 phases) is 5.00 rows of n doubles at
     both sizes; with the (sets, 9, n) term block of the whole stack it was
     10.0 rows at one set and 118 at 13.
@@ -504,7 +506,7 @@ def test_estimator_transient_memory_is_five_trajectory_rows(sets, n):
     rng = np.random.default_rng(5)
     features = np.stack([_synthetic_features(rng, n) for _ in range(sets)])
     phi = np.linspace(0.0, 2 * np.pi, 201)
-    peak = _traced_peak(lambda: evaluate(features, phi, ["minus"] * sets, 1.0e7))
+    peak = _traced_peak(lambda: evaluate(features, phi, "minus", 1.0e7))
     assert peak < 5.5 * n * features.itemsize
 
 

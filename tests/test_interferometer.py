@@ -219,7 +219,7 @@ def test_features_do_not_depend_on_the_correction(working_point_ensemble):
     for setting in ("plus", "minus", "off"):
         features = fringe_features(
             working_point_ensemble, replace(spec, correction_sign=setting), lo_noise)
-        stats = evaluate(features[np.newaxis], [np.pi / 2], [setting], 1.0)[0]
+        stats = evaluate(features[np.newaxis], [np.pi / 2], setting, 1.0)[0]
         assert stats["correction_sign"] == [setting]
         assert features.tobytes() == auto.tobytes()
 
@@ -243,7 +243,7 @@ def test_weighted_light_feature_is_the_combined_signal(working_point_ensemble, s
 
 def _auto_sign(features):
     """The sign that evaluate resolves for "auto" on one set of (B, C, S_b / g) rows."""
-    return evaluate(features[np.newaxis], [np.pi / 2], ["auto"], 1.0)[0]["correction_sign"][0]
+    return evaluate(features[np.newaxis], [np.pi / 2], "auto", 1.0)[0]["correction_sign"][0]
 
 
 def _calibrate_at(ensemble, spec, phi=np.pi / 2):
@@ -304,11 +304,11 @@ def test_calibration_matches_two_variance_form_on_random_records():
 
 
 def test_calibration_rejects_empty():
-    # a stack too small for a variance is refused, whatever its correction
+    # a set too small for a variance is refused, whatever its correction
     for n in (0, 1):
         for correction in ("auto", "plus"):
             with pytest.raises(ValueError, match="at least 2 trajectories"):
-                evaluate(np.zeros((1, n, 3)), [np.pi / 2], [correction], 1.0)
+                evaluate(np.zeros((1, n, 3)), [np.pi / 2], correction, 1.0)
 
 
 @pytest.mark.parametrize("ensemble", ["working_point_ensemble", "coherent_ensemble"])
