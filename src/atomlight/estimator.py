@@ -1,35 +1,29 @@
 """Sensitivity estimation from the read-out's fringe features.
 
 Per trajectory the combined signal is a single fringe harmonic in the
-interferometer phase plus the weighted light record,
+interferometer phase plus the weighted records of the read-out,
 
-    S(phi) = B cos(phi) + C sin(phi) + w S_b / g,
+    S(phi) = B cos(phi) + C sin(phi) + w . x,
 
-from the features (B, C, S_b / g) of the read-out (interferometer).  The
-correction is decided here alone: its sign is only the weight w in the fringe
-design, an "auto" sign is resolved from the same sums as every statistic, and
-the atomic record S_a is S at w = 0, read from those sums too.  The
+from the k features (B, C, x) of the read-out (interferometer), x the
+columns after (B, C), the first of them the light record S_b / g.  The
+correction is decided here alone: it is the weight row w of the fringe
+design (a named one weights S_b / g alone; "auto" resolves its sign from the
+same sums as every statistic), and the atomic record S_a is S at w = 0.  The
 dynamics do not depend on phi, so one ensemble and one local-oscillator draw
-serve every phase (exact common random numbers), and the per-phase mean and
-unbiased variance of S follow from three feature means and a 3x3 covariance,
-each summed in one fixed order per phase.  The slope of the mean fringe is
-exact, d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so any single phase can be
-evaluated on its own, and
+serve every phase (exact common random numbers): the mean and unbiased
+variance of S at a phase follow from k feature means and a k x k
+covariance, and the slope of the mean fringe is exact,
+d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so
 
-    delta_phi = sqrt( V(S) / (d<S>/dphi)^2 ),    M = delta_phi * sqrt(N_t).
+    delta_phi = sqrt( V(S) / (d<S>/dphi)^2 ),    M = delta_phi * sqrt(N_t),
 
-The interval of M is the delta method's: the variance of the influence
-function of log M, from the centred feature moments up to order 4, which
-are sums over the same trajectories as the point statistics.
-
-Every M goes through one evaluation, _curves: check that the ensembles
-share one draw and have enough trajectories, then make one evaluate call
-for every (set, weight, phase) cell, interval and sign, which reads the
-read-out's features one ensemble at a time (one LO draw) and drops each set
-before the next is formed.  sensitivity_curve (a single phase included) and
-scan_over_r are reads of its curves, in every evolution mode.  Ensembles
-are plain values that live in their caller's scope: no function changes a
-list it is given.
+with the delta method's interval from the centred feature moments up to
+order 4.  Every M goes through one evaluation, _curves: one evaluate call
+for every (set, weight, phase) cell, interval and sign, reading the
+read-out's features one ensemble at a time (one LO draw).
+sensitivity_curve and scan_over_r read its curves, in every evolution mode.
+Ensembles are plain values: no function changes a list it is given.
 """
 
 from __future__ import annotations
@@ -47,11 +41,6 @@ from .interferometer import HomodyneSpec, feature_sets
 from .phasespace import quadrature_x, quadrature_y
 
 Z_CI = 1.959963984540054  # the standard normal's 0.975 quantile: 95 % intervals
-# the centred monomials of the features (B, C, S_b / g), as feature indices:
-# the pairs give the covariances, and the interval reads those of degree 3
-# and 4 as well
-PAIRS, THIRD, FOURTH = (list(combinations_with_replacement(range(3), degree))
-                        for degree in (2, 3, 4))
 
 
 @dataclass
@@ -116,6 +105,11 @@ def correction_weight(correction_sign: str) -> float:
     return weights[correction_sign]
 
 
+def _monomials(k: int, *degrees: int) -> list:
+    """The monomials of k features, as tuples of feature indices, of each degree in turn."""
+    return [m for d in degrees for m in combinations_with_replacement(range(k), d)]
+
+
 def _coefficient(monomial, vectors):
     """The coefficient of a centred monomial's mean in the mean of the product
     of the projections v . f~ of the vectors: the sum over the monomial's
@@ -126,7 +120,7 @@ def _coefficient(monomial, vectors):
 
 
 def _monomial_sums(rows, monomials, scratch) -> list:
-    """The sum over the trajectories of each centred monomial of the (3, n)
+    """The sum over the trajectories of each centred monomial of the (k, n)
     rows: f_a, f_a f_b, (f_a f_b) f_c or (f_a f_b)(f_c f_d), each product
     formed in the two trajectory-sized scratch rows and summed there."""
     sums = []
@@ -143,45 +137,44 @@ def _monomial_sums(rows, monomials, scratch) -> list:
 def _statistics(mean, cov, higher, n, phi, weights, n_total: float) -> dict:
     """The statistics of each set's features at each of its weights and each phase.
 
-    mean and cov are the (sets, 3) means and (sets, 6) covariances of the
-    PAIRS of the features f = (B, C, S_b / g) of each set's n trajectories
-    (n is (sets, 1, 1)), and higher the (sets, 25) sums of their centred
-    THIRD and FOURTH monomials in the basis of each set's first weight.  For
-    a weight w the signal at phase phi
-    is S = d @ f with the design d = (cos phi, sin phi, w); the atomic record
-    alone is w = 0.  Its mean and exact slope D = t @ mean(f),
-    t = (-sin phi, cos phi, 0), need the means, its unbiased variance V the
-    covariances.  weights is a list of weights per set, and the result a dict
-    of (sets, weights, phases) arrays: the point statistics and the edges
-    m_ci_lo, m_ci_hi of the delta method's interval for log M (Efron &
-    Tibshirani, An Introduction to the Bootstrap, 1993, ch. 21; van der
-    Vaart, Asymptotic Statistics, 1998, ch. 3), M exp(-+Z_CI se).
-    se^2 = E[IF^2] / n for the influence function
+    mean and cov are the (sets, k) means and (sets, k(k+1)/2) covariances
+    (over _monomials(k, 2)) of the features f = (B, C, x) of each set's n
+    trajectories (n is (sets, 1, 1)), and higher the (sets, C(k+2, 3) +
+    C(k+3, 4)) sums of their centred monomials of degree 3 and 4 in the basis
+    of each set's first weight.  weights is a (sets, weights, k - 2) array of
+    rows w on x.  At phase phi the signal S = d @ f, with the design
+    d = (cos phi, sin phi, w), has the mean and exact slope D = t @ mean(f),
+    t = (-sin phi, cos phi, 0 ...), and the unbiased variance V; w = 0 is
+    the atomic record.  The result is a dict of (sets, weights, phases)
+    arrays: the point statistics and the edges m_ci_lo, m_ci_hi of the delta
+    method's interval for log M (Efron & Tibshirani, An Introduction to the
+    Bootstrap, 1993, ch. 21; van der Vaart, Asymptotic Statistics, 1998,
+    ch. 3), M exp(-+Z_CI se).  se^2 = E[IF^2] / n for the influence function
     IF = ((d @ f~)^2 - V) / (2 V) - (t @ f~) / D of log M, so
     E[IF^2] = (mu4 - V^2) / (4 V^2) - mu3 / (V D) + t' Sigma t / D^2, with V
     and Sigma population (co)variances, mu4 = E[(d @ f~)^4] and
     mu3 = E[(d @ f~)^2 (t @ f~)].  The interval is taken at the weight given,
     as a fixed design row; at a weight fitted to the least V, dV/dw = 0, so
     the same formula holds.  An infinite M has +inf edges, a NaN M NaN edges
-    and M = 0 (no variance) edges 0.  Each cell adds the terms of its mean,
-    slope, variance and interval in one fixed order, whatever else is
-    evaluated with it.
+    and M = 0 (no variance) edges 0.  Each cell adds its terms in one fixed
+    order, whatever else is evaluated with it.
     """
-    weights = np.array(weights, dtype=float).reshape(len(mean), -1, 1)
+    w = np.moveaxis(weights, -1, 0)[..., None]  # (k - 2, sets, weights, 1)
     phi = np.asarray(phi, dtype=float)
-    design = np.broadcast_arrays(np.cos(phi), np.sin(phi), weights)
-    slope = [-np.sin(phi), np.cos(phi), np.zeros_like(phi)]
-    # d and t in the basis of each set's first weight, that of its higher sums
-    d_b, t_b = ([v[0], v[1], v[2] - weights[:, :1] * v[1]] for v in (design, slope))
+    design = np.broadcast_arrays(np.cos(phi), np.sin(phi), *w)
+    slope = [-np.sin(phi), np.cos(phi)] + [np.zeros_like(phi)] * len(w)
+    # d and t in the basis (B, C + w . x, x) of each set's first weight w, that of its higher sums
+    d_b, t_b = ([*v[:2], *(x - y[:, :1] * v[1] for x, y in zip(v[2:], w))] for v in (design, slope))
+    pairs, triples, quads = (_monomials(mean.shape[1], degree) for degree in (2, 3, 4))
     first, second = (x.T[..., None, None] for x in (mean, cov))  # (term, set, 1, 1)
-    third, fourth = (x.T[..., None, None] / n for x in np.split(higher, [len(THIRD)], -1))
+    third, fourth = (x.T[..., None, None] / n for x in np.split(higher, [len(triples)], -1))
     ds = sum(x * y for x, y in zip(first, slope))  # Python's sum: term by term
     mean_s = sum(x * y for x, y in zip(first, design))
     var_s = np.maximum(sum(x * _coefficient(p, [design] * 2)
-                           for x, p in zip(second, PAIRS)), 0.0)
-    var_t = sum(x * _coefficient(p, [slope] * 2) for x, p in zip(second, PAIRS))
-    mu3 = sum(x * _coefficient(p, [d_b, d_b, t_b]) for x, p in zip(third, THIRD))
-    mu4 = sum(x * _coefficient(p, [d_b] * 4) for x, p in zip(fourth, FOURTH))
+                           for x, p in zip(second, pairs)), 0.0)
+    var_t = sum(x * _coefficient(p, [slope] * 2) for x, p in zip(second, pairs))
+    mu3 = sum(x * _coefficient(p, [d_b, d_b, t_b]) for x, p in zip(third, triples))
+    mu4 = sum(x * _coefficient(p, [d_b] * 4) for x, p in zip(fourth, quads))
     # x / 0 and 0 / 0 (a zero slope: an infinite M; no variance: M = 0), and
     # an edge past the float range
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -197,59 +190,66 @@ def _statistics(mean, cov, higher, n, phi, weights, n_total: float) -> dict:
 
 
 def _set_sums(features, correction: str) -> tuple:
-    """The means, covariances and higher sums of one (n, 3) set, its resolved
-    sign and n (evaluate); its rows, like the set, do not outlive the call."""
+    """The means, covariances and higher sums of one (n, k) set, its resolved sign, weight
+    row and n (evaluate); its rows, like the set, do not outlive the call."""
+    if features.ndim != 2 or len(features) < 2 or features.shape[1] < 3:
+        raise ValueError("a feature set must be (n, k): at least 2 trajectories (a variance) "
+                         f"of k >= 3 features (B, C, S_b / g, ...); got shape {features.shape}")
     n, k = features.shape
-    if n < 2:
-        raise ValueError(f"a variance needs at least 2 trajectories; got {n}")
     center = features.mean(axis=0)
     rows, scratch = np.subtract(features.T, center[:, None], order="C"), np.empty((2, n))
-    sums = np.array(_monomial_sums(rows, [(a,) for a in range(k)] + PAIRS, scratch))
+    sums = np.array(_monomial_sums(rows, _monomials(k, 1, 2), scratch))
     shift = sums[:k] / n
-    i, j = np.array(PAIRS).T
+    i, j = np.array(_monomials(k, 2)).T
     cov = (sums[k:] - n * shift[i] * shift[j]) / (n - 1)
-    if correction == "auto":
-        correction = "plus" if cov[4] >= 0 else "minus"  # cov(C, S_b / g)
-    rows[1] += np.multiply(rows[2], correction_weight(correction), out=scratch[0])  # C + w S_b / g
-    return center + shift, cov, _monomial_sums(rows, THIRD + FOURTH, scratch), correction, n
+    if correction == "auto":  # the sign of cov(C, S_b / g)
+        correction = "plus" if cov[_monomials(k, 2).index((1, 2))] >= 0 else "minus"
+    weight = [correction_weight(correction)] + [0.0] * (k - 3)  # a name weights S_b / g alone
+    for x, w in zip(rows[2:], weight):
+        rows[1] += np.multiply(x, w, out=scratch[0])  # C + w . x
+    higher = _monomial_sums(rows, _monomials(k, 3, 4), scratch)
+    return center + shift, cov, higher, correction, weight, n
 
 
 def evaluate(features, phi, correction: str, n_total: float) -> tuple[dict, np.ndarray, np.ndarray]:
     """Statistics of every set at the correction's weight and at weight 0, and
     the interval of M at the first, from sums over one set at a time.
 
-    features is any iterable of (n, 3) arrays of (B, C, S_b / g) rows, one
-    per set (a (sets, n, 3) array, or the read-out's feature_sets), and
-    correction one name for every set: "plus" (weight -1), "minus" (+1),
-    "off" (0) or "auto"; any other name is refused before any set is read.
-    Each set is centred at its feature means into three trajectory rows,
-    whose 9 sums of degree 1 and 2 give its means and covariances.  "auto"
-    is resolved per set from those, over the whole sample: "plus" where
-    cov(C, S_b / g) >= 0 (ties too), "minus" otherwise.  C is the atomic
-    record at pi/2, and for any g > 0
-    V(C - S_b/g) - V(C + S_b/g) = -4 cov(C, S_b/g), so that is the sign with
-    the smaller V(S) there.  The C row then becomes C + w S_b / g at the
-    resolved weight w, and the 25 sums of degree 3 and 4 are taken in that
-    basis, where the signal at pi/2 is one feature, so its moments are not
-    the cancellation of far larger ones: at the unseeded optimum V(S) is
-    1e-7 of V(C) at N = 1e7 and 1e-9 at N = 1e9, where moments taken in the
-    features' own basis put se 2.6 % off (r = 4.5, 1e5 trajectories) and
-    out by factors (r = 5.6).  A set's sums are formed on its rows alone, so
-    they do not depend on the sets beside it, and the set and its five
-    trajectory rows (three centred features, two scratch rows) are dropped
-    before the next set is drawn.
+    features is any iterable of (n, k) arrays of (B, C, S_b / g, ...) rows,
+    one per set, k >= 3 alike in every set (a (sets, n, k) array, or the
+    read-out's feature_sets); a set of another shape or of fewer than 2
+    trajectories is refused by its shape before its sums.  correction is one
+    name for every set, whose weight row on the columns after (B, C) weights
+    S_b / g alone: "plus" (-1, 0 ...), "minus" (+1, 0 ...), "off" (0 ...) or
+    "auto"; any other name is refused before any set is read.  Each set is
+    centred at its feature means into k trajectory rows, whose k + k(k+1)/2
+    sums of degree 1 and 2 give its means and covariances, and its "auto":
+    "plus" where cov(C, S_b / g) >= 0 (ties too), "minus" otherwise, over
+    the whole sample.  For any g > 0, V(C - S_b/g) - V(C + S_b/g) =
+    -4 cov(C, S_b/g), so that is the sign with the smaller V(S) at pi/2,
+    where C is the atomic record.  The C row then becomes C + w . x at the
+    resolved weight row w, and the C(k+2, 3) + C(k+3, 4) sums of degree 3
+    and 4 (9 + 25 sums in all at k = 3, 14 + 55 at k = 4) are taken in that
+    basis, where the signal at pi/2 is one feature, so its moments do not
+    cancel: at the unseeded optimum V(S) is 1e-7 of V(C) at N = 1e7 and
+    1e-9 at N = 1e9, where moments in the features' own basis put se 2.6 %
+    off (r = 4.5, 1e5 trajectories) and out by factors (r = 5.6).  A set's
+    sums are formed on its rows alone, so they do not depend on the sets
+    beside it, and the set and its k + 2 trajectory rows (k centred features,
+    two scratch rows) are dropped before the next set is drawn.
 
     The statistics (mean, variance, exact fringe slope, delta_phi and M) are
-    (sets, 2, phases) arrays (_statistics, one call over every set); beside
-    them are each set's resolved "correction_sign" and its mean light record
-    "mean_s_b_over_g", a (sets,) array.  The edges, of shape (sets, phases),
-    are the delta-method interval of M at the resolved weight.
+    (sets, 2, phases) arrays (_statistics, one call over every set), beside
+    each set's resolved "correction_sign" and mean light record
+    "mean_s_b_over_g"; the edges, (sets, phases), are the interval of M at
+    the resolved weight.
     """
     if correction != "auto":
         correction_weight(correction)  # refuses an unknown name
     # map drops each set once its sums are formed, before it draws the next
-    mean, cov, higher, signs, n = map(np.array, zip(*map(_set_sums, features, repeat(correction))))
-    weights = [[correction_weight(sign), 0.0] for sign in signs]
+    mean, cov, higher, signs, w, n = map(np.array,
+                                         zip(*map(_set_sums, features, repeat(correction))))
+    weights = np.stack([w, np.zeros_like(w)], axis=1)
     stats = _statistics(mean, cov, higher, n[:, None, None], phi, weights, n_total)
     stats.update(correction_sign=signs.tolist(), mean_s_b_over_g=mean[:, 2])
     return stats, stats.pop("m_ci_lo")[:, 0], stats.pop("m_ci_hi")[:, 0]

@@ -1,5 +1,6 @@
 """Sensitivity curves, their intervals and the r-scan."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -423,6 +424,48 @@ def test_delta_interval_edges_keep_nan_from_nan_signals():
     f[7, 0] = np.nan
     _, lo, hi = evaluate(f[np.newaxis], phi, "minus", 1.0)
     assert np.all(np.isnan(lo)) and np.all(np.isnan(hi))
+
+
+@pytest.mark.parametrize("w, u", [(0.7, -0.4), (-1.0, 2.5),
+                                  (1.0, 0.0)])  # a zero weight: the column is not there
+def test_a_weight_row_weights_every_column_after_b_and_c(w, u):
+    """The set (B, C, S, X) at the weight row (w, u) is the set (B, C, w S + u X)
+    at weight 1: the same mean, variance, slope, M and interval edges."""
+    rng = np.random.default_rng(21)
+    b, c, s, x = rng.normal(size=(4, 4000)) + np.array([[1.0], [4.0], [0.0], [0.5]])
+    four = np.column_stack([b, c - 0.6 * s + 0.3 * x, s, x])  # C correlated with both records
+    phi = np.linspace(0.2, 2.8, 7)
+
+    def cells(features, row):
+        # the sums in the basis of "minus", (1, 0 ...), then the statistics at row
+        mean, cov, higher, _, first, n = estimator._set_sums(features, "minus")
+        stats = estimator._statistics(mean[None], cov[None], np.array(higher)[None],
+                                      np.full((1, 1, 1), n), phi, np.array([[first, row]]), 1e7)
+        return {key: value[0, 1] for key, value in stats.items()}
+
+    at_row = cells(four, [w, u])
+    at_one = cells(np.column_stack([four[:, :2], w * s + u * x]), [1.0])
+    assert at_row.keys() == at_one.keys()
+    for key in at_one:
+        np.testing.assert_allclose(at_row[key], at_one[key], rtol=1e-12, atol=0, err_msg=key)
+    if u == 0.0:  # a named correction weights S_b / g alone: X changes no bit
+        for correction in ("plus", "minus", "off", "auto"):
+            with_x = evaluate([four], phi, correction, 1e7)
+            without = evaluate([four[:, :3]], phi, correction, 1e7)
+            assert with_x[0].keys() == without[0].keys()
+            assert all(np.asarray(with_x[0][key]).tobytes() == np.asarray(without[0][key]).tobytes()
+                       for key in without[0])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(with_x[1:], without[1:]))
+
+
+@pytest.mark.parametrize("shape", [(50, 2), (50,), (2, 50, 3)])
+def test_a_malformed_set_is_refused_by_its_shape(shape, monkeypatch):
+    def unsummed(*args):
+        raise AssertionError("a malformed set was summed")
+
+    monkeypatch.setattr(estimator, "_monomial_sums", unsummed)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        evaluate([np.ones(shape)], [np.pi / 2], "auto", 1e7)
 
 
 @pytest.mark.parametrize("n_traj", [1000, 10000])

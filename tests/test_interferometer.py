@@ -194,6 +194,19 @@ def test_correction_weight_rejects_auto():
         correction_weight("auto")
 
 
+@pytest.mark.parametrize("setting, match", [
+    ({"correction_sign": "bogus"}, "unknown correction_sign 'bogus'"),
+    ({"gain_g": 0.0}, "gain_g must be finite and > 0"),
+    ({"gain_g": -1.0}, "gain_g must be finite and > 0"),
+    ({"gain_g": np.nan}, "gain_g must be finite and > 0"),
+    ({"gain_g": np.inf}, "gain_g must be finite and > 0"),
+])
+def test_homodyne_spec_refuses_bad_settings(setting, match):
+    # a library caller builds the spec directly; the CLI's keys stop earlier, in RunConfig
+    with pytest.raises(ValueError, match=match):
+        HomodyneSpec(**setting)
+
+
 def test_resolve_homodyne_derives_lo(working_point_ensemble):
     beta_lo = lo_amplitude(working_point_ensemble, HomodyneSpec(gain_g=100.0, lo_sampled=False))
     n1 = occupation(working_point_ensemble.state.alpha1)
