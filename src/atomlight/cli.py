@@ -94,7 +94,7 @@ def _write_run(config: RunConfig, out_dir: Path, stem: str, columns: list[str], 
                summary: dict, reports, finite: dict) -> int:
     """Write the data table and the summary (config, summary, then the gates over
     reports and finite); 0 unless a gate failed."""
-    payload = {"config": config.to_dict(), **summary}
+    payload = {"config": asdict(config), **summary}
     write_table(out_dir / f"{stem}.{config.output_format}", columns, rows, payload["config"],
                 config.output_format)
     payload["gates"] = _gates(reports, finite)

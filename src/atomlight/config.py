@@ -14,7 +14,7 @@ checked again on the values of a config embedded in a JSON summary.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,11 +23,9 @@ from .dynamics import EVOLUTION_MODES
 # config value -> HomodyneSpec.correction_sign
 CORRECTIONS = {"on": "plus", "off": "off", "auto_sign": "auto"}
 OUTPUT_FORMATS = ("csv", "json")
-# the fewest trajectories a sensitivity is estimated from, and the least
-# bootstrap_resamples accepted (a key the benchmark workloads pass, which
-# changes nothing, as threads does)
-MIN_TRAJECTORIES = 100
-MIN_RESAMPLES = 100
+MIN_TRAJECTORIES = 100  # the fewest trajectories a sensitivity is estimated from
+# RUN_KINDS keys no output depends on, at their least values (make_config drops them)
+ACCEPTED_KEYS = {"threads": 1, "bootstrap_resamples": 100}
 _BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
@@ -104,8 +102,6 @@ class RunConfig:
     correction: str = "auto_sign"
     lo_sampled: bool = True
     output_format: str = "csv"
-    threads: int = 1
-    bootstrap_resamples: int = 200
     scatter_phis: list[float] = field(
         default_factory=lambda: [np.pi / 2, np.pi, 3 * np.pi / 2]
     )
@@ -130,24 +126,9 @@ class RunConfig:
             raise ConfigError("master_seed must lie in [0, 2^64)")
         if self.trajectories < MIN_TRAJECTORIES:
             raise ConfigError(f"trajectories must be >= {MIN_TRAJECTORIES}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.bootstrap_resamples < MIN_RESAMPLES:
-            raise ConfigError(f"bootstrap_resamples must be >= {MIN_RESAMPLES}")
         if len(self.scatter_phis) == 0:
             raise ConfigError("scatter_phis must be non-empty")
         return self
-
-    def to_dict(self) -> dict:
-        """Resolved config for embedding in outputs.
-
-        threads and bootstrap_resamples have no effect on any result, so they
-        are left out: outputs stay byte-identical at any of their values and a
-        re-run from an embedded config needs neither.
-        """
-        out = asdict(self)
-        del out["threads"], out["bootstrap_resamples"]
-        return out
 
 
 def parse_assignments(lines, source: str = "<config>", keys=RUN_KINDS) -> dict:
@@ -195,4 +176,11 @@ def load_config_file(path, keys=RUN_KINDS) -> dict:
 
 
 def make_config(mapping: dict) -> RunConfig:
-    return RunConfig(**mapping).validate()
+    """The checked RunConfig of mapping; its ACCEPTED_KEYS are checked last, then dropped."""
+    accepted = {key: mapping[key] for key in ACCEPTED_KEYS if key in mapping}
+    config = RunConfig(**{k: v for k, v in mapping.items() if k not in accepted}).validate()
+    check_kinds(accepted, RUN_KINDS)
+    for key, value in accepted.items():
+        if value < ACCEPTED_KEYS[key]:
+            raise ConfigError(f"{key} must be >= {ACCEPTED_KEYS[key]}")
+    return config

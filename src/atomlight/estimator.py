@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, repeat
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -236,7 +236,9 @@ def evaluate(features, phi, correction: str, n_total: float) -> tuple[dict, np.n
     off (r = 4.5, 1e5 trajectories) and out by factors (r = 5.6).  A set's
     sums are formed on its rows alone, so they do not depend on the sets
     beside it, and the set and its k + 2 trajectory rows (k centred features,
-    two scratch rows) are dropped before the next set is drawn.
+    two scratch rows) are dropped before the next set is drawn.  A set of
+    another width than the first set's is refused, by both shapes, before
+    its sums.
 
     The statistics (mean, variance, exact fringe slope, delta_phi and M) are
     (sets, 2, phases) arrays (_statistics, one call over every set), beside
@@ -246,9 +248,17 @@ def evaluate(features, phi, correction: str, n_total: float) -> tuple[dict, np.n
     """
     if correction != "auto":
         correction_weight(correction)  # refuses an unknown name
+    first = []  # the first set's shape, whose width every set must have
+
+    def set_sums(f):
+        first[:] = first or [f.shape]
+        if f.shape[1:] != first[0][1:]:
+            raise ValueError(f"every feature set must be as wide as the first, of shape "
+                             f"{first[0]}; got shape {f.shape}")
+        return _set_sums(f, correction)
+
     # map drops each set once its sums are formed, before it draws the next
-    mean, cov, higher, signs, w, n = map(np.array,
-                                         zip(*map(_set_sums, features, repeat(correction))))
+    mean, cov, higher, signs, w, n = map(np.array, zip(*map(set_sums, features)))
     weights = np.stack([w, np.zeros_like(w)], axis=1)
     stats = _statistics(mean, cov, higher, n[:, None, None], phi, weights, n_total)
     stats.update(correction_sign=signs.tolist(), mean_s_b_over_g=mean[:, 2])

@@ -144,6 +144,14 @@ def test_invalid_value_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+# the exact messages of the keys make_config accepts and drops
+ACCEPTED_KEY_REFUSALS = {
+    "threads=1.5": "--set:1: threads must be an integer, got '1.5'",
+    "--threads=0": "threads must be >= 1",
+    "bootstrap_resamples=99": "bootstrap_resamples must be >= 100",
+}
+
+
 @pytest.mark.parametrize("verb,assignment", [
     ("phi-sweep", "phi_start=nan"),
     ("phi-sweep", "phi_stop=inf"),
@@ -160,6 +168,10 @@ def test_invalid_value_rejected(tmp_path, capsys):
     ("phi-sweep", "--seed=abc"),
     ("phi-sweep", "--seed=1.5"),
     ("phi-sweep", "--threads=x"),
+    # the keys make_config accepts and drops, refused by kind and by least value
+    ("phi-sweep", "threads=1.5"),
+    ("phi-sweep", "--threads=0"),
+    ("phi-sweep", "bootstrap_resamples=99"),
 ])
 def test_bad_value_rejected_before_work(tmp_path, capsys, verb, assignment):
     key = assignment.split("=")[0]
@@ -170,6 +182,8 @@ def test_bad_value_rejected_before_work(tmp_path, capsys, verb, assignment):
     record = json.loads(capsys.readouterr().err)  # one line: one record
     key = {"--seed": "master_seed", "--threads": "threads"}.get(key, key)
     assert record["error"] == "config" and key in record["message"]
+    if assignment in ACCEPTED_KEY_REFUSALS:
+        assert record["message"] == ACCEPTED_KEY_REFUSALS[assignment]
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -383,11 +397,17 @@ def test_scatter_outputs(tmp_path):
     assert len(summary["corr_s_a_vs_s_b_over_g"]) == 3
 
 
-@pytest.mark.parametrize("correction, weight", [
-    ("on", -1.0), ("off", 0.0), ("auto_sign", None)])
-def test_scatter_signal_is_the_weighted_light_record(tmp_path, correction, weight):
+@pytest.mark.parametrize("args, weight", [
+    pytest.param(["--set", "correction=on"] + FAST, -1.0, id="on--1.0"),
+    pytest.param(["--set", "correction=off"] + FAST, 0.0, id="off-0.0"),
+    pytest.param(["--set", "correction=auto_sign"] + FAST, None, id="auto_sign-None"),
+    # auto_sign resolves "plus" on FAST, and "minus" here
+    pytest.param(["--seed", "3", "--set", "n_seed=0", "--set", "r=0.01",
+                  "--set", "trajectories=1000"], 1.0, id="auto_sign-1.0"),
+])
+def test_scatter_signal_is_the_weighted_light_record(tmp_path, args, weight):
     # s = s_a + w s_b / g, with w the weight of the sign the summary reports
-    code, out = run(["scatter", "--set", f"correction={correction}"] + FAST, tmp_path)
+    code, out = run(["scatter"] + args, tmp_path)
     assert code == 0
     sign = json.loads((out / "scatter_summary.json").read_text())["correction_sign"]
     if weight is None:

@@ -468,6 +468,24 @@ def test_a_malformed_set_is_refused_by_its_shape(shape, monkeypatch):
         evaluate([np.ones(shape)], [np.pi / 2], "auto", 1e7)
 
 
+@pytest.mark.parametrize("widths", [(3, 4), (4, 3)])
+def test_a_set_of_another_width_is_refused_by_both_shapes(widths, monkeypatch):
+    # the first set is summed; the next, of another width, is named before its sums
+    rng = np.random.default_rng(3)
+    first, other = (rng.normal(size=(50, k)) for k in widths)
+    summed = []
+    monomial_sums = estimator._monomial_sums
+
+    def counting(rows, *args):
+        summed.append(len(rows))
+        return monomial_sums(rows, *args)
+
+    monkeypatch.setattr(estimator, "_monomial_sums", counting)
+    with pytest.raises(ValueError, match=re.escape(f"{first.shape}; got shape {other.shape}")):
+        evaluate([first, other], [np.pi / 2], "auto", 1e7)
+    assert summed == [widths[0]] * 2  # the first set's sums of degree 1-2 and 3-4 alone
+
+
 @pytest.mark.parametrize("n_traj", [1000, 10000])
 def test_point_statistics_of_many_sets_equal_each_set_alone(n_traj):
     rng = np.random.default_rng(8)
