@@ -36,7 +36,7 @@ from .dynamics import ConservationReport, IntegrationError, check_pump_range, tr
 from .estimator import (correction_weight, evaluate, prepare, scan_over_r, sensitivity_curve,
                         squeezed_combo_variance)
 from .feasibility import PhysicalSetup, capture_fraction, rate_ratio, scaling_estimate
-from .interferometer import feature_sets
+from .interferometer import fringe_features
 from . import __version__
 
 DRIFT_LIMIT = 1.0e-6  # conservation drift above this fails the run
@@ -157,8 +157,8 @@ SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
 
 def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembles=None) -> int:
     (ensemble,), spec = prepare(config, [config.r], ensembles)
-    # a run of one: its features, LO draw and sign come as every verb's do
-    (features,) = feature_sets([ensemble], spec)
+    # a run of one: its features and sign come as every verb's do
+    features = fringe_features(ensemble, spec)
     (sign,) = evaluate([features], config.scatter_phis, spec.correction_sign,
                        ensemble.n_total)[0]["correction_sign"]
     b, c, s_b_scaled = features.T

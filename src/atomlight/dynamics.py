@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import threewave
-from .phasespace import ModeTriple, occupation, sample_initial_ensemble
+from .phasespace import ModeTriple, occupation, sample_coherent_batch, sample_initial_ensemble
 
 EVOLUTION_MODES = ("tw", "analytic")
 
@@ -128,15 +128,17 @@ class Ensemble:
 
     The same ensemble is reused across every interferometer phase (common
     random numbers): the dynamics do not depend on phi, so re-evolving per
-    phase would only add sampling noise to phase differences.
+    phase would only add sampling noise to phase differences.  lo_noise is
+    the homodyne local oscillator's vacuum noise per trajectory, one of the
+    Wigner inputs, or None for an LO without it.
     """
 
     state: ModeTriple
-    master_seed: int
     n_total: float
     n_seed: float
     r: float
     conservation: ConservationReport = field(default_factory=ConservationReport)
+    lo_noise: np.ndarray | None = None
 
     @property
     def n_traj(self) -> int:
@@ -166,13 +168,16 @@ def build_ensembles(
     n_traj: int,
     master_seed: int,
     mode: str = "tw",
+    lo_sampled: bool = True,
 ) -> list[Ensemble]:
     """Sample one initial ensemble and propagate it to every r in r_values.
 
     The sample does not depend on r, so one sample serves the whole list,
     with one closed-form evaluation of every r (tw) or the Bogoliubov map at
     each (analytic).  Returns one Ensemble per entry of r_values, in the
-    order given; repeated values share their state.
+    order given; repeated values share their state.  With lo_sampled the
+    LO's vacuum noise is drawn once, from the "local_oscillator" stream, and
+    every Ensemble holds that one array; without it lo_noise is None.
 
     mode: "tw" (full dynamics, evolve_closed_form) or "analytic" (pump held
     classical, the exact Bogoliubov map).  In analytic mode an r past the
@@ -190,8 +195,11 @@ def build_ensembles(
         pairs = [(evolve_analytic(t0, r), ConservationReport()) for r in stops]
     else:
         pairs = evolve_closed_form(t0, stops, n_pump0=n_total - n_seed)
+    del t0  # dropped before the LO draw, whose raw words then reuse it instead of adding a peak
+    lo_noise = (sample_coherent_batch(0.0, master_seed, "local_oscillator", n_traj)
+                if lo_sampled else None)
     at = dict(zip(stops, pairs))
-    return [Ensemble(at[r][0], master_seed, n_total, n_seed, r, at[r][1]) for r in r_values]
+    return [Ensemble(at[r][0], n_total, n_seed, r, at[r][1], lo_noise) for r in r_values]
 
 
 def transferred_atoms(ensemble: Ensemble) -> float:

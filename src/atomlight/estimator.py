@@ -10,8 +10,8 @@ columns after (B, C), the first of them the light record S_b / g.  The
 correction is decided here alone: it is the weight row w of the fringe
 design (a named one weights S_b / g alone; "auto" resolves its sign from the
 same sums as every statistic), and the atomic record S_a is S at w = 0.  The
-dynamics do not depend on phi, so one ensemble and one local-oscillator draw
-serve every phase (exact common random numbers): the mean and unbiased
+dynamics do not depend on phi, so one ensemble, with its local-oscillator
+noise, serves every phase (exact common random numbers): the mean and unbiased
 variance of S at a phase follow from k feature means and a k x k
 covariance, and the slope of the mean fringe is exact,
 d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so
@@ -21,7 +21,7 @@ d<S>/dphi = -<B> sin(phi) + <C> cos(phi), so
 with the delta method's interval from the centred feature moments up to
 order 4.  Every M goes through one evaluation, _curves: one evaluate call
 for every (set, weight, phase) cell, interval and sign, reading the
-read-out's features one ensemble at a time (one LO draw).
+read-out's features one ensemble at a time.
 sensitivity_curve and scan_over_r read its curves, in every evolution mode.
 Ensembles are plain values: no function changes a list it is given.
 """
@@ -37,7 +37,7 @@ import numpy as np
 from .analytics import predict
 from .config import CORRECTIONS, MIN_TRAJECTORIES, RunConfig
 from .dynamics import ConservationReport, Ensemble, build_ensembles, transferred_atoms
-from .interferometer import HomodyneSpec, feature_sets
+from .interferometer import HomodyneSpec, fringe_features
 from .phasespace import quadrature_x, quadrature_y
 
 Z_CI = 1.959963984540054  # the standard normal's 0.975 quantile: 95 % intervals
@@ -217,7 +217,7 @@ def evaluate(features, phi, correction: str, n_total: float) -> tuple[dict, np.n
 
     features is any iterable of (n, k) arrays of (B, C, S_b / g, ...) rows,
     one per set, k >= 3 alike in every set (a (sets, n, k) array, or the
-    read-out's feature_sets); a set of another shape or of fewer than 2
+    read-out's fringe_features); a set of another shape or of fewer than 2
     trajectories is refused by its shape before its sums.  correction is one
     name for every set, whose weight row on the columns after (B, C) weights
     S_b / g alone: "plus" (-1, 0 ...), "minus" (+1, 0 ...), "off" (0 ...) or
@@ -268,30 +268,28 @@ def evaluate(features, phi, correction: str, n_total: float) -> tuple[dict, np.n
 def _curves(ensembles: list, phi, spec: HomodyneSpec) -> list[SensitivityCurve]:
     """The sensitivity curve of each ensemble at each phase in phi, a non-empty 1-D grid.
 
-    The ensembles must come from one draw: the LO noise depends on
-    (master_seed, n_traj) only, and the M scale on n_total.  One LO draw and
-    one evaluate call serve every ensemble, so each curve equals that of its
+    The ensembles must share n_total, which sets the scale of M.  One
+    evaluate call serves every ensemble, so each curve equals that of its
     ensemble alone.
     """
-    shared = {(e.n_traj, e.master_seed, e.n_total) for e in ensembles}
+    shared = {e.n_total for e in ensembles}
     if len(shared) > 1:
-        raise ValueError("the ensembles of a scan must share n_traj, master_seed and "
-                         f"n_total; got {sorted(shared)}")
-    (n_traj, _, n_total), = shared
-    if n_traj < MIN_TRAJECTORIES:
+        raise ValueError(f"the ensembles of a scan must share n_total; got {sorted(shared)}")
+    (n_total,) = shared
+    if min(e.n_traj for e in ensembles) < MIN_TRAJECTORIES:
         raise ValueError(f"need at least {MIN_TRAJECTORIES} trajectories")
 
     phi = np.array(phi, dtype=float)
     if phi.ndim != 1 or phi.size == 0:
         raise ValueError(f"phi must be a non-empty 1-D grid of phases; got shape {phi.shape}")
-    stats, ci_lo, ci_hi = evaluate(feature_sets(ensembles, spec), phi, spec.correction_sign,
-                                   n_total)
+    stats, ci_lo, ci_hi = evaluate((fringe_features(e, spec) for e in ensembles), phi,
+                                   spec.correction_sign, n_total)
     signs, mean_s_b_over_g = stats.pop("correction_sign"), stats.pop("mean_s_b_over_g")
     return [SensitivityCurve(
         phi=phi, mean_s_a=stats["mean_s"][s, 1], var_s_a=stats["var_s"][s, 1],
         mean_s_b=np.full(phi.size, spec.gain_g * mean_s_b_over_g[s]),
         **{key: x[s, 0] for key, x in stats.items()}, m_ci_lo=ci_lo[s], m_ci_hi=ci_hi[s],
-        traj_count=n_traj, correction_sign=signs[s],
+        traj_count=ensembles[s].n_traj, correction_sign=signs[s],
     ) for s in range(len(signs))]
 
 
@@ -314,9 +312,8 @@ def prepare(config: RunConfig, r_values,
     if ensembles is None:
         ensembles = build_ensembles(
             config.n_total, config.n_seed, r_values, config.trajectories, config.master_seed,
-            mode=config.mode)
-    spec = HomodyneSpec(gain_g=config.gain_g, lo_sampled=config.lo_sampled,
-                        correction_sign=CORRECTIONS[config.correction])
+            mode=config.mode, lo_sampled=config.lo_sampled)
+    spec = HomodyneSpec(gain_g=config.gain_g, correction_sign=CORRECTIONS[config.correction])
     return ensembles, spec
 
 

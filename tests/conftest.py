@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from atomlight import build_ensembles
+from atomlight import build_ensembles, phasespace
 
 MASTER_SEED = 12345
 N_TOTAL = 1.0e7
@@ -18,3 +18,16 @@ def working_point_ensemble():
 def coherent_ensemble():
     """No squeezing, no seed: a plain coherent-state interferometer input."""
     return build_ensembles(N_TOTAL, 0.0, [0.0], 4000, MASTER_SEED)[0]
+
+
+@pytest.fixture
+def drawn_streams(monkeypatch):
+    """The tag of each noise stream opened during the test, in order."""
+    tags, open_stream = [], phasespace.open_stream
+
+    def counting(master_seed, stream_tag, *args):
+        tags.append(stream_tag)
+        return open_stream(master_seed, stream_tag, *args)
+
+    monkeypatch.setattr(phasespace, "open_stream", counting)
+    return tags

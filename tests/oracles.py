@@ -19,7 +19,7 @@ interval is compared against for coverage.
 
 import numpy as np
 
-from atomlight.interferometer import lo_amplitude, lo_noise_samples, signal_light
+from atomlight.interferometer import lo_amplitude, signal_light
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -91,15 +91,14 @@ def signal_atoms(alpha1, alpha2):
     return np.abs(alpha2) ** 2 - np.abs(alpha1) ** 2
 
 
-def interferometer_signals(ensemble, phi, spec, lo_noise=None):
+def interferometer_signals(ensemble, phi, spec):
     """(S_a, S_b) per trajectory at phase phi: the atoms through run_mzi, the
     light by the homodyne read-out of the t1 amplitudes against an LO with the
-    noise lo_noise (drawn here when spec.lo_sampled and none is given)."""
-    if lo_noise is None and spec.lo_sampled:
-        lo_noise = lo_noise_samples(ensemble)
+    ensemble's noise lo_noise (none when it is None)."""
     state = ensemble.state
+    noise = 0.0 if ensemble.lo_noise is None else ensemble.lo_noise
     s_a = signal_atoms(*run_mzi(state.alpha1, state.alpha2, phi))
-    return s_a, signal_light(state.beta2, lo_amplitude(ensemble, spec, lo_noise))
+    return s_a, signal_light(state.beta2, lo_amplitude(ensemble, spec) + noise)
 
 
 def direct_m(s, slope, n_total):

@@ -28,7 +28,7 @@ from atomlight import (
 )
 from atomlight.cli import main
 from atomlight.dynamics import evolve_closed_form
-from atomlight.interferometer import feature_sets
+from atomlight.interferometer import fringe_features
 from oracles import textbook_integrate
 
 MASTER_SEED = 12345
@@ -154,7 +154,7 @@ def test_criterion_07_working_point(fig3_ensemble):
     curve = at_pi_2(fig3_ensemble, spec)
     m, sign = curve.m[0], curve.correction_sign
     # the correlations that scatter reports: S_a = B cos(phi) + C sin(phi) against S_b / g
-    (features,) = feature_sets([fig3_ensemble], spec)
+    features = fringe_features(fig3_ensemble, spec)
     b, c, s_b_over_g = features.T
     corrs = {}
     for phi in (np.pi / 2, np.pi, 3 * np.pi / 2):
@@ -185,7 +185,7 @@ def test_criterion_09_low_gain_photon_inclusive():
     best = None
     for r in (2.0, 2.25, 2.5):
         ens = build_ensembles(N_TOTAL, 1.0e4, [r], 1000, MASTER_SEED)[0]
-        spec = HomodyneSpec(gain_g=1.0, lo_sampled=True)
+        spec = HomodyneSpec(gain_g=1.0)
         m = at_pi_2(ens, spec).m[0]
         if best is None or m < best[0]:
             best = (m, r, detected_photons(ens, spec))

@@ -419,21 +419,13 @@ def test_scatter_signal_is_the_weighted_light_record(tmp_path, args, weight):
     assert np.all(s_b_over_g != 0.0)  # the light record is written for every setting
 
 
-def test_scatter_reads_the_features_of_one_lo_draw(tmp_path, monkeypatch):
+def test_scatter_reads_the_features_of_one_lo_draw(tmp_path, drawn_streams):
     # scatter's features are the read-out's features of its one ensemble, from one LO draw
-    draws = []
-    lo_noise_samples = interferometer.lo_noise_samples
-
-    def counting(ensemble):
-        draws.append(ensemble.n_traj)
-        return lo_noise_samples(ensemble)
-
-    monkeypatch.setattr(interferometer, "lo_noise_samples", counting)
     code, out = run(["scatter"] + FAST, tmp_path)
-    assert code == 0 and draws == [150]
+    assert code == 0 and drawn_streams.count("local_oscillator") == 1
     config = cli.make_config(json.loads((out / "scatter_summary.json").read_text())["config"])
-    ensembles, spec = estimator.prepare(config, [config.r])
-    (features,) = interferometer.feature_sets(ensembles, spec)
+    (ensemble,), spec = estimator.prepare(config, [config.r])
+    features = interferometer.fringe_features(ensemble, spec)
     lines = [l for l in (out / "scatter.csv").read_text().splitlines() if not l.startswith("#")]
     rows = np.array([l.split(",") for l in lines[1:]], dtype=float)
     for k in range(len(config.scatter_phis)):
@@ -733,7 +725,8 @@ def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch, verb, extra
         features[...] = np.nan
         return features
 
-    monkeypatch.setattr(interferometer, "fringe_features", nan_features)
+    for module in (estimator, cli):  # each module that binds it
+        monkeypatch.setattr(module, "fringe_features", nan_features)
     code, out = run([verb] + FAST + extra, tmp_path)
     assert code == 1
     record = json.loads(capsys.readouterr().err)
@@ -826,7 +819,7 @@ def test_numpy_error_state_is_set_by_main_and_expected_non_finites_only():
 
 # --- figures -----------------------------------------------------------------------
 
-def test_figures_sample_and_integrate_each_ensemble_once(tmp_path, monkeypatch):
+def test_figures_sample_and_integrate_each_ensemble_once(tmp_path, monkeypatch, drawn_streams):
     counts = {"sample_initial_ensemble": 0, "evolve_closed_form": 0}
     for name in counts:
         def counted(*args, _original=getattr(dynamics, name), _name=name, **kwargs):
@@ -837,8 +830,9 @@ def test_figures_sample_and_integrate_each_ensemble_once(tmp_path, monkeypatch):
     code, _ = run(["--figures", "--set", "trajectories=100",
                    "--set", "bootstrap_resamples=100", "--set", "phi_count=21"], tmp_path)
     assert code == 0
-    # unseeded and seeded: one sample and one closed-form evaluation each
+    # unseeded and seeded: one sample, one closed-form evaluation and one LO draw each
     assert counts == {"sample_initial_ensemble": 2, "evolve_closed_form": 2}
+    assert drawn_streams.count("local_oscillator") == 2
 
 
 def test_figures_refuse_an_r_past_the_pump_before_any_build(tmp_path, capsys, monkeypatch):
@@ -920,21 +914,24 @@ def test_figures_gate_the_squeezing_table(tmp_path, capsys, monkeypatch):
 
 # --- what a run keeps -----------------------------------------------------------------
 
-@pytest.mark.parametrize("verb, config", [("phi-sweep", "working_point.cfg"),
-                                          ("r-scan", "r_scan_seeded.cfg")])
-def test_the_estimator_holds_one_set_at_a_time(tmp_path, monkeypatch, verb, config):
-    """At 1e5 trajectories, the estimator stage (_curves: the read-out's
-    features and their sums) traces a peak above the live ensembles of less
-    than two sets' features and evaluate's five rows, 11 rows of n doubles,
-    whatever the number of sets.
+@pytest.mark.parametrize("verb, config, n", [
+    pytest.param("phi-sweep", "working_point.cfg", 100_000, id="phi-sweep-working_point.cfg"),
+    pytest.param("r-scan", "r_scan_seeded.cfg", 100_000, id="r-scan-r_scan_seeded.cfg"),
+    pytest.param("phi-sweep", "working_point.cfg", 20_000, id="phi-sweep-working_point.cfg-2e4"),
+])
+def test_the_estimator_holds_one_set_at_a_time(tmp_path, monkeypatch, verb, config, n):
+    """The estimator stage (_curves: the read-out's features and their sums)
+    traces a peak above the live ensembles of one set's features (3 rows of
+    n doubles) and evaluate's five rows, with one row of margin: 9 rows,
+    whatever the number of sets and the size.
 
-    Measured: 10.03 rows for the one set of the phi-sweep and for the 13
-    sets of the r-scan, the LO noise (2 rows), one set's features (3) and
-    the five rows; with the (sets, n, 3) feature stack the r-scan read
-    46.0.  Below 65536 trajectories the LO draw's fixed block of raw words
-    sets the peak instead (14.8 rows at 2e4).
+    Measured: 8.01 rows for the one set of the phi-sweep and 8.03 for the 13
+    sets of the r-scan at 1e5, and 8.05 for the phi-sweep at 2e4.  With the
+    LO noise drawn in the estimator stage they read 10.03 at 1e5 (its 2 rows
+    more) and 14.85 at 2e4, where the draw's fixed block of raw words set the
+    peak; with the (sets, n, 3) feature stack the r-scan read 46.0.
     """
-    n, peaks = 100_000, []
+    peaks = []
     curves = estimator._curves
 
     def traced(*args, **kwargs):
@@ -953,7 +950,7 @@ def test_the_estimator_holds_one_set_at_a_time(tmp_path, monkeypatch, verb, conf
     finally:
         tracemalloc.stop()
     assert code == 0 and len(peaks) == 1
-    assert peaks[0] < 2 * 3 + 5, peaks
+    assert peaks[0] < 3 + 5 + 1, peaks
 
 
 # --- what a run loads ----------------------------------------------------------------

@@ -10,11 +10,11 @@ from atomlight.analytics import predict
 
 import atomlight.dynamics as dynamics
 import atomlight.estimator as estimator
-import atomlight.interferometer as interferometer
+import atomlight.phasespace as phasespace
 from atomlight.config import ConfigError, RunConfig
 from atomlight.dynamics import build_ensembles
 from atomlight.estimator import Z_CI, correction_weight, evaluate, scan_over_r, sensitivity_curve
-from atomlight.interferometer import HomodyneSpec, feature_sets, fringe_features, lo_noise_samples
+from atomlight.interferometer import HomodyneSpec, fringe_features
 from oracles import bootstrap_interval, interferometer_signals
 
 SEED = 555
@@ -42,11 +42,11 @@ def test_phi_grid_rejects_bad_input(working_point_ensemble, monkeypatch):
         RunConfig(phi_stop=np.inf).validate()
     with pytest.raises(ConfigError, match="phi_stop - phi_start"):  # the width overflows
         RunConfig(phi_start=-1e308, phi_stop=1e308).validate()
-    # and the estimator takes a non-empty 1-D grid, refused before any draw
-    def no_draw(ensemble):
-        raise AssertionError("LO noise drawn for a bad grid")
+    # and the estimator takes a non-empty 1-D grid, refused before any features
+    def no_features(*args):
+        raise AssertionError("features formed for a bad grid")
 
-    monkeypatch.setattr(interferometer, "lo_noise_samples", no_draw)
+    monkeypatch.setattr(estimator, "fringe_features", no_features)
     for grid in ([], [[0.1, 0.2]], 0.1):
         with pytest.raises(ValueError, match="non-empty 1-D grid"):
             sensitivity_curve(working_point_ensemble, grid, HomodyneSpec())
@@ -56,9 +56,9 @@ def test_phi_grid_rejects_bad_input(working_point_ensemble, monkeypatch):
 
 def test_shared_phases_are_bit_identical(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    f1 = fringe_features(working_point_ensemble, spec, lo_noise_samples(working_point_ensemble))
-    f2 = fringe_features(working_point_ensemble, spec, lo_noise_samples(working_point_ensemble))
-    assert np.array_equal(f1, f2)  # same trajectories, same LO draw (S_b / g included)
+    f1 = fringe_features(working_point_ensemble, spec)
+    f2 = fringe_features(working_point_ensemble, spec)
+    assert np.array_equal(f1, f2)  # same trajectories, same LO noise (S_b / g included)
     wide = [np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]
     narrow = [np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]
     a, _, _ = evaluate(f1[np.newaxis], wide, "auto", 1.0e7)
@@ -85,7 +85,7 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
     assert np.array_equal(single.m_ci_hi[0], curve.m_ci_hi[64])
     # and weight 0's statistics do not depend on the weight beside it: evaluate
     # gives each set its correction's weight and 0, so "off" is 0 beside 0
-    features = fringe_features(ensemble, spec, lo_noise_samples(ensemble))
+    features = fringe_features(ensemble, spec)
     both, _, _ = evaluate(features[np.newaxis], grid, curve.correction_sign, 1.0e7)
     off, _, _ = evaluate(features[np.newaxis], grid, "off", 1.0e7)
     assert both.keys() == off.keys()
@@ -96,8 +96,7 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
 def _direct_signals(ensemble, grid, spec, sign):
     """Reference (trajectory x phi) matrices of S = S_a + w S_b / g and S_a,
     one phase at a time through the step-by-step interferometer."""
-    lo_noise = lo_noise_samples(ensemble)
-    pairs = [interferometer_signals(ensemble, phi, spec, lo_noise) for phi in grid]
+    pairs = [interferometer_signals(ensemble, phi, spec) for phi in grid]
     w = correction_weight(sign)
     return (np.column_stack([s_a + w * (s_b / spec.gain_g) for s_a, s_b in pairs]),
             np.column_stack([s_a for s_a, _ in pairs]))
@@ -125,8 +124,7 @@ def test_interval_matches_the_direct_influence_function(working_point_ensemble):
     # influence on log M over n, here taken from the step-by-step signals
     grid = np.linspace(0.0, 2 * np.pi, 41)
     spec = HomodyneSpec(gain_g=100.0)
-    features = fringe_features(working_point_ensemble, spec,
-                               lo_noise_samples(working_point_ensemble))
+    features = fringe_features(working_point_ensemble, spec)
     stats, (lo,), (hi,) = evaluate(features[np.newaxis], grid, "auto", 1.0e7)
     (sign,) = stats["correction_sign"]
     s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
@@ -155,22 +153,28 @@ def test_slope_is_exact(working_point_ensemble):
     assert np.all(np.abs(curve.ds_dphi - ref) <= 1e-9 * np.abs(ref))
 
 
-def test_one_lo_draw_per_ensemble(working_point_ensemble, monkeypatch):
-    calls = []
-
-    def counting(ensemble):
-        calls.append(ensemble)
-        return lo_noise_samples(ensemble)
-
-    monkeypatch.setattr(interferometer, "lo_noise_samples", counting)
+def test_one_lo_draw_per_ensemble(drawn_streams):
+    # the build draws the LO's noise once, after the sample, and every r holds
+    # that one array; a curve draws nothing
+    ensembles = build_ensembles(1.0e7, 1.0e4, [1.0, 3.0, 1.0], 100, SEED)
+    assert drawn_streams == ["atoms1", "atoms2", "light2", "local_oscillator"]
+    assert all(e.lo_noise is ensembles[0].lo_noise for e in ensembles)
     grid = np.linspace(0.0, 2 * np.pi, 21)
-    sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0))
-    assert len(calls) == 1
-    sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0))
-    assert len(calls) == 2
+    for ensemble in ensembles:
+        sensitivity_curve(ensemble, grid, HomodyneSpec(gain_g=100.0))
+        sensitivity_curve(ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0))
+    assert len(drawn_streams) == 4
+    assert np.array_equal(ensembles[0].lo_noise,
+                          phasespace.sample_coherent_batch(0.0, SEED, "local_oscillator", 100))
+    # an LO without noise is a build without the draw
+    del drawn_streams[:]
+    (quiet,) = build_ensembles(1.0e7, 1.0e4, [3.0], 100, SEED, lo_sampled=False)
+    assert drawn_streams == ["atoms1", "atoms2", "light2"] and quiet.lo_noise is None
+    assert all(np.array_equal(getattr(quiet.state, a), getattr(ensembles[1].state, a))
+               for a in ("alpha1", "alpha2", "beta2"))
 
 
-def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
+def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch, drawn_streams):
     counts = {}
 
     def counted(module, name):
@@ -184,13 +188,12 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch):
 
     counted(dynamics, "sample_initial_ensemble")
     counted(dynamics, "evolve_closed_form")
-    counted(interferometer, "lo_noise_samples")
     counted(estimator, "evaluate")
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
     r_values = [2.0, 1.0, 1.5, 1.0]
     result = scan_over_r(r_values, config)
-    assert counts == {"sample_initial_ensemble": 1, "evolve_closed_form": 1,
-                      "lo_noise_samples": 1, "evaluate": 1}
+    assert counts == {"sample_initial_ensemble": 1, "evolve_closed_form": 1, "evaluate": 1}
+    assert drawn_streams.count("local_oscillator") == 1
     assert result.rows[1] == result.rows[3]
     # the shared draw, the build of every r and the one evaluation give every row
     # what sensitivity_curve gives its ensemble alone
@@ -238,7 +241,7 @@ def test_given_ensembles_stay_with_their_caller():
     first = scan_over_r([1.0, 2.0], config, ensembles)
     assert len(ensembles) == 2 and all(a is b for a, b in zip(ensembles, held))
     assert scan_over_r([1.0, 2.0], config, ensembles).rows == first.rows
-    list(feature_sets(ensembles, HomodyneSpec(gain_g=100.0)))  # reads the list, as given
+    estimator._curves(ensembles, [np.pi / 2], HomodyneSpec(gain_g=100.0))  # reads the list
     assert len(ensembles) == 2 and all(a is b for a, b in zip(ensembles, held))
     curve = sensitivity_curve(held[0], [np.pi / 2], HomodyneSpec(gain_g=100.0))
     assert (curve.m[0], curve.m_ci_lo[0], curve.m_ci_hi[0]) == (
@@ -248,21 +251,36 @@ def test_given_ensembles_stay_with_their_caller():
 @pytest.mark.parametrize("ensembles, match", [
     (lambda: _scan_ensembles([1.0, 2.0]), "2 ensembles for 3 r values"),
     (lambda: _scan_ensembles([1.0, 2.0, 1.5]), "ensemble at r = 1.5 given for r = 3.0"),
-    (lambda: _scan_ensembles([1.0, 2.0]) + _scan_ensembles([3.0], n_traj=120), "share"),
-    (lambda: _scan_ensembles([1.0, 2.0]) + _scan_ensembles([3.0], master_seed=SEED + 1),
-     "share"),
-    (lambda: _scan_ensembles([1.0, 2.0]) + _scan_ensembles([3.0], n_total=2.0e7), "share"),
-], ids=["short", "wrong-r", "n_traj", "master_seed", "n_total"])
+    (lambda: _scan_ensembles([1.0, 2.0]) + _scan_ensembles([3.0], n_total=2.0e7),
+     "must share n_total"),
+], ids=["short", "wrong-r", "n_total"])
 def test_scan_rejects_ensembles_that_do_not_match(ensembles, match, monkeypatch):
     # rejected before any feature or interval work
     def unreachable(*args, **kwargs):
         raise AssertionError("features computed for mismatched ensembles")
 
-    monkeypatch.setattr(estimator, "feature_sets", unreachable)
+    monkeypatch.setattr(estimator, "fringe_features", unreachable)
     monkeypatch.setattr(estimator, "evaluate", unreachable)
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
     with pytest.raises(ValueError, match=match):
         scan_over_r([1.0, 2.0, 3.0], config, ensembles())
+
+
+@pytest.mark.parametrize("other", [{"n_traj": 120}, {"master_seed": SEED + 1}],
+                         ids=["n_traj", "master_seed"])
+def test_scan_rows_of_other_builds_equal_each_ensemble_alone(other):
+    # each ensemble carries its own LO noise, so ensembles of other builds
+    # (another size or seed) scan as each does alone, at its own size
+    ensembles = _scan_ensembles([1.0, 2.0]) + _scan_ensembles([3.0], **other)
+    config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
+    result = scan_over_r([1.0, 2.0, 3.0], config, ensembles)
+    spec = HomodyneSpec(gain_g=config.gain_g)
+    for row, ensemble in zip(result.rows, ensembles):
+        alone = sensitivity_curve(ensemble, [np.pi / 2], spec)
+        assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (
+            alone.m[0], alone.m_ci_lo[0], alone.m_ci_hi[0], alone.correction_sign)
+    curves = estimator._curves(ensembles, [np.pi / 2], spec)
+    assert [c.traj_count for c in curves] == [e.n_traj for e in ensembles]
 
 
 # --- estimator algebra -----------------------------------------------------------
@@ -319,8 +337,7 @@ def test_uncorrected_m_matches_undepleted_prediction(r):
 def test_shuffling_light_record_destroys_gain(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     phi = [np.pi / 2]
-    features = fringe_features(working_point_ensemble, spec,
-                               lo_noise_samples(working_point_ensemble))
+    features = fringe_features(working_point_ensemble, spec)
     stats = evaluate(features[np.newaxis], phi, "auto", 1.0e7)[0]
     m_corr, m_off = stats["m"][0, :, 0]
 
@@ -383,7 +400,8 @@ def interval_coverage(n_seed, r_values, seeds):
     truth = [c.m[0] for c in estimator._curves(reference, [phi], spec)]
     hits, ratios = np.zeros((len(r_values), 2), dtype=int), []
     for seed in seeds:
-        features = list(feature_sets(build_ensembles(1.0e7, n_seed, r_values, 1000, seed), spec))
+        features = [fringe_features(e, spec)
+                    for e in build_ensembles(1.0e7, n_seed, r_values, 1000, seed)]
         stats, lo, hi = evaluate(features, [phi], "auto", 1.0e7)
         for k, (f, sign) in enumerate(zip(features, stats["correction_sign"])):
             s = f @ [np.cos(phi), np.sin(phi), correction_weight(sign)]
@@ -536,8 +554,7 @@ def test_delta_interval_of_many_sets_equals_each_set_alone(n_traj):
 def test_delta_interval_deterministic(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
     grid = np.linspace(0.0, np.pi, 9)
-    features = fringe_features(working_point_ensemble, spec,
-                               lo_noise_samples(working_point_ensemble))
+    features = fringe_features(working_point_ensemble, spec)
     a = evaluate(features[np.newaxis], grid, "auto", 1.0e7)
     b = evaluate(features[np.newaxis], grid, "auto", 1.0e7)
     assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
@@ -586,8 +603,7 @@ def test_sensitivity_curve_fields(working_point_ensemble):
     )
     # the light record does not depend on phi, and its mean is that of the features' S_b
     assert np.all(curve.mean_s_b == curve.mean_s_b[0])
-    features = fringe_features(working_point_ensemble, HomodyneSpec(gain_g=100.0),
-                               lo_noise_samples(working_point_ensemble))
+    features = fringe_features(working_point_ensemble, HomodyneSpec(gain_g=100.0))
     assert curve.mean_s_b[0] == pytest.approx(100.0 * features[:, 2].mean(), rel=1e-12)
     min_m, argmin, k = curve.min_m()
     assert (curve.m[k], curve.phi[k]) == (min_m, argmin)

@@ -14,7 +14,6 @@ from atomlight.interferometer import (
     detected_photons,
     fringe_features,
     lo_amplitude,
-    lo_noise_samples,
     signal_light,
 )
 from atomlight.phasespace import occupation, sample_coherent_batch
@@ -124,15 +123,16 @@ def test_signal_atoms_after_full_transfer():
 def test_fringe_is_cosine(coherent_ensemble):
     # uncorrelated coherent input: <S_a>(phi) = N_t cos(phi)
     n_total = coherent_ensemble.n_total
-    spec = HomodyneSpec(lo_sampled=False)
+    no_lo_noise = replace(coherent_ensemble, lo_noise=None)
     for phi in np.linspace(0.0, 2 * np.pi, 9):
-        s_a, _ = interferometer_signals(coherent_ensemble, phi, spec)
+        s_a, _ = interferometer_signals(no_lo_noise, phi, HomodyneSpec())
         se = np.std(s_a, ddof=1) / np.sqrt(coherent_ensemble.n_traj)
         assert abs(s_a.mean() - n_total * np.cos(phi)) < 4 * se + 1e-6
 
 
 def test_balanced_point_mean_zero(coherent_ensemble):
-    s_a, _ = interferometer_signals(coherent_ensemble, np.pi / 2, HomodyneSpec(lo_sampled=False))
+    s_a, _ = interferometer_signals(replace(coherent_ensemble, lo_noise=None), np.pi / 2,
+                                    HomodyneSpec())
     se = np.std(s_a, ddof=1) / np.sqrt(coherent_ensemble.n_traj)
     assert abs(s_a.mean()) < 3 * se
 
@@ -208,30 +208,34 @@ def test_homodyne_spec_refuses_bad_settings(setting, match):
 
 
 def test_resolve_homodyne_derives_lo(working_point_ensemble):
-    beta_lo = lo_amplitude(working_point_ensemble, HomodyneSpec(gain_g=100.0, lo_sampled=False))
+    spec = HomodyneSpec(gain_g=100.0)
+    beta_lo = lo_amplitude(working_point_ensemble, spec)
     n1 = occupation(working_point_ensemble.state.alpha1)
     assert beta_lo == pytest.approx(100.0 * np.sqrt(n1), rel=1e-12)
-    # it draws nothing: the LO's own noise per trajectory is added when passed in
-    noise = lo_noise_samples(working_point_ensemble)
-    sampled = HomodyneSpec(gain_g=100.0)
-    assert lo_amplitude(working_point_ensemble, sampled) == beta_lo
-    assert np.array_equal(lo_amplitude(working_point_ensemble, sampled, noise), beta_lo + noise)
+    # the LO's own noise per trajectory is the ensemble's, from the build's one
+    # draw of its stream (the fixture's seed), and the read-out adds it
+    noise = working_point_ensemble.lo_noise
+    n = working_point_ensemble.n_traj
+    assert np.array_equal(noise, sample_coherent_batch(0.0, 12345, "local_oscillator", n))
+    beta2 = working_point_ensemble.state.beta2
+    for ensemble, lo in ((working_point_ensemble, beta_lo + noise),
+                         (replace(working_point_ensemble, lo_noise=None), beta_lo)):
+        s_b_over_g = fringe_features(ensemble, spec)[:, 2]
+        assert s_b_over_g.tobytes() == (signal_light(beta2, lo) / spec.gain_g).tobytes()
 
 
 # --- fringe features ----------------------------------------------------------------
 
 def test_features_do_not_depend_on_the_correction(working_point_ensemble):
     # the sign is a weight in the design, so every setting gives the same features
-    lo_noise = lo_noise_samples(working_point_ensemble)
     spec = HomodyneSpec(gain_g=100.0)
-    auto = fringe_features(working_point_ensemble, spec, lo_noise)
+    auto = fringe_features(working_point_ensemble, spec)
     assert _auto_sign(auto) in ("plus", "minus")
     s_b = signal_light(working_point_ensemble.state.beta2,
-                       lo_amplitude(working_point_ensemble, spec, lo_noise))
+                       lo_amplitude(working_point_ensemble, spec) + working_point_ensemble.lo_noise)
     assert np.array_equal(auto[:, 2], s_b / spec.gain_g)
     for setting in ("plus", "minus", "off"):
-        features = fringe_features(
-            working_point_ensemble, replace(spec, correction_sign=setting), lo_noise)
+        features = fringe_features(working_point_ensemble, replace(spec, correction_sign=setting))
         stats = evaluate(features[np.newaxis], [np.pi / 2], setting, 1.0)[0]
         assert stats["correction_sign"] == [setting]
         assert features.tobytes() == auto.tobytes()
@@ -242,11 +246,10 @@ def test_weighted_light_feature_is_the_combined_signal(working_point_ensemble, s
     # S = S_a + w S_b / g: the light record's part is the weighted feature, bit for bit,
     # and B cos(phi) + C sin(phi) is the step-by-step interferometer's S_a
     spec = HomodyneSpec(gain_g=100.0, correction_sign=sign)
-    lo_noise = lo_noise_samples(working_point_ensemble)
-    b, c, s_b_over_g = fringe_features(working_point_ensemble, spec, lo_noise).T
+    b, c, s_b_over_g = fringe_features(working_point_ensemble, spec).T
     w = correction_weight(sign)
     for phi in (0.3, np.pi / 2, 2.0, 3 * np.pi / 2):
-        ref_s_a, s_b = interferometer_signals(working_point_ensemble, phi, spec, lo_noise)
+        ref_s_a, s_b = interferometer_signals(working_point_ensemble, phi, spec)
         assert (w * s_b_over_g).tobytes() == (w * (s_b / spec.gain_g)).tobytes()
         s_a = b * np.cos(phi) + c * np.sin(phi)
         assert np.max(np.abs(s_a - ref_s_a)) <= 1e-9 * np.max(np.abs(ref_s_a))
@@ -268,10 +271,9 @@ def _calibrate_at(ensemble, spec, phi=np.pi / 2):
 
 def test_calibration_reduces_variance(working_point_ensemble):
     spec = HomodyneSpec(gain_g=100.0)
-    lo_noise = lo_noise_samples(working_point_ensemble)
-    sign = _auto_sign(fringe_features(working_point_ensemble, spec, lo_noise))
+    sign = _auto_sign(fringe_features(working_point_ensemble, spec))
     assert sign == _calibrate_at(working_point_ensemble, spec)
-    s_a, s_b = interferometer_signals(working_point_ensemble, np.pi / 2, spec, lo_noise)
+    s_a, s_b = interferometer_signals(working_point_ensemble, np.pi / 2, spec)
     s_corr = s_a - {"plus": 1, "minus": -1}[sign] * s_b / spec.gain_g
     assert np.var(s_corr, ddof=1) < np.var(s_a, ddof=1)
 
@@ -279,8 +281,7 @@ def test_calibration_reduces_variance(working_point_ensemble):
 def test_calibration_flips_half_fringe_away(working_point_ensemble):
     # the atomic record at 3 pi / 2 is -C
     spec = HomodyneSpec(gain_g=100.0)
-    features = fringe_features(working_point_ensemble, spec,
-                               lo_noise_samples(working_point_ensemble))
+    features = fringe_features(working_point_ensemble, spec)
     at_quarter = _auto_sign(features)
     features[:, 1] *= -1.0
     at_three_quarter = _auto_sign(features)
@@ -330,7 +331,7 @@ def test_feature_sign_matches_interferometer_sign(request, ensemble, phi):
     # S_a(phi) = B cos(phi) + C sin(phi), so the record at pi/2 (3pi/2) is C (-C)
     ensemble = request.getfixturevalue(ensemble)
     spec = HomodyneSpec(gain_g=100.0)
-    features = fringe_features(ensemble, spec, lo_noise_samples(ensemble))
+    features = fringe_features(ensemble, spec)
     at_phi = features.copy()
     at_phi[:, 1] *= np.sin(phi)
     from_features = _auto_sign(at_phi)
