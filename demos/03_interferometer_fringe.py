@@ -11,20 +11,20 @@ fringe; the dips below zero beat the standard quantum limit.
 
 import numpy as np
 
-from atomlight import HomodyneSpec, build_ensembles, sensitivity_curve
+from atomlight import build_ensembles, sensitivity_curve
 from atomlight.interferometer import fringe_features
 
 N_TOTAL = 1.0e7
 ensemble = build_ensembles(N_TOTAL, 1.0e4, [3.0], 1000, 12345)[0]
-spec = HomodyneSpec(gain_g=100.0)
+GAIN_G = 100.0  # the LO amplitude over the mean pump amplitude at t1
 
-curve = sensitivity_curve(ensemble, np.linspace(0.0, 2.0 * np.pi, 201), spec)
+curve = sensitivity_curve(ensemble, np.linspace(0.0, 2.0 * np.pi, 201), GAIN_G)
 print(f"correction sign calibrated to: {curve.correction_sign}")
 min_m, argmin, _ = curve.min_m()
 print(f"best sensitivity: M = {min_m:.4f} at phi = {argmin/np.pi:.3f} pi "
       f"(SQL is M = 1)")
 
-features = fringe_features(ensemble, spec)
+features = fringe_features(ensemble, GAIN_G)
 b, c, s_b_over_g = features.T
 phases = {"pi/2": np.pi / 2, "pi": np.pi, "3pi/2": 3 * np.pi / 2}
 scatter = {}
@@ -43,7 +43,7 @@ except ImportError:
 else:
     fig, axes = plt.subplots(1, 3, figsize=(13, 3.8))
     axes[0].plot(curve.phi, curve.mean_s_a, "C0-", label=r"$\langle S_a\rangle$")
-    axes[0].plot(curve.phi, curve.mean_s_b / spec.gain_g, "C3-",
+    axes[0].plot(curve.phi, curve.mean_s_b / GAIN_G, "C3-",
                  label=r"$\langle S_b\rangle/g$")
     axes[0].set_xlabel(r"$\phi$")
     axes[0].legend()

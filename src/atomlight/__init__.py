@@ -28,7 +28,7 @@ from .dynamics import (
     evolve_analytic,
     transferred_atoms,
 )
-from .interferometer import HomodyneSpec, detected_photons
+from .interferometer import detected_photons
 from .analytics import predict
 from .estimator import (
     scan_over_r,
@@ -41,7 +41,6 @@ from .config import RunConfig
 # The names the demos, the tests and the README import from the package
 # itself; everything else is imported from its module.
 __all__ = [
-    "HomodyneSpec",
     "PhysicalSetup",
     "RunConfig",
     "build_ensembles",

@@ -111,9 +111,9 @@ PHI_SWEEP_COLUMNS = [
 def cmd_phi_sweep(config: RunConfig, out_dir: Path, stem: str = "phi_sweep",
                   ensembles=None) -> int:
     phi = np.linspace(config.phi_start, config.phi_stop, config.phi_count)  # before any build
-    (ensemble,), spec = prepare(config, [config.r], ensembles)
+    (ensemble,) = prepare(config, [config.r], ensembles)
     drift, transferred = ensemble.conservation, transferred_atoms(ensemble)
-    curve = sensitivity_curve(ensemble, phi, spec)
+    curve = sensitivity_curve(ensemble, phi, config.gain_g, config.correction_sign)
     rows = list(zip(*(getattr(curve, c) for c in PHI_SWEEP_COLUMNS)))
     min_m, argmin_phi, k = curve.min_m()
     ci = [float(curve.m_ci_lo[k]), float(curve.m_ci_hi[k])]
@@ -156,10 +156,10 @@ SCATTER_COLUMNS = ["trajectory", "phi", "s_a", "s_b_over_g", "s"]
 
 
 def cmd_scatter(config: RunConfig, out_dir: Path, stem: str = "scatter", ensembles=None) -> int:
-    (ensemble,), spec = prepare(config, [config.r], ensembles)
+    (ensemble,) = prepare(config, [config.r], ensembles)
     # a run of one: its features and sign come as every verb's do
-    features = fringe_features(ensemble, spec)
-    (sign,) = evaluate([features], config.scatter_phis, spec.correction_sign,
+    features = fringe_features(ensemble, config.gain_g)
+    (sign,) = evaluate([features], config.scatter_phis, config.correction_sign,
                        ensemble.n_total)[0]["correction_sign"]
     b, c, s_b_scaled = features.T
     rows = []
@@ -236,7 +236,7 @@ def cmd_figures(config: RunConfig, out_dir: Path) -> int:
     for cfg in recipes:
         runs.setdefault((cfg.n_seed, cfg.mode), (cfg, []))[1].extend(cfg.r_list)
         check_pump_range(cfg.n_total, cfg.n_seed, cfg.r_list, cfg.mode)  # before any build
-    built = {key: dict(zip(rs, prepare(cfg, rs)[0])) for key, (cfg, rs) in runs.items()}
+    built = {key: dict(zip(rs, prepare(cfg, rs))) for key, (cfg, rs) in runs.items()}
     tw_unseeded, tw_seeded, m_unseeded, m_seeded, working = (
         [built[cfg.n_seed, cfg.mode][r] for r in cfg.r_list] for cfg in recipes)
 

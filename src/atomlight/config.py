@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import EVOLUTION_MODES
 
-# config value -> HomodyneSpec.correction_sign
+# config value -> the estimator's correction name (RunConfig.correction_sign)
 CORRECTIONS = {"on": "plus", "off": "off", "auto_sign": "auto"}
 OUTPUT_FORMATS = ("csv", "json")
 MIN_TRAJECTORIES = 100  # the fewest trajectories a sensitivity is estimated from
@@ -105,6 +105,11 @@ class RunConfig:
     scatter_phis: list[float] = field(
         default_factory=lambda: [np.pi / 2, np.pi, 3 * np.pi / 2]
     )
+
+    @property
+    def correction_sign(self) -> str:
+        """The estimator's name for this config's correction (CORRECTIONS)."""
+        return CORRECTIONS[self.correction]
 
     def validate(self) -> "RunConfig":
         check_kinds(vars(self), RUN_KINDS)

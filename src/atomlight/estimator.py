@@ -35,9 +35,9 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from .analytics import predict
-from .config import CORRECTIONS, MIN_TRAJECTORIES, RunConfig
+from .config import MIN_TRAJECTORIES, RunConfig
 from .dynamics import ConservationReport, Ensemble, build_ensembles, transferred_atoms
-from .interferometer import HomodyneSpec, fringe_features
+from .interferometer import fringe_features
 from .phasespace import quadrature_x, quadrature_y
 
 Z_CI = 1.959963984540054  # the standard normal's 0.975 quantile: 95 % intervals
@@ -160,7 +160,6 @@ def _statistics(mean, cov, higher, n, phi, weights, n_total: float) -> dict:
     order, whatever else is evaluated with it.
     """
     w = np.moveaxis(weights, -1, 0)[..., None]  # (k - 2, sets, weights, 1)
-    phi = np.asarray(phi, dtype=float)
     design = np.broadcast_arrays(np.cos(phi), np.sin(phi), *w)
     slope = [-np.sin(phi), np.cos(phi)] + [np.zeros_like(phi)] * len(w)
     # d and t in the basis (B, C + w . x, x) of each set's first weight w, that of its higher sums
@@ -221,7 +220,8 @@ def evaluate(features, phi, correction: str, n_total: float) -> tuple[dict, np.n
     trajectories is refused by its shape before its sums.  correction is one
     name for every set, whose weight row on the columns after (B, C) weights
     S_b / g alone: "plus" (-1, 0 ...), "minus" (+1, 0 ...), "off" (0 ...) or
-    "auto"; any other name is refused before any set is read.  Each set is
+    "auto"; any other name, a phi that is not a non-empty 1-D grid of phases,
+    and an iterable of no sets are refused before any sums.  Each set is
     centred at its feature means into k trajectory rows, whose k + k(k+1)/2
     sums of degree 1 and 2 give its means and covariances, and its "auto":
     "plus" where cov(C, S_b / g) >= 0 (ties too), "minus" otherwise, over
@@ -248,6 +248,9 @@ def evaluate(features, phi, correction: str, n_total: float) -> tuple[dict, np.n
     """
     if correction != "auto":
         correction_weight(correction)  # refuses an unknown name
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 1 or phi.size == 0:
+        raise ValueError(f"phi must be a non-empty 1-D grid of phases; got shape {phi.shape}")
     first = []  # the first set's shape, whose width every set must have
 
     def set_sums(f):
@@ -258,15 +261,18 @@ def evaluate(features, phi, correction: str, n_total: float) -> tuple[dict, np.n
         return _set_sums(f, correction)
 
     # map drops each set once its sums are formed, before it draws the next
-    mean, cov, higher, signs, w, n = map(np.array, zip(*map(set_sums, features)))
+    per_set = list(map(set_sums, features))
+    if not per_set:
+        raise ValueError("features holds no set; evaluate needs at least one")
+    mean, cov, higher, signs, w, n = map(np.array, zip(*per_set))
     weights = np.stack([w, np.zeros_like(w)], axis=1)
     stats = _statistics(mean, cov, higher, n[:, None, None], phi, weights, n_total)
     stats.update(correction_sign=signs.tolist(), mean_s_b_over_g=mean[:, 2])
     return stats, stats.pop("m_ci_lo")[:, 0], stats.pop("m_ci_hi")[:, 0]
 
 
-def _curves(ensembles: list, phi, spec: HomodyneSpec) -> list[SensitivityCurve]:
-    """The sensitivity curve of each ensemble at each phase in phi, a non-empty 1-D grid.
+def _curves(ensembles: list, phi, gain_g: float, correction: str) -> list[SensitivityCurve]:
+    """The sensitivity curve of each ensemble at each phase in phi, at gain_g and correction.
 
     The ensembles must share n_total, which sets the scale of M.  One
     evaluate call serves every ensemble, so each curve equals that of its
@@ -280,23 +286,22 @@ def _curves(ensembles: list, phi, spec: HomodyneSpec) -> list[SensitivityCurve]:
         raise ValueError(f"need at least {MIN_TRAJECTORIES} trajectories")
 
     phi = np.array(phi, dtype=float)
-    if phi.ndim != 1 or phi.size == 0:
-        raise ValueError(f"phi must be a non-empty 1-D grid of phases; got shape {phi.shape}")
-    stats, ci_lo, ci_hi = evaluate((fringe_features(e, spec) for e in ensembles), phi,
-                                   spec.correction_sign, n_total)
+    stats, ci_lo, ci_hi = evaluate((fringe_features(e, gain_g) for e in ensembles), phi,
+                                   correction, n_total)
     signs, mean_s_b_over_g = stats.pop("correction_sign"), stats.pop("mean_s_b_over_g")
     return [SensitivityCurve(
         phi=phi, mean_s_a=stats["mean_s"][s, 1], var_s_a=stats["var_s"][s, 1],
-        mean_s_b=np.full(phi.size, spec.gain_g * mean_s_b_over_g[s]),
+        mean_s_b=np.full(phi.size, gain_g * mean_s_b_over_g[s]),
         **{key: x[s, 0] for key, x in stats.items()}, m_ci_lo=ci_lo[s], m_ci_hi=ci_hi[s],
         traj_count=ensembles[s].n_traj, correction_sign=signs[s],
     ) for s in range(len(signs))]
 
 
-def sensitivity_curve(ensemble: Ensemble, phi, spec: HomodyneSpec) -> SensitivityCurve:
+def sensitivity_curve(ensemble: Ensemble, phi, gain_g: float,
+                      correction: str = "auto") -> SensitivityCurve:
     """Full sensitivity analysis of one ensemble at each phase in phi (one
     phase is a grid of one)."""
-    return _curves([ensemble], phi, spec)[0]
+    return _curves([ensemble], phi, gain_g, correction)[0]
 
 
 def squeezed_combo_variance(ensemble: Ensemble) -> float:
@@ -305,16 +310,13 @@ def squeezed_combo_variance(ensemble: Ensemble) -> float:
     return float(np.var(combo, ddof=1))
 
 
-def prepare(config: RunConfig, r_values,
-            ensembles=None) -> tuple[list[Ensemble], HomodyneSpec]:
-    """The ensembles at each r (built unless given, else returned as they were
-    given), and the homodyne settings."""
+def prepare(config: RunConfig, r_values, ensembles=None) -> list[Ensemble]:
+    """The ensembles at each r: built unless given, else returned as they were given."""
     if ensembles is None:
         ensembles = build_ensembles(
             config.n_total, config.n_seed, r_values, config.trajectories, config.master_seed,
             mode=config.mode, lo_sampled=config.lo_sampled)
-    spec = HomodyneSpec(gain_g=config.gain_g, correction_sign=CORRECTIONS[config.correction])
-    return ensembles, spec
+    return ensembles
 
 
 def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
@@ -333,14 +335,15 @@ def scan_over_r(r_values, config: RunConfig, ensembles=None) -> RScanResult:
     if any(v < 0 for v in r_values):
         raise ValueError("r_values must be >= 0")
 
-    ensembles, spec = prepare(config, r_values, ensembles)
+    ensembles = prepare(config, r_values, ensembles)
     if len(ensembles) != len(r_values):
         raise ValueError(f"{len(ensembles)} ensembles for {len(r_values)} r values")
     for r, ensemble in zip(r_values, ensembles):
         if ensemble.r != r:
             raise ValueError(f"ensemble at r = {ensemble.r} given for r = {r}")
     rows = []
-    for r, ensemble, curve in zip(r_values, ensembles, _curves(ensembles, [np.pi / 2], spec)):
+    curves = _curves(ensembles, [np.pi / 2], config.gain_g, config.correction_sign)
+    for r, ensemble, curve in zip(r_values, ensembles, curves):
         pred = predict(r, config.n_total)
         rows.append(RScanRow(
             r=r, m=float(curve.m[0]), m_ci_lo=float(curve.m_ci_lo[0]),

@@ -22,32 +22,10 @@ ensemble's lo_noise to beta_LO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import Ensemble
 from .phasespace import occupation
-
-
-@dataclass
-class HomodyneSpec:
-    """Local-oscillator and correction settings.
-
-    gain_g: ratio of LO amplitude to the mean pump amplitude at t1.
-    correction_sign: "plus", "minus", "auto" (calibrated from the ensemble
-        when its features are evaluated, estimator.evaluate), or "off" (no
-        correction: S is the atomic signal alone).
-    """
-
-    gain_g: float = 100.0
-    correction_sign: str = "auto"
-
-    def __post_init__(self):
-        if not (np.isfinite(self.gain_g) and self.gain_g > 0):
-            raise ValueError("gain_g must be finite and > 0")
-        if self.correction_sign not in ("plus", "minus", "auto", "off"):
-            raise ValueError(f"unknown correction_sign {self.correction_sign!r}")
 
 
 def signal_light(beta2, beta_lo) -> np.ndarray | float:
@@ -57,29 +35,31 @@ def signal_light(beta2, beta_lo) -> np.ndarray | float:
     return -2.0 * np.imag(beta2 * np.conj(beta_lo))
 
 
-def lo_amplitude(ensemble: Ensemble, spec: HomodyneSpec) -> float:
-    """The mean LO amplitude beta_LO = g sqrt(<N1(t1)>)."""
-    return spec.gain_g * np.sqrt(max(occupation(ensemble.state.alpha1), 0.0))
+def lo_amplitude(ensemble: Ensemble, gain_g: float) -> float:
+    """The mean LO amplitude beta_LO = g sqrt(<N1(t1)>), for a finite gain_g g > 0."""
+    if not (np.isfinite(gain_g) and gain_g > 0):
+        raise ValueError("gain_g must be finite and > 0")
+    return gain_g * np.sqrt(max(occupation(ensemble.state.alpha1), 0.0))
 
 
-def fringe_features(ensemble: Ensemble, spec: HomodyneSpec) -> np.ndarray:
+def fringe_features(ensemble: Ensemble, gain_g: float) -> np.ndarray:
     """Per-trajectory features (B, C, S_b / g), an (n, 3) array.
 
-    S_b is read against lo_amplitude(ensemble, spec) plus the ensemble's
+    S_b is read against lo_amplitude(ensemble, gain_g) plus the ensemble's
     lo_noise, when it has one.
     """
     noise = 0.0 if ensemble.lo_noise is None else ensemble.lo_noise
-    s_b = signal_light(ensemble.state.beta2, lo_amplitude(ensemble, spec) + noise)
+    s_b = signal_light(ensemble.state.beta2, lo_amplitude(ensemble, gain_g) + noise)
     a1, a2 = ensemble.state.alpha1, ensemble.state.alpha2
     b = (a1.real ** 2 + a1.imag ** 2) - (a2.real ** 2 + a2.imag ** 2)  # |alpha1|^2 - |alpha2|^2
     c = -2.0 * (a1.real * a2.real + a1.imag * a2.imag)  # -2 Re(alpha1 conj(alpha2))
-    return np.stack([b, c, s_b / spec.gain_g], axis=1)
+    return np.stack([b, c, s_b / gain_g], axis=1)
 
 
-def detected_photons(ensemble: Ensemble, spec: HomodyneSpec) -> float:
+def detected_photons(ensemble: Ensemble, gain_g: float) -> float:
     """Total photons hitting the homodyne detectors: LO plus scattered light.
 
     The LO counts at its mean amplitude.  Used for the photon-inclusive
     sensitivity bound 1/sqrt(N_atoms + N_photons).
     """
-    return float(lo_amplitude(ensemble, spec) ** 2 + max(occupation(ensemble.state.beta2), 0.0))
+    return float(lo_amplitude(ensemble, gain_g) ** 2 + max(occupation(ensemble.state.beta2), 0.0))

@@ -91,14 +91,14 @@ def signal_atoms(alpha1, alpha2):
     return np.abs(alpha2) ** 2 - np.abs(alpha1) ** 2
 
 
-def interferometer_signals(ensemble, phi, spec):
+def interferometer_signals(ensemble, phi, gain_g):
     """(S_a, S_b) per trajectory at phase phi: the atoms through run_mzi, the
-    light by the homodyne read-out of the t1 amplitudes against an LO with the
-    ensemble's noise lo_noise (none when it is None)."""
+    light by the homodyne read-out of the t1 amplitudes against an LO at gain
+    gain_g with the ensemble's noise lo_noise (none when it is None)."""
     state = ensemble.state
     noise = 0.0 if ensemble.lo_noise is None else ensemble.lo_noise
     s_a = signal_atoms(*run_mzi(state.alpha1, state.alpha2, phi))
-    return s_a, signal_light(state.beta2, lo_amplitude(ensemble, spec) + noise)
+    return s_a, signal_light(state.beta2, lo_amplitude(ensemble, gain_g) + noise)
 
 
 def direct_m(s, slope, n_total):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from atomlight import (
-    HomodyneSpec,
     PhysicalSetup,
     RunConfig,
     build_ensembles,
@@ -40,9 +39,9 @@ def report(criterion: int, ok: bool, detail: str):
     assert ok, detail
 
 
-def at_pi_2(ensemble, spec):
+def at_pi_2(ensemble, gain_g, correction="auto"):
     """The sensitivity curve of ensemble at the working phase pi/2 alone."""
-    return sensitivity_curve(ensemble, [np.pi / 2], spec)
+    return sensitivity_curve(ensemble, [np.pi / 2], gain_g, correction)
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +116,7 @@ def test_criterion_03_squeezing_variance():
 
 def test_criterion_04_sql_recovery():
     ens = build_ensembles(N_TOTAL, 0.0, [0.0], 10_000, MASTER_SEED)[0]
-    m = at_pi_2(ens, HomodyneSpec(gain_g=100.0, correction_sign="off")).m[0]
+    m = at_pi_2(ens, 100.0, "off").m[0]
     ok = 0.95 <= m <= 1.05
     report(4, ok, f"r=0, correction off, 1e4 trajectories: M(pi/2) = {m:.4f} in [0.95, 1.05]")
 
@@ -150,11 +149,11 @@ def test_criterion_06_seeded_optimum(seeded_scan):
 
 
 def test_criterion_07_working_point(fig3_ensemble):
-    spec = HomodyneSpec(gain_g=100.0)
-    curve = at_pi_2(fig3_ensemble, spec)
+    gain_g = 100.0
+    curve = at_pi_2(fig3_ensemble, gain_g)
     m, sign = curve.m[0], curve.correction_sign
     # the correlations that scatter reports: S_a = B cos(phi) + C sin(phi) against S_b / g
-    features = fringe_features(fig3_ensemble, spec)
+    features = fringe_features(fig3_ensemble, gain_g)
     b, c, s_b_over_g = features.T
     corrs = {}
     for phi in (np.pi / 2, np.pi, 3 * np.pi / 2):
@@ -170,12 +169,12 @@ def test_criterion_07_working_point(fig3_ensemble):
 
 
 def test_criterion_08_gain_saturation_and_sign(fig3_ensemble):
-    at_100 = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=100.0))
+    at_100 = at_pi_2(fig3_ensemble, 100.0)
     m100, width = at_100.m[0], at_100.m_ci_hi[0] - at_100.m_ci_lo[0]
-    m1000 = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=1000.0)).m[0]
+    m1000 = at_pi_2(fig3_ensemble, 1000.0).m[0]
     anti = "minus" if at_100.correction_sign == "plus" else "plus"
-    m_anti = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=100.0, correction_sign=anti)).m[0]
-    m_off = at_pi_2(fig3_ensemble, HomodyneSpec(gain_g=100.0, correction_sign="off")).m[0]
+    m_anti = at_pi_2(fig3_ensemble, 100.0, anti).m[0]
+    m_off = at_pi_2(fig3_ensemble, 100.0, "off").m[0]
     ok = abs(m1000 - m100) < width and m_anti > m_off
     report(8, ok, f"gain 100 -> 1000 moves M by {abs(m1000-m100):.2e} < CI width {width:.2e}; "
                   f"anti-calibrated M = {m_anti:.2f} > uncorrected M = {m_off:.2f}")
@@ -185,10 +184,10 @@ def test_criterion_09_low_gain_photon_inclusive():
     best = None
     for r in (2.0, 2.25, 2.5):
         ens = build_ensembles(N_TOTAL, 1.0e4, [r], 1000, MASTER_SEED)[0]
-        spec = HomodyneSpec(gain_g=1.0)
-        m = at_pi_2(ens, spec).m[0]
+        gain_g = 1.0
+        m = at_pi_2(ens, gain_g).m[0]
         if best is None or m < best[0]:
-            best = (m, r, detected_photons(ens, spec))
+            best = (m, r, detected_photons(ens, gain_g))
     m, r, n_p = best
     m_inclusive = m * np.sqrt((N_TOTAL + n_p) / N_TOTAL)
     ok = 0.15 <= m <= 0.30 and m_inclusive < 1.0

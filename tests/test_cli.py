@@ -424,8 +424,8 @@ def test_scatter_reads_the_features_of_one_lo_draw(tmp_path, drawn_streams):
     code, out = run(["scatter"] + FAST, tmp_path)
     assert code == 0 and drawn_streams.count("local_oscillator") == 1
     config = cli.make_config(json.loads((out / "scatter_summary.json").read_text())["config"])
-    (ensemble,), spec = estimator.prepare(config, [config.r])
-    features = interferometer.fringe_features(ensemble, spec)
+    (ensemble,) = estimator.prepare(config, [config.r])
+    features = interferometer.fringe_features(ensemble, config.gain_g)
     lines = [l for l in (out / "scatter.csv").read_text().splitlines() if not l.startswith("#")]
     rows = np.array([l.split(",") for l in lines[1:]], dtype=float)
     for k in range(len(config.scatter_phis)):

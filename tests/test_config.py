@@ -1,8 +1,9 @@
 """Property tests: every bad config mapping is refused by validation."""
 
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from atomlight.config import (
     make_config,
 )
 from atomlight.dynamics import EVOLUTION_MODES
+from atomlight.estimator import evaluate
 from atomlight.feasibility import PhysicalSetup
 
 FLOAT_KEYS = ("n_total", "n_seed", "r", "phi_start", "phi_stop", "gain_g")
@@ -112,3 +114,14 @@ def test_non_boolean_lo_sampled_rejected(rest, value):
 def test_valid_mapping_accepted(rest):
     config = make_config(rest)
     assert config.trajectories >= 100 and 0 <= config.master_seed < 2**64
+
+
+@pytest.mark.parametrize("correction", sorted(CORRECTIONS))
+def test_every_correction_reaches_a_name_that_evaluate_takes(correction):
+    # the one translation from a config's correction to the estimator's name
+    sign = RunConfig(correction=correction).correction_sign
+    features = np.random.default_rng(7).normal(size=(1, 50, 3))
+    (resolved,) = evaluate(features, [np.pi / 2], sign, 1.0)[0]["correction_sign"]
+    assert resolved == sign or (sign == "auto" and resolved in ("plus", "minus"))
+    # a property, not a field: the config echo does not show it
+    assert "correction_sign" not in asdict(RunConfig(correction=correction))

@@ -14,7 +14,7 @@ import atomlight.phasespace as phasespace
 from atomlight.config import ConfigError, RunConfig
 from atomlight.dynamics import build_ensembles
 from atomlight.estimator import Z_CI, correction_weight, evaluate, scan_over_r, sensitivity_curve
-from atomlight.interferometer import HomodyneSpec, fringe_features
+from atomlight.interferometer import fringe_features
 from oracles import bootstrap_interval, interferometer_signals
 
 SEED = 555
@@ -25,7 +25,7 @@ CELLS = ("mean_s", "var_s", "ds_dphi", "delta_phi", "m")  # evaluate's (sets, 2,
 
 def test_phi_grid_from_range(working_point_ensemble):
     grid = np.linspace(0.0, 2 * np.pi, 201)
-    curve = sensitivity_curve(working_point_ensemble, grid, HomodyneSpec())
+    curve = sensitivity_curve(working_point_ensemble, grid, 100.0)
     assert len(curve.phi) == 201
     assert curve.phi[1] - curve.phi[0] == pytest.approx(np.pi / 100)
 
@@ -49,15 +49,15 @@ def test_phi_grid_rejects_bad_input(working_point_ensemble, monkeypatch):
     monkeypatch.setattr(estimator, "fringe_features", no_features)
     for grid in ([], [[0.1, 0.2]], 0.1):
         with pytest.raises(ValueError, match="non-empty 1-D grid"):
-            sensitivity_curve(working_point_ensemble, grid, HomodyneSpec())
+            sensitivity_curve(working_point_ensemble, grid, 100.0)
 
 
 # --- common random numbers -------------------------------------------------------
 
 def test_shared_phases_are_bit_identical(working_point_ensemble):
-    spec = HomodyneSpec(gain_g=100.0)
-    f1 = fringe_features(working_point_ensemble, spec)
-    f2 = fringe_features(working_point_ensemble, spec)
+    gain_g = 100.0
+    f1 = fringe_features(working_point_ensemble, gain_g)
+    f2 = fringe_features(working_point_ensemble, gain_g)
     assert np.array_equal(f1, f2)  # same trajectories, same LO noise (S_b / g included)
     wide = [np.pi / 2 - 0.2, np.pi / 2, np.pi / 2 + 0.2]
     narrow = [np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1]
@@ -74,18 +74,18 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
     # so the pi/2 entry of a grid is the single-phase value bit for bit, even
     # unseeded where the corrected variance nearly cancels
     ensemble = build_ensembles(1.0e7, n_seed, [r], 10_000, 12345)[0]
-    spec = HomodyneSpec(gain_g=100.0)
+    gain_g = 100.0
     grid = np.linspace(0.0, np.pi, 129)  # a step of pi/128 holds pi/2 exactly
     assert grid[64] == np.pi / 2
-    curve = sensitivity_curve(ensemble, grid, spec)
-    single = sensitivity_curve(ensemble, [np.pi / 2], spec)
+    curve = sensitivity_curve(ensemble, grid, gain_g)
+    single = sensitivity_curve(ensemble, [np.pi / 2], gain_g)
     assert single.correction_sign == curve.correction_sign
     assert np.array_equal(single.m[0], curve.m[64])
     assert np.array_equal(single.m_ci_lo[0], curve.m_ci_lo[64])
     assert np.array_equal(single.m_ci_hi[0], curve.m_ci_hi[64])
     # and weight 0's statistics do not depend on the weight beside it: evaluate
     # gives each set its correction's weight and 0, so "off" is 0 beside 0
-    features = fringe_features(ensemble, spec)
+    features = fringe_features(ensemble, gain_g)
     both, _, _ = evaluate(features[np.newaxis], grid, curve.correction_sign, 1.0e7)
     off, _, _ = evaluate(features[np.newaxis], grid, "off", 1.0e7)
     assert both.keys() == off.keys()
@@ -93,26 +93,26 @@ def test_a_phase_does_not_depend_on_what_is_evaluated_with_it(n_seed, r):
         assert all(np.array_equal(both[key][:, 1], off[key][:, column]) for key in CELLS)
 
 
-def _direct_signals(ensemble, grid, spec, sign):
+def _direct_signals(ensemble, grid, gain_g, sign):
     """Reference (trajectory x phi) matrices of S = S_a + w S_b / g and S_a,
     one phase at a time through the step-by-step interferometer."""
-    pairs = [interferometer_signals(ensemble, phi, spec) for phi in grid]
+    pairs = [interferometer_signals(ensemble, phi, gain_g) for phi in grid]
     w = correction_weight(sign)
-    return (np.column_stack([s_a + w * (s_b / spec.gain_g) for s_a, s_b in pairs]),
+    return (np.column_stack([s_a + w * (s_b / gain_g) for s_a, s_b in pairs]),
             np.column_stack([s_a for s_a, _ in pairs]))
 
 
-def _direct_slope(ensemble, grid, spec, sign):
+def _direct_slope(ensemble, grid, gain_g, sign):
     """Reference per-trajectory slopes dS/dphi: for one harmonic (and a light
     record that does not depend on phi) they are S_a a quarter fringe on."""
-    return _direct_signals(ensemble, grid + np.pi / 2, spec, sign)[1]
+    return _direct_signals(ensemble, grid + np.pi / 2, gain_g, sign)[1]
 
 
 def test_features_match_direct_signals(working_point_ensemble):
     grid = np.linspace(0.0, 2 * np.pi, 201)
-    spec = HomodyneSpec(gain_g=100.0)
-    curve = sensitivity_curve(working_point_ensemble, grid, spec)
-    s, s_a = _direct_signals(working_point_ensemble, grid, spec, curve.correction_sign)
+    gain_g = 100.0
+    curve = sensitivity_curve(working_point_ensemble, grid, gain_g)
+    s, s_a = _direct_signals(working_point_ensemble, grid, gain_g, curve.correction_sign)
     for mean, var, ref in ((curve.mean_s, curve.var_s, s), (curve.mean_s_a, curve.var_s_a, s_a)):
         ref_mean = ref.mean(axis=0)
         assert np.max(np.abs(mean - ref_mean)) <= 1e-9 * np.max(np.abs(ref_mean))
@@ -123,12 +123,12 @@ def test_interval_matches_the_direct_influence_function(working_point_ensemble):
     # the edges are M exp(-+z se), se^2 the mean square of each trajectory's
     # influence on log M over n, here taken from the step-by-step signals
     grid = np.linspace(0.0, 2 * np.pi, 41)
-    spec = HomodyneSpec(gain_g=100.0)
-    features = fringe_features(working_point_ensemble, spec)
+    gain_g = 100.0
+    features = fringe_features(working_point_ensemble, gain_g)
     stats, (lo,), (hi,) = evaluate(features[np.newaxis], grid, "auto", 1.0e7)
     (sign,) = stats["correction_sign"]
-    s, _ = _direct_signals(working_point_ensemble, grid, spec, sign)
-    slope = _direct_slope(working_point_ensemble, grid, spec, sign)
+    s, _ = _direct_signals(working_point_ensemble, grid, gain_g, sign)
+    slope = _direct_slope(working_point_ensemble, grid, gain_g, sign)
     s -= s.mean(axis=0)
     v, ds = (s ** 2).mean(axis=0), slope.mean(axis=0)
     influence = 0.5 * (s ** 2 - v) / v - (slope - ds) / ds
@@ -147,9 +147,9 @@ def test_z_is_the_normal_quantile():
 def test_slope_is_exact(working_point_ensemble):
     # central differences miss sin(h)/h - 1 inside a grid and more at its ends
     grid = np.linspace(0.0, 2 * np.pi, 201)
-    spec = HomodyneSpec(gain_g=100.0)
-    curve = sensitivity_curve(working_point_ensemble, grid, spec)
-    ref = _direct_slope(working_point_ensemble, grid, spec, curve.correction_sign).mean(axis=0)
+    gain_g = 100.0
+    curve = sensitivity_curve(working_point_ensemble, grid, gain_g)
+    ref = _direct_slope(working_point_ensemble, grid, gain_g, curve.correction_sign).mean(axis=0)
     assert np.all(np.abs(curve.ds_dphi - ref) <= 1e-9 * np.abs(ref))
 
 
@@ -161,8 +161,8 @@ def test_one_lo_draw_per_ensemble(drawn_streams):
     assert all(e.lo_noise is ensembles[0].lo_noise for e in ensembles)
     grid = np.linspace(0.0, 2 * np.pi, 21)
     for ensemble in ensembles:
-        sensitivity_curve(ensemble, grid, HomodyneSpec(gain_g=100.0))
-        sensitivity_curve(ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0))
+        sensitivity_curve(ensemble, grid, 100.0)
+        sensitivity_curve(ensemble, [np.pi / 2], 100.0)
     assert len(drawn_streams) == 4
     assert np.array_equal(ensembles[0].lo_noise,
                           phasespace.sample_coherent_batch(0.0, SEED, "local_oscillator", 100))
@@ -199,7 +199,7 @@ def test_scan_samples_integrates_and_draws_lo_noise_once(monkeypatch, drawn_stre
     # what sensitivity_curve gives its ensemble alone
     for r, row in zip(r_values, result.rows):
         ens = build_ensembles(1.0e7, 1.0e4, [r], 100, SEED)[0]
-        curve = sensitivity_curve(ens, [np.pi / 2], HomodyneSpec(gain_g=100.0))
+        curve = sensitivity_curve(ens, [np.pi / 2], 100.0)
         assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (
             curve.m[0], curve.m_ci_lo[0], curve.m_ci_hi[0], curve.correction_sign)
 
@@ -224,7 +224,7 @@ def test_every_set_weight_and_phase_is_one_evaluation(working_point_ensemble, mo
     result = scan_over_r([1.0 + 0.25 * k for k in range(13)], config)
     assert len(result.rows) == 13 and calls == [13]
     grid = np.linspace(0.0, 2 * np.pi, 201)
-    sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0))
+    sensitivity_curve(working_point_ensemble, grid, 100.0)
     assert calls == [13, 1]
 
 
@@ -241,9 +241,9 @@ def test_given_ensembles_stay_with_their_caller():
     first = scan_over_r([1.0, 2.0], config, ensembles)
     assert len(ensembles) == 2 and all(a is b for a, b in zip(ensembles, held))
     assert scan_over_r([1.0, 2.0], config, ensembles).rows == first.rows
-    estimator._curves(ensembles, [np.pi / 2], HomodyneSpec(gain_g=100.0))  # reads the list
+    estimator._curves(ensembles, [np.pi / 2], 100.0, "auto")  # reads the list
     assert len(ensembles) == 2 and all(a is b for a, b in zip(ensembles, held))
-    curve = sensitivity_curve(held[0], [np.pi / 2], HomodyneSpec(gain_g=100.0))
+    curve = sensitivity_curve(held[0], [np.pi / 2], 100.0)
     assert (curve.m[0], curve.m_ci_lo[0], curve.m_ci_hi[0]) == (
         first.rows[0].m, first.rows[0].m_ci_lo, first.rows[0].m_ci_hi)
 
@@ -274,12 +274,12 @@ def test_scan_rows_of_other_builds_equal_each_ensemble_alone(other):
     ensembles = _scan_ensembles([1.0, 2.0]) + _scan_ensembles([3.0], **other)
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=100, master_seed=SEED)
     result = scan_over_r([1.0, 2.0, 3.0], config, ensembles)
-    spec = HomodyneSpec(gain_g=config.gain_g)
+    gain_g = config.gain_g
     for row, ensemble in zip(result.rows, ensembles):
-        alone = sensitivity_curve(ensemble, [np.pi / 2], spec)
+        alone = sensitivity_curve(ensemble, [np.pi / 2], gain_g)
         assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (
             alone.m[0], alone.m_ci_lo[0], alone.m_ci_hi[0], alone.correction_sign)
-    curves = estimator._curves(ensembles, [np.pi / 2], spec)
+    curves = estimator._curves(ensembles, [np.pi / 2], gain_g, "auto")
     assert [c.traj_count for c in curves] == [e.n_traj for e in ensembles]
 
 
@@ -314,8 +314,7 @@ def test_zero_derivative_is_flagged():
 # --- SQL recovery and the undepleted benchmark ------------------------------------
 
 def test_sql_recovery(coherent_ensemble):
-    curve = sensitivity_curve(coherent_ensemble, [np.pi / 2],
-                              HomodyneSpec(gain_g=100.0, correction_sign="off"))
+    curve = sensitivity_curve(coherent_ensemble, [np.pi / 2], 100.0, "off")
     assert curve.correction_sign == "off"
     m = curve.m[0]
     rel_se = np.sqrt(0.5 / (coherent_ensemble.n_traj - 1))
@@ -325,8 +324,7 @@ def test_sql_recovery(coherent_ensemble):
 @pytest.mark.parametrize("r", [0.5, 1.0])
 def test_uncorrected_m_matches_undepleted_prediction(r):
     ens = build_ensembles(1.0e7, 0.0, [r], 4000, SEED)[0]
-    m = sensitivity_curve(ens, [np.pi / 2],
-                          HomodyneSpec(gain_g=100.0, correction_sign="off")).m[0]
+    m = sensitivity_curve(ens, [np.pi / 2], 100.0, "off").m[0]
     expected = predict(r, 1.0e7).m_plain
     rel_se = np.sqrt(0.5 / (ens.n_traj - 1))
     assert abs(m - expected) < 5 * rel_se * expected
@@ -335,9 +333,9 @@ def test_uncorrected_m_matches_undepleted_prediction(r):
 # --- the correction lives in per-trajectory correlations ---------------------------
 
 def test_shuffling_light_record_destroys_gain(working_point_ensemble):
-    spec = HomodyneSpec(gain_g=100.0)
+    gain_g = 100.0
     phi = [np.pi / 2]
-    features = fringe_features(working_point_ensemble, spec)
+    features = fringe_features(working_point_ensemble, gain_g)
     stats = evaluate(features[np.newaxis], phi, "auto", 1.0e7)[0]
     m_corr, m_off = stats["m"][0, :, 0]
 
@@ -352,8 +350,8 @@ def test_shuffling_light_record_destroys_gain(working_point_ensemble):
 
 
 def test_gain_saturation(working_point_ensemble):
-    at_100 = sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=100.0))
-    at_1000 = sensitivity_curve(working_point_ensemble, [np.pi / 2], HomodyneSpec(gain_g=1000.0))
+    at_100 = sensitivity_curve(working_point_ensemble, [np.pi / 2], 100.0)
+    at_1000 = sensitivity_curve(working_point_ensemble, [np.pi / 2], 1000.0)
     assert abs(at_1000.m[0] - at_100.m[0]) < (at_100.m_ci_hi[0] - at_100.m_ci_lo[0])
 
 
@@ -395,12 +393,12 @@ def interval_coverage(n_seed, r_values, seeds):
     M(pi/2) of one reference ensemble of 2e5: per r, the two hit counts and
     the median ratio of the widths (delta over bootstrap).  N = 1e7 and
     g = 100, and every r of a seed is built from one sample."""
-    spec, phi = HomodyneSpec(gain_g=100.0), np.pi / 2
+    gain_g, phi = 100.0, np.pi / 2
     reference = build_ensembles(1.0e7, n_seed, r_values, 200_000, 2**32)
-    truth = [c.m[0] for c in estimator._curves(reference, [phi], spec)]
+    truth = [c.m[0] for c in estimator._curves(reference, [phi], gain_g, "auto")]
     hits, ratios = np.zeros((len(r_values), 2), dtype=int), []
     for seed in seeds:
-        features = [fringe_features(e, spec)
+        features = [fringe_features(e, gain_g)
                     for e in build_ensembles(1.0e7, n_seed, r_values, 1000, seed)]
         stats, lo, hi = evaluate(features, [phi], "auto", 1.0e7)
         for k, (f, sign) in enumerate(zip(features, stats["correction_sign"])):
@@ -474,6 +472,24 @@ def test_a_weight_row_weights_every_column_after_b_and_c(w, u):
             assert all(np.asarray(with_x[0][key]).tobytes() == np.asarray(without[0][key]).tobytes()
                        for key in without[0])
             assert all(a.tobytes() == b.tobytes() for a, b in zip(with_x[1:], without[1:]))
+
+
+@pytest.mark.parametrize("phi", [[[0.1, 0.2]], [], 0.1])
+def test_evaluate_refuses_a_bad_grid_before_any_set_is_drawn(phi):
+    # a 2-D grid would broadcast against the weight axis into (sets, 2, 2) arrays
+    def never():
+        raise AssertionError("a set was drawn for a bad grid")
+        yield
+
+    with pytest.raises(ValueError, match="non-empty 1-D grid of phases"):
+        evaluate(never(), phi, "auto", 1.0)
+
+
+@pytest.mark.parametrize("sets", [[], iter(()), np.zeros((0, 50, 3))],
+                         ids=["list", "iterator", "array"])
+def test_evaluate_refuses_no_sets(sets):
+    with pytest.raises(ValueError, match="features holds no set"):
+        evaluate(sets, [0.1], "auto", 1.0)
 
 
 @pytest.mark.parametrize("shape", [(50, 2), (50,), (2, 50, 3)])
@@ -552,9 +568,9 @@ def test_delta_interval_of_many_sets_equals_each_set_alone(n_traj):
 
 
 def test_delta_interval_deterministic(working_point_ensemble):
-    spec = HomodyneSpec(gain_g=100.0)
+    gain_g = 100.0
     grid = np.linspace(0.0, np.pi, 9)
-    features = fringe_features(working_point_ensemble, spec)
+    features = fringe_features(working_point_ensemble, gain_g)
     a = evaluate(features[np.newaxis], grid, "auto", 1.0e7)
     b = evaluate(features[np.newaxis], grid, "auto", 1.0e7)
     assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
@@ -592,7 +608,7 @@ def test_estimator_transient_memory_is_five_trajectory_rows(sets, n):
 
 def test_sensitivity_curve_fields(working_point_ensemble):
     grid = np.linspace(0.0, 2 * np.pi, 41)
-    curve = sensitivity_curve(working_point_ensemble, grid, HomodyneSpec(gain_g=100.0))
+    curve = sensitivity_curve(working_point_ensemble, grid, 100.0)
     assert curve.traj_count == working_point_ensemble.n_traj
     assert curve.correction_sign in ("plus", "minus")
     assert np.all(curve.var_s >= 0)
@@ -603,7 +619,7 @@ def test_sensitivity_curve_fields(working_point_ensemble):
     )
     # the light record does not depend on phi, and its mean is that of the features' S_b
     assert np.all(curve.mean_s_b == curve.mean_s_b[0])
-    features = fringe_features(working_point_ensemble, HomodyneSpec(gain_g=100.0))
+    features = fringe_features(working_point_ensemble, 100.0)
     assert curve.mean_s_b[0] == pytest.approx(100.0 * features[:, 2].mean(), rel=1e-12)
     min_m, argmin, k = curve.min_m()
     assert (curve.m[k], curve.phi[k]) == (min_m, argmin)
@@ -617,7 +633,7 @@ def test_sensitivity_curve_fields(working_point_ensemble):
 def test_sensitivity_curve_requires_enough_trajectories():
     ens = build_ensembles(1.0e6, 0.0, [0.5], 50, SEED)[0]
     with pytest.raises(ValueError, match="at least 100 trajectories"):
-        sensitivity_curve(ens, np.linspace(0, 1, 5), HomodyneSpec())
+        sensitivity_curve(ens, np.linspace(0, 1, 5), 100.0)
     # every M goes through the same check
     with pytest.raises(ValueError, match="at least 100 trajectories"):
         scan_over_r([0.5], RunConfig(n_total=1.0e6, n_seed=0.0), [ens])
@@ -656,15 +672,15 @@ def test_scan_rows_equal_every_verb_in_every_mode(mode):
     config = RunConfig(n_total=1.0e7, n_seed=1.0e4, trajectories=200, master_seed=SEED, mode=mode)
     r_values = [1.0, 2.5]
     result = scan_over_r(r_values, config)
-    spec = HomodyneSpec(gain_g=config.gain_g)
+    gain_g = config.gain_g
     grid = np.linspace(config.phi_start, config.phi_stop, 5)
     assert grid[1] == np.pi / 2
     for r, row in zip(r_values, result.rows):
         ens = build_ensembles(1.0e7, 1.0e4, [r], 200, SEED, mode=mode)[0]
-        alone = sensitivity_curve(ens, [np.pi / 2], spec)
+        alone = sensitivity_curve(ens, [np.pi / 2], gain_g)
         assert (row.m, row.m_ci_lo, row.m_ci_hi, row.correction_sign) == (
             alone.m[0], alone.m_ci_lo[0], alone.m_ci_hi[0], alone.correction_sign)
-        curve = sensitivity_curve(ens, grid, spec)
+        curve = sensitivity_curve(ens, grid, gain_g)
         got = (curve.m[1], curve.m_ci_lo[1], curve.m_ci_hi[1])
         assert got == pytest.approx((row.m, row.m_ci_lo, row.m_ci_hi), rel=1e-12)
         assert curve.correction_sign == row.correction_sign

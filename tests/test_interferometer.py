@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomlight.estimator import correction_weight, evaluate
+from atomlight import estimator
+from atomlight.estimator import correction_weight, evaluate, sensitivity_curve
 from atomlight.interferometer import (
-    HomodyneSpec,
     detected_photons,
     fringe_features,
     lo_amplitude,
@@ -125,14 +125,13 @@ def test_fringe_is_cosine(coherent_ensemble):
     n_total = coherent_ensemble.n_total
     no_lo_noise = replace(coherent_ensemble, lo_noise=None)
     for phi in np.linspace(0.0, 2 * np.pi, 9):
-        s_a, _ = interferometer_signals(no_lo_noise, phi, HomodyneSpec())
+        s_a, _ = interferometer_signals(no_lo_noise, phi, 100.0)
         se = np.std(s_a, ddof=1) / np.sqrt(coherent_ensemble.n_traj)
         assert abs(s_a.mean() - n_total * np.cos(phi)) < 4 * se + 1e-6
 
 
 def test_balanced_point_mean_zero(coherent_ensemble):
-    s_a, _ = interferometer_signals(replace(coherent_ensemble, lo_noise=None), np.pi / 2,
-                                    HomodyneSpec())
+    s_a, _ = interferometer_signals(replace(coherent_ensemble, lo_noise=None), np.pi / 2, 100.0)
     se = np.std(s_a, ddof=1) / np.sqrt(coherent_ensemble.n_traj)
     assert abs(s_a.mean()) < 3 * se
 
@@ -194,22 +193,29 @@ def test_correction_weight_rejects_auto():
         correction_weight("auto")
 
 
-@pytest.mark.parametrize("setting, match", [
-    ({"correction_sign": "bogus"}, "unknown correction_sign 'bogus'"),
-    ({"gain_g": 0.0}, "gain_g must be finite and > 0"),
-    ({"gain_g": -1.0}, "gain_g must be finite and > 0"),
-    ({"gain_g": np.nan}, "gain_g must be finite and > 0"),
-    ({"gain_g": np.inf}, "gain_g must be finite and > 0"),
-])
-def test_homodyne_spec_refuses_bad_settings(setting, match):
-    # a library caller builds the spec directly; the CLI's keys stop earlier, in RunConfig
-    with pytest.raises(ValueError, match=match):
-        HomodyneSpec(**setting)
+@pytest.mark.parametrize("gain_g", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("read", [
+    fringe_features, lo_amplitude, detected_photons,
+    lambda ensemble, gain_g: sensitivity_curve(ensemble, [np.pi / 2], gain_g),
+], ids=["fringe_features", "lo_amplitude", "detected_photons", "sensitivity_curve"])
+def test_read_out_refuses_a_bad_gain(working_point_ensemble, read, gain_g):
+    # a library caller passes g directly; the CLI's keys stop earlier, in RunConfig
+    with pytest.raises(ValueError, match="gain_g must be finite and > 0"):
+        read(working_point_ensemble, gain_g)
 
 
-def test_resolve_homodyne_derives_lo(working_point_ensemble):
-    spec = HomodyneSpec(gain_g=100.0)
-    beta_lo = lo_amplitude(working_point_ensemble, spec)
+def test_sensitivity_curve_refuses_an_unknown_correction_before_the_read_out(
+        monkeypatch, working_point_ensemble):
+    def unreachable(*_):
+        raise AssertionError("the read-out ran for an unknown correction")
+
+    monkeypatch.setattr(estimator, "fringe_features", unreachable)
+    with pytest.raises(ValueError, match="got 'bogus'"):
+        sensitivity_curve(working_point_ensemble, [np.pi / 2], 100.0, correction="bogus")
+
+
+def test_lo_amplitude_derives_the_lo(working_point_ensemble):
+    beta_lo = lo_amplitude(working_point_ensemble, 100.0)
     n1 = occupation(working_point_ensemble.state.alpha1)
     assert beta_lo == pytest.approx(100.0 * np.sqrt(n1), rel=1e-12)
     # the LO's own noise per trajectory is the ensemble's, from the build's one
@@ -220,37 +226,34 @@ def test_resolve_homodyne_derives_lo(working_point_ensemble):
     beta2 = working_point_ensemble.state.beta2
     for ensemble, lo in ((working_point_ensemble, beta_lo + noise),
                          (replace(working_point_ensemble, lo_noise=None), beta_lo)):
-        s_b_over_g = fringe_features(ensemble, spec)[:, 2]
-        assert s_b_over_g.tobytes() == (signal_light(beta2, lo) / spec.gain_g).tobytes()
+        s_b_over_g = fringe_features(ensemble, 100.0)[:, 2]
+        assert s_b_over_g.tobytes() == (signal_light(beta2, lo) / 100.0).tobytes()
 
 
 # --- fringe features ----------------------------------------------------------------
 
 def test_features_do_not_depend_on_the_correction(working_point_ensemble):
-    # the sign is a weight in the design, so every setting gives the same features
-    spec = HomodyneSpec(gain_g=100.0)
-    auto = fringe_features(working_point_ensemble, spec)
-    assert _auto_sign(auto) in ("plus", "minus")
+    # the sign is a weight in the design, which the estimator applies to the one
+    # set of features that the read-out gives at g
+    features = fringe_features(working_point_ensemble, 100.0)
+    assert _auto_sign(features) in ("plus", "minus")
     s_b = signal_light(working_point_ensemble.state.beta2,
-                       lo_amplitude(working_point_ensemble, spec) + working_point_ensemble.lo_noise)
-    assert np.array_equal(auto[:, 2], s_b / spec.gain_g)
+                       lo_amplitude(working_point_ensemble, 100.0) + working_point_ensemble.lo_noise)
+    assert np.array_equal(features[:, 2], s_b / 100.0)
     for setting in ("plus", "minus", "off"):
-        features = fringe_features(working_point_ensemble, replace(spec, correction_sign=setting))
         stats = evaluate(features[np.newaxis], [np.pi / 2], setting, 1.0)[0]
         assert stats["correction_sign"] == [setting]
-        assert features.tobytes() == auto.tobytes()
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus", "off"])
 def test_weighted_light_feature_is_the_combined_signal(working_point_ensemble, sign):
     # S = S_a + w S_b / g: the light record's part is the weighted feature, bit for bit,
     # and B cos(phi) + C sin(phi) is the step-by-step interferometer's S_a
-    spec = HomodyneSpec(gain_g=100.0, correction_sign=sign)
-    b, c, s_b_over_g = fringe_features(working_point_ensemble, spec).T
+    b, c, s_b_over_g = fringe_features(working_point_ensemble, 100.0).T
     w = correction_weight(sign)
     for phi in (0.3, np.pi / 2, 2.0, 3 * np.pi / 2):
-        ref_s_a, s_b = interferometer_signals(working_point_ensemble, phi, spec)
-        assert (w * s_b_over_g).tobytes() == (w * (s_b / spec.gain_g)).tobytes()
+        ref_s_a, s_b = interferometer_signals(working_point_ensemble, phi, 100.0)
+        assert (w * s_b_over_g).tobytes() == (w * (s_b / 100.0)).tobytes()
         s_a = b * np.cos(phi) + c * np.sin(phi)
         assert np.max(np.abs(s_a - ref_s_a)) <= 1e-9 * np.max(np.abs(ref_s_a))
 
@@ -262,35 +265,34 @@ def _auto_sign(features):
     return evaluate(features[np.newaxis], [np.pi / 2], "auto", 1.0)[0]["correction_sign"][0]
 
 
-def _calibrate_at(ensemble, spec, phi=np.pi / 2):
-    """The sign resolved from the step-by-step interferometer's signals at phi,
-    its S_a in place of C (the atomic record at pi/2)."""
-    s_a, s_b = interferometer_signals(ensemble, phi, spec)
-    return _auto_sign(np.column_stack([np.zeros_like(s_a), s_a, s_b / spec.gain_g]))
+def _calibrate_at(ensemble, gain_g, phi=np.pi / 2):
+    """The sign that evaluate resolves for "auto" from the step-by-step
+    interferometer's signals at phi and gain_g, its S_a in place of C (the
+    atomic record at pi/2)."""
+    s_a, s_b = interferometer_signals(ensemble, phi, gain_g)
+    return _auto_sign(np.column_stack([np.zeros_like(s_a), s_a, s_b / gain_g]))
 
 
 def test_calibration_reduces_variance(working_point_ensemble):
-    spec = HomodyneSpec(gain_g=100.0)
-    sign = _auto_sign(fringe_features(working_point_ensemble, spec))
-    assert sign == _calibrate_at(working_point_ensemble, spec)
-    s_a, s_b = interferometer_signals(working_point_ensemble, np.pi / 2, spec)
-    s_corr = s_a - {"plus": 1, "minus": -1}[sign] * s_b / spec.gain_g
+    sign = _auto_sign(fringe_features(working_point_ensemble, 100.0))
+    assert sign == _calibrate_at(working_point_ensemble, 100.0)
+    s_a, s_b = interferometer_signals(working_point_ensemble, np.pi / 2, 100.0)
+    s_corr = s_a - {"plus": 1, "minus": -1}[sign] * s_b / 100.0
     assert np.var(s_corr, ddof=1) < np.var(s_a, ddof=1)
 
 
 def test_calibration_flips_half_fringe_away(working_point_ensemble):
     # the atomic record at 3 pi / 2 is -C
-    spec = HomodyneSpec(gain_g=100.0)
-    features = fringe_features(working_point_ensemble, spec)
+    features = fringe_features(working_point_ensemble, 100.0)
     at_quarter = _auto_sign(features)
     features[:, 1] *= -1.0
     at_three_quarter = _auto_sign(features)
     assert {at_quarter, at_three_quarter} == {"plus", "minus"}
-    assert at_three_quarter == _calibrate_at(working_point_ensemble, spec, 3 * np.pi / 2)
+    assert at_three_quarter == _calibrate_at(working_point_ensemble, 100.0, 3 * np.pi / 2)
 
 
 def test_calibration_runs_without_squeezing(coherent_ensemble):
-    sign = _calibrate_at(coherent_ensemble, HomodyneSpec(gain_g=100.0))
+    sign = _calibrate_at(coherent_ensemble, 100.0)
     assert sign in ("plus", "minus")
 
 
@@ -330,14 +332,12 @@ def test_calibration_rejects_empty():
 def test_feature_sign_matches_interferometer_sign(request, ensemble, phi):
     # S_a(phi) = B cos(phi) + C sin(phi), so the record at pi/2 (3pi/2) is C (-C)
     ensemble = request.getfixturevalue(ensemble)
-    spec = HomodyneSpec(gain_g=100.0)
-    features = fringe_features(ensemble, spec)
+    features = fringe_features(ensemble, 100.0)
     at_phi = features.copy()
     at_phi[:, 1] *= np.sin(phi)
     from_features = _auto_sign(at_phi)
-    assert from_features == _calibrate_at(ensemble, spec, phi)
-    assert from_features == _two_variance_sign(at_phi[:, 1], spec.gain_g * features[:, 2],
-                                               spec.gain_g)
+    assert from_features == _calibrate_at(ensemble, 100.0, phi)
+    assert from_features == _two_variance_sign(at_phi[:, 1], 100.0 * features[:, 2], 100.0)
     if phi == np.pi / 2:
         assert _auto_sign(features) == from_features
 
@@ -348,15 +348,13 @@ def test_feature_sign_matches_interferometer_sign(request, ensemble, phi):
     (3 * np.pi / 2, -1.0, -0.9),
 ])
 def test_correlation_structure(working_point_ensemble, phi, lo, hi):
-    spec = HomodyneSpec(gain_g=100.0)
-    s_a, s_b = interferometer_signals(working_point_ensemble, phi, spec)
-    corr = np.corrcoef(s_a, s_b / spec.gain_g)[0, 1]
+    s_a, s_b = interferometer_signals(working_point_ensemble, phi, 100.0)
+    corr = np.corrcoef(s_a, s_b / 100.0)[0, 1]
     assert lo <= corr <= hi
 
 
 def test_detected_photons(working_point_ensemble):
-    spec = HomodyneSpec(gain_g=1.0)
-    n_p = detected_photons(working_point_ensemble, spec)
+    n_p = detected_photons(working_point_ensemble, 1.0)
     n1 = occupation(working_point_ensemble.state.alpha1)
     nb = occupation(working_point_ensemble.state.beta2)
     assert n_p == pytest.approx(n1 + nb, rel=1e-12)
